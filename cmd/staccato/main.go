@@ -1,11 +1,11 @@
 // Command staccato demonstrates the Staccato pipeline. It has four
-// subcommands, plus a pointer to the companion server binary:
+// subcommands; serving a database over HTTP is the companion binary's
+// job (staccatod -store DIR -addr :8417):
 //
 //	staccato demo [flags]            single-document walkthrough (default)
 //	staccato ingest -store DIR       persist a synthetic corpus into a database
 //	staccato search [flags] TERM...  planner-pruned corpus search
 //	staccato index -store DIR        (re)build a database's inverted index
-//	staccato serve                   how to serve a database over HTTP (staccatod)
 //
 // demo generates one synthetic OCR transducer, builds approximated
 // documents at a chosen dial setting, persists them through a DocStore,
@@ -50,7 +50,7 @@
 //
 // Serving a database over the network is the companion binary's job:
 // staccatod exposes the same database directory over HTTP/JSON for
-// sustained concurrent traffic. `staccato serve` prints the handoff:
+// sustained concurrent traffic:
 //
 //	staccato ingest -store DIR        # build the corpus
 //	staccatod -store DIR -addr :8417  # serve it
@@ -119,8 +119,6 @@ func main() {
 		err = indexMain(os.Stdout, args[1:])
 	case len(args) > 0 && args[0] == "demo":
 		err = demoMain(os.Stdout, args[1:])
-	case len(args) > 0 && args[0] == "serve":
-		err = serveMain(os.Stdout, args[1:])
 	default:
 		// No subcommand: keep the historical behavior of running the demo.
 		err = demoMain(os.Stdout, args)
@@ -136,7 +134,8 @@ func main() {
 
 func demoMain(w io.Writer, args []string) error {
 	fs := newFlagSet("demo", "[demo] [flags]",
-		"single-document walkthrough: build, approximate, store, and query one synthetic OCR document")
+		"single-document walkthrough: build, approximate, store, and query one synthetic OCR document\n"+
+			"  (other subcommands: ingest, search, index; to serve a database over HTTP run staccatod -store DIR -addr :8417)")
 	cfg := config{}
 	fs.Int64Var(&cfg.seed, "seed", 42, "PRNG seed for the synthetic document")
 	fs.IntVar(&cfg.length, "len", 200, "ground truth length in characters")
@@ -154,7 +153,7 @@ func demoMain(w io.Writer, args []string) error {
 	// The demo takes no positional arguments; rejecting them catches a
 	// mistyped subcommand before it silently runs the default demo.
 	if fs.NArg() > 0 {
-		return fmt.Errorf("demo: unexpected argument %q (subcommands are demo, ingest, index, search, and serve)", fs.Arg(0))
+		return fmt.Errorf("demo: unexpected argument %q (subcommands are demo, ingest, index, and search; to serve a database run staccatod -store DIR -addr :8417)", fs.Arg(0))
 	}
 	_, err := run(w, cfg)
 	return err

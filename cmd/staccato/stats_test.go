@@ -3,31 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"strings"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 )
-
-func TestServePointerSubcommand(t *testing.T) {
-	var out bytes.Buffer
-	if err := serveMain(&out, nil); err != nil {
-		t.Fatalf("staccato serve: %v", err)
-	}
-	for _, want := range []string{"staccatod -store", "staccato ingest -store"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("serve pointer output missing %q:\n%s", want, out.String())
-		}
-	}
-
-	// Flags are a sign the user wanted the real server; the pointer must
-	// fail loudly and carry the flags over, not half-succeed.
-	err := serveMain(io.Discard, []string{"-store", "x"})
-	if err == nil || !strings.Contains(err.Error(), "staccatod -store x") {
-		t.Errorf("serve with flags: err = %v, want a staccatod handoff error", err)
-	}
-}
 
 // TestVerboseStatsJSONShape pins the satellite contract: ingest -v,
 // index -v, and search -v all print a `stats:` line whose JSON is the

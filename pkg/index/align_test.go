@@ -1,0 +1,108 @@
+package index
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+)
+
+// assertAligned checks the invariant every lookup indexes by: each gram's
+// bound list is exactly as long as its posting list.
+func assertAligned(t *testing.T, when string, ix *Index) {
+	t.Helper()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if len(ix.post) != len(ix.bnd) {
+		t.Fatalf("%s: %d posting lists but %d bound lists", when, len(ix.post), len(ix.bnd))
+	}
+	for g, p := range ix.post {
+		if len(p) != len(ix.bnd[g]) {
+			t.Fatalf("%s: gram %q has %d postings but %d bounds", when, g, len(p), len(ix.bnd[g]))
+		}
+	}
+}
+
+// TestPostingsAndBoundsStayAligned drives random Apply sequences — adds,
+// supersedes, deletes, overflow documents, hand-built entries with short
+// or missing Bounds — through the in-memory index, the append log, and
+// snapshot round trips. CandidatesWithBounds, intersect, and Entries index
+// bnd[g] by posting position without a length check, which is only sound
+// while this holds.
+func TestPostingsAndBoundsStayAligned(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	grams := []string{"abc", "bcd", "cde", "def", "efg", "fgh"}
+	randomEntry := func() Entry {
+		e := Entry{ID: fmt.Sprintf("d%02d", rng.Intn(30))}
+		if rng.Intn(8) == 0 {
+			e.Overflow = true
+			return e
+		}
+		for _, g := range grams {
+			if rng.Intn(2) == 0 {
+				e.Grams = append(e.Grams, g)
+				e.Bounds = append(e.Bounds, rng.Float64())
+			}
+		}
+		if rng.Intn(4) == 0 && len(e.Bounds) > 0 {
+			e.Bounds = e.Bounds[:rng.Intn(len(e.Bounds))] // hand-built: short or empty Bounds
+		}
+		return e
+	}
+	path := filepath.Join(t.TempDir(), FileName)
+	ix := New(3)
+	if err := WriteSnapshot(path, ix, State{}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenAppend(path, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 200; step++ {
+		var adds []Entry
+		var dels []string
+		seen := map[string]bool{}
+		for n := rng.Intn(4); n > 0; n-- {
+			if e := randomEntry(); !seen[e.ID] {
+				seen[e.ID] = true
+				adds = append(adds, e)
+			}
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			if id := fmt.Sprintf("d%02d", rng.Intn(30)); !seen[id] {
+				seen[id] = true
+				dels = append(dels, id)
+			}
+		}
+		ix.Apply(adds, dels)
+		if err := w.Append(adds, dels, State{Ops: uint64(step + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		assertAligned(t, fmt.Sprintf("after Apply %d", step), ix)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replayed, _, err := Load(path, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAligned(t, "after Load of the append log", replayed)
+
+	if err := WriteSnapshot(path, replayed, State{Ops: 200}); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := Load(path, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAligned(t, "after Load of a snapshot", snap)
+	for _, g := range grams {
+		want, wantB, _ := ix.CandidatesWithBounds([]string{g})
+		got, gotB, _ := snap.CandidatesWithBounds([]string{g})
+		if fmt.Sprint(want, wantB) != fmt.Sprint(got, gotB) {
+			t.Fatalf("gram %q: snapshot round trip changed the answer\n live: %v %v\n snap: %v %v", g, want, wantB, got, gotB)
+		}
+	}
+}

@@ -100,24 +100,17 @@ func (ix *Index) kill(id string) {
 	}
 }
 
-// Candidates returns the ascending IDs of live documents whose gram sets
-// contain every one of grams, plus every overflow document. ok is false
-// when grams is empty — no gram means no evidence, and the caller must
-// not prune.
+// CandidatesWithBounds returns the ascending IDs of live documents whose
+// gram sets contain every one of grams, plus every overflow document,
+// and, aligned with the IDs, an admissible upper bound on each
+// candidate's probability of containing all of grams: the min over grams
+// of the per-(doc, gram) bound, or the vacuous 1 for an overflow
+// document. ok is false when grams is empty — no gram means no evidence,
+// and the caller must not prune.
 //
 // This is the index half of the planner's no-false-negative contract: a
 // live document absent from the returned set provably has no retained
 // reading containing all of grams.
-func (ix *Index) Candidates(grams []string) ([]string, bool) {
-	ids, _, ok := ix.CandidatesWithBounds(grams)
-	return ids, ok
-}
-
-// CandidatesWithBounds is Candidates plus, aligned with the returned IDs,
-// an admissible upper bound on each candidate's probability of containing
-// all of grams: the min over grams of the per-(doc, gram) bound. Overflow
-// documents carry the vacuous bound 1, as does any posting recorded
-// before bounds existed.
 func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool) {
 	if len(grams) == 0 {
 		return nil, nil, false
@@ -141,6 +134,8 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 		acc = intersect(acc, next)
 	}
 
+	// A live document owns exactly one ordinal, which sits in a posting
+	// list or in always, never both — so the IDs below are distinct.
 	type cand struct {
 		id string
 		b  float64
@@ -148,11 +143,7 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 	out := make([]cand, 0, len(acc.ords)+len(ix.always))
 	for k, o := range acc.ords {
 		if id := ix.ids[o]; id != "" {
-			b := 1.0
-			if k < len(acc.bnds) {
-				b = acc.bnds[k]
-			}
-			out = append(out, cand{id, b})
+			out = append(out, cand{id, acc.bnds[k]})
 		}
 	}
 	for o := range ix.always {
@@ -161,19 +152,10 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 		}
 	}
 	slices.SortFunc(out, func(a, b cand) int { return strings.Compare(a.id, b.id) })
-	ids := make([]string, 0, len(out))
-	bnds := make([]float64, 0, len(out))
+	ids := make([]string, len(out))
+	bnds := make([]float64, len(out))
 	for i, c := range out {
-		if i > 0 && c.id == out[i-1].id {
-			// Duplicate IDs cannot arise from one live ordinal, but keep the
-			// historical dedup and take the tighter bound if they ever do.
-			if c.b < bnds[len(bnds)-1] {
-				bnds[len(bnds)-1] = c.b
-			}
-			continue
-		}
-		ids = append(ids, c.id)
-		bnds = append(bnds, c.b)
+		ids[i], bnds[i] = c.id, c.b
 	}
 	return ids, bnds, true
 }
@@ -185,18 +167,9 @@ type postings struct {
 }
 
 // intersect merges two ascending ordinal lists, keeping the min bound at
-// each shared ordinal. Missing bounds read as 1.
+// each shared ordinal.
 func intersect(a, b postings) postings {
-	out := postings{
-		ords: a.ords[:0:0], // fresh backing; a may be a shared posting list
-		bnds: nil,
-	}
-	bound := func(p postings, i int) float64 {
-		if i < len(p.bnds) {
-			return p.bnds[i]
-		}
-		return 1
-	}
+	var out postings // fresh backing; a may be a shared posting list
 	i, j := 0, 0
 	for i < len(a.ords) && j < len(b.ords) {
 		switch {
@@ -205,12 +178,8 @@ func intersect(a, b postings) postings {
 		case a.ords[i] > b.ords[j]:
 			j++
 		default:
-			ba, bb := bound(a, i), bound(b, j)
-			if bb < ba {
-				ba = bb
-			}
 			out.ords = append(out.ords, a.ords[i])
-			out.bnds = append(out.bnds, ba)
+			out.bnds = append(out.bnds, min(a.bnds[i], b.bnds[j]))
 			i++
 			j++
 		}
@@ -285,15 +254,11 @@ func (ix *Index) Entries() []Entry {
 			if id == "" || ix.ord[id] != o {
 				continue
 			}
-			b := 1.0
-			if k < len(bnds) {
-				b = bnds[k]
-			}
 			e := byID[id]
 			// The sorted-gram walk appends each entry's grams in sorted
 			// order already; sorting afterwards would desync Bounds.
 			e.Grams = append(e.Grams, g)
-			e.Bounds = append(e.Bounds, b)
+			e.Bounds = append(e.Bounds, bnds[k])
 		}
 	}
 	sort.Strings(ids)

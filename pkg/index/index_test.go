@@ -13,7 +13,7 @@ import (
 
 func candidates(t *testing.T, ix *index.Index, grams ...string) []string {
 	t.Helper()
-	ids, ok := ix.Candidates(grams)
+	ids, _, ok := ix.CandidatesWithBounds(grams)
 	if !ok {
 		t.Fatalf("Candidates(%v) cannot answer", grams)
 	}
@@ -39,7 +39,7 @@ func TestIndexAddDeleteCandidates(t *testing.T) {
 	if got := candidates(t, ix, "zzz"); len(got) != 0 {
 		t.Errorf("Candidates(zzz) = %v, want empty", got)
 	}
-	if _, ok := ix.Candidates(nil); ok {
+	if _, _, ok := ix.CandidatesWithBounds(nil); ok {
 		t.Error("Candidates(no grams) must refuse to answer")
 	}
 

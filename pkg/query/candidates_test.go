@@ -3,8 +3,11 @@ package query_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
@@ -13,19 +16,6 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
-
-// plainStore hides MemStore's optional capabilities behind the bare
-// DocStore interface, forcing the engine onto its fallback paths.
-type plainStore struct{ inner *store.MemStore }
-
-func (p plainStore) Put(ctx context.Context, doc *staccato.Doc) error { return p.inner.Put(ctx, doc) }
-func (p plainStore) Get(ctx context.Context, id string) (*staccato.Doc, error) {
-	return p.inner.Get(ctx, id)
-}
-func (p plainStore) Delete(ctx context.Context, id string) error { return p.inner.Delete(ctx, id) }
-func (p plainStore) Scan(ctx context.Context, fn func(doc *staccato.Doc) error) error {
-	return p.inner.Scan(ctx, fn)
-}
 
 // candidateCorpus builds a MemStore + matching index + truth list.
 func candidateCorpus(t *testing.T, n int, seed int64) (*store.MemStore, *index.Index, []string) {
@@ -48,12 +38,38 @@ func candidateCorpus(t *testing.T, n int, seed int64) (*store.MemStore, *index.I
 	return st, ix, truths
 }
 
-// TestSearchCandidatesByteIdenticalToSearch is the tentpole's engine
-// contract: for random boolean queries whose plans prune,
-// SearchCandidates returns byte-identical output to both the full-scan
-// and the pruned-scan Search paths, at 1, 2, and 8 workers, with and
-// without the store's BatchGetter capability.
-func TestSearchCandidatesByteIdenticalToSearch(t *testing.T) {
+// prunedStream collects ForEachPruned's every-doc stream and reduces it
+// the way Search reduces its own: filter, rank, truncate.
+func prunedStream(t *testing.T, eng *query.Engine, q *query.Query, cand *query.CandidateSet, opts query.SearchOptions) []query.Result {
+	t.Helper()
+	var kept []query.Result
+	err := eng.ForEachPruned(context.Background(), q, cand, nil, func(r query.Result) error {
+		if r.Prob > 0 && r.Prob >= opts.MinProb {
+			kept = append(kept, r)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(kept, func(i, j int) bool {
+		if kept[i].Prob != kept[j].Prob {
+			return kept[i].Prob > kept[j].Prob
+		}
+		return kept[i].DocID < kept[j].DocID
+	})
+	if opts.TopN > 0 && len(kept) > opts.TopN {
+		kept = kept[:opts.TopN]
+	}
+	return kept
+}
+
+// TestSearchUnderCandidatesByteIdenticalToScan is the engine's contract:
+// for random boolean queries whose plans prune, Search under the
+// candidate set (candidate-only, or top-k when a result limit is set)
+// returns byte-identical output to both the full scan and the reduced
+// pruned-scan stream, at 1, 2, and 8 workers.
+func TestSearchUnderCandidatesByteIdenticalToScan(t *testing.T) {
 	ctx := context.Background()
 	st, ix, truths := candidateCorpus(t, 60, 71)
 	rng := rand.New(rand.NewSource(7))
@@ -62,7 +78,7 @@ func TestSearchCandidatesByteIdenticalToSearch(t *testing.T) {
 		q := buildRandomQuery(t, rng, truths, 2)
 		cand := q.Plan(3).Candidates(ix)
 		if cand == nil {
-			continue // unprunable plan: SearchCandidates is not offered one
+			continue // unprunable plan: nothing to restrict the run by
 		}
 		prunedRuns++
 		opts := query.SearchOptions{MinProb: float64(trial%3) * 0.05, TopN: trial % 7}
@@ -72,22 +88,24 @@ func TestSearchCandidatesByteIdenticalToSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prunedOpts := opts
-			prunedOpts.Candidates = cand
-			prunedScan, err := eng.Search(ctx, q, prunedOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			prunedScan := prunedStream(t, eng, q, cand, opts)
 			var stats query.SearchStats
 			candOpts := opts
+			candOpts.Candidates = cand
 			candOpts.Stats = &stats
-			candOnly, err := eng.SearchCandidates(ctx, q, cand, candOpts)
+			candOnly, err := eng.Search(ctx, q, candOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(candOnly, fullScan) || !reflect.DeepEqual(candOnly, prunedScan) {
 				t.Fatalf("trial %d workers %d: query %s: modes disagree\n full:   %+v\n pruned: %+v\n cand:   %+v",
 					trial, workers, q.String(), fullScan, prunedScan, candOnly)
+			}
+			if opts.TopN > 0 {
+				if stats.Mode != query.ExecTopK {
+					t.Fatalf("trial %d: Mode = %q, want %q", trial, stats.Mode, query.ExecTopK)
+				}
+				continue
 			}
 			if stats.Mode != query.ExecCandidateOnly {
 				t.Fatalf("trial %d: Mode = %q, want %q", trial, stats.Mode, query.ExecCandidateOnly)
@@ -96,17 +114,6 @@ func TestSearchCandidatesByteIdenticalToSearch(t *testing.T) {
 				t.Fatalf("trial %d: fetched %d / scanned %d, want %d (no concurrent deletes)",
 					trial, stats.CandidatesFetched, stats.DocsScanned, cand.Len())
 			}
-
-			// The per-ID Get fallback must agree too.
-			plainEng := query.NewEngine(plainStore{inner: st}, query.EngineOptions{Workers: workers})
-			viaGet, err := plainEng.SearchCandidates(ctx, q, cand, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(viaGet, candOnly) {
-				t.Fatalf("trial %d: Get-fallback results differ from BatchGetter results\n get:   %+v\n batch: %+v",
-					trial, viaGet, candOnly)
-			}
 		}
 	}
 	if prunedRuns == 0 {
@@ -114,15 +121,15 @@ func TestSearchCandidatesByteIdenticalToSearch(t *testing.T) {
 	}
 }
 
-// TestSearchCandidatesSkipsDeletedCandidate: a candidate deleted between
-// planning and execution is skipped — never an error — matching a scan
-// ordered after the delete. The stats must keep the fetch attempt and
-// the evaluation apart: the deleted candidate is still fetched (the
+// TestSearchSkipsDeletedCandidate: a candidate deleted between planning
+// and execution is skipped — never an error — matching a scan ordered
+// after the delete. The stats must keep the fetch attempt and the
+// evaluation apart: the deleted candidate is still fetched (the
 // not-found answer IS a store fetch) but not scanned, and the gap is
 // reported in CandidatesDeleted. Regression test for the bug that
 // assigned one counter to both fields, which made a delete between plan
 // and fetch invisible in the stats.
-func TestSearchCandidatesSkipsDeletedCandidate(t *testing.T) {
+func TestSearchSkipsDeletedCandidate(t *testing.T) {
 	ctx := context.Background()
 	st, ix, _ := candidateCorpus(t, 20, 73)
 	ids, err := st.ListDocIDs(ctx)
@@ -142,41 +149,155 @@ func TestSearchCandidatesSkipsDeletedCandidate(t *testing.T) {
 	if err := st.Delete(ctx, ids[7]); err != nil {
 		t.Fatal(err)
 	}
-	for _, victim := range []store.DocStore{st, plainStore{inner: st}} {
-		eng := query.NewEngine(victim, query.EngineOptions{Workers: 2})
-		var stats query.SearchStats
-		res, err := eng.SearchCandidates(ctx, q, cand, query.SearchOptions{Stats: &stats})
-		if err != nil {
+	eng := query.NewEngine(st, query.EngineOptions{Workers: 2})
+	var stats query.SearchStats
+	res, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand, Stats: &stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.DocID == ids[7] {
+			t.Fatalf("deleted doc %s still in results %+v", ids[7], res)
+		}
+	}
+	if stats.CandidatesFetched != cand.Len() {
+		t.Fatalf("CandidatesFetched = %d, want %d (every candidate is a fetch attempt)",
+			stats.CandidatesFetched, cand.Len())
+	}
+	if stats.DocsScanned != cand.Len()-1 {
+		t.Fatalf("DocsScanned = %d, want %d (the deleted candidate is not evaluated)",
+			stats.DocsScanned, cand.Len()-1)
+	}
+	if stats.CandidatesDeleted != 1 {
+		t.Fatalf("CandidatesDeleted = %d, want 1", stats.CandidatesDeleted)
+	}
+}
+
+// TestEngineStatsInvariantEveryPipeline drives all four (source, sink)
+// pairs at 1, 2, and 8 workers with a candidate deleted between planning
+// and fetching, and checks the accounting invariants on the engine's own
+// stats — no caller arithmetic: DocsTotal == DocsScanned + DocsPruned +
+// BoundsSkipped everywhere, and CandidatesFetched == DocsScanned +
+// CandidatesDeleted with the deletion visible wherever the source is the
+// candidate set (the corpus walks list after the delete, never attempt
+// the fetch, and report both candidate counters as zero).
+func TestEngineStatsInvariantEveryPipeline(t *testing.T) {
+	ctx := context.Background()
+	docs := make([]*staccato.Doc, 200)
+	st := store.NewMemStore()
+	ix := index.New(3)
+	for i := range docs {
+		p := 0.9 - 0.8*float64(i)/float64(len(docs))
+		alts := []staccato.Alt{{Text: " zzmarker ", Prob: p}, {Text: "~", Prob: 1 - p}}
+		if alts[0].Prob < alts[1].Prob {
+			alts[0], alts[1] = alts[1], alts[0]
+		}
+		docs[i] = &staccato.Doc{
+			ID:     fmt.Sprintf("m-%03d", i),
+			Params: staccato.Params{Chunks: 1, K: 2},
+			Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}},
+		}
+		if err := st.Put(ctx, docs[i]); err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range res {
-			if r.DocID == ids[7] {
-				t.Fatalf("deleted doc %s still in results %+v", ids[7], res)
+		ix.Add(docs[i])
+	}
+	filler := &staccato.Doc{
+		ID:     "x-filler",
+		Params: staccato.Params{Chunks: 1, K: 1},
+		Chunks: []staccato.PathSet{{Alts: []staccato.Alt{{Text: "nothing here", Prob: 1}}, Retained: 1}},
+	}
+	if err := st.Put(ctx, filler); err != nil {
+		t.Fatal(err)
+	}
+	ix.Add(filler)
+	q := mustQ(query.Substring("zzmarker"))
+	cand := q.Plan(3).Candidates(ix)
+	if cand.Len() != len(docs) {
+		t.Fatalf("candidate set has %d members, want the %d marker docs", cand.Len(), len(docs))
+	}
+	// m-003 has one of the best bounds, so even an early-stopping top-k
+	// run attempts it.
+	if err := st.Delete(ctx, "m-003"); err != nil {
+		t.Fatal(err)
+	}
+	live := st.Len()
+
+	for _, tc := range []struct {
+		mode        query.ExecMode
+		cand        *query.CandidateSet
+		topN        int
+		stream      bool
+		wantDeleted int
+	}{
+		{mode: query.ExecScan},
+		{mode: query.ExecScan, stream: true},
+		{mode: query.ExecPrunedScan, cand: cand, stream: true},
+		{mode: query.ExecCandidateOnly, cand: cand, wantDeleted: 1},
+		{mode: query.ExecTopK, cand: cand, topN: 5, wantDeleted: 1},
+	} {
+		var want []query.Result
+		for _, workers := range []int{1, 2, 8} {
+			name := fmt.Sprintf("%s stream=%v workers=%d", tc.mode, tc.stream, workers)
+			eng := query.NewEngine(st, query.EngineOptions{Workers: workers})
+			var stats query.SearchStats
+			var got []query.Result
+			var err error
+			if tc.stream {
+				err = eng.ForEachPruned(ctx, q, tc.cand, &stats, func(r query.Result) error {
+					got = append(got, r)
+					return nil
+				})
+				if len(got) != live {
+					t.Fatalf("%s: streamed %d results, want one per live doc (%d)", name, len(got), live)
+				}
+			} else {
+				got, err = eng.Search(ctx, q, query.SearchOptions{Candidates: tc.cand, TopN: tc.topN, Stats: &stats})
 			}
-		}
-		if stats.CandidatesFetched != cand.Len() {
-			t.Fatalf("CandidatesFetched = %d, want %d (every candidate is a fetch attempt)",
-				stats.CandidatesFetched, cand.Len())
-		}
-		if stats.DocsScanned != cand.Len()-1 {
-			t.Fatalf("DocsScanned = %d, want %d (the deleted candidate is not evaluated)",
-				stats.DocsScanned, cand.Len()-1)
-		}
-		if stats.CandidatesDeleted != 1 {
-			t.Fatalf("CandidatesDeleted = %d, want 1", stats.CandidatesDeleted)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if stats.Mode != tc.mode {
+				t.Fatalf("%s: Mode = %q", name, stats.Mode)
+			}
+			if stats.DocsTotal != live || stats.DocsTotal != stats.DocsScanned+stats.DocsPruned+stats.BoundsSkipped {
+				t.Fatalf("%s: DocsTotal %d (live %d) != scanned %d + pruned %d + skipped %d",
+					name, stats.DocsTotal, live, stats.DocsScanned, stats.DocsPruned, stats.BoundsSkipped)
+			}
+			if stats.CandidatesDeleted != tc.wantDeleted {
+				t.Fatalf("%s: CandidatesDeleted = %d, want %d", name, stats.CandidatesDeleted, tc.wantDeleted)
+			}
+			wantFetched := 0
+			if tc.wantDeleted > 0 {
+				wantFetched = stats.DocsScanned + stats.CandidatesDeleted
+			}
+			if stats.CandidatesFetched != wantFetched {
+				t.Fatalf("%s: CandidatesFetched = %d, want %d", name, stats.CandidatesFetched, wantFetched)
+			}
+			if tc.mode == query.ExecTopK && (!stats.EarlyStopped || stats.BoundsSkipped == 0) {
+				t.Fatalf("%s: expected an early stop, got %+v", name, stats)
+			}
+			if tc.mode != query.ExecTopK && (stats.EarlyStopped || stats.BoundsSkipped != 0) {
+				t.Fatalf("%s: top-k counters leaked: %+v", name, stats)
+			}
+			if workers == 1 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: output differs from workers=1", name)
+			}
 		}
 	}
 }
 
-// TestSearchCandidatesEmptySetTouchesNothing: a plan that proves no
+// TestSearchEmptyCandidateSetTouchesNothing: a plan that proves no
 // document can match yields an empty candidate set, and the engine must
 // return instantly without a single store read.
-func TestSearchCandidatesEmptySetTouchesNothing(t *testing.T) {
+func TestSearchEmptyCandidateSetTouchesNothing(t *testing.T) {
 	st, _, _ := candidateCorpus(t, 10, 79)
-	eng := query.NewEngine(failingGetStore{inner: st}, query.EngineOptions{Workers: 4})
+	eng := query.NewEngine(failingGetStore{MemStore: st}, query.EngineOptions{Workers: 4})
 	var stats query.SearchStats
-	res, err := eng.SearchCandidates(context.Background(), mustQ(query.Substring("abcdef")),
-		query.NewCandidateSet(), query.SearchOptions{Stats: &stats})
+	res, err := eng.Search(context.Background(), mustQ(query.Substring("abcdef")),
+		query.SearchOptions{Candidates: query.NewCandidateSet(), Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,38 +308,64 @@ func TestSearchCandidatesEmptySetTouchesNothing(t *testing.T) {
 
 // failingGetStore fails every read — proof that a code path never
 // touched the store.
-type failingGetStore struct{ inner *store.MemStore }
+type failingGetStore struct{ *store.MemStore }
 
-func (f failingGetStore) Put(ctx context.Context, doc *staccato.Doc) error {
-	return f.inner.Put(ctx, doc)
-}
 func (f failingGetStore) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 	return nil, errors.New("store read on a path that promised none")
 }
-func (f failingGetStore) Delete(ctx context.Context, id string) error {
-	return f.inner.Delete(ctx, id)
+func (f failingGetStore) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
+	return nil, errors.New("store batch read on a path that promised none")
+}
+func (f failingGetStore) ListDocIDs(ctx context.Context) ([]string, error) {
+	return nil, errors.New("store listing on a path that promised none")
 }
 func (f failingGetStore) Scan(ctx context.Context, fn func(doc *staccato.Doc) error) error {
 	return errors.New("store scan on a path that promised none")
 }
 
-// TestSearchCandidatesValidation: nil query and nil candidate set are
-// contract violations, reported as errors rather than silent scans.
-func TestSearchCandidatesValidation(t *testing.T) {
+// TestSearchTopKValidation: SearchTopK's preconditions — a compiled
+// query, a candidate set, a result limit, no rescorer — are contract
+// violations reported as errors naming SearchTopK, not silent fallbacks
+// to another execution mode.
+func TestSearchTopKValidation(t *testing.T) {
 	st, _, _ := candidateCorpus(t, 5, 83)
 	eng := query.NewEngine(st, query.EngineOptions{Workers: 2})
 	ctx := context.Background()
-	if _, err := eng.SearchCandidates(ctx, nil, query.NewCandidateSet("x"), query.SearchOptions{}); err == nil {
-		t.Error("nil query accepted")
+	q := mustQ(query.Substring("abc"))
+	cand := query.NewCandidateSet("x")
+	identity := func(d *staccato.Doc) *staccato.Doc { return d }
+	for name, call := range map[string]func() error{
+		"nil query": func() error {
+			_, err := eng.SearchTopK(ctx, nil, cand, query.SearchOptions{TopN: 1})
+			return err
+		},
+		"nil candidate set": func() error {
+			_, err := eng.SearchTopK(ctx, q, nil, query.SearchOptions{TopN: 1})
+			return err
+		},
+		"TopN = 0": func() error {
+			_, err := eng.SearchTopK(ctx, q, cand, query.SearchOptions{})
+			return err
+		},
+		"rescorer": func() error {
+			_, err := eng.SearchTopK(ctx, q, cand, query.SearchOptions{TopN: 1, Rescore: identity})
+			return err
+		},
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s accepted", name)
+		} else if !strings.Contains(err.Error(), "SearchTopK") {
+			t.Errorf("%s: error %q does not name SearchTopK", name, err)
+		}
 	}
-	if _, err := eng.SearchCandidates(ctx, mustQ(query.Substring("abc")), nil, query.SearchOptions{}); err == nil {
-		t.Error("nil candidate set accepted (would silently skip the whole corpus)")
+	if _, err := eng.SearchTopK(ctx, q, cand, query.SearchOptions{TopN: 1}); err != nil {
+		t.Errorf("valid SearchTopK call failed: %v", err)
 	}
 }
 
-// TestSearchCandidatesReadErrorPropagates: a store failure mid-run
+// TestSearchCandidateReadErrorPropagates: a store failure mid-run
 // cancels the whole call and surfaces the error.
-func TestSearchCandidatesReadErrorPropagates(t *testing.T) {
+func TestSearchCandidateReadErrorPropagates(t *testing.T) {
 	st, ix, _ := candidateCorpus(t, 20, 89)
 	ids, err := st.ListDocIDs(context.Background())
 	if err != nil {
@@ -233,15 +380,17 @@ func TestSearchCandidatesReadErrorPropagates(t *testing.T) {
 	if cand == nil || cand.Len() == 0 {
 		t.Fatal("expected a non-empty candidate set")
 	}
-	eng := query.NewEngine(failingGetStore{inner: st}, query.EngineOptions{Workers: 3})
-	if _, err := eng.SearchCandidates(context.Background(), q, cand, query.SearchOptions{}); err == nil {
-		t.Fatal("store read failure did not surface")
+	eng := query.NewEngine(failingGetStore{MemStore: st}, query.EngineOptions{Workers: 3})
+	for _, topN := range []int{0, 3} {
+		if _, err := eng.Search(context.Background(), q, query.SearchOptions{Candidates: cand, TopN: topN}); err == nil {
+			t.Fatalf("TopN=%d: store read failure did not surface", topN)
+		}
 	}
 }
 
-// TestSearchCandidatesCancelledContext: a pre-cancelled context aborts
+// TestSearchCandidateSetCancelledContext: a pre-cancelled context aborts
 // the run with the context's error.
-func TestSearchCandidatesCancelledContext(t *testing.T) {
+func TestSearchCandidateSetCancelledContext(t *testing.T) {
 	st, ix, truths := candidateCorpus(t, 20, 97)
 	q := mustQ(query.Substring(truths[0][0:6]))
 	cand := q.Plan(3).Candidates(ix)
@@ -251,7 +400,7 @@ func TestSearchCandidatesCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	eng := query.NewEngine(st, query.EngineOptions{Workers: 2})
-	if _, err := eng.SearchCandidates(ctx, q, cand, query.SearchOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -3,11 +3,13 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
@@ -20,58 +22,57 @@ type Result struct {
 	Prob  float64 `json:"prob"`
 }
 
-// ExecMode names the execution path a query run took.
+// ExecMode names the (source, sink) pair a query run executed as.
 type ExecMode string
 
 const (
-	// ExecScan is the unrestricted path: every live document is read,
-	// decoded, and evaluated.
+	// ExecScan is the unrestricted run, ranked or streamed: every live
+	// document is read, decoded, and evaluated.
 	ExecScan ExecMode = "scan"
-	// ExecPrunedScan is ForEach's restricted path: the corpus ID list is
-	// still walked in full (the every-doc streaming contract needs a
-	// Result per document), but documents outside the candidate set are
+	// ExecPrunedScan is ForEachPruned under a candidate set: the corpus ID
+	// list is still walked in full (the every-doc streaming contract needs
+	// a Result per document), but documents outside the candidate set are
 	// reported at probability zero without being read or evaluated.
 	ExecPrunedScan ExecMode = "pruned-scan"
-	// ExecCandidateOnly is Search's restricted path: only the candidate
-	// set's members are ever touched — no corpus ID listing, no
-	// zero-result synthesis — so cost scales with the candidate count,
+	// ExecCandidateOnly is Search under a candidate set, ranking all of
+	// it: only the set's members are ever touched — no corpus ID listing,
+	// no zero-result synthesis — so cost scales with the candidate count,
 	// not the corpus size.
 	ExecCandidateOnly ExecMode = "candidate-only"
-	// ExecTopK is SearchTopK's path: candidates are processed
-	// best-bound-first in growing rounds and the run stops as soon as the
-	// running k-th result provably beats every remaining bound, so cost
-	// scales with how discriminating the bounds are, not the candidate
-	// count.
+	// ExecTopK is Search under a candidate set with a result limit and no
+	// rescorer: candidates are processed best-bound-first in growing
+	// rounds and the run stops as soon as the running k-th result provably
+	// beats every remaining bound, so cost scales with how discriminating
+	// the bounds are, not the candidate count.
 	ExecTopK ExecMode = "top-k"
 )
 
 // SearchStats reports how a query executed: how much of the corpus the
 // planner pruned away versus how much the DP actually evaluated. The
-// engine fills Mode and the Docs*/CandidatesFetched counters; callers
-// that planned the query (such as staccatodb.DB) fill the planner
-// fields — and, for candidate-only runs, the corpus-level DocsTotal and
-// DocsPruned the engine never observes.
+// engine fills Mode and every counter, and in every mode DocsTotal ==
+// DocsScanned + DocsPruned + BoundsSkipped; callers that planned the
+// query (such as staccatodb.DB) fill the planner fields IndexUsed,
+// PlanGrams, and Plan.
 // The JSON form is the wire shape of the staccatod search and explain
 // endpoints.
 type SearchStats struct {
 	// Mode is the execution path the run took.
 	Mode ExecMode `json:"mode"`
 	// DocsTotal is the number of live documents the run considered —
-	// pruned and evaluated alike. In candidate-only mode the engine
-	// never sees the corpus, so it leaves DocsTotal zero; staccatodb.DB
-	// fills it from the store's live-document count.
+	// pruned and evaluated alike. A candidate-sourced run never sees the
+	// corpus, so there it is the store's live-document count, read after
+	// the run.
 	DocsTotal int `json:"docs_total"`
 	// DocsScanned is the number of documents the DP actually evaluated.
 	DocsScanned int `json:"docs_scanned"`
 	// DocsPruned is the number of documents skipped via the candidate set
-	// without being evaluated. Filled by the caller in candidate-only
-	// mode, like DocsTotal.
+	// without being evaluated.
 	DocsPruned int `json:"docs_pruned"`
-	// CandidatesFetched is the number of store fetches the candidate
-	// modes attempted (zero in the scan modes) — deleted candidates that
-	// came back not-found included, so it can exceed DocsScanned. It runs
-	// below the candidate set's size only when top-k early termination
-	// skipped the rest (see BoundsSkipped).
+	// CandidatesFetched is the number of store fetches the candidate modes
+	// attempted (zero in the scan modes) — deleted candidates that came
+	// back not-found included, so it can exceed DocsScanned. It runs below
+	// the candidate set's size only when top-k early termination skipped
+	// the rest (see BoundsSkipped).
 	CandidatesFetched int `json:"candidates_fetched"`
 	// CandidatesDeleted is how many fetched candidates turned out deleted
 	// between planning and fetching: CandidatesFetched - DocsScanned.
@@ -99,18 +100,20 @@ type EngineOptions struct {
 	Workers int
 }
 
-// Engine executes compiled Queries against every document in a DocStore.
-// Documents stream out of the store, fan out to a fixed worker pool for
-// evaluation, and results are re-sequenced into scan order, so every run
+// Engine executes compiled Queries against the documents of a DocStore.
+// Every run is one pipeline: a source (an ascending ID slice — the whole
+// corpus listing, or a candidate set's members) is cut into fetchBatch-ID
+// jobs, a fixed worker pool fetches and evaluates each job, and the
+// finished batches reach the run's sink in source order, so every run
 // over an unchanged store is deterministic regardless of worker count.
 // An Engine is stateless apart from its configuration and may be shared
 // across goroutines.
 //
-// When a candidate set from a Plan restricts a run, documents outside the
-// set are reported with probability zero without being evaluated — and,
-// when the store implements store.IDLister, without even being read from
-// the store. The no-false-negative planner contract makes the two
-// execution paths byte-identical.
+// Documents outside a Plan's candidate set provably have match
+// probability zero, which is what makes every (source, sink) pair
+// byte-identical: a run restricted by a candidate set never reads the
+// documents outside it, and reports them — where the sink reports
+// non-matches at all — at probability zero.
 type Engine struct {
 	st      store.DocStore
 	workers int
@@ -138,10 +141,12 @@ type SearchOptions struct {
 	MinProb float64
 	// TopN keeps only the N best-ranked documents; zero keeps all.
 	TopN int
-	// Candidates, when non-nil, restricts evaluation to its members;
-	// documents outside it are treated as guaranteed non-matches. Obtain
-	// one from Plan.Candidates — a set that can drop true matches breaks
-	// the engine's result guarantees.
+	// Candidates, when non-nil, restricts the run to its members: only
+	// they are fetched and evaluated, and documents outside it are treated
+	// as guaranteed non-matches. Obtain one from Plan.Candidates — a set
+	// that can drop true matches breaks the engine's result guarantees,
+	// and top-k execution additionally needs its bounds to be admissible
+	// (never below the true match probability of a stored document).
 	Candidates *CandidateSet
 	// Stats, when non-nil, receives the run's execution counters.
 	Stats *SearchStats
@@ -155,35 +160,78 @@ type SearchOptions struct {
 	Rescore func(*staccato.Doc) *staccato.Doc
 }
 
-// Search evaluates q against every stored document and returns the
-// matches ranked by descending probability (ties broken by ascending
-// DocID), filtered and truncated per opts. The ranking is fully
-// deterministic: the same store contents and query produce identical
-// results at any worker count, with or without a candidate set.
+// Search evaluates q and returns the matches ranked by descending
+// probability (ties broken by ascending DocID), filtered and truncated
+// per opts. The ranking is fully deterministic: the same store contents
+// and query produce identical results at any worker count, with or
+// without a candidate set.
 //
-// Search walks the corpus even when opts.Candidates restricts it (the
-// pruned-scan path: non-candidates cost a set lookup each, never a read
-// or an evaluation). When the candidate set is already in hand and the
-// corpus walk itself is the cost worth avoiding, use SearchCandidates —
-// its output is byte-identical.
+// How the run executes follows from opts alone. Without opts.Candidates
+// every stored document is fetched and evaluated (ExecScan). With a
+// candidate set only its members are — no corpus listing, so cost scales
+// with the set, not the corpus; a candidate deleted between planning and
+// fetching is skipped, matching what a scan started after the delete
+// would return. Those members are all evaluated (ExecCandidateOnly)
+// unless opts.TopN > 0 and opts.Rescore is nil, when they are taken
+// best-bound-first in rounds of fixed, worker-independent sizes
+// (fetchBatch, doubling each round) and the run stops as soon as the
+// running TopN-th probability strictly beats every remaining candidate's
+// slack-widened upper bound (ExecTopK) — at which point no remaining
+// candidate can enter the top N or win a tie (ties break toward ascending
+// DocID, and a tie would require probability equal to the N-th, which the
+// strict inequality excludes). Candidates whose widened bound falls below
+// opts.MinProb are skipped without a fetch, like the early-stopped tail;
+// both are counted in Stats.BoundsSkipped. A rescorer rules top-k out
+// because bounds describe the stored documents and rescoring moves
+// probability mass they do not account for; a set without bound
+// information still returns correct results — every bound reads as 1 —
+// it just never stops early.
 func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Result, error) {
-	var out []Result
-	err := e.forEachPruned(ctx, q, opts.Candidates, opts.Stats, opts.Rescore, func(r Result) error {
-		if r.Prob <= 0 || r.Prob < opts.MinProb {
-			return nil
-		}
-		out = append(out, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rankResults(out, opts.TopN), nil
+	return e.run(ctx, "Search", q, opts, nil)
+}
+
+// SearchTopK is Search with cand as opts.Candidates, for callers that
+// require top-k execution and want anything else reported as an error.
+//
+// Deprecated: set opts.Candidates and call Search, which selects top-k
+// execution whenever it applies.
+func (e *Engine) SearchTopK(ctx context.Context, q *Query, cand *CandidateSet, opts SearchOptions) ([]Result, error) {
+	opts.Candidates = cand
+	return e.run(ctx, "SearchTopK", q, opts, nil)
+}
+
+// ForEach evaluates q against every stored document and streams one
+// Result per document — unfiltered, probability zero included — to fn in
+// ascending DocID (scan) order. fn runs on the caller's goroutine.
+// Returning store.ErrStopScan from fn ends the stream early without
+// error; any other error cancels in-flight work and is returned.
+// Cancelling ctx aborts the stream with ctx's error: once cancellation
+// is observed, fn is not called again.
+func (e *Engine) ForEach(ctx context.Context, q *Query, fn func(Result) error) error {
+	_, err := e.run(ctx, "ForEach", q, SearchOptions{}, fn)
+	return err
+}
+
+// ForEachPruned is ForEach restricted by a candidate set: documents
+// outside cand stream out with probability zero without being read or
+// evaluated (ExecPrunedScan; the corpus ID list is still walked in full,
+// because the every-doc contract needs a Result per document). A nil
+// cand evaluates everything, exactly like ForEach. stats, when non-nil,
+// receives the run's counters before the call returns. cand is a
+// snapshot: a document added to the store after cand was computed but
+// before this run lists it may stream out at probability zero even if
+// it matches — callers needing a write to be visible must compute the
+// candidate set after the write completes (Search's ranked output is
+// unaffected: it drops zero-probability results, so it matches an
+// execution ordered before such a write).
+func (e *Engine) ForEachPruned(ctx context.Context, q *Query, cand *CandidateSet, stats *SearchStats, fn func(Result) error) error {
+	_, err := e.run(ctx, "ForEachPruned", q, SearchOptions{Candidates: cand, Stats: stats}, fn)
+	return err
 }
 
 // rankResults orders matches by descending probability (ties by
-// ascending DocID) and applies the TopN cut — the one ranking both
-// Search paths share, which is what makes their outputs byte-identical.
+// ascending DocID) and applies the TopN cut — the one ranking every run
+// shares, which is what makes their outputs byte-identical.
 func rankResults(out []Result, topN int) []Result {
 	slices.SortFunc(out, func(a, b Result) int {
 		//lint:allow floateq sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make the ranking itself nondeterministic
@@ -201,49 +249,11 @@ func rankResults(out []Result, topN int) []Result {
 	return out
 }
 
-// candidateBatchSize is how many candidate IDs one SearchCandidates
-// worker job carries. Batching amortizes store locking and — through
-// store.BatchGetter — lets a disk backend sort the batch by record
-// offset into a near-sequential read; the size is small enough that a
-// handful of candidates still spreads across the pool.
-const candidateBatchSize = 64
-
-// SearchCandidates evaluates q against exactly the members of cand and
-// returns the matches ranked, filtered, and truncated exactly like
-// Search. cand must come from a Plan (or otherwise honor the
-// no-false-negative contract): because every document outside a plan's
-// candidate set has match probability zero and Search discards zero
-// results, SearchCandidates' output is byte-identical to Search's at
-// any worker count — while its cost scales with cand.Len(), not the
-// corpus size. No corpus ID list is materialized and no zero results
-// are synthesized; candidates are fetched by point lookup, batched
-// through store.BatchGetter when the store implements it. A candidate
-// deleted between planning and fetching is skipped, matching what a
-// scan started after the delete would return. opts.Candidates is
-// ignored (cand is the candidate set); opts.Stats, when non-nil,
-// receives Mode, DocsScanned, and CandidatesFetched — corpus-level
-// counters (DocsTotal, DocsPruned) are the caller's to fill, since the
-// whole point is that the engine never observes the corpus.
-func (e *Engine) SearchCandidates(ctx context.Context, q *Query, cand *CandidateSet, opts SearchOptions) ([]Result, error) {
-	if q == nil || q.expr == nil {
-		return nil, errors.New("query: SearchCandidates requires a compiled, non-nil Query")
-	}
-	if cand == nil {
-		return nil, errors.New("query: SearchCandidates requires a non-nil candidate set; use Search for unrestricted runs")
-	}
-	ids := cand.IDs() // ascending: deterministic batching, near-sequential disk reads
-	out, fetched, evaluated, err := e.evalCandidates(ctx, q, ids, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Stats != nil {
-		opts.Stats.Mode = ExecCandidateOnly
-		opts.Stats.DocsScanned = evaluated
-		opts.Stats.CandidatesFetched = fetched
-		opts.Stats.CandidatesDeleted = fetched - evaluated
-	}
-	return rankResults(out, opts.TopN), nil
-}
+// fetchBatch is how many IDs one worker job carries. Batching amortizes
+// store locking and lets a disk backend sort the batch by record offset
+// into a near-sequential read; the size is small enough that a handful of
+// candidates still spreads across the pool.
+const fetchBatch = 64
 
 // boundSlack widens stored bounds by one part in 10⁹ wherever the engine
 // compares an evaluated probability against one. The bound DP and the
@@ -253,474 +263,257 @@ func (e *Engine) SearchCandidates(ctx context.Context, q *Query, cand *Candidate
 // skip decision provably safe without giving up meaningful pruning.
 const boundSlack = 1 + 1e-9
 
-// SearchTopK evaluates q against the members of cand best-bound-first and
-// stops as soon as the running opts.TopN-th probability strictly beats
-// every remaining candidate's (slack-widened) upper bound — at which
-// point no remaining candidate can enter the top N or win a tie (ties
-// break toward ascending DocID, and a tie would require probability equal
-// to the k-th, which the strict inequality excludes). Results are
-// byte-identical to Search and SearchCandidates with the same options, at
-// any worker count: candidates are processed in rounds of fixed,
-// worker-independent sizes (candidateBatchSize, doubling each round), so
-// the stats are deterministic too.
-//
-// cand must honor the no-false-negative contract AND its bounds must be
-// admissible (never below the true match probability of stored
-// documents); both come free from Plan.Candidates over a
-// BoundedPostingSource. A set without bound information still returns
-// correct results — every bound reads as 1 — it just never stops early.
-//
-// opts.TopN must be positive; opts.Rescore must be nil, because bounds
-// describe the stored documents and rescoring moves probability mass they
-// do not account for (callers fall back to SearchCandidates). Candidates
-// whose widened bound falls below opts.MinProb are skipped without a
-// fetch, like the early-stopped tail; both are counted in
-// Stats.BoundsSkipped.
-func (e *Engine) SearchTopK(ctx context.Context, q *Query, cand *CandidateSet, opts SearchOptions) ([]Result, error) {
-	if q == nil || q.expr == nil {
-		return nil, errors.New("query: SearchTopK requires a compiled, non-nil Query")
+// run is the one execution path behind every exported entry point, named
+// by method so a precondition failure points at the caller's own call. A
+// nil stream selects the ranking sinks (Search); a non-nil one receives
+// one Result per listed document, in ID order, on this goroutine
+// (ForEach).
+func (e *Engine) run(ctx context.Context, method string, q *Query, opts SearchOptions, stream func(Result) error) ([]Result, error) {
+	cand := opts.Candidates
+	mode := ExecScan
+	switch {
+	case cand == nil:
+	case stream != nil:
+		mode = ExecPrunedScan
+	case opts.TopN > 0 && opts.Rescore == nil:
+		mode = ExecTopK
+	default:
+		mode = ExecCandidateOnly
 	}
-	if cand == nil {
-		return nil, errors.New("query: SearchTopK requires a non-nil candidate set; use Search for unrestricted runs")
+	switch {
+	case q == nil || q.expr == nil:
+		return nil, fmt.Errorf("query: %s requires a compiled, non-nil Query", method)
+	case method == "SearchTopK" && mode != ExecTopK: // the deprecated shim's contract; goes when it does
+		return nil, errors.New("query: SearchTopK requires a non-nil candidate set, TopN > 0, and a nil Rescore (index bounds do not cover rescored probabilities); use Search")
 	}
-	if opts.TopN <= 0 {
-		return nil, errors.New("query: SearchTopK requires TopN > 0; use SearchCandidates to rank everything")
-	}
-	if opts.Rescore != nil {
-		return nil, errors.New("query: SearchTopK cannot rescore: index bounds do not cover rescored probabilities; use SearchCandidates")
-	}
-	ranked := cand.Ranked()
-	// Candidates whose bound already sits below MinProb cannot produce a
-	// reportable result; ranked is bound-descending, so they form a tail.
-	usable := len(ranked)
-	skipped := 0
-	if opts.MinProb > 0 {
-		usable = sort.Search(len(ranked), func(i int) bool {
-			return ranked[i].Bound*boundSlack < opts.MinProb
-		})
-		skipped = len(ranked) - usable
-	}
+
 	var (
-		out                []Result
-		fetched, evaluated int
-		earlyStopped       bool
+		out                      []Result
+		fetched, scanned, pruned int // fetch attempts, evaluations, zero results for non-candidates
+		skipped                  int // candidates top-k never fetched
+		earlyStopped             bool
 	)
-	next := 0
-	roundSize := candidateBatchSize
-	for next < usable {
-		end := next + roundSize
-		if end > usable {
-			end = usable
+	sink := func(b batch) error {
+		fetched += b.fetched
+		scanned += b.scanned
+		pruned += len(b.res) - b.scanned
+		for _, r := range b.res {
+			if stream != nil {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				if err := stream(r); err != nil {
+					return err
+				}
+			} else if r.Prob > 0 && r.Prob >= opts.MinProb {
+				out = append(out, r)
+			}
 		}
-		ids := make([]string, 0, end-next)
-		for _, c := range ranked[next:end] {
-			ids = append(ids, c.ID)
+		return nil
+	}
+
+	var err error
+	switch mode {
+	case ExecScan, ExecPrunedScan:
+		var ids []string
+		if ids, err = e.st.ListDocIDs(ctx); err == nil {
+			err = e.pipeline(ctx, q, opts.Rescore, ids, cand, sink)
 		}
-		sort.Strings(ids) // near-sequential reads; ranking is fetch-order-independent
-		res, f, ev, err := e.evalCandidates(ctx, q, ids, opts)
-		if err != nil {
-			return nil, err
+	case ExecCandidateOnly:
+		err = e.pipeline(ctx, q, opts.Rescore, cand.IDs(), nil, sink)
+	case ExecTopK:
+		ranked := cand.Ranked()
+		// Candidates whose bound already sits below MinProb cannot produce a
+		// reportable result; ranked is bound-descending, so they form a tail.
+		usable := len(ranked)
+		if opts.MinProb > 0 {
+			usable = sort.Search(len(ranked), func(i int) bool {
+				return ranked[i].Bound*boundSlack < opts.MinProb
+			})
 		}
-		out = append(out, res...)
-		fetched += f
-		evaluated += ev
-		next = end
-		roundSize *= 2
-		// Keeping only the running top N between rounds is lossless: the
-		// ranking is a total order, so the global top N is the top N of the
-		// per-round top-N union.
-		out = rankResults(out, opts.TopN)
-		if next < usable && len(out) == opts.TopN && out[opts.TopN-1].Prob > ranked[next].Bound*boundSlack {
-			earlyStopped = true
-			skipped += usable - next
-			break
+		next := 0
+		for size := fetchBatch; next < usable; size *= 2 {
+			end := min(next+size, usable)
+			ids := make([]string, 0, end-next)
+			for _, c := range ranked[next:end] {
+				ids = append(ids, c.ID)
+			}
+			sort.Strings(ids) // near-sequential reads; ranking is fetch-order-independent
+			if err = e.pipeline(ctx, q, nil, ids, nil, sink); err != nil {
+				break
+			}
+			next = end
+			// Keeping only the running top N between rounds is lossless: the
+			// ranking is a total order, so the global top N is the top N of the
+			// per-round top-N union.
+			out = rankResults(out, opts.TopN)
+			if next < usable && len(out) == opts.TopN && out[opts.TopN-1].Prob > ranked[next].Bound*boundSlack {
+				earlyStopped = true
+				break
+			}
+		}
+		skipped = len(ranked) - next
+	}
+
+	// The one place execution counters are written. A corpus walk observes
+	// every document it reports; a candidate-sourced run never observes the
+	// corpus — that is its point — so its corpus-level counters derive from
+	// the store's live count: a candidate deleted between planning and
+	// fetching is no longer live, every live document that was neither
+	// evaluated nor skipped on its bound was pruned, and DocsTotal ==
+	// DocsScanned + DocsPruned + BoundsSkipped holds by construction —
+	// deliberately unclamped, so a write racing the run shows up as a
+	// skewed count instead of being silently absorbed.
+	if s := opts.Stats; s != nil {
+		s.Mode = mode
+		s.DocsScanned = scanned
+		s.BoundsSkipped = skipped
+		s.EarlyStopped = earlyStopped
+		if mode == ExecScan || mode == ExecPrunedScan {
+			s.DocsTotal = scanned + pruned
+			s.DocsPruned = pruned
+			s.CandidatesFetched, s.CandidatesDeleted = 0, 0
+		} else {
+			s.DocsTotal = e.st.Len()
+			s.DocsPruned = s.DocsTotal - scanned - skipped
+			s.CandidatesFetched, s.CandidatesDeleted = fetched, fetched-scanned
 		}
 	}
-	if opts.Stats != nil {
-		opts.Stats.Mode = ExecTopK
-		opts.Stats.DocsScanned = evaluated
-		opts.Stats.CandidatesFetched = fetched
-		opts.Stats.CandidatesDeleted = fetched - evaluated
-		opts.Stats.BoundsSkipped = skipped
-		opts.Stats.EarlyStopped = earlyStopped
+	if stream != nil && errors.Is(err, store.ErrStopScan) {
+		err = nil // fn ended the stream early, which is not a failure
+	}
+	if err != nil {
+		return nil, err
 	}
 	return rankResults(out, opts.TopN), nil
 }
 
-// evalCandidates fetches and evaluates exactly the documents named by
-// ids, fanning candidateBatchSize batches across the worker pool, and
-// returns the unranked matches that survive the MinProb filter along
-// with the fetch-attempt and evaluation counts. A nil slot from the
-// store (deleted between planning and fetching) counts as fetched but
-// not evaluated.
-func (e *Engine) evalCandidates(ctx context.Context, q *Query, ids []string, opts SearchOptions) (out []Result, fetched, evaluated int, err error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// batch is one worker job's outcome.
+type batch struct {
+	seq int
+	// res holds, in ID order, one Result per job ID that is still stored:
+	// the evaluated probability, or zero for an ID outside the keep set.
+	res []Result
+	// fetched and scanned count the job's store fetch attempts and its
+	// evaluations; the difference is documents deleted under the run.
+	fetched, scanned int
+	err              error
+}
 
-	getter, batched := e.st.(store.BatchGetter)
-	var mu sync.Mutex
-	var firstErr error
-	var errOnce sync.Once
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	workers := e.workers
-	if n := (len(ids) + candidateBatchSize - 1) / candidateBatchSize; workers > n {
-		workers = n // never park workers that could have no batch to take
-	}
-	batches := make(chan []string)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+// pipeline is the engine's one worker pool. It cuts ids — ascending and
+// duplicate-free — into fetchBatch-sized jobs, has the workers fetch and
+// evaluate them, and hands each finished batch to sink on the caller's
+// goroutine in job order. IDs outside keep (nil keeps everything) are
+// never fetched: they come back as zero-probability results. At most
+// 2×workers jobs are claimed but undelivered at any time, so one slow
+// document cannot let the pool run the whole source ahead. The first
+// worker, sink, or context error ends the run and is returned once every
+// worker has stopped.
+func (e *Engine) pipeline(ctx context.Context, q *Query, rescore func(*staccato.Doc) *staccato.Doc, ids []string, keep *CandidateSet, sink func(batch) error) error {
+	jobs := (len(ids) + fetchBatch - 1) / fetchBatch
+	workers := min(e.workers, jobs) // never start workers that could have no job to take
+	inFlight := 2 * workers
+	ctx, cancel := context.WithCancel(ctx)
+	var (
+		wg     sync.WaitGroup
+		next   atomic.Int64
+		window = make(chan struct{}, inFlight) // one token per claimed, undelivered job
+		done   = make(chan batch, inFlight)    // never blocks a sender: every job in it holds a token
+	)
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local []Result
-			localFetched, localEval := 0, 0
-			for batch := range batches {
-				docs, err := e.fetchCandidates(ctx, getter, batched, batch)
-				if err != nil {
-					fail(err)
-					return
-				}
-				localFetched += len(docs)
-				for _, doc := range docs {
-					if ctx.Err() != nil {
-						return // bound cancellation latency to one evaluation
-					}
-					if doc == nil {
-						continue // deleted between planning and fetching
-					}
-					localEval++
-					if opts.Rescore != nil {
-						doc = opts.Rescore(doc)
-					}
-					p := q.Eval(doc)
-					if p <= 0 || p < opts.MinProb {
-						continue
-					}
-					local = append(local, Result{DocID: doc.ID, Prob: p})
-				}
-			}
-			mu.Lock()
-			out = append(out, local...)
-			fetched += localFetched
-			evaluated += localEval
-			mu.Unlock()
-		}()
-	}
-feed:
-	for start := 0; start < len(ids); start += candidateBatchSize {
-		end := start + candidateBatchSize
-		if end > len(ids) {
-			end = len(ids)
-		}
-		select {
-		case batches <- ids[start:end]:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(batches)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, 0, 0, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	return out, fetched, evaluated, nil
-}
-
-// fetchCandidates reads one batch of candidate documents, through the
-// store's BatchGetter when it has one and by per-ID Get otherwise. The
-// returned slice is aligned with ids; missing documents are nil.
-func (e *Engine) fetchCandidates(ctx context.Context, getter store.BatchGetter, batched bool, ids []string) ([]*staccato.Doc, error) {
-	if batched {
-		return getter.GetBatch(ctx, ids)
-	}
-	out := make([]*staccato.Doc, len(ids))
-	for i, id := range ids {
-		doc, err := e.st.Get(ctx, id)
-		switch {
-		case errors.Is(err, store.ErrNotFound):
-			// skip: the candidate vanished between planning and fetching
-		case err != nil:
-			return nil, err
-		default:
-			out[i] = doc
-		}
-	}
-	return out, nil
-}
-
-// ForEach evaluates q against every stored document and streams one
-// Result per document — unfiltered, probability zero included — to fn in
-// ascending DocID (scan) order. fn runs on the caller's goroutine.
-// Returning store.ErrStopScan from fn ends the stream early without
-// error; any other error cancels in-flight work and is returned.
-// Cancelling ctx aborts the stream with ctx's error: once cancellation
-// is observed, fn is not called again.
-func (e *Engine) ForEach(ctx context.Context, q *Query, fn func(Result) error) error {
-	return e.ForEachPruned(ctx, q, nil, nil, fn)
-}
-
-// ForEachPruned is ForEach restricted by a candidate set: documents
-// outside cand stream out with probability zero without being evaluated.
-// A nil cand evaluates everything, exactly like ForEach. stats, when
-// non-nil, receives the run's counters before the call returns. cand is
-// a snapshot: a document added to the store after cand was computed but
-// before this run lists it may stream out at probability zero even if
-// it matches — callers needing a write to be visible must compute the
-// candidate set after the write completes (Search's ranked output is
-// unaffected: it drops zero-probability results, so it matches an
-// execution ordered before such a write).
-func (e *Engine) ForEachPruned(ctx context.Context, q *Query, cand *CandidateSet, stats *SearchStats, fn func(Result) error) error {
-	return e.forEachPruned(ctx, q, cand, stats, nil, fn)
-}
-
-// forEachPruned is ForEachPruned plus the rescore hook Search threads
-// through from SearchOptions.Rescore; a nil rescore evaluates documents
-// as stored.
-func (e *Engine) forEachPruned(ctx context.Context, q *Query, cand *CandidateSet, stats *SearchStats, rescore func(*staccato.Doc) *staccato.Doc, fn func(Result) error) error {
-	if q == nil || q.expr == nil {
-		return errors.New("query: ForEach requires a compiled, non-nil Query")
-	}
-	eval := func(d *staccato.Doc) float64 {
-		if rescore != nil {
-			d = rescore(d)
-		}
-		return q.Eval(d)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// job is one document's unit of work. Exactly one of doc and id is
-	// set: the Scan feeder carries decoded documents, the IDLister feeder
-	// carries bare IDs and lets the worker read only unpruned documents.
-	type job struct {
-		seq  int
-		doc  *staccato.Doc
-		id   string
-		skip bool // pruned: report zero without evaluating
-	}
-	type seqResult struct {
-		seq       int
-		res       Result
-		evaluated bool
-		dropped   bool // document vanished between listing and read
-	}
-	jobs := make(chan job, e.workers)
-	results := make(chan seqResult, e.workers)
-
-	// window bounds how many documents may be in flight — scanned but not
-	// yet delivered to fn. Without it, one slow document would let the
-	// feeder run the whole corpus ahead and park O(corpus) results in the
-	// collector's re-sequencing buffer. The feeder acquires a token per
-	// document; the collector releases it on delivery.
-	window := make(chan struct{}, 2*e.workers+2)
-
-	admit := func(j job) error {
-		select {
-		case window <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		select {
-		case jobs <- j:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-
-	// The feeder pulls work out of the store in ID order, stamping each
-	// document with its sequence number so order can be restored after the
-	// pool. With a candidate set and an ID-listing store, pruned documents
-	// never enter the pipeline at all: the ID list is snapshotted up
-	// front, only candidates become worker jobs, and the collector
-	// synthesizes the zero results for the gaps — the planner's speedup
-	// comes from skipping the pruned documents' read, decode, evaluation,
-	// AND per-document scheduling.
-	var prunedIDs []string // seq -> ID; non-nil only on the listed path
-	if cand != nil {
-		if lister, ok := e.st.(store.IDLister); ok {
-			ids, err := lister.ListDocIDs(ctx)
-			if err != nil {
-				return err
-			}
-			prunedIDs = ids
-		}
-	}
-	var feedWG sync.WaitGroup
-	var feedErr error
-	feedWG.Add(1)
-	go func() {
-		defer feedWG.Done()
-		defer close(jobs)
-		if prunedIDs != nil {
-			for seq, id := range prunedIDs {
-				if !cand.Has(id) {
-					continue // the collector emits the zero result
-				}
-				if err := admit(job{seq: seq, id: id}); err != nil {
-					feedErr = err
-					return
-				}
-			}
-			return
-		}
-		seq := 0
-		feedErr = e.st.Scan(ctx, func(d *staccato.Doc) error {
-			j := job{seq: seq, doc: d, skip: !cand.Has(d.ID)}
-			if err := admit(j); err != nil {
-				return err
-			}
-			seq++
-			return nil
-		})
-	}()
-
-	// Workers: evaluate the shared compiled query, one document at a time.
-	// The first worker failure cancels the run and is reported once.
-	var workerErr error
-	var workerOnce sync.Once
-	fail := func(err error) {
-		workerOnce.Do(func() {
-			workerErr = err
-			cancel()
-		})
-	}
-	var poolWG sync.WaitGroup
-	for i := 0; i < e.workers; i++ {
-		poolWG.Add(1)
-		go func() {
-			defer poolWG.Done()
-			for j := range jobs {
-				r := seqResult{seq: j.seq}
-				switch {
-				case j.skip:
-					id := j.id
-					if j.doc != nil {
-						id = j.doc.ID
-					}
-					r.res = Result{DocID: id}
-				case j.doc != nil:
-					r.res = Result{DocID: j.doc.ID, Prob: eval(j.doc)}
-					r.evaluated = true
-				default:
-					doc, err := e.st.Get(ctx, j.id)
-					switch {
-					case errors.Is(err, store.ErrNotFound):
-						r.res = Result{DocID: j.id}
-						r.dropped = true
-					case err != nil:
-						fail(err)
-						return
-					default:
-						r.res = Result{DocID: doc.ID, Prob: eval(doc)}
-						r.evaluated = true
-					}
-				}
+			for {
 				select {
-				case results <- r:
+				case window <- struct{}{}:
 				case <-ctx.Done():
 					return
 				}
+				seq := int(next.Add(1)) - 1
+				if seq >= jobs {
+					return
+				}
+				b := e.evalBatch(ctx, q, rescore, ids[seq*fetchBatch:min((seq+1)*fetchBatch, len(ids))], keep)
+				b.seq = seq
+				done <- b
+				if b.err != nil {
+					return
+				}
 			}
 		}()
 	}
-	go func() {
-		feedWG.Wait()
-		poolWG.Wait()
-		close(results)
-	}()
 
-	// Collector: re-sequence out-of-order completions and deliver them to
-	// fn in scan order, synthesizing the zero results for sequence numbers
-	// the feeder pruned away on the listed path. The window cap bounds
-	// `pending` to the in-flight limit regardless of corpus size or
-	// per-document latency skew.
-	var runStats SearchStats
-	pending := make(map[int]seqResult, e.workers)
-	nextSeq := 0
-	var fnErr error
-	advance := func() {
-		for fnErr == nil && ctx.Err() == nil {
-			if prunedIDs != nil && nextSeq < len(prunedIDs) && !cand.Has(prunedIDs[nextSeq]) {
-				id := prunedIDs[nextSeq]
-				nextSeq++
-				runStats.DocsTotal++
-				runStats.DocsPruned++
-				if err := fn(Result{DocID: id}); err != nil {
-					fnErr = err
-					cancel()
-					return
-				}
-				continue
+	// Jobs are claimed in seq order and a claim needs a token, so every
+	// undelivered seq is below delivered+inFlight and owns its ring slot.
+	ring := make([]*batch, inFlight)
+	for delivered := 0; delivered < jobs; {
+		select {
+		case b := <-done:
+			if b.err != nil {
+				return b.err
 			}
-			res, ok := pending[nextSeq]
-			if !ok {
-				return
-			}
-			delete(pending, nextSeq)
-			nextSeq++
-			<-window // delivered: let the feeder admit another document
-			if res.dropped {
-				continue
-			}
-			runStats.DocsTotal++
-			if res.evaluated {
-				runStats.DocsScanned++
-			} else {
-				runStats.DocsPruned++
-			}
-			if err := fn(res.res); err != nil {
-				fnErr = err
-				cancel()
-				return
+			ring[b.seq%inFlight] = &b
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		for ; delivered < jobs && ring[delivered%inFlight] != nil; delivered++ {
+			b := ring[delivered%inFlight]
+			ring[delivered%inFlight] = nil
+			<-window
+			if err := sink(*b); err != nil {
+				return err
 			}
 		}
 	}
-	advance() // a corpus whose head (or whole) is pruned yields no results
-	for r := range results {
-		if fnErr != nil || ctx.Err() != nil {
-			continue // draining after failure/stop/cancellation
-		}
-		pending[r.seq] = r
-		advance()
-	}
-	feedWG.Wait() // happens-before for feedErr
-	if stats != nil {
-		stats.Mode = ExecScan
-		if cand != nil {
-			stats.Mode = ExecPrunedScan
-		}
-		stats.DocsTotal = runStats.DocsTotal
-		stats.DocsScanned = runStats.DocsScanned
-		stats.DocsPruned = runStats.DocsPruned
-	}
+	// The run may have finished before an external cancellation was
+	// observed; cancel has not run yet, so a non-nil error here can only
+	// come from the caller's context.
+	return ctx.Err()
+}
 
-	if fnErr != nil {
-		if errors.Is(fnErr, store.ErrStopScan) {
-			return nil
+// evalBatch fetches the members of ids that keep admits with one GetBatch
+// and evaluates each document the store still has. A nil slot from the
+// store (deleted since the IDs were planned or listed) counts as fetched
+// but not scanned and yields no Result.
+func (e *Engine) evalBatch(ctx context.Context, q *Query, rescore func(*staccato.Doc) *staccato.Doc, ids []string, keep *CandidateSet) batch {
+	fetch := ids
+	if keep != nil {
+		fetch = make([]string, 0, len(ids))
+		for _, id := range ids {
+			if keep.Has(id) {
+				fetch = append(fetch, id)
+			}
 		}
-		return fnErr
 	}
-	if workerErr != nil {
-		return workerErr
+	docs, err := e.st.GetBatch(ctx, fetch)
+	if err != nil {
+		return batch{err: err}
 	}
-	if feedErr != nil && !errors.Is(feedErr, context.Canceled) {
-		return feedErr
+	b := batch{res: make([]Result, 0, len(ids)), fetched: len(fetch)}
+	k := 0
+	for _, id := range ids {
+		if k == len(fetch) || fetch[k] != id {
+			b.res = append(b.res, Result{DocID: id}) // outside keep
+			continue
+		}
+		doc := docs[k]
+		k++
+		if doc == nil {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return batch{err: err} // bound cancellation latency to one evaluation
+		}
+		if rescore != nil {
+			doc = rescore(doc)
+		}
+		b.res = append(b.res, Result{DocID: doc.ID, Prob: q.Eval(doc)})
+		b.scanned++
 	}
-	// The scan may have finished before an external cancellation was
-	// observed; the deferred cancel has not run yet, so a non-nil error
-	// here can only come from the caller's context — or from the
-	// worker-failure cancel already reported above.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return feedErr
+	return b
 }

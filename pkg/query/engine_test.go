@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
@@ -203,13 +204,24 @@ func TestEngineContextCancelled(t *testing.T) {
 
 func TestEngineNilQuery(t *testing.T) {
 	eng := query.NewEngine(store.NewMemStore(), query.EngineOptions{})
-	if _, err := eng.Search(context.Background(), nil, query.SearchOptions{}); err == nil {
-		t.Error("Search accepted a nil query")
-	}
+	ctx := context.Background()
+	noop := func(query.Result) error { return nil }
 	// A zero-value Query was never compiled; the engine must reject it
-	// instead of panicking in a worker goroutine.
-	if _, err := eng.Search(context.Background(), &query.Query{}, query.SearchOptions{}); err == nil {
-		t.Error("Search accepted a zero-value query")
+	// instead of panicking in a worker goroutine. The error names the
+	// method the caller invoked, not an internal one.
+	for _, q := range []*query.Query{nil, {}} {
+		_, err := eng.Search(ctx, q, query.SearchOptions{})
+		if err == nil || !strings.Contains(err.Error(), "Search requires") {
+			t.Errorf("Search(%v) error = %v, want one naming Search", q, err)
+		}
+		for name, err := range map[string]error{
+			"ForEach":       eng.ForEach(ctx, q, noop),
+			"ForEachPruned": eng.ForEachPruned(ctx, q, nil, nil, noop),
+		} {
+			if err == nil || !strings.Contains(err.Error(), name+" requires") {
+				t.Errorf("%s(%v) error = %v, want one naming %s", name, q, err, name)
+			}
+		}
 	}
 }
 

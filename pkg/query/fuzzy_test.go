@@ -207,11 +207,8 @@ func TestFuzzySearchByteIdenticalAcrossModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prunedScan, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand})
-		if err != nil {
-			t.Fatal(err)
-		}
-		candOnly, err := eng.SearchCandidates(ctx, q, cand, query.SearchOptions{})
+		prunedScan := prunedStream(t, eng, q, cand, query.SearchOptions{})
+		candOnly, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +224,8 @@ func TestFuzzySearchByteIdenticalAcrossModes(t *testing.T) {
 }
 
 // TestFuzzyRescoreDeterministicAcrossModes: with a lexicon rescorer in
-// SearchOptions, all three execution paths still agree bit-for-bit.
+// SearchOptions, the scan and the candidate-restricted run still agree
+// bit-for-bit (the every-doc stream takes no rescorer).
 func TestFuzzyRescoreDeterministicAcrossModes(t *testing.T) {
 	ctx := context.Background()
 	st, ix, truths := candidateCorpus(t, 30, 59)
@@ -246,18 +244,14 @@ func TestFuzzyRescoreDeterministicAcrossModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prunedScan, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand, Rescore: rescore})
-		if err != nil {
-			t.Fatal(err)
-		}
-		candOnly, err := eng.SearchCandidates(ctx, q, cand, query.SearchOptions{Rescore: rescore})
+		candOnly, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand, Rescore: rescore})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if baseline == nil {
 			baseline = scan
 		}
-		for name, got := range map[string][]query.Result{"scan": scan, "pruned-scan": prunedScan, "candidate-only": candOnly} {
+		for name, got := range map[string][]query.Result{"scan": scan, "candidate-only": candOnly} {
 			if !reflect.DeepEqual(got, baseline) {
 				t.Errorf("workers=%d %s: rescored results diverge from baseline", workers, name)
 			}

@@ -34,24 +34,25 @@ import (
 // "no pruning information: every document is a candidate", which is why
 // the methods below are defined on the nil receiver.
 //
-// A set built from a bounds-carrying posting source additionally holds,
-// per candidate, an admissible upper bound on that document's match
-// probability (see Bound); sets without bound information answer 1 for
-// every candidate, which is always admissible.
+// A set built from a posting source that reports bounds additionally
+// holds, per candidate, an admissible upper bound on that document's
+// match probability (see Bound); sets without bound information answer 1
+// for every candidate, which is always admissible.
 type CandidateSet struct {
-	ids map[string]struct{}
-	// bounds, when non-nil, maps each candidate to an upper bound on its
-	// match probability in [0, 1]. nil means no bound information.
-	bounds map[string]float64
+	// ids is ascending and duplicate-free — the shape posting sources
+	// return and the engine fetches in.
+	ids []string
+	// bounds, when non-nil, is aligned with ids: bounds[i] is an upper
+	// bound in [0, 1] on ids[i]'s match probability. nil means no bound
+	// information.
+	bounds []float64
 }
 
-// NewCandidateSet builds a set from ids.
+// NewCandidateSet builds a set from ids, in any order, duplicates allowed.
 func NewCandidateSet(ids ...string) *CandidateSet {
-	c := &CandidateSet{ids: make(map[string]struct{}, len(ids))}
-	for _, id := range ids {
-		c.ids[id] = struct{}{}
-	}
-	return c
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	return &CandidateSet{ids: slices.Compact(sorted)}
 }
 
 // Has reports whether id is a candidate. The nil set admits everything.
@@ -59,7 +60,7 @@ func (c *CandidateSet) Has(id string) bool {
 	if c == nil {
 		return true
 	}
-	_, ok := c.ids[id]
+	_, ok := slices.BinarySearch(c.ids, id)
 	return ok
 }
 
@@ -72,30 +73,34 @@ func (c *CandidateSet) Len() int {
 	return len(c.ids)
 }
 
-// IDs returns the candidates in ascending order; nil for the nil set.
+// IDs returns the candidates in ascending order; nil for the nil set. The
+// slice is the set's own storage and must not be modified.
 func (c *CandidateSet) IDs() []string {
 	if c == nil {
 		return nil
 	}
-	out := make([]string, 0, len(c.ids))
-	for id := range c.ids {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return c.ids
 }
 
 // Bound returns an admissible upper bound on id's match probability: the
 // recorded bound when the set carries one, else the vacuous 1. The nil
 // set admits everything at bound 1.
 func (c *CandidateSet) Bound(id string) float64 {
-	if c == nil || c.bounds == nil {
+	if c == nil {
 		return 1
 	}
-	if b, ok := c.bounds[id]; ok {
-		return b
+	if i, ok := slices.BinarySearch(c.ids, id); ok {
+		return c.boundAt(i)
 	}
 	return 1
+}
+
+// boundAt returns the bound of the i-th candidate.
+func (c *CandidateSet) boundAt(i int) float64 {
+	if c.bounds == nil {
+		return 1
+	}
+	return c.bounds[i]
 }
 
 // Bounded reports whether the set carries per-candidate probability
@@ -117,9 +122,9 @@ func (c *CandidateSet) Ranked() []BoundedCandidate {
 	if c == nil {
 		return nil
 	}
-	out := make([]BoundedCandidate, 0, len(c.ids))
-	for id := range c.ids {
-		out = append(out, BoundedCandidate{ID: id, Bound: c.Bound(id)})
+	out := make([]BoundedCandidate, len(c.ids))
+	for i, id := range c.ids {
+		out[i] = BoundedCandidate{ID: id, Bound: c.boundAt(i)}
 	}
 	slices.SortFunc(out, func(a, b BoundedCandidate) int {
 		//lint:allow floateq exact equality picks the deterministic ID tiebreak; either branch is admissible
@@ -134,27 +139,68 @@ func (c *CandidateSet) Ranked() []BoundedCandidate {
 	return out
 }
 
+// intersectSets merge-walks two sets, keeping the IDs in both at the min
+// of the two bounds: a conjunction's match is contained in each
+// conjunct's, so the min is admissible. The result carries bounds when
+// either input does.
 func intersectSets(a, b *CandidateSet) *CandidateSet {
-	if a.Len() > b.Len() {
-		a, b = b, a
-	}
-	out := &CandidateSet{ids: make(map[string]struct{}, a.Len())}
+	size := min(len(a.ids), len(b.ids))
+	out := &CandidateSet{ids: make([]string, 0, size)}
 	if a.bounds != nil || b.bounds != nil {
-		out.bounds = make(map[string]float64, a.Len())
+		out.bounds = make([]float64, 0, size)
 	}
-	for id := range a.ids {
-		if b.Has(id) {
-			out.ids[id] = struct{}{}
+	for i, j := 0, 0; i < len(a.ids) && j < len(b.ids); {
+		switch c := strings.Compare(a.ids[i], b.ids[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			out.ids = append(out.ids, a.ids[i])
 			if out.bounds != nil {
-				// A conjunction's match is contained in each conjunct's, so
-				// the min of the two bounds is admissible.
-				ba, bb := a.Bound(id), b.Bound(id)
-				if bb < ba {
-					ba = bb
-				}
-				out.bounds[id] = ba
+				out.bounds = append(out.bounds, min(a.boundAt(i), b.boundAt(j)))
 			}
+			i++
+			j++
 		}
+	}
+	return out
+}
+
+// unionSets merge-walks two sets, keeping the IDs in either. A
+// disjunction's bound is the capped sum of its branches' (the union
+// bound; max would under-estimate when branches overlap). b's bound is
+// added to a's, so a left fold over a disjunction's children sums each
+// ID's bounds in child order whatever the ID order — and capping per step
+// equals capping the total, since bounds are never negative. The result
+// always carries bounds.
+func unionSets(a, b *CandidateSet) *CandidateSet {
+	size := len(a.ids) + len(b.ids)
+	out := &CandidateSet{ids: make([]string, 0, size), bounds: make([]float64, 0, size)}
+	add := func(id string, bound float64) {
+		out.ids = append(out.ids, id)
+		out.bounds = append(out.bounds, bound)
+	}
+	i, j := 0, 0
+	for i < len(a.ids) && j < len(b.ids) {
+		switch c := strings.Compare(a.ids[i], b.ids[j]); {
+		case c < 0:
+			add(a.ids[i], a.boundAt(i))
+			i++
+		case c > 0:
+			add(b.ids[j], b.boundAt(j))
+			j++
+		default:
+			add(a.ids[i], min(1, a.boundAt(i)+b.boundAt(j)))
+			i++
+			j++
+		}
+	}
+	for ; i < len(a.ids); i++ {
+		add(a.ids[i], a.boundAt(i))
+	}
+	for ; j < len(b.ids); j++ {
+		add(b.ids[j], b.boundAt(j))
 	}
 	return out
 }
@@ -165,20 +211,14 @@ func intersectSets(a, b *CandidateSet) *CandidateSet {
 // every live document whose retained readings could contain all of grams
 // must appear in the result.
 type PostingSource interface {
-	// Candidates returns the IDs of documents that may contain every gram
-	// in grams. ok=false means the source cannot answer (for example,
-	// grams is empty) and the caller must not prune.
-	Candidates(grams []string) (ids []string, ok bool)
-}
-
-// BoundedPostingSource is a PostingSource that can also report, per
-// candidate, an admissible upper bound on the probability that the
-// document contains all of grams (index.Index satisfies it). Bounds must
-// never under-estimate: bounds[i] ≥ P(some retained reading of ids[i]
-// contains every gram). The planner uses bounds opportunistically — a
-// plain PostingSource still plans, just without early-termination fuel.
-type BoundedPostingSource interface {
-	PostingSource
+	// CandidatesWithBounds returns, ascending and duplicate-free, the IDs
+	// of documents that may contain every gram in grams, and aligned with
+	// them an admissible upper bound on the probability that the document
+	// does: bounds[i] ≥ P(some retained reading of ids[i] contains every
+	// gram). A source without bound information returns nil bounds, which
+	// reads as 1 everywhere — it still plans, just without
+	// early-termination fuel. ok=false means the source cannot answer (for
+	// example, grams is empty) and the caller must not prune.
 	CandidatesWithBounds(grams []string) (ids []string, bounds []float64, ok bool)
 }
 
@@ -272,30 +312,11 @@ type planGrams struct {
 }
 
 func (n planGrams) candidates(src PostingSource) (*CandidateSet, bool) {
-	if bsrc, can := src.(BoundedPostingSource); can {
-		ids, bnds, ok := bsrc.CandidatesWithBounds(n.grams)
-		if !ok {
-			return nil, false
-		}
-		c := &CandidateSet{
-			ids:    make(map[string]struct{}, len(ids)),
-			bounds: make(map[string]float64, len(ids)),
-		}
-		for i, id := range ids {
-			c.ids[id] = struct{}{}
-			b := 1.0
-			if i < len(bnds) {
-				b = bnds[i]
-			}
-			c.bounds[id] = b
-		}
-		return c, true
-	}
-	ids, ok := src.Candidates(n.grams)
+	ids, bounds, ok := src.CandidatesWithBounds(n.grams)
 	if !ok {
 		return nil, false
 	}
-	return NewCandidateSet(ids...), true
+	return &CandidateSet{ids: ids, bounds: bounds}, true
 }
 
 func (n planGrams) prunable() bool { return true }
@@ -356,26 +377,13 @@ func (n planAnd) render(sb *strings.Builder) { renderPlanList(sb, "and", n) }
 type planOr []planNode
 
 func (n planOr) candidates(src PostingSource) (*CandidateSet, bool) {
-	acc := &CandidateSet{ids: make(map[string]struct{}), bounds: make(map[string]float64)}
+	acc := &CandidateSet{bounds: []float64{}}
 	for _, kid := range n {
 		set, ok := kid.candidates(src)
 		if !ok {
 			return nil, false // one unprunable branch admits any document
 		}
-		// A disjunction's bound is the capped sum of its children's
-		// (union bound); max would under-estimate when branches overlap.
-		// Each id accumulates exactly once per child, so no per-id float
-		// result depends on the order the ids are visited in.
-		//lint:allow mapiter each id accumulates once per child; iteration order cannot change any per-id sum
-		for id := range set.ids { // union in place: one pass per child
-			acc.ids[id] = struct{}{}
-			acc.bounds[id] += set.Bound(id)
-		}
-	}
-	for id, b := range acc.bounds {
-		if b > 1 {
-			acc.bounds[id] = 1
-		}
+		acc = unionSets(acc, set)
 	}
 	return acc, true
 }

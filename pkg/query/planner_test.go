@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,16 +14,17 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
-// fakeSource records lookups and serves canned posting results.
+// fakeSource records lookups and serves canned posting results, without
+// bound information.
 type fakeSource struct {
 	byGram map[string][]string
 	calls  [][]string
 }
 
-func (f *fakeSource) Candidates(grams []string) ([]string, bool) {
+func (f *fakeSource) CandidatesWithBounds(grams []string) ([]string, []float64, bool) {
 	f.calls = append(f.calls, grams)
 	if len(grams) == 0 {
-		return nil, false
+		return nil, nil, false
 	}
 	// Intersect the per-gram doc lists.
 	count := map[string]int{}
@@ -37,7 +39,8 @@ func (f *fakeSource) Candidates(grams []string) ([]string, bool) {
 			out = append(out, id)
 		}
 	}
-	return out, true
+	sort.Strings(out)
+	return out, nil, true
 }
 
 // mustQ unwraps a compile result; the terms in this file are all valid,

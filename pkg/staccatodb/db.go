@@ -26,18 +26,19 @@
 //
 // # Query execution
 //
-// Search and ForEach extract a Plan from the compiled query and turn the
-// index's posting lists into a candidate document set. When the plan can
-// prune, Search runs candidate-only: the engine fetches exactly the
-// candidates by (batched) point lookup and never touches the rest of the
-// corpus, so a selective query costs O(candidates), not O(corpus).
-// ForEach keeps its every-document streaming contract and instead runs a
-// pruned scan, reporting non-candidates at probability zero without
-// reading them. The planner is conservative (AND intersects, OR unions,
-// NOT and sub-gram terms scan), so results are byte-identical across
-// every mode and with the index enabled, disabled, or absent;
-// SearchStats reports the mode taken and how much was pruned so the
-// speedup is observable.
+// Search and ForEach extract a Plan from the compiled query, turn the
+// index's posting lists into a candidate document set, and hand it to the
+// engine, which runs every query through one pipeline. When the plan can
+// prune, Search fetches exactly the candidates by batched point lookup
+// and never touches the rest of the corpus, so a selective query costs
+// O(candidates), not O(corpus) — and with a result limit it takes them
+// best-bound-first and stops once the limit is provably filled. ForEach
+// keeps its every-document streaming contract: it walks the corpus ID
+// list and reports non-candidates at probability zero without reading
+// them. The planner is conservative (AND intersects, OR unions, NOT and
+// sub-gram terms scan), so results are byte-identical across every mode
+// and with the index enabled, disabled, or absent; SearchStats reports
+// the mode taken and how much was pruned so the speedup is observable.
 package staccatodb
 
 import (
@@ -194,12 +195,6 @@ func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
 	return ix, nil
 }
 
-// onCommit is the diskstore commit hook: it mirrors every durable store
-// commit into the in-memory index and the index log, in commit order,
-// under the store's write lock. A log write failure stops persistence —
-// the in-memory index stays correct for this process, and the log's now
-// stale CommitState forces a rebuild on the next Open — but never fails
-// the commit: the documents are already durable.
 // preparedCommit is one commit's index mutations, derived by
 // prepareCommit before the store's write lock is taken.
 type preparedCommit struct {
@@ -246,6 +241,12 @@ func (db *DB) prepareCommit(ops []diskstore.CommitOp) any {
 	return p
 }
 
+// onCommit is the diskstore commit hook: it mirrors every durable store
+// commit into the in-memory index and the index log, in commit order,
+// under the store's write lock. A log write failure stops persistence —
+// the in-memory index stays correct for this process, and the log's now
+// stale CommitState forces a rebuild on the next Open — but never fails
+// the commit: the documents are already durable.
 func (db *DB) onCommit(ops []diskstore.CommitOp, prepared any, cs diskstore.CommitState) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -391,17 +392,13 @@ func (db *DB) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 // and the parallel engine, returning the ranked matches (descending
 // probability, ties by ascending DocID) plus the execution stats —
 // the mode taken and how many documents the index pruned versus how
-// many the DP evaluated. When the planner produces a candidate set,
-// Search executes candidate-restricted: only the candidates are fetched
-// and evaluated, so a selective query's cost scales with its candidate
-// count, not the corpus size. With opts.TopN > 0 and no rescorer, the
-// restricted run takes the bound-driven top-k path
-// (query.Engine.SearchTopK, query.ExecTopK): candidates are processed
-// best-bound-first and the run stops once the running k-th probability
-// beats every remaining bound. A rescorer invalidates the stored bounds
-// (it moves probability mass the index never saw), so rescored searches
-// stay on query.ExecCandidateOnly. Without a candidate set Search falls
-// back to the full scan. Results are byte-identical across every mode
+// many the DP evaluated. The DB plans and the engine executes: when the
+// planner produces a candidate set it becomes opts.Candidates, and
+// query.Engine.Search then fetches and evaluates only the candidates
+// (query.ExecCandidateOnly) — best-bound-first with an early stop
+// (query.ExecTopK) when opts.TopN > 0 and there is no rescorer, whose
+// re-weighting the stored bounds do not cover. Without a candidate set
+// the run is the full scan. Results are byte-identical across every mode
 // and whether the index is enabled, disabled, or absent.
 // opts.Candidates and opts.Stats are managed by the DB and ignored if
 // set by the caller.
@@ -410,38 +407,10 @@ func (db *DB) Search(ctx context.Context, q *query.Query, opts query.SearchOptio
 	if db.isClosed() {
 		return nil, stats, ErrClosed
 	}
-	cand := db.planCandidates(q, &stats)
-	opts.Candidates = nil
+	opts.Candidates = db.planCandidates(q, &stats)
 	opts.Stats = &stats
-	if cand == nil {
-		res, err := db.eng.Search(ctx, q, opts)
-		return res, stats, err
-	}
-	var res []query.Result
-	var err error
-	if opts.TopN > 0 && opts.Rescore == nil {
-		res, err = db.eng.SearchTopK(ctx, q, cand, opts)
-	} else {
-		res, err = db.eng.SearchCandidates(ctx, q, cand, opts)
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	// The engine never observed the corpus — that is the mode's point —
-	// so the corpus-level counters derive from the store's live count and
-	// the candidate set itself. A candidate deleted between planning and
-	// fetching is no longer live, so the live candidates are the set size
-	// minus the deletions the engine observed; every other live document
-	// was pruned. This makes DocsTotal == DocsScanned + DocsPruned +
-	// BoundsSkipped hold by construction (BoundsSkipped is zero outside
-	// top-k), deletions included — deliberately unclamped, so an
-	// accounting inconsistency shows up as a negative count instead of
-	// being silently absorbed. Writes racing the search can still skew
-	// docCount against the planning-time snapshot.
-	stats.DocsTotal = db.docCount()
-	live := cand.Len() - stats.CandidatesDeleted
-	stats.DocsPruned = stats.DocsTotal - live
-	return res, stats, nil
+	res, err := db.eng.Search(ctx, q, opts)
+	return res, stats, err
 }
 
 // Snippets runs Search and then extracts each matching document's top
@@ -451,8 +420,8 @@ func (db *DB) Search(ctx context.Context, q *query.Query, opts query.SearchOptio
 // retrieval-chunk input a RAG pipeline consumes. The slice is ordered
 // exactly like Search's ranking, and because extraction is a
 // deterministic function of each matching document, the output is
-// byte-identical across execution modes (scan, pruned-scan,
-// candidate-only) and worker counts, just like Search itself. A document
+// byte-identical across execution modes (scan, candidate-only, top-k)
+// and worker counts, just like Search itself. A document
 // deleted between the search and the snippet fetch is skipped, matching
 // what a search started after the delete would report. When opts.Rescore
 // is set, the same transform the search ranked under is applied to each
@@ -485,14 +454,6 @@ func (db *DB) Snippets(ctx context.Context, q *query.Query, opts query.SearchOpt
 // report alongside their own in-flight gauges to make engine saturation
 // observable.
 func (db *DB) Workers() int { return db.eng.Workers() }
-
-// docCount returns the store's live-document count without a scan.
-func (db *DB) docCount() int {
-	if db.disk != nil {
-		return db.disk.Len()
-	}
-	return db.mem.Len()
-}
 
 // ForEach streams one Result per document — probability zero included —
 // to fn in ascending DocID order, pruning evaluation through the index

@@ -10,7 +10,7 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
-// TestMemStoreGetBatch checks the BatchGetter contract on the reference
+// TestMemStoreGetBatch checks the GetBatch contract on the reference
 // implementation: output aligned with input, nil slots for missing IDs,
 // duplicates allowed, and value semantics (no aliasing of stored state).
 func TestMemStoreGetBatch(t *testing.T) {

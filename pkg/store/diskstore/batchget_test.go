@@ -9,7 +9,6 @@ import (
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
@@ -108,5 +107,3 @@ func TestGetBatchClosed(t *testing.T) {
 		t.Fatalf("GetBatch on closed store: err = %v, want ErrClosed", err)
 	}
 }
-
-var _ store.BatchGetter = (*diskstore.Store)(nil)

@@ -172,11 +172,7 @@ type Store struct {
 	closed bool
 }
 
-var (
-	_ store.DocStore    = (*Store)(nil)
-	_ store.IDLister    = (*Store)(nil)
-	_ store.BatchGetter = (*Store)(nil)
-)
+var _ store.DocStore = (*Store)(nil)
 
 // Open opens (creating if necessary) the store in dir and rebuilds the
 // in-memory index by replaying the live segments. Torn tails are
@@ -545,8 +541,8 @@ func (s *Store) CommitState() CommitState {
 }
 
 // ListDocIDs returns every live document ID in ascending order without
-// reading document bodies, implementing the optional store.IDLister
-// capability the query engine's pruned scan path relies on.
+// reading document bodies — the source of every query-engine run that
+// walks the corpus.
 func (s *Store) ListDocIDs(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -650,9 +646,8 @@ func decodeLivePayload(id string, payload []byte) (*staccato.Doc, error) {
 }
 
 // GetBatch returns the documents for ids, aligned with the input (nil
-// for missing IDs), implementing the optional store.BatchGetter
-// capability. The read lock is taken once for the whole batch and the
-// record reads are issued in (segment, offset) order, so a batch of
+// for missing IDs). The read lock is taken once for the whole batch and
+// the record reads are issued in (segment, offset) order, so a batch of
 // candidates that landed near each other — the common case after a
 // bulk ingest — becomes a near-sequential pass over the segment files
 // instead of len(ids) random seeks. Decoding happens after the lock is

@@ -812,7 +812,7 @@ func TestCommitStateRegressionPaths(t *testing.T) {
 	}
 }
 
-// TestListDocIDs covers the IDLister capability both backends share.
+// TestListDocIDs covers DocStore.ListDocIDs on the disk backend.
 func TestListDocIDs(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()

@@ -19,11 +19,7 @@ type MemStore struct {
 	docs map[string][]byte
 }
 
-var (
-	_ DocStore    = (*MemStore)(nil)
-	_ IDLister    = (*MemStore)(nil)
-	_ BatchGetter = (*MemStore)(nil)
-)
+var _ DocStore = (*MemStore)(nil)
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
@@ -75,9 +71,8 @@ func (m *MemStore) Delete(ctx context.Context, id string) error {
 }
 
 // GetBatch returns the documents for ids, aligned with the input (nil
-// for missing IDs), implementing the optional BatchGetter capability.
-// The lock is taken once for the whole batch; decoding happens outside
-// it.
+// for missing IDs). The lock is taken once for the whole batch; decoding
+// happens outside it.
 func (m *MemStore) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -103,7 +98,7 @@ func (m *MemStore) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc,
 }
 
 // ListDocIDs returns every stored document ID in ascending order without
-// decoding documents, implementing the optional IDLister capability.
+// decoding documents.
 func (m *MemStore) ListDocIDs(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

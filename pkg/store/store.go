@@ -1,7 +1,7 @@
 // Package store persists Staccato documents. The DocStore interface is
 // the contract every backend implements: the in-memory store here is the
 // reference implementation, and pkg/store/diskstore is the durable
-// disk-backed one — both slot in behind the same four operations without
+// disk-backed one — both slot in behind the same operations without
 // touching the query or approximation layers. Documents cross the
 // interface through a versioned binary codec, so any backend (and any
 // wire protocol) shares one serialized form.
@@ -39,35 +39,19 @@ type DocStore interface {
 	// returns ErrStopScan the scan ends and Scan returns nil; any other
 	// error ends the scan and is returned.
 	Scan(ctx context.Context, fn func(doc *staccato.Doc) error) error
-}
-
-// IDLister is an optional DocStore capability: listing every stored
-// document ID in ascending order without reading or decoding document
-// bodies. Query planners use it to skip pruned documents entirely —
-// a store that implements IDLister never pays decode cost for a document
-// the planner proved cannot match. Both MemStore and diskstore.Store
-// implement it.
-type IDLister interface {
 	// ListDocIDs returns the IDs of all stored documents in ascending
-	// order. The listing is a snapshot: concurrent writes may or may not
-	// be reflected.
+	// order without reading or decoding document bodies. The listing is a
+	// snapshot: concurrent writes may or may not be reflected.
 	ListDocIDs(ctx context.Context) ([]string, error)
-}
-
-// BatchGetter is an optional DocStore capability: fetching many
-// documents by ID in one call. It exists for the query engine's
-// candidate-only execution path, which turns a planner candidate set
-// into point lookups instead of a corpus scan — a batch lets the
-// backend amortize its locking and, for disk-backed stores, reorder the
-// reads by physical offset so a candidate set clustered in one segment
-// becomes a near-sequential read. Both MemStore and diskstore.Store
-// implement it.
-type BatchGetter interface {
 	// GetBatch returns the documents for ids, aligned with the input:
 	// out[i] is the document for ids[i], or nil when no document has
-	// that ID (a missing ID is not an error — candidate sets are
-	// snapshots, and a concurrent delete must not fail the whole batch).
-	// A non-nil error means the batch as a whole failed and out is
-	// meaningless.
+	// that ID (a missing ID is not an error — ID lists are snapshots, and
+	// a concurrent delete must not fail the whole batch). A non-nil error
+	// means the batch as a whole failed and out is meaningless. A batch
+	// lets the backend amortize its locking and, for disk-backed stores,
+	// reorder the reads by physical offset so IDs clustered in one
+	// segment become a near-sequential read.
 	GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error)
+	// Len returns the number of stored documents without a scan.
+	Len() int
 }

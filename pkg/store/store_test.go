@@ -239,8 +239,8 @@ func TestMemStoreContextCancelled(t *testing.T) {
 	}
 }
 
-// TestMemStoreListDocIDs covers the IDLister capability on the
-// reference backend: ascending order, no decode, deletes reflected.
+// TestMemStoreListDocIDs covers DocStore.ListDocIDs on the reference
+// backend: ascending order, no decode, deletes reflected.
 func TestMemStoreListDocIDs(t *testing.T) {
 	ctx := context.Background()
 	m := store.NewMemStore()
@@ -252,8 +252,7 @@ func TestMemStoreListDocIDs(t *testing.T) {
 	if err := m.Delete(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
-	var lister store.IDLister = m
-	ids, err := lister.ListDocIDs(ctx)
+	ids, err := m.ListDocIDs(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
