@@ -128,15 +128,21 @@ func TestSearchQueryValidation(t *testing.T) {
 	if _, err := runSearch(&strings.Builder{}, searchConfig{docs: 1, mode: "substring", combine: "and"}); err == nil {
 		t.Error("search accepted an empty term list")
 	}
+	// The shared query.Spec names the bad value; the CLI adds its prefix.
 	if _, err := runSearch(&strings.Builder{}, searchConfig{
 		docs: 1, mode: "glob", combine: "and", terms: []string{"x"},
-	}); err == nil {
-		t.Error("search accepted an unknown mode")
+	}); err == nil || !strings.HasPrefix(err.Error(), `search: unknown mode "glob"`) {
+		t.Errorf("search with an unknown mode: err = %v", err)
 	}
 	if _, err := runSearch(&strings.Builder{}, searchConfig{
 		docs: 1, mode: "substring", combine: "xor", terms: []string{"x", "y"},
+	}); err == nil || !strings.HasPrefix(err.Error(), `search: unknown combine "xor"`) {
+		t.Errorf("search with an unknown combiner: err = %v", err)
+	}
+	if _, err := runSearch(&strings.Builder{}, searchConfig{
+		docs: 1, mode: "keyword", combine: "and", not: "two words", terms: []string{"x"},
 	}); err == nil {
-		t.Error("search accepted an unknown combiner")
+		t.Error("keyword search accepted a -not term with a space")
 	}
 	if _, err := runSearch(&strings.Builder{}, searchConfig{
 		docs: 1, mode: "keyword", combine: "and", terms: []string{"two words"},

@@ -112,7 +112,9 @@ func searchMain(w io.Writer, args []string) error {
 	return err
 }
 
-// buildQuery compiles the CLI's term list into one boolean Query.
+// buildQuery compiles the CLI's term list into one boolean Query: the
+// flag-level checks here, the rest through the query.Spec the server
+// compiles too.
 func buildQuery(cfg searchConfig) (*query.Query, error) {
 	if cfg.fuzzy < 0 {
 		return nil, fmt.Errorf("search: -fuzzy %d: edit distance cannot be negative", cfg.fuzzy)
@@ -120,45 +122,13 @@ func buildQuery(cfg searchConfig) (*query.Query, error) {
 	if cfg.fuzzy > 0 && cfg.mode != "substring" {
 		return nil, fmt.Errorf("search: -fuzzy replaces the term mode; drop -mode %s", cfg.mode)
 	}
-	leafFor := func(term string) (*query.Query, error) {
-		if cfg.fuzzy > 0 {
-			return query.Fuzzy(term, cfg.fuzzy)
-		}
-		switch cfg.mode {
-		case "substring":
-			return query.Substring(term)
-		case "keyword":
-			return query.Keyword(term)
-		default:
-			return nil, fmt.Errorf("search: unknown -mode %q (want substring or keyword, or use -fuzzy)", cfg.mode)
-		}
+	spec := query.Spec{Terms: cfg.terms, Mode: cfg.mode, Combine: cfg.combine, Not: cfg.not}
+	if cfg.fuzzy > 0 {
+		spec.Mode, spec.Distance = "fuzzy", cfg.fuzzy
 	}
-	if len(cfg.terms) == 0 {
-		return nil, fmt.Errorf("search: at least one query term is required")
-	}
-	leaves := make([]*query.Query, len(cfg.terms))
-	for i, term := range cfg.terms {
-		q, err := leafFor(term)
-		if err != nil {
-			return nil, err
-		}
-		leaves[i] = q
-	}
-	var q *query.Query
-	switch cfg.combine {
-	case "and":
-		q = query.And(leaves[0], leaves[1:]...)
-	case "or":
-		q = query.Or(leaves[0], leaves[1:]...)
-	default:
-		return nil, fmt.Errorf("search: unknown -combine %q (want and or or)", cfg.combine)
-	}
-	if cfg.not != "" {
-		neg, err := leafFor(cfg.not)
-		if err != nil {
-			return nil, err
-		}
-		q = query.And(q, query.Not(neg))
+	q, err := spec.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("search: %w", err)
 	}
 	return q, nil
 }

@@ -64,11 +64,10 @@ func (ix *Index) Delete(id string) {
 }
 
 // Apply atomically applies one commit's worth of mutations: deletions
-// first, then additions. Callers whose commit touched the same ID more
-// than once must pass the commit's NET effect — the ID in exactly one of
-// adds or dels, per its last operation — because the dels-then-adds
-// order cannot represent an intra-commit interleaving (staccatodb's
-// commit hook performs this normalization).
+// first, then additions in order, so an ID repeated within adds ends at
+// its last entry. An ID must not appear in both adds and dels: the
+// dels-then-adds order cannot represent an intra-commit interleaving
+// (staccatodb's writes are puts only or one delete, never both).
 func (ix *Index) Apply(adds []Entry, dels []string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

@@ -70,8 +70,9 @@ func BenchmarkBooleanEval(b *testing.B) {
 }
 
 // BenchmarkEngineSearch measures corpus throughput at several worker pool
-// sizes over a 200-doc store. scripts/bench_engine.sh turns the ns/op of
-// these sub-benchmarks into BENCH_engine.json for the perf trajectory.
+// sizes over a 200-doc store. The tracked trajectory of the same effect
+// is query.scan_ms and query.scan_parallel_speedup from
+// `bash bench/run.sh --trace 1`.
 func BenchmarkEngineSearch(b *testing.B) {
 	cases, err := testgen.Docs(200, testgen.Config{Length: 40, Seed: 3}, 5, 3)
 	if err != nil {

@@ -379,52 +379,10 @@ func (q *queryRequest) cacheKey() string {
 	return strings.Join(parts, "\x00")
 }
 
-// compile builds the boolean Query the request describes. The logic
-// mirrors the CLI's term handling so the two front ends cannot drift.
+// compile builds the boolean Query the request describes, through the
+// same query.Spec the CLI compiles.
 func (q *queryRequest) compile() (*query.Query, error) {
-	leafFor := func(term string) (*query.Query, error) {
-		switch q.Mode {
-		case "", "substring":
-			return query.Substring(term)
-		case "keyword":
-			return query.Keyword(term)
-		case "fuzzy":
-			return query.Fuzzy(term, q.Distance)
-		default:
-			return nil, fmt.Errorf("unknown mode %q (want substring, keyword, or fuzzy)", q.Mode)
-		}
-	}
-	if len(q.Terms) == 0 {
-		return nil, errors.New("at least one query term is required")
-	}
-	if q.Distance != 0 && q.Mode != "fuzzy" {
-		return nil, fmt.Errorf("distance %d is only valid with mode fuzzy", q.Distance)
-	}
-	leaves := make([]*query.Query, len(q.Terms))
-	for i, term := range q.Terms {
-		leaf, err := leafFor(term)
-		if err != nil {
-			return nil, err
-		}
-		leaves[i] = leaf
-	}
-	var out *query.Query
-	switch q.Combine {
-	case "", "and":
-		out = query.And(leaves[0], leaves[1:]...)
-	case "or":
-		out = query.Or(leaves[0], leaves[1:]...)
-	default:
-		return nil, fmt.Errorf("unknown combine %q (want and or or)", q.Combine)
-	}
-	if q.Not != "" {
-		neg, err := leafFor(q.Not)
-		if err != nil {
-			return nil, err
-		}
-		out = query.And(out, query.Not(neg))
-	}
-	return out, nil
+	return query.Spec{Terms: q.Terms, Mode: q.Mode, Distance: q.Distance, Combine: q.Combine, Not: q.Not}.Compile()
 }
 
 // compiledQuery resolves the request through the cache.

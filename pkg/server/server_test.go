@@ -234,6 +234,10 @@ func TestMalformedRequests(t *testing.T) {
 		{"no terms", "/v1/search", `{}`},
 		{"bad mode", "/v1/search", `{"terms": ["ab"], "mode": "regex"}`},
 		{"bad combine", "/v1/search", `{"terms": ["ab"], "combine": "xor"}`},
+		{"distance without fuzzy mode", "/v1/search", `{"terms": ["abcd"], "distance": 1}`},
+		{"keyword term with a space", "/v1/search", `{"terms": ["two words"], "mode": "keyword"}`},
+		{"not term invalid for the mode", "/v1/search", `{"terms": ["ab"], "mode": "keyword", "not": "two words"}`},
+		{"explain bad mode", "/v1/explain", `{"terms": ["ab"], "mode": "regex"}`},
 		{"ingest no docs", "/v1/ingest", `{"docs": []}`},
 		{"ingest empty id", "/v1/ingest", `{"docs": [{"id": ""}]}`},
 		{"explain bad body", "/v1/explain", `[1,2,3]`},

@@ -18,8 +18,8 @@ import (
 // evaluated — versus a full decode-and-evaluate scan. The corpus is 10×
 // the original 500 because candidate-only execution's point is that the
 // gap keeps growing with corpus size; the fetched_docs metric records
-// how few documents the selective query actually touched.
-// scripts/bench_engine.sh turns the pair into BENCH_index.json.
+// how few documents the selective query actually touched. The tracked
+// numbers for these layers come from `bash bench/run.sh --trace 1`.
 const (
 	benchCorpusDocs = 5000
 	benchDocLen     = 40
@@ -167,8 +167,9 @@ func BenchmarkFuzzySearchScan(b *testing.B) {
 // which is the regime bound-driven early termination is built for: a
 // `-top 10` query should evaluate roughly the same handful of documents
 // whether the candidate set holds ten documents or ten thousand.
-// scripts/bench_topk.sh turns the sub-benchmarks into BENCH_topk.json and
-// gates on the latency staying near-flat across the three decades.
+// `bash bench/run.sh --trace 1` tracks the same effect as query.topk_us
+// against query.ranked_us and query.early_stop_share;
+// TestSearchTopKEarlyStopsDeterministically asserts the early stop.
 const topkCorpusDocs = 10000
 
 var (
@@ -303,7 +304,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 // (every document a candidate) with no result limit, so every candidate
 // is fetched and evaluated. The gap between this and
 // BenchmarkSearchTopK/cand=10000 is what bound-driven early termination
-// buys; scripts/bench_topk.sh gates on it.
+// buys.
 func BenchmarkSearchTopKExhaustive(b *testing.B) {
 	dir := topkCorpus(b)
 	ctx := context.Background()

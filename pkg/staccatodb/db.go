@@ -13,16 +13,21 @@
 //
 // # Index consistency
 //
-// On disk, the index is maintained transactionally alongside store
-// commits: a diskstore commit hook applies each batch to the in-memory
-// index and appends a mirroring record to the index log (index.FileName
-// in the store directory) before the write call returns, stamped with the
-// store's CommitState. Open compares the log's final state against the
-// store's: any mismatch — the index file missing, the store modified
-// without the index attached, a torn tail truncated on either side, an
-// interrupted rebuild — declares the index stale and rebuilds it from a
-// full scan. The index is thus a pure cache: no failure mode of the index
-// file can lose documents or change query results.
+// The DB is the single sequencer of mutations, for the disk and the
+// in-memory store alike. Every write extracts its index entries before
+// any lock, takes the DB's write lock, commits to the store, and only
+// then applies the same change to the in-memory index and — on disk —
+// appends a mirroring record to the index log (index.FileName in the
+// store directory), stamped with the store's CommitState, before the
+// write call returns. Store first, so a failed commit leaves the index
+// describing what the store still holds. Compact and RebuildIndex take
+// the same lock, so they exclude writers. Open compares the log's final
+// state against the store's: any mismatch — the index file missing, the
+// store modified without the index attached, a torn tail truncated on
+// either side, a crash between the store commit and the log append —
+// declares the index stale and rebuilds it from a full scan. The index
+// is thus a pure cache: no failure mode of the index file can lose
+// documents or change query results.
 //
 // # Query execution
 //
@@ -64,23 +69,23 @@ type DB struct {
 	cfg  config
 	dir  string           // store directory; "" for OpenMem
 	disk *diskstore.Store // nil for OpenMem
-	mem  *store.MemStore  // nil for Open
-	st   store.DocStore   // whichever of the two is live
+	st   store.DocStore   // the live store: disk, or a MemStore
 	eng  *query.Engine
 
-	// writeMu serializes OpenMem writes so the store and index mutate in
-	// the same order (disk-mode writes are ordered by the commit hook,
-	// which runs under the store's own write lock).
+	// writeMu orders every mutation: writes, Compact, RebuildIndex and
+	// Close hold it from the store commit through the index update, so
+	// the store and the index change in the same order and maintenance
+	// excludes writers.
 	writeMu sync.Mutex
 
-	// mu guards the fields below. Lock-order discipline: the diskstore
-	// commit hook acquires mu while the store's write lock is held, so no
-	// DB method may call into the store while holding mu.
-	mu      sync.Mutex
-	idx     *index.Index  // nil when the index is disabled
-	idxW    *index.Writer // nil when not persisting (OpenMem, or after a log write failure)
-	commits uint64        // counts index-visible writes; lets RebuildIndex detect a raced scan
-	closed  bool
+	// mu guards the fields below. idx and idxW are assigned only with
+	// writeMu also held, so a writeMu holder reads them directly and
+	// everyone else goes through index(). Lock order: writeMu, then the
+	// store's lock or mu; mu is never held across a store or index call.
+	mu     sync.Mutex
+	idx    *index.Index  // nil when the index is disabled
+	idxW   *index.Writer // nil when not persisting (OpenMem, or after a log write failure)
+	closed bool
 }
 
 // Open opens (creating if necessary) the database in dir: the durable
@@ -92,24 +97,14 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{cfg: cfg, dir: dir}
-	dopts := diskstore.Options{
+	disk, err := diskstore.Open(dir, diskstore.Options{
 		MaxSegmentBytes: cfg.maxSegmentBytes,
 		NoSync:          cfg.noSync,
-	}
-	if !cfg.noIndex {
-		// Only hook commits when an index will consume them: hook
-		// preparation forces a decode and gram extraction per committed
-		// document, which a WithoutIndex database should never pay.
-		dopts.PrepareCommit = db.prepareCommit
-		dopts.OnCommit = db.onCommit
-	}
-	disk, err := diskstore.Open(dir, dopts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	db.disk = disk
-	db.st = disk
+	db := &DB{cfg: cfg, dir: dir, disk: disk, st: disk}
 	db.eng = query.NewEngine(disk, query.EngineOptions{Workers: cfg.workers})
 	if !cfg.noIndex {
 		if err := db.loadOrRebuildIndex(); err != nil {
@@ -128,10 +123,8 @@ func OpenMem(opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{cfg: cfg}
-	db.mem = store.NewMemStore()
-	db.st = db.mem
-	db.eng = query.NewEngine(db.mem, query.EngineOptions{Workers: cfg.workers})
+	db := &DB{cfg: cfg, st: store.NewMemStore()}
+	db.eng = query.NewEngine(db.st, query.EngineOptions{Workers: cfg.workers})
 	if !cfg.noIndex {
 		db.idx = index.New(cfg.gramSize)
 	}
@@ -158,28 +151,49 @@ func (db *DB) indexPath() string { return filepath.Join(db.dir, index.FileName) 
 // unpersisted index only costs a rebuild next time. Failures to read the
 // store itself still fail.
 func (db *DB) loadOrRebuildIndex() error {
-	want := db.disk.CommitState()
-	wantState := toState(want)
-	persisted := true
 	ix, got, err := index.Load(db.indexPath(), db.cfg.gramSize)
-	if err != nil || got != wantState {
-		//lint:allow ctxflow Open's signature deliberately takes no context (a DB either opens or it doesn't); the rebuild scan is startup work with no caller deadline to inherit
-		ix, err = db.scannedIndex(context.Background())
-		if err != nil {
-			return err
+	if err == nil && got == toState(db.disk.CommitState()) {
+		db.idx = ix
+		if w, err := index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync); err == nil {
+			db.idxW = w
 		}
-		if err := index.WriteSnapshot(db.indexPath(), ix, wantState); err != nil {
-			persisted = false
-		}
-	}
-	db.idx = ix
-	if !persisted {
 		return nil
 	}
-	if w, err := index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync); err == nil {
-		db.idxW = w
+	//lint:allow ctxflow Open's signature deliberately takes no context (a DB either opens or it doesn't); the rebuild scan is startup work with no caller deadline to inherit
+	ix, err = db.scannedIndex(context.Background())
+	if err != nil {
+		return err
 	}
+	_ = db.installIndex(ix) // a log that cannot be written leaves the index installed but unpersisted
 	return nil
+}
+
+// installIndex makes ix the live index and, on disk, replaces the index
+// log with a snapshot of it stamped with the store's CommitState, then
+// reopens the log for appending. Callers hold writeMu (Open runs before
+// the DB is shared), so no commit lands between the stamp and the
+// snapshot and the stamp is exact. If the log cannot be written ix is
+// installed all the same — it is correct for this process — with
+// persistence off, and the next Open rebuilds.
+func (db *DB) installIndex(ix *index.Index) error {
+	if db.idxW != nil {
+		db.idxW.Close()
+	}
+	var w *index.Writer
+	var err error
+	if db.disk != nil {
+		err = index.WriteSnapshot(db.indexPath(), ix, toState(db.disk.CommitState()))
+		if err == nil {
+			w, err = index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync)
+		}
+		if err != nil {
+			err = fmt.Errorf("staccatodb: persisting index: %w", err)
+		}
+	}
+	db.mu.Lock()
+	db.idx, db.idxW = ix, w
+	db.mu.Unlock()
+	return err
 }
 
 // scannedIndex builds a fresh index from a full store scan.
@@ -195,100 +209,18 @@ func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
 	return ix, nil
 }
 
-// preparedCommit is one commit's index mutations, derived by
-// prepareCommit before the store's write lock is taken.
-type preparedCommit struct {
-	adds []index.Entry
-	dels []string
-}
-
-// prepareCommit runs the expensive half of index maintenance — decode is
-// already done by the store, gram extraction happens here — on the
-// writing goroutine, outside every lock. It also reduces the commit to
-// its net effect per ID (the last operation wins), so a put-then-delete
-// of the same ID inside one batch yields disjoint add/delete sets; both
-// Index.Apply and log replay process deletes before adds, which is only
-// order-independent once the sets are disjoint.
-func (db *DB) prepareCommit(ops []diskstore.CommitOp) any {
-	type netOp struct {
-		entry index.Entry
-		del   bool
-	}
-	final := make(map[string]*netOp, len(ops))
-	order := make([]string, 0, len(ops))
-	for _, o := range ops {
-		n, seen := final[o.ID]
-		if !seen {
-			n = &netOp{}
-			final[o.ID] = n
-			order = append(order, o.ID)
-		}
-		if o.Doc != nil {
-			n.entry = index.EntryFor(o.Doc, db.cfg.gramSize)
-			n.del = false
-		} else {
-			n.del = true
-		}
-	}
-	p := &preparedCommit{}
-	for _, id := range order {
-		if n := final[id]; n.del {
-			p.dels = append(p.dels, id)
-		} else {
-			p.adds = append(p.adds, n.entry)
-		}
-	}
-	return p
-}
-
-// onCommit is the diskstore commit hook: it mirrors every durable store
-// commit into the in-memory index and the index log, in commit order,
-// under the store's write lock. A log write failure stops persistence —
-// the in-memory index stays correct for this process, and the log's now
-// stale CommitState forces a rebuild on the next Open — but never fails
-// the commit: the documents are already durable.
-func (db *DB) onCommit(ops []diskstore.CommitOp, prepared any, cs diskstore.CommitState) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.commits++
-	if db.idx == nil {
-		return nil
-	}
-	p, ok := prepared.(*preparedCommit)
-	if !ok {
-		// PrepareCommit and OnCommit are registered together, so this is
-		// unreachable; recompute defensively rather than corrupt the index.
-		p = db.prepareCommit(ops).(*preparedCommit)
-	}
-	db.idx.Apply(p.adds, p.dels)
-	if db.idxW != nil {
-		if err := db.idxW.Append(p.adds, p.dels, toState(cs)); err != nil {
-			db.idxW.Close()
-			db.idxW = nil
-		}
-	}
-	return nil
-}
-
 // toState converts the store's staleness fingerprint into the index
 // log's representation — the single place the field mapping lives.
 func toState(cs diskstore.CommitState) index.State {
 	return index.State{Ops: cs.Ops, Bytes: cs.Bytes, Seg: cs.Seg}
 }
 
-// memApply mirrors an OpenMem write into the in-memory index. Callers
-// hold writeMu, so index order matches store order.
-func (db *DB) memApply(adds []*staccato.Doc, dels []string) {
+// index returns the live index — nil when disabled or closed — and
+// whether it is being persisted to the index log.
+func (db *DB) index() (ix *index.Index, persisted bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.idx == nil {
-		return
-	}
-	entries := make([]index.Entry, len(adds))
-	for i, d := range adds {
-		entries[i] = index.EntryFor(d, db.idx.GramSize())
-	}
-	db.idx.Apply(entries, dels)
+	return db.idx, db.idxW != nil
 }
 
 func (db *DB) isClosed() bool {
@@ -306,27 +238,12 @@ func (db *DB) isClosed() bool {
 // committed while that call is running may be reported by it with
 // probability zero (ranked Search drops zero-probability results, so
 // its output matches an execution ordered before the write); the next
-// call sees the document. A write that completes BEFORE a query call
-// starts is always fully visible: on the in-memory path additions
-// update the index before the store and deletions the store before the
-// index, and on the disk path the commit hook applies the index
-// mutation inside the same store-write critical section, so no
-// candidate set computed after a completed write can prune its
+// call sees the document. A write that has RETURNED is always fully
+// visible: it returns only after the index has absorbed what the store
+// committed, so no candidate set computed after it can prune its
 // document.
 func (db *DB) Put(ctx context.Context, doc *staccato.Doc) error {
-	if db.isClosed() {
-		return ErrClosed
-	}
-	if db.disk != nil {
-		return db.disk.Put(ctx, doc)
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if doc == nil || doc.ID == "" {
-		return db.mem.Put(ctx, doc) // the store owns the validation error
-	}
-	db.memApply([]*staccato.Doc{doc}, nil)
-	return db.mem.Put(ctx, doc)
+	return db.write(ctx, []*staccato.Doc{doc}, "")
 }
 
 // Ingest stores docs as one durable batch — one commit, one fsync, one
@@ -334,50 +251,93 @@ func (db *DB) Put(ctx context.Context, doc *staccato.Doc) error {
 // path; split very large loads into multiple Ingest calls to bound commit
 // latency and memory.
 func (db *DB) Ingest(ctx context.Context, docs []*staccato.Doc) error {
-	if db.isClosed() {
-		return ErrClosed
-	}
-	if db.disk != nil {
-		b := db.disk.Batch()
-		for _, d := range docs {
-			if err := b.Put(d); err != nil {
-				return err
-			}
-		}
-		return b.Commit(ctx)
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	for _, d := range docs {
-		if d == nil || d.ID == "" {
-			return db.mem.Put(ctx, d) // the store owns the validation error
-		}
-	}
-	db.memApply(docs, nil)
-	for _, d := range docs {
-		if err := db.mem.Put(ctx, d); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.write(ctx, docs, "")
 }
 
 // Delete removes the document with the given ID from the store and the
 // index; deleting a missing ID is a no-op.
 func (db *DB) Delete(ctx context.Context, id string) error {
+	return db.write(ctx, nil, id)
+}
+
+// write is the one mutation path: it stores puts, or deletes del when
+// del is non-empty (no document has the empty ID).
+func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error {
+	// Gram extraction is the expensive half of index maintenance; it runs
+	// before any lock, and not at all WithoutIndex. A nil document keeps a
+	// placeholder: the store rejects it before its entry could be applied.
+	var adds []index.Entry
+	if !db.cfg.noIndex {
+		adds = make([]index.Entry, len(puts))
+		for i, d := range puts {
+			if d != nil {
+				adds[i] = index.EntryFor(d, db.cfg.gramSize)
+			}
+		}
+	}
+
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 	if db.isClosed() {
 		return ErrClosed
 	}
-	if db.disk != nil {
-		return db.disk.Delete(ctx, id)
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if err := db.mem.Delete(ctx, id); err != nil {
+	// Store first, so a failed commit leaves the index describing what
+	// the store still holds.
+	live := db.st.Len()
+	landed, err := db.commit(ctx, puts, del)
+	if db.idx == nil || (landed == 0 && db.st.Len() == live) {
+		// No index to maintain, or nothing changed — a failed commit, or a
+		// Delete of a missing ID — so neither the index nor its log has
+		// anything to record.
 		return err
 	}
-	db.memApply(nil, []string{id})
-	return nil
+	adds = adds[:landed]
+	var dels []string
+	if del != "" {
+		dels = []string{del}
+	}
+	db.idx.Apply(adds, dels)
+	if db.idxW != nil {
+		// A log write failure stops persistence — the in-memory index stays
+		// correct for this process, and the log's now stale CommitState
+		// forces a rebuild on the next Open — but never fails the write:
+		// the documents are already durable.
+		if db.idxW.Append(adds, dels, toState(db.disk.CommitState())) != nil {
+			db.idxW.Close()
+			db.mu.Lock()
+			db.idxW = nil
+			db.mu.Unlock()
+		}
+	}
+	return err
+}
+
+// commit applies one write to the store and reports how many of puts
+// are now stored: all or none on disk, where they are one batch and one
+// fsync; in memory the loop can fail partway, and the documents before
+// the failure stay stored.
+func (db *DB) commit(ctx context.Context, puts []*staccato.Doc, del string) (int, error) {
+	if del != "" {
+		return 0, db.st.Delete(ctx, del)
+	}
+	if db.disk == nil {
+		for i, d := range puts {
+			if err := db.st.Put(ctx, d); err != nil {
+				return i, err
+			}
+		}
+		return len(puts), nil
+	}
+	b := db.disk.Batch()
+	for _, d := range puts {
+		if err := b.Put(d); err != nil {
+			return 0, err
+		}
+	}
+	if err := b.Commit(ctx); err != nil {
+		return 0, err
+	}
+	return len(puts), nil
 }
 
 // Get returns the document with the given ID, or store.ErrNotFound.
@@ -470,9 +430,7 @@ func (db *DB) ForEach(ctx context.Context, q *query.Query, fn func(query.Result)
 // (when stats is non-nil) records the planner fields. A nil return means
 // no pruning: scan everything.
 func (db *DB) planCandidates(q *query.Query, stats *query.SearchStats) *query.CandidateSet {
-	db.mu.Lock()
-	ix := db.idx
-	db.mu.Unlock()
+	ix, _ := db.index()
 	if ix == nil || q == nil {
 		if stats != nil {
 			stats.Plan = "scan (no index)"
@@ -494,9 +452,7 @@ func (db *DB) planCandidates(q *query.Query, stats *query.SearchStats) *query.Ca
 // prune, and the execution mode Search would take. It runs the planner
 // but not the engine.
 func (db *DB) Explain(q *query.Query) string {
-	db.mu.Lock()
-	ix := db.idx
-	db.mu.Unlock()
+	ix, _ := db.index()
 	if q == nil {
 		return "plan: none (nil query)"
 	}
@@ -545,11 +501,8 @@ type Stats struct {
 
 // Stats reports document, segment, and index counts.
 func (db *DB) Stats() Stats {
-	var st Stats
-	db.mu.Lock()
-	ix := db.idx
-	st.IndexPersisted = db.idxW != nil
-	db.mu.Unlock()
+	ix, persisted := db.index()
+	st := Stats{Docs: db.st.Len(), IndexPersisted: persisted}
 	if ix != nil {
 		ist := ix.Stats()
 		st.IndexEnabled = true
@@ -559,19 +512,19 @@ func (db *DB) Stats() Stats {
 	}
 	if db.disk != nil {
 		dst := db.disk.Stats()
-		st.Docs = dst.Docs
 		st.Segments = dst.Segments
 		st.DiskBytes = dst.DiskBytes
-		return st
 	}
-	st.Docs = db.mem.Len()
 	return st
 }
 
 // Compact rewrites the store's live records into fresh segments (see
 // diskstore.Compact) and snapshots the index log to match, dropping the
-// dead postings both accumulate. A no-op for OpenMem databases.
+// dead postings both accumulate. Writers wait while it runs. A no-op for
+// OpenMem databases.
 func (db *DB) Compact(ctx context.Context) error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 	if db.isClosed() {
 		return ErrClosed
 	}
@@ -581,129 +534,50 @@ func (db *DB) Compact(ctx context.Context) error {
 	if err := db.disk.Compact(ctx); err != nil {
 		return err
 	}
-	cs := db.disk.CommitState()
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.idx == nil {
 		return nil
 	}
-	// Commits that land between the CommitState read above and this lock
-	// would make the snapshot's state stamp stale; the next Open then just
-	// rebuilds. Correctness never depends on the stamp being fresh.
-	if db.idxW != nil {
-		db.idxW.Close()
-		db.idxW = nil
-	}
-	if err := index.WriteSnapshot(db.indexPath(), db.idx, toState(cs)); err != nil {
-		return fmt.Errorf("staccatodb: snapshotting index after compact: %w", err)
-	}
-	// Compact the in-memory index too: replaying the snapshot's own
-	// entries drops the dead ordinals and stale postings that write churn
+	// Compact the in-memory index too: replaying its own live entries
+	// drops the dead ordinals and stale postings that write churn
 	// accumulates, so index memory tracks live documents, not
 	// total-writes-ever.
 	compacted := index.New(db.cfg.gramSize)
 	compacted.Apply(db.idx.Entries(), nil)
-	db.idx = compacted
-	w, err := index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync)
-	if err != nil {
-		return fmt.Errorf("staccatodb: reopening index log after compact: %w", err)
-	}
-	db.idxW = w
-	return nil
+	return db.installIndex(compacted)
 }
 
 // RebuildIndex discards the current index and rebuilds it from a full
 // store scan, snapshotting the result for disk-backed databases — the
 // force-refresh for an index suspected out of step (Open already
-// rebuilds automatically whenever staleness is detectable). Writes that
-// race the rebuild cannot be lost, in-process or across reopen: a scan
-// that any commit raced is discarded and retried (the running index —
-// which the commit hooks kept current throughout — stays installed), and
-// once a clean scan is swapped in, later commits flow into it before the
-// snapshot is stamped. Under relentless write pressure RebuildIndex
-// gives up with an error rather than install a possibly-incomplete
-// index. A database opened WithoutIndex has no commit hook to keep a
-// rebuilt index current, so RebuildIndex refuses — reopen without the
-// option instead (Open then builds the index itself).
+// rebuilds automatically whenever staleness is detectable). Writers wait
+// for the length of the scan, so the rebuilt index and its stamp cover
+// exactly what the store holds. A database opened WithoutIndex extracts
+// no index entries on write, so nothing would keep a rebuilt index
+// current and RebuildIndex refuses — reopen without the option instead
+// (Open then builds the index itself).
 func (db *DB) RebuildIndex(ctx context.Context) error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 	if db.isClosed() {
 		return ErrClosed
 	}
 	if db.cfg.noIndex {
 		return errors.New("staccatodb: index disabled by WithoutIndex; reopen without it to build and maintain one")
 	}
-
-	if db.disk == nil {
-		// In-memory writes go through writeMu, so holding it excludes
-		// them for the duration of the scan — no race to detect.
-		db.writeMu.Lock()
-		defer db.writeMu.Unlock()
-		ix, err := db.scannedIndex(ctx)
-		if err != nil {
-			return err
-		}
-		db.mu.Lock()
-		db.idx = ix
-		db.mu.Unlock()
-		return nil
-	}
-
-	// Disk writes cannot be excluded, so detect them instead: the commit
-	// hook bumps db.commits strictly after a document becomes visible to
-	// Scan (both happen inside the store's write critical section), so an
-	// unchanged counter across the scan proves the scan missed nothing.
-	swapped := false
-	for attempt := 0; attempt < 3 && !swapped; attempt++ {
-		db.mu.Lock()
-		c0 := db.commits
-		db.mu.Unlock()
-		ix, err := db.scannedIndex(ctx)
-		if err != nil {
-			return err
-		}
-		db.mu.Lock()
-		if db.commits == c0 {
-			// No write raced the scan: ix is complete. Swap it in; from
-			// here every commit's hook applies to ix. Persistence pauses
-			// (idxW nil) until the snapshot below establishes the new log.
-			if db.idxW != nil {
-				db.idxW.Close()
-				db.idxW = nil
-			}
-			db.idx = ix
-			swapped = true
-		}
-		db.mu.Unlock()
-	}
-	if !swapped {
-		return errors.New("staccatodb: writes kept racing the rebuild scan; index left as it was (still correct — the commit hooks maintain it)")
-	}
-
-	// Commits between the swap and the CommitState read are in the index
-	// (via the hook) and in the state — the stamp is exact. A commit
-	// landing between the read and the snapshot write is in the snapshot
-	// but not the stamp, which only under-states it: the next Open sees a
-	// mismatch and harmlessly rebuilds.
-	cs := db.disk.CommitState()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := index.WriteSnapshot(db.indexPath(), db.idx, toState(cs)); err != nil {
-		// Keep the correct in-memory index; persistence stays off and the
-		// next Open rebuilds.
-		return fmt.Errorf("staccatodb: writing index snapshot: %w", err)
-	}
-	w, err := index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync)
+	ix, err := db.scannedIndex(ctx)
 	if err != nil {
-		return fmt.Errorf("staccatodb: reopening index log: %w", err)
+		return err
 	}
-	db.idxW = w
-	return nil
+	return db.installIndex(ix)
 }
 
-// Close detaches the index, closes the index log, and closes the store.
-// Operations after Close return ErrClosed (or the store's own closed
-// error). Close never loses committed data.
+// Close waits for writes in flight, then detaches the index, closes the
+// index log, and closes the store. Operations after Close return
+// ErrClosed (or the store's own closed error). Close never loses
+// committed data.
 func (db *DB) Close() error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()

@@ -56,25 +56,10 @@ func (b *Batch) Commit(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Decode the commit-hook documents before taking the write lock, so
-	// hook preparation never serializes readers. Decoding (rather than
-	// retaining the caller's documents from Put) is deliberate: Put's
-	// contract lets the caller mutate a document the moment Put returns,
-	// so at commit time only the encoded bytes are trustworthy — a stale
-	// pointer here would feed the index grams that disagree with what the
-	// store holds.
-	hookOps, err := b.s.hookOpsFor(b.ops)
-	if err != nil {
-		return err
-	}
-	var prepared any
-	if len(hookOps) > 0 && b.s.opts.PrepareCommit != nil {
-		prepared = b.s.opts.PrepareCommit(hookOps)
-	}
 	b.s.mu.Lock()
 	defer b.s.mu.Unlock()
 	//lint:allow lockio the write path is serialized by design: the batch's append+fsync must be atomic with the index update
-	if err := b.s.writeOps(b.ops, hookOps, prepared); err != nil {
+	if err := b.s.writeOps(b.ops); err != nil {
 		return err
 	}
 	b.ops = b.ops[:0]

@@ -69,8 +69,9 @@ func BenchmarkIngestUnbatched(b *testing.B) {
 
 // BenchmarkIngestBatched is the batched path the ingest CLI uses: the
 // same documents grouped into commits of 100, each one fsync. The ratio
-// to BenchmarkIngestUnbatched is the headline number in
-// BENCH_diskstore.json.
+// to BenchmarkIngestUnbatched is the point of batching; the tracked
+// per-document commit cost is diskstore.commit_us_per_doc from
+// `bash bench/run.sh --trace 1`.
 func BenchmarkIngestBatched(b *testing.B) {
 	docs := corpus(b)
 	ctx := context.Background()
@@ -179,7 +180,7 @@ func BenchmarkScanDisk(b *testing.B) {
 }
 
 // BenchmarkScanMem is the same scan over MemStore — the baseline the
-// disk path is compared against in BENCH_diskstore.json.
+// disk path is compared against.
 func BenchmarkScanMem(b *testing.B) {
 	st := store.NewMemStore()
 	ctx := context.Background()

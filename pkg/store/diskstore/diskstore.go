@@ -73,15 +73,6 @@ const (
 	maxPayloadSize  = 1 << 30 // larger lengths mean a corrupt frame
 )
 
-// CommitOp is one operation of a durable commit, as seen by a commit
-// hook: a put carries the decoded document, a delete carries only the ID.
-type CommitOp struct {
-	ID string
-	// Doc is the decoded document for puts and nil for deletes. The hook
-	// must not retain it past the call.
-	Doc *staccato.Doc
-}
-
 // CommitState fingerprints the store's on-disk write history: the total
 // number of records in the live segments (superseded puts and tombstones
 // included), their total byte size, and the active segment's number.
@@ -111,24 +102,6 @@ type Options struct {
 	// recent commits. The record framing keeps the store openable either
 	// way.
 	NoSync bool
-	// PrepareCommit, if non-nil alongside OnCommit, runs on the writing
-	// goroutine BEFORE the store's write lock is taken, with the decoded
-	// operations of the commit about to be attempted; whatever it returns
-	// is handed to OnCommit verbatim. Expensive derivation — index entry
-	// extraction, serialization — belongs here so it never serializes
-	// readers or other writers. It must not assume the commit will
-	// succeed.
-	PrepareCommit func(ops []CommitOp) any
-	// OnCommit, if non-nil, is invoked after every durable commit — one
-	// Put, one Delete, or one Batch.Commit — with the operations just
-	// applied, PrepareCommit's result (nil if no PrepareCommit), and the
-	// store's new CommitState. It runs with the store's write lock held,
-	// so it sees commits in exactly the order they become durable and no
-	// other commit can interleave; it must be fast and must not call back
-	// into the store. A returned error is reported to the writer, but the
-	// commit itself is already durable — the hook cannot veto it, only
-	// observe it.
-	OnCommit func(ops []CommitOp, prepared any, state CommitState) error
 }
 
 func (o Options) withDefaults() Options {
@@ -407,18 +380,14 @@ type op struct {
 
 // writeOps appends the ops' records to the active segment (rolling to new
 // segments as MaxSegmentBytes requires), fsyncs every touched file once,
-// and only then applies the index updates. The caller must hold s.mu and,
-// when a commit hook is registered, must supply hookOps (one CommitOp per
-// op, decoded documents for puts) and the PrepareCommit result, both
-// built before taking the lock, so hook preparation never costs time
-// under the write lock.
+// and only then applies the index updates. The caller must hold s.mu.
 //
 // A commit is not atomic across ops: if the write or sync fails partway,
 // records already durable on disk will replay on the next Open even
 // though the in-memory index was not updated. writeOps makes a
 // best-effort truncate back to the starting offset in the common
 // single-segment case to keep memory and disk consistent after errors.
-func (s *Store) writeOps(ops []op, hookOps []CommitOp, prepared any) error {
+func (s *Store) writeOps(ops []op) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -489,35 +458,7 @@ func (s *Store) writeOps(ops []op, hookOps []CommitOp, prepared any) error {
 		}
 	}
 	s.ops += uint64(len(ops))
-	if s.opts.OnCommit != nil && len(hookOps) > 0 {
-		if err := s.opts.OnCommit(hookOps, prepared, s.commitStateLocked()); err != nil {
-			return fmt.Errorf("diskstore: commit durable, but the commit hook failed: %w", err)
-		}
-	}
 	return nil
-}
-
-// hookOpsFor builds the CommitOp slice for a pending op list, decoding
-// put payloads back into documents. Returns nil when no hook is
-// registered. Callers run this before taking s.mu.
-func (s *Store) hookOpsFor(ops []op) ([]CommitOp, error) {
-	if s.opts.OnCommit == nil {
-		return nil, nil
-	}
-	out := make([]CommitOp, len(ops))
-	for i, o := range ops {
-		out[i] = CommitOp{ID: o.id}
-		if o.kind == recPut {
-			doc, err := store.Decode(o.doc)
-			if err != nil {
-				// The payload round-tripped through Encode moments ago; a
-				// decode failure here is a bug, not an I/O condition.
-				return nil, fmt.Errorf("diskstore: decoding %q for the commit hook: %w", o.id, err)
-			}
-			out[i].Doc = doc
-		}
-	}
-	return out, nil
 }
 
 // commitStateLocked computes the current CommitState. Callers hold s.mu.
@@ -572,20 +513,10 @@ func (s *Store) Put(ctx context.Context, doc *staccato.Doc) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// The hook sees the caller's own document: Put is synchronous, so the
-	// pointer is valid for the call's duration and no decode is needed.
-	var hookOps []CommitOp
-	var prepared any
-	if s.opts.OnCommit != nil {
-		hookOps = []CommitOp{{ID: doc.ID, Doc: doc}}
-		if s.opts.PrepareCommit != nil {
-			prepared = s.opts.PrepareCommit(hookOps)
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//lint:allow lockio the write path is serialized by design: append+fsync must be atomic with the index update or a crash could expose a record the index never covers
-	return s.writeOps([]op{o}, hookOps, prepared)
+	return s.writeOps([]op{o})
 }
 
 // Get returns the document with the given ID, or store.ErrNotFound. Like
@@ -710,18 +641,6 @@ func (s *Store) Delete(ctx context.Context, id string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Hook preparation runs before the lock, per the PrepareCommit
-	// contract — even though the presence check below may turn the whole
-	// call into a no-op (PrepareCommit must not assume the commit
-	// happens, and OnCommit then never fires).
-	var hookOps []CommitOp
-	var prepared any
-	if s.opts.OnCommit != nil {
-		hookOps = []CommitOp{{ID: id}}
-		if s.opts.PrepareCommit != nil {
-			prepared = s.opts.PrepareCommit(hookOps)
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -731,7 +650,7 @@ func (s *Store) Delete(ctx context.Context, id string) error {
 		return nil
 	}
 	//lint:allow lockio the write path is serialized by design: the tombstone append+fsync must be atomic with the index removal
-	return s.writeOps([]op{{kind: recDelete, id: id}}, hookOps, prepared)
+	return s.writeOps([]op{{kind: recDelete, id: id}})
 }
 
 // Scan visits all documents in ascending ID order. The snapshot of IDs is

@@ -671,90 +671,6 @@ func TestEngineParityWithMemStore(t *testing.T) {
 	}
 }
 
-// TestCommitHookSeesDurableCommits checks the OnCommit seam: the hook
-// fires once per Put, Delete, and Batch.Commit, in durability order,
-// with decoded documents for puts, nil for deletes, and a CommitState
-// that matches the store's own.
-func TestCommitHookSeesDurableCommits(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	type call struct {
-		ids    []string
-		puts   int
-		states diskstore.CommitState
-	}
-	var calls []call
-	st := openT(t, dir, diskstore.Options{
-		OnCommit: func(ops []diskstore.CommitOp, _ any, cs diskstore.CommitState) error {
-			c := call{states: cs}
-			for _, o := range ops {
-				c.ids = append(c.ids, o.ID)
-				if o.Doc != nil {
-					if o.Doc.ID != o.ID {
-						t.Errorf("hook doc ID %q != op ID %q", o.Doc.ID, o.ID)
-					}
-					c.puts++
-				}
-			}
-			calls = append(calls, c)
-			return nil
-		},
-	})
-
-	if err := st.Put(ctx, sampleDoc(t, "a", 1)); err != nil {
-		t.Fatal(err)
-	}
-	b := st.Batch()
-	if err := b.Put(sampleDoc(t, "b", 2)); err != nil {
-		t.Fatal(err)
-	}
-	b.Delete("a")
-	if err := b.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(ctx, "b"); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(calls) != 3 {
-		t.Fatalf("hook fired %d times, want 3 (per commit)", len(calls))
-	}
-	if !reflect.DeepEqual(calls[0].ids, []string{"a"}) || calls[0].puts != 1 {
-		t.Errorf("call 0 = %+v", calls[0])
-	}
-	if !reflect.DeepEqual(calls[1].ids, []string{"b", "a"}) || calls[1].puts != 1 {
-		t.Errorf("call 1 = %+v", calls[1])
-	}
-	if !reflect.DeepEqual(calls[2].ids, []string{"b"}) || calls[2].puts != 0 {
-		t.Errorf("call 2 = %+v", calls[2])
-	}
-	if got := st.CommitState(); got != calls[2].states {
-		t.Errorf("CommitState() = %+v, hook saw %+v", got, calls[2].states)
-	}
-	if calls[2].states.Ops != 4 || calls[0].states.Bytes >= calls[2].states.Bytes {
-		t.Errorf("states not monotone: %+v", calls)
-	}
-}
-
-// TestCommitHookErrorReportedButDurable: a hook error reaches the
-// writer, but the commit is already on disk and replays on reopen.
-func TestCommitHookErrorReportedButDurable(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	boom := errors.New("boom")
-	st := openT(t, dir, diskstore.Options{
-		OnCommit: func([]diskstore.CommitOp, any, diskstore.CommitState) error { return boom },
-	})
-	if err := st.Put(ctx, sampleDoc(t, "a", 1)); !errors.Is(err, boom) {
-		t.Fatalf("Put err = %v, want the hook error", err)
-	}
-	st.Close()
-	st2 := openT(t, dir, diskstore.Options{})
-	if _, err := st2.Get(ctx, "a"); err != nil {
-		t.Fatalf("doc lost despite durable commit: %v", err)
-	}
-}
-
 // TestCommitStateRegressionPaths: the staleness fingerprint must change
 // whenever replay would see different history — after a torn-tail
 // truncation it regresses, after compaction it resets to the live count.
@@ -834,55 +750,5 @@ func TestListDocIDs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ids, scanIDs(t, st)) {
 		t.Errorf("ListDocIDs disagrees with Scan order")
-	}
-}
-
-// TestPrepareCommitFlowsToOnCommit checks the two-phase hook: the
-// prepare phase sees the same decoded ops as the commit phase and its
-// result arrives in OnCommit verbatim, once per commit.
-func TestPrepareCommitFlowsToOnCommit(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	prepCalls, commitCalls := 0, 0
-	st := openT(t, dir, diskstore.Options{
-		PrepareCommit: func(ops []diskstore.CommitOp) any {
-			prepCalls++
-			ids := make([]string, len(ops))
-			for i, o := range ops {
-				ids[i] = o.ID
-			}
-			return ids
-		},
-		OnCommit: func(ops []diskstore.CommitOp, prepared any, _ diskstore.CommitState) error {
-			commitCalls++
-			ids, ok := prepared.([]string)
-			if !ok || len(ids) != len(ops) {
-				t.Errorf("prepared = %#v, want the prepare result for %d ops", prepared, len(ops))
-				return nil
-			}
-			for i, o := range ops {
-				if ids[i] != o.ID {
-					t.Errorf("prepared[%d] = %q, op ID %q", i, ids[i], o.ID)
-				}
-			}
-			return nil
-		},
-	})
-	if err := st.Put(ctx, sampleDoc(t, "a", 1)); err != nil {
-		t.Fatal(err)
-	}
-	b := st.Batch()
-	if err := b.Put(sampleDoc(t, "b", 2)); err != nil {
-		t.Fatal(err)
-	}
-	b.Delete("a")
-	if err := b.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(ctx, "b"); err != nil {
-		t.Fatal(err)
-	}
-	if prepCalls != 3 || commitCalls != 3 {
-		t.Errorf("prepare ran %d times, commit %d; want 3 and 3", prepCalls, commitCalls)
 	}
 }
