@@ -197,7 +197,7 @@ func runServe(ctx context.Context, w io.Writer, cfg serveConfig) error {
 		resolved.MaxInFlight, resolved.RequestTimeout, resolved.QueryCacheSize)
 	if lex != nil {
 		fmt.Fprintf(w, "staccatod: lexicon rescoring available (%d words, boost %g)\n",
-			lex.Len(), resolved.LexiconBoost)
+			lex.Len(), fuzzy.DefaultBoost)
 	}
 	if cfg.ready != nil {
 		cfg.ready(ln.Addr().String())

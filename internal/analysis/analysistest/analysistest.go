@@ -2,8 +2,11 @@
 // checks its diagnostics against want comments, mirroring (a useful
 // subset of) golang.org/x/tools/go/analysis/analysistest.
 //
-// Fixtures live under <testdata>/src/<pkg>/ and may import only the
-// standard library. A line that should be flagged carries a comment
+// Fixtures live under <testdata>/src/<pkg>/ and import the standard
+// library — or, when an analyzer names one of this module's packages
+// (lockio and internal/framelog), that real package by its full import
+// path, which the source importer resolves through go/build. A line that
+// should be flagged carries a comment
 //
 //	code() // want "regexp"
 //

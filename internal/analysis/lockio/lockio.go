@@ -12,7 +12,10 @@
 // directly or through same-package callees — decodes (a function named
 // Decode or Unmarshal) or touches the filesystem (os.File read/write/
 // sync/truncate methods, os file-management functions, io.ReadFull and
-// friends) is flagged. Calls into function literals are not traced;
+// friends, and everything internal/framelog exports except the pure
+// encoder Append — the summaries are package-local, so the file layer
+// the store delegates to has to be named here) is flagged. Calls into
+// function literals are not traced;
 // branch bodies are analyzed with a copy of the lock state, so an
 // early-unlock-and-return inside an if does not leak past it.
 //
@@ -25,6 +28,7 @@ package lockio
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"github.com/paper-repo/staccato-go/internal/analysis"
 )
@@ -60,6 +64,11 @@ var osFuncs = map[string]bool{
 
 // ioFuncs are io helpers that drive reads on whatever they are given.
 var ioFuncs = map[string]bool{"ReadFull": true, "ReadAll": true, "Copy": true, "CopyN": true}
+
+// framelogPath ends the import path of the store's file layer: every
+// function and method it exports reads, writes, renames or fsyncs,
+// except Append, which only encodes into a caller's buffer.
+const framelogPath = "/internal/framelog"
 
 func run(pass *analysis.Pass) error {
 	if !analysis.PathMatches(pass.RelPath, Paths) {
@@ -157,6 +166,9 @@ func directEffect(pass *analysis.Pass, call *ast.CallExpr) summary {
 		return summary{}
 	}
 	name := fn.Name()
+	if pkg := fn.Pkg(); pkg != nil && strings.HasSuffix(pkg.Path(), framelogPath) {
+		return summary{io: name != "Append"}
+	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if osFileMethods[name] && isOSFileRecv(sig.Recv().Type()) {
 			return summary{io: true}

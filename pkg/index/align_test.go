@@ -13,12 +13,9 @@ func assertAligned(t *testing.T, when string, ix *Index) {
 	t.Helper()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if len(ix.post) != len(ix.bnd) {
-		t.Fatalf("%s: %d posting lists but %d bound lists", when, len(ix.post), len(ix.bnd))
-	}
 	for g, p := range ix.post {
-		if len(p) != len(ix.bnd[g]) {
-			t.Fatalf("%s: gram %q has %d postings but %d bounds", when, g, len(p), len(ix.bnd[g]))
+		if len(p.ords) != len(p.bnds) {
+			t.Fatalf("%s: gram %q has %d postings but %d bounds", when, g, len(p.ords), len(p.bnds))
 		}
 	}
 }
@@ -27,8 +24,8 @@ func assertAligned(t *testing.T, when string, ix *Index) {
 // supersedes, deletes, overflow documents, hand-built entries with short
 // or missing Bounds — through the in-memory index, the append log, and
 // snapshot round trips. CandidatesWithBounds, intersect, and Entries index
-// bnd[g] by posting position without a length check, which is only sound
-// while this holds.
+// a gram's bnds by posting position without a length check, which is only
+// sound while this holds.
 func TestPostingsAndBoundsStayAligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	grams := []string{"abc", "bcd", "cde", "def", "efg", "fgh"}

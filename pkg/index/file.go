@@ -4,23 +4,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
+
+	"github.com/paper-repo/staccato-go/internal/framelog"
 )
 
 // # On-disk format
 //
 // The index persists as one append-only log file (FileName) in the store
-// directory. Every record is crc-framed exactly like a diskstore segment
-// record:
-//
-//	uint32 payloadLen | uint32 crc32(payload) | payload
-//
-// The first record is a header naming the format and the gram size; every
-// later record is one commit:
+// directory: a sequence of internal/framelog frames, the same framing as
+// a diskstore segment. The first frame is a header naming the format and
+// the gram size; every later frame is one commit:
 //
 //	header  = magic | uvarint q
 //	commit  = kind=1 | uvarint ops | uvarint bytes | uvarint seg
@@ -39,20 +35,19 @@ import (
 // [0, 1] (NaN, negative, or >1 become the always-admissible 1), so a
 // decoded commit is canonical: re-encoding it reproduces it bit for bit.
 //
-// The index is derived data, so recovery is deliberately blunt: Load
-// stops at the first damaged frame, truncates it away, and reports the
-// state of the last intact commit — if that state no longer matches the
-// store's, the caller rebuilds from a scan. Nothing in this file can lose
-// documents; at worst it loses the right to skip a rebuild.
+// The index is derived data, so its damage policy is deliberately blunt:
+// Load stops at the first frame framelog reports damaged — torn or
+// interior alike — truncates from there, and reports the state of the
+// last intact commit; if that state no longer matches the store's, the
+// caller rebuilds from a scan. Nothing in this file can lose documents;
+// at worst it loses the right to skip a rebuild.
 
 // FileName is the index log's name inside a store directory.
 const FileName = "INDEX"
 
 const (
-	fileMagic      = "staccato-index v2"
-	recCommit      = byte(1)
-	frameHeader    = 8
-	maxPayloadSize = 1 << 30
+	fileMagic = "staccato-index v2"
+	recCommit = byte(1)
 )
 
 // State is the diskstore CommitState a commit record was written against,
@@ -95,42 +90,43 @@ func OpenAppend(path string, q int, withSync bool) (*Writer, error) {
 
 // checkHeader validates just the log's header frame against gram size q.
 func checkHeader(path string, q int) error {
-	f, err := os.Open(path)
+	f, _, err := openLog(path, q)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	hdr := make([]byte, frameHeader+len(fileMagic)+binary.MaxVarintLen64)
-	n, err := io.ReadFull(f, hdr)
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
+	return f.Close()
+}
+
+// openLog opens the log at path for a frame-by-frame read and consumes
+// its first frame, which must be an intact header for gram size q.
+func openLog(path string, q int) (*os.File, *framelog.Reader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	hdr = hdr[:n]
-	if len(hdr) < frameHeader {
-		return fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, err
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	end := frameHeader + int(plen)
-	if end > len(hdr) {
-		return fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
+	r := framelog.NewReader(f, fi.Size())
+	payload, err := r.Next()
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
 	}
-	payload := hdr[frameHeader:end]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
+	if gotQ, err := parseHeader(payload); err != nil || gotQ != q {
+		f.Close()
+		return nil, nil, fmt.Errorf("%w: %s", ErrMismatch, path)
 	}
-	gotQ, err := parseHeader(payload)
-	if err != nil || gotQ != q {
-		return fmt.Errorf("%w: %s", ErrMismatch, path)
-	}
-	return nil
+	return f, r, nil
 }
 
 // Append writes one commit record mirroring a store commit that applied
 // adds and dels and left the store at st.
 func (w *Writer) Append(adds []Entry, dels []string, st State) error {
 	payload := encodeCommit(adds, dels, st)
-	if _, err := w.f.Write(appendFrame(nil, payload)); err != nil {
+	if _, err := w.f.Write(framelog.Append(nil, payload)); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
 	if w.sync {
@@ -150,32 +146,15 @@ func (w *Writer) Close() error {
 }
 
 // WriteSnapshot atomically replaces the index log at path with a fresh
-// one holding entries as a single commit at state st: write to a temp
-// file, fsync, rename into place. A crash at any point leaves either the
-// old log or the new one, never a mix.
+// one holding entries as a single commit at state st. A crash or failure
+// at any point leaves either the old log or the new one, never a mix.
 func WriteSnapshot(path string, ix *Index, st State) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	buf := framelog.Append(nil, encodeHeader(ix.GramSize()))
+	buf = framelog.Append(buf, encodeCommit(ix.Entries(), nil, st))
+	if _, err := framelog.ReplaceFile(path, buf); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
-	buf := appendFrame(nil, encodeHeader(ix.GramSize()))
-	buf = appendFrame(buf, encodeCommit(ix.Entries(), nil, st))
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("index: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("index: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
+	return nil
 }
 
 // Load replays the index log at path into a fresh Index and returns it
@@ -192,51 +171,36 @@ func Load(path string, q int) (*Index, State, error) {
 // loadInto replays path into ix, returning the last intact commit's
 // state.
 func loadInto(path string, q int, ix *Index) (State, error) {
-	data, err := os.ReadFile(path)
+	f, r, err := openLog(path, q)
 	if err != nil {
 		return State{}, err
 	}
+	defer f.Close()
 	var st State
-	off := int64(0)
-	sawHeader := false
-	for int64(len(data))-off >= frameHeader {
-		plen := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		end := off + frameHeader + int64(plen)
-		if plen > maxPayloadSize || end > int64(len(data)) {
-			break
+	for {
+		payload, err := r.Next()
+		if err == io.EOF {
+			return st, nil
 		}
-		payload := data[off+frameHeader : end]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		if !sawHeader {
-			gotQ, err := parseHeader(payload)
-			if err != nil || gotQ != q {
-				return State{}, fmt.Errorf("%w: %s", ErrMismatch, path)
+		if err == nil {
+			adds, dels, recSt, perr := parseCommit(payload)
+			if perr == nil {
+				ix.Apply(adds, dels)
+				st = recSt
+				continue
 			}
-			sawHeader = true
-			off = end
-			continue
+			err = r.Bad("malformed commit record")
 		}
-		adds, dels, recSt, err := parseCommit(payload)
-		if err != nil {
-			break
+		if !errors.As(err, new(*framelog.Damage)) {
+			return State{}, fmt.Errorf("index: reading %s: %w", path, err)
 		}
-		ix.Apply(adds, dels)
-		st = recSt
-		off = end
+		// Torn or interior, the policy is the same: cut the log back to
+		// its intact prefix so appends resume at a frame boundary. If the
+		// truncate fails the file still loads the same way next time;
+		// ignore the error.
+		_ = os.Truncate(path, r.Offset())
+		return st, nil
 	}
-	if !sawHeader {
-		return State{}, fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
-	}
-	if off < int64(len(data)) {
-		// Torn or damaged tail: cut it off so appends resume at a frame
-		// boundary. If truncation fails the file still loads the same way
-		// next time; ignore the error.
-		_ = os.Truncate(path, off)
-	}
-	return st, nil
 }
 
 func encodeHeader(q int) []byte {
@@ -374,25 +338,4 @@ func takeString(p []byte) (string, []byte, bool) {
 		return "", nil, false
 	}
 	return string(p[:n]), p[n:], true
-}
-
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
-// syncDir fsyncs a directory so the snapshot rename is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("index: fsync %s: %w", dir, err)
-	}
-	return nil
 }

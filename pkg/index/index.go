@@ -24,10 +24,7 @@ type Index struct {
 	mu   sync.RWMutex
 	ord  map[string]uint32 // live doc ID -> ordinal
 	ids  []string          // ordinal -> doc ID; "" marks a dead ordinal
-	post map[string][]uint32
-	// bnd is aligned with post: bnd[g][i] is the probability upper bound
-	// for the document at post[g][i] (see Entry.Bounds).
-	bnd map[string][]float64
+	post map[string]*postings
 	// always holds ordinals of overflow documents, which are candidates
 	// for every query.
 	always map[uint32]struct{}
@@ -42,8 +39,7 @@ func New(q int) *Index {
 	return &Index{
 		q:      q,
 		ord:    make(map[string]uint32),
-		post:   make(map[string][]uint32),
-		bnd:    make(map[string][]float64),
+		post:   make(map[string]*postings),
 		always: make(map[uint32]struct{}),
 	}
 }
@@ -84,8 +80,13 @@ func (ix *Index) Apply(adds []Entry, dels []string) {
 			continue
 		}
 		for i, g := range e.Grams {
-			ix.post[g] = append(ix.post[g], o)
-			ix.bnd[g] = append(ix.bnd[g], e.Bound(i))
+			p := ix.post[g]
+			if p == nil {
+				p = new(postings)
+				ix.post[g] = p
+			}
+			p.ords = append(p.ords, o)
+			p.bnds = append(p.bnds, e.Bound(i))
 		}
 	}
 }
@@ -121,7 +122,9 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 	// shrinks, carrying the min bound through each merge.
 	lists := make([]postings, len(grams))
 	for i, g := range grams {
-		lists[i] = postings{ords: ix.post[g], bnds: ix.bnd[g]}
+		if p := ix.post[g]; p != nil {
+			lists[i] = *p
+		}
 	}
 	sort.Slice(lists, func(i, j int) bool { return len(lists[i].ords) < len(lists[j].ords) })
 
@@ -159,7 +162,10 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 	return ids, bnds, true
 }
 
-// postings pairs one gram's ordinal list with its aligned bounds.
+// postings is one gram's posting list: ascending document ordinals and,
+// aligned with them, each document's probability upper bound for the
+// gram (see Entry.Bounds). Apply appends to both slices together, so
+// bnds[i] always belongs to ords[i].
 type postings struct {
 	ords []uint32
 	bnds []float64
@@ -212,7 +218,7 @@ func (ix *Index) Stats() Stats {
 	defer ix.mu.RUnlock()
 	st := Stats{Docs: len(ix.ord), Grams: len(ix.post)}
 	for _, p := range ix.post {
-		st.Postings += len(p)
+		st.Postings += len(p.ords)
 	}
 	for o := range ix.always {
 		if ix.ids[o] != "" {
@@ -247,8 +253,8 @@ func (ix *Index) Entries() []Entry {
 	}
 	sort.Strings(grams)
 	for _, g := range grams {
-		bnds := ix.bnd[g]
-		for k, o := range ix.post[g] {
+		p := ix.post[g]
+		for k, o := range p.ords {
 			id := ix.ids[o]
 			if id == "" || ix.ord[id] != o {
 				continue
@@ -257,7 +263,7 @@ func (ix *Index) Entries() []Entry {
 			// The sorted-gram walk appends each entry's grams in sorted
 			// order already; sorting afterwards would desync Bounds.
 			e.Grams = append(e.Grams, g)
-			e.Bounds = append(e.Bounds, bnds[k])
+			e.Bounds = append(e.Bounds, p.bnds[k])
 		}
 	}
 	sort.Strings(ids)

@@ -40,7 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -59,8 +58,11 @@ const (
 	DefaultMaxInFlight    = 256
 	DefaultRequestTimeout = 10 * time.Second
 	DefaultQueryCacheSize = 256
-	DefaultRetryAfter     = 1 * time.Second
 )
+
+// DefaultRetryAfter is the hint every 429 carries in its Retry-After
+// header.
+const DefaultRetryAfter = 1 * time.Second
 
 // maxBodyBytes bounds request bodies: generous for document batches,
 // tight for queries — a malformed client must not buffer the server into
@@ -80,17 +82,11 @@ type Options struct {
 	RequestTimeout time.Duration
 	// QueryCacheSize is the compiled-query LRU capacity.
 	QueryCacheSize int
-	// RetryAfter is the hint returned in the Retry-After header of 429
-	// responses.
-	RetryAfter time.Duration
 	// Lexicon, when non-nil, enables lexicon rescoring: a request setting
-	// "lexicon": true is ranked under Lexicon.Rescorer(LexiconBoost).
+	// "lexicon": true is ranked under Lexicon.Rescorer(fuzzy.DefaultBoost).
 	// When nil, such requests are rejected with 400 — the knob must fail
 	// loudly, not silently rank without the dictionary.
 	Lexicon *fuzzy.Lexicon
-	// LexiconBoost is the rescoring boost applied per fully in-dictionary
-	// token; zero selects fuzzy.DefaultBoost.
-	LexiconBoost float64
 }
 
 func (o Options) withDefaults() Options {
@@ -102,12 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueryCacheSize <= 0 {
 		o.QueryCacheSize = DefaultQueryCacheSize
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = DefaultRetryAfter
-	}
-	if o.LexiconBoost <= 0 {
-		o.LexiconBoost = fuzzy.DefaultBoost
 	}
 	return o
 }
@@ -150,7 +140,7 @@ func New(db *staccatodb.DB, opts Options) *Server {
 		sem:   make(chan struct{}, opts.MaxInFlight),
 	}
 	if opts.Lexicon != nil {
-		s.rescore = opts.Lexicon.Rescorer(opts.LexiconBoost)
+		s.rescore = opts.Lexicon.Rescorer(fuzzy.DefaultBoost)
 	}
 	endpoints := []string{"ingest", "search", "snippets", "explain", "get_doc", "delete_doc", "stats", "health"}
 	s.met = newMetrics(endpoints, s.cache, db.Workers(), opts.MaxInFlight)
@@ -261,10 +251,7 @@ func (s *Server) endpoint(name string, admit bool, h http.HandlerFunc) http.Hand
 				defer s.met.inFlight.Add(-1)
 			default:
 				s.met.rejected.Add(1)
-				secs := int(math.Ceil(s.opts.RetryAfter.Seconds()))
-				if secs < 1 {
-					secs = 1
-				}
+				secs := int(DefaultRetryAfter / time.Second)
 				sw.Header().Set("Retry-After", fmt.Sprint(secs))
 				writeError(sw, http.StatusTooManyRequests,
 					"server at capacity (%d requests in flight); retry after %ds", s.opts.MaxInFlight, secs)
@@ -456,21 +443,41 @@ type searchResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
+// queryRun is what runQuery hands back for the response: the compiled
+// query, whether it came from the cache, and the DB call's duration.
+type queryRun struct {
+	q         *query.Query
+	cacheHit  bool
+	elapsedMS float64
+}
+
+// runQuery is the lifecycle the three query endpoints share: strictly
+// decode the body into body, whose query spec is req; run check (the
+// endpoint's own knob validation, may be nil); resolve the query through
+// the cache; build the engine options; derive the request deadline; then
+// time call, the endpoint's DB work. Every failure is answered here —
+// ok false means the response is already written.
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, body any, req *queryRequest, check func() error,
+	call func(ctx context.Context, q *query.Query, opts query.SearchOptions) error) (run queryRun, ok bool) {
+	if err := decodeBody(w, r, body, maxQueryBodyBytes); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return run, false
 	}
-	q, hit, err := s.compiledQuery(&req)
+	if check != nil {
+		if err := check(); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return run, false
+		}
+	}
+	q, hit, err := s.compiledQuery(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid query: %v", err)
-		return
+		return run, false
 	}
-	opts, err := s.searchOptions(&req)
+	opts, err := s.searchOptions(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return run, false
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
@@ -478,20 +485,35 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.testHookSearch(ctx)
 	}
 	start := time.Now()
-	results, stats, err := s.db.Search(ctx, q, opts)
-	if err != nil {
+	if err := call(ctx, q, opts); err != nil {
 		writeDBError(w, err)
+		return run, false
+	}
+	return queryRun{q: q, cacheHit: hit, elapsedMS: float64(time.Since(start).Microseconds()) / 1000}, true
+}
+
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	var (
+		req     queryRequest
+		results []query.Result
+		stats   query.SearchStats
+	)
+	run, ok := s.runQuery(w, r, &req, &req, nil, func(ctx context.Context, q *query.Query, opts query.SearchOptions) (err error) {
+		results, stats, err = s.db.Search(ctx, q, opts)
+		return err
+	})
+	if !ok {
 		return
 	}
 	if results == nil {
 		results = []query.Result{} // "results": [] beats "results": null on the wire
 	}
 	writeJSON(w, http.StatusOK, searchResponse{
-		Query:     q.String(),
+		Query:     run.q.String(),
 		Results:   results,
 		Stats:     stats,
-		CacheHit:  hit,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+		CacheHit:  run.cacheHit,
+		ElapsedMS: run.elapsedMS,
 	})
 }
 
@@ -536,52 +558,40 @@ type snippetsResponse struct {
 	ElapsedMS float64           `json:"elapsed_ms"`
 }
 
-func (s *Server) handleSnippets(w http.ResponseWriter, r *http.Request) {
-	var req snippetsRequest
-	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+// check validates the snippet knobs against the server-side ceilings.
+func (req *snippetsRequest) check() error {
 	if req.MaxReadings < 0 || req.MaxReadings > maxSnippetReadings {
-		writeError(w, http.StatusBadRequest, "max_readings must be in [0, %d], got %d", maxSnippetReadings, req.MaxReadings)
-		return
+		return fmt.Errorf("max_readings must be in [0, %d], got %d", maxSnippetReadings, req.MaxReadings)
 	}
 	if req.MaxEnumerate < 0 || req.MaxEnumerate > maxSnippetEnumerate {
-		writeError(w, http.StatusBadRequest, "max_enumerate must be in [0, %d], got %d", maxSnippetEnumerate, req.MaxEnumerate)
-		return
+		return fmt.Errorf("max_enumerate must be in [0, %d], got %d", maxSnippetEnumerate, req.MaxEnumerate)
 	}
 	if req.ContextRunes < 0 || req.ContextRunes > maxSnippetContext {
-		writeError(w, http.StatusBadRequest, "context_runes must be in [0, %d], got %d", maxSnippetContext, req.ContextRunes)
-		return
+		return fmt.Errorf("context_runes must be in [0, %d], got %d", maxSnippetContext, req.ContextRunes)
 	}
-	q, hit, err := s.compiledQuery(&req.queryRequest)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid query: %v", err)
-		return
-	}
-	opts, err := s.searchOptions(&req.queryRequest)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	if s.testHookSearch != nil {
-		s.testHookSearch(ctx)
-	}
-	start := time.Now()
-	snippets, stats, err := s.db.Snippets(ctx, q, opts,
-		query.SnippetOptions{MaxReadings: req.MaxReadings, MaxEnumerate: req.MaxEnumerate, ContextRunes: req.ContextRunes})
-	if err != nil {
-		writeDBError(w, err)
+	return nil
+}
+
+func (s *Server) handleSnippets(w http.ResponseWriter, r *http.Request) {
+	var (
+		req      snippetsRequest
+		snippets []query.DocSnippets
+		stats    query.SearchStats
+	)
+	run, ok := s.runQuery(w, r, &req, &req.queryRequest, req.check, func(ctx context.Context, q *query.Query, opts query.SearchOptions) (err error) {
+		snippets, stats, err = s.db.Snippets(ctx, q, opts,
+			query.SnippetOptions{MaxReadings: req.MaxReadings, MaxEnumerate: req.MaxEnumerate, ContextRunes: req.ContextRunes})
+		return err
+	})
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, snippetsResponse{
-		Query:     q.String(),
+		Query:     run.q.String(),
 		Snippets:  snippets,
 		Stats:     stats,
-		CacheHit:  hit,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+		CacheHit:  run.cacheHit,
+		ElapsedMS: run.elapsedMS,
 	})
 }
 
@@ -601,36 +611,27 @@ type explainResponse struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	q, hit, err := s.compiledQuery(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid query: %v", err)
-		return
-	}
-	opts, err := s.searchOptions(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	start := time.Now()
-	results, stats, err := s.db.Search(ctx, q, opts)
-	if err != nil {
-		writeDBError(w, err)
+	var (
+		req     queryRequest
+		results []query.Result
+		stats   query.SearchStats
+		explain string
+	)
+	run, ok := s.runQuery(w, r, &req, &req, nil, func(ctx context.Context, q *query.Query, opts query.SearchOptions) (err error) {
+		results, stats, err = s.db.Search(ctx, q, opts)
+		explain = s.db.Explain(q) // rendered inside the clock, as elapsed_ms has always counted it
+		return err
+	})
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, explainResponse{
-		Query:     q.String(),
-		Explain:   s.db.Explain(q),
+		Query:     run.q.String(),
+		Explain:   explain,
 		Stats:     stats,
 		Matches:   len(results),
-		CacheHit:  hit,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+		CacheHit:  run.cacheHit,
+		ElapsedMS: run.elapsedMS,
 	})
 }
 

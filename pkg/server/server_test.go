@@ -296,7 +296,7 @@ func TestDeadlineExceededReturns504(t *testing.T) {
 func TestOverloadReturns429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s, ts := newTestServer(t, Options{MaxInFlight: 1, RetryAfter: 2 * time.Second})
+	s, ts := newTestServer(t, Options{MaxInFlight: 1})
 	s.testHookSearch = func(ctx context.Context) {
 		started <- struct{}{}
 		<-release
@@ -320,8 +320,8 @@ func TestOverloadReturns429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429; body %s", resp.StatusCode, data)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	close(release)

@@ -1,0 +1,228 @@
+package staccatodb_test
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/paper-repo/staccato-go/internal/framelog"
+	"github.com/paper-repo/staccato-go/pkg/index"
+	"github.com/paper-repo/staccato-go/pkg/staccatodb"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
+)
+
+const damageDocs = 8
+
+// buildDamageStore writes damageDocs single-document commits through one
+// DB, so the segment and the INDEX log are built from the same writes:
+// the segment holds one frame per document, the log a header, the empty
+// snapshot Open wrote, and one commit per document.
+func buildDamageStore(t *testing.T) (dir string) {
+	t.Helper()
+	dir = filepath.Join(t.TempDir(), "db")
+	db, err := staccatodb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docsOf(corpus(t, damageDocs, 41)) {
+		if err := db.Put(context.Background(), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// frameBounds returns the offsets at which data's frames end, starting
+// with 0; data must be an undamaged frame file.
+func frameBounds(t *testing.T, data []byte) []int64 {
+	t.Helper()
+	r := framelog.NewReader(bytes.NewReader(data), int64(len(data)))
+	bounds := []int64{0}
+	for {
+		_, err := r.Next()
+		if err == io.EOF {
+			return bounds
+		}
+		if err != nil {
+			t.Fatalf("pristine file is damaged at %d: %v", r.Offset(), err)
+		}
+		bounds = append(bounds, r.Offset())
+	}
+}
+
+// TestDamageMatrix applies one table of damage to both frame files and
+// holds each package to its policy, so the two callers of the shared
+// reader cannot drift. diskstore: a torn tail is truncated to the intact
+// prefix and the store opens with exactly the documents in it; interior
+// damage refuses to open and leaves the file untouched. index: any
+// damage after an intact header loads the intact prefix — the same index
+// and State as a log that simply ended there — and truncates to it; a
+// damaged header is ErrMismatch and nothing else.
+func TestDamageMatrix(t *testing.T) {
+	last := func(b []int64) int64 { return b[len(b)-2] } // start of the last frame
+	end := func(b []int64) int64 { return b[len(b)-1] }
+	mid := func(b []int64) int64 { return b[len(b)/2] } // start of an interior frame
+	flip := func(data []byte, at int64) []byte {
+		out := bytes.Clone(data)
+		out[at] ^= 0xFF
+		return out
+	}
+	cases := []struct {
+		name   string
+		damage func(data []byte, b []int64) []byte
+		intact func(b []int64) int64 // end of the intact prefix
+		torn   bool
+		header bool // the damage is in the first frame
+	}{
+		{"truncated header", func(d []byte, b []int64) []byte { return d[:last(b)+3] }, last, true, false},
+		{"truncated payload", func(d []byte, b []int64) []byte { return d[:end(b)-5] }, last, true, false},
+		{"flipped tail byte", func(d []byte, b []int64) []byte { return flip(d, end(b)-1) }, last, true, false},
+		{"flipped interior byte", func(d []byte, b []int64) []byte { return flip(d, mid(b)+framelog.HeaderSize+1) }, mid, false, false},
+		{"flipped byte in the first frame", func(d []byte, b []int64) []byte { return flip(d, framelog.HeaderSize+1) },
+			func(b []int64) int64 { return 0 }, false, true},
+		{"zero tail", func(d []byte, b []int64) []byte { return append(bytes.Clone(d), make([]byte, 64)...) }, end, true, false},
+		{"short garbage tail", func(d []byte, b []int64) []byte { return append(bytes.Clone(d), 0x13, 0x37, 0xde, 0xad, 0xbe) }, end, true, false},
+		// A bad frame whose claimed extent (1 payload byte) stops short of
+		// EOF, with non-zero bytes after it: not what a torn append leaves.
+		{"garbage tail with bytes after it", func(d []byte, b []int64) []byte {
+			return append(bytes.Clone(d), 1, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 0x42, 0x13, 0x37)
+		}, end, false, false},
+	}
+	for _, tc := range cases {
+		t.Run("segment/"+tc.name, func(t *testing.T) {
+			dir := buildDamageStore(t)
+			seg := filepath.Join(dir, "seg-00000001.log")
+			good, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := frameBounds(t, good)
+			if len(b) != damageDocs+1 {
+				t.Fatalf("segment holds %d frames, want one per document (%d)", len(b)-1, damageDocs)
+			}
+			bad := tc.damage(good, b)
+			if err := os.WriteFile(seg, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := diskstore.Open(dir, diskstore.Options{})
+			if !tc.torn {
+				if err == nil {
+					st.Close()
+					t.Fatal("Open accepted interior damage")
+				}
+				if !strings.Contains(err.Error(), "not a torn tail") {
+					t.Errorf("Open error = %v, want a refusing-to-drop-data message", err)
+				}
+				if after, _ := os.ReadFile(seg); !bytes.Equal(after, bad) {
+					t.Error("refused Open modified the segment")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open refused a torn tail: %v", err)
+			}
+			defer st.Close()
+			intact := tc.intact(b)
+			wantDocs := 0
+			for _, e := range b[1:] {
+				if e <= intact {
+					wantDocs++
+				}
+			}
+			if st.Len() != wantDocs {
+				t.Errorf("%d documents after recovery, want the %d in the intact prefix", st.Len(), wantDocs)
+			}
+			if after, _ := os.ReadFile(seg); !bytes.Equal(after, good[:intact]) {
+				t.Errorf("segment is %d bytes after recovery, want the %d-byte intact prefix", len(after), intact)
+			}
+		})
+		t.Run("index/"+tc.name, func(t *testing.T) {
+			dir := buildDamageStore(t)
+			path := filepath.Join(dir, index.FileName)
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := frameBounds(t, good)
+			if len(b) != damageDocs+3 {
+				t.Fatalf("index log holds %d frames, want header + snapshot + %d commits", len(b)-1, damageDocs)
+			}
+			bad := tc.damage(good, b)
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, gotState, err := index.Load(path, index.DefaultGramSize)
+			if tc.header {
+				if !errors.Is(err, index.ErrMismatch) {
+					t.Fatalf("Load over a damaged header = %v, want ErrMismatch", err)
+				}
+				if after, _ := os.ReadFile(path); !bytes.Equal(after, bad) {
+					t.Error("a mismatched Load modified the log")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Load = %v; damage past the header must load the intact prefix", err)
+			}
+			intact := tc.intact(b)
+			clean := filepath.Join(t.TempDir(), index.FileName)
+			if err := os.WriteFile(clean, good[:intact], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want, wantState, err := index.Load(clean, index.DefaultGramSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotState != wantState || got.Stats() != want.Stats() {
+				t.Errorf("loaded state %+v stats %+v, want the intact prefix's %+v %+v", gotState, got.Stats(), wantState, want.Stats())
+			}
+			if fmt.Sprint(got.Entries()) != fmt.Sprint(want.Entries()) {
+				t.Error("loaded entries differ from the intact prefix's")
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, good[:intact]) {
+				t.Errorf("log is %d bytes after Load, want the %d-byte intact prefix", len(after), intact)
+			}
+		})
+	}
+}
+
+// TestOpenSweepsStaleIndexTemp: a crash mid-snapshot strands INDEX.tmp,
+// and nothing but Open can ever remove it. The sweep must not cost the
+// index: the log is loaded as it stands, not rebuilt (a rebuild would
+// rewrite it as a one-commit snapshot).
+func TestOpenSweepsStaleIndexTemp(t *testing.T) {
+	dir := buildDamageStore(t)
+	path := filepath.Join(dir, index.FileName)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".tmp", []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := staccatodb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.IndexDocs != damageDocs || !st.IndexPersisted {
+		t.Errorf("stats after Open: %+v, want %d indexed documents, persisted", st, damageDocs)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("INDEX.tmp after Open: %v, want it removed", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Error("Open rewrote the index log: it rebuilt instead of loading")
+	}
+}

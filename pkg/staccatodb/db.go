@@ -50,9 +50,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
@@ -151,6 +153,10 @@ func (db *DB) indexPath() string { return filepath.Join(db.dir, index.FileName) 
 // unpersisted index only costs a rebuild next time. Failures to read the
 // store itself still fail.
 func (db *DB) loadOrRebuildIndex() error {
+	// A crash mid-snapshot strands the replace's staging file, and only a
+	// later successful snapshot would ever overwrite it. Best effort: a
+	// read-only directory keeps its debris and still opens.
+	_ = os.Remove(db.indexPath() + framelog.TempSuffix)
 	ix, got, err := index.Load(db.indexPath(), db.cfg.gramSize)
 	if err == nil && got == toState(db.disk.CommitState()) {
 		db.idx = ix

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"github.com/paper-repo/staccato-go/internal/framelog"
 )
 
 // Compact rewrites every live record into fresh segment files and drops
@@ -31,10 +33,7 @@ func (s *Store) Compact(ctx context.Context) error {
 		return ErrClosed
 	}
 
-	ids := make([]string, 0, len(s.index))
-	for id := range s.index {
-		ids = append(ids, id)
-	}
+	ids := s.liveIDs()
 	sort.Strings(ids)
 
 	// Write all live records, in ID order, to new segments numbered after
@@ -73,20 +72,20 @@ func (s *Store) Compact(ctx context.Context) error {
 			return abandon(err)
 		}
 		ref := s.index[id]
-		payload := make([]byte, ref.n)
-		if _, err := s.segs[ref.seg].f.ReadAt(payload, ref.off); err != nil {
-			return abandon(fmt.Errorf("diskstore: %w", err))
+		payload, err := s.readPayload(ref)
+		if err != nil {
+			return abandon(err)
 		}
 		if cur.size >= s.opts.MaxSegmentBytes {
 			if err := newSegment(); err != nil {
 				return abandon(err)
 			}
 		}
-		frame := appendFrame(nil, payload)
+		frame := framelog.Append(nil, payload)
 		if _, err := cur.f.WriteAt(frame, cur.size); err != nil {
 			return abandon(fmt.Errorf("diskstore: %w", err))
 		}
-		newRefs[id] = recordRef{seg: cur.num, off: cur.size + frameHeaderSize, n: ref.n}
+		newRefs[id] = recordRef{seg: cur.num, off: cur.size + framelog.HeaderSize, n: ref.n}
 		cur.size += int64(len(frame))
 	}
 	for _, seg := range newSegs {
@@ -94,8 +93,8 @@ func (s *Store) Compact(ctx context.Context) error {
 			return abandon(fmt.Errorf("diskstore: %w", err))
 		}
 	}
-	if err := syncDir(s.dir); err != nil {
-		return abandon(err)
+	if err := framelog.SyncDir(s.dir); err != nil {
+		return abandon(fmt.Errorf("diskstore: %w", err))
 	}
 
 	// The flip. Abandoning the new segments is only safe while the
@@ -103,13 +102,10 @@ func (s *Store) Compact(ctx context.Context) error {
 	// rename lands. After a successful rename the new segments ARE the
 	// store, so later failures (the directory fsync) must complete the
 	// swap anyway rather than delete files the manifest references.
-	if err := stageManifest(s.dir, newOrder); err != nil {
-		return abandon(err)
+	renamed, flipSyncErr := framelog.ReplaceFile(filepath.Join(s.dir, manifestName), encodeManifest(newOrder))
+	if !renamed {
+		return abandon(fmt.Errorf("diskstore: %w", flipSyncErr))
 	}
-	if err := renameManifest(s.dir); err != nil {
-		return abandon(err)
-	}
-	flipSyncErr := syncDir(s.dir)
 
 	oldSegs := s.segs
 	for _, seg := range oldSegs {

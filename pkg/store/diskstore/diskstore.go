@@ -25,10 +25,12 @@
 //
 // # Crash safety
 //
-// A torn tail — a record whose frame is incomplete or whose checksum does
-// not match, from a crash mid-append — is detected during replay and
-// truncated away; only the torn record is lost. Manifest updates go
-// through write-temp-then-rename, so the set of live segments changes
+// Frames, the torn-tail rule and the atomic file replace all live in
+// internal/framelog; this package states only its policy. Replay
+// truncates a torn tail — what a crash mid-append leaves — losing only
+// the torn record, and refuses to open a segment with interior damage
+// rather than drop the records after it. The manifest changes only
+// through framelog.ReplaceFile, so the set of live segments changes
 // atomically; segment files not named by the manifest are leftovers of an
 // interrupted Compact or roll and are deleted on Open. Batch groups many
 // writes into a single fsync, which is where ingest throughput comes from
@@ -36,12 +38,10 @@
 package diskstore
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -51,6 +51,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
@@ -60,7 +61,7 @@ var ErrClosed = errors.New("diskstore: store is closed")
 
 const (
 	manifestName  = "MANIFEST"
-	manifestTemp  = "MANIFEST.tmp"
+	manifestTemp  = manifestName + framelog.TempSuffix
 	manifestMagic = "staccato-diskstore v1"
 	lockName      = "LOCK"
 	segPrefix     = "seg-"
@@ -68,9 +69,6 @@ const (
 
 	recPut    = byte(1)
 	recDelete = byte(2)
-
-	frameHeaderSize = 8       // uint32 payload length + uint32 crc32
-	maxPayloadSize  = 1 << 30 // larger lengths mean a corrupt frame
 )
 
 // CommitState fingerprints the store's on-disk write history: the total
@@ -182,11 +180,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		if names, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix)); len(names) > 0 {
 			return nil, fmt.Errorf("diskstore: %s has segment files but no %s; refusing to guess replay order", dir, manifestName)
 		}
-		if err := s.addSegment(1); err != nil {
-			return nil, err
-		}
-		opened = true
-		return s, nil
 	case err != nil:
 		return nil, err
 	}
@@ -200,15 +193,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	if len(s.order) == 0 {
-		// A manifest with no segments (e.g. hand-edited): normalize by
-		// creating an empty active segment.
+		// A new store, or a manifest with no segments (e.g. hand-edited):
+		// start from an empty active segment.
 		if err := s.addSegment(1); err != nil {
 			return nil, err
 		}
-		opened = true
-		return s, nil
+	} else {
+		s.active = s.segs[s.order[len(s.order)-1]]
 	}
-	s.active = s.segs[s.order[len(s.order)-1]]
 	opened = true
 	return s, nil
 }
@@ -238,15 +230,16 @@ func (s *Store) removeStaleFiles() error {
 }
 
 // replaySegment opens one segment and replays its records into the
-// index. A bad record whose damage touches the end of the file is a
-// torn tail — the signature of a crash mid-append — and is truncated
-// away, losing only that record. A corrupt record that is NOT the last
-// thing in the file cannot come from a torn append (appends only ever
-// extend the file); it is media damage, and replay refuses to open the
-// store rather than silently discarding every record after it.
+// index. A frame that fails its checksum, a payload that does not parse
+// and an unknown record kind are the same class of damage, classified by
+// framelog: a torn tail — the signature of a crash mid-append — is
+// truncated away, losing only that record. Interior damage cannot come
+// from a torn append (appends only ever extend the file); it is media
+// damage, and replay refuses to open the store rather than silently
+// discarding every record after it.
 func (s *Store) replaySegment(num uint64) error {
-	path := filepath.Join(s.dir, segName(num))
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	name := segName(num)
+	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
@@ -256,81 +249,47 @@ func (s *Store) replaySegment(num uint64) error {
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	fileSize := fi.Size()
 
-	r := bufio.NewReaderSize(f, 1<<20)
-	off := int64(0)
-	torn := false
-	// corrupt marks a bad frame that is fully interior to the file: more
-	// (possibly valid) data follows it, so truncating here would discard
-	// records a crash cannot explain losing.
-	corrupt := func(what string) error {
-		return fmt.Errorf(
-			"diskstore: %s: %s at offset %d with %d bytes after it — not a torn tail; refusing to drop data (restore the file from a copy, or truncate it to %d by hand to discard everything after the damage)",
-			segName(num), what, off, fileSize-off, off)
-	}
-loop:
-	for off < fileSize {
-		if fileSize-off < frameHeaderSize {
-			torn = true // partial header can only be the file's last bytes
+	r := framelog.NewReader(f, fi.Size())
+	var dmg *framelog.Damage
+	for dmg == nil {
+		off := r.Offset()
+		payload, err := r.Next()
+		if err == io.EOF || errors.As(err, &dmg) {
 			break
 		}
-		var hdr [frameHeaderSize]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return fmt.Errorf("diskstore: reading %s: %w", segName(num), err)
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		frameEnd := off + frameHeaderSize + int64(plen)
-		if plen > maxPayloadSize || frameEnd > fileSize {
-			// The claimed payload runs past EOF: a torn length field or a
-			// frame whose tail never hit the disk. Never allocate more than
-			// the file can actually hold.
-			torn = true
-			break
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return fmt.Errorf("diskstore: reading %s: %w", segName(num), err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			if frameEnd == fileSize {
-				torn = true
-				break
-			}
-			return corrupt("checksum mismatch")
-		}
-		kind, id, _, err := parsePayload(payload)
 		if err != nil {
-			if frameEnd == fileSize {
-				torn = true
-				break
-			}
-			return corrupt("malformed record payload")
+			return fmt.Errorf("diskstore: reading %s: %w", name, err)
 		}
-		switch kind {
-		case recPut:
-			s.index[id] = recordRef{seg: num, off: off + frameHeaderSize, n: int(plen)}
+		kind, id, _, perr := parsePayload(payload)
+		switch {
+		case perr != nil:
+			dmg = r.Bad("malformed record payload")
+		case kind == recPut:
+			s.index[id] = recordRef{seg: num, off: off + framelog.HeaderSize, n: len(payload)}
 			s.ops++
-		case recDelete:
+		case kind == recDelete:
 			delete(s.index, id)
 			s.ops++
 		default:
-			if frameEnd == fileSize {
-				torn = true
-				break loop
-			}
-			return corrupt(fmt.Sprintf("unknown record kind %d", kind))
+			dmg = r.Bad(fmt.Sprintf("unknown record kind %d", kind))
 		}
-		off = frameEnd
 	}
-	seg.size = off
-	if torn || fileSize != off {
-		// Torn tail: truncate so future appends start at a record boundary
-		// and the next replay ends cleanly.
-		if err := f.Truncate(off); err != nil {
-			return fmt.Errorf("diskstore: truncating torn tail of %s: %w", segName(num), err)
-		}
+	seg.size = r.Offset()
+	if dmg == nil {
+		return nil
+	}
+	if !dmg.Torn {
+		// More (possibly valid) data follows the bad frame, so truncating
+		// here would discard records a crash cannot explain losing.
+		return fmt.Errorf(
+			"diskstore: %s: %s at offset %d with %d bytes after it — not a torn tail; refusing to drop data (restore the file from a copy, or truncate it to %d by hand to discard everything after the damage)",
+			name, dmg.What, seg.size, fi.Size()-seg.size, seg.size)
+	}
+	// Truncate so future appends start at a record boundary and the next
+	// replay ends cleanly.
+	if err := f.Truncate(seg.size); err != nil {
+		return fmt.Errorf("diskstore: truncating torn tail of %s: %w", name, err)
 	}
 	return nil
 }
@@ -345,9 +304,9 @@ func (s *Store) addSegment(num uint64) error {
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := framelog.SyncDir(s.dir); err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("diskstore: %w", err)
 	}
 	order := append(append([]uint64{}, s.order...), num)
 	if err := writeManifest(s.dir, order); err != nil {
@@ -435,10 +394,10 @@ func (s *Store) writeOps(ops []op) error {
 		payload := encodePayload(o)
 		refs[i] = recordRef{
 			seg: s.active.num,
-			off: s.active.size + int64(len(buf)) + frameHeaderSize,
+			off: s.active.size + int64(len(buf)) + framelog.HeaderSize,
 			n:   len(payload),
 		}
-		buf = appendFrame(buf, payload)
+		buf = framelog.Append(buf, payload)
 	}
 	if err := flush(); err != nil {
 		return fail(err)
@@ -461,12 +420,18 @@ func (s *Store) writeOps(ops []op) error {
 	return nil
 }
 
+// diskBytes sums the live segment files' sizes. Callers hold s.mu.
+func (s *Store) diskBytes() int64 {
+	var n int64
+	for _, seg := range s.segs {
+		n += seg.size
+	}
+	return n
+}
+
 // commitStateLocked computes the current CommitState. Callers hold s.mu.
 func (s *Store) commitStateLocked() CommitState {
-	st := CommitState{Ops: s.ops}
-	for _, seg := range s.segs {
-		st.Bytes += seg.size
-	}
+	st := CommitState{Ops: s.ops, Bytes: s.diskBytes()}
 	if s.active != nil {
 		st.Seg = s.active.num
 	}
@@ -493,13 +458,20 @@ func (s *Store) ListDocIDs(ctx context.Context) ([]string, error) {
 		s.mu.RUnlock()
 		return nil, ErrClosed
 	}
+	ids := s.liveIDs()
+	s.mu.RUnlock()
+	sort.Strings(ids)
+	return ids, nil
+}
+
+// liveIDs returns the live document IDs in map order; sorting them is
+// the caller's job, outside the lock where it can be. Callers hold s.mu.
+func (s *Store) liveIDs() []string {
 	ids := make([]string, 0, len(s.index))
 	for id := range s.index {
 		ids = append(ids, id)
 	}
-	s.mu.RUnlock()
-	sort.Strings(ids)
-	return ids, nil
+	return ids
 }
 
 // Put stores doc durably, replacing any existing document with the same
@@ -610,16 +582,11 @@ func (s *Store) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, er
 	})
 	payloads := make([][]byte, len(slots))
 	for i, sl := range slots {
-		seg := s.segs[sl.ref.seg]
-		if seg == nil {
-			s.mu.RUnlock()
-			return nil, fmt.Errorf("diskstore: index references missing segment %d", sl.ref.seg)
-		}
-		payloads[i] = make([]byte, sl.ref.n)
+		var err error
 		//lint:allow lockio the read lock must pin the segment files open across the batch's ReadAt pass; decoding happens below, after RUnlock
-		if _, err := seg.f.ReadAt(payloads[i], sl.ref.off); err != nil {
+		if payloads[i], err = s.readPayload(sl.ref); err != nil {
 			s.mu.RUnlock()
-			return nil, fmt.Errorf("diskstore: %w", err)
+			return nil, err
 		}
 	}
 	s.mu.RUnlock()
@@ -657,18 +624,10 @@ func (s *Store) Delete(ctx context.Context, id string) error {
 // taken up front, so fn may call back into the store; a document deleted
 // between snapshot and visit is skipped.
 func (s *Store) Scan(ctx context.Context, fn func(doc *staccato.Doc) error) error {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
+	ids, err := s.ListDocIDs(ctx)
+	if err != nil {
+		return err
 	}
-	ids := make([]string, 0, len(s.index))
-	for id := range s.index {
-		ids = append(ids, id)
-	}
-	s.mu.RUnlock()
-	sort.Strings(ids)
-
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -712,11 +671,7 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := Stats{Docs: len(s.index), Segments: len(s.order)}
-	for _, seg := range s.segs {
-		st.DiskBytes += seg.size
-	}
-	return st
+	return Stats{Docs: len(s.index), Segments: len(s.order), DiskBytes: s.diskBytes()}
 }
 
 // Close releases the store's file handles. Operations after Close return
@@ -785,14 +740,6 @@ func parsePayload(p []byte) (kind byte, id string, doc []byte, err error) {
 	return kind, id, doc, nil
 }
 
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
 func kindName(k byte) string {
 	switch k {
 	case recPut:
@@ -830,64 +777,20 @@ func readManifest(dir string) ([]uint64, error) {
 	return order, nil
 }
 
-// stageManifest writes and fsyncs the manifest temp file, ready for the
-// atomic rename over MANIFEST.
-func stageManifest(dir string, order []uint64) error {
+// encodeManifest renders the manifest naming order as the live segments.
+func encodeManifest(order []uint64) []byte {
 	var sb strings.Builder
 	sb.WriteString(manifestMagic + "\n")
 	for _, n := range order {
 		fmt.Fprintf(&sb, "%d\n", n)
 	}
-	tmp := filepath.Join(dir, manifestTemp)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	if _, err := f.WriteString(sb.String()); err != nil {
-		f.Close()
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	return nil
+	return []byte(sb.String())
 }
 
-// renameManifest performs the atomic flip: after it returns nil the
-// on-disk manifest names the new order, whatever happens next.
-func renameManifest(dir string) error {
-	if err := os.Rename(filepath.Join(dir, manifestTemp), filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	return nil
-}
-
-// writeManifest atomically replaces the manifest: write a temp file,
-// fsync it, rename over MANIFEST, fsync the directory.
+// writeManifest atomically replaces the manifest.
 func writeManifest(dir string, order []uint64) error {
-	if err := stageManifest(dir, order); err != nil {
-		return err
-	}
-	if err := renameManifest(dir); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so renames and file creations within it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
+	if _, err := framelog.ReplaceFile(filepath.Join(dir, manifestName), encodeManifest(order)); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("diskstore: fsync %s: %w", dir, err)
 	}
 	return nil
 }
