@@ -149,6 +149,20 @@ func TestSearchQueryValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("keyword search accepted a term with a space")
 	}
+	// Out-of-range result knobs, through the flags: the range check is the
+	// one the server runs, and it runs before any corpus is built.
+	for _, flags := range [][]string{
+		{"-top", "-3"}, {"-minprob", "2"}, {"-minprob", "NaN"}, {"-minprob", "-0.5"}, {"-snippets", "-2"},
+	} {
+		var out strings.Builder
+		err := searchMain(&out, append(append([]string{"-docs", "5"}, flags...), "e"))
+		if err == nil || !strings.HasPrefix(err.Error(), "search: ") {
+			t.Errorf("search %v: err = %v, want a search: range error", flags, err)
+		}
+		if strings.Contains(out.String(), "corpus:") {
+			t.Errorf("search %v built the corpus before rejecting the flag", flags)
+		}
+	}
 }
 
 // TestSearchKeywordQueryString checks the flag set maps onto the query

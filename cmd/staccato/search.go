@@ -220,6 +220,13 @@ func runSearch(w io.Writer, cfg searchConfig) (searchReport, error) {
 		return rep, err
 	}
 	rep.query = q.String()
+	sopts := query.SearchOptions{MinProb: cfg.minProb, TopN: cfg.top}
+	if err := sopts.Validate(); err != nil {
+		return rep, fmt.Errorf("search: %w", err)
+	}
+	if cfg.snippets < 0 {
+		return rep, fmt.Errorf("search: -snippets %d: the reading count cannot be negative", cfg.snippets)
+	}
 	ctx := context.Background()
 
 	db, docCount, err := openCorpus(w, ctx, cfg)
@@ -237,7 +244,6 @@ func runSearch(w io.Writer, cfg searchConfig) (searchReport, error) {
 	}
 
 	searchStart := time.Now()
-	sopts := query.SearchOptions{MinProb: cfg.minProb, TopN: cfg.top}
 	if cfg.lexicon != "" {
 		lex, err := loadLexicon(cfg.lexicon)
 		if err != nil {

@@ -313,3 +313,49 @@ func TestZeroValueQueryString(t *testing.T) {
 		t.Errorf("zero-value String() = %q, want \"false\"", got)
 	}
 }
+
+// TestEvalIsAProbability: every Eval and EvalFST result lies in [0, 1],
+// for leaf and boolean queries, over a uniform-noise and an error-model
+// corpus. The DPs sum a certain match to a few ulps past 1 often enough
+// (hundreds of these evaluations) that an unclamped Eval fails here.
+func TestEvalIsAProbability(t *testing.T) {
+	uniform, err := testgen.Docs(60, testgen.Config{Seed: 1}, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errModel, err := testgen.ErrDocs(60, testgen.ErrModelConfig{Seed: 1}, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsts, err := testgen.Corpus(20, testgen.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []*query.Query
+	for r := 'a'; r <= 'z'; r++ {
+		leaf := sub(t, string(r))
+		other := sub(t, string('a'+(r-'a'+7)%26))
+		queries = append(queries, leaf, query.Or(leaf, other), query.And(leaf, query.Not(sub(t, "zq"))))
+	}
+	evals := 0
+	for _, q := range queries {
+		for _, c := range append(uniform, errModel...) {
+			evals++
+			if p := q.Eval(c.Doc); !(p >= 0 && p <= 1) {
+				t.Fatalf("%s on %s (truth %q): Eval = %v, not a probability", q, c.Doc.ID, c.Truth, p)
+			}
+		}
+		for _, c := range fsts {
+			p, err := q.EvalFST(c.FST)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("%s on truth %q: EvalFST = %v, not a probability", q, c.Truth, p)
+			}
+		}
+	}
+	if evals < 6000 {
+		t.Fatalf("only %d evaluations; the property has lost its coverage", evals)
+	}
+}

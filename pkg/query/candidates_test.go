@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/refsearch"
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
@@ -38,37 +39,27 @@ func candidateCorpus(t *testing.T, n int, seed int64) (*store.MemStore, *index.I
 	return st, ix, truths
 }
 
-// prunedStream collects ForEachPruned's every-doc stream and reduces it
-// the way Search reduces its own: filter, rank, truncate.
-func prunedStream(t *testing.T, eng *query.Engine, q *query.Query, cand *query.CandidateSet, opts query.SearchOptions) []query.Result {
+// reference is the sequential evaluator the engine's modes are checked
+// against: no worker pool, no candidate set, nothing shared with Engine.
+func reference(t *testing.T, st store.DocStore, q *query.Query, opts query.SearchOptions) []query.Result {
 	t.Helper()
-	var kept []query.Result
-	err := eng.ForEachPruned(context.Background(), q, cand, nil, func(r query.Result) error {
-		if r.Prob > 0 && r.Prob >= opts.MinProb {
-			kept = append(kept, r)
-		}
-		return nil
-	})
+	res, err := refsearch.Search(context.Background(), st, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Prob != kept[j].Prob {
-			return kept[i].Prob > kept[j].Prob
-		}
-		return kept[i].DocID < kept[j].DocID
-	})
-	if opts.TopN > 0 && len(kept) > opts.TopN {
-		kept = kept[:opts.TopN]
-	}
-	return kept
+	return res
+}
+
+// isCandidate reports membership the way the engine sees it: off IDs().
+func isCandidate(cand *query.CandidateSet, id string) bool {
+	return slices.Contains(cand.IDs(), id)
 }
 
 // TestSearchUnderCandidatesByteIdenticalToScan is the engine's contract:
 // for random boolean queries whose plans prune, Search under the
 // candidate set (candidate-only, or top-k when a result limit is set)
-// returns byte-identical output to both the full scan and the reduced
-// pruned-scan stream, at 1, 2, and 8 workers.
+// returns byte-identical output to both the full scan and the sequential
+// reference, at 1, 2, and 8 workers.
 func TestSearchUnderCandidatesByteIdenticalToScan(t *testing.T) {
 	ctx := context.Background()
 	st, ix, truths := candidateCorpus(t, 60, 71)
@@ -82,13 +73,13 @@ func TestSearchUnderCandidatesByteIdenticalToScan(t *testing.T) {
 		}
 		prunedRuns++
 		opts := query.SearchOptions{MinProb: float64(trial%3) * 0.05, TopN: trial % 7}
+		want := reference(t, st, q, opts)
 		for _, workers := range []int{1, 2, 8} {
 			eng := query.NewEngine(st, query.EngineOptions{Workers: workers})
 			fullScan, err := eng.Search(ctx, q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prunedScan := prunedStream(t, eng, q, cand, opts)
 			var stats query.SearchStats
 			candOpts := opts
 			candOpts.Candidates = cand
@@ -97,9 +88,9 @@ func TestSearchUnderCandidatesByteIdenticalToScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(candOnly, fullScan) || !reflect.DeepEqual(candOnly, prunedScan) {
-				t.Fatalf("trial %d workers %d: query %s: modes disagree\n full:   %+v\n pruned: %+v\n cand:   %+v",
-					trial, workers, q.String(), fullScan, prunedScan, candOnly)
+			if !reflect.DeepEqual(fullScan, want) || !reflect.DeepEqual(candOnly, want) {
+				t.Fatalf("trial %d workers %d: query %s: modes disagree\n reference: %+v\n full:      %+v\n cand:      %+v",
+					trial, workers, q.String(), want, fullScan, candOnly)
 			}
 			if opts.TopN > 0 {
 				if stats.Mode != query.ExecTopK {
@@ -143,7 +134,7 @@ func TestSearchSkipsDeletedCandidate(t *testing.T) {
 	term := doc.MAP()[5:11]
 	q := mustQ(query.Substring(term))
 	cand := q.Plan(3).Candidates(ix)
-	if cand == nil || !cand.Has(ids[7]) {
+	if cand == nil || !isCandidate(cand, ids[7]) {
 		t.Fatalf("expected a candidate set containing %s; got %v", ids[7], cand.IDs())
 	}
 	if err := st.Delete(ctx, ids[7]); err != nil {
@@ -173,52 +164,21 @@ func TestSearchSkipsDeletedCandidate(t *testing.T) {
 	}
 }
 
-// TestEngineStatsInvariantEveryPipeline drives all four (source, sink)
-// pairs at 1, 2, and 8 workers with a candidate deleted between planning
-// and fetching, and checks the accounting invariants on the engine's own
+// TestEngineStatsInvariantEveryPipeline drives all three execution modes
+// at 1, 2, and 8 workers with a candidate deleted between planning and
+// fetching, and checks the accounting invariants on the engine's own
 // stats — no caller arithmetic: DocsTotal == DocsScanned + DocsPruned +
 // BoundsSkipped everywhere, and CandidatesFetched == DocsScanned +
 // CandidatesDeleted with the deletion visible wherever the source is the
-// candidate set (the corpus walks list after the delete, never attempt
-// the fetch, and report both candidate counters as zero).
+// candidate set (the scan lists after the delete, never attempts the
+// fetch, and reports both candidate counters as zero) — and the output
+// against the sequential reference.
 func TestEngineStatsInvariantEveryPipeline(t *testing.T) {
 	ctx := context.Background()
-	docs := make([]*staccato.Doc, 200)
-	st := store.NewMemStore()
-	ix := index.New(3)
-	for i := range docs {
-		p := 0.9 - 0.8*float64(i)/float64(len(docs))
-		alts := []staccato.Alt{{Text: " zzmarker ", Prob: p}, {Text: "~", Prob: 1 - p}}
-		if alts[0].Prob < alts[1].Prob {
-			alts[0], alts[1] = alts[1], alts[0]
-		}
-		docs[i] = &staccato.Doc{
-			ID:     fmt.Sprintf("m-%03d", i),
-			Params: staccato.Params{Chunks: 1, K: 2},
-			Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}},
-		}
-		if err := st.Put(ctx, docs[i]); err != nil {
-			t.Fatal(err)
-		}
-		ix.Add(docs[i])
-	}
-	filler := &staccato.Doc{
-		ID:     "x-filler",
-		Params: staccato.Params{Chunks: 1, K: 1},
-		Chunks: []staccato.PathSet{{Alts: []staccato.Alt{{Text: "nothing here", Prob: 1}}, Retained: 1}},
-	}
-	if err := st.Put(ctx, filler); err != nil {
-		t.Fatal(err)
-	}
-	ix.Add(filler)
-	q := mustQ(query.Substring("zzmarker"))
-	cand := q.Plan(3).Candidates(ix)
-	if cand.Len() != len(docs) {
-		t.Fatalf("candidate set has %d members, want the %d marker docs", cand.Len(), len(docs))
-	}
-	// m-003 has one of the best bounds, so even an early-stopping top-k
+	st, q, cand := markerCorpus(t, 200)
+	// m-0003 has one of the best bounds, so even an early-stopping top-k
 	// run attempts it.
-	if err := st.Delete(ctx, "m-003"); err != nil {
+	if err := st.Delete(ctx, "m-0003"); err != nil {
 		t.Fatal(err)
 	}
 	live := st.Len()
@@ -227,33 +187,18 @@ func TestEngineStatsInvariantEveryPipeline(t *testing.T) {
 		mode        query.ExecMode
 		cand        *query.CandidateSet
 		topN        int
-		stream      bool
 		wantDeleted int
 	}{
 		{mode: query.ExecScan},
-		{mode: query.ExecScan, stream: true},
-		{mode: query.ExecPrunedScan, cand: cand, stream: true},
 		{mode: query.ExecCandidateOnly, cand: cand, wantDeleted: 1},
 		{mode: query.ExecTopK, cand: cand, topN: 5, wantDeleted: 1},
 	} {
-		var want []query.Result
+		want := reference(t, st, q, query.SearchOptions{TopN: tc.topN})
 		for _, workers := range []int{1, 2, 8} {
-			name := fmt.Sprintf("%s stream=%v workers=%d", tc.mode, tc.stream, workers)
+			name := fmt.Sprintf("%s workers=%d", tc.mode, workers)
 			eng := query.NewEngine(st, query.EngineOptions{Workers: workers})
 			var stats query.SearchStats
-			var got []query.Result
-			var err error
-			if tc.stream {
-				err = eng.ForEachPruned(ctx, q, tc.cand, &stats, func(r query.Result) error {
-					got = append(got, r)
-					return nil
-				})
-				if len(got) != live {
-					t.Fatalf("%s: streamed %d results, want one per live doc (%d)", name, len(got), live)
-				}
-			} else {
-				got, err = eng.Search(ctx, q, query.SearchOptions{Candidates: tc.cand, TopN: tc.topN, Stats: &stats})
-			}
+			got, err := eng.Search(ctx, q, query.SearchOptions{Candidates: tc.cand, TopN: tc.topN, Stats: &stats})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -280,10 +225,8 @@ func TestEngineStatsInvariantEveryPipeline(t *testing.T) {
 			if tc.mode != query.ExecTopK && (stats.EarlyStopped || stats.BoundsSkipped != 0) {
 				t.Fatalf("%s: top-k counters leaked: %+v", name, stats)
 			}
-			if workers == 1 {
-				want = got
-			} else if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: output differs from workers=1", name)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: output differs from the reference\n got:  %+v\n want: %+v", name, got, want)
 			}
 		}
 	}

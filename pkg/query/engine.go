@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -22,22 +21,16 @@ type Result struct {
 	Prob  float64 `json:"prob"`
 }
 
-// ExecMode names the (source, sink) pair a query run executed as.
+// ExecMode names how a Search run chose the documents it evaluated.
 type ExecMode string
 
 const (
-	// ExecScan is the unrestricted run, ranked or streamed: every live
-	// document is read, decoded, and evaluated.
+	// ExecScan is the unrestricted run: every live document is read,
+	// decoded, and evaluated.
 	ExecScan ExecMode = "scan"
-	// ExecPrunedScan is ForEachPruned under a candidate set: the corpus ID
-	// list is still walked in full (the every-doc streaming contract needs
-	// a Result per document), but documents outside the candidate set are
-	// reported at probability zero without being read or evaluated.
-	ExecPrunedScan ExecMode = "pruned-scan"
 	// ExecCandidateOnly is Search under a candidate set, ranking all of
-	// it: only the set's members are ever touched — no corpus ID listing,
-	// no zero-result synthesis — so cost scales with the candidate count,
-	// not the corpus size.
+	// it: only the set's members are ever touched — no corpus ID listing —
+	// so cost scales with the candidate count, not the corpus size.
 	ExecCandidateOnly ExecMode = "candidate-only"
 	// ExecTopK is Search under a candidate set with a result limit and no
 	// rescorer: candidates are processed best-bound-first in growing
@@ -69,7 +62,7 @@ type SearchStats struct {
 	// without being evaluated.
 	DocsPruned int `json:"docs_pruned"`
 	// CandidatesFetched is the number of store fetches the candidate modes
-	// attempted (zero in the scan modes) — deleted candidates that came
+	// attempted (zero in scan mode) — deleted candidates that came
 	// back not-found included, so it can exceed DocsScanned. It runs below
 	// the candidate set's size only when top-k early termination skipped
 	// the rest (see BoundsSkipped).
@@ -101,19 +94,19 @@ type EngineOptions struct {
 }
 
 // Engine executes compiled Queries against the documents of a DocStore.
-// Every run is one pipeline: a source (an ascending ID slice — the whole
-// corpus listing, or a candidate set's members) is cut into fetchBatch-ID
-// jobs, a fixed worker pool fetches and evaluates each job, and the
-// finished batches reach the run's sink in source order, so every run
-// over an unchanged store is deterministic regardless of worker count.
-// An Engine is stateless apart from its configuration and may be shared
-// across goroutines.
+// Every run feeds ascending ID slices — the whole corpus listing, a
+// candidate set's members, or one top-k round of them — to one worker
+// pool (evalAll), which fetches and evaluates them in fetchBatch-ID jobs
+// and gathers the reportable results in whatever order the jobs finish.
+// That order cannot show: the ranking is a total order over distinct
+// DocIDs and the counters are sums, so every run over an unchanged store
+// is deterministic regardless of worker count. An Engine is stateless
+// apart from its configuration and may be shared across goroutines.
 //
 // Documents outside a Plan's candidate set provably have match
-// probability zero, which is what makes every (source, sink) pair
-// byte-identical: a run restricted by a candidate set never reads the
-// documents outside it, and reports them — where the sink reports
-// non-matches at all — at probability zero.
+// probability zero, and Search never reports a zero, which is what makes
+// every mode byte-identical: a run restricted by a candidate set never
+// reads the documents outside it and loses nothing by it.
 type Engine struct {
 	st      store.DocStore
 	workers int
@@ -187,7 +180,96 @@ type SearchOptions struct {
 // information still returns correct results — every bound reads as 1 —
 // it just never stops early.
 func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Result, error) {
-	return e.run(ctx, "Search", q, opts, nil)
+	if q == nil || q.expr == nil {
+		return nil, errors.New("query: Search requires a compiled, non-nil Query")
+	}
+	cand := opts.Candidates
+	mode := ExecScan
+	switch {
+	case cand == nil:
+	case opts.TopN > 0 && opts.Rescore == nil:
+		mode = ExecTopK
+	default:
+		mode = ExecCandidateOnly
+	}
+
+	var (
+		got          tally // every round's outcome, summed
+		skipped      int   // candidates top-k never fetched
+		earlyStopped bool
+		err          error
+	)
+	switch mode {
+	case ExecScan:
+		var ids []string
+		if ids, err = e.st.ListDocIDs(ctx); err == nil {
+			got, err = e.evalAll(ctx, q, opts, ids)
+		}
+	case ExecCandidateOnly:
+		got, err = e.evalAll(ctx, q, opts, cand.IDs())
+	case ExecTopK:
+		ranked := cand.Ranked()
+		// Candidates whose bound already sits below MinProb cannot produce a
+		// reportable result; ranked is bound-descending, so they form a tail.
+		usable := len(ranked)
+		if opts.MinProb > 0 {
+			usable = sort.Search(len(ranked), func(i int) bool {
+				return ranked[i].Bound*boundSlack < opts.MinProb
+			})
+		}
+		next := 0
+		for size := fetchBatch; next < usable; size *= 2 {
+			end := min(next+size, usable)
+			ids := make([]string, 0, end-next)
+			for _, c := range ranked[next:end] {
+				ids = append(ids, c.ID)
+			}
+			sort.Strings(ids) // near-sequential reads; ranking is fetch-order-independent
+			var round tally
+			if round, err = e.evalAll(ctx, q, opts, ids); err != nil {
+				break
+			}
+			next = end
+			got.add(round)
+			// Keeping only the running top N between rounds is lossless: the
+			// ranking is a total order, so the global top N is the top N of the
+			// per-round top-N union.
+			got.res = rankResults(got.res, opts.TopN)
+			if next < usable && len(got.res) == opts.TopN && got.res[opts.TopN-1].Prob > ranked[next].Bound*boundSlack {
+				earlyStopped = true
+				break
+			}
+		}
+		skipped = len(ranked) - next
+	}
+
+	// The one place execution counters are written. A scan evaluates every
+	// document it lists that is still stored, so what it scanned is its
+	// corpus; a candidate-sourced run never observes the corpus — that is
+	// its point — so its corpus-level counters derive from the store's live
+	// count: a candidate deleted between planning and fetching is no longer
+	// live, every live document that was neither evaluated nor skipped on
+	// its bound was pruned, and DocsTotal == DocsScanned + DocsPruned +
+	// BoundsSkipped holds by construction — deliberately unclamped, so a
+	// write racing the run shows up as a skewed count instead of being
+	// silently absorbed.
+	if s := opts.Stats; s != nil {
+		s.Mode = mode
+		s.DocsScanned = got.scanned
+		s.BoundsSkipped = skipped
+		s.EarlyStopped = earlyStopped
+		s.DocsTotal = got.scanned
+		s.CandidatesFetched, s.CandidatesDeleted = 0, 0
+		if mode != ExecScan {
+			s.DocsTotal = e.st.Len()
+			s.CandidatesFetched, s.CandidatesDeleted = got.fetched, got.fetched-got.scanned
+		}
+		s.DocsPruned = s.DocsTotal - got.scanned - skipped
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rankResults(got.res, opts.TopN), nil
 }
 
 // SearchTopK is Search with cand as opts.Candidates, for callers that
@@ -196,37 +278,11 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 // Deprecated: set opts.Candidates and call Search, which selects top-k
 // execution whenever it applies.
 func (e *Engine) SearchTopK(ctx context.Context, q *Query, cand *CandidateSet, opts SearchOptions) ([]Result, error) {
+	if q == nil || q.expr == nil || cand == nil || opts.TopN <= 0 || opts.Rescore != nil {
+		return nil, errors.New("query: SearchTopK requires a compiled query, a non-nil candidate set, TopN > 0, and a nil Rescore (index bounds do not cover rescored probabilities); use Search")
+	}
 	opts.Candidates = cand
-	return e.run(ctx, "SearchTopK", q, opts, nil)
-}
-
-// ForEach evaluates q against every stored document and streams one
-// Result per document — unfiltered, probability zero included — to fn in
-// ascending DocID (scan) order. fn runs on the caller's goroutine.
-// Returning store.ErrStopScan from fn ends the stream early without
-// error; any other error cancels in-flight work and is returned.
-// Cancelling ctx aborts the stream with ctx's error: once cancellation
-// is observed, fn is not called again.
-func (e *Engine) ForEach(ctx context.Context, q *Query, fn func(Result) error) error {
-	_, err := e.run(ctx, "ForEach", q, SearchOptions{}, fn)
-	return err
-}
-
-// ForEachPruned is ForEach restricted by a candidate set: documents
-// outside cand stream out with probability zero without being read or
-// evaluated (ExecPrunedScan; the corpus ID list is still walked in full,
-// because the every-doc contract needs a Result per document). A nil
-// cand evaluates everything, exactly like ForEach. stats, when non-nil,
-// receives the run's counters before the call returns. cand is a
-// snapshot: a document added to the store after cand was computed but
-// before this run lists it may stream out at probability zero even if
-// it matches — callers needing a write to be visible must compute the
-// candidate set after the write completes (Search's ranked output is
-// unaffected: it drops zero-probability results, so it matches an
-// execution ordered before such a write).
-func (e *Engine) ForEachPruned(ctx context.Context, q *Query, cand *CandidateSet, stats *SearchStats, fn func(Result) error) error {
-	_, err := e.run(ctx, "ForEachPruned", q, SearchOptions{Candidates: cand, Stats: stats}, fn)
-	return err
+	return e.Search(ctx, q, opts)
 }
 
 // rankResults orders matches by descending probability (ties by
@@ -263,257 +319,101 @@ const fetchBatch = 64
 // skip decision provably safe without giving up meaningful pruning.
 const boundSlack = 1 + 1e-9
 
-// run is the one execution path behind every exported entry point, named
-// by method so a precondition failure points at the caller's own call. A
-// nil stream selects the ranking sinks (Search); a non-nil one receives
-// one Result per listed document, in ID order, on this goroutine
-// (ForEach).
-func (e *Engine) run(ctx context.Context, method string, q *Query, opts SearchOptions, stream func(Result) error) ([]Result, error) {
-	cand := opts.Candidates
-	mode := ExecScan
-	switch {
-	case cand == nil:
-	case stream != nil:
-		mode = ExecPrunedScan
-	case opts.TopN > 0 && opts.Rescore == nil:
-		mode = ExecTopK
-	default:
-		mode = ExecCandidateOnly
-	}
-	switch {
-	case q == nil || q.expr == nil:
-		return nil, fmt.Errorf("query: %s requires a compiled, non-nil Query", method)
-	case method == "SearchTopK" && mode != ExecTopK: // the deprecated shim's contract; goes when it does
-		return nil, errors.New("query: SearchTopK requires a non-nil candidate set, TopN > 0, and a nil Rescore (index bounds do not cover rescored probabilities); use Search")
-	}
-
-	var (
-		out                      []Result
-		fetched, scanned, pruned int // fetch attempts, evaluations, zero results for non-candidates
-		skipped                  int // candidates top-k never fetched
-		earlyStopped             bool
-	)
-	sink := func(b batch) error {
-		fetched += b.fetched
-		scanned += b.scanned
-		pruned += len(b.res) - b.scanned
-		for _, r := range b.res {
-			if stream != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := stream(r); err != nil {
-					return err
-				}
-			} else if r.Prob > 0 && r.Prob >= opts.MinProb {
-				out = append(out, r)
-			}
-		}
-		return nil
-	}
-
-	var err error
-	switch mode {
-	case ExecScan, ExecPrunedScan:
-		var ids []string
-		if ids, err = e.st.ListDocIDs(ctx); err == nil {
-			err = e.pipeline(ctx, q, opts.Rescore, ids, cand, sink)
-		}
-	case ExecCandidateOnly:
-		err = e.pipeline(ctx, q, opts.Rescore, cand.IDs(), nil, sink)
-	case ExecTopK:
-		ranked := cand.Ranked()
-		// Candidates whose bound already sits below MinProb cannot produce a
-		// reportable result; ranked is bound-descending, so they form a tail.
-		usable := len(ranked)
-		if opts.MinProb > 0 {
-			usable = sort.Search(len(ranked), func(i int) bool {
-				return ranked[i].Bound*boundSlack < opts.MinProb
-			})
-		}
-		next := 0
-		for size := fetchBatch; next < usable; size *= 2 {
-			end := min(next+size, usable)
-			ids := make([]string, 0, end-next)
-			for _, c := range ranked[next:end] {
-				ids = append(ids, c.ID)
-			}
-			sort.Strings(ids) // near-sequential reads; ranking is fetch-order-independent
-			if err = e.pipeline(ctx, q, nil, ids, nil, sink); err != nil {
-				break
-			}
-			next = end
-			// Keeping only the running top N between rounds is lossless: the
-			// ranking is a total order, so the global top N is the top N of the
-			// per-round top-N union.
-			out = rankResults(out, opts.TopN)
-			if next < usable && len(out) == opts.TopN && out[opts.TopN-1].Prob > ranked[next].Bound*boundSlack {
-				earlyStopped = true
-				break
-			}
-		}
-		skipped = len(ranked) - next
-	}
-
-	// The one place execution counters are written. A corpus walk observes
-	// every document it reports; a candidate-sourced run never observes the
-	// corpus — that is its point — so its corpus-level counters derive from
-	// the store's live count: a candidate deleted between planning and
-	// fetching is no longer live, every live document that was neither
-	// evaluated nor skipped on its bound was pruned, and DocsTotal ==
-	// DocsScanned + DocsPruned + BoundsSkipped holds by construction —
-	// deliberately unclamped, so a write racing the run shows up as a
-	// skewed count instead of being silently absorbed.
-	if s := opts.Stats; s != nil {
-		s.Mode = mode
-		s.DocsScanned = scanned
-		s.BoundsSkipped = skipped
-		s.EarlyStopped = earlyStopped
-		if mode == ExecScan || mode == ExecPrunedScan {
-			s.DocsTotal = scanned + pruned
-			s.DocsPruned = pruned
-			s.CandidatesFetched, s.CandidatesDeleted = 0, 0
-		} else {
-			s.DocsTotal = e.st.Len()
-			s.DocsPruned = s.DocsTotal - scanned - skipped
-			s.CandidatesFetched, s.CandidatesDeleted = fetched, fetched-scanned
-		}
-	}
-	if stream != nil && errors.Is(err, store.ErrStopScan) {
-		err = nil // fn ended the stream early, which is not a failure
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rankResults(out, opts.TopN), nil
-}
-
-// batch is one worker job's outcome.
-type batch struct {
-	seq int
-	// res holds, in ID order, one Result per job ID that is still stored:
-	// the evaluated probability, or zero for an ID outside the keep set.
-	res []Result
-	// fetched and scanned count the job's store fetch attempts and its
-	// evaluations; the difference is documents deleted under the run.
+// tally is what a set of worker jobs produced: the reportable results, in
+// no particular order, and how many store fetches and evaluations they
+// took; the difference is documents deleted under the run.
+type tally struct {
+	res              []Result
 	fetched, scanned int
-	err              error
 }
 
-// pipeline is the engine's one worker pool. It cuts ids — ascending and
-// duplicate-free — into fetchBatch-sized jobs, has the workers fetch and
-// evaluate them, and hands each finished batch to sink on the caller's
-// goroutine in job order. IDs outside keep (nil keeps everything) are
-// never fetched: they come back as zero-probability results. At most
-// 2×workers jobs are claimed but undelivered at any time, so one slow
-// document cannot let the pool run the whole source ahead. The first
-// worker, sink, or context error ends the run and is returned once every
-// worker has stopped.
-func (e *Engine) pipeline(ctx context.Context, q *Query, rescore func(*staccato.Doc) *staccato.Doc, ids []string, keep *CandidateSet, sink func(batch) error) error {
+func (t *tally) add(o tally) {
+	t.res = append(t.res, o.res...)
+	t.fetched += o.fetched
+	t.scanned += o.scanned
+}
+
+// evalAll is the engine's one worker pool. It cuts ids — duplicate-free —
+// into fetchBatch-sized jobs, which the workers claim off a shared
+// counter, fetch and evaluate into a tally each; the tallies are summed
+// once every worker has stopped. The first error — a store failure, or
+// ctx's own — cancels the rest of the run and is the one returned, not
+// the cancellations it caused.
+func (e *Engine) evalAll(ctx context.Context, q *Query, opts SearchOptions, ids []string) (tally, error) {
 	jobs := (len(ids) + fetchBatch - 1) / fetchBatch
 	workers := min(e.workers, jobs) // never start workers that could have no job to take
-	inFlight := 2 * workers
 	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		window = make(chan struct{}, inFlight) // one token per claimed, undelivered job
-		done   = make(chan batch, inFlight)    // never blocks a sender: every job in it holds a token
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		tallies  = make([]tally, workers)
+		failOnce sync.Once
+		failure  error
 	)
-	defer func() {
-		cancel()
-		wg.Wait()
-	}()
-	for range workers {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var t tally // worker-local, so the per-document counting shares no cache line
+			defer func() { tallies[w] = t }()
 			for {
-				select {
-				case window <- struct{}{}:
-				case <-ctx.Done():
+				job := int(next.Add(1)) - 1
+				if job >= jobs {
 					return
 				}
-				seq := int(next.Add(1)) - 1
-				if seq >= jobs {
-					return
-				}
-				b := e.evalBatch(ctx, q, rescore, ids[seq*fetchBatch:min((seq+1)*fetchBatch, len(ids))], keep)
-				b.seq = seq
-				done <- b
-				if b.err != nil {
+				batch := ids[job*fetchBatch : min((job+1)*fetchBatch, len(ids))]
+				if err := e.evalBatch(ctx, q, opts, batch, &t); err != nil {
+					failOnce.Do(func() {
+						failure = err
+						cancel()
+					})
 					return
 				}
 			}
 		}()
 	}
-
-	// Jobs are claimed in seq order and a claim needs a token, so every
-	// undelivered seq is below delivered+inFlight and owns its ring slot.
-	ring := make([]*batch, inFlight)
-	for delivered := 0; delivered < jobs; {
-		select {
-		case b := <-done:
-			if b.err != nil {
-				return b.err
-			}
-			ring[b.seq%inFlight] = &b
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		for ; delivered < jobs && ring[delivered%inFlight] != nil; delivered++ {
-			b := ring[delivered%inFlight]
-			ring[delivered%inFlight] = nil
-			<-window
-			if err := sink(*b); err != nil {
-				return err
-			}
-		}
+	wg.Wait()
+	if failure != nil {
+		return tally{}, failure
 	}
 	// The run may have finished before an external cancellation was
 	// observed; cancel has not run yet, so a non-nil error here can only
 	// come from the caller's context.
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return tally{}, err
+	}
+	var sum tally
+	for _, t := range tallies {
+		sum.add(t)
+	}
+	return sum, nil
 }
 
-// evalBatch fetches the members of ids that keep admits with one GetBatch
-// and evaluates each document the store still has. A nil slot from the
-// store (deleted since the IDs were planned or listed) counts as fetched
-// but not scanned and yields no Result.
-func (e *Engine) evalBatch(ctx context.Context, q *Query, rescore func(*staccato.Doc) *staccato.Doc, ids []string, keep *CandidateSet) batch {
-	fetch := ids
-	if keep != nil {
-		fetch = make([]string, 0, len(ids))
-		for _, id := range ids {
-			if keep.Has(id) {
-				fetch = append(fetch, id)
-			}
-		}
-	}
-	docs, err := e.st.GetBatch(ctx, fetch)
+// evalBatch fetches ids with one GetBatch and evaluates each document the
+// store still has into t, keeping the results Search can report. A nil
+// slot from the store (deleted since the IDs were planned or listed)
+// counts as fetched but not scanned.
+func (e *Engine) evalBatch(ctx context.Context, q *Query, opts SearchOptions, ids []string, t *tally) error {
+	docs, err := e.st.GetBatch(ctx, ids)
 	if err != nil {
-		return batch{err: err}
+		return err
 	}
-	b := batch{res: make([]Result, 0, len(ids)), fetched: len(fetch)}
-	k := 0
-	for _, id := range ids {
-		if k == len(fetch) || fetch[k] != id {
-			b.res = append(b.res, Result{DocID: id}) // outside keep
-			continue
-		}
-		doc := docs[k]
-		k++
+	t.fetched += len(ids)
+	for _, doc := range docs {
 		if doc == nil {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return batch{err: err} // bound cancellation latency to one evaluation
+			return err // bound cancellation latency to one evaluation
 		}
-		if rescore != nil {
-			doc = rescore(doc)
+		if opts.Rescore != nil {
+			doc = opts.Rescore(doc)
 		}
-		b.res = append(b.res, Result{DocID: doc.ID, Prob: q.Eval(doc)})
-		b.scanned++
+		t.scanned++
+		if p := q.Eval(doc); p > 0 && p >= opts.MinProb {
+			t.res = append(t.res, Result{DocID: doc.ID, Prob: p})
+		}
 	}
-	return b
+	return nil
 }

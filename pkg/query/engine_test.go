@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,57 +119,6 @@ func TestEngineSearchRankingThresholdTopN(t *testing.T) {
 	}
 }
 
-func TestEngineForEachStreamsInScanOrder(t *testing.T) {
-	st := corpusStore(t, 40, 20, 7, 3, 2)
-	q := sub(t, "a")
-	eng := query.NewEngine(st, query.EngineOptions{Workers: 8})
-
-	var ids []string
-	if err := eng.ForEach(context.Background(), q, func(r query.Result) error {
-		ids = append(ids, r.DocID)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 40 {
-		t.Fatalf("ForEach visited %d docs, want 40 (zero-probability docs included)", len(ids))
-	}
-	if !sort.StringsAreSorted(ids) {
-		t.Errorf("ForEach order not ascending: %v", ids)
-	}
-}
-
-func TestEngineForEachStopScan(t *testing.T) {
-	st := corpusStore(t, 40, 20, 7, 3, 2)
-	q := sub(t, "a")
-	eng := query.NewEngine(st, query.EngineOptions{Workers: 8})
-
-	var ids []string
-	if err := eng.ForEach(context.Background(), q, func(r query.Result) error {
-		ids = append(ids, r.DocID)
-		if len(ids) == 3 {
-			return store.ErrStopScan
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("ErrStopScan must end the stream without error, got %v", err)
-	}
-	if !reflect.DeepEqual(ids, []string{"doc-0001", "doc-0002", "doc-0003"}) {
-		t.Errorf("early-stopped stream = %v", ids)
-	}
-}
-
-func TestEngineForEachFnError(t *testing.T) {
-	st := corpusStore(t, 10, 20, 7, 3, 2)
-	q := sub(t, "a")
-	eng := query.NewEngine(st, query.EngineOptions{Workers: 4})
-	boom := errors.New("boom")
-	err := eng.ForEach(context.Background(), q, func(query.Result) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Errorf("ForEach error = %v, want %v", err, boom)
-	}
-}
-
 func TestEngineContextCancelled(t *testing.T) {
 	st := corpusStore(t, 10, 20, 7, 3, 2)
 	q := sub(t, "a")
@@ -180,47 +129,17 @@ func TestEngineContextCancelled(t *testing.T) {
 	if _, err := eng.Search(ctx, q, query.SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Search on cancelled context = %v, want context.Canceled", err)
 	}
-
-	// Cancel mid-stream: the error surfaces and the stream ends. The
-	// corpus is much larger than the pipeline's in-flight window (a few
-	// docs at workers=2), so the scanner is still running when the second
-	// result reaches the callback and must observe the cancellation.
-	big := corpusStore(t, 64, 20, 7, 3, 2)
-	eng2 := query.NewEngine(big, query.EngineOptions{Workers: 2})
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	n := 0
-	err := eng2.ForEach(ctx2, q, func(query.Result) error {
-		n++
-		if n == 2 {
-			cancel2()
-		}
-		return nil
-	})
-	cancel2()
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("ForEach after mid-stream cancel = %v, want context.Canceled", err)
-	}
 }
 
 func TestEngineNilQuery(t *testing.T) {
 	eng := query.NewEngine(store.NewMemStore(), query.EngineOptions{})
 	ctx := context.Background()
-	noop := func(query.Result) error { return nil }
 	// A zero-value Query was never compiled; the engine must reject it
-	// instead of panicking in a worker goroutine. The error names the
-	// method the caller invoked, not an internal one.
+	// instead of panicking in a worker goroutine.
 	for _, q := range []*query.Query{nil, {}} {
 		_, err := eng.Search(ctx, q, query.SearchOptions{})
 		if err == nil || !strings.Contains(err.Error(), "Search requires") {
 			t.Errorf("Search(%v) error = %v, want one naming Search", q, err)
-		}
-		for name, err := range map[string]error{
-			"ForEach":       eng.ForEach(ctx, q, noop),
-			"ForEachPruned": eng.ForEachPruned(ctx, q, nil, nil, noop),
-		} {
-			if err == nil || !strings.Contains(err.Error(), name+" requires") {
-				t.Errorf("%s(%v) error = %v, want one naming %s", name, q, err, name)
-			}
 		}
 	}
 }
@@ -240,5 +159,31 @@ func TestEngineDefaultWorkers(t *testing.T) {
 	}
 	if w := query.NewEngine(store.NewMemStore(), query.EngineOptions{Workers: 3}).Workers(); w != 3 {
 		t.Errorf("Workers = %d, want 3", w)
+	}
+}
+
+// TestCertainMatchesRankByDocID: documents that match with certainty tie
+// at probability exactly 1 and rank by ascending DocID — not by which
+// side of 1 the DP's rounding happened to land them on.
+func TestCertainMatchesRankByDocID(t *testing.T) {
+	st := corpusStore(t, 30, 0, 42, 10, 4)
+	res, err := query.NewEngine(st, query.EngineOptions{}).Search(context.Background(), sub(t, "e"), query.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var certain []string
+	for _, r := range res {
+		if r.Prob >= 1 {
+			if r.Prob > 1 {
+				t.Errorf("%s: probability %v exceeds 1", r.DocID, r.Prob)
+			}
+			certain = append(certain, r.DocID)
+		}
+	}
+	if len(certain) < 2 {
+		t.Fatalf("only %d certain matches; the corpus lost its teeth", len(certain))
+	}
+	if !slices.IsSorted(certain) {
+		t.Errorf("certain matches not in DocID order: %v", certain)
 	}
 }

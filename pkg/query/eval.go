@@ -17,14 +17,18 @@ import (
 // exact joint match probabilities and And/Or/Not are decided per reading —
 // not by multiplying marginals, which is wrong whenever terms are
 // correlated through shared readings.
+//
+// The result is a probability: the DP's sum over a certain match can
+// round a few ulps past 1, and is clamped so that certain matches tie —
+// and rank by DocID — instead of being ordered by rounding noise.
 func (q *Query) Eval(d *staccato.Doc) float64 {
 	if q.expr == nil {
 		return 0
 	}
 	if le, ok := q.expr.(leafExpr); ok {
-		return evalDoc(d, q.leaves[le].auto)
+		return min(evalDoc(d, q.leaves[le].auto), 1)
 	}
-	return q.evalProduct(d)
+	return min(q.evalProduct(d), 1)
 }
 
 // evalDoc pushes a distribution over automaton states through the chunks.

@@ -17,7 +17,7 @@ import (
 // This is the FullSFST oracle: tests use it to bound the Staccato dial
 // from above, and it supports the full boolean algebra — including
 // keyword-mode leaves, whose trailing boundary may be the end of the
-// emitted string.
+// emitted string. Like Eval's, the result is clamped to 1.
 func (q *Query) EvalFST(f *fst.SFST) (float64, error) {
 	if q.expr == nil {
 		return 0, fmt.Errorf("query: EvalFST requires a compiled Query")
@@ -78,5 +78,5 @@ func (q *Query) EvalFST(f *fst.SFST) (float64, error) {
 	if total == 0 {
 		return 0, fmt.Errorf("query: transducer has no accepting mass")
 	}
-	return matched / total, nil
+	return min(matched/total, 1), nil
 }

@@ -36,7 +36,7 @@ import (
 //
 // A set built from a posting source that reports bounds additionally
 // holds, per candidate, an admissible upper bound on that document's
-// match probability (see Bound); sets without bound information answer 1
+// match probability (see Ranked); sets without bound information answer 1
 // for every candidate, which is always admissible.
 type CandidateSet struct {
 	// ids is ascending and duplicate-free — the shape posting sources
@@ -53,15 +53,6 @@ func NewCandidateSet(ids ...string) *CandidateSet {
 	sorted := slices.Clone(ids)
 	slices.Sort(sorted)
 	return &CandidateSet{ids: slices.Compact(sorted)}
-}
-
-// Has reports whether id is a candidate. The nil set admits everything.
-func (c *CandidateSet) Has(id string) bool {
-	if c == nil {
-		return true
-	}
-	_, ok := slices.BinarySearch(c.ids, id)
-	return ok
 }
 
 // Len returns the number of candidates, or -1 for the nil
@@ -82,20 +73,8 @@ func (c *CandidateSet) IDs() []string {
 	return c.ids
 }
 
-// Bound returns an admissible upper bound on id's match probability: the
-// recorded bound when the set carries one, else the vacuous 1. The nil
-// set admits everything at bound 1.
-func (c *CandidateSet) Bound(id string) float64 {
-	if c == nil {
-		return 1
-	}
-	if i, ok := slices.BinarySearch(c.ids, id); ok {
-		return c.boundAt(i)
-	}
-	return 1
-}
-
-// boundAt returns the bound of the i-th candidate.
+// boundAt returns the bound of the i-th candidate: the recorded one when
+// the set carries bounds, else the vacuous 1.
 func (c *CandidateSet) boundAt(i int) float64 {
 	if c.bounds == nil {
 		return 1

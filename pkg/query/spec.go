@@ -69,3 +69,17 @@ func (s Spec) Compile() (*Query, error) {
 	}
 	return out, nil
 }
+
+// Validate is the range check both front ends run on the result knobs a
+// request carries. Search itself does not fail on them — it reads a
+// negative TopN as "no limit" and finds nothing at a MinProb above 1 —
+// which is exactly why a typo must be caught before it gets there.
+func (o SearchOptions) Validate() error {
+	if o.TopN < 0 {
+		return fmt.Errorf("top %d: the result limit cannot be negative", o.TopN)
+	}
+	if !(o.MinProb >= 0 && o.MinProb <= 1) { // written so that NaN fails too
+		return fmt.Errorf("minimum probability %v: must be within [0, 1]", o.MinProb)
+	}
+	return nil
+}

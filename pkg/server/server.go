@@ -378,10 +378,13 @@ func (s *Server) compiledQuery(req *queryRequest) (*query.Query, bool, error) {
 }
 
 // searchOptions builds the engine options a query request asks for,
-// failing when the request wants lexicon rescoring the server cannot
-// provide.
+// failing when top or min_prob is out of range or the request wants
+// lexicon rescoring the server cannot provide.
 func (s *Server) searchOptions(req *queryRequest) (query.SearchOptions, error) {
 	opts := query.SearchOptions{MinProb: req.MinProb, TopN: req.Top}
+	if err := opts.Validate(); err != nil {
+		return opts, err
+	}
 	if req.Lexicon {
 		if s.rescore == nil {
 			return opts, errors.New("lexicon rescoring requested but no lexicon is loaded; start staccatod with -lexicon")
@@ -468,6 +471,10 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, body any, req 
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return run, false
 		}
+	}
+	if req.TimeoutMS < 0 {
+		writeError(w, http.StatusBadRequest, "timeout_ms must not be negative, got %d", req.TimeoutMS)
+		return run, false
 	}
 	q, hit, err := s.compiledQuery(req)
 	if err != nil {

@@ -237,6 +237,10 @@ func TestMalformedRequests(t *testing.T) {
 		{"distance without fuzzy mode", "/v1/search", `{"terms": ["abcd"], "distance": 1}`},
 		{"keyword term with a space", "/v1/search", `{"terms": ["two words"], "mode": "keyword"}`},
 		{"not term invalid for the mode", "/v1/search", `{"terms": ["ab"], "mode": "keyword", "not": "two words"}`},
+		{"negative top", "/v1/search", `{"terms": ["ab"], "top": -5}`},
+		{"min_prob above one", "/v1/search", `{"terms": ["ab"], "min_prob": 7}`},
+		{"negative min_prob", "/v1/snippets", `{"terms": ["ab"], "min_prob": -0.1}`},
+		{"negative timeout", "/v1/search", `{"terms": ["ab"], "timeout_ms": -3}`},
 		{"explain bad mode", "/v1/explain", `{"terms": ["ab"], "mode": "regex"}`},
 		{"ingest no docs", "/v1/ingest", `{"docs": []}`},
 		{"ingest empty id", "/v1/ingest", `{"docs": [{"id": ""}]}`},

@@ -31,17 +31,15 @@
 //
 // # Query execution
 //
-// Search and ForEach extract a Plan from the compiled query, turn the
-// index's posting lists into a candidate document set, and hand it to the
-// engine, which runs every query through one pipeline. When the plan can
-// prune, Search fetches exactly the candidates by batched point lookup
-// and never touches the rest of the corpus, so a selective query costs
-// O(candidates), not O(corpus) — and with a result limit it takes them
-// best-bound-first and stops once the limit is provably filled. ForEach
-// keeps its every-document streaming contract: it walks the corpus ID
-// list and reports non-candidates at probability zero without reading
-// them. The planner is conservative (AND intersects, OR unions, NOT and
-// sub-gram terms scan), so results are byte-identical across every mode
+// Search extracts a Plan from the compiled query, turns the index's
+// posting lists into a candidate document set, and hands it to the
+// engine, which runs every query through one worker pool. When the plan
+// can prune, Search fetches exactly the candidates by batched point
+// lookup and never touches the rest of the corpus, so a selective query
+// costs O(candidates), not O(corpus) — and with a result limit it takes
+// them best-bound-first and stops once the limit is provably filled. The
+// planner is conservative (AND intersects, OR unions, NOT and sub-gram
+// terms scan), so results are byte-identical across every mode
 // and with the index enabled, disabled, or absent; SearchStats reports
 // the mode taken and how much was pruned so the speedup is observable.
 package staccatodb
@@ -239,12 +237,11 @@ func (db *DB) isClosed() bool {
 // keeps the index in step. On disk each Put is one fsync; use Ingest to
 // amortize the fsync across many documents.
 //
-// Writes concurrent with Search/ForEach follow snapshot semantics: the
-// candidate set is computed when a query call starts, so a document
-// committed while that call is running may be reported by it with
-// probability zero (ranked Search drops zero-probability results, so
-// its output matches an execution ordered before the write); the next
-// call sees the document. A write that has RETURNED is always fully
+// Writes concurrent with Search follow snapshot semantics: the candidate
+// set is computed when a query call starts, so a document committed
+// while that call is running may be missing from its results, which then
+// match an execution ordered before the write; the next call sees the
+// document. A write that has RETURNED is always fully
 // visible: it returns only after the index has absorbed what the store
 // committed, so no candidate set computed after it can prune its
 // document.
@@ -373,7 +370,8 @@ func (db *DB) Search(ctx context.Context, q *query.Query, opts query.SearchOptio
 	if db.isClosed() {
 		return nil, stats, ErrClosed
 	}
-	opts.Candidates = db.planCandidates(q, &stats)
+	ix, _ := db.index()
+	opts.Candidates = planCandidates(ix, q, &stats)
 	opts.Stats = &stats
 	res, err := db.eng.Search(ctx, q, opts)
 	return res, stats, err
@@ -421,35 +419,19 @@ func (db *DB) Snippets(ctx context.Context, q *query.Query, opts query.SearchOpt
 // observable.
 func (db *DB) Workers() int { return db.eng.Workers() }
 
-// ForEach streams one Result per document — probability zero included —
-// to fn in ascending DocID order, pruning evaluation through the index
-// exactly like Search. See query.Engine.ForEach for the callback
-// contract.
-func (db *DB) ForEach(ctx context.Context, q *query.Query, fn func(query.Result) error) error {
-	if db.isClosed() {
-		return ErrClosed
-	}
-	return db.eng.ForEachPruned(ctx, q, db.planCandidates(q, nil), nil, fn)
-}
-
-// planCandidates extracts q's plan, evaluates it against the index, and
-// (when stats is non-nil) records the planner fields. A nil return means
-// no pruning: scan everything.
-func (db *DB) planCandidates(q *query.Query, stats *query.SearchStats) *query.CandidateSet {
-	ix, _ := db.index()
+// planCandidates is the DB's one planning step: it extracts q's plan,
+// evaluates it against ix, and records the planner fields in stats. A nil
+// return means no pruning: scan everything.
+func planCandidates(ix *index.Index, q *query.Query, stats *query.SearchStats) *query.CandidateSet {
 	if ix == nil || q == nil {
-		if stats != nil {
-			stats.Plan = "scan (no index)"
-		}
+		stats.Plan = "scan (no index)"
 		return nil
 	}
 	plan := q.Plan(ix.GramSize())
 	cand := plan.Candidates(ix)
-	if stats != nil {
-		stats.Plan = plan.String()
-		stats.PlanGrams = plan.NumGrams()
-		stats.IndexUsed = cand != nil
-	}
+	stats.Plan = plan.String()
+	stats.PlanGrams = plan.NumGrams()
+	stats.IndexUsed = cand != nil
 	return cand
 }
 
@@ -465,9 +447,10 @@ func (db *DB) Explain(q *query.Query) string {
 	if ix == nil {
 		return fmt.Sprintf("plan: full scan (no index)\nmode: %s\nquery: %s", query.ExecScan, q.String())
 	}
-	plan := q.Plan(ix.GramSize())
-	out := fmt.Sprintf("plan: %s\nindex: %d-gram over %d docs", plan.String(), ix.GramSize(), ix.Len())
-	if cand := plan.Candidates(ix); cand != nil {
+	var planned query.SearchStats
+	cand := planCandidates(ix, q, &planned)
+	out := fmt.Sprintf("plan: %s\nindex: %d-gram over %d docs", planned.Plan, ix.GramSize(), ix.Len())
+	if cand != nil {
 		out += fmt.Sprintf("\ncandidates: %d of %d docs\nmode: %s (Search fetches only the candidates)",
 			cand.Len(), ix.Len(), query.ExecCandidateOnly)
 		if cand.Bounded() {

@@ -502,34 +502,6 @@ func TestDamagedIndexFileRebuilt(t *testing.T) {
 	}
 }
 
-func TestForEachMatchesEngineContract(t *testing.T) {
-	ctx := context.Background()
-	db, err := staccatodb.OpenMem(staccatodb.WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	cases := corpus(t, 15, 37)
-	if err := db.Ingest(ctx, docsOf(cases)); err != nil {
-		t.Fatal(err)
-	}
-	q := mustQ(query.Substring(cases[2].Doc.MAP()[3:9]))
-	var ids []string
-	err = db.ForEach(ctx, q, func(r query.Result) error {
-		ids = append(ids, r.DocID)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != len(cases) {
-		t.Fatalf("ForEach streamed %d results, want one per doc (%d)", len(ids), len(cases))
-	}
-	if !sort.StringsAreSorted(ids) {
-		t.Fatal("ForEach results not in ascending DocID order")
-	}
-}
-
 func TestOptionValidation(t *testing.T) {
 	if _, err := staccatodb.OpenMem(staccatodb.WithGramSize(0)); err == nil {
 		t.Error("WithGramSize(0) accepted")
