@@ -73,6 +73,46 @@ func TestSearchVerboseModeStatsEndToEnd(t *testing.T) {
 		t.Fatalf("scan results differ from candidate-only results:\n scan %+v\n cand %+v", scanRep.results, rep.results)
 	}
 
+	// A 4-rune term at -fuzzy 1 — its pigeonhole pieces fall below the gram
+	// size — no longer scans: -v shows the wildcard plan and how many
+	// dictionary grams it was expanded to, and the table matches the
+	// -noindex scan's. A 2-rune term still scans.
+	shortCfg := scfg
+	shortCfg.terms, shortCfg.fuzzy = []string{scfg.terms[0][:4]}, 1
+	var shortOut strings.Builder
+	shortRep, err := runSearch(&shortOut, shortCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shortRep.mode != query.ExecTopK || shortRep.pruned == 0 {
+		t.Fatalf("short fuzzy search: mode=%q pruned=%d, want a pruning %q run\noutput:\n%s",
+			shortRep.mode, shortRep.pruned, query.ExecTopK, shortOut.String())
+	}
+	for _, want := range []string{`plan: wild(fuzzy("` + shortCfg.terms[0] + `", 1) ×`, "index used: true, "} {
+		if !strings.Contains(shortOut.String(), want) {
+			t.Errorf("short fuzzy -v output missing %q:\n%s", want, shortOut.String())
+		}
+	}
+	if strings.Contains(shortOut.String(), "index used: true, 0 grams)") {
+		t.Errorf("short fuzzy -v output reports no consulted grams:\n%s", shortOut.String())
+	}
+	shortCfg.noIndex = true
+	shortScan, err := runSearch(&strings.Builder{}, shortCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shortScan.mode != query.ExecScan || !reflect.DeepEqual(shortScan.results, shortRep.results) {
+		t.Fatalf("short fuzzy -noindex search: mode=%q, results equal=%v", shortScan.mode, reflect.DeepEqual(shortScan.results, shortRep.results))
+	}
+	subCfg := scfg
+	subCfg.terms = []string{scfg.terms[0][:2]}
+	var subOut strings.Builder
+	if subRep, err := runSearch(&subOut, subCfg); err != nil {
+		t.Fatal(err)
+	} else if subRep.mode != query.ExecScan || !strings.Contains(subOut.String(), `plan: scan(term "`+subCfg.terms[0]+`" shorter than gram size 3)`) {
+		t.Fatalf("sub-gram search: mode=%q, want %q under a scan plan\noutput:\n%s", subRep.mode, query.ExecScan, subOut.String())
+	}
+
 	// Delete the index log, rebuild through the index subcommand, and
 	// re-run: candidate-only again, byte-identical again.
 	if err := os.Remove(filepath.Join(dir, "INDEX")); err != nil {

@@ -43,7 +43,7 @@ func TestDocGramBoundsAdmissibleProperty(t *testing.T) {
 	}
 	checked := 0
 	for _, c := range cases {
-		grams, bounds, ok := index.DocGramBounds(c.Doc, q)
+		grams, bounds, _, ok := index.DocGramBounds(c.Doc, q)
 		if !ok {
 			continue // overflow docs carry no bounds; they index as always-candidates
 		}
@@ -101,7 +101,7 @@ func TestDocGramBoundsOverlappingOccurrences(t *testing.T) {
 			{Alts: []staccato.Alt{{Text: "c", Prob: 0.5}, {Text: "cd", Prob: 0.5}}, Retained: 1},
 		},
 	}
-	grams, bounds, ok := index.DocGramBounds(doc, 3)
+	grams, bounds, _, ok := index.DocGramBounds(doc, 3)
 	if !ok {
 		t.Fatal("unexpected overflow")
 	}

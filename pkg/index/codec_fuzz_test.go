@@ -25,6 +25,19 @@ func FuzzCommitRecord(f *testing.F) {
 		State{Ops: 7, Bytes: 99, Seg: 2},
 	))
 	f.Add(encodeCommit(nil, nil, State{}))
+	// The v3 flags byte: Short alone, Short beside Overflow, and a byte
+	// with an unassigned bit, which must be rejected, not read as flags.
+	flagged := encodeCommit(
+		[]Entry{
+			{ID: "tiny", Grams: []string{"abc"}, Bounds: []float64{0.5}, Short: true},
+			{ID: "both", Overflow: true, Short: true},
+		},
+		nil, State{Ops: 2},
+	)
+	f.Add(flagged)
+	unassigned := bytes.Clone(flagged)
+	unassigned[bytes.Index(unassigned, []byte("tiny"))+len("tiny")] = flagShort | 1<<2
+	f.Add(unassigned)
 	// A payload carrying an out-of-range bound: decode must sanitize it
 	// to 1, and the sanitized form must round-trip. The 8 bytes after the
 	// gram text are its little-endian bound; overwrite them with NaN.
@@ -33,7 +46,7 @@ func FuzzCommitRecord(f *testing.F) {
 	binary.LittleEndian.PutUint64(dirty[at:at+8], math.Float64bits(math.NaN()))
 	f.Add(dirty)
 	f.Add([]byte{recCommit})
-	f.Add([]byte("staccato-index v1"))
+	f.Add([]byte(fileMagic))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		adds, dels, st, err := parseCommit(payload)

@@ -21,17 +21,20 @@ import (
 //	header  = magic | uvarint q
 //	commit  = kind=1 | uvarint ops | uvarint bytes | uvarint seg
 //	          | uvarint nDels | nDels × (uvarint len | id)
-//	          | uvarint nAdds | nAdds × (uvarint len | id | overflow byte
+//	          | uvarint nAdds | nAdds × (uvarint len | id | flags byte
 //	                                     | uvarint nGrams
 //	                                     | nGrams × (uvarint len | gram
 //	                                                 | float64le bound))
 //
 // (ops, bytes) is the diskstore CommitState after the commit the record
-// mirrors. The v2 format bump added the fixed 8-byte little-endian
-// IEEE-754 probability upper bound after each gram; v1 files (magic
-// "staccato-index v1") fail header validation with ErrMismatch, which
-// callers already answer with a transparent rebuild from a store scan —
-// exactly how a stale index is handled. Decoding sanitizes bounds into
+// mirrors. The flags byte is Entry.Overflow in bit 0 and Entry.Short in
+// bit 1; any other bit makes the record malformed. v2 added the fixed
+// 8-byte little-endian IEEE-754 probability upper bound after each gram;
+// v3 added the Short bit, without which a wildcard lookup would prune
+// documents it must keep. Files of an older version (magic
+// "staccato-index v1" or "v2") fail header validation with ErrMismatch,
+// which callers already answer with a transparent rebuild from a store
+// scan — exactly how a stale index is handled. Decoding sanitizes bounds into
 // [0, 1] (NaN, negative, or >1 become the always-admissible 1), so a
 // decoded commit is canonical: re-encoding it reproduces it bit for bit.
 //
@@ -46,8 +49,11 @@ import (
 const FileName = "INDEX"
 
 const (
-	fileMagic = "staccato-index v2"
+	fileMagic = "staccato-index v3"
 	recCommit = byte(1)
+
+	flagOverflow = byte(1) << 0
+	flagShort    = byte(1) << 1
 )
 
 // State is the diskstore CommitState a commit record was written against,
@@ -231,11 +237,14 @@ func encodeCommit(adds []Entry, dels []string, st State) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(adds)))
 	for _, e := range adds {
 		buf = appendString(buf, e.ID)
+		var flags byte
 		if e.Overflow {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+			flags |= flagOverflow
 		}
+		if e.Short {
+			flags |= flagShort
+		}
+		buf = append(buf, flags)
 		buf = binary.AppendUvarint(buf, uint64(len(e.Grams)))
 		for i, g := range e.Grams {
 			buf = appendString(buf, g)
@@ -285,10 +294,10 @@ func parseCommit(p []byte) (adds []Entry, dels []string, st State, err error) {
 	for i := uint64(0); i < nAdds; i++ {
 		var e Entry
 		e.ID, p, ok = takeString(p)
-		if !ok || len(p) < 1 {
+		if !ok || len(p) < 1 || p[0]&^(flagOverflow|flagShort) != 0 {
 			return bad()
 		}
-		e.Overflow = p[0] == 1
+		e.Overflow, e.Short = p[0]&flagOverflow != 0, p[0]&flagShort != 0
 		p = p[1:]
 		var nGrams uint64
 		nGrams, p, ok = takeUvarint(p)

@@ -30,6 +30,7 @@ package index
 
 import (
 	"sort"
+	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 )
@@ -62,6 +63,12 @@ type Entry struct {
 	// Overflow marks a document whose gram extraction exceeded its budget;
 	// the index treats it as a candidate for every query.
 	Overflow bool
+	// Short marks a document with a retained reading shorter than q runes.
+	// No gram covers such a reading, yet it can satisfy a query whose match
+	// is itself shorter than q, so the index treats the document as a
+	// candidate for every wildcard lookup (Index.WildcardCandidates).
+	// Overflow subsumes it: the index ignores Short on an overflow entry.
+	Short bool
 }
 
 // Bound returns the upper bound for gram position i, defaulting to 1 when
@@ -78,8 +85,8 @@ func (e *Entry) Bound(i int) float64 {
 // the document as always matching — is the index's to make, not the
 // caller's.
 func EntryFor(doc *staccato.Doc, q int) Entry {
-	grams, bounds, ok := DocGramBounds(doc, q)
-	return Entry{ID: doc.ID, Grams: grams, Bounds: bounds, Overflow: !ok}
+	grams, bounds, short, ok := DocGramBounds(doc, q)
+	return Entry{ID: doc.ID, Grams: grams, Bounds: bounds, Overflow: !ok, Short: short}
 }
 
 // DocGrams returns the sorted set of q-grams (in runes) that occur in any
@@ -92,7 +99,7 @@ func EntryFor(doc *staccato.Doc, q int) Entry {
 // at least one retained reading, because each emitted window is a real
 // reachable suffix concatenated with a real alternative.
 func DocGrams(doc *staccato.Doc, q int) ([]string, bool) {
-	grams, _, ok := DocGramBounds(doc, q)
+	grams, _, _, ok := DocGramBounds(doc, q)
 	return grams, ok
 }
 
@@ -112,11 +119,25 @@ func DocGrams(doc *staccato.Doc, q int) ([]string, bool) {
 // repeats inside one window) over-counts the probability that the gram
 // occurs at all. Bounds are clamped to [0, 1].
 //
-// The returned bound slice is aligned with the gram slice.
-func DocGramBounds(doc *staccato.Doc, q int) ([]string, []float64, bool) {
+// The returned bound slice is aligned with the gram slice. short reports
+// whether doc has a retained reading shorter than q runes — the shortest
+// reading takes each chunk's shortest alternative — which is what
+// Entry.Short records; it is exact even when the DP overflows.
+func DocGramBounds(doc *staccato.Doc, q int) (grams []string, bounds []float64, short, ok bool) {
 	if q < 1 {
-		return nil, nil, false
+		return nil, nil, false, false
 	}
+	shortest := 0
+	for _, ch := range doc.Chunks {
+		least := 0 // a chunk without alternatives reads as the empty string below
+		for i, alt := range ch.Alts {
+			if n := utf8.RuneCountInString(alt.Text); i == 0 || n < least {
+				least = n
+			}
+		}
+		shortest += least
+	}
+	short = shortest < q
 	mass := make(map[string]float64)
 	// suffixes maps every distinct last-(≤ q-1)-rune string of a reading
 	// prefix ending at the previous chunk boundary to the total probability
@@ -162,16 +183,16 @@ func DocGramBounds(doc *staccato.Doc, q int) ([]string, []float64, bool) {
 			}
 		}
 		if len(next) > maxSuffixes {
-			return nil, nil, false
+			return nil, nil, short, false
 		}
 		suffixes = next
 	}
-	grams := make([]string, 0, len(mass))
+	grams = make([]string, 0, len(mass))
 	for g := range mass {
 		grams = append(grams, g)
 	}
 	sort.Strings(grams)
-	bounds := make([]float64, len(grams))
+	bounds = make([]float64, len(grams))
 	for i, g := range grams {
 		b := mass[g]
 		if b > 1 {
@@ -179,5 +200,5 @@ func DocGramBounds(doc *staccato.Doc, q int) ([]string, []float64, bool) {
 		}
 		bounds[i] = b
 	}
-	return grams, bounds, true
+	return grams, bounds, short, true
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 )
@@ -28,6 +29,17 @@ type Index struct {
 	// always holds ordinals of overflow documents, which are candidates
 	// for every query.
 	always map[uint32]struct{}
+	// short holds ordinals of non-overflow documents with a reading
+	// shorter than q runes (Entry.Short), which are candidates for every
+	// wildcard lookup.
+	short map[uint32]struct{}
+	// alphabet is every rune of every gram ever indexed, ascending and
+	// grow-only: the values a wildcard position is probed with.
+	alphabet []rune
+	ascii    [2]uint64 // bitmap of the alphabet's runes below utf8.RuneSelf
+
+	// accums recycles the ordinal-sized scratch of wildcard lookups.
+	accums sync.Pool
 }
 
 // New returns an empty index over q-rune grams. q < 1 selects
@@ -41,6 +53,7 @@ func New(q int) *Index {
 		ord:    make(map[string]uint32),
 		post:   make(map[string]*postings),
 		always: make(map[uint32]struct{}),
+		short:  make(map[uint32]struct{}),
 	}
 }
 
@@ -79,11 +92,15 @@ func (ix *Index) Apply(adds []Entry, dels []string) {
 			ix.always[o] = struct{}{}
 			continue
 		}
+		if e.Short {
+			ix.short[o] = struct{}{}
+		}
 		for i, g := range e.Grams {
 			p := ix.post[g]
 			if p == nil {
 				p = new(postings)
 				ix.post[g] = p
+				ix.learnRunes(g)
 			}
 			p.ords = append(p.ords, o)
 			p.bnds = append(p.bnds, e.Bound(i))
@@ -96,7 +113,25 @@ func (ix *Index) kill(id string) {
 	if o, ok := ix.ord[id]; ok {
 		delete(ix.ord, id)
 		delete(ix.always, o)
+		delete(ix.short, o)
 		ix.ids[o] = ""
+	}
+}
+
+// learnRunes adds a new gram's runes to the alphabet. Callers hold ix.mu.
+func (ix *Index) learnRunes(g string) {
+	for _, r := range g {
+		// A bulk load meets every gram as a new one; the bitmap keeps its
+		// ASCII runes, nearly all already known, off the search below.
+		if r < utf8.RuneSelf && ix.ascii[r/64]&(1<<(r%64)) != 0 {
+			continue
+		}
+		if at, known := slices.BinarySearch(ix.alphabet, r); !known {
+			ix.alphabet = slices.Insert(ix.alphabet, at, r)
+		}
+		if r < utf8.RuneSelf {
+			ix.ascii[r/64] |= 1 << (r % 64)
+		}
 	}
 }
 
@@ -110,7 +145,10 @@ func (ix *Index) kill(id string) {
 //
 // This is the index half of the planner's no-false-negative contract: a
 // live document absent from the returned set provably has no retained
-// reading containing all of grams.
+// reading containing all of grams. It is the all-literal case of
+// WildcardCandidates: one pattern, every window a known gram, and — since
+// a reading holding a whole gram is at least q runes long — no need for
+// the short documents.
 func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool) {
 	if len(grams) == 0 {
 		return nil, nil, false
@@ -135,15 +173,29 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 		}
 		acc = intersect(acc, next)
 	}
+	ids, bnds := ix.materialize(acc, false)
+	return ids, bnds, true
+}
 
-	// A live document owns exactly one ordinal, which sits in a posting
-	// list or in always, never both — so the IDs below are distinct.
+// materialize is the one place a lookup leaves ordinal space: it turns
+// acc into ascending live document IDs with their bounds, joined at bound
+// 1 by every overflow document and, withShort, every short one. Callers
+// hold ix.mu.
+func (ix *Index) materialize(acc postings, withShort bool) ([]string, []float64) {
+	// A live document owns exactly one ordinal, which sits in always or in
+	// posting lists, never both; a short document does sit in posting
+	// lists, so withShort drops it from acc before it joins at bound 1.
 	type cand struct {
 		id string
 		b  float64
 	}
 	out := make([]cand, 0, len(acc.ords)+len(ix.always))
 	for k, o := range acc.ords {
+		if withShort && len(ix.short) > 0 {
+			if _, short := ix.short[o]; short {
+				continue
+			}
+		}
 		if id := ix.ids[o]; id != "" {
 			out = append(out, cand{id, acc.bnds[k]})
 		}
@@ -153,13 +205,18 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 			out = append(out, cand{id, 1})
 		}
 	}
+	if withShort {
+		for o := range ix.short {
+			out = append(out, cand{ix.ids[o], 1}) // kill keeps short to live ordinals
+		}
+	}
 	slices.SortFunc(out, func(a, b cand) int { return strings.Compare(a.id, b.id) })
 	ids := make([]string, len(out))
 	bnds := make([]float64, len(out))
 	for i, c := range out {
 		ids[i], bnds[i] = c.id, c.b
 	}
-	return ids, bnds, true
+	return ids, bnds
 }
 
 // postings is one gram's posting list: ascending document ordinals and,
@@ -238,9 +295,8 @@ func (ix *Index) Entries() []Entry {
 	ids := make([]string, 0, len(ix.ord))
 	for id, o := range ix.ord {
 		e := &Entry{ID: id}
-		if _, ok := ix.always[o]; ok {
-			e.Overflow = true
-		}
+		_, e.Overflow = ix.always[o]
+		_, e.Short = ix.short[o]
 		byID[id] = e
 		ids = append(ids, id)
 	}

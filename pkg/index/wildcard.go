@@ -1,0 +1,242 @@
+package index
+
+import (
+	"math/bits"
+	"sort"
+	"unicode/utf8"
+)
+
+// maxWildProbes bounds the dictionary probes one WildcardCandidates call
+// may spend expanding wildcard windows — each wildcard position multiplies
+// a window's probes by the alphabet size, so a large alphabet or a window
+// that is mostly wildcards is refused rather than paid for.
+const maxWildProbes = 1 << 15
+
+// WildcardCandidates answers a lookup by patterns instead of by grams. A
+// pattern is a rune sequence at least q long in which a negative rune is
+// a wildcard standing for any one rune. A document can hold a string
+// matching a pattern in a reading of q runes or more only if, for every
+// q-rune window of the pattern, its gram set holds some gram matching
+// that window; the result is every live document for which that is true
+// of at least one pattern — per pattern the intersection over windows of
+// the union over matching dictionary grams — plus every overflow document
+// and every document with a reading shorter than q, which no gram covers.
+// IDs are ascending; bounds[i] is an admissible upper bound on the
+// probability that a reading of ids[i] holds a match of some pattern:
+//
+//	min(1, Σ_pattern min_window min(1, Σ_gram bound(doc, gram)))
+//
+// a union bound over patterns and over a window's grams, and the min over
+// windows because a match needs them all; 1 for overflow and short
+// documents. Windows are expanded by probing the posting map with every
+// alphabet rune at each wildcard position, in ascending gram order, and
+// patterns are taken in the order given, so every float sum has a fixed
+// order. grams is the number of dictionary grams whose posting lists the
+// lookup read. ok is false — the caller must not prune — when patterns is
+// empty, when a pattern has no window with a literal rune (it constrains
+// nothing), or when the expansion would exceed maxWildProbes.
+func (ix *Index) WildcardCandidates(patterns [][]rune) (ids []string, bounds []float64, grams int, ok bool) {
+	if len(patterns) == 0 {
+		return nil, nil, 0, false
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	probes := maxWildProbes
+	scratch, total := ix.getAccum(), ix.getAccum()
+	for _, pat := range patterns {
+		// Expand every window first: probing is cheap next to reading the
+		// posting lists, and the rarest window is worth reading first.
+		var windows [][]*postings
+		for i := 0; i+ix.q <= len(pat); i++ {
+			hits, constrains, ok := ix.expand(pat[i:i+ix.q], &probes)
+			if !ok {
+				return nil, nil, 0, false
+			}
+			if constrains {
+				windows = append(windows, hits)
+				grams += len(hits)
+			}
+		}
+		if len(windows) == 0 {
+			return nil, nil, 0, false
+		}
+		if len(windows) == 1 {
+			// A pattern of exactly q runes: the window's bound sum is the
+			// pattern's, and capping it before or after it joins the other
+			// patterns' gives the same capped total — add it straight in.
+			for _, p := range windows[0] {
+				total.add(*p)
+			}
+			continue
+		}
+		sort.SliceStable(windows, func(i, j int) bool { return postingsIn(windows[i]) < postingsIn(windows[j]) })
+		// The first window's union is the only one built in full; every
+		// later window only confirms or drops what is left.
+		var acc postings
+		if first := windows[0]; len(first) == 1 {
+			acc = *first[0]
+		} else {
+			for _, p := range first {
+				scratch.add(*p)
+			}
+			acc = scratch.drain()
+		}
+		for _, hits := range windows[1:] {
+			if len(acc.ords) == 0 {
+				break
+			}
+			acc = scratch.within(acc, hits)
+		}
+		total.add(acc)
+	}
+	ids, bounds = ix.materialize(total.drain(), true)
+	// Both are drained, so empty; a refused lookup above leaves total
+	// part-filled and simply drops the pair.
+	ix.accums.Put(scratch)
+	ix.accums.Put(total)
+	return ids, bounds, grams, true
+}
+
+// expand returns, in ascending gram order, the posting lists of the
+// dictionary grams matching one q-rune window. constrains is false for a
+// window of wildcards only, which every gram matches; ok is false when
+// the probes would overdraw budget. Callers hold ix.mu.
+func (ix *Index) expand(window []rune, budget *int) (hits []*postings, constrains, ok bool) {
+	var wild []int // wildcard positions, left to right
+	for i, r := range window {
+		if r < 0 {
+			wild = append(wild, i)
+		}
+	}
+	if len(wild) == len(window) {
+		return nil, false, true
+	}
+	cost := 1
+	for range wild {
+		if cost *= len(ix.alphabet); cost > *budget {
+			return nil, false, false
+		}
+	}
+	if cost == 0 {
+		return nil, true, true // an empty dictionary has no gram to match
+	}
+	*budget -= cost
+	// An odometer over the wildcard positions, leftmost most significant:
+	// with the literal runes fixed, that visits the grams in ascending
+	// order (UTF-8 byte order is code point order).
+	probe := append([]rune(nil), window...)
+	at := make([]int, len(wild))
+	key := make([]byte, 0, len(window)*utf8.UTFMax)
+	for {
+		for k, i := range wild {
+			probe[i] = ix.alphabet[at[k]]
+		}
+		key = key[:0]
+		for _, r := range probe {
+			key = utf8.AppendRune(key, r)
+		}
+		if p := ix.post[string(key)]; p != nil {
+			hits = append(hits, p)
+		}
+		k := len(wild) - 1
+		for ; k >= 0; k-- {
+			if at[k]++; at[k] < len(ix.alphabet) {
+				break
+			}
+			at[k] = 0
+		}
+		if k < 0 {
+			return hits, true, true
+		}
+	}
+}
+
+// postingsIn is the total length of lists.
+func postingsIn(lists []*postings) int {
+	n := 0
+	for _, p := range lists {
+		n += len(p.ords)
+	}
+	return n
+}
+
+// accum unions posting lists in ordinal space. Lists are added in an
+// order the caller fixes, so each ordinal's bounds are summed in that
+// order and the float result is deterministic.
+type accum struct {
+	sum  []float64 // per ordinal: the bounds added so far; valid where seen
+	seen []uint64  // bitmap of the ordinals added
+	n    int       // bits set in seen
+}
+
+// getAccum returns an empty accum for every ordinal issued so far: a
+// recycled one if it is large enough, else a new one with room to grow.
+// Callers hold ix.mu.
+func (ix *Index) getAccum() *accum {
+	n := len(ix.ids)
+	if a, _ := ix.accums.Get().(*accum); a != nil && len(a.sum) >= n {
+		return a
+	}
+	n += n / 4
+	return &accum{sum: make([]float64, n), seen: make([]uint64, (n+63)/64)}
+}
+
+func (a *accum) add(l postings) {
+	for k, o := range l.ords {
+		if w, bit := o/64, uint64(1)<<(o%64); a.seen[w]&bit == 0 {
+			a.seen[w] |= bit
+			a.sum[o] = l.bnds[k]
+			a.n++
+		} else {
+			a.sum[o] += l.bnds[k]
+		}
+	}
+}
+
+// drain returns the union of the lists added — ascending ordinals, each
+// with its bound sum capped at 1 — and empties a for reuse.
+func (a *accum) drain() postings {
+	out := postings{ords: make([]uint32, 0, a.n), bnds: make([]float64, 0, a.n)}
+	for w, word := range a.seen {
+		for ; word != 0; word &= word - 1 {
+			o := uint32(w*64 + bits.TrailingZeros64(word))
+			out.ords = append(out.ords, o)
+			out.bnds = append(out.bnds, min(1, a.sum[o]))
+		}
+		a.seen[w] = 0
+	}
+	a.n = 0
+	return out
+}
+
+// within intersects acc with the union of lists without building the
+// union: it returns the postings of acc whose ordinal some list holds,
+// each at the min of its bound and the capped sum of its bounds in lists,
+// summed in list order. a must be empty and is left empty.
+func (a *accum) within(acc postings, lists []*postings) postings {
+	for _, o := range acc.ords {
+		a.seen[o/64] |= 1 << (o % 64)
+		a.sum[o] = -1 // in acc, in no list yet; bounds are never negative
+	}
+	for _, l := range lists {
+		for k, o := range l.ords {
+			if a.seen[o/64]&(1<<(o%64)) == 0 {
+				continue
+			}
+			if a.sum[o] < 0 {
+				a.sum[o] = l.bnds[k]
+			} else {
+				a.sum[o] += l.bnds[k]
+			}
+		}
+	}
+	var out postings // fresh backing; acc may be a shared posting list
+	for k, o := range acc.ords {
+		a.seen[o/64] &^= 1 << (o % 64)
+		if a.sum[o] >= 0 {
+			out.ords = append(out.ords, o)
+			out.bnds = append(out.bnds, min(acc.bnds[k], a.sum[o]))
+		}
+	}
+	return out
+}

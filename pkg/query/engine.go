@@ -80,7 +80,9 @@ type SearchStats struct {
 	EarlyStopped bool `json:"early_stopped"`
 	// IndexUsed reports whether a candidate set restricted the run at all.
 	IndexUsed bool `json:"index_used"`
-	// PlanGrams is the number of distinct grams the planner consulted.
+	// PlanGrams is the number of dictionary grams the planner consulted:
+	// the distinct grams the plan names, plus every gram a wildcard leaf's
+	// patterns expanded to in the index (Plan.Lookup).
 	PlanGrams int `json:"plan_grams"`
 	// Plan is the rendered Plan the run executed under.
 	Plan string `json:"plan"`

@@ -36,11 +36,19 @@ func (q *Query) Eval(d *staccato.Doc) float64 {
 // remainder carries partial-match state across chunk boundaries, which is
 // how matches spanning two chunks are credited.
 func evalDoc(d *staccato.Doc, a automaton) float64 {
-	vec := make([]float64, a.numStates())
+	// vec and next swap roles chunk by chunk over one buffer, which stays
+	// on the stack for any automaton of up to evalStackStates states.
+	var stack [2 * evalStackStates]float64
+	n := a.numStates()
+	buf := stack[:]
+	if 2*n > len(buf) {
+		buf = make([]float64, 2*n)
+	}
+	vec, next := buf[:n], buf[n:2*n]
 	vec[a.start()] = 1
 	matched := 0.0
 	for _, ch := range d.Chunks {
-		next := make([]float64, len(vec))
+		clear(next)
 		for q, p := range vec {
 			//lint:allow floateq exact zero marks an unreached state (never written); an epsilon test would skip real low-probability mass
 			if p == 0 {
@@ -55,7 +63,7 @@ func evalDoc(d *staccato.Doc, a automaton) float64 {
 				}
 			}
 		}
-		vec = next
+		vec, next = next, vec
 	}
 	for q, p := range vec {
 		if p > 0 && a.acceptAtEnd(q) {
@@ -64,6 +72,11 @@ func evalDoc(d *staccato.Doc, a automaton) float64 {
 	}
 	return matched
 }
+
+// evalStackStates is the largest automaton evalDoc runs without a heap
+// allocation: a distance-1 Levenshtein DFA of a 5-rune term has 36
+// states, a keyword automaton two more than its term has runes.
+const evalStackStates = 64
 
 // runString advances the automaton over s from state q, reporting a match
 // as soon as one completes (matching is absorbing for "contains" queries).

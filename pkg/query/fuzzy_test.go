@@ -315,10 +315,11 @@ func TestFuzzyStringAndPlanRender(t *testing.T) {
 		t.Errorf("plan = %q, want %q", s, want)
 	}
 
-	// Too short to split into distance+1 grammable pieces: degrade to scan.
+	// Too short to split into distance+1 grammable pieces: planned through
+	// the gram dictionary instead (TestPlanFuzzyEditPatterns).
 	short := mustQ(query.Fuzzy("abcde", 1)) // floor(5/2)=2 < 3
-	if short.Plan(3).Prunable() {
-		t.Errorf("plan %q should degrade to scan", short.Plan(3).String())
+	if got, want := short.Plan(3).String(), `wild(fuzzy("abcde", 1) ×10 patterns)`; got != want {
+		t.Errorf("plan = %q, want %q", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // This file is the planning half of indexed execution. A compiled Query
@@ -22,7 +23,13 @@ import (
 //   - a substring or keyword leaf of at least gramSize runes requires
 //     every q-gram of its term (a reading containing the term contains
 //     them all), so its candidates are the intersection of those postings;
-//   - a shorter leaf leaves no gram evidence and cannot prune;
+//   - a fuzzy leaf of at least gramSize runes too short for the
+//     pigeonhole lowering is planned through the gram dictionary: the
+//     patterns a match must leave in a reading, with wildcards where the
+//     match does not fix the rune (see buildWildLeaf);
+//   - a leaf shorter than gramSize scans: no gram holds its whole term
+//     (padding it with wildcards at every offset would plan it the same
+//     way; ROADMAP item 4 says why that waits);
 //   - AND intersects its children's candidate sets (children that cannot
 //     prune simply drop out of the intersection);
 //   - OR unions its children and can only prune if every child can;
@@ -199,6 +206,16 @@ type PostingSource interface {
 	// early-termination fuel. ok=false means the source cannot answer (for
 	// example, grams is empty) and the caller must not prune.
 	CandidatesWithBounds(grams []string) (ids []string, bounds []float64, ok bool)
+	// WildcardCandidates is the lookup by patterns: rune sequences at
+	// least the gram size long in which a negative rune is a wildcard for
+	// any one rune. It returns, in the same shape, the documents that may
+	// hold a string matching at least one pattern — or may hold a reading
+	// shorter than the gram size, which no gram describes — with an
+	// admissible bound on the probability that they do, and how many
+	// dictionary grams it read to find them. ok=false means the source
+	// cannot answer (no patterns, a pattern of wildcards only, more
+	// dictionary probes than it will spend) and the caller must not prune.
+	WildcardCandidates(patterns [][]rune) (ids []string, bounds []float64, grams int, ok bool)
 }
 
 // Plan is the pruning strategy extracted from a Query at a given gram
@@ -226,18 +243,33 @@ func (q *Query) Plan(gramSize int) *Plan {
 // cannot prune and every document must be scanned; a non-nil result —
 // possibly empty — restricts the scan to its members.
 func (p *Plan) Candidates(src PostingSource) *CandidateSet {
-	set, ok := p.root.candidates(src)
-	if !ok {
-		return nil
-	}
+	set, _ := p.lookup(src)
 	return set
+}
+
+// Lookup is Candidates plus the number of dictionary grams consulted to
+// build the set: NumGrams, and for every wildcard leaf the grams src
+// expanded its patterns to — a count that depends on the index, not just
+// on the plan.
+func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
+	set, expanded := p.lookup(src)
+	return set, p.NumGrams() + expanded
+}
+
+func (p *Plan) lookup(src PostingSource) (set *CandidateSet, expanded int) {
+	set, ok := p.root.candidates(src, &expanded)
+	if !ok {
+		return nil, expanded
+	}
+	return set, expanded
 }
 
 // Prunable reports whether the plan can restrict a scan at all, given a
 // cooperative posting source.
 func (p *Plan) Prunable() bool { return p.root.prunable() }
 
-// NumGrams returns the number of distinct grams the plan consults.
+// NumGrams returns the number of distinct grams the plan names; wildcard
+// leaves name none (see Lookup).
 func (p *Plan) NumGrams() int {
 	grams := make(map[string]struct{})
 	p.root.collectGrams(grams)
@@ -255,9 +287,10 @@ func (p *Plan) String() string {
 
 // planNode mirrors the query's expr tree, reduced to what matters for
 // pruning. candidates returns (set, true) to restrict the scan to set, or
-// (nil, false) when this branch cannot prune.
+// (nil, false) when this branch cannot prune, and adds to *expanded the
+// dictionary grams a wildcard lookup read.
 type planNode interface {
-	candidates(src PostingSource) (*CandidateSet, bool)
+	candidates(src PostingSource, expanded *int) (*CandidateSet, bool)
 	prunable() bool
 	collectGrams(into map[string]struct{})
 	render(sb *strings.Builder)
@@ -266,18 +299,20 @@ type planNode interface {
 // planAll is a branch that cannot prune: every document is a candidate.
 type planAll struct{ reason string }
 
-func (n planAll) candidates(PostingSource) (*CandidateSet, bool) { return nil, false }
-func (n planAll) prunable() bool                                 { return false }
-func (n planAll) collectGrams(map[string]struct{})               {}
-func (n planAll) render(sb *strings.Builder)                     { fmt.Fprintf(sb, "scan(%s)", n.reason) }
+func (n planAll) candidates(PostingSource, *int) (*CandidateSet, bool) { return nil, false }
+func (n planAll) prunable() bool                                       { return false }
+func (n planAll) collectGrams(map[string]struct{})                     {}
+func (n planAll) render(sb *strings.Builder)                           { fmt.Fprintf(sb, "scan(%s)", n.reason) }
 
 // planNone is the constant-false branch: no document can match.
 type planNone struct{}
 
-func (planNone) candidates(PostingSource) (*CandidateSet, bool) { return NewCandidateSet(), true }
-func (planNone) prunable() bool                                 { return true }
-func (planNone) collectGrams(map[string]struct{})               {}
-func (planNone) render(sb *strings.Builder)                     { sb.WriteString("none") }
+func (planNone) candidates(PostingSource, *int) (*CandidateSet, bool) {
+	return NewCandidateSet(), true
+}
+func (planNone) prunable() bool                   { return true }
+func (planNone) collectGrams(map[string]struct{}) {}
+func (planNone) render(sb *strings.Builder)       { sb.WriteString("none") }
 
 // planGrams is a prunable leaf: all grams must be present in a matching
 // document. For a fuzzy leaf, term is one contiguous piece of the query
@@ -290,7 +325,7 @@ type planGrams struct {
 	grams []string
 }
 
-func (n planGrams) candidates(src PostingSource) (*CandidateSet, bool) {
+func (n planGrams) candidates(src PostingSource, _ *int) (*CandidateSet, bool) {
 	ids, bounds, ok := src.CandidatesWithBounds(n.grams)
 	if !ok {
 		return nil, false
@@ -317,13 +352,39 @@ func (n planGrams) render(sb *strings.Builder) {
 	}
 }
 
+// planWild is a prunable fuzzy leaf planned through the gram dictionary:
+// a matching document must hold a string matching one of patterns (see
+// buildWildLeaf), each at least gramSize runes with negative runes for
+// wildcards. term and dist are the whole leaf's, for rendering.
+type planWild struct {
+	term     string
+	dist     int
+	patterns [][]rune
+}
+
+func (n planWild) candidates(src PostingSource, expanded *int) (*CandidateSet, bool) {
+	ids, bounds, grams, ok := src.WildcardCandidates(n.patterns)
+	if !ok {
+		return nil, false
+	}
+	*expanded += grams
+	return &CandidateSet{ids: ids, bounds: bounds}, true
+}
+
+func (n planWild) prunable() bool                   { return true }
+func (n planWild) collectGrams(map[string]struct{}) {}
+
+func (n planWild) render(sb *strings.Builder) {
+	fmt.Fprintf(sb, "wild(fuzzy(%q, %d) ×%d patterns)", n.term, n.dist, len(n.patterns))
+}
+
 type planAnd []planNode
 
-func (n planAnd) candidates(src PostingSource) (*CandidateSet, bool) {
+func (n planAnd) candidates(src PostingSource, expanded *int) (*CandidateSet, bool) {
 	var acc *CandidateSet
 	got := false
 	for _, kid := range n {
-		set, ok := kid.candidates(src)
+		set, ok := kid.candidates(src, expanded)
 		if !ok {
 			continue // this child cannot prune; the others still restrict
 		}
@@ -355,10 +416,10 @@ func (n planAnd) render(sb *strings.Builder) { renderPlanList(sb, "and", n) }
 
 type planOr []planNode
 
-func (n planOr) candidates(src PostingSource) (*CandidateSet, bool) {
+func (n planOr) candidates(src PostingSource, expanded *int) (*CandidateSet, bool) {
 	acc := &CandidateSet{bounds: []float64{}}
 	for _, kid := range n {
-		set, ok := kid.candidates(src)
+		set, ok := kid.candidates(src, expanded)
 		if !ok {
 			return nil, false // one unprunable branch admits any document
 		}
@@ -406,15 +467,22 @@ func buildPlan(e expr, leaves []leaf, gramSize int) planNode {
 		}
 		return planNone{}
 	case leafExpr:
+		// The term's length picks the lowering. A term with no gram of its
+		// own scans. Otherwise the shortest contiguous piece a match is sure
+		// to leave intact — the whole term, or a fuzzy leaf's pigeonhole
+		// piece — either carries a gram or the leaf, fuzzy then, goes
+		// through the gram dictionary.
 		lf := leaves[t]
-		if lf.mode == ModeFuzzy {
-			return buildFuzzyLeaf(lf, gramSize)
-		}
-		grams := termGrams(lf.term, gramSize)
-		if len(grams) == 0 {
+		switch runes := []rune(lf.term); {
+		case len(runes) < gramSize:
 			return planAll{reason: fmt.Sprintf("term %q shorter than gram size %d", lf.term, gramSize)}
+		case len(runes)/(lf.dist+1) < gramSize:
+			return buildWildLeaf(lf, runes, gramSize)
+		case lf.mode == ModeFuzzy:
+			return buildFuzzyLeaf(lf, runes, gramSize)
+		default:
+			return planGrams{term: lf.term, mode: lf.mode, grams: termGrams(lf.term, gramSize)}
 		}
-		return planGrams{term: lf.term, mode: lf.mode, grams: grams}
 	case notExpr:
 		// P(not q) > 0 for any document with P(q) < 1; the index records
 		// possible readings, not certain ones, so negation never prunes.
@@ -470,15 +538,10 @@ func buildPlan(e expr, leaves []leaf, gramSize int) planNode {
 // piece appears contiguously in the matched window, so the document must
 // contain every one of its q-grams. The union over pieces of "has all of
 // this piece's grams" is therefore a sound superset of the matches. The
-// lowering is only available when every piece carries gram evidence,
-// i.e. the shortest piece — floor(m/(dist+1)) runes — is at least
-// gramSize; shorter terms degrade to a scan, per the strictly
-// no-false-negative contract.
-func buildFuzzyLeaf(lf leaf, gramSize int) planNode {
-	runes := []rune(lf.term)
-	if len(runes)/(lf.dist+1) < gramSize {
-		return planAll{reason: fmt.Sprintf("fuzzy term %q at distance %d leaves pieces shorter than gram size %d", lf.term, lf.dist, gramSize)}
-	}
+// lowering needs every piece to carry gram evidence, i.e. the shortest
+// piece — floor(m/(dist+1)) runes — to be at least gramSize, which
+// buildPlan has checked; shorter terms go to buildWildLeaf.
+func buildFuzzyLeaf(lf leaf, runes []rune, gramSize int) planNode {
 	kids := make([]planNode, 0, lf.dist+1)
 	for _, piece := range splitPieces(runes, lf.dist+1) {
 		kids = append(kids, planGrams{term: piece, mode: ModeFuzzy, dist: lf.dist, grams: termGrams(piece, gramSize)})
@@ -487,6 +550,136 @@ func buildFuzzyLeaf(lf leaf, gramSize int) planNode {
 		return kids[0]
 	}
 	return planOr(kids)
+}
+
+// maxWildPatterns caps the patterns of one wildcard leaf, and with them
+// the dictionary expansions a lookup pays for; a leaf over it scans.
+// Distance 1 stays under it up to 10 runes — every term too short for
+// the pigeonhole at gram sizes up to 5 — and distance 2 never does: its
+// patterns are many and match most of any corpus.
+const maxWildPatterns = 32
+
+// wildcard marks a pattern position that stands for any one rune.
+const wildcard rune = -1
+
+// buildWildLeaf lowers a fuzzy leaf whose match may leave no whole gram
+// of the term in a reading: its pigeonhole pieces are shorter than
+// gramSize. What a match does leave is a string matching one of a few
+// patterns — the term under every choice of at most dist edits, with a
+// wildcard at each substituted or inserted rune (see editPatterns). If
+// the reading holding that string is at least gramSize runes long, each
+// gramSize-rune window of the pattern (a pattern a deletion left shorter
+// than gramSize is first padded with wildcards, at every offset) lies
+// over a gram of the reading that matches it, so the document's gram set
+// holds a matching gram for every window of some pattern; and if the
+// reading is shorter, the index knows the document as one with such a
+// reading. That is exactly the set PostingSource.WildcardCandidates
+// returns, so it is a sound superset of the matches.
+func buildWildLeaf(lf leaf, runes []rune, gramSize int) planNode {
+	patterns := editPatterns(runes, lf.dist)
+	if patterns != nil {
+		patterns = padPatterns(patterns, gramSize)
+	}
+	if patterns == nil {
+		return planAll{reason: fmt.Sprintf("fuzzy term %q at distance %d leaves pieces shorter than gram size %d", lf.term, lf.dist, gramSize)}
+	}
+	return planWild{term: lf.term, dist: lf.dist, patterns: patterns}
+}
+
+// editPatterns returns patterns such that every string within dist edits
+// of term matches at least one: term under each sequence of at most dist
+// single-rune deletions, substitutions (the rune becomes a wildcard) and
+// insertions (a wildcard appears), in generation order, less every
+// pattern another one covers. nil means more than maxWildPatterns distinct
+// edits.
+func editPatterns(term []rune, dist int) [][]rune {
+	var all [][]rune
+	seen := map[string]bool{}
+	add := func(p []rune) {
+		// 0xFF occurs in no rune's UTF-8, so it keys the wildcard apart from
+		// every literal.
+		var key []byte
+		for _, r := range p {
+			if r == wildcard {
+				key = append(key, 0xFF)
+			} else {
+				key = utf8.AppendRune(key, r)
+			}
+		}
+		if !seen[string(key)] {
+			seen[string(key)] = true
+			all = append(all, p)
+		}
+	}
+	add(term)
+	for level, from := 0, 0; level < dist; level++ {
+		upto := len(all)
+		for _, p := range all[from:upto] {
+			for i := range p {
+				add(slices.Delete(slices.Clone(p), i, i+1))
+				sub := slices.Clone(p)
+				sub[i] = wildcard
+				add(sub)
+			}
+			for i := 0; i <= len(p); i++ {
+				add(slices.Insert(slices.Clone(p), i, wildcard))
+			}
+			if len(all) > maxWildPatterns {
+				return nil
+			}
+		}
+		from = upto
+	}
+	// A string matching a covered pattern holds one matching its cover, so
+	// the cover alone admits every document the covered pattern would. Two
+	// distinct patterns never cover each other, so dropping every covered
+	// one keeps a cover of each.
+	var minimal [][]rune
+	for i, p := range all {
+		covered := false
+		for j, c := range all {
+			if covered = j != i && covers(c, p); covered {
+				break
+			}
+		}
+		if !covered {
+			minimal = append(minimal, p)
+		}
+	}
+	return minimal
+}
+
+// covers reports whether every string matching p contains one matching
+// c: at some offset, each literal of c faces the same literal of p.
+func covers(c, p []rune) bool {
+next:
+	for at := 0; at+len(c) <= len(p); at++ {
+		for i, r := range c {
+			if r != wildcard && r != p[at+i] {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// padPatterns brings every pattern shorter than q runes to q by adding
+// wildcards around it, once per offset — a reading of at least q runes
+// that holds the short match holds it inside some q-rune window. nil
+// means more than maxWildPatterns results.
+func padPatterns(patterns [][]rune, q int) [][]rune {
+	var out [][]rune
+	for _, p := range patterns {
+		pad := slices.Repeat([]rune{wildcard}, max(0, q-len(p)))
+		for lead := range len(pad) + 1 {
+			out = append(out, slices.Concat(pad[:lead], p, pad[lead:]))
+		}
+		if len(out) > maxWildPatterns {
+			return nil
+		}
+	}
+	return out
 }
 
 // splitPieces splits runes into n contiguous pieces whose lengths differ

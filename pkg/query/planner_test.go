@@ -19,6 +19,24 @@ import (
 type fakeSource struct {
 	byGram map[string][]string
 	calls  [][]string
+	// wild is what WildcardCandidates answers; wildCalls what it was asked,
+	// one string per pattern with '?' for a wildcard.
+	wild      []string
+	wildCalls [][]string
+}
+
+func (f *fakeSource) WildcardCandidates(patterns [][]rune) ([]string, []float64, int, bool) {
+	call := make([]string, len(patterns))
+	for i, p := range patterns {
+		for _, r := range p {
+			if r < 0 {
+				r = '?'
+			}
+			call[i] += string(r)
+		}
+	}
+	f.wildCalls = append(f.wildCalls, call)
+	return f.wild, nil, len(patterns), true
 }
 
 func (f *fakeSource) CandidatesWithBounds(grams []string) ([]string, []float64, bool) {
@@ -71,17 +89,110 @@ func TestPlanLeafGrams(t *testing.T) {
 	}
 }
 
+// TestPlanShortTermCannotPrune: a term shorter than the gram size has no
+// gram of its own and scans, whatever its mode.
 func TestPlanShortTermCannotPrune(t *testing.T) {
-	q := mustQ(query.Substring("ab"))
-	plan := q.Plan(3)
-	if plan.Prunable() {
-		t.Error("2-rune term must not prune at q=3")
+	for _, q := range []*query.Query{
+		mustQ(query.Substring("ab")),
+		mustQ(query.Keyword("ab")),
+		mustQ(query.Substring("é")),
+		mustQ(query.Fuzzy("ab", 1)),
+	} {
+		plan := q.Plan(3)
+		if plan.Prunable() {
+			t.Errorf("%s must not prune at q=3", q)
+		}
+		src := &fakeSource{}
+		if cand := plan.Candidates(src); cand != nil || len(src.calls)+len(src.wildCalls) != 0 {
+			t.Errorf("%s: candidates = %v after lookups %v %v, want nil (scan all) and none", q, cand.IDs(), src.calls, src.wildCalls)
+		}
+		if !strings.HasPrefix(plan.String(), "scan(term ") || !strings.HasSuffix(plan.String(), " shorter than gram size 3)") {
+			t.Errorf("%s: plan %q should render a scan branch naming the gram size", q, plan.String())
+		}
 	}
-	if cand := plan.Candidates(&fakeSource{}); cand != nil {
-		t.Errorf("candidates = %v, want nil (scan all)", cand.IDs())
+}
+
+// TestPlanFuzzyEditPatterns pins the patterns of a fuzzy leaf too short
+// for the pigeonhole: every edit of the term within the distance, a
+// wildcard at each substituted or inserted rune, less the patterns
+// another one covers — "abcd" itself, "?bcd", "a?bcd" all hold "bcd" —
+// and that the source's answer to them is the candidate set.
+func TestPlanFuzzyEditPatterns(t *testing.T) {
+	for _, c := range []struct {
+		term   string
+		dist   int
+		q      int
+		render string
+		asked  []string
+	}{
+		{"abcd", 1, 3, `wild(fuzzy("abcd", 1) ×7 patterns)`,
+			[]string{"bcd", "acd", "a?cd", "abd", "ab?d", "abc", "ab?cd"}},
+		// Deletions leave 2-rune patterns, padded to the gram size with a
+		// wildcard at every offset.
+		{"abc", 1, 3, `wild(fuzzy("abc", 1) ×7 patterns)`,
+			[]string{"bc?", "?bc", "ac?", "?ac", "a?c", "ab?", "?ab"}},
+		// A repeated rune makes two deletions one pattern.
+		{"aab", 1, 3, `wild(fuzzy("aab", 1) ×5 patterns)`,
+			[]string{"ab?", "?ab", "a?b", "aa?", "?aa"}},
+		{"日本語", 1, 2, `wild(fuzzy("日本語", 1) ×4 patterns)`,
+			[]string{"本語", "日語", "日?語", "日本"}},
+	} {
+		plan := mustQ(query.Fuzzy(c.term, c.dist)).Plan(c.q)
+		if got := plan.String(); got != c.render {
+			t.Errorf("fuzzy(%q, %d) at q=%d: plan = %q, want %q", c.term, c.dist, c.q, got, c.render)
+		}
+		if !plan.Prunable() || plan.NumGrams() != 0 {
+			t.Errorf("fuzzy(%q, %d) at q=%d: prunable %v, NumGrams %d; want a prunable leaf that names no gram",
+				c.term, c.dist, c.q, plan.Prunable(), plan.NumGrams())
+		}
+		src := &fakeSource{wild: []string{"d1", "d4"}}
+		cand, grams := plan.Lookup(src)
+		if !reflect.DeepEqual(src.wildCalls, [][]string{c.asked}) {
+			t.Errorf("fuzzy(%q, %d) at q=%d: source was asked %v, want [%v]", c.term, c.dist, c.q, src.wildCalls, c.asked)
+		}
+		if cand == nil || !reflect.DeepEqual(cand.IDs(), []string{"d1", "d4"}) {
+			t.Errorf("fuzzy(%q, %d) at q=%d: candidates = %v, want the source's answer", c.term, c.dist, c.q, cand.IDs())
+		}
+		if grams != len(c.asked) { // fakeSource reports one gram per pattern
+			t.Errorf("fuzzy(%q, %d) at q=%d: Lookup counted %d consulted grams, want %d", c.term, c.dist, c.q, grams, len(c.asked))
+		}
 	}
-	if !strings.Contains(plan.String(), "scan(") {
-		t.Errorf("plan %q should render a scan branch", plan.String())
+}
+
+// TestPlanStillScans keeps the cases the wildcard lowering does not
+// reach: a fuzzy leaf over the pattern budget (distance 2 below the
+// pigeonhole length, or distance 1 on a term too long for a large gram
+// size) and a source that cannot answer. TestPlanShortTermCannotPrune has
+// the terms shorter than a gram.
+func TestPlanStillScans(t *testing.T) {
+	for _, c := range []struct {
+		q    *query.Query
+		size int
+		want string
+	}{
+		{mustQ(query.Fuzzy("abcd", 2)), 3, `scan(fuzzy term "abcd" at distance 2 leaves pieces shorter than gram size 3)`},
+		{mustQ(query.Fuzzy("abcdefgh", 2)), 3, `scan(fuzzy term "abcdefgh" at distance 2 leaves pieces shorter than gram size 3)`},
+		{mustQ(query.Fuzzy("abcdefghijk", 1)), 6, `scan(fuzzy term "abcdefghijk" at distance 1 leaves pieces shorter than gram size 6)`},
+	} {
+		plan := c.q.Plan(c.size)
+		if plan.Prunable() || plan.String() != c.want {
+			t.Errorf("%s: plan = %q (prunable %v), want %q", c.q, plan.String(), plan.Prunable(), c.want)
+		}
+		if cand := plan.Candidates(&fakeSource{}); cand != nil {
+			t.Errorf("%s: candidates = %v, want nil (scan all)", c.q, cand.IDs())
+		}
+	}
+	// The real index refuses a lookup over its probe budget; the plan
+	// still renders the wildcard leaf, and the run scans.
+	ix := index.New(3)
+	var grams []string // 6,000 distinct runes: six one-wildcard windows overdraw 2¹⁵ probes
+	for r := rune(0x4E00); r < 0x4E00+6000; r += 3 {
+		grams = append(grams, string([]rune{r, r + 1, r + 2}))
+	}
+	ix.Apply([]index.Entry{{ID: "d", Grams: grams}}, nil)
+	plan := mustQ(query.Fuzzy("abcd", 1)).Plan(3)
+	if cand := plan.Candidates(ix); cand != nil || !plan.Prunable() {
+		t.Errorf("fuzzy(abcd, 1) over a 6,000-rune alphabet: candidates = %v (prunable %v), want nil from a prunable plan", cand.IDs(), plan.Prunable())
 	}
 }
 
@@ -116,7 +227,7 @@ func TestPlanAndIntersectsOrUnions(t *testing.T) {
 
 func TestPlanAndWithUnprunableConjunctStillPrunes(t *testing.T) {
 	src := &fakeSource{byGram: map[string][]string{"aaa": {"d1"}}}
-	q := query.And(mustQ(query.Substring("aaa")), mustQ(query.Substring("x")))
+	q := query.And(mustQ(query.Substring("aaa")), query.Not(mustQ(query.Substring("xyz"))))
 	cand := q.Plan(3).Candidates(src)
 	if cand == nil {
 		t.Fatal("AND with one prunable conjunct should still prune")
@@ -128,7 +239,7 @@ func TestPlanAndWithUnprunableConjunctStillPrunes(t *testing.T) {
 
 func TestPlanOrWithUnprunableDisjunctScans(t *testing.T) {
 	src := &fakeSource{byGram: map[string][]string{"aaa": {"d1"}}}
-	q := query.Or(mustQ(query.Substring("aaa")), mustQ(query.Substring("x")))
+	q := query.Or(mustQ(query.Substring("aaa")), query.Not(mustQ(query.Substring("xyz"))))
 	if cand := q.Plan(3).Candidates(src); cand != nil {
 		t.Errorf("OR with an unprunable disjunct must scan; got %v", cand.IDs())
 	}

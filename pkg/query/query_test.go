@@ -302,3 +302,32 @@ func enumerate(f *fst.SFST) map[string]float64 {
 	walk(f.Start(), nil, 0)
 	return out
 }
+
+// TestEvalLeafAllocations pins what evaluating one candidate costs the
+// allocator: a single-term Eval swaps two state vectors over one stack
+// buffer, so it allocates nothing for the automata queries are made of —
+// a distance-1 Levenshtein DFA included — and once, not once per chunk,
+// for one too large for the stack.
+func TestEvalLeafAllocations(t *testing.T) {
+	cases, err := testgen.Docs(1, testgen.Config{Length: 60, Seed: 3}, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := cases[0].Doc
+	if len(doc.Chunks) != 6 {
+		t.Fatalf("document has %d chunks, want 6", len(doc.Chunks))
+	}
+	for _, c := range []struct {
+		q    *query.Query
+		want float64
+	}{
+		{mustQ(query.Substring("ab")), 0},
+		{mustQ(query.Keyword("abcde")), 0},
+		{mustQ(query.Fuzzy("abcde", 1)), 0},
+		{mustQ(query.Fuzzy("abcdefghijklmnopqrst", 2)), 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { c.q.Eval(doc) }); got != c.want {
+			t.Errorf("%s: %v allocations per document, want %v", c.q, got, c.want)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/index"
+	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
@@ -30,7 +31,13 @@ func buildDamageStore(t *testing.T) (dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range docsOf(corpus(t, damageDocs, 41)) {
+	docs := docsOf(corpus(t, damageDocs, 41))
+	// The last document has a reading shorter than the gram size, so the
+	// last INDEX commit carries a set Short bit in its flags byte.
+	docs[damageDocs-1] = &staccato.Doc{ID: "tiny", Chunks: []staccato.PathSet{{
+		Alts: []staccato.Alt{{Text: "ab", Prob: 0.5}, {Text: "abcd", Prob: 0.5}}, Retained: 1,
+	}}}
+	for _, d := range docs {
 		if err := db.Put(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
@@ -86,6 +93,12 @@ func TestDamageMatrix(t *testing.T) {
 		{"truncated header", func(d []byte, b []int64) []byte { return d[:last(b)+3] }, last, true, false},
 		{"truncated payload", func(d []byte, b []int64) []byte { return d[:end(b)-5] }, last, true, false},
 		{"flipped tail byte", func(d []byte, b []int64) []byte { return flip(d, end(b)-1) }, last, true, false},
+		// In the INDEX log the byte after the last commit's document ID is
+		// its v3 flags byte (in the segment, just another byte of the last
+		// record): the frame checksum must catch the flip in both.
+		{"flipped byte after the last ID", func(d []byte, b []int64) []byte {
+			return flip(d, int64(bytes.LastIndex(d, []byte("tiny"))+len("tiny")))
+		}, last, true, false},
 		{"flipped interior byte", func(d []byte, b []int64) []byte { return flip(d, mid(b)+framelog.HeaderSize+1) }, mid, false, false},
 		{"flipped byte in the first frame", func(d []byte, b []int64) []byte { return flip(d, framelog.HeaderSize+1) },
 			func(b []int64) int64 { return 0 }, false, true},
@@ -155,6 +168,11 @@ func TestDamageMatrix(t *testing.T) {
 			b := frameBounds(t, good)
 			if len(b) != damageDocs+3 {
 				t.Fatalf("index log holds %d frames, want header + snapshot + %d commits", len(b)-1, damageDocs)
+			}
+			if pristine, _, err := index.Load(path, index.DefaultGramSize); err != nil {
+				t.Fatal(err)
+			} else if es := pristine.Entries(); !es[len(es)-1].Short {
+				t.Fatalf("the last entry %+v is not Short; the matrix no longer covers the flags byte", es[len(es)-1])
 			}
 			bad := tc.damage(good, b)
 			if err := os.WriteFile(path, bad, 0o644); err != nil {

@@ -38,8 +38,9 @@
 // lookup and never touches the rest of the corpus, so a selective query
 // costs O(candidates), not O(corpus) — and with a result limit it takes
 // them best-bound-first and stops once the limit is provably filled. The
-// planner is conservative (AND intersects, OR unions, NOT and sub-gram
-// terms scan), so results are byte-identical across every mode
+// planner is conservative (AND intersects, OR unions, fuzzy terms too
+// short for the pigeonhole go through the gram dictionary, NOT and
+// sub-gram terms scan), so results are byte-identical across every mode
 // and with the index enabled, disabled, or absent; SearchStats reports
 // the mode taken and how much was pruned so the speedup is observable.
 package staccatodb
@@ -428,9 +429,9 @@ func planCandidates(ix *index.Index, q *query.Query, stats *query.SearchStats) *
 		return nil
 	}
 	plan := q.Plan(ix.GramSize())
-	cand := plan.Candidates(ix)
+	cand, grams := plan.Lookup(ix)
 	stats.Plan = plan.String()
-	stats.PlanGrams = plan.NumGrams()
+	stats.PlanGrams = grams
 	stats.IndexUsed = cand != nil
 	return cand
 }
@@ -449,7 +450,7 @@ func (db *DB) Explain(q *query.Query) string {
 	}
 	var planned query.SearchStats
 	cand := planCandidates(ix, q, &planned)
-	out := fmt.Sprintf("plan: %s\nindex: %d-gram over %d docs", planned.Plan, ix.GramSize(), ix.Len())
+	out := fmt.Sprintf("plan: %s\nindex: %d-gram over %d docs, %d dictionary grams consulted", planned.Plan, ix.GramSize(), ix.Len(), planned.PlanGrams)
 	if cand != nil {
 		out += fmt.Sprintf("\ncandidates: %d of %d docs\nmode: %s (Search fetches only the candidates)",
 			cand.Len(), ix.Len(), query.ExecCandidateOnly)

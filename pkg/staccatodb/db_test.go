@@ -3,6 +3,7 @@ package staccatodb_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -409,9 +410,29 @@ func TestExplain(t *testing.T) {
 		}
 	}
 	// An OR with an unprunable disjunct renders as a forced scan.
-	orQ := query.Or(mustQ(query.Substring("abcdef")), mustQ(query.Substring("ab")))
+	orQ := query.Or(mustQ(query.Substring("abcdef")), query.Not(mustQ(query.Substring("xyzw"))))
 	if out := db.Explain(orQ); !strings.Contains(out, "scan(") || !strings.Contains(out, "all (plan cannot prune)") {
 		t.Errorf("Explain of unprunable OR = %q", out)
+	}
+	// A fuzzy term too short for the pigeonhole goes through the gram
+	// dictionary and says how much of it the lookup read: a slow short-term
+	// query explains itself.
+	short := mustQ(query.Fuzzy(cases[0].Doc.MAP()[4:8], 1))
+	_, stats, err := db.Search(ctx, short, query.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Mode != query.ExecCandidateOnly || stats.PlanGrams < 1 || stats.DocsScanned < 1 {
+		t.Errorf("short-term search stats = %+v, want a candidate-only run over consulted grams", stats)
+	}
+	for _, want := range []string{
+		"wild(fuzzy(", " patterns)",
+		fmt.Sprintf("%d dictionary grams consulted", stats.PlanGrams),
+		fmt.Sprintf("candidates: %d of 10 docs", stats.DocsScanned),
+	} {
+		if out := db.Explain(short); !strings.Contains(out, want) {
+			t.Errorf("Explain of a short fuzzy term missing %q:\n%s", want, out)
+		}
 	}
 	noIdx, err := staccatodb.OpenMem(staccatodb.WithoutIndex())
 	if err != nil {

@@ -315,3 +315,67 @@ func TestFuzzyLexiconRescoreByteIdenticalAcrossModes(t *testing.T) {
 		t.Fatal("no fuzzy query matched any document; the rescore property is vacuous")
 	}
 }
+
+// TestShortTermExecutionModes pins which runs the wildcard lowering took
+// over and which still scan: a short fuzzy term at distance 1 runs under
+// a candidate set, while a term shorter than a gram, a negation, a fuzzy
+// leaf over the pattern budget, and any query WithoutIndex render
+// scan(...) and run ExecScan — with the same results either way.
+func TestShortTermExecutionModes(t *testing.T) {
+	ctx := context.Background()
+	cases := corpus(t, 40, 91)
+	db, err := staccatodb.OpenMem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	noIdx, err := staccatodb.OpenMem(staccatodb.WithoutIndex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer noIdx.Close()
+	for _, d := range []*staccatodb.DB{db, noIdx} {
+		if err := d.Ingest(ctx, docsOf(cases)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	word := cases[3].Doc.MAP()[6:10]
+	for _, c := range []struct {
+		q    *query.Query
+		top  int
+		mode query.ExecMode
+		plan string
+	}{
+		{mustQ(query.Fuzzy(word, 1)), 0, query.ExecCandidateOnly, "wild(fuzzy("},
+		{mustQ(query.Fuzzy(word, 1)), 5, query.ExecTopK, "wild(fuzzy("},
+		{mustQ(query.Fuzzy(word[:3], 1)), 5, query.ExecTopK, "wild(fuzzy("},
+		{mustQ(query.Substring(word[:2])), 5, query.ExecScan, "scan(term "},
+		{mustQ(query.Keyword(word[:1])), 0, query.ExecScan, "scan(term "},
+		{query.Not(mustQ(query.Substring(word[:2]))), 5, query.ExecScan, "scan(negation cannot prune)"},
+		{mustQ(query.Fuzzy(word, 2)), 5, query.ExecScan, "scan(fuzzy term"},
+		{query.Or(mustQ(query.Fuzzy(word, 1)), mustQ(query.Fuzzy(word, 2))), 0, query.ExecScan, "scan(fuzzy term"},
+	} {
+		opts := query.SearchOptions{TopN: c.top}
+		res, stats, err := db.Search(ctx, c.q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Mode != c.mode || !strings.HasPrefix(stats.Plan, c.plan) || stats.IndexUsed != (c.mode != query.ExecScan) {
+			t.Errorf("%s top=%d: mode %q index_used=%v plan %q, want mode %q under plan %s…",
+				c.q, c.top, stats.Mode, stats.IndexUsed, stats.Plan, c.mode, c.plan)
+		}
+		if c.mode != query.ExecScan && (stats.PlanGrams == 0 || stats.DocsPruned == 0) {
+			t.Errorf("%s top=%d: %d grams consulted, %d documents pruned; the lowering did no work", c.q, c.top, stats.PlanGrams, stats.DocsPruned)
+		}
+		scanned, scanStats, err := noIdx.Search(ctx, c.q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scanStats.Mode != query.ExecScan || scanStats.Plan != "scan (no index)" || scanStats.IndexUsed {
+			t.Errorf("%s WithoutIndex: stats %+v, want an unplanned scan", c.q, scanStats)
+		}
+		if !reflect.DeepEqual(res, scanned) {
+			t.Errorf("%s top=%d: indexed and WithoutIndex results differ\n indexed: %+v\n scan:    %+v", c.q, c.top, res, scanned)
+		}
+	}
+}

@@ -198,69 +198,88 @@ func TestSearchTopKEarlyStopsDeterministically(t *testing.T) {
 	}
 }
 
-// TestLegacyIndexFileRebuildsTransparently pins the v1 → v2 migration
-// story: a store directory holding a well-formed v1 index log (valid
-// frames, old magic) must open without error, rebuild the index from a
-// scan, persist it in the v2 format, and answer top-k searches byte
+// TestLegacyIndexFileRebuildsTransparently pins the migration story of
+// every format bump: a store directory holding a well-formed v1 or v2
+// index log (valid frames, old magic) must open without error — v2 was
+// written without the short-reading flag wildcard lookups rely on —
+// rebuild the index from a scan, persist it in the current format, and
+// answer top-k searches, a wildcard-planned one included, byte
 // identically to the pre-downgrade database.
 func TestLegacyIndexFileRebuildsTransparently(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	cases := corpus(t, 30, 7)
+	for _, magic := range []string{"staccato-index v1", "staccato-index v2"} {
+		t.Run(magic, func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			cases := corpus(t, 30, 7)
 
-	db, err := staccatodb.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Ingest(ctx, docsOf(cases)); err != nil {
-		t.Fatal(err)
-	}
-	q := mustQ(query.Substring(cases[11].Doc.MAP()[5:12]))
-	wantRes, wantStats, err := db.Search(ctx, q, query.SearchOptions{TopN: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+			db, err := staccatodb.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Ingest(ctx, docsOf(cases)); err != nil {
+				t.Fatal(err)
+			}
+			queries := []*query.Query{
+				mustQ(query.Substring(cases[11].Doc.MAP()[5:12])),
+				mustQ(query.Fuzzy(cases[11].Doc.MAP()[5:8], 1)),
+			}
+			var wantRes [][]query.Result
+			var wantStats []query.SearchStats
+			for _, q := range queries {
+				res, stats, err := db.Search(ctx, q, query.SearchOptions{TopN: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.Mode != query.ExecTopK {
+					t.Fatalf("%s ran in mode %q, want %q", q, stats.Mode, query.ExecTopK)
+				}
+				wantRes, wantStats = append(wantRes, res), append(wantStats, stats)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Overwrite INDEX with a well-formed v1 log: correctly framed header
-	// carrying the old magic and the same gram size.
-	payload := append([]byte("staccato-index v1"), binary.AppendUvarint(nil, 3)...)
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
-	idxPath := filepath.Join(dir, index.FileName)
-	if err := os.WriteFile(idxPath, frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := index.Load(idxPath, 3); !errors.Is(err, index.ErrMismatch) {
-		t.Fatalf("index.Load on a v1 file: err = %v, want ErrMismatch", err)
-	}
+			// Overwrite INDEX with a well-formed legacy log: correctly framed
+			// header carrying the old magic and the same gram size.
+			payload := append([]byte(magic), binary.AppendUvarint(nil, 3)...)
+			frame := make([]byte, 8, 8+len(payload))
+			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+			binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+			frame = append(frame, payload...)
+			idxPath := filepath.Join(dir, index.FileName)
+			if err := os.WriteFile(idxPath, frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := index.Load(idxPath, 3); !errors.Is(err, index.ErrMismatch) {
+				t.Fatalf("index.Load on a legacy file: err = %v, want ErrMismatch", err)
+			}
 
-	db2, err := staccatodb.Open(dir)
-	if err != nil {
-		t.Fatalf("Open over a v1 index log: %v", err)
-	}
-	defer db2.Close()
-	st := db2.Stats()
-	if !st.IndexEnabled || !st.IndexPersisted || st.IndexDocs != len(cases) {
-		t.Fatalf("rebuilt stats = %+v, want persisted index over %d docs", st, len(cases))
-	}
-	gotRes, gotStats, err := db2.Search(ctx, q, query.SearchOptions{TopN: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Fatalf("post-rebuild results diverge:\n got  %+v\n want %+v", gotRes, wantRes)
-	}
-	if !reflect.DeepEqual(gotStats, wantStats) {
-		t.Fatalf("post-rebuild stats diverge:\n got  %+v\n want %+v", gotStats, wantStats)
-	}
+			db2, err := staccatodb.Open(dir)
+			if err != nil {
+				t.Fatalf("Open over a legacy index log: %v", err)
+			}
+			defer db2.Close()
+			st := db2.Stats()
+			if !st.IndexEnabled || !st.IndexPersisted || st.IndexDocs != len(cases) {
+				t.Fatalf("rebuilt stats = %+v, want persisted index over %d docs", st, len(cases))
+			}
+			for i, q := range queries {
+				gotRes, gotStats, err := db2.Search(ctx, q, query.SearchOptions{TopN: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotRes, wantRes[i]) {
+					t.Fatalf("%s: post-rebuild results diverge:\n got  %+v\n want %+v", q, gotRes, wantRes[i])
+				}
+				if !reflect.DeepEqual(gotStats, wantStats[i]) {
+					t.Fatalf("%s: post-rebuild stats diverge:\n got  %+v\n want %+v", q, gotStats, wantStats[i])
+				}
+			}
 
-	// The rebuild must have left a loadable v2 log behind.
-	if _, _, err := index.Load(idxPath, 3); err != nil {
-		t.Fatalf("index.Load after the rebuild: %v", err)
+			// The rebuild must have left a loadable current-format log behind.
+			if _, _, err := index.Load(idxPath, 3); err != nil {
+				t.Fatalf("index.Load after the rebuild: %v", err)
+			}
+		})
 	}
 }

@@ -157,12 +157,15 @@ func TestSearchAndMaintenanceRaceWrites(t *testing.T) {
 		}
 	}
 	// Planned queries: terms of five runes always cover at least one
-	// gram, alone and under And/Or.
+	// gram, alone and under And/Or; a 3-rune and a 4-rune fuzzy one go
+	// through wildcard lookups, whose pooled scratch the searchers then
+	// share under the writers.
 	var queries []*query.Query
 	for i := 0; i < len(truths); i += 3 {
 		a := mustQ(query.Substring(truths[i][4:9]))
 		b := mustQ(query.Substring(truths[(i+1)%len(truths)][10:15]))
-		queries = append(queries, a, query.And(a, b), query.Or(a, b))
+		queries = append(queries, a, query.And(a, b), query.Or(a, b),
+			mustQ(query.Fuzzy(truths[i][4:7], 1)), mustQ(query.Fuzzy(truths[i][4:8], 1)))
 	}
 	// valid[qi][id] holds the bit patterns of the probabilities query qi
 	// gives the versions of id, evaluated on the documents as the store

@@ -95,6 +95,15 @@ func run() error {
 	if err := db.Ingest(ctx, docs); err != nil {
 		return err
 	}
+	// A second commit whose document has a reading shorter than the gram
+	// size, so the log carries a set Short bit in a flags byte.
+	tiny := &staccato.Doc{ID: "tiny", Chunks: []staccato.PathSet{{
+		Alts:     []staccato.Alt{{Text: "ab", Prob: 0.5}, {Text: "abcd", Prob: 0.5}},
+		Retained: 1,
+	}}}
+	if err := db.Put(ctx, tiny); err != nil {
+		return err
+	}
 	if err := db.Close(); err != nil {
 		return err
 	}
