@@ -66,7 +66,7 @@ type Entry struct {
 	// Short marks a document with a retained reading shorter than q runes.
 	// No gram covers such a reading, yet it can satisfy a query whose match
 	// is itself shorter than q, so the index treats the document as a
-	// candidate for every wildcard lookup (Index.WildcardCandidates).
+	// candidate for every wildcard lookup (Lookup.Patterns).
 	// Overflow subsumes it: the index ignores Short on an overflow entry.
 	Short bool
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -26,6 +25,9 @@ type Index struct {
 	ord  map[string]uint32 // live doc ID -> ordinal
 	ids  []string          // ordinal -> doc ID; "" marks a dead ordinal
 	post map[string]*postings
+	// npost is the total length of the lists in post, dead postings
+	// included (Stats.Postings).
+	npost int
 	// always holds ordinals of overflow documents, which are candidates
 	// for every query.
 	always map[uint32]struct{}
@@ -38,7 +40,8 @@ type Index struct {
 	alphabet []rune
 	ascii    [2]uint64 // bitmap of the alphabet's runes below utf8.RuneSelf
 
-	// accums recycles the ordinal-sized scratch of wildcard lookups.
+	// accums recycles the ordinal-sized scratch of a lookup's Patterns and
+	// Or nodes.
 	accums sync.Pool
 }
 
@@ -105,6 +108,7 @@ func (ix *Index) Apply(adds []Entry, dels []string) {
 			p.ords = append(p.ords, o)
 			p.bnds = append(p.bnds, e.Bound(i))
 		}
+		ix.npost += len(e.Grams)
 	}
 }
 
@@ -133,90 +137,6 @@ func (ix *Index) learnRunes(g string) {
 			ix.ascii[r/64] |= 1 << (r % 64)
 		}
 	}
-}
-
-// CandidatesWithBounds returns the ascending IDs of live documents whose
-// gram sets contain every one of grams, plus every overflow document,
-// and, aligned with the IDs, an admissible upper bound on each
-// candidate's probability of containing all of grams: the min over grams
-// of the per-(doc, gram) bound, or the vacuous 1 for an overflow
-// document. ok is false when grams is empty — no gram means no evidence,
-// and the caller must not prune.
-//
-// This is the index half of the planner's no-false-negative contract: a
-// live document absent from the returned set provably has no retained
-// reading containing all of grams. It is the all-literal case of
-// WildcardCandidates: one pattern, every window a known gram, and — since
-// a reading holding a whole gram is at least q runes long — no need for
-// the short documents.
-func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool) {
-	if len(grams) == 0 {
-		return nil, nil, false
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-
-	// Intersect posting lists rarest-first so the working set only
-	// shrinks, carrying the min bound through each merge.
-	lists := make([]postings, len(grams))
-	for i, g := range grams {
-		if p := ix.post[g]; p != nil {
-			lists[i] = *p
-		}
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i].ords) < len(lists[j].ords) })
-
-	acc := lists[0]
-	for _, next := range lists[1:] {
-		if len(acc.ords) == 0 {
-			break
-		}
-		acc = intersect(acc, next)
-	}
-	ids, bnds := ix.materialize(acc, false)
-	return ids, bnds, true
-}
-
-// materialize is the one place a lookup leaves ordinal space: it turns
-// acc into ascending live document IDs with their bounds, joined at bound
-// 1 by every overflow document and, withShort, every short one. Callers
-// hold ix.mu.
-func (ix *Index) materialize(acc postings, withShort bool) ([]string, []float64) {
-	// A live document owns exactly one ordinal, which sits in always or in
-	// posting lists, never both; a short document does sit in posting
-	// lists, so withShort drops it from acc before it joins at bound 1.
-	type cand struct {
-		id string
-		b  float64
-	}
-	out := make([]cand, 0, len(acc.ords)+len(ix.always))
-	for k, o := range acc.ords {
-		if withShort && len(ix.short) > 0 {
-			if _, short := ix.short[o]; short {
-				continue
-			}
-		}
-		if id := ix.ids[o]; id != "" {
-			out = append(out, cand{id, acc.bnds[k]})
-		}
-	}
-	for o := range ix.always {
-		if id := ix.ids[o]; id != "" {
-			out = append(out, cand{id, 1})
-		}
-	}
-	if withShort {
-		for o := range ix.short {
-			out = append(out, cand{ix.ids[o], 1}) // kill keeps short to live ordinals
-		}
-	}
-	slices.SortFunc(out, func(a, b cand) int { return strings.Compare(a.id, b.id) })
-	ids := make([]string, len(out))
-	bnds := make([]float64, len(out))
-	for i, c := range out {
-		ids[i], bnds[i] = c.id, c.b
-	}
-	return ids, bnds
 }
 
 // postings is one gram's posting list: ascending document ordinals and,
@@ -263,7 +183,8 @@ type Stats struct {
 	// Grams is the number of distinct grams with at least one posting
 	// (dead postings included until the next snapshot rewrite).
 	Grams int
-	// Postings is the total posting-list length across all grams.
+	// Postings is the total posting-list length across all grams (dead
+	// postings included until the next snapshot rewrite).
 	Postings int
 	// OverflowDocs counts live documents indexed as always-matching.
 	OverflowDocs int
@@ -273,10 +194,7 @@ type Stats struct {
 func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	st := Stats{Docs: len(ix.ord), Grams: len(ix.post)}
-	for _, p := range ix.post {
-		st.Postings += len(p.ords)
-	}
+	st := Stats{Docs: len(ix.ord), Grams: len(ix.post), Postings: ix.npost}
 	for o := range ix.always {
 		if ix.ids[o] != "" {
 			st.OverflowDocs++

@@ -237,8 +237,15 @@ func TestStats(t *testing.T) {
 	ix := index.New(3)
 	ix.Add(doc([]string{"hello"}))
 	ix.Apply([]index.Entry{{ID: "big", Overflow: true}}, nil)
-	st := ix.Stats()
-	if st.Docs != 2 || st.OverflowDocs != 1 || st.Grams == 0 || st.Postings == 0 {
-		t.Errorf("Stats = %+v", st)
+	if st, want := ix.Stats(), (index.Stats{Docs: 2, Grams: 3, Postings: 3, OverflowDocs: 1}); st != want {
+		t.Errorf("Stats = %+v, want %+v", st, want)
+	}
+	// Postings is counted as Apply appends, dead postings included: a
+	// supersede adds the new entry's grams (hel again, elp new) and takes
+	// nothing away, nor does a delete.
+	ix.Add(doc([]string{"help"}))
+	ix.Delete("big")
+	if st, want := ix.Stats(), (index.Stats{Docs: 1, Grams: 4, Postings: 5}); st != want {
+		t.Errorf("after a supersede and a delete: Stats = %+v, want %+v", st, want)
 	}
 }

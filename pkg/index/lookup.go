@@ -1,0 +1,181 @@
+package index
+
+import (
+	"slices"
+	"strings"
+)
+
+// Lookup is a candidate question put to the index: a tree in which each
+// node sets exactly one field. A query plan lowers itself to one Lookup
+// and the index answers it whole (Candidates).
+type Lookup struct {
+	// Grams asks for the documents whose gram sets hold every one of these
+	// grams.
+	Grams []string
+	// Patterns asks for the documents that may hold a string matching at
+	// least one of these patterns, or a reading shorter than a gram, which
+	// no gram describes. A pattern is a rune sequence at least q long in
+	// which a negative rune is a wildcard standing for any one rune.
+	Patterns [][]rune
+	// And asks for the documents every child admits. A child the index
+	// cannot answer admits every document and drops out.
+	And []Lookup
+	// Or asks for the documents some child admits; one child the index
+	// cannot answer leaves the whole node unanswerable.
+	Or []Lookup
+}
+
+// Candidates answers l: ascending and duplicate-free, the IDs of the live
+// documents l admits, plus every overflow document, and aligned with them
+// an admissible upper bound on the probability that a retained reading of
+// the document satisfies l:
+//
+//   - Grams: the min over the grams of the per-(doc, gram) bound;
+//   - Patterns: min(1, Σ_pattern min_window min(1, Σ_gram bound(doc, gram)))
+//     — a union bound over patterns and over the dictionary grams matching
+//     one q-rune window, the min over a pattern's windows because a match
+//     needs them all — and 1 for a document with a short reading;
+//   - And: the min over the children that answered;
+//   - Or: the children's bounds summed in child order, capped at 1;
+//   - an overflow document: the vacuous 1, whatever l asks.
+//
+// This is the index half of the planner's no-false-negative contract: a
+// live document absent from the result provably has no retained reading
+// satisfying l. grams is the number of dictionary grams the Patterns nodes
+// that answered expanded their wildcards to. ok is false — the caller
+// must not prune — when the root cannot be answered: a node with no field
+// set, a pattern with no window holding a literal rune (it constrains
+// nothing), a Patterns node whose expansion would exceed maxWildProbes, an
+// And none of whose children answered, an Or one of whose children did
+// not.
+//
+// The whole tree is evaluated on document ordinals under one read lock.
+// Every float sum has a fixed order — windows expand in ascending gram
+// order, patterns and Or children are taken as given — and min is
+// order-free, so the bounds do not depend on how the intersections are
+// scheduled.
+func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams int, ok bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	e := evaluator{ix: ix}
+	acc, ok := e.eval(l)
+	if !ok {
+		return nil, nil, e.grams, false
+	}
+	ids, bounds = ix.materialize(acc)
+	return ids, bounds, e.grams, true
+}
+
+// CandidatesWithBounds is Candidates for a single Grams node.
+//
+// Deprecated: call Candidates. Kept for bench/trace.go, and goes with the
+// benchmark PR that re-points it.
+func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool) {
+	ids, bounds, _, ok := ix.Candidates(Lookup{Grams: grams})
+	return ids, bounds, ok
+}
+
+// materialize is the one place a lookup leaves ordinal space: it turns
+// acc into ascending live document IDs with their bounds, joined at bound
+// 1 by every overflow document. A live document owns exactly one ordinal,
+// which sits in always or in posting lists, never both — so no node of a
+// Lookup ever sees an overflow document, and since min and the capped sum
+// of 1s are both 1, joining them once here equals admitting them at every
+// leaf. Callers hold ix.mu.
+func (ix *Index) materialize(acc postings) ([]string, []float64) {
+	type cand struct {
+		id string
+		b  float64
+	}
+	out := make([]cand, 0, len(acc.ords)+len(ix.always))
+	for k, o := range acc.ords {
+		if id := ix.ids[o]; id != "" {
+			out = append(out, cand{id, acc.bnds[k]})
+		}
+	}
+	for o := range ix.always {
+		if id := ix.ids[o]; id != "" {
+			out = append(out, cand{id, 1})
+		}
+	}
+	slices.SortFunc(out, func(a, b cand) int { return strings.Compare(a.id, b.id) })
+	ids := make([]string, len(out))
+	bnds := make([]float64, len(out))
+	for i, c := range out {
+		ids[i], bnds[i] = c.id, c.b
+	}
+	return ids, bnds
+}
+
+// evaluator carries one Candidates call's state down the Lookup tree.
+// Nodes produce postings that may include dead ordinals; materialize
+// drops them once, at the end. Callers hold ix.mu.
+type evaluator struct {
+	ix    *Index
+	grams int // dictionary grams the Patterns nodes that answered read
+}
+
+func (e *evaluator) eval(l Lookup) (postings, bool) {
+	switch {
+	case len(l.Grams) > 0:
+		return intersectAll(e.lists(nil, l.Grams)), true
+	case len(l.Patterns) > 0:
+		return e.patterns(l.Patterns)
+	case len(l.And) > 0:
+		// One rarest-first intersection over everything the children
+		// require: a Grams child contributes its posting lists unmerged, any
+		// other child its evaluated postings.
+		var lists []postings
+		for _, kid := range l.And {
+			if len(kid.Grams) > 0 {
+				lists = e.lists(lists, kid.Grams)
+			} else if p, ok := e.eval(kid); ok {
+				lists = append(lists, p)
+			}
+		}
+		if len(lists) == 0 {
+			return postings{}, false
+		}
+		return intersectAll(lists), true
+	case len(l.Or) > 0:
+		total := e.ix.getAccum()
+		for _, kid := range l.Or {
+			p, ok := e.eval(kid)
+			if !ok {
+				return postings{}, false // total, part-filled, is dropped
+			}
+			total.add(p)
+		}
+		acc := total.drain()
+		e.ix.accums.Put(total)
+		return acc, true
+	}
+	return postings{}, false
+}
+
+// lists appends the posting list of each of grams to into; a gram the
+// dictionary lacks has the empty list.
+func (e *evaluator) lists(into []postings, grams []string) []postings {
+	for _, g := range grams {
+		var l postings
+		if p := e.ix.post[g]; p != nil {
+			l = *p
+		}
+		into = append(into, l)
+	}
+	return into
+}
+
+// intersectAll intersects lists, which it reorders, rarest-first so the
+// working set only shrinks, carrying the min bound through each merge.
+func intersectAll(lists []postings) postings {
+	slices.SortFunc(lists, func(a, b postings) int { return len(a.ords) - len(b.ords) })
+	acc := lists[0]
+	for _, next := range lists[1:] {
+		if len(acc.ords) == 0 {
+			break
+		}
+		acc = intersect(acc, next)
+	}
+	return acc
+}

@@ -6,42 +6,24 @@ import (
 	"unicode/utf8"
 )
 
-// maxWildProbes bounds the dictionary probes one WildcardCandidates call
-// may spend expanding wildcard windows — each wildcard position multiplies
-// a window's probes by the alphabet size, so a large alphabet or a window
+// maxWildProbes bounds the dictionary probes one Patterns node may spend
+// expanding wildcard windows — each wildcard position multiplies a
+// window's probes by the alphabet size, so a large alphabet or a window
 // that is mostly wildcards is refused rather than paid for.
 const maxWildProbes = 1 << 15
 
-// WildcardCandidates answers a lookup by patterns instead of by grams. A
-// pattern is a rune sequence at least q long in which a negative rune is
-// a wildcard standing for any one rune. A document can hold a string
-// matching a pattern in a reading of q runes or more only if, for every
-// q-rune window of the pattern, its gram set holds some gram matching
-// that window; the result is every live document for which that is true
-// of at least one pattern — per pattern the intersection over windows of
-// the union over matching dictionary grams — plus every overflow document
-// and every document with a reading shorter than q, which no gram covers.
-// IDs are ascending; bounds[i] is an admissible upper bound on the
-// probability that a reading of ids[i] holds a match of some pattern:
-//
-//	min(1, Σ_pattern min_window min(1, Σ_gram bound(doc, gram)))
-//
-// a union bound over patterns and over a window's grams, and the min over
-// windows because a match needs them all; 1 for overflow and short
-// documents. Windows are expanded by probing the posting map with every
-// alphabet rune at each wildcard position, in ascending gram order, and
-// patterns are taken in the order given, so every float sum has a fixed
-// order. grams is the number of dictionary grams whose posting lists the
-// lookup read. ok is false — the caller must not prune — when patterns is
-// empty, when a pattern has no window with a literal rune (it constrains
-// nothing), or when the expansion would exceed maxWildProbes.
-func (ix *Index) WildcardCandidates(patterns [][]rune) (ids []string, bounds []float64, grams int, ok bool) {
-	if len(patterns) == 0 {
-		return nil, nil, 0, false
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	probes := maxWildProbes
+// patterns evaluates a Patterns node (see Lookup and Candidates). A
+// document can hold a string matching a pattern in a reading of q runes or
+// more only if, for every q-rune window of the pattern, its gram set holds
+// some gram matching that window; the result is every document for which
+// that is true of at least one pattern — per pattern the intersection
+// over windows of the union over matching dictionary grams — plus, at
+// bound 1, every document with a reading shorter than q, which no gram
+// covers. Windows are expanded by probing the posting map with every
+// alphabet rune at each wildcard position.
+func (e *evaluator) patterns(patterns [][]rune) (postings, bool) {
+	ix := e.ix
+	probes, grams := maxWildProbes, 0
 	scratch, total := ix.getAccum(), ix.getAccum()
 	for _, pat := range patterns {
 		// Expand every window first: probing is cheap next to reading the
@@ -50,7 +32,7 @@ func (ix *Index) WildcardCandidates(patterns [][]rune) (ids []string, bounds []f
 		for i := 0; i+ix.q <= len(pat); i++ {
 			hits, constrains, ok := ix.expand(pat[i:i+ix.q], &probes)
 			if !ok {
-				return nil, nil, 0, false
+				return postings{}, false
 			}
 			if constrains {
 				windows = append(windows, hits)
@@ -58,7 +40,7 @@ func (ix *Index) WildcardCandidates(patterns [][]rune) (ids []string, bounds []f
 			}
 		}
 		if len(windows) == 0 {
-			return nil, nil, 0, false
+			return postings{}, false
 		}
 		if len(windows) == 1 {
 			// A pattern of exactly q runes: the window's bound sum is the
@@ -89,12 +71,16 @@ func (ix *Index) WildcardCandidates(patterns [][]rune) (ids []string, bounds []f
 		}
 		total.add(acc)
 	}
-	ids, bounds = ix.materialize(total.drain(), true)
+	for o := range ix.short {
+		total.put(o, 1) // on top of whatever its grams summed to: the drain caps it at 1
+	}
+	acc := total.drain()
 	// Both are drained, so empty; a refused lookup above leaves total
 	// part-filled and simply drops the pair.
 	ix.accums.Put(scratch)
 	ix.accums.Put(total)
-	return ids, bounds, grams, true
+	e.grams += grams
+	return acc, true
 }
 
 // expand returns, in ascending gram order, the posting lists of the
@@ -171,7 +157,8 @@ type accum struct {
 
 // getAccum returns an empty accum for every ordinal issued so far: a
 // recycled one if it is large enough, else a new one with room to grow.
-// Callers hold ix.mu.
+// Whoever leaves it empty again may Put it back in ix.accums. Callers hold
+// ix.mu.
 func (ix *Index) getAccum() *accum {
 	n := len(ix.ids)
 	if a, _ := ix.accums.Get().(*accum); a != nil && len(a.sum) >= n {
@@ -183,13 +170,18 @@ func (ix *Index) getAccum() *accum {
 
 func (a *accum) add(l postings) {
 	for k, o := range l.ords {
-		if w, bit := o/64, uint64(1)<<(o%64); a.seen[w]&bit == 0 {
-			a.seen[w] |= bit
-			a.sum[o] = l.bnds[k]
-			a.n++
-		} else {
-			a.sum[o] += l.bnds[k]
-		}
+		a.put(o, l.bnds[k])
+	}
+}
+
+// put adds a single posting.
+func (a *accum) put(o uint32, b float64) {
+	if w, bit := o/64, uint64(1)<<(o%64); a.seen[w]&bit == 0 {
+		a.seen[w] |= bit
+		a.sum[o] = b
+		a.n++
+	} else {
+		a.sum[o] += b
 	}
 }
 

@@ -27,9 +27,9 @@ func wild(t *testing.T, ix *Index, patterns ...string) ([]string, []float64, int
 	for i, p := range patterns {
 		ps[i] = pat(p)
 	}
-	ids, bounds, grams, ok := ix.WildcardCandidates(ps)
+	ids, bounds, grams, ok := ix.Candidates(Lookup{Patterns: ps})
 	if !ok {
-		t.Fatalf("WildcardCandidates(%v) cannot answer", patterns)
+		t.Fatalf("Candidates(Patterns: %v) cannot answer", patterns)
 	}
 	return ids, bounds, grams
 }
@@ -43,11 +43,11 @@ func entry(id string, gramBounds ...any) Entry {
 	return e
 }
 
-// TestWildcardCandidates walks the lookup's definition on a hand-built
-// index: union over a window's matching grams, intersection over a
-// pattern's windows, union over patterns, and the bound
+// TestPatternsCandidates walks the Patterns lookup's definition on a
+// hand-built index: union over a window's matching grams, intersection
+// over a pattern's windows, union over patterns, and the bound
 // min(1, Σ_pattern min_window min(1, Σ_gram bound)).
-func TestWildcardCandidates(t *testing.T) {
+func TestPatternsCandidates(t *testing.T) {
 	ix := New(3)
 	ix.Apply([]Entry{
 		entry("d1", "abc", 0.25, "abd", 0.5, "bcd", 0.125),
@@ -95,8 +95,8 @@ func TestWildcardCandidates(t *testing.T) {
 	}
 
 	for _, refused := range [][][]rune{nil, {pat("???")}, {pat("ab")}, {pat("ab?"), pat("??")}} {
-		if _, _, _, ok := ix.WildcardCandidates(refused); ok {
-			t.Errorf("WildcardCandidates(%q) answered; a pattern without a literal window constrains nothing", refused)
+		if _, _, _, ok := ix.Candidates(Lookup{Patterns: refused}); ok {
+			t.Errorf("Candidates(Patterns: %q) answered; a pattern without a literal window constrains nothing", refused)
 		}
 	}
 }
@@ -118,16 +118,16 @@ func TestWildcardProbeBudget(t *testing.T) {
 	if ids, _, grams := wild(t, ix, "一??"+string(rune(0x4E03))); !reflect.DeepEqual(ids, []string{"wide"}) || grams != 1 {
 		t.Errorf("two wildcards (148² probes): got %v over %d grams, want the one document over 1", ids, grams)
 	}
-	if _, _, _, ok := ix.WildcardCandidates([][]rune{pat("一???")}); ok {
+	if _, _, _, ok := ix.Candidates(Lookup{Patterns: [][]rune{pat("一???")}}); ok {
 		t.Error("three wildcards (148³ probes) answered; want a refusal")
 	}
-	// The budget is per lookup, not per window.
+	// The budget is per Patterns node, not per window.
 	var many [][]rune
 	for i := 0; i < 2; i++ {
 		many = append(many, pat("一??"+string(rune(0x4E03))))
 	}
-	if _, _, _, ok := ix.WildcardCandidates(many); ok {
-		t.Error("two 148²-probe windows in one lookup answered; want a refusal")
+	if _, _, _, ok := ix.Candidates(Lookup{Patterns: many}); ok {
+		t.Error("two 148²-probe windows in one node answered; want a refusal")
 	}
 }
 

@@ -4,45 +4,39 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+
+	"github.com/paper-repo/staccato-go/pkg/index"
 )
 
-// modelSet is the throwaway reference for CandidateSet's algebra: a plain
-// map from member to bound, plus whether bounds are carried at all.
-type modelSet struct {
-	bound   map[string]float64
-	bounded bool
-}
-
-func (m modelSet) at(id string) float64 {
-	if !m.bounded {
-		return 1
-	}
-	return m.bound[id]
-}
+// modelSet is the throwaway reference for the candidate algebra: a plain
+// map from member to bound.
+type modelSet map[string]float64
 
 func modelIntersect(a, b modelSet) modelSet {
-	out := modelSet{bound: map[string]float64{}, bounded: a.bounded || b.bounded}
-	for id := range a.bound {
-		if _, ok := b.bound[id]; ok {
-			out.bound[id] = min(a.at(id), b.at(id))
+	out := modelSet{}
+	for id := range a {
+		if _, ok := b[id]; ok {
+			out[id] = min(a[id], b[id])
 		}
 	}
 	return out
 }
 
 // modelUnion sums each member's bounds in child order and caps once at
-// the end — the order-sensitive part a merge must reproduce bit for bit.
+// the end — the order-sensitive part the evaluator must reproduce bit for
+// bit.
 func modelUnion(kids []modelSet) modelSet {
-	out := modelSet{bound: map[string]float64{}, bounded: true}
+	out := modelSet{}
 	for _, kid := range kids {
-		for id := range kid.bound {
-			out.bound[id] += kid.at(id)
+		for id, b := range kid {
+			out[id] += b
 		}
 	}
-	for id, b := range out.bound {
-		out.bound[id] = min(1, b)
+	for id, b := range out {
+		out[id] = min(1, b)
 	}
 	return out
 }
@@ -60,21 +54,18 @@ func checkAgainstModel(t *testing.T, what string, got *CandidateSet, want modelS
 			t.Fatalf("%s: duplicate ID %q in %v", what, ids[i], ids)
 		}
 	}
-	if got.Len() != len(want.bound) || len(ids) != len(want.bound) {
-		t.Fatalf("%s: Len %d / %d IDs, want %d", what, got.Len(), len(ids), len(want.bound))
-	}
-	if got.Bounded() != want.bounded {
-		t.Fatalf("%s: Bounded = %v, want %v", what, got.Bounded(), want.bounded)
+	if got.Len() != len(want) || len(ids) != len(want) {
+		t.Fatalf("%s: Len %d / %d IDs %v, want %d", what, got.Len(), len(ids), ids, len(want))
 	}
 	for _, id := range ids { // with the lengths equal, this makes the memberships equal
-		if _, member := want.bound[id]; !member {
+		if _, member := want[id]; !member {
 			t.Fatalf("%s: IDs has %q, which the model does not", what, id)
 		}
 	}
 	ranked := got.Ranked()
-	wantRanked := make([]BoundedCandidate, 0, len(want.bound))
-	for id := range want.bound {
-		wantRanked = append(wantRanked, BoundedCandidate{ID: id, Bound: want.at(id)})
+	wantRanked := make([]BoundedCandidate, 0, len(want))
+	for id, b := range want {
+		wantRanked = append(wantRanked, BoundedCandidate{ID: id, Bound: b})
 	}
 	sort.Slice(wantRanked, func(i, j int) bool {
 		if wantRanked[i].Bound != wantRanked[j].Bound {
@@ -87,88 +78,220 @@ func checkAgainstModel(t *testing.T, what string, got *CandidateSet, want modelS
 	}
 }
 
-// TestCandidateSetAlgebraMatchesMapModel is the property behind the
-// slice representation: on random sorted inputs — empty, disjoint,
-// identical, overlapping, either side unbounded — intersectSets is
-// membership-AND at the min bound, and a left fold of unionSets is
-// membership-OR at the capped sum of bounds in child order, bit for bit.
-func TestCandidateSetAlgebraMatchesMapModel(t *testing.T) {
-	universe := make([]string, 40)
-	for i := range universe {
-		universe[i] = fmt.Sprintf("d%02d", i)
-	}
-	rng := rand.New(rand.NewSource(19))
-	// random draws a set over the universe members that pick admits.
-	random := func(pick func(i int) bool) (*CandidateSet, modelSet) {
-		set := &CandidateSet{}
-		model := modelSet{bound: map[string]float64{}, bounded: rng.Intn(3) > 0}
-		if model.bounded {
-			set.bounds = []float64{}
-		}
-		for i, id := range universe {
-			if !pick(i) {
+// algebraIndex builds a random 3-gram index over the runes a–d whose
+// documents are plain, overflow, short, superseded (indexed twice) or
+// deleted, with bounds that are sometimes the vacuous 1 so that sums must
+// cap. One more document spreads 200 further runes over the alphabet: a
+// window with two wildcards then costs 204² probes, over the budget of a
+// Patterns node, while one wildcard stays cheap. live is the model's own
+// record of what the index should hold: each live document's last entry.
+func algebraIndex(rng *rand.Rand) (ix *index.Index, live map[string]index.Entry) {
+	randomEntry := func(id string) index.Entry {
+		e := index.Entry{ID: id, Overflow: rng.Intn(8) == 0, Short: rng.Intn(5) == 0}
+		seen := map[string]bool{}
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			g := string([]rune{rune('a' + rng.Intn(4)), rune('a' + rng.Intn(4)), rune('a' + rng.Intn(4))})
+			if seen[g] {
 				continue
 			}
-			set.ids = append(set.ids, id)
-			b := 1.0
-			if model.bounded {
-				b = rng.Float64()
-				if rng.Intn(6) == 0 {
-					b = 1 // vacuous bounds inside a bounded set, and sums that must cap
-				}
-				set.bounds = append(set.bounds, b)
+			seen[g] = true
+			b := rng.Float64()
+			if rng.Intn(6) == 0 {
+				b = 1
 			}
-			model.bound[id] = b
+			e.Grams, e.Bounds = append(e.Grams, g), append(e.Bounds, b)
 		}
-		return set, model
+		return e
 	}
-	shapes := map[string]func() (a, b func(int) bool){
-		"overlapping": func() (a, b func(int) bool) {
-			return func(int) bool { return rng.Intn(2) == 0 }, func(int) bool { return rng.Intn(2) == 0 }
-		},
-		"disjoint": func() (a, b func(int) bool) {
-			return func(i int) bool { return i%2 == 0 }, func(i int) bool { return i%2 == 1 }
-		},
-		"identical": func() (a, b func(int) bool) {
-			same := func(i int) bool { return i%3 != 0 }
-			return same, same
-		},
-		"left empty": func() (a, b func(int) bool) {
-			return func(int) bool { return false }, func(int) bool { return rng.Intn(2) == 0 }
-		},
-		"both empty": func() (a, b func(int) bool) {
-			none := func(int) bool { return false }
-			return none, none
-		},
+	ix, live = index.New(3), map[string]index.Entry{}
+	add := func(e index.Entry) {
+		ix.Apply([]index.Entry{e}, nil)
+		live[e.ID] = e
 	}
-	for name, shape := range shapes {
-		for trial := 0; trial < 50; trial++ {
-			pa, pb := shape()
-			a, ma := random(pa)
-			b, mb := random(pb)
-			what := fmt.Sprintf("%s trial %d", name, trial)
-			checkAgainstModel(t, what+" a", a, ma)
-			checkAgainstModel(t, what+" and(a,b)", intersectSets(a, b), modelIntersect(ma, mb))
-			checkAgainstModel(t, what+" and(b,a)", intersectSets(b, a), modelIntersect(mb, ma))
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("d%02d", i)
+		add(randomEntry(id))
+		switch rng.Intn(5) {
+		case 0:
+			add(randomEntry(id))
+		case 1:
+			ix.Delete(id)
+			delete(live, id)
+		}
+	}
+	wide := index.Entry{ID: "wide"}
+	for r := rune(0x4E00); r < 0x4E00+200; r += 2 {
+		wide.Grams = append(wide.Grams, string([]rune{r, r + 1, 'a'}))
+	}
+	add(wide)
+	return ix, live
+}
 
-			// OR folds from the empty bounded set, exactly as planOr does,
-			// over two to four children.
-			kids, models := []*CandidateSet{a, b}, []modelSet{ma, mb}
-			for extra := rng.Intn(3); extra > 0; extra-- {
-				k, mk := random(func(int) bool { return rng.Intn(3) == 0 })
-				kids, models = append(kids, k), append(models, mk)
+// modelLookup evaluates l the way the planner used to, in string space:
+// every leaf is a set of its own — which admits each overflow document at
+// bound 1, and if it is a Patterns leaf each short one too — and And and
+// Or fold their children's sets in child order. A Grams leaf is worked out
+// from the live entries alone; a Patterns leaf asks the index, of whose
+// answer only the documents that are neither overflow nor short are
+// believed (pkg/index's own tests pin that sum). grams counts what the
+// answered Patterns leaves report, an Or stopping at its first
+// unanswerable child.
+func modelLookup(ix *index.Index, live map[string]index.Entry, l index.Lookup, grams *int) (modelSet, bool) {
+	switch {
+	case l.And != nil:
+		var acc modelSet
+		for _, kid := range l.And {
+			set, ok := modelLookup(ix, live, kid, grams)
+			switch {
+			case !ok:
+			case acc == nil:
+				acc = set
+			default:
+				acc = modelIntersect(acc, set)
 			}
-			acc := &CandidateSet{bounds: []float64{}}
-			for _, kid := range kids {
-				acc = unionSets(acc, kid)
+		}
+		return acc, acc != nil
+	case l.Or != nil:
+		var kids []modelSet
+		for _, kid := range l.Or {
+			set, ok := modelLookup(ix, live, kid, grams)
+			if !ok {
+				return nil, false
 			}
-			checkAgainstModel(t, what+" or(kids...)", acc, modelUnion(models))
+			kids = append(kids, set)
+		}
+		return modelUnion(kids), true
+	}
+	set := modelSet{}
+	if l.Patterns != nil {
+		ids, bounds, n, ok := ix.Candidates(l)
+		if !ok {
+			return nil, false
+		}
+		*grams += n
+		for i, id := range ids {
+			set[id] = bounds[i]
+		}
+	}
+	for id, e := range live {
+		switch {
+		case e.Overflow || e.Short && l.Patterns != nil:
+			set[id] = 1
+		case l.Patterns == nil:
+			b := 1.0
+			for _, g := range l.Grams {
+				if at := slices.Index(e.Grams, g); at >= 0 {
+					b = min(b, e.Bounds[at])
+				} else {
+					b = -1
+					break
+				}
+			}
+			if b >= 0 {
+				set[id] = b
+			}
+		}
+	}
+	return set, true
+}
+
+// TestCandidateSetAlgebraMatchesMapModel is the property behind evaluating
+// a whole plan inside the index: on random Lookup trees over a random
+// index, the one ordinal-space evaluation — overflow documents joined once
+// at the root, short ones inside each Patterns node, dead ordinals dropped
+// at the end — returns what folding per-leaf lookups in string space
+// returns: And is membership-AND at the min bound, Or membership-OR at the
+// capped sum of bounds in child order, bit for bit; an unanswerable child
+// drops out of an And and refuses an Or.
+func TestCandidateSetAlgebraMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	gram := func() string {
+		return string([]rune{rune('a' + rng.Intn(4)), rune('a' + rng.Intn(4)), rune('a' + rng.Intn(4))})
+	}
+	grams := func() index.Lookup {
+		l := index.Lookup{}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			l.Grams = append(l.Grams, gram())
+		}
+		return l
+	}
+	patterns := func() index.Lookup {
+		l := index.Lookup{}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			p := []rune(gram() + gram()[:rng.Intn(2)])
+			p[rng.Intn(len(p))] = wildcard
+			l.Patterns = append(l.Patterns, p)
+		}
+		return l
+	}
+	refused := index.Lookup{Patterns: [][]rune{{'a', wildcard, wildcard}}}
+	some := func(kid func() index.Lookup) []index.Lookup {
+		kids := make([]index.Lookup, 2+rng.Intn(3))
+		for i := range kids {
+			kids[i] = kid()
+		}
+		return kids
+	}
+	var tree func(depth int) index.Lookup
+	tree = func(depth int) index.Lookup {
+		kid := func() index.Lookup { return tree(depth - 1) }
+		switch pick := rng.Intn(10); {
+		case pick == 0:
+			return refused
+		case depth == 0 || pick < 3:
+			return grams()
+		case pick < 5:
+			return patterns()
+		case pick < 8:
+			return index.Lookup{And: some(kid)}
+		default:
+			return index.Lookup{Or: some(kid)}
+		}
+	}
+	orOfGrams := func() index.Lookup { return index.Lookup{Or: some(grams)} }
+	shapes := []struct {
+		name    string
+		draw    func() index.Lookup
+		refuses bool
+	}{
+		{"arbitrary", func() index.Lookup { return tree(3) }, false},
+		// What the planner emits: a fuzzy leaf's pigeonhole pieces, a
+		// conjunction of them, a conjunction of literal and wildcard leaves.
+		{"or of grams", orOfGrams, false},
+		{"and of ors", func() index.Lookup { return index.Lookup{And: some(orOfGrams)} }, false},
+		{"and of grams and patterns", func() index.Lookup { return index.Lookup{And: []index.Lookup{grams(), patterns(), grams()}} }, false},
+		{"and around a refusal", func() index.Lookup { return index.Lookup{And: []index.Lookup{patterns(), refused, grams()}} }, false},
+		{"and of refusals", func() index.Lookup { return index.Lookup{And: []index.Lookup{refused, refused}} }, true},
+		{"or around a refusal", func() index.Lookup { return index.Lookup{Or: []index.Lookup{patterns(), refused, patterns()}} }, true},
+	}
+	for round := 0; round < 4; round++ {
+		ix, live := algebraIndex(rng)
+		for _, shape := range shapes {
+			answered := 0
+			for trial := 0; trial < 40; trial++ {
+				l := shape.draw()
+				what := fmt.Sprintf("%s, round %d trial %d: %+v", shape.name, round, trial, l)
+				wantGrams := 0
+				want, wantOK := modelLookup(ix, live, l, &wantGrams)
+				ids, bounds, gotGrams, ok := ix.Candidates(l)
+				if ok != wantOK || gotGrams != wantGrams {
+					t.Fatalf("%s: answered %v over %d expanded grams, want %v over %d", what, ok, gotGrams, wantOK, wantGrams)
+				}
+				if !ok {
+					continue
+				}
+				answered++
+				checkAgainstModel(t, what, &CandidateSet{ids: ids, bounds: bounds}, want)
+			}
+			if (answered == 0) != shape.refuses {
+				t.Errorf("%s, round %d: %d of 40 lookups answered", shape.name, round, answered)
+			}
 		}
 	}
 }
 
 // TestNewCandidateSetNormalizes: arguments may arrive unsorted and with
-// duplicates; the set is ascending, duplicate-free, and unbounded.
+// duplicates; the set is ascending, duplicate-free, and vacuously bounded.
 func TestNewCandidateSetNormalizes(t *testing.T) {
 	args := []string{"c", "a", "b", "a", "c"}
 	set := NewCandidateSet(args...)
@@ -178,14 +301,14 @@ func TestNewCandidateSetNormalizes(t *testing.T) {
 	if !reflect.DeepEqual(args, []string{"c", "a", "b", "a", "c"}) {
 		t.Errorf("NewCandidateSet reordered its caller's slice: %v", args)
 	}
-	if set.Len() != 3 || set.Bounded() || !reflect.DeepEqual(set.Ranked(), []BoundedCandidate{{"a", 1}, {"b", 1}, {"c", 1}}) {
-		t.Errorf("set = %+v: want 3 unbounded members ranked at the vacuous bound", set)
+	if set.Len() != 3 || !reflect.DeepEqual(set.Ranked(), []BoundedCandidate{{"a", 1}, {"b", 1}, {"c", 1}}) {
+		t.Errorf("set = %+v: want 3 members ranked at the vacuous bound", set)
 	}
 	if empty := NewCandidateSet(); empty == nil || empty.Len() != 0 || len(empty.IDs()) != 0 {
 		t.Errorf("NewCandidateSet() = %+v, want the empty (prune-everything) set, not the nil one", empty)
 	}
 	var none *CandidateSet
-	if none.Len() != -1 || none.IDs() != nil || none.Ranked() != nil || none.Bounded() {
-		t.Error("the nil set must list nothing: it stands for every document, unbounded")
+	if none.Len() != -1 || none.IDs() != nil || none.Ranked() != nil {
+		t.Error("the nil set must list nothing: it stands for every document")
 	}
 }

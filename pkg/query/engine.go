@@ -178,9 +178,9 @@ type SearchOptions struct {
 // opts.MinProb are skipped without a fetch, like the early-stopped tail;
 // both are counted in Stats.BoundsSkipped. A rescorer rules top-k out
 // because bounds describe the stored documents and rescoring moves
-// probability mass they do not account for; a set without bound
-// information still returns correct results — every bound reads as 1 —
-// it just never stops early.
+// probability mass they do not account for; a set whose bounds are all
+// the vacuous 1 (NewCandidateSet) still returns correct results, it just
+// never stops early.
 func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Result, error) {
 	if q == nil || q.expr == nil {
 		return nil, errors.New("query: Search requires a compiled, non-nil Query")

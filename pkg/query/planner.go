@@ -6,13 +6,15 @@ import (
 	"sort"
 	"strings"
 	"unicode/utf8"
+
+	"github.com/paper-repo/staccato-go/pkg/index"
 )
 
 // This file is the planning half of indexed execution. A compiled Query
 // is a boolean formula over term automata; the Planner extracts from it
 // the gram-level evidence every match MUST leave in an inverted q-gram
-// index, and turns posting-list lookups into a candidate document set the
-// engine then restricts its scan to.
+// index, and lowers it to the one lookup whose answer is the candidate
+// document set the engine then restricts its scan to.
 //
 // The contract is strictly no-false-negative: a document outside the
 // candidate set provably has match probability zero, so Search results
@@ -30,9 +32,9 @@ import (
 //   - a leaf shorter than gramSize scans: no gram holds its whole term
 //     (padding it with wildcards at every offset would plan it the same
 //     way; ROADMAP item 4 says why that waits);
-//   - AND intersects its children's candidate sets (children that cannot
+//   - AND intersects its children's candidates (children that cannot
 //     prune simply drop out of the intersection);
-//   - OR unions its children and can only prune if every child can;
+//   - OR unions its children's and can only prune if every child can;
 //   - NOT cannot prune: a document matching the negated branch still has
 //     nonzero probability of not matching it, so negations always scan.
 
@@ -41,25 +43,25 @@ import (
 // "no pruning information: every document is a candidate", which is why
 // the methods below are defined on the nil receiver.
 //
-// A set built from a posting source that reports bounds additionally
-// holds, per candidate, an admissible upper bound on that document's
-// match probability (see Ranked); sets without bound information answer 1
-// for every candidate, which is always admissible.
+// Each candidate carries an admissible upper bound on that document's
+// match probability (see Ranked): what the posting source reported, or the
+// vacuous 1, which is always admissible.
 type CandidateSet struct {
 	// ids is ascending and duplicate-free — the shape posting sources
 	// return and the engine fetches in.
 	ids []string
-	// bounds, when non-nil, is aligned with ids: bounds[i] is an upper
-	// bound in [0, 1] on ids[i]'s match probability. nil means no bound
-	// information.
+	// bounds is aligned with ids: bounds[i] is an upper bound in [0, 1] on
+	// ids[i]'s match probability.
 	bounds []float64
 }
 
-// NewCandidateSet builds a set from ids, in any order, duplicates allowed.
+// NewCandidateSet builds a set from ids, in any order, duplicates allowed,
+// each at the vacuous bound 1.
 func NewCandidateSet(ids ...string) *CandidateSet {
 	sorted := slices.Clone(ids)
 	slices.Sort(sorted)
-	return &CandidateSet{ids: slices.Compact(sorted)}
+	sorted = slices.Compact(sorted)
+	return &CandidateSet{ids: sorted, bounds: slices.Repeat([]float64{1}, len(sorted))}
 }
 
 // Len returns the number of candidates, or -1 for the nil
@@ -80,19 +82,6 @@ func (c *CandidateSet) IDs() []string {
 	return c.ids
 }
 
-// boundAt returns the bound of the i-th candidate: the recorded one when
-// the set carries bounds, else the vacuous 1.
-func (c *CandidateSet) boundAt(i int) float64 {
-	if c.bounds == nil {
-		return 1
-	}
-	return c.bounds[i]
-}
-
-// Bounded reports whether the set carries per-candidate probability
-// bounds (possibly vacuous ones) rather than defaulting everything to 1.
-func (c *CandidateSet) Bounded() bool { return c != nil && c.bounds != nil }
-
 // BoundedCandidate pairs a candidate document ID with its probability
 // upper bound.
 type BoundedCandidate struct {
@@ -102,15 +91,14 @@ type BoundedCandidate struct {
 
 // Ranked returns the candidates ordered best-bound-first (descending
 // bound, ties by ascending ID — the processing order the top-k engine
-// path wants). Sets without bounds rank everything at 1, i.e. in plain
-// ascending-ID order. Nil for the nil set.
+// path wants). Nil for the nil set.
 func (c *CandidateSet) Ranked() []BoundedCandidate {
 	if c == nil {
 		return nil
 	}
 	out := make([]BoundedCandidate, len(c.ids))
 	for i, id := range c.ids {
-		out[i] = BoundedCandidate{ID: id, Bound: c.boundAt(i)}
+		out[i] = BoundedCandidate{ID: id, Bound: c.bounds[i]}
 	}
 	slices.SortFunc(out, func(a, b BoundedCandidate) int {
 		//lint:allow floateq exact equality picks the deterministic ID tiebreak; either branch is admissible
@@ -125,97 +113,20 @@ func (c *CandidateSet) Ranked() []BoundedCandidate {
 	return out
 }
 
-// intersectSets merge-walks two sets, keeping the IDs in both at the min
-// of the two bounds: a conjunction's match is contained in each
-// conjunct's, so the min is admissible. The result carries bounds when
-// either input does.
-func intersectSets(a, b *CandidateSet) *CandidateSet {
-	size := min(len(a.ids), len(b.ids))
-	out := &CandidateSet{ids: make([]string, 0, size)}
-	if a.bounds != nil || b.bounds != nil {
-		out.bounds = make([]float64, 0, size)
-	}
-	for i, j := 0, 0; i < len(a.ids) && j < len(b.ids); {
-		switch c := strings.Compare(a.ids[i], b.ids[j]); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			out.ids = append(out.ids, a.ids[i])
-			if out.bounds != nil {
-				out.bounds = append(out.bounds, min(a.boundAt(i), b.boundAt(j)))
-			}
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// unionSets merge-walks two sets, keeping the IDs in either. A
-// disjunction's bound is the capped sum of its branches' (the union
-// bound; max would under-estimate when branches overlap). b's bound is
-// added to a's, so a left fold over a disjunction's children sums each
-// ID's bounds in child order whatever the ID order — and capping per step
-// equals capping the total, since bounds are never negative. The result
-// always carries bounds.
-func unionSets(a, b *CandidateSet) *CandidateSet {
-	size := len(a.ids) + len(b.ids)
-	out := &CandidateSet{ids: make([]string, 0, size), bounds: make([]float64, 0, size)}
-	add := func(id string, bound float64) {
-		out.ids = append(out.ids, id)
-		out.bounds = append(out.bounds, bound)
-	}
-	i, j := 0, 0
-	for i < len(a.ids) && j < len(b.ids) {
-		switch c := strings.Compare(a.ids[i], b.ids[j]); {
-		case c < 0:
-			add(a.ids[i], a.boundAt(i))
-			i++
-		case c > 0:
-			add(b.ids[j], b.boundAt(j))
-			j++
-		default:
-			add(a.ids[i], min(1, a.boundAt(i)+b.boundAt(j)))
-			i++
-			j++
-		}
-	}
-	for ; i < len(a.ids); i++ {
-		add(a.ids[i], a.boundAt(i))
-	}
-	for ; j < len(b.ids); j++ {
-		add(b.ids[j], b.boundAt(j))
-	}
-	return out
-}
-
-// PostingSource answers gram lookups for the planner — the seam between
-// pkg/query and an inverted index implementation (index.Index satisfies
-// it). Implementations must honor the same no-false-negative contract:
-// every live document whose retained readings could contain all of grams
-// must appear in the result.
+// PostingSource answers the planner's lookup — the seam at which a test
+// substitutes a fake for the inverted index (index.Index satisfies it; the
+// index package is imported for the Lookup type alone). Implementations
+// must honor the same no-false-negative contract: every live document
+// whose retained readings could satisfy the lookup must appear in the
+// result.
 type PostingSource interface {
-	// CandidatesWithBounds returns, ascending and duplicate-free, the IDs
-	// of documents that may contain every gram in grams, and aligned with
-	// them an admissible upper bound on the probability that the document
-	// does: bounds[i] ≥ P(some retained reading of ids[i] contains every
-	// gram). A source without bound information returns nil bounds, which
-	// reads as 1 everywhere — it still plans, just without
-	// early-termination fuel. ok=false means the source cannot answer (for
-	// example, grams is empty) and the caller must not prune.
-	CandidatesWithBounds(grams []string) (ids []string, bounds []float64, ok bool)
-	// WildcardCandidates is the lookup by patterns: rune sequences at
-	// least the gram size long in which a negative rune is a wildcard for
-	// any one rune. It returns, in the same shape, the documents that may
-	// hold a string matching at least one pattern — or may hold a reading
-	// shorter than the gram size, which no gram describes — with an
-	// admissible bound on the probability that they do, and how many
-	// dictionary grams it read to find them. ok=false means the source
-	// cannot answer (no patterns, a pattern of wildcards only, more
-	// dictionary probes than it will spend) and the caller must not prune.
-	WildcardCandidates(patterns [][]rune) (ids []string, bounds []float64, grams int, ok bool)
+	// Candidates answers l as index.Index.Candidates documents: ascending,
+	// duplicate-free IDs, aligned admissible bounds, the dictionary grams
+	// the wildcard patterns expanded to, and ok=false when the source
+	// cannot answer and the caller must not prune. A source without bound
+	// information returns nil bounds, which reads as 1 everywhere — it still
+	// plans, just without early-termination fuel.
+	Candidates(l index.Lookup) (ids []string, bounds []float64, grams int, ok bool)
 }
 
 // Plan is the pruning strategy extracted from a Query at a given gram
@@ -243,30 +154,39 @@ func (q *Query) Plan(gramSize int) *Plan {
 // cannot prune and every document must be scanned; a non-nil result —
 // possibly empty — restricts the scan to its members.
 func (p *Plan) Candidates(src PostingSource) *CandidateSet {
-	set, _ := p.lookup(src)
+	set, _ := p.Lookup(src)
 	return set
 }
 
 // Lookup is Candidates plus the number of dictionary grams consulted to
 // build the set: NumGrams, and for every wildcard leaf the grams src
 // expanded its patterns to — a count that depends on the index, not just
-// on the plan.
+// on the plan. The whole plan is one lookup: src evaluates it and hands
+// back the finished set.
 func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
-	set, expanded := p.lookup(src)
-	return set, p.NumGrams() + expanded
-}
-
-func (p *Plan) lookup(src PostingSource) (set *CandidateSet, expanded int) {
-	set, ok := p.root.candidates(src, &expanded)
-	if !ok {
-		return nil, expanded
+	switch p.root.(type) {
+	case planAll:
+		return nil, 0
+	case planNone:
+		return NewCandidateSet(), 0
 	}
-	return set, expanded
+	ids, bounds, expanded, ok := src.Candidates(lower(p.root))
+	if !ok {
+		return nil, p.NumGrams() + expanded
+	}
+	if bounds == nil {
+		bounds = slices.Repeat([]float64{1}, len(ids))
+	}
+	return &CandidateSet{ids: ids, bounds: bounds}, p.NumGrams() + expanded
 }
 
 // Prunable reports whether the plan can restrict a scan at all, given a
-// cooperative posting source.
-func (p *Plan) Prunable() bool { return p.root.prunable() }
+// cooperative posting source: buildPlan folds every branch that cannot
+// into a planAll root.
+func (p *Plan) Prunable() bool {
+	_, all := p.root.(planAll)
+	return !all
+}
 
 // NumGrams returns the number of distinct grams the plan names; wildcard
 // leaves name none (see Lookup).
@@ -286,31 +206,46 @@ func (p *Plan) String() string {
 }
 
 // planNode mirrors the query's expr tree, reduced to what matters for
-// pruning. candidates returns (set, true) to restrict the scan to set, or
-// (nil, false) when this branch cannot prune, and adds to *expanded the
-// dictionary grams a wildcard lookup read.
+// pruning.
 type planNode interface {
-	candidates(src PostingSource, expanded *int) (*CandidateSet, bool)
-	prunable() bool
 	collectGrams(into map[string]struct{})
 	render(sb *strings.Builder)
 }
 
-// planAll is a branch that cannot prune: every document is a candidate.
+// lower turns a plan node into the question it puts to the index. planAll
+// and planNone have none: buildPlan folds them out of every conjunction
+// and disjunction, and Plan.Lookup answers them as a root itself.
+func lower(n planNode) index.Lookup {
+	switch n := n.(type) {
+	case planGrams:
+		return index.Lookup{Grams: n.grams}
+	case planWild:
+		return index.Lookup{Patterns: n.patterns}
+	case planAnd:
+		return index.Lookup{And: lowerAll(n)}
+	case planOr:
+		return index.Lookup{Or: lowerAll(n)}
+	}
+	return index.Lookup{}
+}
+
+func lowerAll(kids []planNode) []index.Lookup {
+	out := make([]index.Lookup, len(kids))
+	for i, kid := range kids {
+		out[i] = lower(kid)
+	}
+	return out
+}
+
+// planAll is a plan that cannot prune: every document is a candidate.
 type planAll struct{ reason string }
 
-func (n planAll) candidates(PostingSource, *int) (*CandidateSet, bool) { return nil, false }
-func (n planAll) prunable() bool                                       { return false }
-func (n planAll) collectGrams(map[string]struct{})                     {}
-func (n planAll) render(sb *strings.Builder)                           { fmt.Fprintf(sb, "scan(%s)", n.reason) }
+func (n planAll) collectGrams(map[string]struct{}) {}
+func (n planAll) render(sb *strings.Builder)       { fmt.Fprintf(sb, "scan(%s)", n.reason) }
 
-// planNone is the constant-false branch: no document can match.
+// planNone is the constant-false plan: no document can match.
 type planNone struct{}
 
-func (planNone) candidates(PostingSource, *int) (*CandidateSet, bool) {
-	return NewCandidateSet(), true
-}
-func (planNone) prunable() bool                   { return true }
 func (planNone) collectGrams(map[string]struct{}) {}
 func (planNone) render(sb *strings.Builder)       { sb.WriteString("none") }
 
@@ -324,16 +259,6 @@ type planGrams struct {
 	dist  int
 	grams []string
 }
-
-func (n planGrams) candidates(src PostingSource, _ *int) (*CandidateSet, bool) {
-	ids, bounds, ok := src.CandidatesWithBounds(n.grams)
-	if !ok {
-		return nil, false
-	}
-	return &CandidateSet{ids: ids, bounds: bounds}, true
-}
-
-func (n planGrams) prunable() bool { return true }
 
 func (n planGrams) collectGrams(into map[string]struct{}) {
 	for _, g := range n.grams {
@@ -362,16 +287,6 @@ type planWild struct {
 	patterns [][]rune
 }
 
-func (n planWild) candidates(src PostingSource, expanded *int) (*CandidateSet, bool) {
-	ids, bounds, grams, ok := src.WildcardCandidates(n.patterns)
-	if !ok {
-		return nil, false
-	}
-	*expanded += grams
-	return &CandidateSet{ids: ids, bounds: bounds}, true
-}
-
-func (n planWild) prunable() bool                   { return true }
 func (n planWild) collectGrams(map[string]struct{}) {}
 
 func (n planWild) render(sb *strings.Builder) {
@@ -379,32 +294,6 @@ func (n planWild) render(sb *strings.Builder) {
 }
 
 type planAnd []planNode
-
-func (n planAnd) candidates(src PostingSource, expanded *int) (*CandidateSet, bool) {
-	var acc *CandidateSet
-	got := false
-	for _, kid := range n {
-		set, ok := kid.candidates(src, expanded)
-		if !ok {
-			continue // this child cannot prune; the others still restrict
-		}
-		if !got {
-			acc, got = set, true
-			continue
-		}
-		acc = intersectSets(acc, set)
-	}
-	return acc, got
-}
-
-func (n planAnd) prunable() bool {
-	for _, kid := range n {
-		if kid.prunable() {
-			return true
-		}
-	}
-	return false
-}
 
 func (n planAnd) collectGrams(into map[string]struct{}) {
 	for _, kid := range n {
@@ -415,27 +304,6 @@ func (n planAnd) collectGrams(into map[string]struct{}) {
 func (n planAnd) render(sb *strings.Builder) { renderPlanList(sb, "and", n) }
 
 type planOr []planNode
-
-func (n planOr) candidates(src PostingSource, expanded *int) (*CandidateSet, bool) {
-	acc := &CandidateSet{bounds: []float64{}}
-	for _, kid := range n {
-		set, ok := kid.candidates(src, expanded)
-		if !ok {
-			return nil, false // one unprunable branch admits any document
-		}
-		acc = unionSets(acc, set)
-	}
-	return acc, true
-}
-
-func (n planOr) prunable() bool {
-	for _, kid := range n {
-		if !kid.prunable() {
-			return false
-		}
-	}
-	return true
-}
 
 func (n planOr) collectGrams(into map[string]struct{}) {
 	for _, kid := range n {
@@ -573,8 +441,8 @@ const wildcard rune = -1
 // over a gram of the reading that matches it, so the document's gram set
 // holds a matching gram for every window of some pattern; and if the
 // reading is shorter, the index knows the document as one with such a
-// reading. That is exactly the set PostingSource.WildcardCandidates
-// returns, so it is a sound superset of the matches.
+// reading. That is exactly the set an index.Lookup's Patterns asks for,
+// so it is a sound superset of the matches.
 func buildWildLeaf(lf leaf, runes []rune, gramSize int) planNode {
 	patterns := editPatterns(runes, lf.dist)
 	if patterns != nil {

@@ -14,51 +14,84 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
-// fakeSource records lookups and serves canned posting results, without
-// bound information.
+// fakeSource records the one lookup each plan hands it and answers from
+// canned postings, without bound information.
 type fakeSource struct {
 	byGram map[string][]string
-	calls  [][]string
-	// wild is what WildcardCandidates answers; wildCalls what it was asked,
-	// one string per pattern with '?' for a wildcard.
-	wild      []string
-	wildCalls [][]string
+	// wild is what a Patterns node admits; it reports one dictionary gram
+	// per pattern.
+	wild  []string
+	calls []index.Lookup
 }
 
-func (f *fakeSource) WildcardCandidates(patterns [][]rune) ([]string, []float64, int, bool) {
-	call := make([]string, len(patterns))
+func (f *fakeSource) Candidates(l index.Lookup) ([]string, []float64, int, bool) {
+	f.calls = append(f.calls, l)
+	grams := 0
+	set := f.admits(l, &grams)
+	ids := make([]string, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids, nil, grams, true
+}
+
+func (f *fakeSource) admits(l index.Lookup, grams *int) map[string]bool {
+	out := map[string]bool{}
+	// allOf keeps the IDs every one of lists holds.
+	allOf := func(lists [][]string) {
+		count := map[string]int{}
+		for _, ids := range lists {
+			for _, id := range ids {
+				count[id]++
+			}
+		}
+		for id, n := range count {
+			if n == len(lists) {
+				out[id] = true
+			}
+		}
+	}
+	switch {
+	case l.Grams != nil:
+		lists := make([][]string, len(l.Grams))
+		for i, g := range l.Grams {
+			lists[i] = f.byGram[g]
+		}
+		allOf(lists)
+	case l.Patterns != nil:
+		*grams += len(l.Patterns)
+		allOf([][]string{f.wild})
+	case l.And != nil:
+		lists := make([][]string, len(l.And))
+		for i, kid := range l.And {
+			for id := range f.admits(kid, grams) {
+				lists[i] = append(lists[i], id)
+			}
+		}
+		allOf(lists)
+	case l.Or != nil:
+		for _, kid := range l.Or {
+			for id := range f.admits(kid, grams) {
+				out[id] = true
+			}
+		}
+	}
+	return out
+}
+
+// spell renders patterns one string each, with '?' for a wildcard.
+func spell(patterns [][]rune) []string {
+	out := make([]string, len(patterns))
 	for i, p := range patterns {
 		for _, r := range p {
 			if r < 0 {
 				r = '?'
 			}
-			call[i] += string(r)
+			out[i] += string(r)
 		}
 	}
-	f.wildCalls = append(f.wildCalls, call)
-	return f.wild, nil, len(patterns), true
-}
-
-func (f *fakeSource) CandidatesWithBounds(grams []string) ([]string, []float64, bool) {
-	f.calls = append(f.calls, grams)
-	if len(grams) == 0 {
-		return nil, nil, false
-	}
-	// Intersect the per-gram doc lists.
-	count := map[string]int{}
-	for _, g := range grams {
-		for _, id := range f.byGram[g] {
-			count[id]++
-		}
-	}
-	var out []string
-	for id, n := range count {
-		if n == len(grams) {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out, nil, true
+	return out
 }
 
 // mustQ unwraps a compile result; the terms in this file are all valid,
@@ -103,8 +136,8 @@ func TestPlanShortTermCannotPrune(t *testing.T) {
 			t.Errorf("%s must not prune at q=3", q)
 		}
 		src := &fakeSource{}
-		if cand := plan.Candidates(src); cand != nil || len(src.calls)+len(src.wildCalls) != 0 {
-			t.Errorf("%s: candidates = %v after lookups %v %v, want nil (scan all) and none", q, cand.IDs(), src.calls, src.wildCalls)
+		if cand := plan.Candidates(src); cand != nil || len(src.calls) != 0 {
+			t.Errorf("%s: candidates = %v after lookups %v, want nil (scan all) and none", q, cand.IDs(), src.calls)
 		}
 		if !strings.HasPrefix(plan.String(), "scan(term ") || !strings.HasSuffix(plan.String(), " shorter than gram size 3)") {
 			t.Errorf("%s: plan %q should render a scan branch naming the gram size", q, plan.String())
@@ -147,8 +180,8 @@ func TestPlanFuzzyEditPatterns(t *testing.T) {
 		}
 		src := &fakeSource{wild: []string{"d1", "d4"}}
 		cand, grams := plan.Lookup(src)
-		if !reflect.DeepEqual(src.wildCalls, [][]string{c.asked}) {
-			t.Errorf("fuzzy(%q, %d) at q=%d: source was asked %v, want [%v]", c.term, c.dist, c.q, src.wildCalls, c.asked)
+		if len(src.calls) != 1 || !reflect.DeepEqual(spell(src.calls[0].Patterns), c.asked) {
+			t.Errorf("fuzzy(%q, %d) at q=%d: source was asked %v, want one lookup of patterns %v", c.term, c.dist, c.q, src.calls, c.asked)
 		}
 		if cand == nil || !reflect.DeepEqual(cand.IDs(), []string{"d1", "d4"}) {
 			t.Errorf("fuzzy(%q, %d) at q=%d: candidates = %v, want the source's answer", c.term, c.dist, c.q, cand.IDs())
@@ -222,6 +255,18 @@ func TestPlanAndIntersectsOrUnions(t *testing.T) {
 	or := query.Or(a, b).Plan(3).Candidates(src)
 	if got := or.IDs(); !reflect.DeepEqual(got, []string{"d1", "d2", "d3"}) {
 		t.Errorf("OR candidates = %v, want [d1 d2 d3]", got)
+	}
+	// Each plan is one lookup, whatever its shape: the tree goes to the
+	// source whole.
+	aaa, bbb := index.Lookup{Grams: []string{"aaa"}}, index.Lookup{Grams: []string{"bbb"}}
+	if want := []index.Lookup{{And: []index.Lookup{aaa, bbb}}, {Or: []index.Lookup{aaa, bbb}}}; !reflect.DeepEqual(src.calls, want) {
+		t.Errorf("source was asked %+v, want %+v", src.calls, want)
+	}
+	src.calls = nil
+	query.And(a, query.Or(b, mustQ(query.Fuzzy("abcdefgh", 1))), mustQ(query.Fuzzy("日本語", 1))).Plan(2).Candidates(src)
+	if len(src.calls) != 1 || len(src.calls[0].And) != 3 || len(src.calls[0].And[1].Or) != 2 ||
+		len(src.calls[0].And[1].Or[1].Or) != 2 || len(src.calls[0].And[2].Patterns) != 4 {
+		t.Errorf("and(substr, or(substr, fuzzy pieces), fuzzy patterns) was asked as %+v, want one nested lookup", src.calls)
 	}
 }
 

@@ -452,12 +452,9 @@ func (db *DB) Explain(q *query.Query) string {
 	cand := planCandidates(ix, q, &planned)
 	out := fmt.Sprintf("plan: %s\nindex: %d-gram over %d docs, %d dictionary grams consulted", planned.Plan, ix.GramSize(), ix.Len(), planned.PlanGrams)
 	if cand != nil {
-		out += fmt.Sprintf("\ncandidates: %d of %d docs\nmode: %s (Search fetches only the candidates)",
-			cand.Len(), ix.Len(), query.ExecCandidateOnly)
-		if cand.Bounded() {
-			out += fmt.Sprintf("\ntop-k: with a result limit, mode %s processes candidates best-bound-first and reports early_stopped/bounds_skipped",
-				query.ExecTopK)
-		}
+		out += fmt.Sprintf("\ncandidates: %d of %d docs\nmode: %s (Search fetches only the candidates)"+
+			"\ntop-k: with a result limit, mode %s processes candidates best-bound-first and reports early_stopped/bounds_skipped",
+			cand.Len(), ix.Len(), query.ExecCandidateOnly, query.ExecTopK)
 	} else {
 		out += fmt.Sprintf("\ncandidates: all (plan cannot prune)\nmode: %s", query.ExecScan)
 	}
