@@ -23,7 +23,7 @@ func assertAligned(t *testing.T, when string, ix *Index) {
 // TestPostingsAndBoundsStayAligned drives random Apply sequences — adds,
 // supersedes, deletes, overflow documents, hand-built entries with short
 // or missing Bounds — through the in-memory index, the append log, and
-// snapshot round trips. CandidatesWithBounds, intersect, and Entries index
+// snapshot round trips. Candidates, intersect, and Snapshot index
 // a gram's bnds by posting position without a length check, which is only
 // sound while this holds.
 func TestPostingsAndBoundsStayAligned(t *testing.T) {
@@ -38,7 +38,7 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 		for _, g := range grams {
 			if rng.Intn(2) == 0 {
 				e.Grams = append(e.Grams, g)
-				e.Bounds = append(e.Bounds, rng.Float64())
+				e.Bounds = append(e.Bounds, Quantize(rng.Float64()))
 			}
 		}
 		if rng.Intn(4) == 0 && len(e.Bounds) > 0 {
@@ -72,7 +72,7 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 			}
 		}
 		ix.Apply(adds, dels)
-		if err := w.Append(adds, dels, State{Ops: uint64(step + 1)}); err != nil {
+		if err := w.Append(Invert(adds), dels, State{Ops: uint64(step + 1)}); err != nil {
 			t.Fatal(err)
 		}
 		assertAligned(t, fmt.Sprintf("after Apply %d", step), ix)

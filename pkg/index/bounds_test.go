@@ -52,10 +52,7 @@ func TestDocGramBoundsAdmissibleProperty(t *testing.T) {
 		}
 		byGram := make(map[string]float64, len(grams))
 		for i, g := range grams {
-			if b := bounds[i]; b < 0 || b > 1 {
-				t.Fatalf("doc %s gram %q: bound %v outside [0, 1]", c.Doc.ID, g, b)
-			}
-			byGram[g] = bounds[i]
+			byGram[g] = index.Dequantize(bounds[i])
 		}
 		for g, p := range trueGramProbs(c.Doc, q) {
 			b, indexed := byGram[g]
@@ -109,8 +106,8 @@ func TestDocGramBoundsOverlappingOccurrences(t *testing.T) {
 	for i, g := range grams {
 		if g == "abc" {
 			found = true
-			if bounds[i] < 1-1e-12 {
-				t.Fatalf("bound for \"abc\" = %v, want 1: every reading contains it", bounds[i])
+			if bounds[i] != index.Quantize(1) {
+				t.Fatalf("bound for \"abc\" = %v, want 1: every reading contains it", index.Dequantize(bounds[i]))
 			}
 		}
 	}
@@ -125,14 +122,14 @@ func TestDocGramBoundsOverlappingOccurrences(t *testing.T) {
 // TestEntryBoundDefaults pins Entry.Bound's missing-data contract: absent
 // bounds (legacy entries, overflow docs) read as the always-admissible 1.
 func TestEntryBoundDefaults(t *testing.T) {
-	e := index.Entry{ID: "d", Grams: []string{"abc", "bcd"}, Bounds: []float64{0.25}}
-	if got := e.Bound(0); got != 0.25 {
+	e := index.Entry{ID: "d", Grams: []string{"abc", "bcd"}, Bounds: []uint16{index.Quantize(0.25)}}
+	if got := e.Bound(0); got != index.Quantize(0.25) {
 		t.Fatalf("Bound(0) = %v, want 0.25", got)
 	}
-	if got := e.Bound(1); got != 1 {
+	if got := e.Bound(1); got != index.Quantize(1) {
 		t.Fatalf("Bound(1) with missing bound = %v, want 1", got)
 	}
-	if got := e.Bound(99); got != 1 {
+	if got := e.Bound(99); got != index.Quantize(1) {
 		t.Fatalf("Bound(99) out of range = %v, want 1", got)
 	}
 }

@@ -2,65 +2,106 @@ package index
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 	"reflect"
 	"testing"
 )
 
-// FuzzCommitRecord pins decode→encode→decode stability for the
-// bound-carrying commit codec. parseCommit sanitizes bounds into [0, 1]
-// (NaN, negative, and >1 collapse to the always-admissible 1), so any
-// successfully decoded commit must be canonical: re-encoding it
-// reproduces the accepted payload's meaning bit for bit, and re-decoding
-// that yields deeply equal structures. A violation means a persisted
-// index could drift across load/snapshot cycles.
-func FuzzCommitRecord(f *testing.F) {
-	f.Add(encodeCommit(
-		[]Entry{
-			{ID: "doc-1", Grams: []string{"abc", "bcd"}, Bounds: []float64{0.25, 1}},
+// wellFormedCommits are payloads parseCommit must accept: every flags
+// combination, deletions, a multi-document run that needs a real delta, a
+// front-coded dictionary, and the empty commit.
+func wellFormedCommits() [][]byte {
+	q := Quantize
+	return [][]byte{
+		encodeCommit(Invert([]Entry{
+			{ID: "doc-1", Grams: []string{"abc", "abd", "bcd"}, Bounds: []uint16{q(0.25), q(1), q(0)}},
 			{ID: "doc-2", Overflow: true},
-		},
-		[]string{"gone"},
-		State{Ops: 7, Bytes: 99, Seg: 2},
-	))
-	f.Add(encodeCommit(nil, nil, State{}))
-	// The v3 flags byte: Short alone, Short beside Overflow, and a byte
-	// with an unassigned bit, which must be rejected, not read as flags.
-	flagged := encodeCommit(
-		[]Entry{
-			{ID: "tiny", Grams: []string{"abc"}, Bounds: []float64{0.5}, Short: true},
+			{ID: "doc-3", Grams: []string{"abc", "xyz"}, Bounds: []uint16{q(0.5), q(1e-9)}},
+		}), []string{"gone"}, State{Ops: 7, Bytes: 99, Seg: 2}),
+		encodeCommit(Invert([]Entry{
+			{ID: "tiny", Grams: []string{"abc"}, Bounds: []uint16{q(0.5)}, Short: true},
 			{ID: "both", Overflow: true, Short: true},
-		},
-		nil, State{Ops: 2},
-	)
-	f.Add(flagged)
-	unassigned := bytes.Clone(flagged)
-	unassigned[bytes.Index(unassigned, []byte("tiny"))+len("tiny")] = flagShort | 1<<2
-	f.Add(unassigned)
-	// A payload carrying an out-of-range bound: decode must sanitize it
-	// to 1, and the sanitized form must round-trip. The 8 bytes after the
-	// gram text are its little-endian bound; overwrite them with NaN.
-	dirty := encodeCommit([]Entry{{ID: "d", Grams: []string{"xyz"}, Bounds: []float64{0.5}}}, nil, State{Ops: 1})
-	at := bytes.Index(dirty, []byte("xyz")) + len("xyz")
-	binary.LittleEndian.PutUint64(dirty[at:at+8], math.Float64bits(math.NaN()))
-	f.Add(dirty)
-	f.Add([]byte{recCommit})
-	f.Add([]byte(fileMagic))
+		}), nil, State{Ops: 2}),
+		encodeCommit(Invert(nil), nil, State{}),
+	}
+}
 
+// malformedCommits are payloads parseCommit must refuse, each one edit away
+// from something encodeCommit produces.
+func malformedCommits() map[string][]byte {
+	one := func(flags byte, ords []uint32, bnds []uint16) []byte {
+		return encodeCommit(&Batch{
+			ids: []string{"a", "b"}, flags: []byte{flags, 0},
+			grams: []string{"abc"}, lists: []postings{{ords, bnds}},
+		}, nil, State{Ops: 1})
+	}
+	valid := one(flagShort, []uint32{0, 1}, []uint16{7, 9})
+	unsorted := encodeCommit(&Batch{
+		ids: []string{"a"}, flags: []byte{0},
+		grams: []string{"abd", "abc"}, lists: []postings{{[]uint32{0}, []uint16{1}}, {[]uint32{0}, []uint16{1}}},
+	}, nil, State{Ops: 1})
+	return map[string][]byte{
+		"unassigned flag bit":            one(flagShort|1<<2, []uint32{0, 1}, []uint16{7, 9}),
+		"local ordinal out of range":     one(0, []uint32{0, 2}, []uint16{7, 9}),
+		"non-ascending delta":            one(0, []uint32{1, 1}, []uint16{7, 9}),
+		"posting for an overflow doc":    one(flagOverflow, []uint32{0, 1}, []uint16{7, 9}),
+		"count overrunning the payload":  one(0, []uint32{0, 1}, []uint16{7}),
+		"empty run":                      one(0, nil, nil),
+		"gram not above its predecessor": unsorted,
+		"trailing bytes":                 append(bytes.Clone(valid), 0),
+		"truncated":                      valid[:len(valid)-1],
+		"kind byte only":                 {recCommit},
+		"a header, not a commit":         []byte(fileMagic),
+	}
+}
+
+func TestParseCommitAcceptsAndRejects(t *testing.T) {
+	for i, payload := range wellFormedCommits() {
+		if _, _, _, err := parseCommit(payload); err != nil {
+			t.Errorf("well-formed commit %d refused: %v", i, err)
+		}
+	}
+	for name, payload := range malformedCommits() {
+		if adds, _, _, err := parseCommit(payload); err == nil {
+			t.Errorf("%s: parseCommit accepted it as %+v", name, adds)
+		}
+	}
+}
+
+// FuzzCommitRecord pins decode→encode→decode stability for the commit
+// codec. Every bit pattern of a 16-bit bound is a valid bound, so there is
+// nothing to sanitize; what parseCommit must guarantee is that whatever it
+// accepts is a Batch ApplyBatch can take — runs aligned, ascending, inside
+// the add list, clear of overflow documents — and canonical: re-encoding it
+// and decoding that yields deeply equal structures and the same bytes
+// again. A violation means a persisted index could drift across
+// load/snapshot cycles.
+func FuzzCommitRecord(f *testing.F) {
+	for _, payload := range wellFormedCommits() {
+		f.Add(payload)
+	}
+	for _, payload := range malformedCommits() {
+		f.Add(payload)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		adds, dels, st, err := parseCommit(payload)
 		if err != nil {
 			return // malformed input rejected cleanly: nothing to round-trip
 		}
-		for _, e := range adds {
-			for i := range e.Bounds {
-				b := e.Bounds[i]
-				if math.IsNaN(b) || b < 0 || b > 1 {
-					t.Fatalf("decode let an unsanitized bound through: %v", b)
+		if len(adds.ids) != len(adds.flags) || len(adds.grams) != len(adds.lists) {
+			t.Fatalf("misaligned batch: %d ids, %d flags, %d grams, %d lists", len(adds.ids), len(adds.flags), len(adds.grams), len(adds.lists))
+		}
+		for k, l := range adds.lists {
+			if len(l.ords) == 0 || len(l.ords) != len(l.bnds) {
+				t.Fatalf("gram %q: %d ordinals, %d bounds", adds.grams[k], len(l.ords), len(l.bnds))
+			}
+			for i, o := range l.ords {
+				if int(o) >= len(adds.ids) || adds.flags[o]&flagOverflow != 0 || (i > 0 && o <= l.ords[i-1]) {
+					t.Fatalf("gram %q: run %v is not ascending over the non-overflow documents of %d", adds.grams[k], l.ords, len(adds.ids))
 				}
 			}
 		}
+		New(3).ApplyBatch(adds, dels) // must not panic
+
 		re := encodeCommit(adds, dels, st)
 		adds2, dels2, st2, err := parseCommit(re)
 		if err != nil {
@@ -70,8 +111,7 @@ func FuzzCommitRecord(f *testing.F) {
 			t.Fatalf("decode→encode→decode drift:\n first  %+v %+v %+v\n second %+v %+v %+v",
 				adds, dels, st, adds2, dels2, st2)
 		}
-		re2 := encodeCommit(adds2, dels2, st2)
-		if !bytes.Equal(re, re2) {
+		if re2 := encodeCommit(adds2, dels2, st2); !bytes.Equal(re, re2) {
 			t.Fatalf("canonical encoding unstable:\n first  %x\n second %x", re, re2)
 		}
 	})

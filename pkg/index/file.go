@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
@@ -16,27 +15,47 @@ import (
 // The index persists as one append-only log file (FileName) in the store
 // directory: a sequence of internal/framelog frames, the same framing as
 // a diskstore segment. The first frame is a header naming the format and
-// the gram size; every later frame is one commit:
+// the gram size; every later frame is one commit, laid out the way the
+// index holds it — postings-major (a Batch):
 //
 //	header  = magic | uvarint q
 //	commit  = kind=1 | uvarint ops | uvarint bytes | uvarint seg
 //	          | uvarint nDels | nDels × (uvarint len | id)
-//	          | uvarint nAdds | nAdds × (uvarint len | id | flags byte
-//	                                     | uvarint nGrams
-//	                                     | nGrams × (uvarint len | gram
-//	                                                 | float64le bound))
+//	          | uvarint nAdds | nAdds × (uvarint len | id | flags byte)
+//	          | uvarint nGrams
+//	          | nGrams × (uvarint len(suffix)·(len(prev)+1)+shared | suffix
+//	                      | uvarint count
+//	                      | count × uvarint ordinal delta
+//	                      | count × uint16le bound)
 //
-// (ops, bytes) is the diskstore CommitState after the commit the record
-// mirrors. The flags byte is Entry.Overflow in bit 0 and Entry.Short in
-// bit 1; any other bit makes the record malformed. v2 added the fixed
-// 8-byte little-endian IEEE-754 probability upper bound after each gram;
-// v3 added the Short bit, without which a wildcard lookup would prune
-// documents it must keep. Files of an older version (magic
-// "staccato-index v1" or "v2") fail header validation with ErrMismatch,
-// which callers already answer with a transparent rebuild from a store
-// scan — exactly how a stale index is handled. Decoding sanitizes bounds into
-// [0, 1] (NaN, negative, or >1 become the always-admissible 1), so a
-// decoded commit is canonical: re-encoding it reproduces it bit for bit.
+// (ops, bytes, seg) is the diskstore CommitState after the commit the
+// record mirrors. The flags byte is Entry.Overflow in bit 0 and Entry.Short
+// in bit 1. The grams are the commit's own dictionary, strictly ascending
+// and front-coded: each is the first shared bytes of prev, the gram before
+// it ("" before the first), followed by suffix; shared is at most
+// len(prev), so the two lengths ride one varint as a two-digit number in
+// base len(prev)+1 — one byte per gram where two would be, and no pair of
+// lengths the decoder would have to refuse. A gram's ordinals are positions in the commit's add
+// list — Load rebases them on the ordinals the index has issued so far —
+// ascending, the first as it stands and each later one as its distance from
+// the one before; its bounds follow in the same order, 16-bit fixed point
+// (see Quantize: rounded up when the entry was extracted, so every bound in
+// the file is admissible and none needs sanitizing). A snapshot is one
+// commit holding every live document, renumbered densely (Index.Snapshot).
+//
+// parseCommit accepts exactly what encodeCommit can produce from a Batch: a
+// flags byte with an unassigned bit, a gram not above its predecessor, an
+// empty run, a zero delta, an ordinal outside the add list or naming an
+// overflow document, a count overrunning the payload and trailing bytes all
+// make the record malformed. Loading such a file appends each run to its
+// posting list: one dictionary lookup per distinct gram of a commit, no
+// re-inversion.
+//
+// Files of an older version (magic "staccato-index v1", "v2" or "v3": the
+// doc-major layouts, the last two with an 8-byte float per posting) fail header
+// validation with ErrMismatch, which callers already answer with a
+// transparent rebuild from a store scan — exactly how a stale index is
+// handled. There is one format and one reader.
 //
 // The index is derived data, so its damage policy is deliberately blunt:
 // Load stops at the first frame framelog reports damaged — torn or
@@ -49,7 +68,7 @@ import (
 const FileName = "INDEX"
 
 const (
-	fileMagic = "staccato-index v3"
+	fileMagic = "staccato-index v4"
 	recCommit = byte(1)
 
 	flagOverflow = byte(1) << 0
@@ -130,7 +149,7 @@ func openLog(path string, q int) (*os.File, *framelog.Reader, error) {
 
 // Append writes one commit record mirroring a store commit that applied
 // adds and dels and left the store at st.
-func (w *Writer) Append(adds []Entry, dels []string, st State) error {
+func (w *Writer) Append(adds *Batch, dels []string, st State) error {
 	payload := encodeCommit(adds, dels, st)
 	if _, err := w.f.Write(framelog.Append(nil, payload)); err != nil {
 		return fmt.Errorf("index: %w", err)
@@ -152,11 +171,12 @@ func (w *Writer) Close() error {
 }
 
 // WriteSnapshot atomically replaces the index log at path with a fresh
-// one holding entries as a single commit at state st. A crash or failure
-// at any point leaves either the old log or the new one, never a mix.
+// one holding ix's live documents as a single commit at state st. A crash
+// or failure at any point leaves either the old log or the new one, never
+// a mix.
 func WriteSnapshot(path string, ix *Index, st State) error {
 	buf := framelog.Append(nil, encodeHeader(ix.GramSize()))
-	buf = framelog.Append(buf, encodeCommit(ix.Entries(), nil, st))
+	buf = framelog.Append(buf, encodeCommit(ix.Snapshot(), nil, st))
 	if _, err := framelog.ReplaceFile(path, buf); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
@@ -191,7 +211,7 @@ func loadInto(path string, q int, ix *Index) (State, error) {
 		if err == nil {
 			adds, dels, recSt, perr := parseCommit(payload)
 			if perr == nil {
-				ix.Apply(adds, dels)
+				ix.ApplyBatch(adds, dels)
 				st = recSt
 				continue
 			}
@@ -225,7 +245,7 @@ func parseHeader(p []byte) (int, error) {
 	return int(q), nil
 }
 
-func encodeCommit(adds []Entry, dels []string, st State) []byte {
+func encodeCommit(adds *Batch, dels []string, st State) []byte {
 	buf := []byte{recCommit}
 	buf = binary.AppendUvarint(buf, st.Ops)
 	buf = binary.AppendUvarint(buf, uint64(st.Bytes))
@@ -234,49 +254,53 @@ func encodeCommit(adds []Entry, dels []string, st State) []byte {
 	for _, id := range dels {
 		buf = appendString(buf, id)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(adds)))
-	for _, e := range adds {
-		buf = appendString(buf, e.ID)
-		var flags byte
-		if e.Overflow {
-			flags |= flagOverflow
+	buf = binary.AppendUvarint(buf, uint64(len(adds.ids)))
+	for i, id := range adds.ids {
+		buf = appendString(buf, id)
+		buf = append(buf, adds.flags[i])
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(adds.grams)))
+	prev := ""
+	for k, g := range adds.grams {
+		shared := 0
+		for shared < len(prev) && shared < len(g) && prev[shared] == g[shared] {
+			shared++
 		}
-		if e.Short {
-			flags |= flagShort
+		buf = binary.AppendUvarint(buf, uint64((len(g)-shared)*(len(prev)+1)+shared))
+		buf = append(buf, g[shared:]...)
+		prev = g
+		run := adds.lists[k]
+		buf = binary.AppendUvarint(buf, uint64(len(run.ords)))
+		last := uint32(0)
+		for _, o := range run.ords {
+			buf = binary.AppendUvarint(buf, uint64(o-last))
+			last = o
 		}
-		buf = append(buf, flags)
-		buf = binary.AppendUvarint(buf, uint64(len(e.Grams)))
-		for i, g := range e.Grams {
-			buf = appendString(buf, g)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Bound(i)))
+		for _, b := range run.bnds {
+			buf = binary.LittleEndian.AppendUint16(buf, b)
 		}
 	}
 	return buf
 }
 
-func parseCommit(p []byte) (adds []Entry, dels []string, st State, err error) {
-	bad := func() ([]Entry, []string, State, error) {
+func parseCommit(p []byte) (adds *Batch, dels []string, st State, err error) {
+	bad := func() (*Batch, []string, State, error) {
 		return nil, nil, State{}, fmt.Errorf("index: malformed commit record")
 	}
 	if len(p) < 1 || p[0] != recCommit {
 		return bad()
 	}
 	p = p[1:]
-	ops, p, ok := takeUvarint(p)
-	if !ok {
-		return bad()
+	var head [4]uint64 // ops, bytes, seg, nDels
+	var ok bool
+	for i := range head {
+		if head[i], p, ok = takeUvarint(p); !ok {
+			return bad()
+		}
 	}
-	bytes, p, ok := takeUvarint(p)
-	if !ok {
-		return bad()
-	}
-	seg, p, ok := takeUvarint(p)
-	if !ok {
-		return bad()
-	}
-	st = State{Ops: ops, Bytes: int64(bytes), Seg: seg}
-	nDels, p, ok := takeUvarint(p)
-	if !ok || nDels > uint64(len(p)) {
+	st = State{Ops: head[0], Bytes: int64(head[1]), Seg: head[2]}
+	nDels := head[3]
+	if nDels > uint64(len(p)) {
 		return bad()
 	}
 	for i := uint64(0); i < nDels; i++ {
@@ -291,36 +315,56 @@ func parseCommit(p []byte) (adds []Entry, dels []string, st State, err error) {
 	if !ok || nAdds > uint64(len(p)) {
 		return bad()
 	}
-	for i := uint64(0); i < nAdds; i++ {
-		var e Entry
-		e.ID, p, ok = takeString(p)
+	adds = &Batch{ids: make([]string, nAdds), flags: make([]byte, nAdds)}
+	for i := range adds.ids {
+		adds.ids[i], p, ok = takeString(p)
 		if !ok || len(p) < 1 || p[0]&^(flagOverflow|flagShort) != 0 {
 			return bad()
 		}
-		e.Overflow, e.Short = p[0]&flagOverflow != 0, p[0]&flagShort != 0
-		p = p[1:]
-		var nGrams uint64
-		nGrams, p, ok = takeUvarint(p)
-		if !ok || nGrams > uint64(len(p)) {
+		adds.flags[i], p = p[0], p[1:]
+	}
+	nGrams, p, ok := takeUvarint(p)
+	if !ok || nGrams > uint64(len(p)) {
+		return bad()
+	}
+	adds.grams = make([]string, nGrams)
+	adds.lists = make([]postings, nGrams)
+	// A posting is at least three bytes, so the runs sliced out of these
+	// are never moved by a later append.
+	ords, bnds := make([]uint32, 0, len(p)/3), make([]uint16, 0, len(p)/3)
+	var gram []byte
+	for k := range adds.grams {
+		var lens, count uint64
+		if lens, p, ok = takeUvarint(p); !ok || lens/uint64(len(gram)+1) > uint64(len(p)) {
 			return bad()
 		}
-		for j := uint64(0); j < nGrams; j++ {
-			var g string
-			g, p, ok = takeString(p)
-			if !ok || len(p) < 8 {
+		shared, suffix := lens%uint64(len(gram)+1), lens/uint64(len(gram)+1)
+		gram, p = append(gram[:shared], p[:suffix]...), p[suffix:]
+		if k > 0 && string(gram) <= adds.grams[k-1] {
+			return bad()
+		}
+		adds.grams[k] = string(gram)
+		if count, p, ok = takeUvarint(p); !ok || count == 0 || count > uint64(len(p))/3 {
+			return bad()
+		}
+		from, o := len(ords), uint64(0)
+		for i := uint64(0); i < count; i++ {
+			var delta uint64
+			if delta, p, ok = takeUvarint(p); !ok || (i > 0 && delta == 0) || delta >= nAdds {
 				return bad()
 			}
-			b := math.Float64frombits(binary.LittleEndian.Uint64(p))
-			p = p[8:]
-			// Sanitize into the admissible range so decoded commits are
-			// canonical (NaN or out-of-range bounds become the safe 1).
-			if !(b >= 0) || b > 1 {
-				b = 1
+			if o += delta; o >= nAdds || adds.flags[o]&flagOverflow != 0 {
+				return bad()
 			}
-			e.Grams = append(e.Grams, g)
-			e.Bounds = append(e.Bounds, b)
+			ords = append(ords, uint32(o))
 		}
-		adds = append(adds, e)
+		if uint64(len(p)) < 2*count {
+			return bad()
+		}
+		for ; count > 0; count-- {
+			bnds, p = append(bnds, binary.LittleEndian.Uint16(p)), p[2:]
+		}
+		adds.lists[k] = postings{ords[from:len(ords):len(ords)], bnds[from:len(bnds):len(bnds)]}
 	}
 	if len(p) != 0 {
 		return bad()

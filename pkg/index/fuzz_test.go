@@ -20,6 +20,7 @@ func FuzzIndexLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("staccato-index v1"))
 	f.Add([]byte("staccato-index v2"))
+	f.Add([]byte("staccato-index v3"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), index.FileName)
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -18,18 +18,21 @@
 //
 // Alongside each gram the DP accumulates an admissible probability upper
 // bound: the probability that any retained reading contains that gram is
-// at most the stored bound (see DocGramBounds). Bounds ride the posting
+// at most the stored bound (see DocGramBounds), which is rounded up to 16
+// bits (see Quantize) so that it stays admissible. Bounds ride the posting
 // lists and let the engine process top-k candidates best-bound-first and
 // stop early once the running k-th result beats every remaining bound.
 //
 // The index lives in memory as gram → posting list and persists to a
 // single crc-framed log file (see file.go) inside the store directory,
+// commit by commit in the postings-major shape it applies them in (Batch),
 // maintained transactionally with diskstore commits and rebuilt from a
 // store scan whenever it is missing or stale.
 package index
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
@@ -47,8 +50,9 @@ const DefaultGramSize = 3
 // alternatives can produce, so ordinary OCR documents stay far below this.
 const maxSuffixes = 1024
 
-// Entry is one document's indexed gram set, the unit that crosses the
-// persistence boundary.
+// Entry is one document's indexed gram set, the unit gram extraction
+// produces; Invert turns a commit's entries into the postings-major Batch
+// the index and its log consume.
 type Entry struct {
 	ID string
 	// Grams is the sorted set of q-grams occurring in at least one
@@ -56,10 +60,10 @@ type Entry struct {
 	// long as q runes.
 	Grams []string
 	// Bounds is aligned with Grams: Bounds[i] is an admissible upper bound
-	// on the probability that any retained reading contains Grams[i], in
-	// [0, 1]. A nil or short Bounds (legacy entries) is read as all-ones,
-	// which is always admissible.
-	Bounds []float64
+	// on the probability that any retained reading contains Grams[i],
+	// quantized upward (see Quantize). A nil or short Bounds (hand-built
+	// entries) is read as all-ones, which is always admissible.
+	Bounds []uint16
 	// Overflow marks a document whose gram extraction exceeded its budget;
 	// the index treats it as a candidate for every query.
 	Overflow bool
@@ -71,13 +75,14 @@ type Entry struct {
 	Short bool
 }
 
-// Bound returns the upper bound for gram position i, defaulting to 1 when
-// the entry carries no bound there (the always-admissible fallback).
-func (e *Entry) Bound(i int) float64 {
+// Bound returns the quantized upper bound for gram position i, defaulting
+// to 1 when the entry carries no bound there (the always-admissible
+// fallback).
+func (e *Entry) Bound(i int) uint16 {
 	if i < len(e.Bounds) {
 		return e.Bounds[i]
 	}
-	return 1
+	return maxBound
 }
 
 // EntryFor extracts doc's gram set at gram size q. Overflow is reported in
@@ -99,13 +104,14 @@ func EntryFor(doc *staccato.Doc, q int) Entry {
 // at least one retained reading, because each emitted window is a real
 // reachable suffix concatenated with a real alternative.
 func DocGrams(doc *staccato.Doc, q int) ([]string, bool) {
-	grams, _, _, ok := DocGramBounds(doc, q)
+	grams, _, _, ok := docGramMass(doc, q)
 	return grams, ok
 }
 
 // DocGramBounds is DocGrams plus, per gram, an admissible upper bound on
 // the probability that a reading drawn from doc's distribution contains
-// that gram.
+// that gram, quantized upward to 16 bits (Quantize) — here, once, so the
+// live index, the log and a reload all carry the same value.
 //
 // The bound is a union bound over disjoint boundary events. The DP
 // carries, for every reachable (≤ q-1)-rune suffix of a reading prefix,
@@ -123,27 +129,65 @@ func DocGrams(doc *staccato.Doc, q int) ([]string, bool) {
 // whether doc has a retained reading shorter than q runes — the shortest
 // reading takes each chunk's shortest alternative — which is what
 // Entry.Short records; it is exact even when the DP overflows.
-func DocGramBounds(doc *staccato.Doc, q int) (grams []string, bounds []float64, short, ok bool) {
+func DocGramBounds(doc *staccato.Doc, q int) (grams []string, bounds []uint16, short, ok bool) {
+	grams, mass, short, ok := docGramMass(doc, q)
+	if !ok {
+		return nil, nil, short, false
+	}
+	bounds = make([]uint16, len(mass))
+	for i, m := range mass {
+		bounds[i] = Quantize(m)
+	}
+	return grams, bounds, short, true
+}
+
+// docGramMass is the boundary DP behind DocGramBounds: the sorted grams
+// and, aligned, each gram's accumulated event mass capped at 1.
+//
+// Every (tail, alternative) event is laid out once, UTF-8 with invalid
+// bytes normalized as a []rune conversion would, in a reused buffer; its
+// windows and its new suffix are byte ranges of that buffer, looked up in
+// maps that hand back a slot — a lookup by string(bytes) does not allocate,
+// so only a gram's or a suffix's first sighting does.
+func docGramMass(doc *staccato.Doc, q int) (grams []string, mass []float64, short, ok bool) {
 	if q < 1 {
 		return nil, nil, false, false
 	}
-	shortest := 0
+	shortest, size := 0, 0
 	for _, ch := range doc.Chunks {
 		least := 0 // a chunk without alternatives reads as the empty string below
 		for i, alt := range ch.Alts {
 			if n := utf8.RuneCountInString(alt.Text); i == 0 || n < least {
 				least = n
 			}
+			size += len(alt.Text)
 		}
 		shortest += least
 	}
 	short = shortest < q
-	mass := make(map[string]float64)
-	// suffixes maps every distinct last-(≤ q-1)-rune string of a reading
-	// prefix ending at the previous chunk boundary to the total probability
-	// of the prefixes ending in it.
-	suffixes := map[string]float64{"": 1}
-	window := make(map[string]struct{}, 8) // per-event gram dedup, reused
+
+	type gram struct {
+		text   string
+		mass   float64
+		seenIn int32 // the last event that counted it
+	}
+	// suffix is one entry of the DP's frontier: a distinct last-(≤ q-1)-rune
+	// string of a reading prefix ending at a chunk boundary, and the total
+	// probability of the prefixes ending in it.
+	type suffix struct {
+		tail string
+		mass float64
+	}
+	// A chunk's alternatives mostly repeat one another's grams: half the
+	// document's bytes is room for nearly every one without regrowing.
+	found := make([]gram, 0, size/2)
+	slot := make(map[string]int32, size/2) // gram -> position in found
+	event := int32(0)
+	frontier := []suffix{{"", 1}} // ascending by tail
+	var next []suffix
+	nextAt := make(map[string]int32) // tail -> position in next
+	var text []byte                  // the event's window tail+alt.Text
+	var runeAt []int                 // byte offset of each rune of text, then len(text)
 	for _, ch := range doc.Chunks {
 		alts := ch.Alts
 		if len(alts) == 0 {
@@ -153,52 +197,60 @@ func DocGramBounds(doc *staccato.Doc, q int) (grams []string, bounds []float64, 
 			// never drops them.
 			alts = []staccato.Alt{{}}
 		}
-		// Extract and sort the frontier so the float accumulations below
-		// run in a deterministic order (map iteration is randomized).
-		tails := make([]string, 0, len(suffixes))
-		for t := range suffixes {
-			tails = append(tails, t)
-		}
-		sort.Strings(tails)
-		next := make(map[string]float64, len(suffixes))
-		for _, tail := range tails {
-			tailMass := suffixes[tail]
+		next = next[:0]
+		clear(nextAt)
+		// The frontier is walked in ascending tail order and the
+		// alternatives as given, so every float accumulation below runs in
+		// one fixed order.
+		for _, from := range frontier {
 			for _, alt := range alts {
-				w := tailMass * alt.Prob
-				runes := []rune(tail + alt.Text)
-				clear(window)
-				for i := 0; i+q <= len(runes); i++ {
-					g := string(runes[i : i+q])
-					if _, dup := window[g]; dup {
-						continue
+				w := from.mass * alt.Prob
+				event++
+				text, runeAt = text[:0], runeAt[:0]
+				for _, s := range [2]string{from.tail, alt.Text} {
+					for _, r := range s {
+						runeAt = append(runeAt, len(text))
+						text = utf8.AppendRune(text, r)
 					}
-					window[g] = struct{}{}
-					mass[g] += w
 				}
-				keep := len(runes)
-				if keep > q-1 {
-					keep = q - 1
+				n := len(runeAt)
+				runeAt = append(runeAt, len(text))
+				for i := 0; i+q <= n; i++ {
+					g := text[runeAt[i]:runeAt[i+q]]
+					at, known := slot[string(g)]
+					if !known {
+						at = int32(len(found))
+						found = append(found, gram{text: string(g)})
+						slot[found[at].text] = at
+					}
+					if found[at].seenIn != event { // once per event, however often it repeats
+						found[at].seenIn = event
+						found[at].mass += w
+					}
 				}
-				next[string(runes[len(runes)-keep:])] += w
+				tail := text[runeAt[max(0, n-(q-1))]:]
+				at, known := nextAt[string(tail)]
+				if !known {
+					at = int32(len(next))
+					next = append(next, suffix{tail: string(tail)})
+					nextAt[next[at].tail] = at
+				}
+				next[at].mass += w
 			}
 		}
 		if len(next) > maxSuffixes {
 			return nil, nil, short, false
 		}
-		suffixes = next
+		slices.SortFunc(next, func(a, b suffix) int { return strings.Compare(a.tail, b.tail) })
+		frontier, next = next, frontier
 	}
-	grams = make([]string, 0, len(mass))
-	for g := range mass {
-		grams = append(grams, g)
+	grams, mass = make([]string, len(found)), make([]float64, len(found))
+	for i, g := range found {
+		grams[i] = g.text
 	}
-	sort.Strings(grams)
-	bounds = make([]float64, len(grams))
+	slices.Sort(grams) // on bare strings: several times faster than sorting found by a comparator
 	for i, g := range grams {
-		b := mass[g]
-		if b > 1 {
-			b = 1
-		}
-		bounds[i] = b
+		mass[i] = min(1, found[slot[g]].mass)
 	}
-	return grams, bounds, short, true
+	return grams, mass, short, true
 }

@@ -72,43 +72,54 @@ func (ix *Index) Add(doc *staccato.Doc) {
 
 // Delete removes the document with the given ID; unknown IDs are a no-op.
 func (ix *Index) Delete(id string) {
-	ix.Apply(nil, []string{id})
+	ix.ApplyBatch(&Batch{}, []string{id})
 }
 
-// Apply atomically applies one commit's worth of mutations: deletions
-// first, then additions in order, so an ID repeated within adds ends at
-// its last entry. An ID must not appear in both adds and dels: the
-// dels-then-adds order cannot represent an intra-commit interleaving
-// (staccatodb's writes are puts only or one delete, never both).
+// Apply is ApplyBatch over Invert(adds), for callers that have not
+// inverted their entries already.
 func (ix *Index) Apply(adds []Entry, dels []string) {
+	ix.ApplyBatch(Invert(adds), dels)
+}
+
+// ApplyBatch atomically applies one commit's worth of mutations: deletions
+// first, then b's additions in order, so an ID repeated within b ends at
+// its last entry. An ID must not appear in both b and dels: the
+// dels-then-adds order cannot represent an intra-commit interleaving
+// (staccatodb's writes are puts only or one delete, never both). It costs
+// one dictionary lookup per distinct gram of b and one append per run.
+func (ix *Index) ApplyBatch(b *Batch, dels []string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, id := range dels {
 		ix.kill(id)
 	}
-	for _, e := range adds {
-		ix.kill(e.ID)
-		o := uint32(len(ix.ids))
-		ix.ids = append(ix.ids, e.ID)
-		ix.ord[e.ID] = o
-		if e.Overflow {
+	base := uint32(len(ix.ids))
+	for i, id := range b.ids {
+		ix.kill(id)
+		o := base + uint32(i)
+		ix.ids = append(ix.ids, id)
+		ix.ord[id] = o
+		switch {
+		case b.flags[i]&flagOverflow != 0:
 			ix.always[o] = struct{}{}
-			continue
-		}
-		if e.Short {
+		case b.flags[i]&flagShort != 0:
 			ix.short[o] = struct{}{}
 		}
-		for i, g := range e.Grams {
-			p := ix.post[g]
-			if p == nil {
-				p = new(postings)
-				ix.post[g] = p
-				ix.learnRunes(g)
-			}
-			p.ords = append(p.ords, o)
-			p.bnds = append(p.bnds, e.Bound(i))
+	}
+	for k, g := range b.grams {
+		p := ix.post[g]
+		if p == nil {
+			p = new(postings)
+			ix.post[g] = p
+			ix.learnRunes(g)
 		}
-		ix.npost += len(e.Grams)
+		run := b.lists[k]
+		p.ords = slices.Grow(p.ords, len(run.ords))
+		for _, local := range run.ords {
+			p.ords = append(p.ords, base+local)
+		}
+		p.bnds = append(p.bnds, run.bnds...)
+		ix.npost += len(run.ords)
 	}
 }
 
@@ -141,11 +152,12 @@ func (ix *Index) learnRunes(g string) {
 
 // postings is one gram's posting list: ascending document ordinals and,
 // aligned with them, each document's probability upper bound for the
-// gram (see Entry.Bounds). Apply appends to both slices together, so
-// bnds[i] always belongs to ords[i].
+// gram, quantized (see Entry.Bounds). ApplyBatch appends to both slices
+// together, so bnds[i] always belongs to ords[i]. A lookup's intermediate
+// results have the same shape.
 type postings struct {
 	ords []uint32
-	bnds []float64
+	bnds []uint16
 }
 
 // intersect merges two ascending ordinal lists, keeping the min bound at
@@ -203,47 +215,51 @@ func (ix *Index) Stats() Stats {
 	return st
 }
 
-// Entries snapshots the live documents as sorted Entries — the inverse of
-// Apply, used to rewrite the on-disk log without the dead postings that
-// accumulate between compactions.
-func (ix *Index) Entries() []Entry {
+// Snapshot returns the live documents as one Batch — the inverse of
+// ApplyBatch, without the dead ordinals and stale postings that write churn
+// accumulates. Live ordinals are renumbered densely in ordinal order, so
+// the posting runs stay ascending as they are copied and a snapshot of an
+// index without dead ordinals reproduces its layout exactly.
+func (ix *Index) Snapshot() *Batch {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	byID := make(map[string]*Entry, len(ix.ord))
-	ids := make([]string, 0, len(ix.ord))
-	for id, o := range ix.ord {
-		e := &Entry{ID: id}
-		_, e.Overflow = ix.always[o]
-		_, e.Short = ix.short[o]
-		byID[id] = e
-		ids = append(ids, id)
+	const dead = ^uint32(0)
+	b := &Batch{ids: make([]string, 0, len(ix.ord)), flags: make([]byte, 0, len(ix.ord))}
+	renumber := make([]uint32, len(ix.ids))
+	for o, id := range ix.ids {
+		if id == "" {
+			renumber[o] = dead
+			continue
+		}
+		renumber[o] = uint32(len(b.ids))
+		var flags byte
+		if _, overflow := ix.always[uint32(o)]; overflow {
+			flags |= flagOverflow
+		}
+		if _, short := ix.short[uint32(o)]; short {
+			flags |= flagShort
+		}
+		b.ids, b.flags = append(b.ids, id), append(b.flags, flags)
 	}
-	// Walk the posting map in sorted gram order so each entry's gram
-	// slice is assembled deterministically (map iteration order is
-	// randomized; appending under it would shuffle Grams run to run).
 	grams := make([]string, 0, len(ix.post))
 	for g := range ix.post {
 		grams = append(grams, g)
 	}
 	sort.Strings(grams)
+	// Sized for every posting, dead ones too, so the runs sliced out of
+	// them below are never moved by a later append.
+	ords, bnds := make([]uint32, 0, ix.npost), make([]uint16, 0, ix.npost)
 	for _, g := range grams {
-		p := ix.post[g]
+		p, from := ix.post[g], len(ords)
 		for k, o := range p.ords {
-			id := ix.ids[o]
-			if id == "" || ix.ord[id] != o {
-				continue
+			if n := renumber[o]; n != dead {
+				ords, bnds = append(ords, n), append(bnds, p.bnds[k])
 			}
-			e := byID[id]
-			// The sorted-gram walk appends each entry's grams in sorted
-			// order already; sorting afterwards would desync Bounds.
-			e.Grams = append(e.Grams, g)
-			e.Bounds = append(e.Bounds, p.bnds[k])
+		}
+		if len(ords) > from {
+			b.grams = append(b.grams, g)
+			b.lists = append(b.lists, postings{ords[from:len(ords):len(ords)], bnds[from:len(bnds):len(bnds)]})
 		}
 	}
-	sort.Strings(ids)
-	out := make([]Entry, len(ids))
-	for i, id := range ids {
-		out[i] = *byID[id]
-	}
-	return out
+	return b
 }

@@ -92,7 +92,7 @@ func TestIndexEntriesRoundTrip(t *testing.T) {
 	ix.Apply([]index.Entry{{ID: "big", Overflow: true}}, nil)
 
 	ix2 := index.New(3)
-	ix2.Apply(ix.Entries(), nil)
+	ix2.ApplyBatch(ix.Snapshot(), nil)
 	for _, grams := range [][]string{{"ell"}, {"hal"}, {"orl"}, {"zzz"}} {
 		a := candidates(t, ix, grams...)
 		b := candidates(t, ix2, grams...)
@@ -133,15 +133,15 @@ func TestAppendReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := index.EntryFor(doc([]string{"hello"}), 3)
-	if err := w.Append([]index.Entry{e1}, nil, index.State{Ops: 1, Bytes: 10}); err != nil {
+	if err := w.Append(index.Invert([]index.Entry{e1}), nil, index.State{Ops: 1, Bytes: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(nil, []string{"t"}, index.State{Ops: 2, Bytes: 20}); err != nil {
+	if err := w.Append(index.Invert(nil), []string{"t"}, index.State{Ops: 2, Bytes: 20}); err != nil {
 		t.Fatal(err)
 	}
 	d2 := doc([]string{"world"})
 	d2.ID = "u"
-	if err := w.Append([]index.Entry{index.EntryFor(d2, 3)}, nil, index.State{Ops: 3, Bytes: 30}); err != nil {
+	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, index.State{Ops: 3, Bytes: 30}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -176,7 +176,7 @@ func TestLoadTornTailTruncates(t *testing.T) {
 	}
 	d2 := doc([]string{"world"})
 	d2.ID = "u"
-	if err := w.Append([]index.Entry{index.EntryFor(d2, 3)}, nil, index.State{Ops: 2, Bytes: 2}); err != nil {
+	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, index.State{Ops: 2, Bytes: 2}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -247,5 +247,50 @@ func TestStats(t *testing.T) {
 	ix.Delete("big")
 	if st, want := ix.Stats(), (index.Stats{Docs: 1, Grams: 4, Postings: 5}); st != want {
 		t.Errorf("after a supersede and a delete: Stats = %+v, want %+v", st, want)
+	}
+}
+
+// TestDuplicateIDInOneCommit: an ID added twice by one commit ends at its
+// last entry — in the index that applied the commit and, because the log
+// stores the commit's own ordinals, in one that loads it.
+func TestDuplicateIDInOneCommit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), index.FileName)
+	if err := index.WriteSnapshot(path, index.New(3), index.State{}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := index.OpenAppend(path, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := doc([]string{"world"})
+	other.ID = "u"
+	commit := index.Invert([]index.Entry{
+		index.EntryFor(doc([]string{"hello"}), 3), index.EntryFor(other, 3), index.EntryFor(doc([]string{"help"}), 3),
+	})
+	if err := w.Append(commit, nil, index.State{Ops: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	applied := index.New(3)
+	applied.ApplyBatch(commit, nil)
+	loaded, _, err := index.Load(path, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for when, ix := range map[string]*index.Index{"applied": applied, "loaded": loaded} {
+		if ix.Len() != 2 {
+			t.Errorf("%s: Len = %d, want 2", when, ix.Len())
+		}
+		if got := candidates(t, ix, "llo"); len(got) != 0 {
+			t.Errorf("%s: the superseded entry still answers: %v", when, got)
+		}
+		if got := candidates(t, ix, "hel"); !reflect.DeepEqual(got, []string{"t"}) {
+			t.Errorf("%s: Candidates(hel) = %v, want [t]", when, got)
+		}
+		if got := candidates(t, ix, "elp"); !reflect.DeepEqual(got, []string{"t"}) {
+			t.Errorf("%s: Candidates(elp) = %v, want [t]", when, got)
+		}
 	}
 }

@@ -36,7 +36,7 @@ type Lookup struct {
 //     one q-rune window, the min over a pattern's windows because a match
 //     needs them all — and 1 for a document with a short reading;
 //   - And: the min over the children that answered;
-//   - Or: the children's bounds summed in child order, capped at 1;
+//   - Or: the sum of the children's bounds, capped at 1;
 //   - an overflow document: the vacuous 1, whatever l asks.
 //
 // This is the index half of the planner's no-false-negative contract: a
@@ -49,11 +49,12 @@ type Lookup struct {
 // And none of whose children answered, an Or one of whose children did
 // not.
 //
-// The whole tree is evaluated on document ordinals under one read lock.
-// Every float sum has a fixed order — windows expand in ascending gram
-// order, patterns and Or children are taken as given — and min is
-// order-free, so the bounds do not depend on how the intersections are
-// scheduled.
+// The whole tree is evaluated on document ordinals under one read lock,
+// and on the stored 16-bit bounds: sums and mins of integers are exact, so
+// the result does not depend on the order windows expand, children are
+// listed or intersections are scheduled in, and it is the same for an index
+// that wrote its log and one that loaded it. The bounds become float64
+// once, in materialize.
 func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams int, ok bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -90,7 +91,7 @@ func (ix *Index) materialize(acc postings) ([]string, []float64) {
 	out := make([]cand, 0, len(acc.ords)+len(ix.always))
 	for k, o := range acc.ords {
 		if id := ix.ids[o]; id != "" {
-			out = append(out, cand{id, acc.bnds[k]})
+			out = append(out, cand{id, Dequantize(acc.bnds[k])})
 		}
 	}
 	for o := range ix.always {

@@ -72,7 +72,7 @@ func (e *evaluator) patterns(patterns [][]rune) (postings, bool) {
 		total.add(acc)
 	}
 	for o := range ix.short {
-		total.put(o, 1) // on top of whatever its grams summed to: the drain caps it at 1
+		total.put(o, maxBound) // on top of whatever its grams summed to: the drain caps it at 1
 	}
 	acc := total.drain()
 	// Both are drained, so empty; a refused lookup above leaves total
@@ -146,13 +146,13 @@ func postingsIn(lists []*postings) int {
 	return n
 }
 
-// accum unions posting lists in ordinal space. Lists are added in an
-// order the caller fixes, so each ordinal's bounds are summed in that
-// order and the float result is deterministic.
+// accum unions posting lists in ordinal space, summing each ordinal's
+// quantized bounds. A lookup adds at most maxWildProbes lists per window
+// and a few dozen capped sums per node, far from overflowing a uint32.
 type accum struct {
-	sum  []float64 // per ordinal: the bounds added so far; valid where seen
-	seen []uint64  // bitmap of the ordinals added
-	n    int       // bits set in seen
+	sum  []uint32 // per ordinal: the bounds added so far; valid where seen
+	seen []uint64 // bitmap of the ordinals added
+	n    int      // bits set in seen
 }
 
 // getAccum returns an empty accum for every ordinal issued so far: a
@@ -165,7 +165,7 @@ func (ix *Index) getAccum() *accum {
 		return a
 	}
 	n += n / 4
-	return &accum{sum: make([]float64, n), seen: make([]uint64, (n+63)/64)}
+	return &accum{sum: make([]uint32, n), seen: make([]uint64, (n+63)/64)}
 }
 
 func (a *accum) add(l postings) {
@@ -175,25 +175,25 @@ func (a *accum) add(l postings) {
 }
 
 // put adds a single posting.
-func (a *accum) put(o uint32, b float64) {
+func (a *accum) put(o uint32, b uint16) {
 	if w, bit := o/64, uint64(1)<<(o%64); a.seen[w]&bit == 0 {
 		a.seen[w] |= bit
-		a.sum[o] = b
+		a.sum[o] = uint32(b)
 		a.n++
 	} else {
-		a.sum[o] += b
+		a.sum[o] += uint32(b)
 	}
 }
 
 // drain returns the union of the lists added — ascending ordinals, each
 // with its bound sum capped at 1 — and empties a for reuse.
 func (a *accum) drain() postings {
-	out := postings{ords: make([]uint32, 0, a.n), bnds: make([]float64, 0, a.n)}
+	out := postings{ords: make([]uint32, 0, a.n), bnds: make([]uint16, 0, a.n)}
 	for w, word := range a.seen {
 		for ; word != 0; word &= word - 1 {
 			o := uint32(w*64 + bits.TrailingZeros64(word))
 			out.ords = append(out.ords, o)
-			out.bnds = append(out.bnds, min(1, a.sum[o]))
+			out.bnds = append(out.bnds, uint16(min(maxBound, a.sum[o])))
 		}
 		a.seen[w] = 0
 	}
@@ -203,31 +203,32 @@ func (a *accum) drain() postings {
 
 // within intersects acc with the union of lists without building the
 // union: it returns the postings of acc whose ordinal some list holds,
-// each at the min of its bound and the capped sum of its bounds in lists,
-// summed in list order. a must be empty and is left empty.
+// each at the min of its bound and the sum of its bounds in lists. a must
+// be empty and is left empty.
 func (a *accum) within(acc postings, lists []*postings) postings {
+	const inNone = ^uint32(0) // in acc, in no list yet; no sum reaches it
 	for _, o := range acc.ords {
 		a.seen[o/64] |= 1 << (o % 64)
-		a.sum[o] = -1 // in acc, in no list yet; bounds are never negative
+		a.sum[o] = inNone
 	}
 	for _, l := range lists {
 		for k, o := range l.ords {
 			if a.seen[o/64]&(1<<(o%64)) == 0 {
 				continue
 			}
-			if a.sum[o] < 0 {
-				a.sum[o] = l.bnds[k]
+			if a.sum[o] == inNone {
+				a.sum[o] = uint32(l.bnds[k])
 			} else {
-				a.sum[o] += l.bnds[k]
+				a.sum[o] += uint32(l.bnds[k])
 			}
 		}
 	}
 	var out postings // fresh backing; acc may be a shared posting list
 	for k, o := range acc.ords {
 		a.seen[o/64] &^= 1 << (o % 64)
-		if a.sum[o] >= 0 {
+		if a.sum[o] != inNone {
 			out.ords = append(out.ords, o)
-			out.bnds = append(out.bnds, min(acc.bnds[k], a.sum[o]))
+			out.bnds = append(out.bnds, uint16(min(uint32(acc.bnds[k]), a.sum[o])))
 		}
 	}
 	return out

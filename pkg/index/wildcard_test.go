@@ -38,9 +38,19 @@ func entry(id string, gramBounds ...any) Entry {
 	e := Entry{ID: id}
 	for i := 0; i < len(gramBounds); i += 2 {
 		e.Grams = append(e.Grams, gramBounds[i].(string))
-		e.Bounds = append(e.Bounds, gramBounds[i+1].(float64))
+		e.Bounds = append(e.Bounds, Quantize(gramBounds[i+1].(float64)))
 	}
 	return e
+}
+
+// sumOf is the bound a lookup reports for a document whose stored bounds
+// bs were summed: each quantized on its own, added as integers, capped at 1.
+func sumOf(bs ...float64) float64 {
+	total := uint32(0)
+	for _, b := range bs {
+		total += uint32(Quantize(b))
+	}
+	return Dequantize(uint16(min(maxBound, total)))
 }
 
 // TestPatternsCandidates walks the Patterns lookup's definition on a
@@ -54,7 +64,7 @@ func TestPatternsCandidates(t *testing.T) {
 		entry("d2", "abd", 0.75, "bdx", 0.5),
 		entry("d3", "xbc", 1.0, "bcd", 0.25),
 		{ID: "over", Overflow: true},
-		{ID: "tiny", Short: true, Grams: []string{"abc"}, Bounds: []float64{0.5}},
+		{ID: "tiny", Short: true, Grams: []string{"abc"}, Bounds: []uint16{Quantize(0.5)}},
 		entry("gone", "abc", 1.0),
 	}, nil)
 	ix.Delete("gone")
@@ -66,19 +76,19 @@ func TestPatternsCandidates(t *testing.T) {
 		grams    int
 	}{
 		// One window, two matching grams: d1 sums both, d2 has one.
-		{[]string{"ab?"}, []string{"d1", "d2", "over", "tiny"}, []float64{0.75, 0.75, 1, 1}, 2},
+		{[]string{"ab?"}, []string{"d1", "d2", "over", "tiny"}, []float64{sumOf(0.25, 0.5), sumOf(0.75), 1, 1}, 2},
 		// Leading wildcard; d3 reaches it through xbc, d1 through abc.
-		{[]string{"?bc"}, []string{"d1", "d3", "over", "tiny"}, []float64{0.25, 1, 1, 1}, 2},
+		{[]string{"?bc"}, []string{"d1", "d3", "over", "tiny"}, []float64{sumOf(0.25), 1, 1, 1}, 2},
 		// Two windows intersect at the min: d1 has ab? (0.75) and bcd
 		// (0.125); d2 lacks bcd, d3 lacks ab?.
-		{[]string{"ab?d"}, []string{"d1", "over", "tiny"}, []float64{0.125, 1, 1}, 3},
+		{[]string{"ab?d"}, []string{"d1", "over", "tiny"}, []float64{sumOf(0.125), 1, 1}, 3},
 		// Two patterns sum, capped: d1 0.75 + 0.25, d3 only the second.
-		{[]string{"ab?", "?bc"}, []string{"d1", "d2", "d3", "over", "tiny"}, []float64{1, 0.75, 1, 1, 1}, 4},
+		{[]string{"ab?", "?bc"}, []string{"d1", "d2", "d3", "over", "tiny"}, []float64{sumOf(0.25, 0.5, 0.25), sumOf(0.75), 1, 1, 1}, 4},
 		// An all-literal pattern is a plain gram lookup, plus the short doc.
-		{[]string{"bdx"}, []string{"d2", "over", "tiny"}, []float64{0.5, 1, 1}, 1},
+		{[]string{"bdx"}, []string{"d2", "over", "tiny"}, []float64{sumOf(0.5), 1, 1}, 1},
 		// The middle window, wildcards only, is skipped, not expanded: a??
 		// gives d1 and d2 0.75 each, ??d gives d1 0.5+0.125 and d2 0.75.
-		{[]string{"a???d"}, []string{"d1", "d2", "over", "tiny"}, []float64{0.625, 0.75, 1, 1}, 4},
+		{[]string{"a???d"}, []string{"d1", "d2", "over", "tiny"}, []float64{sumOf(0.5, 0.125), sumOf(0.75), 1, 1}, 4},
 		// Nothing matches: the always-candidates remain.
 		{[]string{"q?q"}, []string{"over", "tiny"}, []float64{1, 1}, 0},
 	} {
@@ -133,7 +143,7 @@ func TestWildcardProbeBudget(t *testing.T) {
 
 // TestShortFlagSurvivesPersistence: Short rides the flags byte through
 // the append log, a snapshot, and the in-memory compaction path
-// (Entries → Apply), and a flags byte with an unassigned bit is a
+// (Snapshot → ApplyBatch), and a flags byte with an unassigned bit is a
 // malformed record, not a guess.
 func TestShortFlagSurvivesPersistence(t *testing.T) {
 	tiny := &staccato.Doc{ID: "tiny", Chunks: []staccato.PathSet{{
@@ -156,7 +166,7 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	adds := []Entry{e, entry("plain", "xyz", 0.5)}
-	if err := w.Append(adds, nil, State{Ops: 1}); err != nil {
+	if err := w.Append(Invert(adds), nil, State{Ops: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -186,10 +196,10 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 	}
 	check("snapshot", snap)
 	compacted := New(3)
-	compacted.Apply(snap.Entries(), nil)
+	compacted.ApplyBatch(snap.Snapshot(), nil)
 	check("compaction", compacted)
 
-	payload := encodeCommit(adds, nil, State{Ops: 1})
+	payload := encodeCommit(Invert(adds), nil, State{Ops: 1})
 	at := bytes.Index(payload, []byte("tiny")) + len("tiny")
 	if payload[at] != flagShort {
 		t.Fatalf("flags byte = %#x, want %#x", payload[at], flagShort)

@@ -12,8 +12,13 @@ import (
 )
 
 // modelSet is the throwaway reference for the candidate algebra: a plain
-// map from member to bound.
-type modelSet map[string]float64
+// map from member to bound, in the index's 16-bit fixed point (the algebra
+// is defined on the stored integers; index.Dequantize turns the result
+// into the probability bound a CandidateSet reports).
+type modelSet map[string]uint32
+
+// vacuous is the bound 1.
+var vacuous = uint32(index.Quantize(1))
 
 func modelIntersect(a, b modelSet) modelSet {
 	out := modelSet{}
@@ -25,9 +30,7 @@ func modelIntersect(a, b modelSet) modelSet {
 	return out
 }
 
-// modelUnion sums each member's bounds in child order and caps once at
-// the end — the order-sensitive part the evaluator must reproduce bit for
-// bit.
+// modelUnion sums each member's bounds and caps once at the end.
 func modelUnion(kids []modelSet) modelSet {
 	out := modelSet{}
 	for _, kid := range kids {
@@ -36,7 +39,7 @@ func modelUnion(kids []modelSet) modelSet {
 		}
 	}
 	for id, b := range out {
-		out[id] = min(1, b)
+		out[id] = min(vacuous, b)
 	}
 	return out
 }
@@ -65,7 +68,7 @@ func checkAgainstModel(t *testing.T, what string, got *CandidateSet, want modelS
 	ranked := got.Ranked()
 	wantRanked := make([]BoundedCandidate, 0, len(want))
 	for id, b := range want {
-		wantRanked = append(wantRanked, BoundedCandidate{ID: id, Bound: b})
+		wantRanked = append(wantRanked, BoundedCandidate{ID: id, Bound: index.Dequantize(uint16(b))})
 	}
 	sort.Slice(wantRanked, func(i, j int) bool {
 		if wantRanked[i].Bound != wantRanked[j].Bound {
@@ -99,7 +102,7 @@ func algebraIndex(rng *rand.Rand) (ix *index.Index, live map[string]index.Entry)
 			if rng.Intn(6) == 0 {
 				b = 1
 			}
-			e.Grams, e.Bounds = append(e.Grams, g), append(e.Bounds, b)
+			e.Grams, e.Bounds = append(e.Grams, g), append(e.Bounds, index.Quantize(b))
 		}
 		return e
 	}
@@ -170,24 +173,23 @@ func modelLookup(ix *index.Index, live map[string]index.Entry, l index.Lookup, g
 		}
 		*grams += n
 		for i, id := range ids {
-			set[id] = bounds[i]
+			set[id] = uint32(index.Quantize(bounds[i]))
 		}
 	}
 	for id, e := range live {
 		switch {
 		case e.Overflow || e.Short && l.Patterns != nil:
-			set[id] = 1
+			set[id] = vacuous
 		case l.Patterns == nil:
-			b := 1.0
+			b, holdsAll := vacuous, true
 			for _, g := range l.Grams {
-				if at := slices.Index(e.Grams, g); at >= 0 {
-					b = min(b, e.Bounds[at])
-				} else {
-					b = -1
+				at := slices.Index(e.Grams, g)
+				if holdsAll = at >= 0; !holdsAll {
 					break
 				}
+				b = min(b, uint32(e.Bounds[at]))
 			}
-			if b >= 0 {
+			if holdsAll {
 				set[id] = b
 			}
 		}
@@ -201,8 +203,8 @@ func modelLookup(ix *index.Index, live map[string]index.Entry, l index.Lookup, g
 // at the root, short ones inside each Patterns node, dead ordinals dropped
 // at the end — returns what folding per-leaf lookups in string space
 // returns: And is membership-AND at the min bound, Or membership-OR at the
-// capped sum of bounds in child order, bit for bit; an unanswerable child
-// drops out of an And and refuses an Or.
+// capped sum of bounds, bit for bit; an unanswerable child drops out of an
+// And and refuses an Or.
 func TestCandidateSetAlgebraMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	gram := func() string {

@@ -214,6 +214,11 @@ func TestQueryCacheObservable(t *testing.T) {
 	if st.DB.Docs != 5 {
 		t.Errorf("stats db.docs = %d, want 5", st.DB.Docs)
 	}
+	// The index's weight rides the same object: postings held, log bytes
+	// (none for this in-memory database, but the field is on the wire).
+	if st.DB.IndexPostings == 0 || !bytes.Contains(body, []byte(`"index_bytes": 0`)) {
+		t.Errorf("stats db = %s, want index_postings > 0 and index_bytes present", body)
+	}
 }
 
 // TestMalformedRequests pins the 400 surface: syntactically broken JSON,

@@ -267,17 +267,20 @@ func (db *DB) Delete(ctx context.Context, id string) error {
 // write is the one mutation path: it stores puts, or deletes del when
 // del is non-empty (no document has the empty ID).
 func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error {
-	// Gram extraction is the expensive half of index maintenance; it runs
-	// before any lock, and not at all WithoutIndex. A nil document keeps a
-	// placeholder: the store rejects it before its entry could be applied.
-	var adds []index.Entry
+	// Gram extraction and inverting the batch are the expensive part of
+	// index maintenance; both run before any lock, and not at all
+	// WithoutIndex. A nil document keeps a placeholder: the store rejects it
+	// before its entry could be applied.
+	var entries []index.Entry
+	var adds *index.Batch
 	if !db.cfg.noIndex {
-		adds = make([]index.Entry, len(puts))
+		entries = make([]index.Entry, len(puts))
 		for i, d := range puts {
 			if d != nil {
-				adds[i] = index.EntryFor(d, db.cfg.gramSize)
+				entries[i] = index.EntryFor(d, db.cfg.gramSize)
 			}
 		}
+		adds = index.Invert(entries)
 	}
 
 	db.writeMu.Lock()
@@ -295,12 +298,14 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 		// anything to record.
 		return err
 	}
-	adds = adds[:landed]
+	if landed < len(puts) {
+		adds = index.Invert(entries[:landed]) // an in-memory write that failed partway
+	}
 	var dels []string
 	if del != "" {
 		dels = []string{del}
 	}
-	db.idx.Apply(adds, dels)
+	db.idx.ApplyBatch(adds, dels)
 	if db.idxW != nil {
 		// A log write failure stops persistence — the in-memory index stays
 		// correct for this process, and the log's now stale CommitState
@@ -480,10 +485,17 @@ type Stats struct {
 	// full disk) — the in-memory index still serves queries, but the next
 	// Open pays a rebuild.
 	IndexPersisted bool `json:"index_persisted"`
-	// IndexDocs, IndexGrams, and IndexOverflowDocs mirror index.Stats.
+	// IndexDocs, IndexGrams, IndexPostings (dead postings included until
+	// the next Compact) and IndexOverflowDocs mirror index.Stats.
 	IndexDocs         int `json:"index_docs"`
 	IndexGrams        int `json:"index_grams"`
+	IndexPostings     int `json:"index_postings"`
 	IndexOverflowDocs int `json:"index_overflow_docs"`
+	// IndexBytes is the size of the index log, to set beside DiskBytes
+	// (which counts the segments only): the index exists so that a query
+	// need not read the data, and should not outweigh it. Zero when the
+	// index is not persisted.
+	IndexBytes int64 `json:"index_bytes"`
 }
 
 // Stats reports document, segment, and index counts.
@@ -495,7 +507,13 @@ func (db *DB) Stats() Stats {
 		st.IndexEnabled = true
 		st.IndexDocs = ist.Docs
 		st.IndexGrams = ist.Grams
+		st.IndexPostings = ist.Postings
 		st.IndexOverflowDocs = ist.OverflowDocs
+	}
+	if persisted {
+		if fi, err := os.Stat(db.indexPath()); err == nil {
+			st.IndexBytes = fi.Size()
+		}
 	}
 	if db.disk != nil {
 		dst := db.disk.Stats()
@@ -524,12 +542,11 @@ func (db *DB) Compact(ctx context.Context) error {
 	if db.idx == nil {
 		return nil
 	}
-	// Compact the in-memory index too: replaying its own live entries
-	// drops the dead ordinals and stale postings that write churn
-	// accumulates, so index memory tracks live documents, not
-	// total-writes-ever.
+	// Compact the in-memory index too: replaying its own snapshot drops the
+	// dead ordinals and stale postings that write churn accumulates, so
+	// index memory tracks live documents, not total-writes-ever.
 	compacted := index.New(db.cfg.gramSize)
-	compacted.Apply(db.idx.Entries(), nil)
+	compacted.ApplyBatch(db.idx.Snapshot(), nil)
 	return db.installIndex(compacted)
 }
 

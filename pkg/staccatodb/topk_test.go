@@ -199,14 +199,15 @@ func TestSearchTopKEarlyStopsDeterministically(t *testing.T) {
 }
 
 // TestLegacyIndexFileRebuildsTransparently pins the migration story of
-// every format bump: a store directory holding a well-formed v1 or v2
+// every format bump: a store directory holding a well-formed v1, v2 or v3
 // index log (valid frames, old magic) must open without error — v2 was
-// written without the short-reading flag wildcard lookups rely on —
-// rebuild the index from a scan, persist it in the current format, and
-// answer top-k searches, a wildcard-planned one included, byte
-// identically to the pre-downgrade database.
+// written without the short-reading flag wildcard lookups rely on, v3
+// doc-major with float bounds — rebuild the index from a scan, persist it
+// in the current format, and answer top-k searches, a wildcard-planned one
+// included, byte identically to the pre-downgrade database and to a
+// database opened WithoutIndex.
 func TestLegacyIndexFileRebuildsTransparently(t *testing.T) {
-	for _, magic := range []string{"staccato-index v1", "staccato-index v2"} {
+	for _, magic := range []string{"staccato-index v1", "staccato-index v2", "staccato-index v3"} {
 		t.Run(magic, func(t *testing.T) {
 			ctx := context.Background()
 			dir := t.TempDir()
@@ -279,6 +280,19 @@ func TestLegacyIndexFileRebuildsTransparently(t *testing.T) {
 			// The rebuild must have left a loadable current-format log behind.
 			if _, _, err := index.Load(idxPath, 3); err != nil {
 				t.Fatalf("index.Load after the rebuild: %v", err)
+			}
+			if err := db2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			scan, err := staccatodb.Open(dir, staccatodb.WithoutIndex())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer scan.Close()
+			for i, q := range queries {
+				if res, _, err := scan.Search(ctx, q, query.SearchOptions{TopN: 10}); err != nil || !reflect.DeepEqual(res, wantRes[i]) {
+					t.Fatalf("%s: WithoutIndex results diverge (err %v):\n got  %+v\n want %+v", q, err, res, wantRes[i])
+				}
 			}
 		})
 	}
