@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -98,8 +99,9 @@ type EngineOptions struct {
 // Engine executes compiled Queries against the documents of a DocStore.
 // Every run feeds ascending ID slices — the whole corpus listing, a
 // candidate set's members, or one top-k round of them — to one worker
-// pool (evalAll), which fetches and evaluates them in fetchBatch-ID jobs
-// and gathers the reportable results in whatever order the jobs finish.
+// pool (evalAll), which fetches and evaluates them in jobs sized to give
+// every worker a share (between minJob and fetchBatch IDs) and gathers
+// the reportable results in whatever order the jobs finish.
 // That order cannot show: the ranking is a total order over distinct
 // DocIDs and the counters are sums, so every run over an unchanged store
 // is deterministic regardless of worker count. An Engine is stateless
@@ -168,19 +170,19 @@ type SearchOptions struct {
 // fetching is skipped, matching what a scan started after the delete
 // would return. Those members are all evaluated (ExecCandidateOnly)
 // unless opts.TopN > 0 and opts.Rescore is nil, when they are taken
-// best-bound-first in rounds of fixed, worker-independent sizes
-// (fetchBatch, doubling each round) and the run stops as soon as the
-// running TopN-th probability strictly beats every remaining candidate's
-// slack-widened upper bound (ExecTopK) — at which point no remaining
-// candidate can enter the top N or win a tie (ties break toward ascending
-// DocID, and a tie would require probability equal to the N-th, which the
-// strict inequality excludes). Candidates whose widened bound falls below
-// opts.MinProb are skipped without a fetch, like the early-stopped tail;
-// both are counted in Stats.BoundsSkipped. A rescorer rules top-k out
-// because bounds describe the stored documents and rescoring moves
-// probability mass they do not account for; a set whose bounds are all
-// the vacuous 1 (NewCandidateSet) still returns correct results, it just
-// never stops early.
+// best-bound-first in rounds of worker-independent sizes (the smallest
+// power of two at least 2·TopN, doubling each round) and the run stops as
+// soon as the top N is provably final (ExecTopK): when the running
+// TopN-th probability strictly beats the next candidate's slack-widened
+// upper bound, or is exactly 1 with a DocID below the next candidate's
+// and that candidate's bound is 1 (see final). Either way no remaining
+// candidate can enter the top N or win a tie. Candidates whose widened
+// bound falls below opts.MinProb are skipped without a fetch, like the
+// early-stopped tail; both are counted in Stats.BoundsSkipped. A rescorer
+// rules top-k out because bounds describe the stored documents and
+// rescoring moves probability mass they do not account for; a set whose
+// bounds are all the vacuous 1 (NewCandidateSet) still returns correct
+// results, and stops early only on a tie at probability 1.
 func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Result, error) {
 	if q == nil || q.expr == nil {
 		return nil, errors.New("query: Search requires a compiled, non-nil Query")
@@ -220,7 +222,7 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 			})
 		}
 		next := 0
-		for size := fetchBatch; next < usable; size *= 2 {
+		for size := firstRound(opts.TopN, usable); next < usable; size *= 2 {
 			end := min(next+size, usable)
 			ids := make([]string, 0, end-next)
 			for _, c := range ranked[next:end] {
@@ -237,7 +239,7 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 			// ranking is a total order, so the global top N is the top N of the
 			// per-round top-N union.
 			got.res = rankResults(got.res, opts.TopN)
-			if next < usable && len(got.res) == opts.TopN && got.res[opts.TopN-1].Prob > ranked[next].Bound*boundSlack {
+			if next < usable && len(got.res) == opts.TopN && final(got.res[opts.TopN-1], ranked[next]) {
 				earlyStopped = true
 				break
 			}
@@ -307,11 +309,44 @@ func rankResults(out []Result, topN int) []Result {
 	return out
 }
 
-// fetchBatch is how many IDs one worker job carries. Batching amortizes
+// final reports whether a top-k run whose running N-th result is last
+// may stop before next, the best-ranked candidate it has not fetched: a
+// remaining candidate enters the top N only by evaluating above
+// last.Prob, or to it with a smaller DocID. The first clause rules that
+// out for every remaining candidate, since each evaluates to at most its
+// slack-widened bound and Ranked puts none above next's. The second cuts
+// the one tie that can be cut, at 1 — Eval's ceiling: only a candidate of
+// bound exactly 1 can evaluate to 1 (Plan.Lookup raised every bound whose
+// widening reaches 1 to 1), and Ranked takes those in ascending ID order,
+// so every remaining one ranks after last.
+func final(last Result, next BoundedCandidate) bool {
+	//lint:allow floateq 1 is both Eval's exact ceiling and the bound Plan.Lookup snaps to; the tie clause is about exactly that value
+	return last.Prob > next.Bound*boundSlack || next.Bound == 1 && last.Prob == 1 && last.DocID < next.ID
+}
+
+// firstRound is the size of a top-k run's first round over usable
+// candidates: the smallest power of two at least 2·topN — room for the
+// top N and as many again to prove them final — clamped to usable. It
+// reads neither the worker count nor anything evaluated, so the rounds,
+// and with them every counter, are the same at any worker count.
+func firstRound(topN, usable int) int {
+	if topN > usable/2 { // 2·topN passes usable, or overflows
+		return usable
+	}
+	return min(1<<bits.Len(uint(2*topN-1)), usable)
+}
+
+// fetchBatch is the most IDs one worker job carries. Batching amortizes
 // store locking and lets a disk backend sort the batch by record offset
-// into a near-sequential read; the size is small enough that a handful of
-// candidates still spreads across the pool.
+// into a near-sequential read. A run too short to give every worker a
+// full batch — a top-k round, a small candidate set — is cut into
+// ⌈len/workers⌉-ID jobs instead, but none below minJob.
 const fetchBatch = 64
+
+// minJob is the fewest IDs evalAll puts in a job when it spreads a short
+// run over the pool: below it, waking another worker costs more than the
+// share of the run it would take, so a run under minJob IDs is one job.
+const minJob = 16
 
 // boundSlack widens stored bounds by one part in 10⁹ wherever the engine
 // compares an evaluated probability against one. The bound DP and the
@@ -336,13 +371,14 @@ func (t *tally) add(o tally) {
 }
 
 // evalAll is the engine's one worker pool. It cuts ids — duplicate-free —
-// into fetchBatch-sized jobs, which the workers claim off a shared
-// counter, fetch and evaluate into a tally each; the tallies are summed
-// once every worker has stopped. The first error — a store failure, or
-// ctx's own — cancels the rest of the run and is the one returned, not
-// the cancellations it caused.
+// into jobs of ⌈len/workers⌉ IDs, clamped to [minJob, fetchBatch], which
+// the workers claim off a shared counter, fetch and evaluate into a tally
+// each; the tallies are summed once every worker has stopped. The first
+// error — a store failure, or ctx's own — cancels the rest of the run and
+// is the one returned, not the cancellations it caused.
 func (e *Engine) evalAll(ctx context.Context, q *Query, opts SearchOptions, ids []string) (tally, error) {
-	jobs := (len(ids) + fetchBatch - 1) / fetchBatch
+	size := min(max((len(ids)+e.workers-1)/e.workers, minJob), fetchBatch)
+	jobs := (len(ids) + size - 1) / size
 	workers := min(e.workers, jobs) // never start workers that could have no job to take
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -364,7 +400,7 @@ func (e *Engine) evalAll(ctx context.Context, q *Query, opts SearchOptions, ids 
 				if job >= jobs {
 					return
 				}
-				batch := ids[job*fetchBatch : min((job+1)*fetchBatch, len(ids))]
+				batch := ids[job*size : min((job+1)*size, len(ids))]
 				if err := e.evalBatch(ctx, q, opts, batch, &t); err != nil {
 					failOnce.Do(func() {
 						failure = err

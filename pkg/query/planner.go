@@ -125,7 +125,8 @@ type PostingSource interface {
 	// the wildcard patterns expanded to, and ok=false when the source
 	// cannot answer and the caller must not prune. A source without bound
 	// information returns nil bounds, which reads as 1 everywhere — it still
-	// plans, just without early-termination fuel.
+	// plans, just without early-termination fuel. The caller takes both
+	// slices over.
 	Candidates(l index.Lookup) (ids []string, bounds []float64, grams int, ok bool)
 }
 
@@ -162,7 +163,9 @@ func (p *Plan) Candidates(src PostingSource) *CandidateSet {
 // build the set: NumGrams, and for every wildcard leaf the grams src
 // expanded its patterns to — a count that depends on the index, not just
 // on the plan. The whole plan is one lookup: src evaluates it and hands
-// back the finished set.
+// back the finished set, whose every bound that the engine's slack widens
+// to 1 or more is raised to exactly 1 — still admissible, and what lets
+// top-k cut ties at probability 1 (see final).
 func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
 	switch p.root.(type) {
 	case planAll:
@@ -176,6 +179,11 @@ func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
 	}
 	if bounds == nil {
 		bounds = slices.Repeat([]float64{1}, len(ids))
+	}
+	for i, b := range bounds {
+		if b*boundSlack >= 1 {
+			bounds[i] = 1
+		}
 	}
 	return &CandidateSet{ids: ids, bounds: bounds}, p.NumGrams() + expanded
 }

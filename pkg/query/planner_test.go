@@ -15,13 +15,15 @@ import (
 )
 
 // fakeSource records the one lookup each plan hands it and answers from
-// canned postings, without bound information.
+// canned postings, with each answered document's bound from bounds — or
+// without bound information when bounds is nil.
 type fakeSource struct {
 	byGram map[string][]string
 	// wild is what a Patterns node admits; it reports one dictionary gram
 	// per pattern.
-	wild  []string
-	calls []index.Lookup
+	wild   []string
+	bounds map[string]float64
+	calls  []index.Lookup
 }
 
 func (f *fakeSource) Candidates(l index.Lookup) ([]string, []float64, int, bool) {
@@ -33,7 +35,13 @@ func (f *fakeSource) Candidates(l index.Lookup) ([]string, []float64, int, bool)
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	return ids, nil, grams, true
+	var bounds []float64
+	if f.bounds != nil {
+		for _, id := range ids {
+			bounds = append(bounds, f.bounds[id])
+		}
+	}
+	return ids, bounds, grams, true
 }
 
 func (f *fakeSource) admits(l index.Lookup, grams *int) map[string]bool {
@@ -119,6 +127,23 @@ func TestPlanLeafGrams(t *testing.T) {
 	}
 	if got := cand.IDs(); !reflect.DeepEqual(got, []string{"d2"}) {
 		t.Errorf("candidates = %v, want [d2]", got)
+	}
+}
+
+// TestPlanLookupSnapsBoundsToOne: a bound the engine's slack widens to 1
+// or more comes out of Lookup as exactly 1, so only a bound-1 candidate
+// can evaluate to 1 whatever the source; the index's largest quantized
+// bound under 1, and anything lower, pass through untouched.
+func TestPlanLookupSnapsBoundsToOne(t *testing.T) {
+	belowOne := 65534.0 / 65535
+	src := &fakeSource{
+		byGram: map[string][]string{"abc": {"d1", "d2", "d3", "d4"}},
+		bounds: map[string]float64{"d1": 0.5, "d2": belowOne, "d3": 0.9999999995, "d4": 1},
+	}
+	cand := mustQ(query.Substring("abc")).Plan(3).Candidates(src)
+	want := []query.BoundedCandidate{{ID: "d3", Bound: 1}, {ID: "d4", Bound: 1}, {ID: "d2", Bound: belowOne}, {ID: "d1", Bound: 0.5}}
+	if got := cand.Ranked(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Ranked = %v, want %v", got, want)
 	}
 }
 

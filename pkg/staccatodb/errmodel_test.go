@@ -120,7 +120,7 @@ func TestErrorModelCorpusDifferentials(t *testing.T) {
 
 	shapes := map[string]int{} // plan renderings met, by the operators they hold
 	found := map[string]int{}  // composite queries the special documents answered
-	topK, earlyStops := 0, 0
+	topK, earlyStops, tieStops := 0, 0, 0
 	for _, q := range queries {
 		full, stats, err := indexed.Search(ctx, q, query.SearchOptions{})
 		if err != nil {
@@ -173,6 +173,9 @@ func TestErrorModelCorpusDifferentials(t *testing.T) {
 			if stats.EarlyStopped {
 				earlyStops++
 			}
+			if stoppedOnTie(stats, full) {
+				tieStops++
+			}
 		}
 	}
 	for _, op := range []string{"and(", "or(", "wild(", "grams(fuzzy("} {
@@ -180,8 +183,9 @@ func TestErrorModelCorpusDifferentials(t *testing.T) {
 			t.Errorf("only %d plans held %q; the battery missed a shape", shapes[op], op)
 		}
 	}
-	if found["x-overflow"] < 3 || found["x-short"] < 3 || topK == 0 || earlyStops == 0 {
-		t.Errorf("vacuous: composite queries found x-overflow %d and x-short %d times, %d top-k runs, %d early stops",
-			found["x-overflow"], found["x-short"], topK, earlyStops)
+	if found["x-overflow"] < 3 || found["x-short"] < 3 || topK == 0 || earlyStops == 0 || tieStops == 0 {
+		t.Errorf("vacuous: composite queries found x-overflow %d and x-short %d times, %d top-k runs, %d early stops, %d on the tie clause",
+			found["x-overflow"], found["x-short"], topK, earlyStops, tieStops)
 	}
+	t.Logf("top-k runs: %d, early stops: %d, on the tie clause: %d", topK, earlyStops, tieStops)
 }

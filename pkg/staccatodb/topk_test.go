@@ -6,15 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/refsearch"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
+	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
 // TestSearchTopKByteIdenticalProperty is the equivalence property for the
@@ -34,7 +37,7 @@ func TestSearchTopKByteIdenticalProperty(t *testing.T) {
 	}
 	queries := randomQueries(truths, 101, 20)
 
-	topkRuns, earlyStops := 0, 0
+	topkRuns, earlyStops, tieStops := 0, 0, 0
 	type key struct {
 		qi, topN int
 		minProb  float64
@@ -54,10 +57,12 @@ func TestSearchTopKByteIdenticalProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("query %d workers %d unlimited: %v", qi, workers, err)
 			}
+			// len(cases) and math.MaxInt cover every candidate set: one round
+			// that no early stop can cut, whose size must not overflow.
 			for _, sub := range []struct {
 				topN    int
 				minProb float64
-			}{{1, 0}, {10, 0}, {100, 0}, {10, 0.25}} {
+			}{{1, 0}, {10, 0}, {100, 0}, {10, 0.25}, {len(cases), 0}, {math.MaxInt, 0}} {
 				opts := query.SearchOptions{TopN: sub.topN, MinProb: sub.minProb}
 				got, stats, err := db.Search(ctx, q, opts)
 				if err != nil {
@@ -84,9 +89,15 @@ func TestSearchTopKByteIdenticalProperty(t *testing.T) {
 				}
 				if stats.Mode == query.ExecTopK {
 					topkRuns++
+					if sub.topN >= len(cases) && (stats.EarlyStopped || stats.BoundsSkipped != 0) {
+						t.Fatalf("query %d top %d: a TopN covering every candidate cut the run: %+v", qi, sub.topN, stats)
+					}
 				}
 				if stats.EarlyStopped {
 					earlyStops++
+				}
+				if stoppedOnTie(stats, full) {
+					tieStops++
 				}
 				if stats.DocsTotal != stats.DocsScanned+stats.DocsPruned+stats.BoundsSkipped {
 					t.Fatalf("query %d top %d: DocsTotal %d != scanned %d + pruned %d + skipped %d",
@@ -109,7 +120,21 @@ func TestSearchTopKByteIdenticalProperty(t *testing.T) {
 	if topkRuns == 0 {
 		t.Fatal("vacuous property: no run took the top-k path")
 	}
-	t.Logf("top-k runs: %d, early stops: %d", topkRuns, earlyStops)
+	t.Logf("top-k runs: %d, early stops: %d, on the tie clause: %d", topkRuns, earlyStops, tieStops)
+}
+
+// stoppedOnTie reports whether a top-k run provably stopped on the tie
+// clause of its stop test: it left unevaluated a certain match of full,
+// the exhaustive ranking. That match's bound is 1, so the next candidate's
+// was too, and no result beats a bound of 1 strictly.
+func stoppedOnTie(stats query.SearchStats, full []query.Result) bool {
+	certain := 0
+	for _, r := range full {
+		if r.Prob >= 1 {
+			certain++
+		}
+	}
+	return stats.EarlyStopped && stats.DocsScanned < certain
 }
 
 // markerCorpus builds n hand-crafted docs whose single uncertain chunk
@@ -194,6 +219,75 @@ func TestSearchTopKEarlyStopsDeterministically(t *testing.T) {
 	for i, r := range full[:10] {
 		if want := fmt.Sprintf("m-%03d", i); r.DocID != want {
 			t.Fatalf("rank %d: DocID = %s, want %s", i, r.DocID, want)
+		}
+	}
+}
+
+// TestTopKStopsAtCertainTies pins the tie clause of top-k's stop test: on
+// 300 docs, 200 of them a certain match (one alternative, P = 1, bound 1)
+// and 100 an uncertain one, TopN 10 is ten 1.0 ties that no remaining
+// bound can be strictly beaten by. The run must still stop after its
+// first 32-doc round, since every bound-1 candidate it has not fetched
+// has a larger ID than the tenth result, and return exactly what the
+// exhaustive ranking and the sequential reference return.
+func TestTopKStopsAtCertainTies(t *testing.T) {
+	ctx := context.Background()
+	docs := make([]*staccato.Doc, 300)
+	mem := store.NewMemStore()
+	var certain []string
+	for i := range docs {
+		id := fmt.Sprintf("c-%03d", i)
+		alts := []staccato.Alt{{Text: " zzcert ", Prob: 1}}
+		if i%3 == 2 {
+			alts = []staccato.Alt{{Text: " zzcert ", Prob: 0.6}, {Text: "~", Prob: 0.4}}
+		} else {
+			certain = append(certain, id)
+		}
+		docs[i] = &staccato.Doc{ID: id, Params: staccato.Params{Chunks: 1, K: len(alts)}, Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}}}
+		if err := mem.Put(ctx, docs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := mustQ(query.Substring("zzcert"))
+	ref, err := refsearch.Search(ctx, mem, q, query.SearchOptions{TopN: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ref {
+		if r.DocID != certain[i] || r.Prob != 1 {
+			t.Fatalf("reference rank %d = %+v, want %s at 1", i, r, certain[i])
+		}
+	}
+
+	var first query.SearchStats
+	for _, workers := range []int{1, 2, 8} {
+		db, err := staccatodb.OpenMem(staccatodb.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if err := db.Ingest(ctx, docs); err != nil {
+			t.Fatal(err)
+		}
+		full, _, err := db.Search(ctx, q, query.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := db.Search(ctx, q, query.SearchOptions{TopN: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, full[:10]) || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers %d: top-10 %+v, want the exhaustive ranking's head %+v", workers, got, ref)
+		}
+		if stats.Mode != query.ExecTopK || !stats.EarlyStopped || stats.DocsScanned != 32 || stats.BoundsSkipped != 268 ||
+			stats.DocsTotal != stats.DocsScanned+stats.DocsPruned+stats.BoundsSkipped {
+			t.Fatalf("workers %d: stats %+v, want an early stop after one 32-doc round, 268 skipped", workers, stats)
+		}
+		if workers == 1 {
+			first = stats
+		} else if !reflect.DeepEqual(stats, first) {
+			t.Fatalf("stats differ across worker counts:\n w=1 %+v\n w=%d %+v", first, workers, stats)
 		}
 	}
 }
