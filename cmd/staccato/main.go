@@ -68,7 +68,7 @@ import (
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 type config struct {
@@ -187,9 +187,14 @@ func run(w io.Writer, cfg config) (report, error) {
 		return rep, err
 	}
 
-	// Persist and read back through the DocStore, so the demo exercises
-	// the same path a real backend will.
-	st := store.NewMemStore()
+	// Persist and read back through the store — its in-memory file
+	// system, so the demo exercises the framing and replay a disk corpus
+	// uses without touching disk.
+	st, err := diskstore.OpenMem(diskstore.Options{})
+	if err != nil {
+		return rep, err
+	}
+	defer st.Close()
 	if err := st.Put(ctx, doc); err != nil {
 		return rep, err
 	}

@@ -186,7 +186,7 @@ func TestSearchKeywordQueryString(t *testing.T) {
 // TestIngestSearchParityWithMemStore is the CLI acceptance scenario: a
 // corpus ingested into a directory store and reopened by search -store
 // must return byte-identical ranked results to the same corpus queried
-// through the synthetic MemStore path — including after a simulated torn
+// through the synthetic in-memory path — including after a simulated torn
 // write to the store's last segment.
 func TestIngestSearchParityWithMemStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "corpus")

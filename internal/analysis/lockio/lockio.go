@@ -12,9 +12,10 @@
 // directly or through same-package callees — decodes (a function named
 // Decode or Unmarshal) or touches the filesystem (os.File read/write/
 // sync/truncate methods, os file-management functions, io.ReadFull and
-// friends, and everything internal/framelog exports except the pure
-// encoder Append — the summaries are package-local, so the file layer
-// the store delegates to has to be named here) is flagged. Calls into
+// friends, and everything internal/framelog exports — its FS and File
+// methods included — except the pure encoder Append and File.Close; the
+// summaries are package-local, so the file layer the store delegates to
+// has to be named here) is flagged. Calls into
 // function literals are not traced;
 // branch bodies are analyzed with a copy of the lock state, so an
 // early-unlock-and-return inside an if does not leak past it.
@@ -67,7 +68,8 @@ var ioFuncs = map[string]bool{"ReadFull": true, "ReadAll": true, "Copy": true, "
 
 // framelogPath ends the import path of the store's file layer: every
 // function and method it exports reads, writes, renames or fsyncs,
-// except Append, which only encodes into a caller's buffer.
+// except Append, which only encodes into a caller's buffer, and Close,
+// exempt for the reason osFileMethods gives.
 const framelogPath = "/internal/framelog"
 
 func run(pass *analysis.Pass) error {
@@ -167,7 +169,7 @@ func directEffect(pass *analysis.Pass, call *ast.CallExpr) summary {
 	}
 	name := fn.Name()
 	if pkg := fn.Pkg(); pkg != nil && strings.HasSuffix(pkg.Path(), framelogPath) {
-		return summary{io: name != "Append"}
+		return summary{io: name != "Append" && name != "Close"}
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if osFileMethods[name] && isOSFileRecv(sig.Recv().Type()) {

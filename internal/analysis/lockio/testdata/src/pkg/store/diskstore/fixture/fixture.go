@@ -162,8 +162,29 @@ func (s *store) framelogUnderLock(path string, buf, payload []byte) ([]byte, err
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	buf = framelog.Append(buf, payload)
-	_, err := framelog.ReplaceFile(path, buf) // want "framelog.ReplaceFile performs file I/O while s.mu is held"
+	_, err := framelog.ReplaceFile(framelog.OS, path, buf) // want "framelog.ReplaceFile performs file I/O while s.mu is held"
 	return buf, err
+}
+
+// seamUnderLock: the store's files are framelog.FS and framelog.File
+// values, so their methods are the file layer's I/O too — all but
+// File.Close, exempt like os.File.Close.
+func (s *store) seamUnderLock(fsys framelog.FS, f framelog.File, buf []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := f.ReadAt(buf, 0); err != nil { // want "f.ReadAt performs file I/O while s.mu is held"
+		return err
+	}
+	if _, err := f.WriteAt(buf, 0); err != nil { // want "f.WriteAt performs file I/O while s.mu is held"
+		return err
+	}
+	if err := f.Sync(); err != nil { // want "f.Sync performs file I/O while s.mu is held"
+		return err
+	}
+	if err := fsys.Remove("stale"); err != nil { // want "fsys.Remove performs file I/O while s.mu is held"
+		return err
+	}
+	return f.Close()
 }
 
 // funcLitNotTraced returns a closure whose run time — and lock state —

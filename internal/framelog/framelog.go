@@ -23,6 +23,12 @@
 // journaled while its data blocks were not). Anything else is interior
 // damage: bytes follow it that no interrupted append can explain.
 // What to do about either class is the caller's policy.
+//
+// # File systems
+//
+// Every file call goes through an FS: OS, or NewMemFS's in-memory map,
+// which gives an in-memory store the same framing, replay and commit
+// path as one on disk.
 package framelog
 
 import (
@@ -151,17 +157,18 @@ func (r *Reader) zeros(n int64) bool {
 	return true
 }
 
-// ReplaceFile atomically replaces path with data: write path+TempSuffix,
-// fsync it, rename it over path, fsync the directory. A crash at any
-// point leaves the old content or the new, never a mix. renamed reports
-// whether the rename happened: when false, path is untouched and the
-// temp file has been removed; when true with a non-nil error, the new
-// content is in place but its directory entry may not be durable yet.
-func ReplaceFile(path string, data []byte) (renamed bool, err error) {
+// ReplaceFile atomically replaces path on fsys with data: write
+// path+TempSuffix, fsync it, rename it over path, fsync the directory. A
+// crash at any point leaves the old content or the new, never a mix.
+// renamed reports whether the rename happened: when false, path is
+// untouched and the temp file has been removed; when true with a non-nil
+// error, the new content is in place but its directory entry may not be
+// durable yet.
+func ReplaceFile(fsys FS, path string, data []byte) (renamed bool, err error) {
 	tmp := path + TempSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err == nil {
-		if _, err = f.Write(data); err == nil {
+		if _, err = f.WriteAt(data, 0); err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {
@@ -169,22 +176,11 @@ func ReplaceFile(path string, data []byte) (renamed bool, err error) {
 		}
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsys.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp) // the one pre-rename failure path: no debris, path untouched
+		fsys.Remove(tmp) // the one pre-rename failure path: no debris, path untouched
 		return false, err
 	}
-	return true, SyncDir(filepath.Dir(path))
-}
-
-// SyncDir fsyncs a directory so the renames and file creations within it
-// are durable.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return true, fsys.SyncDir(filepath.Dir(path))
 }

@@ -196,7 +196,7 @@ func TestReplaceFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "MANIFEST")
 	for _, content := range []string{"old", "new content"} {
-		renamed, err := ReplaceFile(path, []byte(content))
+		renamed, err := ReplaceFile(OS, path, []byte(content))
 		if !renamed || err != nil {
 			t.Fatalf("ReplaceFile = %v, %v", renamed, err)
 		}
@@ -222,7 +222,7 @@ func TestReplaceFileFailuresLeaveNoDebris(t *testing.T) {
 		if err := os.Mkdir(path+TempSuffix, 0o755); err != nil { // a directory: O_WRONLY open fails
 			t.Fatal(err)
 		}
-		renamed, err := ReplaceFile(path, []byte("new"))
+		renamed, err := ReplaceFile(OS, path, []byte("new"))
 		if renamed || err == nil {
 			t.Fatalf("ReplaceFile = %v, %v; want false and an error", renamed, err)
 		}
@@ -239,7 +239,7 @@ func TestReplaceFileFailuresLeaveNoDebris(t *testing.T) {
 		if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil { // a file cannot replace a non-empty directory
 			t.Fatal(err)
 		}
-		renamed, err := ReplaceFile(path, []byte("new"))
+		renamed, err := ReplaceFile(OS, path, []byte("new"))
 		if renamed || err == nil {
 			t.Fatalf("ReplaceFile = %v, %v; want false and an error", renamed, err)
 		}
@@ -248,7 +248,7 @@ func TestReplaceFileFailuresLeaveNoDebris(t *testing.T) {
 		}
 	})
 	t.Run("directory missing", func(t *testing.T) {
-		renamed, err := ReplaceFile(filepath.Join(t.TempDir(), "gone", "INDEX"), []byte("new"))
+		renamed, err := ReplaceFile(OS, filepath.Join(t.TempDir(), "gone", "INDEX"), []byte("new"))
 		if renamed || !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("ReplaceFile = %v, %v; want false and ErrNotExist", renamed, err)
 		}

@@ -177,7 +177,7 @@ func (w *Writer) Close() error {
 func WriteSnapshot(path string, ix *Index, st State) error {
 	buf := framelog.Append(nil, encodeHeader(ix.GramSize()))
 	buf = framelog.Append(buf, encodeCommit(ix.Snapshot(), nil, st))
-	if _, err := framelog.ReplaceFile(path, buf); err != nil {
+	if _, err := framelog.ReplaceFile(framelog.OS, path, buf); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
 	return nil

@@ -8,7 +8,6 @@ import (
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
 func benchDoc(b *testing.B) *staccato.Doc {
@@ -78,7 +77,7 @@ func BenchmarkEngineSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := store.NewMemStore()
+	st := memStore(b)
 	ctx := context.Background()
 	for _, c := range cases {
 		if err := st.Put(ctx, c.Doc); err != nil {

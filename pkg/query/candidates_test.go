@@ -16,17 +16,18 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
-// candidateCorpus builds a MemStore + matching index + truth list.
-func candidateCorpus(t *testing.T, n int, seed int64) (*store.MemStore, *index.Index, []string) {
+// candidateCorpus builds an in-memory store + matching index + truth list.
+func candidateCorpus(t *testing.T, n int, seed int64) (*diskstore.Store, *index.Index, []string) {
 	t.Helper()
 	ctx := context.Background()
 	cases, err := testgen.Docs(n, testgen.Config{Length: 30, Seed: seed}, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.NewMemStore()
+	st := memStore(t)
 	ix := index.New(3)
 	truths := make([]string, len(cases))
 	for i, c := range cases {
@@ -237,7 +238,7 @@ func TestEngineStatsInvariantEveryPipeline(t *testing.T) {
 // return instantly without a single store read.
 func TestSearchEmptyCandidateSetTouchesNothing(t *testing.T) {
 	st, _, _ := candidateCorpus(t, 10, 79)
-	eng := query.NewEngine(failingGetStore{MemStore: st}, query.EngineOptions{Workers: 4})
+	eng := query.NewEngine(failingGetStore{Store: st}, query.EngineOptions{Workers: 4})
 	var stats query.SearchStats
 	res, err := eng.Search(context.Background(), mustQ(query.Substring("abcdef")),
 		query.SearchOptions{Candidates: query.NewCandidateSet(), Stats: &stats})
@@ -251,7 +252,7 @@ func TestSearchEmptyCandidateSetTouchesNothing(t *testing.T) {
 
 // failingGetStore fails every read — proof that a code path never
 // touched the store.
-type failingGetStore struct{ *store.MemStore }
+type failingGetStore struct{ *diskstore.Store }
 
 func (f failingGetStore) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 	return nil, errors.New("store read on a path that promised none")
@@ -323,7 +324,7 @@ func TestSearchCandidateReadErrorPropagates(t *testing.T) {
 	if cand == nil || cand.Len() == 0 {
 		t.Fatal("expected a non-empty candidate set")
 	}
-	eng := query.NewEngine(failingGetStore{MemStore: st}, query.EngineOptions{Workers: 3})
+	eng := query.NewEngine(failingGetStore{Store: st}, query.EngineOptions{Workers: 3})
 	for _, topN := range []int{0, 3} {
 		if _, err := eng.Search(context.Background(), q, query.SearchOptions{Candidates: cand, TopN: topN}); err == nil {
 			t.Fatalf("TopN=%d: store read failure did not surface", topN)

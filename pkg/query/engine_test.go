@@ -12,17 +12,28 @@ import (
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
-// corpusStore ingests a deterministic synthetic corpus into a MemStore.
-func corpusStore(t testing.TB, n, length int, seed int64, chunks, k int) *store.MemStore {
+// memStore opens an empty in-memory store, closed when the test ends.
+func memStore(t testing.TB) *diskstore.Store {
+	t.Helper()
+	st, err := diskstore.OpenMem(diskstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// corpusStore ingests a deterministic synthetic corpus into an in-memory store.
+func corpusStore(t testing.TB, n, length int, seed int64, chunks, k int) *diskstore.Store {
 	t.Helper()
 	cases, err := testgen.Docs(n, testgen.Config{Length: length, Seed: seed}, chunks, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.NewMemStore()
+	st := memStore(t)
 	ctx := context.Background()
 	for _, c := range cases {
 		if err := st.Put(ctx, c.Doc); err != nil {
@@ -33,7 +44,7 @@ func corpusStore(t testing.TB, n, length int, seed int64, chunks, k int) *store.
 }
 
 // putDoc stores a hand-built single-chunk document with the given alts.
-func putDoc(t *testing.T, st *store.MemStore, id string, alts ...staccato.Alt) {
+func putDoc(t *testing.T, st *diskstore.Store, id string, alts ...staccato.Alt) {
 	t.Helper()
 	d := &staccato.Doc{
 		ID:     id,
@@ -79,7 +90,7 @@ func TestEngineSearchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestEngineSearchRankingThresholdTopN(t *testing.T) {
-	st := store.NewMemStore()
+	st := memStore(t)
 	putDoc(t, st, "doc-half", staccato.Alt{Text: "xa", Prob: 0.5}, staccato.Alt{Text: "ya", Prob: 0.5})
 	putDoc(t, st, "doc-sure-b", staccato.Alt{Text: "xb", Prob: 1})
 	putDoc(t, st, "doc-sure-a", staccato.Alt{Text: "xc", Prob: 1})
@@ -132,7 +143,7 @@ func TestEngineContextCancelled(t *testing.T) {
 }
 
 func TestEngineNilQuery(t *testing.T) {
-	eng := query.NewEngine(store.NewMemStore(), query.EngineOptions{})
+	eng := query.NewEngine(memStore(t), query.EngineOptions{})
 	ctx := context.Background()
 	// A zero-value Query was never compiled; the engine must reject it
 	// instead of panicking in a worker goroutine.
@@ -153,11 +164,11 @@ func TestZeroValueQueryEvalsToZero(t *testing.T) {
 }
 
 func TestEngineDefaultWorkers(t *testing.T) {
-	eng := query.NewEngine(store.NewMemStore(), query.EngineOptions{})
+	eng := query.NewEngine(memStore(t), query.EngineOptions{})
 	if eng.Workers() < 1 {
 		t.Errorf("default Workers = %d, want >= 1", eng.Workers())
 	}
-	if w := query.NewEngine(store.NewMemStore(), query.EngineOptions{Workers: 3}).Workers(); w != 3 {
+	if w := query.NewEngine(memStore(t), query.EngineOptions{Workers: 3}).Workers(); w != 3 {
 		t.Errorf("Workers = %d, want 3", w)
 	}
 }

@@ -6,7 +6,7 @@ import (
 
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // A Staccato document is a product distribution over per-chunk path
@@ -64,7 +64,11 @@ func ExampleAnd() {
 // deterministic at any worker count.
 func ExampleEngine_Search() {
 	ctx := context.Background()
-	st := store.NewMemStore()
+	st, err := diskstore.OpenMem(diskstore.Options{})
+	if err != nil {
+		panic(err)
+	}
+	defer st.Close()
 	docs := []*staccato.Doc{
 		{ID: "doc-a", Chunks: []staccato.PathSet{
 			{Retained: 1, Alts: []staccato.Alt{{Text: "the cat sat", Prob: 1}}},

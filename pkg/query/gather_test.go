@@ -15,17 +15,17 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // markerCorpus stores n single-chunk documents that all contain
 // "zzmarker", at probabilities falling from 0.9 to 0.1 with the ID, plus
 // one document that cannot match — n/64 worker jobs for a scan or a
 // candidate-only run, and top-k rounds of several jobs when TopN is large.
-func markerCorpus(t *testing.T, n int) (*store.MemStore, *query.Query, *query.CandidateSet) {
+func markerCorpus(t *testing.T, n int) (*diskstore.Store, *query.Query, *query.CandidateSet) {
 	t.Helper()
 	ctx := context.Background()
-	st := store.NewMemStore()
+	st := memStore(t)
 	ix := index.New(3)
 	put := func(id string, alts ...staccato.Alt) {
 		d := &staccato.Doc{
@@ -58,7 +58,7 @@ func markerCorpus(t *testing.T, n int) (*store.MemStore, *query.Query, *query.Ca
 // jitterStore delays every GetBatch by a seeded random 100–500 µs, so
 // worker jobs finish in an order unrelated to the order they were claimed.
 type jitterStore struct {
-	*store.MemStore
+	*diskstore.Store
 	mu  sync.Mutex
 	rng *rand.Rand
 }
@@ -68,7 +68,7 @@ func (s *jitterStore) GetBatch(ctx context.Context, ids []string) ([]*staccato.D
 	d := time.Duration(100+s.rng.Intn(400)) * time.Microsecond
 	s.mu.Unlock()
 	time.Sleep(d)
-	return s.MemStore.GetBatch(ctx, ids)
+	return s.Store.GetBatch(ctx, ids)
 }
 
 // TestSearchGatherOrderCannotShow: the pool gathers jobs in whatever order
@@ -78,7 +78,7 @@ func (s *jitterStore) GetBatch(ctx context.Context, ids []string) ([]*staccato.D
 func TestSearchGatherOrderCannotShow(t *testing.T) {
 	ctx := context.Background()
 	mem, q, cand := markerCorpus(t, 700)
-	st := &jitterStore{MemStore: mem, rng: rand.New(rand.NewSource(17))}
+	st := &jitterStore{Store: mem, rng: rand.New(rand.NewSource(17))}
 	for _, tc := range []struct {
 		mode query.ExecMode
 		opts query.SearchOptions
@@ -122,7 +122,7 @@ func TestSearchGatherOrderCannotShow(t *testing.T) {
 // park other calls to be blocked inside the store — and makes every other
 // call wait for the cancellation that failure causes.
 type faultStore struct {
-	*store.MemStore
+	*diskstore.Store
 	failID   string
 	park     int
 	parked   chan struct{}
@@ -162,7 +162,7 @@ func TestSearchReportsTheFailureNotItsCancellations(t *testing.T) {
 		} {
 			// The first job fails; with 11 jobs on offer every other worker
 			// has claimed one and is parked in the store when it does.
-			st := &faultStore{MemStore: mem, failID: "m-0000", park: workers - 1, parked: make(chan struct{}, workers)}
+			st := &faultStore{Store: mem, failID: "m-0000", park: workers - 1, parked: make(chan struct{}, workers)}
 			_, err := query.NewEngine(st, query.EngineOptions{Workers: workers}).Search(context.Background(), q, opts)
 			if !errors.Is(err, errBatchRead) {
 				t.Errorf("%s workers=%d: err = %v, want the store's own error", name, workers, err)
@@ -177,7 +177,7 @@ func TestSearchReportsTheFailureNotItsCancellations(t *testing.T) {
 // cancelOnSecondBatch cancels the caller's context from inside the second
 // GetBatch: a cancellation that arrives mid-run.
 type cancelOnSecondBatch struct {
-	*store.MemStore
+	*diskstore.Store
 	calls  atomic.Int32
 	cancel context.CancelFunc
 }
@@ -186,7 +186,7 @@ func (s *cancelOnSecondBatch) GetBatch(ctx context.Context, ids []string) ([]*st
 	if s.calls.Add(1) == 2 {
 		s.cancel()
 	}
-	return s.MemStore.GetBatch(ctx, ids)
+	return s.Store.GetBatch(ctx, ids)
 }
 
 // TestSearchCancelledMidRun: a context cancelled while jobs are in flight
@@ -199,7 +199,7 @@ func TestSearchCancelledMidRun(t *testing.T) {
 		"top-k":          {Candidates: cand, TopN: 300},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
-		st := &cancelOnSecondBatch{MemStore: mem, cancel: cancel}
+		st := &cancelOnSecondBatch{Store: mem, cancel: cancel}
 		_, err := query.NewEngine(st, query.EngineOptions{Workers: 2}).Search(ctx, q, opts)
 		cancel()
 		if !errors.Is(err, context.Canceled) {

@@ -11,7 +11,6 @@ import (
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
-	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
 // fakeSource records the one lookup each plan hands it and answers from
@@ -425,7 +424,7 @@ func TestEngineSearchByteIdenticalWithCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.NewMemStore()
+	st := memStore(t)
 	ix := index.New(gramSize)
 	truths := make([]string, len(cases))
 	for i, c := range cases {

@@ -10,7 +10,6 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
 // FuzzTopKMatchesExhaustive holds top-k execution to the exhaustive
@@ -34,7 +33,7 @@ func FuzzTopKMatchesExhaustive(f *testing.F) {
 		topN = 1 + int((uint(topN)-1)%uint(n+2)) // in range already: unchanged
 		workers = 1 + int((uint(workers)-1)%3)
 		ctx := context.Background()
-		st := store.NewMemStore()
+		st := memStore(t)
 		src := &fakeSource{byGram: map[string][]string{}, bounds: map[string]float64{}}
 		put := func(id string, alts ...staccato.Alt) {
 			d := &staccato.Doc{ID: id, Params: staccato.Params{Chunks: 1, K: len(alts)}, Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}}}

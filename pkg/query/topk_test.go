@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // TestFinalStopDecision pins top-k's stop test at its edges: a certain
@@ -60,13 +60,13 @@ func TestFirstRound(t *testing.T) {
 
 // batchCounter counts the store fetches a run makes.
 type batchCounter struct {
-	*store.MemStore
+	*diskstore.Store
 	batches atomic.Int32
 }
 
 func (s *batchCounter) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
 	s.batches.Add(1)
-	return s.MemStore.GetBatch(ctx, ids)
+	return s.Store.GetBatch(ctx, ids)
 }
 
 // TestTopKCoveringTopNRunsOneRound: with TopN at or past half the
@@ -75,7 +75,12 @@ func (s *batchCounter) GetBatch(ctx context.Context, ids []string) ([]*staccato.
 func TestTopKCoveringTopNRunsOneRound(t *testing.T) {
 	ctx := context.Background()
 	const n = 60
-	st := &batchCounter{MemStore: store.NewMemStore()}
+	mem, err := diskstore.OpenMem(diskstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	st := &batchCounter{Store: mem}
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("d%02d", i)

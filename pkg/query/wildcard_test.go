@@ -13,7 +13,7 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // handDoc builds a document from per-chunk alternative texts, the
@@ -38,7 +38,7 @@ func handDoc(id string, chunks ...[]string) *staccato.Doc {
 // deletion, so that each kind of edit pattern is some match's only cover,
 // and one whose readings are "the" and "abcd" less a rune and nothing
 // else — a match no gram can witness once the gram size exceeds it.
-func wildcardCorpus(t *testing.T, errModel bool, q int) (*store.MemStore, *index.Index, []string) {
+func wildcardCorpus(t *testing.T, errModel bool, q int) (*diskstore.Store, *index.Index, []string) {
 	t.Helper()
 	var cases []testgen.DocCase
 	var err error
@@ -76,7 +76,7 @@ func wildcardCorpus(t *testing.T, errModel bool, q int) (*store.MemStore, *index
 		t.Fatalf("x-overflow at q=%d: Overflow = %v", q, e.Overflow)
 	}
 	ctx := context.Background()
-	st := store.NewMemStore()
+	st := memStore(t)
 	ix := index.New(q)
 	var truths []string
 	for _, c := range cases {

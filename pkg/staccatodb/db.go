@@ -1,6 +1,7 @@
 // Package staccatodb is the single-handle public API of the system: one
-// DB wires together the document store (durable diskstore or in-memory),
-// the persistent inverted q-gram index, and the parallel query engine,
+// DB wires together the document store (a diskstore.Store, on disk or
+// over an in-memory file system), the inverted q-gram index (persisted
+// on disk), and the parallel query engine,
 // keeps the three consistent through every write, and tears them down in
 // one Close. Callers that previously hand-assembled diskstore.Open +
 // query.NewEngine + per-query compilation now write:
@@ -13,13 +14,13 @@
 //
 // # Index consistency
 //
-// The DB is the single sequencer of mutations, for the disk and the
-// in-memory store alike. Every write extracts its index entries before
-// any lock, takes the DB's write lock, commits to the store, and only
-// then applies the same change to the in-memory index and — on disk —
-// appends a mirroring record to the index log (index.FileName in the
-// store directory), stamped with the store's CommitState, before the
-// write call returns. Store first, so a failed commit leaves the index
+// The DB is the single sequencer of mutations. Every write extracts its
+// index entries before any lock, takes the DB's write lock, commits to
+// the store as one all-or-none batch, and only then applies the same
+// change to the in-memory index and — on disk — appends a mirroring
+// record to the index log (index.FileName in the store directory),
+// stamped with the store's CommitState, before the write call returns.
+// Store first, so a failed commit, which stores nothing, leaves the index
 // describing what the store still holds. Compact and RebuildIndex take
 // the same lock, so they exclude writers. Open compares the log's final
 // state against the store's: any mismatch — the index file missing, the
@@ -68,9 +69,8 @@ var ErrClosed = errors.New("staccatodb: db is closed")
 // query engine. It is safe for concurrent use.
 type DB struct {
 	cfg  config
-	dir  string           // store directory; "" for OpenMem
-	disk *diskstore.Store // nil for OpenMem
-	st   store.DocStore   // the live store: disk, or a MemStore
+	dir  string // store directory; "" for OpenMem, whose index is never persisted
+	disk *diskstore.Store
 	eng  *query.Engine
 
 	// writeMu orders every mutation: writes, Compact, RebuildIndex and
@@ -94,18 +94,32 @@ type DB struct {
 // from the index log when fresh, rebuilt from a store scan when missing
 // or stale.
 func Open(dir string, opts ...Option) (*DB, error) {
-	cfg, err := buildConfig(opts)
+	return open(dir, func(o diskstore.Options) (*diskstore.Store, error) { return diskstore.Open(dir, o) }, opts)
+}
+
+// OpenMem returns a database over a fresh diskstore.OpenMem store — the
+// same store, write path and Compact as Open, over an in-memory file
+// system, so nothing touches disk and the index (unless WithoutIndex)
+// is never persisted. The natural fit for tests and ephemeral corpora.
+func OpenMem(opts ...Option) (*DB, error) {
+	return open("", diskstore.OpenMem, opts)
+}
+
+// open is Open and OpenMem: openStore opens the document store.
+func open(dir string, openStore func(diskstore.Options) (*diskstore.Store, error), opts []Option) (*DB, error) {
+	cfg := defaultConfig()
+	for _, o := range opts {
+		o(&cfg)
+	}
+	cfg, err := cfg.validated()
 	if err != nil {
 		return nil, err
 	}
-	disk, err := diskstore.Open(dir, diskstore.Options{
-		MaxSegmentBytes: cfg.maxSegmentBytes,
-		NoSync:          cfg.noSync,
-	})
+	disk, err := openStore(diskstore.Options{MaxSegmentBytes: cfg.maxSegmentBytes, NoSync: cfg.noSync})
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{cfg: cfg, dir: dir, disk: disk, st: disk}
+	db := &DB{cfg: cfg, dir: dir, disk: disk}
 	db.eng = query.NewEngine(disk, query.EngineOptions{Workers: cfg.workers})
 	if !cfg.noIndex {
 		if err := db.loadOrRebuildIndex(); err != nil {
@@ -116,56 +130,34 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	return db, nil
 }
 
-// OpenMem returns a database over a fresh in-memory store — same API,
-// nothing on disk, index (unless WithoutIndex) maintained purely in
-// memory. The natural fit for tests and ephemeral corpora.
-func OpenMem(opts ...Option) (*DB, error) {
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	db := &DB{cfg: cfg, st: store.NewMemStore()}
-	db.eng = query.NewEngine(db.st, query.EngineOptions{Workers: cfg.workers})
-	if !cfg.noIndex {
-		db.idx = index.New(cfg.gramSize)
-	}
-	return db, nil
-}
-
-func buildConfig(opts []Option) (config, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg.validated()
-}
-
 // indexPath returns the index log's location inside the store directory.
 func (db *DB) indexPath() string { return filepath.Join(db.dir, index.FileName) }
 
 // loadOrRebuildIndex loads the index log if its recorded CommitState
 // matches the store's, and otherwise rebuilds the index from a full scan
-// and snapshots it. Runs during Open, before the DB is shared. Failures
-// to WRITE the index log — a read-only corpus directory, a full disk —
-// degrade to an unpersisted in-memory index rather than failing Open:
-// search over a read-only directory must keep working, and an
-// unpersisted index only costs a rebuild next time. Failures to read the
-// store itself still fail.
+// and snapshots it; OpenMem has no log, and scans its empty store. Runs
+// during Open, before the DB is shared. Failures to WRITE the index log —
+// a read-only corpus directory, a full disk — degrade to an unpersisted
+// in-memory index rather than failing Open: search over a read-only
+// directory must keep working, and an unpersisted index only costs a
+// rebuild next time. Failures to read the store itself still fail.
 func (db *DB) loadOrRebuildIndex() error {
-	// A crash mid-snapshot strands the replace's staging file, and only a
-	// later successful snapshot would ever overwrite it. Best effort: a
-	// read-only directory keeps its debris and still opens.
-	_ = os.Remove(db.indexPath() + framelog.TempSuffix)
-	ix, got, err := index.Load(db.indexPath(), db.cfg.gramSize)
-	if err == nil && got == toState(db.disk.CommitState()) {
-		db.idx = ix
-		if w, err := index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync); err == nil {
-			db.idxW = w
+	if db.dir != "" {
+		// A crash mid-snapshot strands the replace's staging file, and only
+		// a later successful snapshot would ever overwrite it. Best effort:
+		// a read-only directory keeps its debris and still opens.
+		_ = os.Remove(db.indexPath() + framelog.TempSuffix)
+		ix, got, err := index.Load(db.indexPath(), db.cfg.gramSize)
+		if err == nil && got == toState(db.disk.CommitState()) {
+			db.idx = ix
+			if w, err := index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync); err == nil {
+				db.idxW = w
+			}
+			return nil
 		}
-		return nil
 	}
 	//lint:allow ctxflow Open's signature deliberately takes no context (a DB either opens or it doesn't); the rebuild scan is startup work with no caller deadline to inherit
-	ix, err = db.scannedIndex(context.Background())
+	ix, err := db.scannedIndex(context.Background())
 	if err != nil {
 		return err
 	}
@@ -173,9 +165,9 @@ func (db *DB) loadOrRebuildIndex() error {
 	return nil
 }
 
-// installIndex makes ix the live index and, on disk, replaces the index
-// log with a snapshot of it stamped with the store's CommitState, then
-// reopens the log for appending. Callers hold writeMu (Open runs before
+// installIndex makes ix the live index and, on disk (dir != ""),
+// replaces the index log with a snapshot of it stamped with the store's
+// CommitState, then reopens the log for appending. Callers hold writeMu (Open runs before
 // the DB is shared), so no commit lands between the stamp and the
 // snapshot and the stamp is exact. If the log cannot be written ix is
 // installed all the same — it is correct for this process — with
@@ -186,7 +178,7 @@ func (db *DB) installIndex(ix *index.Index) error {
 	}
 	var w *index.Writer
 	var err error
-	if db.disk != nil {
+	if db.dir != "" {
 		err = index.WriteSnapshot(db.indexPath(), ix, toState(db.disk.CommitState()))
 		if err == nil {
 			w, err = index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync)
@@ -204,7 +196,7 @@ func (db *DB) installIndex(ix *index.Index) error {
 // scannedIndex builds a fresh index from a full store scan.
 func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
 	ix := index.New(db.cfg.gramSize)
-	err := db.st.Scan(ctx, func(d *staccato.Doc) error {
+	err := db.disk.Scan(ctx, func(d *staccato.Doc) error {
 		ix.Add(d)
 		return nil
 	})
@@ -251,9 +243,10 @@ func (db *DB) Put(ctx context.Context, doc *staccato.Doc) error {
 }
 
 // Ingest stores docs as one durable batch — one commit, one fsync, one
-// index log record — replacing same-ID documents. It is the bulk-load
-// path; split very large loads into multiple Ingest calls to bound commit
-// latency and memory.
+// index log record — replacing same-ID documents. The batch is all or
+// none: if any document is invalid or the commit fails, none is stored.
+// It is the bulk-load path; split very large loads into multiple Ingest
+// calls to bound commit latency and memory.
 func (db *DB) Ingest(ctx context.Context, docs []*staccato.Doc) error {
 	return db.write(ctx, docs, "")
 }
@@ -288,18 +281,14 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 	if db.isClosed() {
 		return ErrClosed
 	}
-	// Store first, so a failed commit leaves the index describing what
-	// the store still holds.
-	live := db.st.Len()
-	landed, err := db.commit(ctx, puts, del)
-	if db.idx == nil || (landed == 0 && db.st.Len() == live) {
-		// No index to maintain, or nothing changed — a failed commit, or a
-		// Delete of a missing ID — so neither the index nor its log has
-		// anything to record.
+	// Store first, so a failed commit, which stores nothing, leaves the
+	// index describing what the store still holds.
+	before := db.disk.CommitState()
+	if err := db.commit(ctx, puts, del); err != nil || db.idx == nil || db.disk.CommitState() == before {
+		// A failed commit, no index to maintain, or nothing written — an
+		// empty Ingest, or a Delete of a missing ID — so neither the index
+		// nor its log has anything to record.
 		return err
-	}
-	if landed < len(puts) {
-		adds = index.Invert(entries[:landed]) // an in-memory write that failed partway
 	}
 	var dels []string
 	if del != "" {
@@ -318,35 +307,22 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 			db.mu.Unlock()
 		}
 	}
-	return err
+	return nil
 }
 
-// commit applies one write to the store and reports how many of puts
-// are now stored: all or none on disk, where they are one batch and one
-// fsync; in memory the loop can fail partway, and the documents before
-// the failure stay stored.
-func (db *DB) commit(ctx context.Context, puts []*staccato.Doc, del string) (int, error) {
+// commit applies one write to the store: a Delete, or puts as one batch
+// and one fsync, stored all or none.
+func (db *DB) commit(ctx context.Context, puts []*staccato.Doc, del string) error {
 	if del != "" {
-		return 0, db.st.Delete(ctx, del)
-	}
-	if db.disk == nil {
-		for i, d := range puts {
-			if err := db.st.Put(ctx, d); err != nil {
-				return i, err
-			}
-		}
-		return len(puts), nil
+		return db.disk.Delete(ctx, del)
 	}
 	b := db.disk.Batch()
 	for _, d := range puts {
 		if err := b.Put(d); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	if err := b.Commit(ctx); err != nil {
-		return 0, err
-	}
-	return len(puts), nil
+	return b.Commit(ctx)
 }
 
 // Get returns the document with the given ID, or store.ErrNotFound.
@@ -354,7 +330,7 @@ func (db *DB) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 	if db.isClosed() {
 		return nil, ErrClosed
 	}
-	return db.st.Get(ctx, id)
+	return db.disk.Get(ctx, id)
 }
 
 // Search runs one compiled query against the corpus through the planner
@@ -404,7 +380,7 @@ func (db *DB) Snippets(ctx context.Context, q *query.Query, opts query.SearchOpt
 	}
 	out := make([]query.DocSnippets, 0, len(results))
 	for _, r := range results {
-		doc, err := db.st.Get(ctx, r.DocID)
+		doc, err := db.disk.Get(ctx, r.DocID)
 		if errors.Is(err, store.ErrNotFound) {
 			continue
 		}
@@ -466,11 +442,11 @@ func (db *DB) Explain(q *query.Query) string {
 	return out
 }
 
-// Stats describes the database's current shape. Segment and disk fields
-// are zero for OpenMem databases. The JSON tags define the one canonical
-// stats shape, shared verbatim by the CLI's verbose output and the
-// staccatod /v1/stats endpoint — live doc count and index persistence
-// always read the same either way.
+// Stats describes the database's current shape; for OpenMem databases
+// the segment and disk fields describe the in-memory file system. The
+// JSON tags define the one canonical stats shape, shared verbatim by the
+// CLI's verbose output and the staccatod /v1/stats endpoint — live doc
+// count and index persistence always read the same either way.
 type Stats struct {
 	// Docs is the number of live documents.
 	Docs int `json:"docs"`
@@ -480,10 +456,10 @@ type Stats struct {
 	// IndexEnabled reports whether an inverted index is attached.
 	IndexEnabled bool `json:"index_enabled"`
 	// IndexPersisted reports whether the index is being persisted to the
-	// store directory's index log. False for OpenMem databases, and for
-	// disk databases whose log could not be written (read-only directory,
-	// full disk) — the in-memory index still serves queries, but the next
-	// Open pays a rebuild.
+	// store directory's index log. False for OpenMem databases, which
+	// have no index log, and for disk databases whose log could not be
+	// written (read-only directory, full disk) — the in-memory index still
+	// serves queries, but the next Open pays a rebuild.
 	IndexPersisted bool `json:"index_persisted"`
 	// IndexDocs, IndexGrams, IndexPostings (dead postings included until
 	// the next Compact) and IndexOverflowDocs mirror index.Stats.
@@ -501,7 +477,8 @@ type Stats struct {
 // Stats reports document, segment, and index counts.
 func (db *DB) Stats() Stats {
 	ix, persisted := db.index()
-	st := Stats{Docs: db.st.Len(), IndexPersisted: persisted}
+	dst := db.disk.Stats()
+	st := Stats{Docs: dst.Docs, Segments: dst.Segments, DiskBytes: dst.DiskBytes, IndexPersisted: persisted}
 	if ix != nil {
 		ist := ix.Stats()
 		st.IndexEnabled = true
@@ -515,26 +492,18 @@ func (db *DB) Stats() Stats {
 			st.IndexBytes = fi.Size()
 		}
 	}
-	if db.disk != nil {
-		dst := db.disk.Stats()
-		st.Segments = dst.Segments
-		st.DiskBytes = dst.DiskBytes
-	}
 	return st
 }
 
 // Compact rewrites the store's live records into fresh segments (see
-// diskstore.Compact) and snapshots the index log to match, dropping the
-// dead postings both accumulate. Writers wait while it runs. A no-op for
-// OpenMem databases.
+// diskstore.Compact) and compacts the index to match — snapshotting the
+// index log on disk — dropping the dead records and postings both
+// accumulate. Writers wait while it runs.
 func (db *DB) Compact(ctx context.Context) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if db.isClosed() {
 		return ErrClosed
-	}
-	if db.disk == nil {
-		return nil
 	}
 	if err := db.disk.Compact(ctx); err != nil {
 		return err
@@ -596,10 +565,8 @@ func (db *DB) Close() error {
 	if w != nil {
 		err = w.Close()
 	}
-	if db.disk != nil {
-		if cerr := db.disk.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := db.disk.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -12,12 +12,14 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/refsearch"
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 func mustQ(q *query.Query, err error) *query.Query {
@@ -107,6 +109,86 @@ func TestOpenMemLifecycle(t *testing.T) {
 	}
 	if _, _, err := db.Search(ctx, mustQ(query.Substring("xx")), query.SearchOptions{}); !errors.Is(err, staccatodb.ErrClosed) {
 		t.Errorf("Search after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestOpenMemCompact: an in-memory DB compacts its store and its index
+// like a disk one. After put-supersede and delete churn, Compact must
+// shrink the segments, leave exactly the postings of a fresh DB that
+// ingested only the live documents, and keep answering like the
+// sequential reference over those documents.
+func TestOpenMemCompact(t *testing.T) {
+	ctx := context.Background()
+	db, err := staccatodb.OpenMem(staccatodb.WithMaxSegmentBytes(4 << 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	first, second := corpus(t, 40, 5), corpus(t, 40, 6) // the same IDs, other text
+	if err := db.Ingest(ctx, docsOf(first)); err != nil {
+		t.Fatal(err)
+	}
+	live := map[string]testgen.DocCase{}
+	for _, c := range first {
+		live[c.Doc.ID] = c
+	}
+	for _, c := range second[:15] {
+		if err := db.Put(ctx, c.Doc); err != nil {
+			t.Fatal(err)
+		}
+		live[c.Doc.ID] = c
+	}
+	for _, c := range first[25:35] {
+		if err := db.Delete(ctx, c.Doc.ID); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, c.Doc.ID)
+	}
+	ref, err := diskstore.OpenMem(diskstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	var liveDocs []*staccato.Doc
+	var truths []string
+	for _, c := range live {
+		liveDocs = append(liveDocs, c.Doc)
+		truths = append(truths, c.Truth)
+		if err := ref.Put(ctx, c.Doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Strings(truths)
+
+	before := db.Stats()
+	if err := db.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Stats()
+	fresh, err := staccatodb.OpenMem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.Ingest(ctx, liveDocs); err != nil {
+		t.Fatal(err)
+	}
+	if want := fresh.Stats().IndexPostings; after.IndexPostings != want || before.IndexPostings <= want {
+		t.Errorf("IndexPostings %d before Compact, %d after; want more before, then the fresh DB's %d", before.IndexPostings, after.IndexPostings, want)
+	}
+	if after.DiskBytes >= before.DiskBytes || after.Segments == 0 || after.Docs != len(live) {
+		t.Errorf("Stats before Compact %+v, after %+v; want fewer disk bytes and %d docs", before, after, len(live))
+	}
+	queries := randomQueries(truths, 41, 20)
+	got := searchAll(t, db, queries)
+	for i, q := range queries {
+		want, err := refsearch.Search(ctx, ref, q, query.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("after Compact, query %s = %+v; the reference over the live documents gives %+v", q.String(), got[i], want)
+		}
 	}
 }
 

@@ -68,8 +68,8 @@ func WithNoSync() Option {
 	return func(c *config) { c.noSync = true }
 }
 
-// WithMaxSegmentBytes sets the store's segment roll size; see
-// diskstore.Options.MaxSegmentBytes. Ignored by OpenMem.
+// WithMaxSegmentBytes sets the store's segment roll size, on disk and in
+// memory alike; see diskstore.Options.MaxSegmentBytes.
 func WithMaxSegmentBytes(n int64) Option {
 	return func(c *config) { c.maxSegmentBytes = n }
 }

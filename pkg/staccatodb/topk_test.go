@@ -17,7 +17,7 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
-	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // TestSearchTopKByteIdenticalProperty is the equivalence property for the
@@ -233,7 +233,11 @@ func TestSearchTopKEarlyStopsDeterministically(t *testing.T) {
 func TestTopKStopsAtCertainTies(t *testing.T) {
 	ctx := context.Background()
 	docs := make([]*staccato.Doc, 300)
-	mem := store.NewMemStore()
+	mem, err := diskstore.OpenMem(diskstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
 	var certain []string
 	for i := range docs {
 		id := fmt.Sprintf("c-%03d", i)

@@ -2,6 +2,7 @@ package staccatodb_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -113,15 +114,18 @@ func TestFailedWriteNeverPrunesStoredDoc(t *testing.T) {
 				agree(term)
 			}
 
-			// A batch that fails partway: the in-memory store keeps the
-			// documents before the failure (disk commits all or none), and
-			// whichever it kept must be searchable.
+			// A batch with an invalid document stores none of it, in
+			// memory as on disk.
 			both("ingest with a nil document", true, func(d *staccatodb.DB) error {
 				return d.Ingest(ctx, []*staccato.Doc{oneReading("new-c", "charlie horse"), nil})
 			})
-			_, err = db.Get(ctx, "new-c")
-			if res := agree("charlie"); (len(res) == 1) != (err == nil) {
-				t.Fatalf("new-c stored: %v, but search found %+v", err == nil, res)
+			for _, d := range []*staccatodb.DB{db, twin} {
+				if _, err := d.Get(ctx, "new-c"); !errors.Is(err, store.ErrNotFound) {
+					t.Fatalf("Get(new-c) after the failed ingest: err = %v, want ErrNotFound", err)
+				}
+			}
+			if res := agree("charlie"); len(res) != 0 {
+				t.Fatalf("search for the failed ingest's text found %+v", res)
 			}
 		})
 	}

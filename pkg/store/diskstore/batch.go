@@ -45,10 +45,11 @@ func (b *Batch) Len() int { return len(b.ops) }
 
 // Commit durably applies the batch in order — later operations on the
 // same ID supersede earlier ones — with a single fsync per touched
-// segment file, then resets the batch for reuse. Commit is not atomic:
-// if it fails partway, operations already written are durable and will
-// replay on the next Open; retrying the whole batch is safe because
-// every operation is an idempotent overwrite or tombstone.
+// segment file, then resets the batch for reuse. Commit is all or none:
+// on error no operation is visible, and the records it had written are
+// truncated away so none replays on the next Open (best effort; see
+// writeOps). Retrying the whole batch is safe because every operation is
+// an idempotent overwrite or tombstone.
 func (b *Batch) Commit(ctx context.Context) error {
 	if b.err != nil {
 		return b.err

@@ -107,3 +107,41 @@ func TestGetBatchClosed(t *testing.T) {
 		t.Fatalf("GetBatch on closed store: err = %v, want ErrClosed", err)
 	}
 }
+
+// TestGetBatchAlignment holds GetBatch to the DocStore contract on both
+// file systems: out[i] answers ids[i], a missing ID is a nil slot, a
+// duplicate ID decodes twice rather than aliasing one document, an empty
+// batch is no error, and every slot equals the point Get.
+func TestGetBatchAlignment(t *testing.T) {
+	eachFS(t, diskstore.Options{}, func(t *testing.T, st *diskstore.Store) {
+		ctx := context.Background()
+		for i := 0; i < 5; i++ {
+			if err := st.Put(ctx, batchDoc(t, fmt.Sprintf("doc-%d", i), int64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids := []string{"doc-3", "missing", "doc-0", "doc-3"}
+		got, err := st.GetBatch(ctx, ids)
+		if err != nil || len(got) != len(ids) {
+			t.Fatalf("GetBatch = %d docs, %v; want %d", len(got), err, len(ids))
+		}
+		for i, id := range ids {
+			point, err := st.Get(ctx, id)
+			if id == "missing" {
+				if got[i] != nil || err == nil {
+					t.Errorf("slot %d (%s) = %+v, Get err %v; want nil and an error", i, id, got[i], err)
+				}
+				continue
+			}
+			if err != nil || !reflect.DeepEqual(got[i], point) {
+				t.Errorf("slot %d (%s): batch %+v != point %+v (err %v)", i, id, got[i], point, err)
+			}
+		}
+		if got[0] == got[3] {
+			t.Error("duplicate IDs alias the same decoded document")
+		}
+		if out, err := st.GetBatch(ctx, nil); err != nil || len(out) != 0 {
+			t.Errorf("GetBatch(nil) = %v, %v", out, err)
+		}
+	})
+}

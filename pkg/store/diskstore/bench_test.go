@@ -158,11 +158,17 @@ func scanAll(b *testing.B, st store.DocStore) {
 // BenchmarkScanDisk measures full-corpus scan throughput off disk — the
 // engine's read path over a persisted store.
 func BenchmarkScanDisk(b *testing.B) {
-	st, err := diskstore.Open(b.TempDir(), diskstore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
+	benchScan(b, openT(b, b.TempDir(), diskstore.Options{}))
+}
+
+// BenchmarkScanMem is the same scan over OpenMem's in-memory file system
+// — the baseline the disk path is compared against.
+func BenchmarkScanMem(b *testing.B) {
+	benchScan(b, openMemT(b, diskstore.Options{}))
+}
+
+// benchScan loads the corpus into st in one batch and times full scans.
+func benchScan(b *testing.B, st *diskstore.Store) {
 	batch := st.Batch()
 	for _, d := range corpus(b) {
 		if err := batch.Put(d); err != nil {
@@ -171,23 +177,6 @@ func BenchmarkScanDisk(b *testing.B) {
 	}
 	if err := batch.Commit(context.Background()); err != nil {
 		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scanAll(b, st)
-	}
-	reportDocsPerSec(b, benchDocs)
-}
-
-// BenchmarkScanMem is the same scan over MemStore — the baseline the
-// disk path is compared against.
-func BenchmarkScanMem(b *testing.B) {
-	st := store.NewMemStore()
-	ctx := context.Background()
-	for _, d := range corpus(b) {
-		if err := st.Put(ctx, d); err != nil {
-			b.Fatal(err)
-		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
@@ -49,12 +48,12 @@ func (s *Store) Compact(ctx context.Context) error {
 	abandon := func(err error) error {
 		for _, seg := range newSegs {
 			seg.f.Close()
-			os.Remove(filepath.Join(s.dir, segName(seg.num)))
+			s.fsys.Remove(s.path(segName(seg.num)))
 		}
 		return err
 	}
 	newSegment := func() error {
-		f, err := os.OpenFile(filepath.Join(s.dir, segName(num)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		f, err := s.fsys.OpenFile(s.path(segName(num)), os.O_RDWR|os.O_CREATE|os.O_EXCL)
 		if err != nil {
 			return fmt.Errorf("diskstore: %w", err)
 		}
@@ -93,7 +92,7 @@ func (s *Store) Compact(ctx context.Context) error {
 			return abandon(fmt.Errorf("diskstore: %w", err))
 		}
 	}
-	if err := framelog.SyncDir(s.dir); err != nil {
+	if err := s.fsys.SyncDir(s.dir); err != nil {
 		return abandon(fmt.Errorf("diskstore: %w", err))
 	}
 
@@ -102,7 +101,7 @@ func (s *Store) Compact(ctx context.Context) error {
 	// rename lands. After a successful rename the new segments ARE the
 	// store, so later failures (the directory fsync) must complete the
 	// swap anyway rather than delete files the manifest references.
-	renamed, flipSyncErr := framelog.ReplaceFile(filepath.Join(s.dir, manifestName), encodeManifest(newOrder))
+	renamed, flipSyncErr := framelog.ReplaceFile(s.fsys, s.path(manifestName), encodeManifest(newOrder))
 	if !renamed {
 		return abandon(fmt.Errorf("diskstore: %w", flipSyncErr))
 	}
@@ -113,7 +112,7 @@ func (s *Store) Compact(ctx context.Context) error {
 		if flipSyncErr == nil {
 			// Old files are now stale; delete them. Failures here are
 			// cosmetic — the next Open sweeps anything left behind.
-			os.Remove(filepath.Join(s.dir, segName(seg.num)))
+			s.fsys.Remove(s.path(segName(seg.num)))
 		}
 		// With the flip not yet durable, keep the old files: if the
 		// machine crashes before the rename's directory entry hits disk,

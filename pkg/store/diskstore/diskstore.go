@@ -1,7 +1,10 @@
 // Package diskstore implements a durable, disk-backed store.DocStore on
 // append-only segment files, so a corpus ingested once survives the
 // process and can be reopened and queried in place — the "manage OCR
-// data inside a database" half of the Staccato thesis.
+// data inside a database" half of the Staccato thesis. OpenMem runs the
+// same store — framing, replay, batch commit, Compact — over an
+// in-memory file system: every file call goes through a framelog.FS, so
+// there is one store and one write path, with or without a disk.
 //
 // # On-disk layout
 //
@@ -16,12 +19,12 @@
 //	uint32 payloadLen | uint32 crc32(payload) | payload
 //	payload = kind byte | uvarint len(id) | id | encoded doc (puts only)
 //
-// where the document bytes are the versioned store.Encode form shared by
-// every backend. Records are only ever appended; a Put of an existing ID
-// appends a superseding record and a Delete appends a tombstone. The
-// in-memory index (ID → segment, offset) is rebuilt by replaying the
-// segments in manifest order on Open, so the newest record for each ID
-// wins and disk holds no secondary structures that can desynchronize.
+// where the document bytes are the versioned store.Encode form. Records
+// are only ever appended; a Put of an existing ID appends a superseding
+// record and a Delete appends a tombstone. The in-memory index (ID →
+// segment, offset) is rebuilt by replaying the segments in manifest order
+// on Open, so the newest record for each ID wins and disk holds no
+// secondary structures that can desynchronize.
 //
 // # Crash safety
 //
@@ -46,6 +49,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,7 +123,7 @@ type recordRef struct {
 // segment is one open append-only file.
 type segment struct {
 	num  uint64
-	f    *os.File
+	f    framelog.File
 	size int64
 }
 
@@ -130,9 +134,10 @@ func segName(num uint64) string {
 // Store is a durable DocStore. It is safe for concurrent use: reads run
 // in parallel, writes are serialized.
 type Store struct {
+	fsys framelog.FS
 	dir  string
 	opts Options
-	lock *os.File // flock'd LOCK file; held for the store's lifetime
+	lock io.Closer // the LOCK file's handle; held for the store's lifetime
 
 	mu     sync.RWMutex
 	index  map[string]recordRef
@@ -152,15 +157,29 @@ var _ store.DocStore = (*Store)(nil)
 // flock), so a second process opening the same store fails fast instead
 // of corrupting it.
 func Open(dir string, opts Options) (*Store, error) {
+	return open(framelog.OS, dir, opts)
+}
+
+// OpenMem opens a new, empty store over an in-memory file system. It runs
+// the same framing, replay, batch commit and Compact as Open; nothing
+// touches a real path, and the store's contents go when it does.
+func OpenMem(opts Options) (*Store, error) {
+	return open(framelog.NewMemFS(), "", opts)
+}
+
+// open is Open over any file system; every file call the store makes
+// goes through fsys.
+func open(fsys framelog.FS, dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
-	lock, err := acquireLock(dir)
+	lock, err := fsys.Lock(filepath.Join(dir, lockName))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	s := &Store{
+		fsys:  fsys,
 		dir:   dir,
 		opts:  opts,
 		lock:  lock,
@@ -174,17 +193,21 @@ func Open(dir string, opts Options) (*Store, error) {
 			lock.Close()
 		}
 	}()
-	order, err := readManifest(dir)
+	names, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("diskstore: %w", err)
+	}
+	order, err := s.readManifest()
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		if names, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix)); len(names) > 0 {
+		if slices.ContainsFunc(names, isSegName) {
 			return nil, fmt.Errorf("diskstore: %s has segment files but no %s; refusing to guess replay order", dir, manifestName)
 		}
 	case err != nil:
 		return nil, err
 	}
 	s.order = order
-	if err := s.removeStaleFiles(); err != nil {
+	if err := s.removeStaleFiles(names); err != nil {
 		return nil, err
 	}
 	for _, num := range order {
@@ -205,23 +228,24 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// removeStaleFiles deletes segment files the manifest does not name and
-// any leftover manifest temp file — debris of an interrupted Compact.
-func (s *Store) removeStaleFiles() error {
+func isSegName(name string) bool {
+	return strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix)
+}
+
+// path returns the location of the store file name.
+func (s *Store) path(name string) string { return filepath.Join(s.dir, name) }
+
+// removeStaleFiles deletes, of the directory's names, the segment files
+// the manifest does not name and any leftover manifest temp file —
+// debris of an interrupted Compact.
+func (s *Store) removeStaleFiles(names []string) error {
 	live := make(map[string]bool, len(s.order))
 	for _, num := range s.order {
 		live[segName(num)] = true
 	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		stale := name == manifestTemp ||
-			(strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix) && !live[name])
-		if stale {
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
+	for _, name := range names {
+		if name == manifestTemp || (isSegName(name) && !live[name]) {
+			if err := s.fsys.Remove(s.path(name)); err != nil {
 				return fmt.Errorf("diskstore: removing stale %s: %w", name, err)
 			}
 		}
@@ -239,18 +263,18 @@ func (s *Store) removeStaleFiles() error {
 // discarding every record after it.
 func (s *Store) replaySegment(num uint64) error {
 	name := segName(num)
-	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR, 0o644)
+	f, err := s.fsys.OpenFile(s.path(name), os.O_RDWR)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
 	seg := &segment{num: num, f: f}
 	s.segs[num] = seg
-	fi, err := f.Stat()
+	size, err := f.Size()
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
 
-	r := framelog.NewReader(f, fi.Size())
+	r := framelog.NewReader(io.NewSectionReader(f, 0, size), size)
 	var dmg *framelog.Damage
 	for dmg == nil {
 		off := r.Offset()
@@ -284,7 +308,7 @@ func (s *Store) replaySegment(num uint64) error {
 		// here would discard records a crash cannot explain losing.
 		return fmt.Errorf(
 			"diskstore: %s: %s at offset %d with %d bytes after it — not a torn tail; refusing to drop data (restore the file from a copy, or truncate it to %d by hand to discard everything after the damage)",
-			name, dmg.What, seg.size, fi.Size()-seg.size, seg.size)
+			name, dmg.What, seg.size, size-seg.size, seg.size)
 	}
 	// Truncate so future appends start at a record boundary and the next
 	// replay ends cleanly.
@@ -299,17 +323,16 @@ func (s *Store) replaySegment(num uint64) error {
 // before the manifest names it, so a crash between the two steps leaves
 // only an unreferenced empty file.
 func (s *Store) addSegment(num uint64) error {
-	path := filepath.Join(s.dir, segName(num))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := s.fsys.OpenFile(s.path(segName(num)), os.O_RDWR|os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	if err := framelog.SyncDir(s.dir); err != nil {
+	if err := s.fsys.SyncDir(s.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("diskstore: %w", err)
 	}
 	order := append(append([]uint64{}, s.order...), num)
-	if err := writeManifest(s.dir, order); err != nil {
+	if err := s.writeManifest(order); err != nil {
 		f.Close()
 		return err
 	}
@@ -341,11 +364,11 @@ type op struct {
 // segments as MaxSegmentBytes requires), fsyncs every touched file once,
 // and only then applies the index updates. The caller must hold s.mu.
 //
-// A commit is not atomic across ops: if the write or sync fails partway,
-// records already durable on disk will replay on the next Open even
-// though the in-memory index was not updated. writeOps makes a
-// best-effort truncate back to the starting offset in the common
-// single-segment case to keep memory and disk consistent after errors.
+// The ops apply all or none: if a write or sync fails, the index is left
+// as it was and every touched segment is truncated back to its size at
+// entry (a segment the commit rolled to, back to empty), so none of the
+// ops replays on the next Open either. The truncate is best effort: one
+// that fails too leaves its records for the next Open.
 func (s *Store) writeOps(ops []op) error {
 	if s.closed {
 		return ErrClosed
@@ -354,7 +377,7 @@ func (s *Store) writeOps(ops []op) error {
 		return nil
 	}
 	touched := []*segment{s.active}
-	startSeg, startSize := s.active, s.active.size
+	starts := []int64{s.active.size}
 
 	refs := make([]recordRef, len(ops))
 	var buf []byte
@@ -370,11 +393,9 @@ func (s *Store) writeOps(ops []op) error {
 		return nil
 	}
 	fail := func(err error) error {
-		// Best-effort rollback when no roll happened: drop the partial
-		// append so disk matches the (unchanged) index.
-		if s.active == startSeg {
-			if terr := startSeg.f.Truncate(startSize); terr == nil {
-				startSeg.size = startSize
+		for i, seg := range touched {
+			if seg.f.Truncate(starts[i]) == nil {
+				seg.size = starts[i]
 			}
 		}
 		return err
@@ -390,6 +411,7 @@ func (s *Store) writeOps(ops []op) error {
 				return fail(err)
 			}
 			touched = append(touched, s.active)
+			starts = append(starts, 0)
 		}
 		payload := encodePayload(o)
 		refs[i] = recordRef{
@@ -752,8 +774,8 @@ func kindName(k byte) string {
 }
 
 // readManifest returns the live segment numbers in replay order.
-func readManifest(dir string) ([]uint64, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+func (s *Store) readManifest() ([]uint64, error) {
+	data, err := s.fsys.ReadFile(s.path(manifestName))
 	if err != nil {
 		return nil, err
 	}
@@ -788,8 +810,8 @@ func encodeManifest(order []uint64) []byte {
 }
 
 // writeManifest atomically replaces the manifest.
-func writeManifest(dir string, order []uint64) error {
-	if _, err := framelog.ReplaceFile(filepath.Join(dir, manifestName), encodeManifest(order)); err != nil {
+func (s *Store) writeManifest(order []uint64) error {
+	if _, err := framelog.ReplaceFile(s.fsys, s.path(manifestName), encodeManifest(order)); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
 	return nil

@@ -29,7 +29,7 @@ func sampleDoc(t *testing.T, id string, seed int64) *staccato.Doc {
 	return d
 }
 
-func openT(t *testing.T, dir string, opts diskstore.Options) *diskstore.Store {
+func openT(t testing.TB, dir string, opts diskstore.Options) *diskstore.Store {
 	t.Helper()
 	st, err := diskstore.Open(dir, opts)
 	if err != nil {
@@ -37,6 +37,24 @@ func openT(t *testing.T, dir string, opts diskstore.Options) *diskstore.Store {
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
+}
+
+// openMemT opens an empty store over an in-memory file system.
+func openMemT(t testing.TB, opts diskstore.Options) *diskstore.Store {
+	t.Helper()
+	st, err := diskstore.OpenMem(opts)
+	if err != nil {
+		t.Fatalf("OpenMem: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// eachFS runs fn as one subtest per file system — an OS temp dir and
+// OpenMem — each on a fresh store opened with opts.
+func eachFS(t *testing.T, opts diskstore.Options, fn func(t *testing.T, st *diskstore.Store)) {
+	t.Run("os", func(t *testing.T) { fn(t, openT(t, t.TempDir(), opts)) })
+	t.Run("mem", func(t *testing.T) { fn(t, openMemT(t, opts)) })
 }
 
 func scanIDs(t *testing.T, st store.DocStore) []string {
@@ -63,9 +81,11 @@ func lastSegment(t *testing.T, dir string) string {
 }
 
 func TestPutGetDelete(t *testing.T) {
-	ctx := context.Background()
-	st := openT(t, t.TempDir(), diskstore.Options{})
+	eachFS(t, diskstore.Options{}, testPutGetDelete)
+}
 
+func testPutGetDelete(t *testing.T, st *diskstore.Store) {
+	ctx := context.Background()
 	want := sampleDoc(t, "doc-1", 1)
 	if err := st.Put(ctx, want); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -137,8 +157,8 @@ func TestReopenPersists(t *testing.T) {
 	if got := scanIDs(t, st2); !reflect.DeepEqual(got, want) {
 		t.Errorf("reopened Scan = %v, want %v", got, want)
 	}
-	if n, err := store.Count(ctx, st2); err != nil || n != len(want) {
-		t.Errorf("Count = %d, %v, want %d", n, err, len(want))
+	if n := st2.Len(); n != len(want) {
+		t.Errorf("Len = %d, want %d", n, len(want))
 	}
 	got, err := st2.Get(ctx, "doc-03")
 	if err != nil {
@@ -153,8 +173,11 @@ func TestReopenPersists(t *testing.T) {
 }
 
 func TestScanOrderAndStop(t *testing.T) {
+	eachFS(t, diskstore.Options{}, testScanOrderAndStop)
+}
+
+func testScanOrderAndStop(t *testing.T, st *diskstore.Store) {
 	ctx := context.Background()
-	st := openT(t, t.TempDir(), diskstore.Options{})
 	for i, id := range []string{"c", "a", "b"} {
 		if err := st.Put(ctx, sampleDoc(t, id, int64(i+1))); err != nil {
 			t.Fatal(err)
@@ -251,8 +274,8 @@ func TestTornTailRecovery(t *testing.T) {
 					t.Errorf("Get(%s) after recovery: %v", want, err)
 				}
 			}
-			if n, err := store.Count(ctx, st2); err != nil || n != wantDocs {
-				t.Errorf("Count = %d, %v, want %d", n, err, wantDocs)
+			if n := len(scanIDs(t, st2)); n != wantDocs {
+				t.Errorf("Scan visited %d documents, want %d", n, wantDocs)
 			}
 
 			// The torn tail must have been truncated: appending new writes
@@ -264,8 +287,8 @@ func TestTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			st3 := openT(t, dir, diskstore.Options{})
-			if n, err := store.Count(ctx, st3); err != nil || n != wantDocs+1 {
-				t.Errorf("Count after post-recovery write = %d, %v, want %d", n, err, wantDocs+1)
+			if n := len(scanIDs(t, st3)); n != wantDocs+1 {
+				t.Errorf("Scan after post-recovery write visited %d documents, want %d", n, wantDocs+1)
 			}
 		})
 	}
@@ -531,8 +554,8 @@ func TestInterruptedCompactionSweep(t *testing.T) {
 	}
 
 	st2 := openT(t, dir, diskstore.Options{})
-	if n, err := store.Count(ctx, st2); err != nil || n != 5 {
-		t.Errorf("Count = %d, %v, want the pre-compaction 5", n, err)
+	if n := st2.Len(); n != 5 {
+		t.Errorf("Len = %d, want the pre-compaction 5", n)
 	}
 	if _, err := os.Stat(stray); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("stale segment %s not swept on Open (stat err=%v)", stray, err)
@@ -550,8 +573,11 @@ func TestOpenRefusesManifestlessSegments(t *testing.T) {
 }
 
 func TestClosedStore(t *testing.T) {
+	eachFS(t, diskstore.Options{}, testClosedStore)
+}
+
+func testClosedStore(t *testing.T, st *diskstore.Store) {
 	ctx := context.Background()
-	st := openT(t, t.TempDir(), diskstore.Options{})
 	doc := sampleDoc(t, "d", 1)
 	if err := st.Put(ctx, doc); err != nil {
 		t.Fatal(err)
@@ -579,25 +605,50 @@ func TestClosedStore(t *testing.T) {
 	}
 }
 
+// TestContextCancelled: every method that takes a context refuses a
+// cancelled one, and a refused write stores nothing.
 func TestContextCancelled(t *testing.T) {
+	eachFS(t, diskstore.Options{}, testContextCancelled)
+}
+
+func testContextCancelled(t *testing.T, st *diskstore.Store) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st := openT(t, t.TempDir(), diskstore.Options{})
-	if err := st.Put(ctx, sampleDoc(t, "d", 1)); err == nil {
-		t.Error("Put ignored cancelled context")
+	if err := st.Put(context.Background(), sampleDoc(t, "d", 1)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := st.Get(ctx, "d"); err == nil {
-		t.Error("Get ignored cancelled context")
+	b := st.Batch()
+	if err := b.Put(sampleDoc(t, "e", 2)); err != nil {
+		t.Fatal(err)
 	}
-	if err := st.Delete(ctx, "d"); err == nil {
-		t.Error("Delete ignored cancelled context")
+	calls := map[string]func() error{
+		"Put":    func() error { return st.Put(ctx, sampleDoc(t, "f", 3)) },
+		"Delete": func() error { return st.Delete(ctx, "d") },
+		"Commit": func() error { return b.Commit(ctx) },
+		"Get":    func() error { _, err := st.Get(ctx, "d"); return err },
+		"GetBatch": func() error {
+			_, err := st.GetBatch(ctx, []string{"d"})
+			return err
+		},
+		"ListDocIDs": func() error { _, err := st.ListDocIDs(ctx); return err },
+		"Scan":       func() error { return st.Scan(ctx, func(*staccato.Doc) error { return nil }) },
+		"Compact":    func() error { return st.Compact(ctx) },
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s on a cancelled context = %v, want context.Canceled", name, err)
+		}
+	}
+	if ids := scanIDs(t, st); !reflect.DeepEqual(ids, []string{"d"}) {
+		t.Errorf("after the refused writes the store holds %v, want [d]", ids)
 	}
 }
 
-// TestEngineParityWithMemStore is the acceptance gate: the same corpus in
-// a DiskStore and a MemStore must produce byte-identical ranked results
-// from the query engine, including after a simulated torn-write reopen.
-func TestEngineParityWithMemStore(t *testing.T) {
+// TestEngineParityOSAndMem is the acceptance gate: the same corpus in a
+// store on disk and one over the in-memory file system must produce
+// byte-identical ranked results from the query engine, including after a
+// simulated torn-write reopen of the disk store.
+func TestEngineParityOSAndMem(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
@@ -605,7 +656,7 @@ func TestEngineParityWithMemStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := store.NewMemStore()
+	mem := openMemT(t, diskstore.Options{MaxSegmentBytes: 8 << 10})
 	disk := openT(t, dir, diskstore.Options{MaxSegmentBytes: 8 << 10})
 	b := disk.Batch()
 	for _, c := range cases {
@@ -728,11 +779,13 @@ func TestCommitStateRegressionPaths(t *testing.T) {
 	}
 }
 
-// TestListDocIDs covers DocStore.ListDocIDs on the disk backend.
+// TestListDocIDs covers DocStore.ListDocIDs on both file systems.
 func TestListDocIDs(t *testing.T) {
-	dir := t.TempDir()
+	eachFS(t, diskstore.Options{}, testListDocIDs)
+}
+
+func testListDocIDs(t *testing.T, st *diskstore.Store) {
 	ctx := context.Background()
-	st := openT(t, dir, diskstore.Options{})
 	for _, id := range []string{"c", "a", "b"} {
 		if err := st.Put(ctx, sampleDoc(t, id, 3)); err != nil {
 			t.Fatal(err)

@@ -1,10 +1,9 @@
 // Package store persists Staccato documents. The DocStore interface is
-// the contract every backend implements: the in-memory store here is the
-// reference implementation, and pkg/store/diskstore is the durable
-// disk-backed one — both slot in behind the same operations without
-// touching the query or approximation layers. Documents cross the
-// interface through a versioned binary codec, so any backend (and any
-// wire protocol) shares one serialized form.
+// the contract the query layer reads through, and pkg/store/diskstore is
+// its one implementation — append-only segments on disk, or the same
+// segments over an in-memory file system. Documents cross the interface
+// through a versioned binary codec, so every store (and any wire
+// protocol) shares one serialized form.
 package store
 
 import (

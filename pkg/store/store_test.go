@@ -9,6 +9,7 @@ import (
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 func sampleDoc(t *testing.T, id string, seed int64) *staccato.Doc {
@@ -55,9 +56,22 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// newMemStore returns an empty in-memory DocStore: a diskstore over its
+// in-memory file system. The MemStore tests below check the DocStore
+// contract through the interface alone.
+func newMemStore(t *testing.T) store.DocStore {
+	t.Helper()
+	st, err := diskstore.OpenMem(diskstore.Options{})
+	if err != nil {
+		t.Fatalf("OpenMem: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 func TestMemStorePutGet(t *testing.T) {
 	ctx := context.Background()
-	st := store.NewMemStore()
+	st := newMemStore(t)
 	want := sampleDoc(t, "doc-1", 1)
 	if err := st.Put(ctx, want); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -82,7 +96,7 @@ func TestMemStorePutGet(t *testing.T) {
 
 func TestMemStoreDelete(t *testing.T) {
 	ctx := context.Background()
-	st := store.NewMemStore()
+	st := newMemStore(t)
 	if err := st.Put(ctx, sampleDoc(t, "doc-1", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +116,8 @@ func TestMemStoreDelete(t *testing.T) {
 	}
 }
 
-func TestMemStoreGetMissing(t *testing.T) {
-	st := store.NewMemStore()
-	_, err := st.Get(context.Background(), "nope")
-	if !errors.Is(err, store.ErrNotFound) {
-		t.Errorf("Get missing = %v, want ErrNotFound", err)
-	}
-}
-
 func TestMemStorePutValidation(t *testing.T) {
-	st := store.NewMemStore()
+	st := newMemStore(t)
 	if err := st.Put(context.Background(), &staccato.Doc{}); err == nil {
 		t.Error("Put accepted a document with no ID")
 	}
@@ -122,7 +128,7 @@ func TestMemStorePutValidation(t *testing.T) {
 
 func TestMemStoreScanOrderAndStop(t *testing.T) {
 	ctx := context.Background()
-	st := store.NewMemStore()
+	st := newMemStore(t)
 	for i, id := range []string{"c", "a", "b"} {
 		if err := st.Put(ctx, sampleDoc(t, id, int64(i+1))); err != nil {
 			t.Fatal(err)
@@ -156,107 +162,5 @@ func TestMemStoreScanOrderAndStop(t *testing.T) {
 	wantErr := errors.New("boom")
 	if err := st.Scan(ctx, func(d *staccato.Doc) error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Errorf("Scan error = %v, want %v", err, wantErr)
-	}
-}
-
-// visitCounter wraps a DocStore and counts how many documents a Scan
-// actually visits, so tests can prove early termination reached the
-// backend rather than being filtered by the caller.
-type visitCounter struct {
-	store.DocStore
-	visits int
-}
-
-func (v *visitCounter) Scan(ctx context.Context, fn func(*staccato.Doc) error) error {
-	return v.DocStore.Scan(ctx, func(d *staccato.Doc) error {
-		v.visits++
-		return fn(d)
-	})
-}
-
-func TestCountAndListIDs(t *testing.T) {
-	ctx := context.Background()
-	st := store.NewMemStore()
-
-	n, err := store.Count(ctx, st)
-	if err != nil || n != 0 {
-		t.Fatalf("Count(empty) = %d, %v", n, err)
-	}
-	ids, err := store.ListIDs(ctx, st, 0)
-	if err != nil || len(ids) != 0 {
-		t.Fatalf("ListIDs(empty) = %v, %v", ids, err)
-	}
-
-	for i, id := range []string{"c", "a", "b", "d"} {
-		if err := st.Put(ctx, sampleDoc(t, id, int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, err = store.Count(ctx, st); err != nil || n != 4 {
-		t.Errorf("Count = %d, %v, want 4", n, err)
-	}
-	if ids, err = store.ListIDs(ctx, st, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []string{"a", "b", "c", "d"}) {
-		t.Errorf("ListIDs = %v, want ascending IDs", ids)
-	}
-}
-
-// TestListIDsStopsScanEarly is the ErrStopScan early-termination test:
-// a limited listing must end the MemStore scan at the limit instead of
-// visiting (and decoding) every document.
-func TestListIDsStopsScanEarly(t *testing.T) {
-	ctx := context.Background()
-	st := store.NewMemStore()
-	for i, id := range []string{"a", "b", "c", "d", "e"} {
-		if err := st.Put(ctx, sampleDoc(t, id, int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counted := &visitCounter{DocStore: st}
-	ids, err := store.ListIDs(ctx, counted, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []string{"a", "b"}) {
-		t.Errorf("ListIDs(limit=2) = %v, want [a b]", ids)
-	}
-	if counted.visits != 2 {
-		t.Errorf("scan visited %d documents, want 2 (ErrStopScan must terminate the scan)", counted.visits)
-	}
-}
-
-func TestMemStoreContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	st := store.NewMemStore()
-	if err := st.Put(ctx, sampleDoc(t, "d", 1)); err == nil {
-		t.Error("Put ignored cancelled context")
-	}
-	if _, err := st.Get(ctx, "d"); err == nil {
-		t.Error("Get ignored cancelled context")
-	}
-}
-
-// TestMemStoreListDocIDs covers DocStore.ListDocIDs on the reference
-// backend: ascending order, no decode, deletes reflected.
-func TestMemStoreListDocIDs(t *testing.T) {
-	ctx := context.Background()
-	m := store.NewMemStore()
-	for _, id := range []string{"b", "a", "c"} {
-		if err := m.Put(ctx, sampleDoc(t, id, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Delete(ctx, "a"); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := m.ListDocIDs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []string{"b", "c"}) {
-		t.Errorf("ListDocIDs = %v, want [b c]", ids)
 	}
 }

@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 src() { find "$1" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'; }
 
 echo "== non-test Go lines that are neither blank nor a // comment"
-for d in cmd internal pkg/*/; do
+for d in cmd internal/*/ pkg/*/; do
   printf '%7d  %s\n' "$(src "$d" | xargs cat | grep -cvE '^\s*(//.*)?$')" "${d%/}"
 done
 
