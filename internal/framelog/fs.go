@@ -9,8 +9,9 @@ import (
 	"sync"
 )
 
-// FS is the file system a store's files live on: OS, or NewMemFS's map.
-// It holds only the calls diskstore and ReplaceFile make.
+// FS is the file system a store's files and its index log live on: OS,
+// or NewMemFS's map. It holds only the calls diskstore, the index log and
+// ReplaceFile make.
 type FS interface {
 	MkdirAll(dir string) error
 	// ReadDir returns the names of the files in dir, sorted.

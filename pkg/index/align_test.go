@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"github.com/paper-repo/staccato-go/internal/framelog"
 )
 
 // assertAligned checks the invariant every lookup indexes by: each gram's
@@ -48,10 +50,10 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), FileName)
 	ix := New(3)
-	if err := WriteSnapshot(path, ix, State{}); err != nil {
+	if err := WriteSnapshot(framelog.OS, path, ix, State{}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenAppend(path, 3, false)
+	w, err := OpenAppend(framelog.OS, path, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 	}
 	assertAligned(t, "after Load of the append log", replayed)
 
-	if err := WriteSnapshot(path, replayed, State{Ops: 200}); err != nil {
+	if err := WriteSnapshot(framelog.OS, path, replayed, State{Ops: 200}); err != nil {
 		t.Fatal(err)
 	}
 	snap, _, err := Load(path, 3)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
 )
@@ -92,68 +93,63 @@ var ErrMismatch = errors.New("index: file does not match the requested gram size
 
 // Writer appends commit records to an index log.
 type Writer struct {
-	f    *os.File
+	f    framelog.File
 	sync bool
+	end  atomic.Int64 // the log's length: where the next record goes
 }
 
-// OpenAppend opens an existing index log for appending. Only the header
-// frame is validated against gram size q — callers must have run Load or
-// WriteSnapshot on the file first (both leave it ending on a clean frame
-// boundary), which is what makes skipping a second full parse here safe.
-// withSync fsyncs after every Append, mirroring the store's own
-// durability setting.
-func OpenAppend(path string, q int, withSync bool) (*Writer, error) {
-	if err := checkHeader(path, q); err != nil {
+// OpenAppend opens an existing index log on fsys for appending. Only the
+// header frame is validated against gram size q — callers must have run
+// Load or WriteSnapshot on the file first (both leave it ending on a
+// clean frame boundary), which is what makes skipping a second full parse
+// here safe. withSync fsyncs after every Append, mirroring the store's
+// own durability setting.
+func OpenAppend(fsys framelog.FS, path string, q int, withSync bool) (*Writer, error) {
+	f, _, size, err := openLog(fsys, path, q, os.O_RDWR)
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	return &Writer{f: f, sync: withSync}, nil
+	w := &Writer{f: f, sync: withSync}
+	w.end.Store(size)
+	return w, nil
 }
 
-// checkHeader validates just the log's header frame against gram size q.
-func checkHeader(path string, q int) error {
-	f, _, err := openLog(path, q)
+// openLog opens the log at path on fsys with flag for a frame-by-frame
+// read, consumes its first frame, which must be an intact header for
+// gram size q, and reports the file's size.
+func openLog(fsys framelog.FS, path string, q, flag int) (framelog.File, *framelog.Reader, int64, error) {
+	f, err := fsys.OpenFile(path, flag)
 	if err != nil {
-		return err
+		return nil, nil, 0, err
 	}
-	return f.Close()
-}
-
-// openLog opens the log at path for a frame-by-frame read and consumes
-// its first frame, which must be an intact header for gram size q.
-func openLog(path string, q int) (*os.File, *framelog.Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	fi, err := f.Stat()
+	size, err := f.Size()
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	r := framelog.NewReader(f, fi.Size())
+	r := framelog.NewReader(io.NewSectionReader(f, 0, size), size)
 	payload, err := r.Next()
 	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
+		return nil, nil, 0, fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
 	}
 	if gotQ, err := parseHeader(payload); err != nil || gotQ != q {
 		f.Close()
-		return nil, nil, fmt.Errorf("%w: %s", ErrMismatch, path)
+		return nil, nil, 0, fmt.Errorf("%w: %s", ErrMismatch, path)
 	}
-	return f, r, nil
+	return f, r, size, nil
 }
 
 // Append writes one commit record mirroring a store commit that applied
-// adds and dels and left the store at st.
+// adds and dels and left the store at st. Appends are serialized by the
+// caller.
 func (w *Writer) Append(adds *Batch, dels []string, st State) error {
-	payload := encodeCommit(adds, dels, st)
-	if _, err := w.f.Write(framelog.Append(nil, payload)); err != nil {
+	frame := framelog.Append(nil, encodeCommit(adds, dels, st))
+	end := w.end.Load()
+	if _, err := w.f.WriteAt(frame, end); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
+	w.end.Store(end + int64(len(frame)))
 	if w.sync {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("index: %w", err)
@@ -161,6 +157,9 @@ func (w *Writer) Append(adds *Batch, dels []string, st State) error {
 	}
 	return nil
 }
+
+// Size is the log's length in bytes. It is safe to call beside Append.
+func (w *Writer) Size() int64 { return w.end.Load() }
 
 // Close releases the log file handle.
 func (w *Writer) Close() error {
@@ -170,43 +169,39 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// WriteSnapshot atomically replaces the index log at path with a fresh
-// one holding ix's live documents as a single commit at state st. A crash
-// or failure at any point leaves either the old log or the new one, never
-// a mix.
-func WriteSnapshot(path string, ix *Index, st State) error {
+// WriteSnapshot atomically replaces the index log at path on fsys with a
+// fresh one holding ix's live documents as a single commit at state st. A
+// crash or failure at any point leaves either the old log or the new one,
+// never a mix.
+func WriteSnapshot(fsys framelog.FS, path string, ix *Index, st State) error {
 	buf := framelog.Append(nil, encodeHeader(ix.GramSize()))
 	buf = framelog.Append(buf, encodeCommit(ix.Snapshot(), nil, st))
-	if _, err := framelog.ReplaceFile(framelog.OS, path, buf); err != nil {
+	if _, err := framelog.ReplaceFile(fsys, path, buf); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
 	return nil
 }
 
-// Load replays the index log at path into a fresh Index and returns it
-// with the State of the last intact commit. A damaged or torn tail is
-// truncated away (the index is derived data; dropping records can only
-// force a rebuild, never lose documents). Missing files surface as
-// fs.ErrNotExist; a header for a different gram size as ErrMismatch.
-func Load(path string, q int) (*Index, State, error) {
-	ix := New(q)
-	st, err := loadInto(path, q, ix)
-	return ix, st, err
-}
+// Load is LoadFS on the operating system's file system.
+func Load(path string, q int) (*Index, State, error) { return LoadFS(framelog.OS, path, q) }
 
-// loadInto replays path into ix, returning the last intact commit's
-// state.
-func loadInto(path string, q int, ix *Index) (State, error) {
-	f, r, err := openLog(path, q)
+// LoadFS replays the index log at path on fsys into a fresh Index and
+// returns it with the State of the last intact commit. A damaged or torn
+// tail is truncated away (the index is derived data; dropping records can
+// only force a rebuild, never lose documents). Missing files surface as
+// fs.ErrNotExist; a header for a different gram size as ErrMismatch.
+func LoadFS(fsys framelog.FS, path string, q int) (*Index, State, error) {
+	ix := New(q)
+	f, r, _, err := openLog(fsys, path, q, os.O_RDONLY)
 	if err != nil {
-		return State{}, err
+		return ix, State{}, err
 	}
 	defer f.Close()
 	var st State
 	for {
 		payload, err := r.Next()
 		if err == io.EOF {
-			return st, nil
+			return ix, st, nil
 		}
 		if err == nil {
 			adds, dels, recSt, perr := parseCommit(payload)
@@ -218,14 +213,18 @@ func loadInto(path string, q int, ix *Index) (State, error) {
 			err = r.Bad("malformed commit record")
 		}
 		if !errors.As(err, new(*framelog.Damage)) {
-			return State{}, fmt.Errorf("index: reading %s: %w", path, err)
+			return ix, State{}, fmt.Errorf("index: reading %s: %w", path, err)
 		}
 		// Torn or interior, the policy is the same: cut the log back to
-		// its intact prefix so appends resume at a frame boundary. If the
-		// truncate fails the file still loads the same way next time;
-		// ignore the error.
-		_ = os.Truncate(path, r.Offset())
-		return st, nil
+		// its intact prefix so appends resume at a frame boundary. The
+		// cut opens the file a second time, for writing, so a read-only
+		// log still loads; if the cut fails the file loads the same way
+		// next time, so the error is ignored.
+		if t, err := fsys.OpenFile(path, os.O_WRONLY); err == nil {
+			_ = t.Truncate(r.Offset())
+			t.Close()
+		}
+		return ix, st, nil
 	}
 }
 

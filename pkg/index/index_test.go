@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/index"
 )
 
@@ -107,7 +108,7 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 	ix := index.New(3)
 	ix.Add(doc([]string{"hello"}))
 	st := index.State{Ops: 7, Bytes: 1234}
-	if err := index.WriteSnapshot(path, ix, st); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, ix, st); err != nil {
 		t.Fatal(err)
 	}
 	got, gotSt, err := index.Load(path, 3)
@@ -125,10 +126,10 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 func TestAppendReplays(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
 	ix := index.New(3)
-	if err := index.WriteSnapshot(path, ix, index.State{}); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, ix, index.State{}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := index.OpenAppend(path, 3, true)
+	w, err := index.OpenAppend(framelog.OS, path, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +168,10 @@ func TestLoadTornTailTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
 	ix := index.New(3)
 	ix.Add(doc([]string{"hello"}))
-	if err := index.WriteSnapshot(path, ix, index.State{Ops: 1, Bytes: 1}); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, ix, index.State{Ops: 1, Bytes: 1}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := index.OpenAppend(path, 3, true)
+	w, err := index.OpenAppend(framelog.OS, path, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestLoadMissingAndMismatched(t *testing.T) {
 		t.Errorf("Load(missing) err = %v, want fs.ErrNotExist", err)
 	}
 	ix := index.New(4)
-	if err := index.WriteSnapshot(path, ix, index.State{}); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, ix, index.State{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := index.Load(path, 3); !errors.Is(err, index.ErrMismatch) {
@@ -255,10 +256,10 @@ func TestStats(t *testing.T) {
 // stores the commit's own ordinals, in one that loads it.
 func TestDuplicateIDInOneCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
-	if err := index.WriteSnapshot(path, index.New(3), index.State{}); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, index.New(3), index.State{}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := index.OpenAppend(path, 3, false)
+	w, err := index.OpenAppend(framelog.OS, path, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}

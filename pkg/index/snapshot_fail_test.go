@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/index"
 )
 
@@ -33,14 +34,14 @@ func TestFailedSnapshotLeavesNoTemp(t *testing.T) {
 			path := filepath.Join(dir, index.FileName)
 			old := index.New(3)
 			old.Add(doc([]string{"hello"}))
-			if err := index.WriteSnapshot(path, old, index.State{Ops: 1}); err != nil {
+			if err := index.WriteSnapshot(framelog.OS, path, old, index.State{Ops: 1}); err != nil {
 				t.Fatal(err)
 			}
 			breakIt(t, path)
 
 			next := index.New(3)
 			next.Add(doc([]string{"world"}))
-			if err := index.WriteSnapshot(path, next, index.State{Ops: 2}); err == nil {
+			if err := index.WriteSnapshot(framelog.OS, path, next, index.State{Ops: 2}); err == nil {
 				t.Fatal("WriteSnapshot reported success over a failed replace")
 			}
 			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 )
 
@@ -158,10 +159,10 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), FileName)
-	if err := WriteSnapshot(path, New(3), State{}); err != nil {
+	if err := WriteSnapshot(framelog.OS, path, New(3), State{}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenAppend(path, 3, false)
+	w, err := OpenAppend(framelog.OS, path, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("append log", loaded)
-	if err := WriteSnapshot(path, loaded, State{Ops: 1}); err != nil {
+	if err := WriteSnapshot(framelog.OS, path, loaded, State{Ops: 1}); err != nil {
 		t.Fatal(err)
 	}
 	snap, _, err := Load(path, 3)

@@ -1,9 +1,10 @@
 // Package staccatodb is the single-handle public API of the system: one
-// DB wires together the document store (a diskstore.Store, on disk or
-// over an in-memory file system), the inverted q-gram index (persisted
-// on disk), and the parallel query engine,
-// keeps the three consistent through every write, and tears them down in
-// one Close. Callers that previously hand-assembled diskstore.Open +
+// DB wires together the document store (a diskstore.Store), the inverted
+// q-gram index with its log, and the parallel query engine, keeps the
+// three consistent through every write, and tears them down in one Close.
+// The store and the index log live on one file system: the disk for
+// Open, memory for OpenMem, and nothing else differs between the two.
+// Callers that previously hand-assembled diskstore.Open +
 // query.NewEngine + per-query compilation now write:
 //
 //	db, err := staccatodb.Open(dir)
@@ -17,9 +18,9 @@
 // The DB is the single sequencer of mutations. Every write extracts its
 // index entries before any lock, takes the DB's write lock, commits to
 // the store as one all-or-none batch, and only then applies the same
-// change to the in-memory index and — on disk — appends a mirroring
-// record to the index log (index.FileName in the store directory),
-// stamped with the store's CommitState, before the write call returns.
+// change to the in-memory index and appends a mirroring record to the
+// index log (index.FileName in the store directory), stamped with the
+// store's CommitState, before the write call returns.
 // Store first, so a failed commit, which stores nothing, leaves the index
 // describing what the store still holds. Compact and RebuildIndex take
 // the same lock, so they exclude writers. Open compares the log's final
@@ -50,7 +51,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -69,7 +69,8 @@ var ErrClosed = errors.New("staccatodb: db is closed")
 // query engine. It is safe for concurrent use.
 type DB struct {
 	cfg  config
-	dir  string // store directory; "" for OpenMem, whose index is never persisted
+	fsys framelog.FS // the file system the store and the index log live on
+	dir  string      // store directory on fsys
 	disk *diskstore.Store
 	eng  *query.Engine
 
@@ -85,7 +86,7 @@ type DB struct {
 	// store's lock or mu; mu is never held across a store or index call.
 	mu     sync.Mutex
 	idx    *index.Index  // nil when the index is disabled
-	idxW   *index.Writer // nil when not persisting (OpenMem, or after a log write failure)
+	idxW   *index.Writer // nil when not persisting (after a log write failure)
 	closed bool
 }
 
@@ -94,19 +95,20 @@ type DB struct {
 // from the index log when fresh, rebuilt from a store scan when missing
 // or stale.
 func Open(dir string, opts ...Option) (*DB, error) {
-	return open(dir, func(o diskstore.Options) (*diskstore.Store, error) { return diskstore.Open(dir, o) }, opts)
+	return open(framelog.OS, dir, opts)
 }
 
-// OpenMem returns a database over a fresh diskstore.OpenMem store — the
-// same store, write path and Compact as Open, over an in-memory file
-// system, so nothing touches disk and the index (unless WithoutIndex)
-// is never persisted. The natural fit for tests and ephemeral corpora.
+// OpenMem returns a new, empty database over a fresh in-memory file
+// system — the same store, index log, write path and Compact as Open,
+// but nothing touches disk and everything goes with the DB. The natural
+// fit for tests and ephemeral corpora.
 func OpenMem(opts ...Option) (*DB, error) {
-	return open("", diskstore.OpenMem, opts)
+	return open(framelog.NewMemFS(), "", opts)
 }
 
-// open is Open and OpenMem: openStore opens the document store.
-func open(dir string, openStore func(diskstore.Options) (*diskstore.Store, error), opts []Option) (*DB, error) {
+// open is Open over any file system: the store's files and the index log
+// both live in dir on fsys.
+func open(fsys framelog.FS, dir string, opts []Option) (*DB, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
@@ -115,11 +117,11 @@ func open(dir string, openStore func(diskstore.Options) (*diskstore.Store, error
 	if err != nil {
 		return nil, err
 	}
-	disk, err := openStore(diskstore.Options{MaxSegmentBytes: cfg.maxSegmentBytes, NoSync: cfg.noSync})
+	disk, err := diskstore.OpenFS(fsys, dir, diskstore.Options{MaxSegmentBytes: cfg.maxSegmentBytes, NoSync: cfg.noSync})
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{cfg: cfg, dir: dir, disk: disk}
+	db := &DB{cfg: cfg, fsys: fsys, dir: dir, disk: disk}
 	db.eng = query.NewEngine(disk, query.EngineOptions{Workers: cfg.workers})
 	if !cfg.noIndex {
 		if err := db.loadOrRebuildIndex(); err != nil {
@@ -135,29 +137,27 @@ func (db *DB) indexPath() string { return filepath.Join(db.dir, index.FileName) 
 
 // loadOrRebuildIndex loads the index log if its recorded CommitState
 // matches the store's, and otherwise rebuilds the index from a full scan
-// and snapshots it; OpenMem has no log, and scans its empty store. Runs
-// during Open, before the DB is shared. Failures to WRITE the index log —
-// a read-only corpus directory, a full disk — degrade to an unpersisted
-// in-memory index rather than failing Open: search over a read-only
-// directory must keep working, and an unpersisted index only costs a
-// rebuild next time. Failures to read the store itself still fail.
+// and snapshots it. Runs during Open, before the DB is shared. Failures
+// to WRITE the index log — a read-only corpus directory, a full disk —
+// degrade to an unpersisted in-memory index rather than failing Open:
+// search over a read-only directory must keep working, and an
+// unpersisted index only costs a rebuild next time. Failures to read the
+// store itself still fail.
 func (db *DB) loadOrRebuildIndex() error {
-	if db.dir != "" {
-		// A crash mid-snapshot strands the replace's staging file, and only
-		// a later successful snapshot would ever overwrite it. Best effort:
-		// a read-only directory keeps its debris and still opens.
-		_ = os.Remove(db.indexPath() + framelog.TempSuffix)
-		ix, got, err := index.Load(db.indexPath(), db.cfg.gramSize)
-		if err == nil && got == toState(db.disk.CommitState()) {
-			db.idx = ix
-			if w, err := index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync); err == nil {
-				db.idxW = w
-			}
-			return nil
+	// A crash mid-snapshot strands the replace's staging file, and only a
+	// later successful snapshot would ever overwrite it. Best effort: a
+	// read-only directory keeps its debris and still opens.
+	_ = db.fsys.Remove(db.indexPath() + framelog.TempSuffix)
+	ix, got, err := index.LoadFS(db.fsys, db.indexPath(), db.cfg.gramSize)
+	if err == nil && got == toState(db.disk.CommitState()) {
+		db.idx = ix
+		if w, err := index.OpenAppend(db.fsys, db.indexPath(), db.cfg.gramSize, !db.cfg.noSync); err == nil {
+			db.idxW = w
 		}
+		return nil
 	}
 	//lint:allow ctxflow Open's signature deliberately takes no context (a DB either opens or it doesn't); the rebuild scan is startup work with no caller deadline to inherit
-	ix, err := db.scannedIndex(context.Background())
+	ix, err = db.scannedIndex(context.Background())
 	if err != nil {
 		return err
 	}
@@ -165,27 +165,24 @@ func (db *DB) loadOrRebuildIndex() error {
 	return nil
 }
 
-// installIndex makes ix the live index and, on disk (dir != ""),
-// replaces the index log with a snapshot of it stamped with the store's
-// CommitState, then reopens the log for appending. Callers hold writeMu (Open runs before
-// the DB is shared), so no commit lands between the stamp and the
-// snapshot and the stamp is exact. If the log cannot be written ix is
-// installed all the same — it is correct for this process — with
-// persistence off, and the next Open rebuilds.
+// installIndex makes ix the live index, replaces the index log with a
+// snapshot of it stamped with the store's CommitState, then reopens the
+// log for appending. Callers hold writeMu (Open runs before the DB is
+// shared), so no commit lands between the stamp and the snapshot and the
+// stamp is exact. If the log cannot be written ix is installed all the
+// same — it is correct for this process — with persistence off, and the
+// next Open rebuilds.
 func (db *DB) installIndex(ix *index.Index) error {
 	if db.idxW != nil {
 		db.idxW.Close()
 	}
 	var w *index.Writer
-	var err error
-	if db.dir != "" {
-		err = index.WriteSnapshot(db.indexPath(), ix, toState(db.disk.CommitState()))
-		if err == nil {
-			w, err = index.OpenAppend(db.indexPath(), db.cfg.gramSize, !db.cfg.noSync)
-		}
-		if err != nil {
-			err = fmt.Errorf("staccatodb: persisting index: %w", err)
-		}
+	err := index.WriteSnapshot(db.fsys, db.indexPath(), ix, toState(db.disk.CommitState()))
+	if err == nil {
+		w, err = index.OpenAppend(db.fsys, db.indexPath(), db.cfg.gramSize, !db.cfg.noSync)
+	}
+	if err != nil {
+		err = fmt.Errorf("staccatodb: persisting index: %w", err)
 	}
 	db.mu.Lock()
 	db.idx, db.idxW = ix, w
@@ -212,12 +209,12 @@ func toState(cs diskstore.CommitState) index.State {
 	return index.State{Ops: cs.Ops, Bytes: cs.Bytes, Seg: cs.Seg}
 }
 
-// index returns the live index — nil when disabled or closed — and
-// whether it is being persisted to the index log.
-func (db *DB) index() (ix *index.Index, persisted bool) {
+// index returns the live index — nil when disabled or closed — and the
+// index log's writer, nil when the index is not being persisted.
+func (db *DB) index() (*index.Index, *index.Writer) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.idx, db.idxW != nil
+	return db.idx, db.idxW
 }
 
 func (db *DB) isClosed() bool {
@@ -443,10 +440,11 @@ func (db *DB) Explain(q *query.Query) string {
 }
 
 // Stats describes the database's current shape; for OpenMem databases
-// the segment and disk fields describe the in-memory file system. The
-// JSON tags define the one canonical stats shape, shared verbatim by the
-// CLI's verbose output and the staccatod /v1/stats endpoint — live doc
-// count and index persistence always read the same either way.
+// the segment, disk and index log fields describe the in-memory file
+// system. The JSON tags define the one canonical stats shape, shared
+// verbatim by the CLI's verbose output and the staccatod /v1/stats
+// endpoint — live doc count and index persistence always read the same
+// either way.
 type Stats struct {
 	// Docs is the number of live documents.
 	Docs int `json:"docs"`
@@ -456,10 +454,9 @@ type Stats struct {
 	// IndexEnabled reports whether an inverted index is attached.
 	IndexEnabled bool `json:"index_enabled"`
 	// IndexPersisted reports whether the index is being persisted to the
-	// store directory's index log. False for OpenMem databases, which
-	// have no index log, and for disk databases whose log could not be
-	// written (read-only directory, full disk) — the in-memory index still
-	// serves queries, but the next Open pays a rebuild.
+	// store directory's index log. False when the log could not be written
+	// (read-only directory, full disk) — the in-memory index still serves
+	// queries, but the next Open pays a rebuild.
 	IndexPersisted bool `json:"index_persisted"`
 	// IndexDocs, IndexGrams, IndexPostings (dead postings included until
 	// the next Compact) and IndexOverflowDocs mirror index.Stats.
@@ -476,9 +473,9 @@ type Stats struct {
 
 // Stats reports document, segment, and index counts.
 func (db *DB) Stats() Stats {
-	ix, persisted := db.index()
+	ix, w := db.index()
 	dst := db.disk.Stats()
-	st := Stats{Docs: dst.Docs, Segments: dst.Segments, DiskBytes: dst.DiskBytes, IndexPersisted: persisted}
+	st := Stats{Docs: dst.Docs, Segments: dst.Segments, DiskBytes: dst.DiskBytes, IndexPersisted: w != nil}
 	if ix != nil {
 		ist := ix.Stats()
 		st.IndexEnabled = true
@@ -487,18 +484,16 @@ func (db *DB) Stats() Stats {
 		st.IndexPostings = ist.Postings
 		st.IndexOverflowDocs = ist.OverflowDocs
 	}
-	if persisted {
-		if fi, err := os.Stat(db.indexPath()); err == nil {
-			st.IndexBytes = fi.Size()
-		}
+	if w != nil {
+		st.IndexBytes = w.Size()
 	}
 	return st
 }
 
 // Compact rewrites the store's live records into fresh segments (see
 // diskstore.Compact) and compacts the index to match — snapshotting the
-// index log on disk — dropping the dead records and postings both
-// accumulate. Writers wait while it runs.
+// index log — dropping the dead records and postings both accumulate.
+// Writers wait while it runs.
 func (db *DB) Compact(ctx context.Context) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -520,14 +515,14 @@ func (db *DB) Compact(ctx context.Context) error {
 }
 
 // RebuildIndex discards the current index and rebuilds it from a full
-// store scan, snapshotting the result for disk-backed databases — the
-// force-refresh for an index suspected out of step (Open already
-// rebuilds automatically whenever staleness is detectable). Writers wait
-// for the length of the scan, so the rebuilt index and its stamp cover
-// exactly what the store holds. A database opened WithoutIndex extracts
-// no index entries on write, so nothing would keep a rebuilt index
-// current and RebuildIndex refuses — reopen without the option instead
-// (Open then builds the index itself).
+// store scan and snapshots it to the index log — the force-refresh for
+// an index suspected out of step (Open already rebuilds automatically
+// whenever staleness is detectable). Writers wait for the length of the
+// scan, so the rebuilt index and its stamp cover exactly what the store
+// holds. A database opened WithoutIndex extracts no index entries on
+// write, so nothing would keep a rebuilt index current and RebuildIndex
+// refuses — reopen without the option instead (Open then builds the
+// index itself).
 func (db *DB) RebuildIndex(ctx context.Context) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()

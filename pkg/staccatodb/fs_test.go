@@ -1,0 +1,261 @@
+package staccatodb_test
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/paper-repo/staccato-go/internal/framelog"
+	"github.com/paper-repo/staccato-go/pkg/index"
+	"github.com/paper-repo/staccato-go/pkg/staccatodb"
+)
+
+// indexFaultFS refuses, while armed, every write to the index log and its
+// snapshot staging file: write opens, WriteAt and Sync. The store's own
+// files pass through.
+type indexFaultFS struct {
+	framelog.FS
+	armed bool
+}
+
+var errIndexWrite = errors.New("injected index write failure")
+
+func isIndexFile(name string) bool {
+	base := filepath.Base(name)
+	return base == index.FileName || base == index.FileName+framelog.TempSuffix
+}
+
+func (f *indexFaultFS) OpenFile(name string, flag int) (framelog.File, error) {
+	if !isIndexFile(name) {
+		return f.FS.OpenFile(name, flag)
+	}
+	if f.armed && flag&(os.O_WRONLY|os.O_RDWR) != 0 {
+		return nil, errIndexWrite
+	}
+	file, err := f.FS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return indexFaultFile{file, f}, nil
+}
+
+type indexFaultFile struct {
+	framelog.File
+	fs *indexFaultFS
+}
+
+func (f indexFaultFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fs.armed {
+		return 0, errIndexWrite
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f indexFaultFile) Sync() error {
+	if f.fs.armed {
+		return errIndexWrite
+	}
+	return f.File.Sync()
+}
+
+// TestIndexLogFailureDegrades drives the index log's failure policy: a log
+// that cannot be written never fails Open or a write. The index stays
+// installed, unpersisted, and answers exactly like a scan; maintenance
+// reports the failure; and a reopen once the log is writable again
+// rebuilds and answers the same.
+func TestIndexLogFailureDegrades(t *testing.T) {
+	ctx := context.Background()
+	cases := corpus(t, 30, 11)
+	docs := docsOf(cases)
+	var truths []string
+	for _, c := range cases {
+		truths = append(truths, c.Truth)
+	}
+	battery := randomQueries(truths, 3, 20)
+	ref, err := staccatodb.OpenMem(staccatodb.WithoutIndex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.Ingest(ctx, docs); err != nil {
+		t.Fatal(err)
+	}
+	agrees := func(t *testing.T, db *staccatodb.DB, when string) {
+		t.Helper()
+		got, want := searchAll(t, db, battery), searchAll(t, ref, battery)
+		for i := range battery {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: query %s: indexed %+v != scanned %+v", when, battery[i], got[i], want[i])
+			}
+		}
+	}
+	unpersisted := func(t *testing.T, db *staccatodb.DB, when string) {
+		t.Helper()
+		if st := db.Stats(); !st.IndexEnabled || st.IndexPersisted || st.IndexBytes != 0 || st.IndexDocs != st.Docs {
+			t.Fatalf("%s: %+v, want an installed, unpersisted index covering every document", when, st)
+		}
+	}
+	// populated returns a file system holding the corpus and its index log.
+	populated := func(t *testing.T) *indexFaultFS {
+		t.Helper()
+		ffs := &indexFaultFS{FS: framelog.NewMemFS()}
+		db, err := staccatodb.OpenFS(ffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Ingest(ctx, docs); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return ffs
+	}
+
+	// (a) Open: a fresh log that cannot be reopened for appending, and a
+	// missing one whose rebuilt snapshot cannot be written.
+	for _, missing := range []bool{false, true} {
+		ffs := populated(t)
+		if missing {
+			if err := ffs.Remove(index.FileName); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ffs.armed = true
+		db, err := staccatodb.OpenFS(ffs)
+		if err != nil {
+			t.Fatalf("Open over an unwritable index log (missing %v): %v", missing, err)
+		}
+		unpersisted(t, db, "after Open")
+		agrees(t, db, "after Open")
+		db.Close()
+	}
+
+	ffs := populated(t)
+	db, err := staccatodb.OpenFS(ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if !db.Stats().IndexPersisted {
+		t.Fatal("a writable log is not being persisted")
+	}
+	logBefore, err := ffs.ReadFile(index.FileName)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// (b) Writes after the log fails still succeed, and persistence stops.
+	ffs.armed = true
+	moved := docs[0]
+	for _, d := range []*staccatodb.DB{db, ref} {
+		if err := d.Delete(ctx, moved.ID); err != nil {
+			t.Fatalf("Delete with an unwritable index log: %v", err)
+		}
+		if err := d.Put(ctx, moved); err != nil {
+			t.Fatalf("Put with an unwritable index log: %v", err)
+		}
+		if err := d.Delete(ctx, docs[1].ID); err != nil {
+			t.Fatalf("Delete with an unwritable index log: %v", err)
+		}
+	}
+	unpersisted(t, db, "after writes")
+	agrees(t, db, "after writes")
+
+	// (c) Maintenance reports the failure and keeps the index installed.
+	for name, op := range map[string]func(context.Context) error{"Compact": db.Compact, "RebuildIndex": db.RebuildIndex} {
+		if err := op(ctx); err == nil || !strings.Contains(err.Error(), "persisting index") || !errors.Is(err, errIndexWrite) {
+			t.Fatalf("%s with an unwritable index log: err = %v, want the persisting-index error", name, err)
+		}
+		unpersisted(t, db, "after "+name)
+		agrees(t, db, "after "+name)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// (d) Disarmed, a reopen finds the log stale, rebuilds and persists.
+	ffs.armed = false
+	if logNow, _ := ffs.ReadFile(index.FileName); !bytes.Equal(logNow, logBefore) {
+		t.Fatal("the index log changed while its writes were refused")
+	}
+	re, err := staccatodb.OpenFS(ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	logAfter, err := ffs.ReadFile(index.FileName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(logAfter, logBefore) {
+		t.Error("the reopen loaded the stale index log instead of rebuilding")
+	}
+	if st := re.Stats(); !st.IndexPersisted || st.IndexBytes != int64(len(logAfter)) || st.IndexDocs != st.Docs {
+		t.Errorf("after the reopen: %+v, want a persisted index of %d log bytes", st, len(logAfter))
+	}
+	agrees(t, re, "after the reopen")
+}
+
+// TestFileSystemsWriteIdenticalIndexLogs runs one write and maintenance
+// sequence through a database on disk and one in memory: the two index
+// logs must be byte-identical after every step, and each database must
+// report its log's length as IndexBytes.
+func TestFileSystemsWriteIdenticalIndexLogs(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	disk, err := staccatodb.Open(dir, staccatodb.WithMaxSegmentBytes(8<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	mem := framelog.NewMemFS()
+	inMem, err := staccatodb.OpenFS(mem, staccatodb.WithMaxSegmentBytes(8<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inMem.Close()
+
+	docs := docsOf(corpus(t, 24, 5))
+	steps := []struct {
+		name string
+		do   func(*staccatodb.DB) error
+	}{
+		{"open", func(*staccatodb.DB) error { return nil }},
+		{"ingest", func(db *staccatodb.DB) error { return db.Ingest(ctx, docs[:16]) }},
+		{"put", func(db *staccatodb.DB) error { return db.Put(ctx, docs[16]) }},
+		{"ingest again", func(db *staccatodb.DB) error { return db.Ingest(ctx, docs[10:]) }},
+		{"delete", func(db *staccatodb.DB) error { return db.Delete(ctx, docs[3].ID) }},
+		{"compact", func(db *staccatodb.DB) error { return db.Compact(ctx) }},
+		{"delete after compact", func(db *staccatodb.DB) error { return db.Delete(ctx, docs[12].ID) }},
+		{"rebuild", func(db *staccatodb.DB) error { return db.RebuildIndex(ctx) }},
+	}
+	for _, step := range steps {
+		for _, db := range []*staccatodb.DB{disk, inMem} {
+			if err := step.do(db); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+		}
+		onDisk, err := os.ReadFile(filepath.Join(dir, index.FileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inMemory, err := mem.ReadFile(index.FileName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(onDisk, inMemory) {
+			t.Fatalf("after %s: the in-memory index log (%d bytes) differs from the one on disk (%d bytes)", step.name, len(inMemory), len(onDisk))
+		}
+		for _, db := range []*staccatodb.DB{disk, inMem} {
+			if st := db.Stats(); !st.IndexPersisted || st.IndexBytes != int64(len(onDisk)) {
+				t.Fatalf("after %s: %+v, want a persisted index of %d log bytes", step.name, st, len(onDisk))
+			}
+		}
+	}
+}

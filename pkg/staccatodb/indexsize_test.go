@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
@@ -120,7 +121,7 @@ func TestIndexSmallerThanStore(t *testing.T) {
 
 // TestStatsReportIndexSize: IndexBytes follows the log through appends and
 // a compaction, IndexPostings counts dead postings until one, and an
-// unpersisted index reports no bytes.
+// in-memory database reports its in-memory log the same way.
 func TestStatsReportIndexSize(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -159,15 +160,29 @@ func TestStatsReportIndexSize(t *testing.T) {
 		t.Errorf("after Compact: %+v, want fewer postings and a shorter log than %+v", st, full)
 	}
 
+	// In memory the index log lives on the in-memory file system, and
+	// OpenMem reports it exactly as a database over one the test holds.
+	fsys := framelog.NewMemFS()
+	held, err := staccatodb.OpenFS(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
 	mem, err := staccatodb.OpenMem()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if err := mem.Ingest(ctx, docs); err != nil {
+	for _, db := range []*staccatodb.DB{held, mem} {
+		if err := db.Ingest(ctx, docs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log, err := fsys.ReadFile(index.FileName)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := mem.Stats(); st.IndexBytes != 0 || st.IndexPostings != full.IndexPostings {
-		t.Errorf("in memory: %+v, want no index bytes and %d postings", st, full.IndexPostings)
+	if st := mem.Stats(); !st.IndexPersisted || st.IndexBytes != int64(len(log)) || st.IndexPostings != full.IndexPostings || st != held.Stats() {
+		t.Errorf("in memory: %+v, want a persisted index of %d log bytes and %d postings", st, len(log), full.IndexPostings)
 	}
 }

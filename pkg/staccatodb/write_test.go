@@ -131,8 +131,8 @@ func TestFailedWriteNeverPrunesStoredDoc(t *testing.T) {
 	}
 }
 
-// TestSearchAndMaintenanceRaceWrites runs writers, planned searches,
-// Compact and RebuildIndex against one disk database at once. Every
+// TestSearchAndMaintenanceRaceWrites runs writers, planned searches with
+// Stats, Compact and RebuildIndex against one disk database at once. Every
 // search must succeed and report, for each document, the probability of
 // some version of it the test wrote; once the writers stop, the index
 // must answer exactly like a scan, and the closed directory must reopen
@@ -248,6 +248,11 @@ func TestSearchAndMaintenanceRaceWrites(t *testing.T) {
 				}
 				if stats.IndexUsed {
 					planned[s]++
+				}
+				// Stats reads the index log's size beside the writers' appends.
+				if st := db.Stats(); st.IndexPersisted && st.IndexBytes == 0 {
+					t.Errorf("stats during the race: %+v, a persisted index log is never empty", st)
+					return
 				}
 				for _, r := range res {
 					if !valid[qi][r.DocID][math.Float64bits(r.Prob)] {

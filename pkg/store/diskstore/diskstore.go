@@ -157,19 +157,19 @@ var _ store.DocStore = (*Store)(nil)
 // flock), so a second process opening the same store fails fast instead
 // of corrupting it.
 func Open(dir string, opts Options) (*Store, error) {
-	return open(framelog.OS, dir, opts)
+	return OpenFS(framelog.OS, dir, opts)
 }
 
 // OpenMem opens a new, empty store over an in-memory file system. It runs
 // the same framing, replay, batch commit and Compact as Open; nothing
 // touches a real path, and the store's contents go when it does.
 func OpenMem(opts Options) (*Store, error) {
-	return open(framelog.NewMemFS(), "", opts)
+	return OpenFS(framelog.NewMemFS(), "", opts)
 }
 
-// open is Open over any file system; every file call the store makes
+// OpenFS is Open over any file system; every file call the store makes
 // goes through fsys.
-func open(fsys framelog.FS, dir string, opts Options) (*Store, error) {
+func OpenFS(fsys framelog.FS, dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)

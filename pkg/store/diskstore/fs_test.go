@@ -57,7 +57,7 @@ func TestFileSystemsWriteIdenticalBytes(t *testing.T) {
 		if fsys == mem {
 			d = ""
 		}
-		st, err := open(fsys, d, opts)
+		st, err := OpenFS(fsys, d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestFailedBatchNeverReappears(t *testing.T) {
 	for n := 1; ; n++ {
 		mem := framelog.NewMemFS()
 		ffs := &faultFS{FS: mem}
-		st, err := open(ffs, "", opts)
+		st, err := OpenFS(ffs, "", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestFailedBatchNeverReappears(t *testing.T) {
 			t.Fatalf("call %d failed: in process the store holds %d docs, want the %d it held before", n, len(got), len(before))
 		}
 		st.Close()
-		re, err := open(mem, "", opts)
+		re, err := OpenFS(mem, "", opts)
 		if err != nil {
 			t.Fatalf("call %d failed: reopen: %v", n, err)
 		}
