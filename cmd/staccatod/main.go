@@ -7,8 +7,8 @@
 // search -store DIR` against the same directory between runs.
 //
 //	staccatod -store DIR [-addr :8417] [-create] [-workers N]
-//	          [-maxinflight N] [-timeout D] [-drain D] [-cachesize N]
-//	          [-nosync] [-noindex] [-lexicon FILE]
+//	          [-maxinflight N] [-timeout D] [-drain D] [-nosync]
+//	          [-noindex] [-lexicon FILE]
 //
 // Endpoints (all JSON; see pkg/server for the request shapes):
 //
@@ -25,9 +25,8 @@
 //
 // The server bounds in-flight requests (-maxinflight; excess load is
 // rejected with 429 + Retry-After), runs every request under a deadline
-// (-timeout), caches compiled queries (-cachesize), and on SIGINT or
-// SIGTERM drains in-flight requests (up to -drain) before closing the
-// database.
+// (-timeout), caches compiled queries, and on SIGINT or SIGTERM drains
+// in-flight requests (up to -drain) before closing the database.
 package main
 
 import (
@@ -59,7 +58,6 @@ type serveConfig struct {
 	maxInFlight  int
 	timeout      time.Duration
 	drainTimeout time.Duration
-	cacheSize    int
 	noSync       bool
 	noIndex      bool
 	lexicon      string
@@ -100,7 +98,6 @@ func serveMain(ctx context.Context, w io.Writer, args []string) error {
 	fs.IntVar(&cfg.maxInFlight, "maxinflight", server.DefaultMaxInFlight, "max concurrent requests before 429 rejection")
 	fs.DurationVar(&cfg.timeout, "timeout", server.DefaultRequestTimeout, "per-request deadline")
 	fs.DurationVar(&cfg.drainTimeout, "drain", 30*time.Second, "shutdown drain limit for in-flight requests")
-	fs.IntVar(&cfg.cacheSize, "cachesize", server.DefaultQueryCacheSize, "compiled-query LRU cache capacity")
 	fs.BoolVar(&cfg.noSync, "nosync", false, "skip fsync on commit (faster writes; an OS crash may lose recent batches)")
 	fs.BoolVar(&cfg.noIndex, "noindex", false, "serve without the inverted index (every query scans)")
 	fs.StringVar(&cfg.lexicon, "lexicon", "", "wordlist file enabling lexicon rescoring for requests with \"lexicon\": true")
@@ -171,7 +168,6 @@ func runServe(ctx context.Context, w io.Writer, cfg serveConfig) error {
 	srv := server.New(db, server.Options{
 		MaxInFlight:    cfg.maxInFlight,
 		RequestTimeout: cfg.timeout,
-		QueryCacheSize: cfg.cacheSize,
 		Lexicon:        lex,
 	})
 	shutdown := func() error {
@@ -193,8 +189,8 @@ func runServe(ctx context.Context, w io.Writer, cfg serveConfig) error {
 	resolved := srv.Options()
 	fmt.Fprintf(w, "staccatod: serving %s (%d docs, index enabled=%v persisted=%v) on http://%s\n",
 		cfg.store, st.Docs, st.IndexEnabled, st.IndexPersisted, ln.Addr())
-	fmt.Fprintf(w, "staccatod: max in-flight %d, request timeout %v, query cache %d entries\n",
-		resolved.MaxInFlight, resolved.RequestTimeout, resolved.QueryCacheSize)
+	fmt.Fprintf(w, "staccatod: max in-flight %d, request timeout %v\n",
+		resolved.MaxInFlight, resolved.RequestTimeout)
 	if lex != nil {
 		fmt.Fprintf(w, "staccatod: lexicon rescoring available (%d words, boost %g)\n",
 			lex.Len(), fuzzy.DefaultBoost)

@@ -2,8 +2,8 @@
 // library code. expvar.Publish (and the NewMap/NewInt/NewFloat/NewString
 // helpers that call it) register into a process-wide table and panic on
 // duplicate names — which is exactly what happens when two servers
-// coexist in one process, as every pkg/server test and the embedded
-// staccatoload harness do. The allowed shape is the one
+// coexist in one process, as every pkg/server test and bench/'s traced
+// runs do. The allowed shape is the one
 // pkg/server/metrics.go uses: build vars with new(expvar.Map).Init()
 // and plain expvar.Int/Float values, and serve them from the server's
 // own handler.

@@ -57,12 +57,14 @@ import (
 const (
 	DefaultMaxInFlight    = 256
 	DefaultRequestTimeout = 10 * time.Second
-	DefaultQueryCacheSize = 256
 )
 
-// DefaultRetryAfter is the hint every 429 carries in its Retry-After
-// header.
-const DefaultRetryAfter = 1 * time.Second
+const (
+	// queryCacheSize is the compiled-query LRU capacity.
+	queryCacheSize = 256
+	// retryAfter is the hint every 429 carries in its Retry-After header.
+	retryAfter = 1 * time.Second
+)
 
 // maxBodyBytes bounds request bodies: generous for document batches,
 // tight for queries — a malformed client must not buffer the server into
@@ -80,8 +82,6 @@ type Options struct {
 	// RequestTimeout is the per-request deadline applied to every DB
 	// call. A request's timeout_ms can tighten it but never extend it.
 	RequestTimeout time.Duration
-	// QueryCacheSize is the compiled-query LRU capacity.
-	QueryCacheSize int
 	// Lexicon, when non-nil, enables lexicon rescoring: a request setting
 	// "lexicon": true is ranked under Lexicon.Rescorer(fuzzy.DefaultBoost).
 	// When nil, such requests are rejected with 400 — the knob must fail
@@ -95,9 +95,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = DefaultRequestTimeout
-	}
-	if o.QueryCacheSize <= 0 {
-		o.QueryCacheSize = DefaultQueryCacheSize
 	}
 	return o
 }
@@ -136,7 +133,7 @@ func New(db *staccatodb.DB, opts Options) *Server {
 	s := &Server{
 		db:    db,
 		opts:  opts,
-		cache: newQueryCache(opts.QueryCacheSize),
+		cache: newQueryCache(queryCacheSize),
 		sem:   make(chan struct{}, opts.MaxInFlight),
 	}
 	if opts.Lexicon != nil {
@@ -251,7 +248,7 @@ func (s *Server) endpoint(name string, admit bool, h http.HandlerFunc) http.Hand
 				defer s.met.inFlight.Add(-1)
 			default:
 				s.met.rejected.Add(1)
-				secs := int(DefaultRetryAfter / time.Second)
+				secs := int(retryAfter / time.Second)
 				sw.Header().Set("Retry-After", fmt.Sprint(secs))
 				writeError(sw, http.StatusTooManyRequests,
 					"server at capacity (%d requests in flight); retry after %ds", s.opts.MaxInFlight, secs)
@@ -294,11 +291,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeDBError maps a DB call's failure onto the right status: exceeded
-// deadlines are the gateway-timeout contract (504), a closed DB means
-// the server is going away (503), anything else is a plain 500.
+// writeDBError maps a DB call's failure onto the right status: a
+// rejected document is the client's error (400), exceeded deadlines are
+// the gateway-timeout contract (504), a closed DB means the server is
+// going away (503), anything else is a plain 500.
 func writeDBError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, store.ErrInvalidDoc):
+		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "request deadline exceeded: %v", err)
 	case errors.Is(err, context.Canceled):

@@ -249,6 +249,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"explain bad mode", "/v1/explain", `{"terms": ["ab"], "mode": "regex"}`},
 		{"ingest no docs", "/v1/ingest", `{"docs": []}`},
 		{"ingest empty id", "/v1/ingest", `{"docs": [{"id": ""}]}`},
+		{"ingest non-distribution chunk", "/v1/ingest", `{"docs": [{"id": "a", "chunks": [{"alts": [{"text": "hello", "prob": 0.4}, {"text": "hellp", "prob": 0.4}], "retained": 1}]}]}`},
 		{"explain bad body", "/v1/explain", `[1,2,3]`},
 		{"snippets truncated json", "/v1/snippets", `{"terms": ["ab"`},
 		{"snippets unknown field", "/v1/snippets", `{"terms": ["ab"], "nope": 1}`},
@@ -472,8 +473,19 @@ func TestShutdownTimeoutLeavesDBOpen(t *testing.T) {
 // path — and proves the accounting invariant: every response is an
 // expected status, and every admission rejection the clients saw is
 // counted by the server. Nothing is dropped unreported.
+//
+// Searches park in the handler until the server has rejected a request,
+// so the check is never vacuous: parked searches hold all four admission
+// slots, and the next of the sixteen clients to ask for one gets a 429.
+// The deadline only keeps a broken admission path from hanging the test.
 func TestConcurrentMixedClients(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxInFlight: 4})
+	s, ts := newTestServer(t, Options{MaxInFlight: 4})
+	deadline := time.Now().Add(10 * time.Second)
+	s.testHookSearch = func(ctx context.Context) {
+		for s.met.rejected.Value() == 0 && ctx.Err() == nil && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	client := ts.Client()
 	docs := testDocs(t, 10)
 	postJSON(t, client, ts.URL+"/v1/ingest", ingestRequest{Docs: docs})
@@ -531,6 +543,9 @@ func TestConcurrentMixedClients(t *testing.T) {
 	var st statsResponse
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
+	}
+	if statusCounts[http.StatusTooManyRequests] == 0 {
+		t.Errorf("clients observed no 429 (statuses %v); the accounting check is vacuous", statusCounts)
 	}
 	if got, want := st.Server.Rejected, int64(statusCounts[http.StatusTooManyRequests]); got != want {
 		t.Errorf("server counted %d rejections, clients observed %d — a rejection went unreported", got, want)

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -723,9 +724,29 @@ func (s *Store) closeSegments() error {
 	return firstErr
 }
 
+// putOp encodes doc as a put record. Every write passes through it, so it
+// is where a document that is not a product of probability distributions
+// is refused: each chunk needs at least one alternative, every probability
+// in (0, 1], probabilities summing to 1, and a retained mass in [0, 1].
+// Stored unchecked, such a chunk makes a query's "probability" exceed 1.
 func putOp(doc *staccato.Doc) (op, error) {
 	if doc == nil || doc.ID == "" {
 		return op{}, fmt.Errorf("diskstore: Put: document must have a non-empty ID")
+	}
+	for i, ch := range doc.Chunks {
+		sum := 0.0
+		for _, a := range ch.Alts {
+			if !(a.Prob > 0 && a.Prob <= 1) {
+				return op{}, fmt.Errorf("diskstore: Put %q: %w: chunk %d: probability %v outside (0, 1]", doc.ID, store.ErrInvalidDoc, i, a.Prob)
+			}
+			sum += a.Prob
+		}
+		if len(ch.Alts) == 0 || math.Abs(sum-1) > 1e-6 {
+			return op{}, fmt.Errorf("diskstore: Put %q: %w: chunk %d: %d alternatives summing to %v, want 1", doc.ID, store.ErrInvalidDoc, i, len(ch.Alts), sum)
+		}
+		if !(ch.Retained >= 0 && ch.Retained <= 1) {
+			return op{}, fmt.Errorf("diskstore: Put %q: %w: chunk %d: retained %v outside [0, 1]", doc.ID, store.ErrInvalidDoc, i, ch.Retained)
+		}
 	}
 	data, err := store.Encode(doc)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -412,6 +413,68 @@ func TestBatchCommit(t *testing.T) {
 	}
 	if _, err := st.Get(ctx, "doc-new"); err != nil {
 		t.Errorf("Get after batch reuse: %v", err)
+	}
+}
+
+// TestPutRejectsNonDistributions pins the write-path guard: every chunk
+// must be a probability distribution, or queries over the stored document
+// return "probabilities" above 1. A rejected document fails its whole
+// batch, so a valid document committed beside it is not stored either.
+func TestPutRejectsNonDistributions(t *testing.T) {
+	alts := func(probs ...float64) []staccato.Alt {
+		out := make([]staccato.Alt, len(probs))
+		for i, p := range probs {
+			out[i] = staccato.Alt{Text: fmt.Sprintf("r%d", i), Prob: p}
+		}
+		return out
+	}
+	doc := func(chunks ...staccato.PathSet) *staccato.Doc {
+		return &staccato.Doc{ID: "d", Chunks: chunks}
+	}
+	ok := staccato.PathSet{Alts: alts(0.25, 0.75), Retained: 1}
+	cases := []struct {
+		name  string
+		doc   *staccato.Doc
+		valid bool
+	}{
+		{"no chunks", doc(), true},
+		{"one certain alt", doc(staccato.PathSet{Alts: alts(1), Retained: 0.5}), true},
+		{"sum within 1e-6", doc(staccato.PathSet{Alts: alts(0.3, 0.7000005), Retained: 1}), true},
+		{"retained zero", doc(ok, staccato.PathSet{Alts: alts(0.5, 0.5), Retained: 0}), true},
+		{"sum above one", doc(ok, staccato.PathSet{Alts: alts(0.4, 0.4), Retained: 1}, staccato.PathSet{Alts: alts(0.9, 0.9), Retained: 1}), false},
+		{"sum below one", doc(staccato.PathSet{Alts: alts(0.5, 0.4), Retained: 1}), false},
+		{"negative prob", doc(staccato.PathSet{Alts: alts(4, -3), Retained: 1}), false},
+		{"zero prob", doc(staccato.PathSet{Alts: alts(1, 0), Retained: 1}), false},
+		{"NaN prob", doc(staccato.PathSet{Alts: alts(math.NaN()), Retained: 1}), false},
+		{"no alts", doc(ok, staccato.PathSet{Retained: 1}), false},
+		{"retained above one", doc(staccato.PathSet{Alts: alts(1), Retained: 1.5}), false},
+		{"retained negative", doc(staccato.PathSet{Alts: alts(1), Retained: -0.1}), false},
+		{"retained NaN", doc(staccato.PathSet{Alts: alts(1), Retained: math.NaN()}), false},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := openMemT(t, diskstore.Options{})
+			err := st.Put(ctx, tc.doc)
+			if tc.valid {
+				if err != nil {
+					t.Fatalf("Put refused a valid document: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, store.ErrInvalidDoc) || !strings.Contains(err.Error(), "chunk ") {
+				t.Fatalf("Put = %v, want store.ErrInvalidDoc naming the chunk", err)
+			}
+			b := st.Batch()
+			b.Put(sampleDoc(t, "good", 1))
+			b.Put(tc.doc)
+			if err := b.Commit(ctx); !errors.Is(err, store.ErrInvalidDoc) {
+				t.Errorf("Commit = %v, want store.ErrInvalidDoc", err)
+			}
+			if st.Len() != 0 {
+				t.Errorf("store holds %d documents after refused writes, want 0", st.Len())
+			}
+		})
 	}
 }
 

@@ -16,6 +16,10 @@ import (
 // ErrNotFound is returned by Get when no document has the requested ID.
 var ErrNotFound = errors.New("store: document not found")
 
+// ErrInvalidDoc is returned, wrapped with the offending chunk, by a write
+// of a document whose chunks are not probability distributions.
+var ErrInvalidDoc = errors.New("store: invalid document")
+
 // ErrStopScan can be returned by a Scan callback to end the scan early
 // without Scan reporting an error.
 var ErrStopScan = errors.New("store: stop scan")
