@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/paper-repo/staccato-go/internal/core"
@@ -24,7 +23,7 @@ import (
 
 // ErrModelConfig controls error-model generation. Zero values take the
 // documented defaults; Validate bounds every knob so a hostile config
-// (fuzzing, a CLI flag) cannot buy unbounded work.
+// (a fuzzer, a benchmark knob) cannot buy unbounded work.
 type ErrModelConfig struct {
 	// Words is the number of tokens per document (default 12).
 	Words int
@@ -107,61 +106,6 @@ func (c ErrModelConfig) Validate() error {
 		return fmt.Errorf("testgen: maxalts must be in [1, 8], got %d", c.MaxAlts)
 	}
 	return nil
-}
-
-// ParseErrModelConfig parses a "key=value,key=value" spec — the CLI and
-// benchmark wire format — into a validated config. The empty string
-// selects all defaults. Keys: words, seed, vocab, zipf, subrate,
-// burstrate, burstlen, burstsubrate, maxalts.
-func ParseErrModelConfig(s string) (ErrModelConfig, error) {
-	var cfg ErrModelConfig
-	if t := strings.TrimSpace(s); t != "" {
-		for _, part := range strings.Split(t, ",") {
-			kv := strings.SplitN(part, "=", 2)
-			if len(kv) != 2 {
-				return cfg, fmt.Errorf("testgen: bad error-model field %q (want key=value)", part)
-			}
-			key := strings.ToLower(strings.TrimSpace(kv[0]))
-			val := strings.TrimSpace(kv[1])
-			var err error
-			switch key {
-			case "words":
-				cfg.Words, err = strconv.Atoi(val)
-			case "seed":
-				cfg.Seed, err = strconv.ParseInt(val, 10, 64)
-			case "vocab":
-				cfg.VocabSize, err = strconv.Atoi(val)
-			case "zipf":
-				cfg.ZipfS, err = strconv.ParseFloat(val, 64)
-			case "subrate":
-				cfg.SubRate, err = strconv.ParseFloat(val, 64)
-			case "burstrate":
-				cfg.BurstRate, err = strconv.ParseFloat(val, 64)
-			case "burstlen":
-				cfg.BurstLen, err = strconv.Atoi(val)
-			case "burstsubrate":
-				cfg.BurstSubRate, err = strconv.ParseFloat(val, 64)
-			case "maxalts":
-				cfg.MaxAlts, err = strconv.Atoi(val)
-			default:
-				return cfg, fmt.Errorf("testgen: unknown error-model key %q", key)
-			}
-			if err != nil {
-				return cfg, fmt.Errorf("testgen: error-model %s=%q: %v", key, val, err)
-			}
-		}
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return ErrModelConfig{}, err
-	}
-	return cfg, nil
-}
-
-// String renders the config back into ParseErrModelConfig's wire form.
-func (c ErrModelConfig) String() string {
-	return fmt.Sprintf("words=%d,seed=%d,vocab=%d,zipf=%g,subrate=%g,burstrate=%g,burstlen=%d,burstsubrate=%g,maxalts=%d",
-		c.Words, c.Seed, c.VocabSize, c.ZipfS, c.SubRate, c.BurstRate, c.BurstLen, c.BurstSubRate, c.MaxAlts)
 }
 
 // errConfusable is one weighted entry of the confusion matrix.

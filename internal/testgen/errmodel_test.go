@@ -151,90 +151,74 @@ func TestErrModelOpensRecallGap(t *testing.T) {
 	}
 }
 
-func TestParseErrModelConfig(t *testing.T) {
+// TestErrModelConfigValidate checks Validate's bounds on configs that
+// went through withDefaults, the form GenerateErrModel validates.
+func TestErrModelConfigValidate(t *testing.T) {
+	def := ErrModelConfig{}.withDefaults()
 	t.Run("defaults", func(t *testing.T) {
-		cfg, err := ParseErrModelConfig("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ErrModelConfig{}.withDefaults()
-		if cfg != want {
-			t.Fatalf("empty spec = %+v, want all defaults %+v", cfg, want)
+		if err := def.Validate(); err != nil {
+			t.Fatalf("defaults %+v rejected: %v", def, err)
 		}
 	})
-	t.Run("round trip", func(t *testing.T) {
-		cfg, err := ParseErrModelConfig("words=20, seed=9 ,vocab=50,zipf=1.4,subrate=0.1,burstrate=0.05,burstlen=8,burstsubrate=0.6,maxalts=4")
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseErrModelConfig(cfg.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.String() != cfg.String() {
-			t.Fatalf("round trip changed the config: %s vs %s", back.String(), cfg.String())
-		}
-		if cfg.Words != 20 || cfg.Seed != 9 || cfg.BurstLen != 8 {
-			t.Fatalf("parsed values wrong: %+v", cfg)
-		}
-	})
-	for _, bad := range []string{
-		"words",             // no value
-		"nope=1",            // unknown key
-		"words=abc",         // unparsable int
-		"zipf=NaN",          // NaN rejected
-		"subrate=1.5",       // out of range
-		"burstsubrate=-0.1", // out of range
-		"words=0x10",        // not base-10
-		"words=-3",          // negative
-		"vocab=99999",       // over the cap
-		"maxalts=9",         // over the cap
+	for _, tc := range []struct {
+		name string
+		edit func(*ErrModelConfig)
+	}{
+		{"zipf NaN", func(c *ErrModelConfig) { c.ZipfS = math.NaN() }},
+		{"subrate out of range", func(c *ErrModelConfig) { c.SubRate = 1.5 }},
+		{"burstsubrate out of range", func(c *ErrModelConfig) { c.BurstSubRate = -0.1 }},
+		{"words negative", func(c *ErrModelConfig) { c.Words = -3 }},
+		{"vocab over the cap", func(c *ErrModelConfig) { c.VocabSize = 99999 }},
+		{"maxalts over the cap", func(c *ErrModelConfig) { c.MaxAlts = 9 }},
 	} {
-		if _, err := ParseErrModelConfig(bad); err == nil {
-			t.Errorf("spec %q parsed without error", bad)
+		cfg := def
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: %+v validated", tc.name, cfg)
 		}
 	}
 }
 
-// FuzzErrModelParse fuzzes the config wire format end to end: any spec
-// that parses must validate, survive a render/re-parse round trip, and
-// generate a deterministic transducer satisfying the model invariants.
-func FuzzErrModelParse(f *testing.F) {
-	for _, s := range []string{
-		"",
-		"words=8,seed=3",
-		"vocab=50,zipf=1.3",
-		"subrate=0.5,burstrate=0.2,burstlen=4,burstsubrate=0.9",
-		"maxalts=5,seed=-7",
-		"words=abc",
-		"nope=1",
-		" words = 9 , vocab = 12 ",
+// FuzzErrModelGenerate fuzzes the generator over every config field: a
+// config Validate rejects must make GenerateErrModel fail, and a valid
+// one must generate a deterministic transducer satisfying the model
+// invariants.
+func FuzzErrModelGenerate(f *testing.F) {
+	for _, c := range []ErrModelConfig{
+		{},
+		{Words: 8, Seed: 3},
+		{VocabSize: 50, ZipfS: 1.3},
+		{SubRate: 0.5, BurstRate: 0.2, BurstLen: 4, BurstSubRate: 0.9},
+		{MaxAlts: 5, Seed: -7},
+		{Words: -1},
+		{MaxAlts: 9},
+		{Words: 9, VocabSize: 12},
+		{Words: 12, Seed: 1, VocabSize: 200, ZipfS: 1.1, SubRate: 0.06, BurstRate: 0.03, BurstLen: 6, BurstSubRate: 0.45, MaxAlts: 3},
+		{Words: 20, Seed: 9, VocabSize: 50, ZipfS: 1.4, SubRate: 0.1, BurstRate: 0.05, BurstLen: 8, BurstSubRate: 0.6, MaxAlts: 4},
+		{ZipfS: math.NaN()},
 	} {
-		f.Add(s)
+		f.Add(c.Words, c.Seed, c.VocabSize, c.ZipfS, c.SubRate, c.BurstRate, c.BurstLen, c.BurstSubRate, c.MaxAlts)
 	}
-	f.Fuzz(func(t *testing.T, s string) {
-		cfg, err := ParseErrModelConfig(s)
-		if err != nil {
+	f.Fuzz(func(t *testing.T, words int, seed int64, vocab int, zipf, subRate, burstRate float64, burstLen int, burstSubRate float64, maxAlts int) {
+		cfg := ErrModelConfig{
+			Words: words, Seed: seed, VocabSize: vocab, ZipfS: zipf,
+			SubRate: subRate, BurstRate: burstRate, BurstLen: burstLen,
+			BurstSubRate: burstSubRate, MaxAlts: maxAlts,
+		}
+		if verr := cfg.withDefaults().Validate(); verr != nil {
+			if _, _, err := GenerateErrModel(cfg); err == nil {
+				t.Fatalf("GenerateErrModel accepted %+v, which Validate rejects: %v", cfg, verr)
+			}
 			return
 		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("parse accepted an invalid config %+v: %v", cfg, err)
-		}
-		back, err := ParseErrModelConfig(cfg.String())
-		if err != nil {
-			t.Fatalf("rendered config %q does not re-parse: %v", cfg.String(), err)
-		}
-		if back.String() != cfg.String() {
-			t.Fatalf("round trip changed the config: %s vs %s", back.String(), cfg.String())
-		}
-		// Clamp the cost knobs (the parse already bounded them; this keeps
+		// Clamp the cost knobs (Validate already bounded them; this keeps
 		// per-exec time low), then generate twice and check the machine.
 		cfg.Words = cfg.Words%16 + 1
 		cfg.VocabSize = cfg.VocabSize%32 + 1
 		cfg.BurstLen = cfg.BurstLen%16 + 1
 		truth, fst1, err := GenerateErrModel(cfg)
 		if err != nil {
-			t.Fatalf("valid config failed to generate: %v", err)
+			t.Fatalf("valid config %+v failed to generate: %v", cfg, err)
 		}
 		truth2, fst2, err := GenerateErrModel(cfg)
 		if err != nil {

@@ -111,36 +111,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := writeSeeds("pkg/index/testdata/fuzz/FuzzIndexLoad", idxBytes); err != nil {
-		return err
-	}
-
-	// Error-model config wire format: the defaults rendered, a fully
-	// explicit spec, and a malformed one.
-	def, err := testgen.ParseErrModelConfig("")
-	if err != nil {
-		return err
-	}
-	return writeStringSeeds("internal/testgen/testdata/fuzz/FuzzErrModelParse", map[string]string{
-		"seed-defaults": def.String(),
-		"seed-full":     "words=20,seed=9,vocab=50,zipf=1.4,subrate=0.1,burstrate=0.05,burstlen=8,burstsubrate=0.6,maxalts=4",
-		"seed-bad":      "words=abc,nope=1",
-	})
-}
-
-// writeStringSeeds writes string-argument corpus files into dir.
-func writeStringSeeds(dir string, seeds map[string]string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for name, s := range seeds {
-		content := "go test fuzz v1\nstring(" + strconv.Quote(s) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("wrote %s (%d string seeds)\n", dir, len(seeds))
-	return nil
+	return writeSeeds("pkg/index/testdata/fuzz/FuzzIndexLoad", idxBytes)
 }
 
 // writeSeeds writes the valid artifact plus a torn-tail variant and a
