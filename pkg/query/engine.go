@@ -338,7 +338,7 @@ func firstRound(topN, usable int) int {
 
 // fetchBatch is the most IDs one worker job carries. Batching amortizes
 // store locking and lets a disk backend sort the batch by record offset
-// into a near-sequential read. A run too short to give every worker a
+// into one read per run of adjacent records. A run too short to give every worker a
 // full batch — a top-k round, a small candidate set — is cut into
 // ⌈len/workers⌉-ID jobs instead, but none below minJob.
 const fetchBatch = 64

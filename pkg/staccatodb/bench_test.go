@@ -48,10 +48,10 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// benchCorpus ingests the shared 500-doc corpus once per test binary and
-// picks a selective query term: a 7-rune slice of one document's MAP
-// string, long enough that its gram intersection names only a handful of
-// candidates.
+// benchCorpus ingests the shared 5000-doc corpus (benchCorpusDocs) once
+// per test binary and picks a selective query term: a 7-rune slice of one
+// document's MAP string, long enough that its gram intersection names
+// only a handful of candidates.
 func benchCorpus(b *testing.B) (string, string) {
 	b.Helper()
 	benchOnce.Do(func() {

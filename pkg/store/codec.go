@@ -46,7 +46,14 @@ func Encode(doc *staccato.Doc) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode deserializes a document previously produced by Encode.
+// Decode deserializes a document previously produced by Encode. It walks
+// the record twice: a validating pass counts the alternatives, then a
+// filling pass builds the document from one string copy of the chunk
+// bytes — every Alt.Text is a substring of it — and two exactly-sized
+// backing arrays, one for the chunks and one for all their alternatives.
+// With the document itself and its ID, that is five allocations however
+// many alternatives it holds. The ID is copied on its own, so a result
+// that keeps only the ID does not pin the record.
 func Decode(data []byte) (*staccato.Doc, error) {
 	d := decoder{buf: data}
 	var magic [4]byte
@@ -58,30 +65,55 @@ func Decode(data []byte) (*staccato.Doc, error) {
 		return nil, fmt.Errorf("store: Decode: unsupported version %d", v)
 	}
 	doc := &staccato.Doc{}
-	doc.ID = d.string()
+	doc.ID = string(d.text())
 	doc.Params.Chunks = int(d.uvarint())
 	doc.Params.K = int(d.uvarint())
 	numChunks := d.uvarint()
 	if d.err == nil && numChunks > uint64(len(data)) {
 		return nil, fmt.Errorf("store: Decode: implausible chunk count %d", numChunks)
 	}
+	body := d.buf
+	var numAlts uint64
 	for i := uint64(0); i < numChunks && d.err == nil; i++ {
-		var ch staccato.PathSet
-		ch.Retained = d.float()
-		numAlts := d.uvarint()
-		if d.err == nil && numAlts > uint64(len(data)) {
-			return nil, fmt.Errorf("store: Decode: implausible alt count %d", numAlts)
+		d.float()
+		n := d.uvarint()
+		if d.err == nil && n > uint64(len(data)) {
+			return nil, fmt.Errorf("store: Decode: implausible alt count %d", n)
 		}
-		for j := uint64(0); j < numAlts && d.err == nil; j++ {
-			ch.Alts = append(ch.Alts, staccato.Alt{Text: d.string(), Prob: d.float()})
+		numAlts += n
+		for j := uint64(0); j < n && d.err == nil; j++ {
+			d.text()
+			d.float()
 		}
-		doc.Chunks = append(doc.Chunks, ch)
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("store: Decode: %d trailing bytes", len(d.buf))
+	}
+
+	// The body is valid, so every count is bounded by its length and the
+	// filling pass needs no checks.
+	if numChunks == 0 {
+		return doc, nil
+	}
+	text := string(body)
+	doc.Chunks = make([]staccato.PathSet, numChunks)
+	alts := make([]staccato.Alt, numAlts)
+	d = decoder{buf: body}
+	for i := range doc.Chunks {
+		ch := &doc.Chunks[i]
+		ch.Retained = d.float()
+		if n := int(d.uvarint()); n > 0 {
+			ch.Alts, alts = alts[:n:n], alts[n:]
+		}
+		for j := range ch.Alts {
+			n := int(d.uvarint())
+			at := len(body) - len(d.buf)
+			d.buf = d.buf[n:]
+			ch.Alts[j] = staccato.Alt{Text: text[at : at+n], Prob: d.float()}
+		}
 	}
 	return doc, nil
 }
@@ -133,13 +165,14 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) string() string {
+// text reads a length-prefixed byte string, aliasing the input.
+func (d *decoder) text() []byte {
 	n := d.uvarint()
 	if d.err == nil && n > uint64(len(d.buf)) {
 		d.fail()
-		return ""
+		return nil
 	}
-	return string(d.bytes(int(n)))
+	return d.bytes(int(n))
 }
 
 func (d *decoder) float() float64 {

@@ -291,10 +291,10 @@ func (s *Store) replaySegment(num uint64) error {
 		case perr != nil:
 			dmg = r.Bad("malformed record payload")
 		case kind == recPut:
-			s.index[id] = recordRef{seg: num, off: off + framelog.HeaderSize, n: len(payload)}
+			s.index[string(id)] = recordRef{seg: num, off: off + framelog.HeaderSize, n: len(payload)}
 			s.ops++
 		case kind == recDelete:
-			delete(s.index, id)
+			delete(s.index, string(id))
 			s.ops++
 		default:
 			dmg = r.Bad(fmt.Sprintf("unknown record kind %d", kind))
@@ -540,8 +540,9 @@ func (s *Store) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 	return decodeLivePayload(id, payload)
 }
 
-// readPayload copies one record payload off its segment. Callers must
-// hold s.mu (read or write): the lock keeps Compact from closing the
+// readPayload copies the bytes ref names off its segment in one ReadAt:
+// one record's payload, or for GetBatch a run of adjacent frames. Callers
+// must hold s.mu (read or write): the lock keeps Compact from closing the
 // segment file under the ReadAt. Decoding the returned bytes is the
 // caller's job, after releasing the lock.
 func (s *Store) readPayload(ref recordRef) ([]byte, error) {
@@ -565,19 +566,19 @@ func decodeLivePayload(id string, payload []byte) (*staccato.Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	if kind != recPut || gotID != id {
+	if kind != recPut || string(gotID) != id {
 		return nil, fmt.Errorf("diskstore: index for %q points at a %q record for %q", id, kindName(kind), gotID)
 	}
 	return store.Decode(docBytes)
 }
 
 // GetBatch returns the documents for ids, aligned with the input (nil
-// for missing IDs). The read lock is taken once for the whole batch and
-// the record reads are issued in (segment, offset) order, so a batch of
-// candidates that landed near each other — the common case after a
-// bulk ingest — becomes a near-sequential pass over the segment files
-// instead of len(ids) random seeks. Decoding happens after the lock is
-// released.
+// for missing IDs). The read lock is taken once for the whole batch, the
+// records are sorted by (segment, offset), and each run of records that
+// sit back to back in one segment — the common case for a sorted batch
+// after a bulk ingest — is one read, so a batch costs one read per run
+// of adjacent records instead of one per ID. Decoding happens after the
+// lock is released.
 func (s *Store) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -604,12 +605,28 @@ func (s *Store) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, er
 		return slots[a].ref.off < slots[b].ref.off
 	})
 	payloads := make([][]byte, len(slots))
-	for i, sl := range slots {
-		var err error
+	for i := 0; i < len(slots); {
+		// Extend the run over every record that repeats the previous one
+		// or starts right after its frame.
+		first, j := slots[i].ref, i+1
+		for ; j < len(slots); j++ {
+			prev, next := slots[j-1].ref, slots[j].ref
+			if next.seg != first.seg ||
+				next.off != prev.off && next.off != prev.off+int64(prev.n)+framelog.HeaderSize {
+				break
+			}
+		}
+		last := slots[j-1].ref
 		//lint:allow lockio the read lock must pin the segment files open across the batch's ReadAt pass; decoding happens below, after RUnlock
-		if payloads[i], err = s.readPayload(sl.ref); err != nil {
+		run, err := s.readPayload(recordRef{seg: first.seg, off: first.off, n: int(last.off-first.off) + last.n})
+		if err != nil {
 			s.mu.RUnlock()
 			return nil, err
+		}
+		for ; i < j; i++ {
+			ref := slots[i].ref
+			at := ref.off - first.off
+			payloads[i] = run[at : at+int64(ref.n)]
 		}
 	}
 	s.mu.RUnlock()
@@ -764,21 +781,22 @@ func encodePayload(o op) []byte {
 	return buf
 }
 
-func parsePayload(p []byte) (kind byte, id string, doc []byte, err error) {
+// parsePayload splits a record payload; id and doc alias p.
+func parsePayload(p []byte) (kind byte, id, doc []byte, err error) {
 	if len(p) < 1 {
-		return 0, "", nil, fmt.Errorf("diskstore: empty record payload")
+		return 0, nil, nil, fmt.Errorf("diskstore: empty record payload")
 	}
 	kind = p[0]
 	rest := p[1:]
 	n, w := binary.Uvarint(rest)
 	if w <= 0 || n > uint64(len(rest)-w) {
-		return 0, "", nil, fmt.Errorf("diskstore: corrupt record key length")
+		return 0, nil, nil, fmt.Errorf("diskstore: corrupt record key length")
 	}
 	rest = rest[w:]
-	id = string(rest[:n])
+	id = rest[:n]
 	doc = rest[n:]
 	if kind == recDelete && len(doc) != 0 {
-		return 0, "", nil, fmt.Errorf("diskstore: tombstone with %d trailing bytes", len(doc))
+		return 0, nil, nil, fmt.Errorf("diskstore: tombstone with %d trailing bytes", len(doc))
 	}
 	return kind, id, doc, nil
 }

@@ -104,10 +104,11 @@ func TestFileSystemsWriteIdenticalBytes(t *testing.T) {
 }
 
 // faultFS fails the n-th WriteAt or Sync on any file it opened, counting
-// from arm, and passes everything else through.
+// from arm, counts the ReadAt calls, and passes everything else through.
 type faultFS struct {
 	framelog.FS
 	calls, failAt int
+	reads         int
 }
 
 var errInjected = errors.New("injected I/O failure")
@@ -142,6 +143,11 @@ func (f faultFile) WriteAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	return f.File.WriteAt(p, off)
+}
+
+func (f faultFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.reads++
+	return f.File.ReadAt(p, off)
 }
 
 func (f faultFile) Sync() error {
@@ -230,4 +236,74 @@ func TestFailedBatchNeverReappears(t *testing.T) {
 		}
 		re.Close()
 	}
+}
+
+// TestGetBatchReadsPerRun pins GetBatch's I/O: one ReadAt per run of
+// records that sit back to back in one segment, however many IDs the run
+// holds.
+func TestGetBatchReadsPerRun(t *testing.T) {
+	ctx := context.Background()
+	ingest := func(t *testing.T, opts Options) (*Store, *faultFS) {
+		t.Helper()
+		ffs := &faultFS{FS: framelog.NewMemFS()}
+		st, err := OpenFS(ffs, "", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		b := st.Batch()
+		for i := 0; i < 128; i++ {
+			if err := b.Put(fsDoc(t, fmt.Sprintf("doc-%03d", i), int64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return st, ffs
+	}
+	reads := func(t *testing.T, st *Store, ffs *faultFS, n int) int {
+		t.Helper()
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("doc-%03d", i)
+		}
+		ffs.reads = 0
+		docs, err := st.GetBatch(ctx, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range docs {
+			if d == nil || d.ID != ids[i] {
+				t.Fatalf("slot %d: got %v, want %s", i, d, ids[i])
+			}
+		}
+		return ffs.reads
+	}
+
+	t.Run("one run", func(t *testing.T) {
+		st, ffs := ingest(t, Options{})
+		if got := reads(t, st, ffs, 64); got != 1 {
+			t.Errorf("a batch of 64 adjacent records took %d reads, want 1", got)
+		}
+	})
+	t.Run("overwrite in the middle", func(t *testing.T) {
+		st, ffs := ingest(t, Options{})
+		if err := st.Put(ctx, fsDoc(t, "doc-032", 999)); err != nil {
+			t.Fatal(err)
+		}
+		if got := reads(t, st, ffs, 64); got != 3 {
+			t.Errorf("a batch split by one overwritten record took %d reads, want 3", got)
+		}
+	})
+	t.Run("segment roll", func(t *testing.T) {
+		st, ffs := ingest(t, Options{MaxSegmentBytes: 8 << 10})
+		segs := st.Stats().Segments
+		if segs < 3 {
+			t.Fatalf("the corpus fits %d segments; the test means to roll", segs)
+		}
+		if got := reads(t, st, ffs, 128); got != segs {
+			t.Errorf("a batch over %d segments took %d reads, want one per segment", segs, got)
+		}
+	})
 }

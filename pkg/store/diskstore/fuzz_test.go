@@ -2,11 +2,16 @@ package diskstore_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
@@ -50,6 +55,98 @@ func FuzzSegmentReplay(f *testing.F) {
 		defer st2.Close()
 		if st2.Len() != live {
 			t.Fatalf("reopen changed the live count: %d -> %d", live, st2.Len())
+		}
+	})
+}
+
+// FuzzGetBatchMatchesGet holds GetBatch — sorted, run-coalesced reads
+// sliced out of one buffer per run — to per-ID Get. The input's first
+// byte is an op count; that many (op, id) byte pairs then drive puts,
+// overwrites, multi-put batches, deletes and Compact against an
+// in-memory store whose tiny segments roll every few records; every byte
+// after them names an ID to fetch, mixing live, deleted, never-written
+// and repeated IDs. GetBatch must equal Get slot by slot: nil where Get
+// reports ErrNotFound, an identical document everywhere else.
+func FuzzGetBatchMatchesGet(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 0, 2, 0, 3, 1, 4, 1, 2, 3, 4, 2, 1})
+	f.Add([]byte{6, 1, 0, 1, 5, 2, 3, 4, 0, 0, 3, 1, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 3, 3, 19})
+	f.Add([]byte{3, 1, 7, 0, 7, 4, 7, 7, 7, 6, 8, 7})
+	var pool []*staccato.Doc
+	for i := 0; i < 8; i++ {
+		_, fst := testgen.MustGenerate(testgen.Config{Length: 16, Seed: int64(i + 1)})
+		d, err := staccato.Build(fst, "", 3, 2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pool = append(pool, d)
+	}
+	// doc returns pool document v under id; Put does not retain it.
+	doc := func(id string, v int) *staccato.Doc {
+		d := *pool[v%len(pool)]
+		d.ID = id
+		return &d
+	}
+	const ids = 20 // ops name 16 of them, so 4 are never written
+	idOf := func(b byte) string { return fmt.Sprintf("d%02d", int(b)%ids) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ctx := context.Background()
+		st, err := diskstore.OpenMem(diskstore.Options{MaxSegmentBytes: 512, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if len(data) == 0 {
+			return
+		}
+		nOps := int(data[0]) % 32
+		data = data[1:]
+		for i := 0; i < nOps && len(data) >= 2; i++ {
+			op, arg := data[0], data[1]
+			data = data[2:]
+			id := idOf(arg % 16)
+			switch op % 5 {
+			case 0, 1: // put, or overwrite if id is live
+				err = st.Put(ctx, doc(id, int(op)))
+			case 2: // a batch of puts, which can roll segments mid-commit
+				b := st.Batch()
+				for j := 0; j < 1+int(op)%4 && err == nil; j++ {
+					err = b.Put(doc(idOf((arg+byte(j))%16), int(op)+j))
+				}
+				if err == nil {
+					err = b.Commit(ctx)
+				}
+			case 3:
+				err = st.Delete(ctx, id)
+			case 4:
+				err = st.Compact(ctx)
+			}
+			if err != nil {
+				t.Fatalf("op %d (%d on %s): %v", i, op%5, id, err)
+			}
+		}
+		want := make([]string, len(data))
+		for i, b := range data {
+			want[i] = idOf(b)
+		}
+		got, err := st.GetBatch(ctx, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GetBatch returned %d docs for %d ids", len(got), len(want))
+		}
+		for i, id := range want {
+			d, err := st.Get(ctx, id)
+			switch {
+			case errors.Is(err, store.ErrNotFound):
+				if got[i] != nil {
+					t.Fatalf("slot %d: GetBatch returned a document for %s, which Get does not find", i, id)
+				}
+			case err != nil:
+				t.Fatalf("Get %s: %v", id, err)
+			case !reflect.DeepEqual(got[i], d):
+				t.Fatalf("slot %d: GetBatch and Get disagree on %s", i, id)
+			}
 		}
 	})
 }

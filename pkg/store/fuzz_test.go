@@ -2,8 +2,11 @@ package store_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
@@ -12,7 +15,10 @@ import (
 // and never over-allocates from attacker-controlled length fields; and
 // any input Decode accepts must survive an Encode→Decode round trip
 // that re-encodes to identical bytes (probabilities can be NaN, so the
-// stability check compares encoded bytes, not decoded structs).
+// stability check compares encoded bytes, not decoded structs). Decode
+// must also agree with decodeReference, the one-pass decoder it
+// replaced: the same inputs accepted, the same errors, and on accept
+// every field equal, floats compared bit for bit.
 // Seed corpus: testdata/fuzz/FuzzDecodeDoc (real encoded documents and
 // truncations of them), regenerated by scripts/gen_fuzz_seeds.go.
 func FuzzDecodeDoc(f *testing.F) {
@@ -20,8 +26,15 @@ func FuzzDecodeDoc(f *testing.F) {
 	f.Add([]byte("SDOC"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := store.Decode(data)
+		ref, refErr := decodeReference(data)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("Decode error %v, reference decoder error %v", err, refErr)
+		}
 		if err != nil {
 			return // rejected, cleanly
+		}
+		if diff := docDiff(doc, ref); diff != "" {
+			t.Fatalf("Decode and the reference decoder disagree: %s", diff)
 		}
 		first, err := store.Encode(doc)
 		if err != nil {
@@ -39,4 +52,32 @@ func FuzzDecodeDoc(f *testing.F) {
 			t.Fatalf("Encode/Decode not stable:\n first  %x\n second %x", first, second)
 		}
 	})
+}
+
+// docDiff describes the first field in which a and b differ, or returns
+// "" when they are equal. Probabilities and retained masses compare by
+// their bits, so NaN equals itself and 0 differs from -0.
+func docDiff(a, b *staccato.Doc) string {
+	if a.ID != b.ID || a.Params != b.Params {
+		return fmt.Sprintf("header %q %+v vs %q %+v", a.ID, a.Params, b.ID, b.Params)
+	}
+	if len(a.Chunks) != len(b.Chunks) || (a.Chunks == nil) != (b.Chunks == nil) {
+		return fmt.Sprintf("%d chunks (nil %t) vs %d (nil %t)", len(a.Chunks), a.Chunks == nil, len(b.Chunks), b.Chunks == nil)
+	}
+	for i, ca := range a.Chunks {
+		cb := b.Chunks[i]
+		if math.Float64bits(ca.Retained) != math.Float64bits(cb.Retained) {
+			return fmt.Sprintf("chunk %d: retained %v vs %v", i, ca.Retained, cb.Retained)
+		}
+		if len(ca.Alts) != len(cb.Alts) || (ca.Alts == nil) != (cb.Alts == nil) {
+			return fmt.Sprintf("chunk %d: %d alternatives (nil %t) vs %d (nil %t)", i, len(ca.Alts), ca.Alts == nil, len(cb.Alts), cb.Alts == nil)
+		}
+		for j, aa := range ca.Alts {
+			ab := cb.Alts[j]
+			if aa.Text != ab.Text || math.Float64bits(aa.Prob) != math.Float64bits(ab.Prob) {
+				return fmt.Sprintf("chunk %d alt %d: %q %v vs %q %v", i, j, aa.Text, aa.Prob, ab.Text, ab.Prob)
+			}
+		}
+	}
+	return ""
 }

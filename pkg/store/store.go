@@ -52,8 +52,8 @@ type DocStore interface {
 	// a concurrent delete must not fail the whole batch). A non-nil error
 	// means the batch as a whole failed and out is meaningless. A batch
 	// lets the backend amortize its locking and, for disk-backed stores,
-	// reorder the reads by physical offset so IDs clustered in one
-	// segment become a near-sequential read.
+	// sort the records by physical offset and make one read per run of
+	// adjacent records, so IDs clustered in one segment cost one read.
 	GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error)
 	// Len returns the number of stored documents without a scan.
 	Len() int

@@ -164,3 +164,54 @@ func TestMemStoreScanOrderAndStop(t *testing.T) {
 		t.Errorf("Scan error = %v, want %v", err, wantErr)
 	}
 }
+
+// errModelDoc encodes one (6,3) document of the error-model corpus.
+func errModelDoc(t testing.TB) []byte {
+	t.Helper()
+	cases, err := testgen.ErrDocs(1, testgen.ErrModelConfig{Seed: 1}, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := store.Encode(cases[0].Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestDecodeAllocs pins Decode's allocation shape: the document, its ID,
+// one copy of the record and one backing array each for the chunks and
+// the alternatives — not one string per alternative.
+func TestDecodeAllocs(t *testing.T) {
+	data := errModelDoc(t)
+	doc, err := store.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alts := 0
+	for _, ch := range doc.Chunks {
+		alts += len(ch.Alts)
+	}
+	if len(doc.Chunks) != 6 || alts < 12 {
+		t.Fatalf("test document has %d chunks and %d alternatives; the test means a (6,3) document", len(doc.Chunks), alts)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := store.Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 5 {
+		t.Errorf("Decode of a %d-alternative document takes %v allocations, want at most 5", alts, n)
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	data := errModelDoc(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	for i := 0; i < b.N; i++ {
+		if _, err := store.Decode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
