@@ -15,10 +15,10 @@
 // feed pkg/query's product DP, where state numbering pins float
 // accumulation order and therefore bit-identical probabilities.
 //
-// The package is self-contained on purpose: pkg/query wraps a DFA into
-// its automaton interface, but nothing here depends on query planning or
-// evaluation, so the automaton's correctness is testable (and fuzzable)
-// against the reference Within oracle alone.
+// The package is self-contained on purpose: pkg/query flattens a DFA's
+// Transitions into its own term table, but nothing here depends on query
+// planning or evaluation, so the automaton's correctness is testable
+// (and fuzzable) against the reference Within oracle alone.
 package fuzzy
 
 import (
@@ -114,6 +114,17 @@ func (d *DFA) Start() int { return 0 }
 func (d *DFA) Step(q int, r rune) (int, bool) {
 	next := int(d.trans[q*(len(d.alphabet)+1)+d.class(r)])
 	return next, d.accept[next]
+}
+
+// Transitions exposes the compiled automaton as its dense table, for a
+// caller that flattens it into a table of its own: alphabet is the
+// term's distinct runes in ascending order; next[s*(len(alphabet)+1)+c]
+// is the state Step reaches from s on a rune of class c, where class 0
+// is every rune absent from the term and class i+1 is alphabet[i]; and
+// accept[s] reports whether entering s completes a match. The slices are
+// the DFA's own and must not be modified.
+func (d *DFA) Transitions() (alphabet []rune, next []uint16, accept []bool) {
+	return d.alphabet, d.trans, d.accept
 }
 
 // class maps a rune to its characteristic class: 0 for runes absent from

@@ -2,29 +2,72 @@ package query
 
 import (
 	"fmt"
+	"slices"
+	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/internal/core"
 	"github.com/paper-repo/staccato-go/pkg/fuzzy"
 )
 
-// automaton is a deterministic matcher compiled from a query term. step
-// consumes one rune and reports whether the term just finished matching
-// (matching is absorbing, so callers stop on the first hit). acceptAtEnd
-// reports states that count as a match when the document ends — needed for
-// keyword queries, whose trailing boundary can be the end of text.
-type automaton interface {
-	numStates() int
-	start() int
-	step(q int, r rune) (next int, matched bool)
-	acceptAtEnd(q int) bool
+// table is a term's deterministic matcher — a Knuth–Morris–Pratt,
+// keyword or Levenshtein automaton — flattened into one dense transition
+// table, so the DP steps it with one lookup per rune. Runes fall into
+// classes: each distinct rune of the term is a class of its own, and
+// every other rune is either "other word rune" or "other non-word rune"
+// (the keyword boundary test is the only property of a rune outside the
+// term any automaton reads). A table is immutable after compile.
+type table struct {
+	// next[q*classes+c] is the state a class-c rune leads to from q, with
+	// hitBit set when that rune completes a match. Matching is absorbing,
+	// so the DP stops stepping a reading at its first hit.
+	next    []uint16
+	classes int
+	// ascii[b] is the class of ASCII rune b; wide holds the term's
+	// non-ASCII runes, ascending — the last len(wide) classes.
+	ascii [utf8.RuneSelf]uint16
+	wide  []rune
+	// atEnd[q] reports states that count as a match when the document
+	// ends — needed for keyword queries, whose trailing boundary can be
+	// the end of text.
+	atEnd []bool
+	start uint16
 }
+
+// hitBit flags a transition that completes a match. Every state number
+// is below it: terms have at most maxTermRunes runes and a Levenshtein
+// DFA at most 2¹⁴ states.
+const hitBit = 1 << 15
+
+// The rune classes every table shares; the term's i-th distinct rune, in
+// ascending order, has class classTerm+i.
+const (
+	classOther = iota // a non-word rune absent from the term
+	classWord         // a word rune absent from the term
+	classTerm
+)
+
+// asciiClasses is the class of every ASCII rune absent from a term.
+var asciiClasses = func() (c [utf8.RuneSelf]uint16) {
+	for r := range c {
+		if core.IsWordRune(rune(r)) {
+			c[r] = classWord
+		}
+	}
+	return c
+}()
 
 // maxTermRunes bounds compiled terms so automaton states (plus the
 // product DP's matched sentinel) always fit the uint16 joint-state
 // encoding, with generous headroom for any realistic query.
 const maxTermRunes = 1 << 12
 
-func compile(term string, mode Mode, dist int) (automaton, error) {
+// maxTableCells is the transition-table budget of one leaf: 2²¹ cells,
+// 4 MiB. Every Levenshtein DFA fits (at most 2¹⁴ states over 66 classes),
+// and so does a maxTermRunes-rune substring term with up to 510 distinct
+// runes.
+const maxTableCells = 1 << 21
+
+func compile(term string, mode Mode, dist int) (*table, error) {
 	pat := []rune(term)
 	if len(pat) == 0 {
 		return nil, fmt.Errorf("query: empty term")
@@ -37,83 +80,131 @@ func compile(term string, mode Mode, dist int) (automaton, error) {
 	}
 	switch mode {
 	case ModeSubstring:
-		return newKMP(pat), nil
+		return kmpTable(pat)
 	case ModeKeyword:
 		for _, r := range pat {
 			if !core.IsWordRune(r) {
 				return nil, fmt.Errorf("query: keyword term %q contains non-word character %q", term, r)
 			}
 		}
-		return newKeyword(pat), nil
+		return keywordTable(pat)
 	case ModeFuzzy:
 		d, err := fuzzy.Compile(term, dist)
 		if err != nil {
 			return nil, fmt.Errorf("query: %w", err)
 		}
-		return fuzzyAuto{d}, nil
+		return fuzzyTable(d)
 	default:
 		return nil, fmt.Errorf("query: unknown mode %d", mode)
 	}
 }
 
-// fuzzyAuto adapts a Levenshtein DFA to the automaton interface. The DFA
-// already matches on entering an accepting state (a window within the
-// edit distance just ended), so step delegates directly; there is no
-// end-of-text acceptance because matching is not boundary-conditioned.
-type fuzzyAuto struct {
-	dfa *fuzzy.DFA
-}
-
-func (a fuzzyAuto) numStates() int                 { return a.dfa.NumStates() }
-func (a fuzzyAuto) start() int                     { return a.dfa.Start() }
-func (a fuzzyAuto) step(q int, r rune) (int, bool) { return a.dfa.Step(q, r) }
-func (a fuzzyAuto) acceptAtEnd(int) bool           { return false }
-
-// kmpAuto is the classic Knuth–Morris–Pratt automaton: state q means "the
-// last q runes seen equal the first q runes of the pattern". Reaching
-// len(pat) is a match.
-type kmpAuto struct {
-	pat  []rune
-	fail []int
-}
-
-func newKMP(pat []rune) *kmpAuto {
-	fail := make([]int, len(pat))
-	for i := 1; i < len(pat); i++ {
-		j := fail[i-1]
-		for j > 0 && pat[i] != pat[j] {
-			j = fail[j-1]
+// newTable allocates the table of an automaton with the given number of
+// states over alphabet, the term's distinct runes in ascending order,
+// refusing one above maxTableCells.
+func newTable(alphabet []rune, states int) (*table, error) {
+	t := &table{classes: classTerm + len(alphabet), ascii: asciiClasses}
+	if cells := states * t.classes; cells > maxTableCells {
+		return nil, fmt.Errorf("query: term with %d distinct runes needs a %d-state × %d-class transition table of %d cells, above the %d-cell (4 MiB) budget",
+			len(alphabet), states, t.classes, cells, maxTableCells)
+	}
+	t.next = make([]uint16, states*t.classes)
+	t.atEnd = make([]bool, states)
+	for i, r := range alphabet {
+		if r >= utf8.RuneSelf {
+			t.wide = alphabet[i:]
+			break
 		}
-		if pat[i] == pat[j] {
-			j++
+		t.ascii[r] = uint16(classTerm + i)
+	}
+	return t, nil
+}
+
+// distinct returns pat's distinct runes in ascending order.
+func distinct(pat []rune) []rune {
+	alphabet := slices.Clone(pat)
+	slices.Sort(alphabet)
+	return slices.Compact(alphabet)
+}
+
+// class returns the class of rune r.
+func (t *table) class(r rune) int {
+	if uint32(r) < utf8.RuneSelf {
+		return int(t.ascii[r])
+	}
+	if i, ok := slices.BinarySearch(t.wide, r); ok {
+		return t.classes - len(t.wide) + i
+	}
+	if core.IsWordRune(r) {
+		return classWord
+	}
+	return classOther
+}
+
+// step consumes one rune from state q.
+func (t *table) step(q uint16, r rune) uint16 {
+	return t.next[int(q)*t.classes+t.class(r)]
+}
+
+// run advances the automaton over the runes of s from state q — invalid
+// UTF-8 bytes read as U+FFFD, one per byte, as ranging over a string
+// does — and returns the final state, or the first transition with
+// hitBit set: matching is absorbing for "contains" queries.
+func (t *table) run(q uint16, s []byte) uint16 {
+	next, classes := t.next, t.classes
+	for i := 0; i < len(s); {
+		var c int
+		if b := s[i]; b < utf8.RuneSelf {
+			c = int(t.ascii[b])
+			i++
+		} else {
+			r, size := utf8.DecodeRune(s[i:])
+			c = t.class(r)
+			i += size
 		}
-		fail[i] = j
+		e := next[int(q)*classes+c]
+		if e&hitBit != 0 {
+			return e
+		}
+		q = e
 	}
-	return &kmpAuto{pat: pat, fail: fail}
+	return q
 }
 
-func (a *kmpAuto) numStates() int { return len(a.pat) }
-func (a *kmpAuto) start() int     { return 0 }
-
-func (a *kmpAuto) step(q int, r rune) (int, bool) {
-	for q > 0 && r != a.pat[q] {
-		q = a.fail[q-1]
+// kmpTable builds the Knuth–Morris–Pratt automaton of a substring term:
+// state q means "the last q runes seen equal the first q runes of the
+// pattern", and reaching len(pat) is a match (which leaves the automaton
+// in state 0). Row q copies the row of its restart state x — the state
+// the runes after the pattern's first one lead to — and only the
+// pattern's next rune moves forward.
+func kmpTable(pat []rune) (*table, error) {
+	t, err := newTable(distinct(pat), len(pat))
+	if err != nil {
+		return nil, err
 	}
-	if r == a.pat[q] {
-		q++
+	m, n := len(pat), t.classes
+	forward := func(q int) uint16 {
+		if q+1 == m {
+			return hitBit
+		}
+		return uint16(q + 1)
 	}
-	if q == len(a.pat) {
-		return 0, true
+	t.next[t.class(pat[0])] = forward(0)
+	x := 0
+	for q := 1; q < m; q++ {
+		c := t.class(pat[q])
+		copy(t.next[q*n:(q+1)*n], t.next[x*n:(x+1)*n])
+		t.next[q*n+c] = forward(q)
+		x = int(t.next[x*n+c])
 	}
-	return q, false
+	return t, nil
 }
 
-func (a *kmpAuto) acceptAtEnd(int) bool { return false }
-
-// keywordAuto matches a term delimited by non-word characters (token
-// boundaries). Because the term itself is all word runes, a failed partial
-// match can never overlap a valid restart — a restart position must follow
-// a non-word rune — so no failure function is needed. States:
+// keywordTable builds the automaton of a keyword term, which matches when
+// delimited by non-word runes (token boundaries). Because the term itself
+// is all word runes, a failed partial match can never overlap a valid
+// restart — a restart position must follow a non-word rune — so no
+// failure function is needed. States:
 //
 //	0            dead: previous rune was a word rune, cannot start a match
 //	1            ready: at a boundary, a match may start
@@ -121,33 +212,51 @@ func (a *kmpAuto) acceptAtEnd(int) bool { return false }
 //
 // State 1+m ("whole term seen") matches when the next rune is a non-word
 // rune or the document ends.
-type keywordAuto struct {
-	pat []rune
-}
-
-func newKeyword(pat []rune) *keywordAuto { return &keywordAuto{pat: pat} }
-
-func (a *keywordAuto) numStates() int { return len(a.pat) + 2 }
-func (a *keywordAuto) start() int     { return 1 }
-
-func (a *keywordAuto) step(q int, r rune) (int, bool) {
-	m := len(a.pat)
-	if q == m+1 { // full term seen, awaiting right boundary
-		if !core.IsWordRune(r) {
-			return q, true
-		}
-		return 0, false
+func keywordTable(pat []rune) (*table, error) {
+	m := len(pat)
+	t, err := newTable(distinct(pat), m+2)
+	if err != nil {
+		return nil, err
 	}
-	if q >= 1 {
-		j := q - 1 // runes of the term matched so far
-		if r == a.pat[j] {
-			return q + 1, false
+	n := t.classes
+	for q := 0; q <= m; q++ {
+		t.next[q*n+classOther] = 1 // a boundary; word runes lead to the dead state 0
+		if q >= 1 {
+			t.next[q*n+t.class(pat[q-1])] = uint16(q + 1)
 		}
 	}
-	if !core.IsWordRune(r) {
-		return 1, false
-	}
-	return 0, false
+	t.next[(m+1)*n+classOther] = hitBit | uint16(m+1)
+	t.atEnd[m+1] = true
+	t.start = 1
+	return t, nil
 }
 
-func (a *keywordAuto) acceptAtEnd(q int) bool { return q == len(a.pat)+1 }
+// fuzzyTable flattens a Levenshtein DFA. Its alphabet is the term's
+// distinct runes in ascending order, as a table's is, and every rune
+// absent from the term — word rune or not — shares its class 0. The DFA
+// matches on entering an accepting state (a window within the edit
+// distance just ended); there is no end-of-text acceptance because
+// matching is not boundary-conditioned.
+func fuzzyTable(d *fuzzy.DFA) (*table, error) {
+	alphabet, next, accept := d.Transitions()
+	t, err := newTable(alphabet, len(accept))
+	if err != nil {
+		return nil, err
+	}
+	hit := func(s uint16) uint16 {
+		if accept[s] {
+			return s | hitBit
+		}
+		return s
+	}
+	k := len(alphabet) + 1
+	for q := range accept {
+		row, dst := next[q*k:(q+1)*k], t.next[q*t.classes:(q+1)*t.classes]
+		dst[classOther], dst[classWord] = hit(row[0]), hit(row[0])
+		for i, s := range row[1:] {
+			dst[classTerm+i] = hit(s)
+		}
+	}
+	t.start = uint16(d.Start())
+	return t, nil
+}

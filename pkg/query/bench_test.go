@@ -100,3 +100,34 @@ func BenchmarkEngineSearch(b *testing.B) {
 		})
 	}
 }
+
+var compiled *query.Query
+
+// BenchmarkCompile times compiling one leaf into its transition table:
+// keyword and substring tables are built directly from the term, fuzzy
+// ones flattened from the Levenshtein DFA, whose construction dominates.
+// A query-cache miss pays this once per leaf.
+func BenchmarkCompile(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mk   func() (*query.Query, error)
+	}{
+		{"keyword", func() (*query.Query, error) { return query.Keyword("probable") }},
+		{"substring", func() (*query.Query, error) { return query.Substring("probable") }},
+		{"fuzzy-d1-5", func() (*query.Query, error) { return query.Fuzzy("proba", 1) }},
+		{"fuzzy-d1-8", func() (*query.Query, error) { return query.Fuzzy("probable", 1) }},
+		{"fuzzy-d2-8", func() (*query.Query, error) { return query.Fuzzy("probable", 2) }},
+		{"fuzzy-d2-16", func() (*query.Query, error) { return query.Fuzzy("probabilistic db", 2) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				q, err := c.mk()
+				if err != nil {
+					b.Fatal(err)
+				}
+				compiled = q
+			}
+		})
+	}
+}

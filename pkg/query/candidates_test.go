@@ -257,8 +257,8 @@ type failingGetStore struct{ *diskstore.Store }
 func (f failingGetStore) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 	return nil, errors.New("store read on a path that promised none")
 }
-func (f failingGetStore) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
-	return nil, errors.New("store batch read on a path that promised none")
+func (f failingGetStore) ViewBatch(ctx context.Context, ids []string, fn func(int, *store.View) error) error {
+	return errors.New("store batch read on a path that promised none")
 }
 func (f failingGetStore) ListDocIDs(ctx context.Context) ([]string, error) {
 	return nil, errors.New("store listing on a path that promised none")

@@ -428,30 +428,36 @@ func (e *Engine) evalAll(ctx context.Context, q *Query, opts SearchOptions, ids 
 	return sum, nil
 }
 
-// evalBatch fetches ids with one GetBatch and evaluates each document the
-// store still has into t, keeping the results Search can report. A nil
-// slot from the store (deleted since the IDs were planned or listed)
-// counts as fetched but not scanned.
+// evalBatch reads ids with one ViewBatch and evaluates each record the
+// store still has in place, into t, keeping the results Search can
+// report. An ID the store no longer has (deleted since the IDs were
+// planned or listed) counts as fetched but not scanned. A rescorer needs
+// a Doc, so under one the record is decoded, rescored and evaluated
+// through Eval.
 func (e *Engine) evalBatch(ctx context.Context, q *Query, opts SearchOptions, ids []string, t *tally) error {
-	docs, err := e.st.GetBatch(ctx, ids)
+	err := e.st.ViewBatch(ctx, ids, func(i int, v *store.View) error {
+		if err := ctx.Err(); err != nil {
+			return err // bound cancellation latency to one evaluation
+		}
+		var p float64
+		if opts.Rescore != nil {
+			doc, err := store.Decode(v.Data)
+			if err != nil {
+				return err
+			}
+			p = q.Eval(opts.Rescore(doc))
+		} else {
+			p = q.evalView(v)
+		}
+		t.scanned++
+		if p > 0 && p >= opts.MinProb {
+			t.res = append(t.res, Result{DocID: ids[i], Prob: p})
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
 	t.fetched += len(ids)
-	for _, doc := range docs {
-		if doc == nil {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err // bound cancellation latency to one evaluation
-		}
-		if opts.Rescore != nil {
-			doc = opts.Rescore(doc)
-		}
-		t.scanned++
-		if p := q.Eval(doc); p > 0 && p >= opts.MinProb {
-			t.res = append(t.res, Result{DocID: doc.ID, Prob: p})
-		}
-	}
 	return nil
 }

@@ -25,7 +25,7 @@ func (q *Query) EvalFST(f *fst.SFST) (float64, error) {
 	n := f.NumStates()
 	states := make([]uint16, len(q.leaves))
 	for i, lf := range q.leaves {
-		states[i] = uint16(lf.auto.start())
+		states[i] = lf.tab.start
 	}
 	// mass[s] maps joint automaton states to probability mass arriving at
 	// fst state s. States are visited in topological order (the Build

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -15,6 +16,7 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
@@ -55,7 +57,7 @@ func markerCorpus(t *testing.T, n int) (*diskstore.Store, *query.Query, *query.C
 	return st, q, cand
 }
 
-// jitterStore delays every GetBatch by a seeded random 100–500 µs, so
+// jitterStore delays every ViewBatch by a seeded random 100–500 µs, so
 // worker jobs finish in an order unrelated to the order they were claimed.
 type jitterStore struct {
 	*diskstore.Store
@@ -63,12 +65,12 @@ type jitterStore struct {
 	rng *rand.Rand
 }
 
-func (s *jitterStore) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
+func (s *jitterStore) ViewBatch(ctx context.Context, ids []string, fn func(int, *store.View) error) error {
 	s.mu.Lock()
 	d := time.Duration(100+s.rng.Intn(400)) * time.Microsecond
 	s.mu.Unlock()
 	time.Sleep(d)
-	return s.Store.GetBatch(ctx, ids)
+	return s.Store.ViewBatch(ctx, ids, fn)
 }
 
 // TestSearchGatherOrderCannotShow: the pool gathers jobs in whatever order
@@ -118,7 +120,7 @@ func TestSearchGatherOrderCannotShow(t *testing.T) {
 	}
 }
 
-// faultStore fails the GetBatch that carries failID — after waiting for
+// faultStore fails the ViewBatch that carries failID — after waiting for
 // park other calls to be blocked inside the store — and makes every other
 // call wait for the cancellation that failure causes.
 type faultStore struct {
@@ -131,22 +133,22 @@ type faultStore struct {
 
 var errBatchRead = errors.New("injected batch read failure")
 
-func (s *faultStore) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
+func (s *faultStore) ViewBatch(ctx context.Context, ids []string, fn func(int, *store.View) error) error {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 	if !slices.Contains(ids, s.failID) {
 		s.parked <- struct{}{}
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	for range s.park {
 		select {
 		case <-s.parked:
 		case <-time.After(5 * time.Second):
-			return nil, errors.New("the pool never brought its other workers into the store")
+			return errors.New("the pool never brought its other workers into the store")
 		}
 	}
-	return nil, errBatchRead
+	return errBatchRead
 }
 
 // TestSearchReportsTheFailureNotItsCancellations: one job's store error
@@ -175,18 +177,18 @@ func TestSearchReportsTheFailureNotItsCancellations(t *testing.T) {
 }
 
 // cancelOnSecondBatch cancels the caller's context from inside the second
-// GetBatch: a cancellation that arrives mid-run.
+// ViewBatch: a cancellation that arrives mid-run.
 type cancelOnSecondBatch struct {
 	*diskstore.Store
 	calls  atomic.Int32
 	cancel context.CancelFunc
 }
 
-func (s *cancelOnSecondBatch) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
+func (s *cancelOnSecondBatch) ViewBatch(ctx context.Context, ids []string, fn func(int, *store.View) error) error {
 	if s.calls.Add(1) == 2 {
 		s.cancel()
 	}
-	return s.Store.GetBatch(ctx, ids)
+	return s.Store.ViewBatch(ctx, ids, fn)
 }
 
 // TestSearchCancelledMidRun: a context cancelled while jobs are in flight
@@ -204,6 +206,58 @@ func TestSearchCancelledMidRun(t *testing.T) {
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// poisonStore overwrites every view — its record bytes, spans and
+// probabilities — as soon as the visitor returns, the way a reused batch
+// buffer eventually would. An engine that kept any part of a view past
+// its visit would then report garbage.
+type poisonStore struct{ *diskstore.Store }
+
+func (s poisonStore) ViewBatch(ctx context.Context, ids []string, fn func(int, *store.View) error) error {
+	return s.Store.ViewBatch(ctx, ids, func(i int, v *store.View) error {
+		err := fn(i, v)
+		for j := range v.Data {
+			v.Data[j] = 0xa5
+		}
+		for j := range v.Spans {
+			v.Spans[j] = 0
+		}
+		for j := range v.Probs {
+			v.Probs[j] = math.NaN()
+		}
+		return err
+	})
+}
+
+// TestSearchKeepsNoViewMemory: with every view poisoned once visited,
+// every mode — and a rescored scan, which decodes the view — must still
+// return the sequential reference's results at 1, 2, and 8 workers.
+func TestSearchKeepsNoViewMemory(t *testing.T) {
+	ctx := context.Background()
+	mem, q, cand := markerCorpus(t, 300)
+	st := poisonStore{Store: mem}
+	identity := func(d *staccato.Doc) *staccato.Doc { return d }
+	for name, opts := range map[string]query.SearchOptions{
+		"scan":           {MinProb: 0.3},
+		"rescored scan":  {Rescore: identity},
+		"candidate-only": {Candidates: cand},
+		"top-k":          {Candidates: cand, TopN: 20},
+	} {
+		want := reference(t, mem, q, opts)
+		if len(want) < 20 {
+			t.Fatalf("%s: reference matched only %d docs", name, len(want))
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got, err := query.NewEngine(st, query.EngineOptions{Workers: workers}).Search(ctx, q, opts)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: results differ from the sequential reference", name, workers)
+			}
 		}
 	}
 }

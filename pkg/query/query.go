@@ -74,7 +74,7 @@ type leaf struct {
 	term string
 	mode Mode
 	dist int
-	auto automaton
+	tab  *table
 }
 
 // Substring compiles a query matching documents whose text contains term
@@ -99,12 +99,12 @@ func Fuzzy(term string, dist int) (*Query, error) { return newTerm(term, ModeFuz
 func Term(term string, mode Mode) (*Query, error) { return newTerm(term, mode, 0) }
 
 func newTerm(term string, mode Mode, dist int) (*Query, error) {
-	a, err := compile(term, mode, dist)
+	t, err := compile(term, mode, dist)
 	if err != nil {
 		return nil, err
 	}
 	return &Query{
-		leaves: []leaf{{term: term, mode: mode, dist: dist, auto: a}},
+		leaves: []leaf{{term: term, mode: mode, dist: dist, tab: t}},
 		expr:   leafExpr(0),
 	}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
@@ -64,9 +65,9 @@ type batchCounter struct {
 	batches atomic.Int32
 }
 
-func (s *batchCounter) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
+func (s *batchCounter) ViewBatch(ctx context.Context, ids []string, fn func(int, *store.View) error) error {
 	s.batches.Add(1)
-	return s.Store.GetBatch(ctx, ids)
+	return s.Store.ViewBatch(ctx, ids, fn)
 }
 
 // TestTopKCoveringTopNRunsOneRound: with TopN at or past half the

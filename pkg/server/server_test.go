@@ -227,6 +227,12 @@ func TestQueryCacheObservable(t *testing.T) {
 func TestMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	client := ts.Client()
+	// A 4096-rune term of 600 distinct runes: its transition table would
+	// pass the 2²¹-cell budget query compilation enforces.
+	var overBudget strings.Builder
+	for i := range 4096 {
+		overBudget.WriteRune(rune(0x4e00 + i%600))
+	}
 
 	cases := []struct {
 		name string
@@ -234,6 +240,7 @@ func TestMalformedRequests(t *testing.T) {
 		body string
 	}{
 		{"truncated json", "/v1/search", `{"terms": ["ab"`},
+		{"term over the table budget", "/v1/search", `{"terms": ["` + overBudget.String() + `"]}`},
 		{"unknown field", "/v1/search", `{"terms": ["ab"], "nope": 1}`},
 		{"trailing garbage", "/v1/search", `{"terms": ["ab"]} junk`},
 		{"no terms", "/v1/search", `{}`},

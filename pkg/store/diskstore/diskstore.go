@@ -41,6 +41,7 @@
 package diskstore
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -147,6 +148,13 @@ type Store struct {
 	active *segment
 	ops    uint64 // records in live segments, superseded and tombstones included
 	closed bool
+
+	// sorted is the ascending live ID listing ListDocIDs hands out copies
+	// of, or nil when it must be rebuilt; idGen counts changes to the ID
+	// set, so a listing sorted outside the lock is kept only if no write
+	// changed the set meanwhile.
+	sorted []string
+	idGen  uint64
 }
 
 var _ store.DocStore = (*Store)(nil)
@@ -433,10 +441,15 @@ func (s *Store) writeOps(ops []op) error {
 		}
 	}
 	for i, o := range ops {
+		_, had := s.index[o.id]
 		if o.kind == recPut {
 			s.index[o.id] = refs[i]
 		} else {
 			delete(s.index, o.id)
+		}
+		if had != (o.kind == recPut) {
+			s.sorted = nil
+			s.idGen++
 		}
 	}
 	s.ops += uint64(len(ops))
@@ -471,7 +484,8 @@ func (s *Store) CommitState() CommitState {
 
 // ListDocIDs returns every live document ID in ascending order without
 // reading document bodies — the source of every query-engine run that
-// walks the corpus.
+// walks the corpus. The sorted listing is kept between calls and rebuilt
+// only after a write changed the ID set; each call gets its own copy.
 func (s *Store) ListDocIDs(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -481,9 +495,19 @@ func (s *Store) ListDocIDs(ctx context.Context) ([]string, error) {
 		s.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	ids := s.liveIDs()
+	if s.sorted != nil {
+		ids := slices.Clone(s.sorted)
+		s.mu.RUnlock()
+		return ids, nil
+	}
+	ids, gen := s.liveIDs(), s.idGen
 	s.mu.RUnlock()
 	sort.Strings(ids)
+	s.mu.Lock()
+	if s.idGen == gen && !s.closed {
+		s.sorted = slices.Clone(ids)
+	}
+	s.mu.Unlock()
 	return ids, nil
 }
 
@@ -515,7 +539,7 @@ func (s *Store) Put(ctx context.Context, doc *staccato.Doc) error {
 }
 
 // Get returns the document with the given ID, or store.ErrNotFound. Like
-// GetBatch, it holds the read lock only long enough to copy the raw
+// ViewBatch, it holds the read lock only long enough to copy the raw
 // record off its segment; decoding happens after the lock is released.
 func (s *Store) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 	if err := ctx.Err(); err != nil {
@@ -537,109 +561,171 @@ func (s *Store) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeLivePayload(id, payload)
+	doc, err := livePayload(id, payload)
+	if err != nil {
+		return nil, err
+	}
+	return store.Decode(doc)
 }
 
-// readPayload copies the bytes ref names off its segment in one ReadAt:
-// one record's payload, or for GetBatch a run of adjacent frames. Callers
-// must hold s.mu (read or write): the lock keeps Compact from closing the
-// segment file under the ReadAt. Decoding the returned bytes is the
-// caller's job, after releasing the lock.
+// readPayload copies one record's payload off its segment. Callers must
+// hold s.mu (read or write): the lock keeps Compact from closing the
+// segment file under the ReadAt.
 func (s *Store) readPayload(ref recordRef) ([]byte, error) {
+	payload := make([]byte, ref.n)
+	return payload, s.readAt(ref, payload)
+}
+
+// readAt fills dst with the bytes ref names — one record's payload, or a
+// run of adjacent frames — in one ReadAt. Callers must hold s.mu.
+func (s *Store) readAt(ref recordRef, dst []byte) error {
 	seg := s.segs[ref.seg]
 	if seg == nil {
-		return nil, fmt.Errorf("diskstore: index references missing segment %d", ref.seg)
+		return fmt.Errorf("diskstore: index references missing segment %d", ref.seg)
 	}
-	payload := make([]byte, ref.n)
-	if _, err := seg.f.ReadAt(payload, ref.off); err != nil {
-		return nil, fmt.Errorf("diskstore: %w", err)
+	if _, err := seg.f.ReadAt(dst, ref.off); err != nil {
+		return fmt.Errorf("diskstore: %w", err)
 	}
-	return payload, nil
+	return nil
 }
 
-// decodeLivePayload parses one record payload and decodes its document,
-// verifying the record is the live put the index claimed for id — the
-// single validation both Get and GetBatch apply to bytes read off a
-// segment.
-func decodeLivePayload(id string, payload []byte) (*staccato.Doc, error) {
-	kind, gotID, docBytes, err := parsePayload(payload)
+// livePayload parses one record payload and returns its encoded
+// document, verifying the record is the live put the index claimed for
+// id — the single validation Get, GetBatch and ViewBatch apply to bytes
+// read off a segment.
+func livePayload(id string, payload []byte) ([]byte, error) {
+	kind, gotID, doc, err := parsePayload(payload)
 	if err != nil {
 		return nil, err
 	}
 	if kind != recPut || string(gotID) != id {
 		return nil, fmt.Errorf("diskstore: index for %q points at a %q record for %q", id, kindName(kind), gotID)
 	}
-	return store.Decode(docBytes)
+	return doc, nil
 }
 
-// GetBatch returns the documents for ids, aligned with the input (nil
-// for missing IDs). The read lock is taken once for the whole batch, the
-// records are sorted by (segment, offset), and each run of records that
-// sit back to back in one segment — the common case for a sorted batch
-// after a bulk ingest — is one read, so a batch costs one read per run
-// of adjacent records instead of one per ID. Decoding happens after the
-// lock is released.
-func (s *Store) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
+// batch is the memory of one batched read: the found records in the
+// order they were read, and one buffer holding every run of them. It is
+// pooled, so a scan's batches reuse their buffers and their View.
+type batch struct {
+	slots []slot
+	buf   []byte
+	view  store.View
+}
+
+// slot is one found record of a batch: its position in the ids, where it
+// lives on disk, and where its payload starts in the batch buffer.
+type slot struct {
+	idx int
+	ref recordRef
+	at  int
+}
+
+var batches = sync.Pool{New: func() any { return new(batch) }}
+
+// payload returns sl's bytes in b's buffer.
+func (b *batch) payload(sl slot) []byte { return b.buf[sl.at : sl.at+sl.ref.n] }
+
+// readBatch is the run reader GetBatch and ViewBatch share. The read lock
+// is taken once for the whole batch, the records are sorted by (segment,
+// offset), and each run of records that sit back to back in one segment
+// — the common case for a sorted batch after a bulk ingest — is one
+// read into b.buf, so a batch costs one read per run of adjacent records
+// instead of one per ID. IDs with no live record get no slot.
+func (s *Store) readBatch(ctx context.Context, ids []string, b *batch) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	type slot struct {
-		idx int // position in ids / out
-		ref recordRef
+		return err
 	}
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	slots := make([]slot, 0, len(ids))
+	b.slots = b.slots[:0]
 	for i, id := range ids {
 		if ref, ok := s.index[id]; ok {
-			slots = append(slots, slot{idx: i, ref: ref})
+			b.slots = append(b.slots, slot{idx: i, ref: ref})
 		}
 	}
-	sort.Slice(slots, func(a, b int) bool {
-		if slots[a].ref.seg != slots[b].ref.seg {
-			return slots[a].ref.seg < slots[b].ref.seg
+	slices.SortFunc(b.slots, func(x, y slot) int {
+		if c := cmp.Compare(x.ref.seg, y.ref.seg); c != 0 {
+			return c
 		}
-		return slots[a].ref.off < slots[b].ref.off
+		return cmp.Compare(x.ref.off, y.ref.off)
 	})
-	payloads := make([][]byte, len(slots))
-	for i := 0; i < len(slots); {
+	b.buf = b.buf[:0]
+	for i := 0; i < len(b.slots); {
 		// Extend the run over every record that repeats the previous one
 		// or starts right after its frame.
-		first, j := slots[i].ref, i+1
-		for ; j < len(slots); j++ {
-			prev, next := slots[j-1].ref, slots[j].ref
+		first, j := b.slots[i].ref, i+1
+		for ; j < len(b.slots); j++ {
+			prev, next := b.slots[j-1].ref, b.slots[j].ref
 			if next.seg != first.seg ||
 				next.off != prev.off && next.off != prev.off+int64(prev.n)+framelog.HeaderSize {
 				break
 			}
 		}
-		last := slots[j-1].ref
-		//lint:allow lockio the read lock must pin the segment files open across the batch's ReadAt pass; decoding happens below, after RUnlock
-		run, err := s.readPayload(recordRef{seg: first.seg, off: first.off, n: int(last.off-first.off) + last.n})
-		if err != nil {
-			s.mu.RUnlock()
-			return nil, err
+		last := b.slots[j-1].ref
+		n := int(last.off-first.off) + last.n
+		start := len(b.buf)
+		b.buf = slices.Grow(b.buf, n)[:start+n]
+		//lint:allow lockio the read lock must pin the segment files open across the batch's ReadAt pass; parsing happens after RUnlock
+		if err := s.readAt(recordRef{seg: first.seg, off: first.off, n: n}, b.buf[start:]); err != nil {
+			return err
 		}
 		for ; i < j; i++ {
-			ref := slots[i].ref
-			at := ref.off - first.off
-			payloads[i] = run[at : at+int64(ref.n)]
+			b.slots[i].at = start + int(b.slots[i].ref.off-first.off)
 		}
 	}
-	s.mu.RUnlock()
+	return nil
+}
 
+// GetBatch returns the documents for ids, aligned with the input: out[i]
+// is the document for ids[i], or nil when no document has that ID. It
+// reads like ViewBatch and decodes every record after the lock is
+// released. The engine reads through ViewBatch; GetBatch serves callers
+// that want whole documents.
+func (s *Store) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
+	b := batches.Get().(*batch)
+	defer batches.Put(b)
+	if err := s.readBatch(ctx, ids, b); err != nil {
+		return nil, err
+	}
 	out := make([]*staccato.Doc, len(ids))
-	for i, sl := range slots {
-		doc, err := decodeLivePayload(ids[sl.idx], payloads[i])
+	for _, sl := range b.slots {
+		data, err := livePayload(ids[sl.idx], b.payload(sl))
 		if err != nil {
 			return nil, err
 		}
-		out[sl.idx] = doc
+		if out[sl.idx], err = store.Decode(data); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
+}
+
+// ViewBatch implements store.DocStore: it reads ids' records with one
+// read per run of adjacent records into a pooled buffer and calls fn on
+// each, in storage order, parsed in place into one reused View.
+func (s *Store) ViewBatch(ctx context.Context, ids []string, fn func(i int, v *store.View) error) error {
+	b := batches.Get().(*batch)
+	defer batches.Put(b)
+	if err := s.readBatch(ctx, ids, b); err != nil {
+		return err
+	}
+	for _, sl := range b.slots {
+		data, err := livePayload(ids[sl.idx], b.payload(sl))
+		if err != nil {
+			return err
+		}
+		if err := b.view.Parse(data); err != nil {
+			return err
+		}
+		if err := fn(sl.idx, &b.view); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Delete removes the document with the given ID by appending a durable

@@ -9,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
@@ -866,5 +868,59 @@ func testListDocIDs(t *testing.T, st *diskstore.Store) {
 	}
 	if !reflect.DeepEqual(ids, scanIDs(t, st)) {
 		t.Errorf("ListDocIDs disagrees with Scan order")
+	}
+}
+
+// TestListDocIDsUnderWrites lists IDs from two goroutines while a third
+// puts and deletes: every listing must be strictly ascending, and once
+// the writes stop the kept listing must be the live set — a listing
+// sorted before a write changed the set must not be kept after it.
+func TestListDocIDsUnderWrites(t *testing.T) {
+	ctx := context.Background()
+	st := openMemT(t, diskstore.Options{NoSync: true})
+	doc := sampleDoc(t, "x", 1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ids, err := st.ListDocIDs(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+					t.Errorf("listing not strictly ascending: %v", ids)
+					return
+				}
+			}
+		}()
+	}
+	var want []string
+	for i := range 60 {
+		d := *doc
+		d.ID = fmt.Sprintf("d%02d", i)
+		if err := st.Put(ctx, &d); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := st.Delete(ctx, d.ID); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			want = append(want, d.ID)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if ids, err := st.ListDocIDs(ctx); err != nil || !slices.Equal(ids, want) {
+		t.Fatalf("ListDocIDs after the writes = %v, %v; want %v", ids, err, want)
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
@@ -66,7 +69,10 @@ func FuzzSegmentReplay(f *testing.F) {
 // in-memory store whose tiny segments roll every few records; every byte
 // after them names an ID to fetch, mixing live, deleted, never-written
 // and repeated IDs. GetBatch must equal Get slot by slot: nil where Get
-// reports ErrNotFound, an identical document everywhere else.
+// reports ErrNotFound, an identical document everywhere else; ViewBatch
+// must visit exactly the slots Get finds, once each, with views holding
+// Get's texts and probabilities. After every op ListDocIDs must equal the
+// sorted live set, in a copy the caller may scribble on.
 func FuzzGetBatchMatchesGet(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 0, 2, 0, 3, 1, 4, 1, 2, 3, 4, 2, 1})
 	f.Add([]byte{6, 1, 0, 1, 5, 2, 3, 4, 0, 0, 3, 1, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 3, 3, 19})
@@ -100,6 +106,7 @@ func FuzzGetBatchMatchesGet(f *testing.F) {
 		}
 		nOps := int(data[0]) % 32
 		data = data[1:]
+		live := map[string]bool{}
 		for i := 0; i < nOps && len(data) >= 2; i++ {
 			op, arg := data[0], data[1]
 			data = data[2:]
@@ -107,21 +114,41 @@ func FuzzGetBatchMatchesGet(f *testing.F) {
 			switch op % 5 {
 			case 0, 1: // put, or overwrite if id is live
 				err = st.Put(ctx, doc(id, int(op)))
+				live[id] = true
 			case 2: // a batch of puts, which can roll segments mid-commit
 				b := st.Batch()
+				var put []string
 				for j := 0; j < 1+int(op)%4 && err == nil; j++ {
-					err = b.Put(doc(idOf((arg+byte(j))%16), int(op)+j))
+					put = append(put, idOf((arg+byte(j))%16))
+					err = b.Put(doc(put[j], int(op)+j))
 				}
 				if err == nil {
 					err = b.Commit(ctx)
 				}
+				for _, id := range put {
+					live[id] = true
+				}
 			case 3:
 				err = st.Delete(ctx, id)
+				delete(live, id)
 			case 4:
 				err = st.Compact(ctx)
 			}
 			if err != nil {
 				t.Fatalf("op %d (%d on %s): %v", i, op%5, id, err)
+			}
+			listed, err := st.ListDocIDs(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := slices.Sorted(maps.Keys(live)); !slices.Equal(listed, want) {
+				t.Fatalf("after op %d (%d on %s): ListDocIDs = %v, want %v", i, op%5, id, listed, want)
+			}
+			if len(listed) > 0 {
+				listed[0] = "scribbled"
+				if again, err := st.ListDocIDs(ctx); err != nil || again[0] == "scribbled" {
+					t.Fatalf("after op %d: ListDocIDs handed out its own listing (%v, %v)", i, again, err)
+				}
 			}
 		}
 		want := make([]string, len(data))
@@ -148,5 +175,62 @@ func FuzzGetBatchMatchesGet(f *testing.F) {
 				t.Fatalf("slot %d: GetBatch and Get disagree on %s", i, id)
 			}
 		}
+		visited := make([]bool, len(want))
+		err = st.ViewBatch(ctx, want, func(i int, v *store.View) error {
+			if visited[i] {
+				return fmt.Errorf("slot %d visited twice", i)
+			}
+			visited[i] = true
+			if got[i] == nil {
+				return fmt.Errorf("slot %d: ViewBatch visited %s, which Get does not find", i, want[i])
+			}
+			if texts, probs := viewAlts(v); !slices.Equal(texts, docTexts(got[i])) || !slices.Equal(probs, docProbs(got[i])) {
+				return fmt.Errorf("slot %d: ViewBatch and Get disagree on %s", i, want[i])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range got {
+			if d != nil && !visited[i] {
+				t.Fatalf("slot %d: ViewBatch skipped %s, which Get finds", i, want[i])
+			}
+		}
 	})
+}
+
+// viewAlts lists a view's alternatives, chunk by chunk: each text, and
+// each probability's bits. A chunk ends in a "|" text.
+func viewAlts(v *store.View) (texts []string, probs []uint64) {
+	lo := 0
+	for _, hi := range v.Ends {
+		for a := lo; a < hi; a++ {
+			texts = append(texts, string(v.Data[v.Spans[2*a]:v.Spans[2*a+1]]))
+			probs = append(probs, math.Float64bits(v.Probs[a]))
+		}
+		texts = append(texts, "|")
+		lo = hi
+	}
+	return texts, probs
+}
+
+// docTexts and docProbs list d's alternatives the way viewAlts does.
+func docTexts(d *staccato.Doc) (texts []string) {
+	for _, ch := range d.Chunks {
+		for _, alt := range ch.Alts {
+			texts = append(texts, alt.Text)
+		}
+		texts = append(texts, "|")
+	}
+	return texts
+}
+
+func docProbs(d *staccato.Doc) (probs []uint64) {
+	for _, ch := range d.Chunks {
+		for _, alt := range ch.Alts {
+			probs = append(probs, math.Float64bits(alt.Prob))
+		}
+	}
+	return probs
 }

@@ -19,22 +19,44 @@ import (
 // must also agree with decodeReference, the one-pass decoder it
 // replaced: the same inputs accepted, the same errors, and on accept
 // every field equal, floats compared bit for bit.
+// View.Parse, the in-place reading the engine evaluates, must accept
+// exactly what Decode accepts, with the same errors, and on accept hold
+// the decoded document's chunk boundaries, texts and probability bits —
+// parsed into a View that already held another document, so nothing of
+// a previous record may survive a Parse.
 // Seed corpus: testdata/fuzz/FuzzDecodeDoc (real encoded documents and
 // truncations of them), regenerated by scripts/gen_fuzz_seeds.go.
 func FuzzDecodeDoc(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SDOC"))
+	prev, err := store.Encode(&staccato.Doc{ID: "prev", Chunks: []staccato.PathSet{
+		{Alts: []staccato.Alt{{Text: "left over", Prob: 0.5}, {Text: "x", Prob: 0.5}}, Retained: 1},
+		{Alts: []staccato.Alt{{Text: "tail", Prob: 1}}, Retained: 1},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := store.Decode(data)
 		ref, refErr := decodeReference(data)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("Decode error %v, reference decoder error %v", err, refErr)
 		}
+		var v store.View
+		if err := v.Parse(prev); err != nil {
+			t.Fatal(err)
+		}
+		if viewErr := v.Parse(data); fmt.Sprint(viewErr) != fmt.Sprint(err) {
+			t.Fatalf("View.Parse error %v, Decode error %v", viewErr, err)
+		}
 		if err != nil {
 			return // rejected, cleanly
 		}
 		if diff := docDiff(doc, ref); diff != "" {
 			t.Fatalf("Decode and the reference decoder disagree: %s", diff)
+		}
+		if diff := viewDiff(&v, doc); diff != "" {
+			t.Fatalf("View.Parse and Decode disagree: %s", diff)
 		}
 		first, err := store.Encode(doc)
 		if err != nil {
@@ -78,6 +100,37 @@ func docDiff(a, b *staccato.Doc) string {
 				return fmt.Sprintf("chunk %d alt %d: %q %v vs %q %v", i, j, aa.Text, aa.Prob, ab.Text, ab.Prob)
 			}
 		}
+	}
+	return ""
+}
+
+// viewDiff describes the first way v differs from doc's chunks, or
+// returns "" when it holds every chunk's alternatives: the same texts,
+// and probabilities with the same bits.
+func viewDiff(v *store.View, doc *staccato.Doc) string {
+	if len(v.Ends) != len(doc.Chunks) {
+		return fmt.Sprintf("%d chunks vs %d", len(v.Ends), len(doc.Chunks))
+	}
+	if len(v.Spans) != 2*len(v.Probs) {
+		return fmt.Sprintf("%d span offsets for %d probabilities", len(v.Spans), len(v.Probs))
+	}
+	lo := 0
+	for c, ch := range doc.Chunks {
+		hi := v.Ends[c]
+		if hi-lo != len(ch.Alts) {
+			return fmt.Sprintf("chunk %d: alternatives [%d, %d) vs %d", c, lo, hi, len(ch.Alts))
+		}
+		for j, alt := range ch.Alts {
+			a := lo + j
+			text := string(v.Data[v.Spans[2*a]:v.Spans[2*a+1]])
+			if text != alt.Text || math.Float64bits(v.Probs[a]) != math.Float64bits(alt.Prob) {
+				return fmt.Sprintf("chunk %d alt %d: %q %v vs %q %v", c, j, text, v.Probs[a], alt.Text, alt.Prob)
+			}
+		}
+		lo = hi
+	}
+	if lo != len(v.Probs) {
+		return fmt.Sprintf("%d alternatives past the last chunk", len(v.Probs)-lo)
 	}
 	return ""
 }

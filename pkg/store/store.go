@@ -2,8 +2,9 @@
 // the contract the query layer reads through, and pkg/store/diskstore is
 // its one implementation — append-only segments on disk, or the same
 // segments over an in-memory file system. Documents cross the interface
-// through a versioned binary codec, so every store (and any wire
-// protocol) shares one serialized form.
+// through a versioned binary codec — decoded whole, or read in place as a
+// View — so every store (and any wire protocol) shares one serialized
+// form.
 package store
 
 import (
@@ -44,17 +45,22 @@ type DocStore interface {
 	Scan(ctx context.Context, fn func(doc *staccato.Doc) error) error
 	// ListDocIDs returns the IDs of all stored documents in ascending
 	// order without reading or decoding document bodies. The listing is a
-	// snapshot: concurrent writes may or may not be reflected.
+	// snapshot: concurrent writes may or may not be reflected. The caller
+	// owns the returned slice.
 	ListDocIDs(ctx context.Context) ([]string, error)
-	// GetBatch returns the documents for ids, aligned with the input:
-	// out[i] is the document for ids[i], or nil when no document has
-	// that ID (a missing ID is not an error — ID lists are snapshots, and
-	// a concurrent delete must not fail the whole batch). A non-nil error
-	// means the batch as a whole failed and out is meaningless. A batch
+	// ViewBatch calls fn once for every ID of ids that names a stored
+	// document, with i its position in ids and v the document's record
+	// parsed in place, in whatever order the store reads them. An ID with
+	// no document is skipped, not an error: ID lists are snapshots, and a
+	// concurrent delete must not fail the whole batch. v and the bytes it
+	// spans belong to the store and are valid only until fn returns, so fn
+	// must copy whatever it keeps. An error from fn ends the batch and is
+	// returned; any other error means the batch as a whole failed. A batch
 	// lets the backend amortize its locking and, for disk-backed stores,
 	// sort the records by physical offset and make one read per run of
-	// adjacent records, so IDs clustered in one segment cost one read.
-	GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error)
+	// adjacent records, so IDs clustered in one segment cost one read and
+	// no document is ever decoded.
+	ViewBatch(ctx context.Context, ids []string, fn func(i int, v *View) error) error
 	// Len returns the number of stored documents without a scan.
 	Len() int
 }
