@@ -291,7 +291,7 @@ func runSearch(w io.Writer, cfg searchConfig) (searchReport, error) {
 		fmt.Fprintf(w, "planner: mode=%s, %d evaluated, %d pruned of %d docs (candidates fetched: %d, index used: %v, %d grams)\n",
 			stats.Mode, stats.DocsScanned, stats.DocsPruned, stats.DocsTotal,
 			stats.CandidatesFetched, stats.IndexUsed, stats.PlanGrams)
-		if stats.Mode == query.ExecTopK {
+		if cfg.top > 0 {
 			fmt.Fprintf(w, "top-k: early_stopped=%v, bounds_skipped=%d, candidates_deleted=%d\n",
 				stats.EarlyStopped, stats.BoundsSkipped, stats.CandidatesDeleted)
 		}

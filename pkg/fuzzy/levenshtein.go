@@ -35,10 +35,11 @@ const MaxDistance = 2
 // one uint64.
 const maxTermRunes = 64
 
-// maxStates caps DFA construction. The joint-state encoding in
-// pkg/query packs a state ID plus a sentinel into a uint16, and the
-// clamped-column construction for m ≤ 64, d ≤ 2 stays far below this;
-// hitting the cap means a bug, not a big term, so it is an error.
+// maxStates caps DFA construction: the joint-state encoding in pkg/query
+// packs a state ID plus a sentinel into a uint16. It is an input limit
+// like maxTermRunes, not an invariant of the construction: most terms
+// stay far below it, but a long low-diversity term at distance 2 does
+// not ("a"×64 needs more), so Compile refuses such a term with an error.
 const maxStates = 1 << 14
 
 // DFA is a compiled Levenshtein automaton for one (term, distance)

@@ -3,6 +3,7 @@ package fuzzy
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -150,6 +151,17 @@ func TestNumStatesBounded(t *testing.T) {
 	}
 	if d.Term() != "abababababababababababababababab" || d.Distance() != MaxDistance {
 		t.Fatalf("Term/Distance round-trip broken: %q %d", d.Term(), d.Distance())
+	}
+}
+
+// TestCompileRefusesStateCap: the state cap is an input limit that a
+// legal term can reach — "a"×64 at distance 2 is within maxTermRunes and
+// MaxDistance — and Compile reports it as an error instead of building
+// past the uint16 state encoding.
+func TestCompileRefusesStateCap(t *testing.T) {
+	term := strings.Repeat("a", maxTermRunes)
+	if _, err := Compile(term, MaxDistance); err == nil || !strings.Contains(err.Error(), "DFA states") {
+		t.Fatalf("Compile(a×%d, %d): err %v, want the state-cap error", maxTermRunes, MaxDistance, err)
 	}
 }
 

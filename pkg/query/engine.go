@@ -26,12 +26,15 @@ type Result struct {
 type ExecMode string
 
 const (
-	// ExecScan is the unrestricted run: every live document is read,
-	// decoded, and evaluated.
+	// ExecScan is the unrestricted run over the store's ID listing: every
+	// live document is read and evaluated — with a result limit, in ID
+	// order until the TopN-th certain match (probability 1) ends the run.
 	ExecScan ExecMode = "scan"
-	// ExecCandidateOnly is Search under a candidate set, ranking all of
-	// it: only the set's members are ever touched — no corpus ID listing —
-	// so cost scales with the candidate count, not the corpus size.
+	// ExecCandidateOnly is Search under a candidate set without index
+	// bounds — no result limit, or a rescorer: only the set's members are
+	// ever touched — no corpus ID listing — so cost scales with the
+	// candidate count, not the corpus size. With a result limit they are
+	// taken in ID order and the TopN-th certain match ends the run.
 	ExecCandidateOnly ExecMode = "candidate-only"
 	// ExecTopK is Search under a candidate set with a result limit and no
 	// rescorer: candidates are processed best-bound-first in growing
@@ -53,9 +56,10 @@ type SearchStats struct {
 	// Mode is the execution path the run took.
 	Mode ExecMode `json:"mode"`
 	// DocsTotal is the number of live documents the run considered —
-	// pruned and evaluated alike. A candidate-sourced run never sees the
-	// corpus, so there it is the store's live-document count, read after
-	// the run.
+	// pruned, skipped and evaluated alike. A scan's is what it listed and
+	// found stored, DocsScanned + BoundsSkipped; a candidate-sourced run
+	// never sees the corpus, so there it is the store's live-document
+	// count, read after the run.
 	DocsTotal int `json:"docs_total"`
 	// DocsScanned is the number of documents the DP actually evaluated.
 	DocsScanned int `json:"docs_scanned"`
@@ -65,19 +69,20 @@ type SearchStats struct {
 	// CandidatesFetched is the number of store fetches the candidate modes
 	// attempted (zero in scan mode) — deleted candidates that came
 	// back not-found included, so it can exceed DocsScanned. It runs below
-	// the candidate set's size only when top-k early termination skipped
-	// the rest (see BoundsSkipped).
+	// the candidate set's size only when a limited run skipped the rest
+	// (see BoundsSkipped).
 	CandidatesFetched int `json:"candidates_fetched"`
 	// CandidatesDeleted is how many fetched candidates turned out deleted
 	// between planning and fetching: CandidatesFetched - DocsScanned.
 	CandidatesDeleted int `json:"candidates_deleted"`
-	// BoundsSkipped is the number of candidates top-k execution never
-	// fetched because their probability upper bound could not affect the
-	// result — cut up front by MinProb or left behind by an early stop.
-	// Zero in every other mode.
+	// BoundsSkipped is the number of listed or candidate documents a run
+	// with a result limit never fetched because their probability upper
+	// bound could not affect the result — cut up front by MinProb or left
+	// behind by an early stop. Zero whenever TopN is zero.
 	BoundsSkipped int `json:"bounds_skipped"`
-	// EarlyStopped reports that a top-k run proved the remaining bounds
-	// beaten and stopped before exhausting the candidate set.
+	// EarlyStopped reports that a run with a result limit proved the
+	// remaining bounds beaten — in ID order, its TopN-th certain match —
+	// and stopped before exhausting its listing or candidate set.
 	EarlyStopped bool `json:"early_stopped"`
 	// IndexUsed reports whether a candidate set restricted the run at all.
 	IndexUsed bool `json:"index_used"`
@@ -98,7 +103,7 @@ type EngineOptions struct {
 
 // Engine executes compiled Queries against the documents of a DocStore.
 // Every run feeds ascending ID slices — the whole corpus listing, a
-// candidate set's members, or one top-k round of them — to one worker
+// candidate set's members, or one round of either — to one worker
 // pool (evalAll), which fetches and evaluates them in jobs sized to give
 // every worker a share (between minJob and fetchBatch IDs) and gathers
 // the reportable results in whatever order the jobs finish.
@@ -163,92 +168,60 @@ type SearchOptions struct {
 // and query produce identical results at any worker count, with or
 // without a candidate set.
 //
-// How the run executes follows from opts alone. Without opts.Candidates
-// every stored document is fetched and evaluated (ExecScan). With a
-// candidate set only its members are — no corpus listing, so cost scales
-// with the set, not the corpus; a candidate deleted between planning and
-// fetching is skipped, matching what a scan started after the delete
-// would return. Those members are all evaluated (ExecCandidateOnly)
-// unless opts.TopN > 0 and opts.Rescore is nil, when they are taken
-// best-bound-first in rounds of worker-independent sizes (the smallest
-// power of two at least 2·TopN, doubling each round) and the run stops as
-// soon as the top N is provably final (ExecTopK): when the running
-// TopN-th probability strictly beats the next candidate's slack-widened
-// upper bound, or is exactly 1 with a DocID below the next candidate's
-// and that candidate's bound is 1 (see final). Either way no remaining
-// candidate can enter the top N or win a tie. Candidates whose widened
-// bound falls below opts.MinProb are skipped without a fetch, like the
-// early-stopped tail; both are counted in Stats.BoundsSkipped. A rescorer
-// rules top-k out because bounds describe the stored documents and
-// rescoring moves probability mass they do not account for; a set whose
-// bounds are all the vacuous 1 (NewCandidateSet) still returns correct
-// results, and stops early only on a tie at probability 1.
+// Which documents the run reads follows from opts alone. Without
+// opts.Candidates it is every stored document, in the store's ascending
+// ID listing (ExecScan). With a candidate set it is only the set's
+// members — no corpus listing, so cost scales with the set, not the
+// corpus; a candidate deleted between planning and fetching is skipped,
+// matching what a scan started after the delete would return. Without a
+// result limit (opts.TopN == 0) every one of them is evaluated.
+//
+// With a limit the run walks a ranked sequence in rounds of
+// worker-independent sizes (the smallest power of two at least 2·TopN,
+// doubling each round) and stops as soon as the top N is provably final
+// (see final): when the running TopN-th probability strictly beats the
+// next document's slack-widened upper bound, or is exactly 1 with a
+// DocID below the next document's and that document's bound is 1. Either
+// way no remaining document can enter the top N or win a tie. The
+// sequence is the candidate set best-bound-first under its index bounds
+// (ExecTopK) when there is one and no rescorer. Otherwise no admissible
+// bound below 1 is known — the listing has none, and a rescorer moves
+// probability mass the stored bounds do not account for — so the run
+// walks the listing or the candidates (ExecCandidateOnly) in ascending ID
+// order at the vacuous bound 1, which Eval never exceeds: it stops at its
+// TopN-th certain match. Documents whose widened bound falls below
+// opts.MinProb are skipped without a fetch, like an early-stopped tail;
+// both are counted in Stats.BoundsSkipped.
 func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Result, error) {
 	if q == nil || q.expr == nil {
 		return nil, errors.New("query: Search requires a compiled, non-nil Query")
 	}
-	cand := opts.Candidates
-	mode := ExecScan
-	switch {
-	case cand == nil:
-	case opts.TopN > 0 && opts.Rescore == nil:
-		mode = ExecTopK
-	default:
-		mode = ExecCandidateOnly
-	}
-
 	var (
+		mode         = ExecScan
+		seq          ranking
 		got          tally // every round's outcome, summed
-		skipped      int   // candidates top-k never fetched
+		skipped      int   // documents the run never fetched
 		earlyStopped bool
 		err          error
 	)
-	switch mode {
-	case ExecScan:
-		var ids []string
-		if ids, err = e.st.ListDocIDs(ctx); err == nil {
-			got, err = e.evalAll(ctx, q, opts, ids)
-		}
-	case ExecCandidateOnly:
-		got, err = e.evalAll(ctx, q, opts, cand.IDs())
-	case ExecTopK:
-		ranked := cand.Ranked()
-		// Candidates whose bound already sits below MinProb cannot produce a
-		// reportable result; ranked is bound-descending, so they form a tail.
-		usable := len(ranked)
-		if opts.MinProb > 0 {
-			usable = sort.Search(len(ranked), func(i int) bool {
-				return ranked[i].Bound*boundSlack < opts.MinProb
-			})
-		}
-		next := 0
-		for size := firstRound(opts.TopN, usable); next < usable; size *= 2 {
-			end := min(next+size, usable)
-			ids := make([]string, 0, end-next)
-			for _, c := range ranked[next:end] {
-				ids = append(ids, c.ID)
-			}
-			sort.Strings(ids) // near-sequential reads; ranking is fetch-order-independent
-			var round tally
-			if round, err = e.evalAll(ctx, q, opts, ids); err != nil {
-				break
-			}
-			next = end
-			got.add(round)
-			// Keeping only the running top N between rounds is lossless: the
-			// ranking is a total order, so the global top N is the top N of the
-			// per-round top-N union.
-			got.res = rankResults(got.res, opts.TopN)
-			if next < usable && len(got.res) == opts.TopN && final(got.res[opts.TopN-1], ranked[next]) {
-				earlyStopped = true
-				break
-			}
-		}
-		skipped = len(ranked) - next
+	switch cand := opts.Candidates; {
+	case cand == nil:
+		seq.ids, err = e.st.ListDocIDs(ctx)
+	case opts.TopN > 0 && opts.Rescore == nil:
+		mode, seq.ranked = ExecTopK, cand.Ranked()
+	default:
+		mode, seq.ids = ExecCandidateOnly, cand.IDs()
+	}
+	switch {
+	case err != nil:
+	case opts.TopN <= 0:
+		got, err = e.evalAll(ctx, q, opts, seq.ids)
+	default:
+		got, skipped, earlyStopped, err = e.evalRounds(ctx, q, opts, seq)
 	}
 
 	// The one place execution counters are written. A scan evaluates every
-	// document it lists that is still stored, so what it scanned is its
+	// document it lists that is still stored, or skips it, so that is its
 	// corpus; a candidate-sourced run never observes the corpus — that is
 	// its point — so its corpus-level counters derive from the store's live
 	// count: a candidate deleted between planning and fetching is no longer
@@ -262,7 +235,7 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 		s.DocsScanned = got.scanned
 		s.BoundsSkipped = skipped
 		s.EarlyStopped = earlyStopped
-		s.DocsTotal = got.scanned
+		s.DocsTotal = got.scanned + skipped
 		s.CandidatesFetched, s.CandidatesDeleted = 0, 0
 		if mode != ExecScan {
 			s.DocsTotal = e.st.Len()
@@ -274,6 +247,75 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 		return nil, err
 	}
 	return rankResults(got.res, opts.TopN), nil
+}
+
+// ranking is the sequence a limited run walks, with an admissible upper
+// bound at every position: the candidates best-bound-first (ranked), or,
+// where no bound below 1 is known, ascending IDs (ids) at the vacuous
+// bound 1. Exactly one of the two is set.
+type ranking struct {
+	ids    []string
+	ranked []BoundedCandidate
+}
+
+func (r ranking) len() int { return len(r.ids) + len(r.ranked) }
+
+// at is position i with its bound.
+func (r ranking) at(i int) BoundedCandidate {
+	if r.ranked != nil {
+		return r.ranked[i]
+	}
+	return BoundedCandidate{ID: r.ids[i], Bound: 1}
+}
+
+// round is the IDs of positions [lo, hi) in ascending order, for
+// near-sequential reads; the ranking is fetch-order-independent. In ID
+// order that is a sub-slice of ids, which evalAll only reads.
+func (r ranking) round(lo, hi int) []string {
+	if r.ranked == nil {
+		return r.ids[lo:hi]
+	}
+	ids := make([]string, 0, hi-lo)
+	for _, c := range r.ranked[lo:hi] {
+		ids = append(ids, c.ID)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// evalRounds is Search's one round loop for opts.TopN > 0: it evaluates
+// seq in rounds of firstRound's size, doubling, until seq runs out or the
+// running top N is final against the next position. It reports what the
+// rounds produced, how many positions it never fetched — the tail whose
+// bound sits below opts.MinProb included — and whether it stopped early.
+func (e *Engine) evalRounds(ctx context.Context, q *Query, opts SearchOptions, seq ranking) (got tally, skipped int, earlyStopped bool, err error) {
+	// Positions whose bound already sits below MinProb cannot produce a
+	// reportable result; seq is bound-descending, so they form a tail.
+	usable := seq.len()
+	if opts.MinProb > 0 {
+		usable = sort.Search(usable, func(i int) bool {
+			return seq.at(i).Bound*boundSlack < opts.MinProb
+		})
+	}
+	next := 0
+	for size := firstRound(opts.TopN, usable); next < usable; size *= 2 {
+		end := min(next+size, usable)
+		var round tally
+		if round, err = e.evalAll(ctx, q, opts, seq.round(next, end)); err != nil {
+			break
+		}
+		next = end
+		got.add(round)
+		// Keeping only the running top N between rounds is lossless: the
+		// ranking is a total order, so the global top N is the top N of the
+		// per-round top-N union.
+		got.res = rankResults(got.res, opts.TopN)
+		if next < usable && len(got.res) == opts.TopN && final(got.res[opts.TopN-1], seq.at(next)) {
+			earlyStopped = true
+			break
+		}
+	}
+	return got, seq.len() - next, earlyStopped, err
 }
 
 // SearchTopK is Search with cand as opts.Candidates, for callers that
@@ -309,23 +351,24 @@ func rankResults(out []Result, topN int) []Result {
 	return out
 }
 
-// final reports whether a top-k run whose running N-th result is last
-// may stop before next, the best-ranked candidate it has not fetched: a
-// remaining candidate enters the top N only by evaluating above
-// last.Prob, or to it with a smaller DocID. The first clause rules that
-// out for every remaining candidate, since each evaluates to at most its
-// slack-widened bound and Ranked puts none above next's. The second cuts
-// the one tie that can be cut, at 1 — Eval's ceiling: only a candidate of
-// bound exactly 1 can evaluate to 1 (Plan.Lookup raised every bound whose
-// widening reaches 1 to 1), and Ranked takes those in ascending ID order,
-// so every remaining one ranks after last.
+// final reports whether a limited run whose running N-th result is last
+// may stop before next, the first position of its ranking it has not
+// fetched: a remaining document enters the top N only by evaluating
+// above last.Prob, or to it with a smaller DocID. The first clause rules
+// that out for every remaining document, since each evaluates to at most
+// its slack-widened bound and the ranking puts none above next's. The
+// second cuts the one tie that can be cut, at 1 — Eval's ceiling: only a
+// document of bound exactly 1 can evaluate to 1 (Plan.Lookup raised every
+// bound whose widening reaches 1 to 1), and both rankings take those in
+// ascending ID order, so every remaining one ranks after last. In ID
+// order every bound is 1, so only the second clause ever fires there.
 func final(last Result, next BoundedCandidate) bool {
 	//lint:allow floateq 1 is both Eval's exact ceiling and the bound Plan.Lookup snaps to; the tie clause is about exactly that value
 	return last.Prob > next.Bound*boundSlack || next.Bound == 1 && last.Prob == 1 && last.DocID < next.ID
 }
 
-// firstRound is the size of a top-k run's first round over usable
-// candidates: the smallest power of two at least 2·topN — room for the
+// firstRound is the size of a limited run's first round over usable
+// positions: the smallest power of two at least 2·topN — room for the
 // top N and as many again to prove them final — clamped to usable. It
 // reads neither the worker count nor anything evaluated, so the rounds,
 // and with them every counter, are the same at any worker count.
@@ -435,9 +478,14 @@ func (e *Engine) evalAll(ctx context.Context, q *Query, opts SearchOptions, ids 
 // a Doc, so under one the record is decoded, rescored and evaluated
 // through Eval.
 func (e *Engine) evalBatch(ctx context.Context, q *Query, opts SearchOptions, ids []string, t *tally) error {
+	// Polling Done per document bounds cancellation latency to one
+	// evaluation; unlike ctx.Err it takes no lock once the channel exists.
+	done := ctx.Done()
 	err := e.st.ViewBatch(ctx, ids, func(i int, v *store.View) error {
-		if err := ctx.Err(); err != nil {
-			return err // bound cancellation latency to one evaluation
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
 		}
 		var p float64
 		if opts.Rescore != nil {

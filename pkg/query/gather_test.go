@@ -210,6 +210,45 @@ func TestSearchCancelledMidRun(t *testing.T) {
 	}
 }
 
+// cancelAfterFirstVisit cancels the caller's context as soon as the
+// engine's visitor returns from its first document, then counts the
+// documents the visitor still accepts.
+type cancelAfterFirstVisit struct {
+	*diskstore.Store
+	cancel context.CancelFunc
+	visits atomic.Int32
+	after  atomic.Int32
+}
+
+func (s *cancelAfterFirstVisit) ViewBatch(ctx context.Context, ids []string, fn func(int, *store.View) error) error {
+	return s.Store.ViewBatch(ctx, ids, func(i int, v *store.View) error {
+		err := fn(i, v)
+		if s.visits.Add(1) == 1 {
+			s.cancel()
+		} else if err == nil {
+			s.after.Add(1)
+		}
+		return err
+	})
+}
+
+// TestSearchCancelsWithinOneEvaluation: the engine polls cancellation
+// per document, so a context cancelled while a 64-document batch is being
+// visited ends the batch at the next document, without evaluating it.
+func TestSearchCancelsWithinOneEvaluation(t *testing.T) {
+	mem, q, _ := markerCorpus(t, 64)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st := &cancelAfterFirstVisit{Store: mem, cancel: cancel}
+	_, err := query.NewEngine(st, query.EngineOptions{Workers: 1}).Search(ctx, q, query.SearchOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := st.after.Load(); n != 0 {
+		t.Fatalf("%d documents evaluated after the cancellation, want 0", n)
+	}
+}
+
 // poisonStore overwrites every view — its record bytes, spans and
 // probabilities — as soon as the visitor returns, the way a reused batch
 // buffer eventually would. An engine that kept any part of a view past

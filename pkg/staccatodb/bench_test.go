@@ -18,7 +18,9 @@ import (
 // evaluated — versus a full decode-and-evaluate scan. The corpus is 10×
 // the original 500 because candidate-only execution's point is that the
 // gap keeps growing with corpus size; the fetched_docs metric records
-// how few documents the selective query actually touched. The tracked
+// how few documents the selective query actually touched, scanned_docs
+// how many were evaluated in any mode and skipped_docs how many a
+// limited run left unread. The tracked
 // numbers for these layers come from `bash bench/run.sh --trace 1`.
 const (
 	benchCorpusDocs = 5000
@@ -122,6 +124,8 @@ func benchSearch(b *testing.B, mkQuery func(term string) (*query.Query, error), 
 	b.ReportMetric(float64(lastStats.DocsPruned), "pruned_docs")
 	b.ReportMetric(float64(lastStats.DocsTotal), "total_docs")
 	b.ReportMetric(float64(lastStats.CandidatesFetched), "fetched_docs")
+	b.ReportMetric(float64(lastStats.DocsScanned), "scanned_docs")
+	b.ReportMetric(float64(lastStats.BoundsSkipped), "skipped_docs")
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(b.N)*float64(benchCorpusDocs)/b.Elapsed().Seconds(), "docs/s")
 	}
@@ -137,6 +141,15 @@ func BenchmarkSearchIndexed(b *testing.B) {
 // the full decode-and-evaluate scan the planner exists to avoid.
 func BenchmarkSearchScan(b *testing.B) {
 	benchSearch(b, query.Substring, staccatodb.WithoutIndex())
+}
+
+// BenchmarkSearchScanTies is the scan's other side: a 2-rune substring
+// the index cannot plan, which about one document in five matches with
+// certainty. `top:10` is final at the tenth certain match in ID order,
+// so the run stops after a few rounds instead of evaluating all
+// benchCorpusDocs; skipped_docs counts the rest.
+func BenchmarkSearchScanTies(b *testing.B) {
+	benchSearch(b, func(string) (*query.Query, error) { return query.Substring("e ") }, staccatodb.WithoutIndex())
 }
 
 // fuzzyBenchQuery wraps the shared 7-rune benchmark term in a

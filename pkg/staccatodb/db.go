@@ -340,8 +340,10 @@ func (db *DB) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 // (query.ExecCandidateOnly) — best-bound-first with an early stop
 // (query.ExecTopK) when opts.TopN > 0 and there is no rescorer, whose
 // re-weighting the stored bounds do not cover. Without a candidate set
-// the run is the full scan. Results are byte-identical across every mode
-// and whether the index is enabled, disabled, or absent.
+// the run is the full scan (query.ExecScan). With opts.TopN > 0 a scan or
+// rescored run reads in ID order and stops at its TopN-th certain match.
+// Results are byte-identical across every mode and whether the index is
+// enabled, disabled, or absent.
 // opts.Candidates and opts.Stats are managed by the DB and ignored if
 // set by the caller.
 func (db *DB) Search(ctx context.Context, q *query.Query, opts query.SearchOptions) ([]query.Result, query.SearchStats, error) {
@@ -423,8 +425,9 @@ func (db *DB) Explain(q *query.Query) string {
 	if q == nil {
 		return "plan: none (nil query)"
 	}
+	scan := fmt.Sprintf("mode: %s\ntop-k: with a result limit, Search reads in ID order and stops at the N-th certain match, reporting early_stopped/bounds_skipped", query.ExecScan)
 	if ix == nil {
-		return fmt.Sprintf("plan: full scan (no index)\nmode: %s\nquery: %s", query.ExecScan, q.String())
+		return fmt.Sprintf("plan: full scan (no index)\n%s\nquery: %s", scan, q.String())
 	}
 	var planned query.SearchStats
 	cand := planCandidates(ix, q, &planned)
@@ -434,7 +437,7 @@ func (db *DB) Explain(q *query.Query) string {
 			"\ntop-k: with a result limit, mode %s processes candidates best-bound-first and reports early_stopped/bounds_skipped",
 			cand.Len(), ix.Len(), query.ExecCandidateOnly, query.ExecTopK)
 	} else {
-		out += fmt.Sprintf("\ncandidates: all (plan cannot prune)\nmode: %s", query.ExecScan)
+		out += "\ncandidates: all (plan cannot prune)\n" + scan
 	}
 	return out
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/refsearch"
+	"github.com/paper-repo/staccato-go/pkg/fuzzy"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
@@ -20,14 +21,16 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
-// TestSearchTopKByteIdenticalProperty is the equivalence property for the
-// bound-driven path: for random corpora × random boolean/fuzzy queries ×
-// TopN ∈ {1, 10, 100} × workers ∈ {1, 2, 8}, Search with a result limit
-// must return exactly the first TopN entries of the exhaustive unlimited
-// ranking — byte identical, whatever the engine pruned or skipped.
-// Together with TestSearchModesByteIdenticalProperty (candidate-only ==
-// scan) this pins all three execution modes to one answer. Stats must be
-// deterministic across worker counts and obey the accounting invariants.
+// TestSearchTopKByteIdenticalProperty is the equivalence property for
+// limited runs: for random corpora × random boolean/fuzzy queries ×
+// TopN ∈ {1, 10, 100} × workers ∈ {1, 2, 8}, with the index and
+// WithoutIndex, Search with a result limit must return exactly the first
+// TopN entries of the exhaustive unlimited ranking — byte identical,
+// whatever the engine pruned or skipped, on the bound-driven path and on
+// the scan's ID-order path alike. Together with
+// TestSearchModesByteIdenticalProperty (candidate-only == scan) this pins
+// all three execution modes to one answer. Stats must be deterministic
+// across worker counts and obey the accounting invariants.
 func TestSearchTopKByteIdenticalProperty(t *testing.T) {
 	ctx := context.Background()
 	cases := corpus(t, 50, 83)
@@ -37,14 +40,23 @@ func TestSearchTopKByteIdenticalProperty(t *testing.T) {
 	}
 	queries := randomQueries(truths, 101, 20)
 
-	topkRuns, earlyStops, tieStops := 0, 0, 0
+	topkRuns, scanRuns, earlyStops, tieStops := 0, 0, 0, 0
 	type key struct {
+		indexed  bool
 		qi, topN int
 		minProb  float64
 	}
 	baseline := map[key]query.SearchStats{}
-	for _, workers := range []int{1, 2, 8} {
-		db, err := staccatodb.OpenMem(staccatodb.WithWorkers(workers))
+	for _, run := range []struct {
+		workers int
+		indexed bool
+	}{{1, true}, {2, true}, {8, true}, {1, false}, {2, false}, {8, false}} {
+		workers := run.workers
+		dbOpts := []staccatodb.Option{staccatodb.WithWorkers(workers)}
+		if !run.indexed {
+			dbOpts = append(dbOpts, staccatodb.WithoutIndex())
+		}
+		db, err := staccatodb.OpenMem(dbOpts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +99,14 @@ func TestSearchTopKByteIdenticalProperty(t *testing.T) {
 					t.Fatalf("query %d (%s) workers %d top %d min %.2f: results diverge\n got  %+v\n want %+v",
 						qi, q, workers, sub.topN, sub.minProb, got, want)
 				}
-				if stats.Mode == query.ExecTopK {
+				switch stats.Mode {
+				case query.ExecTopK:
 					topkRuns++
-					if sub.topN >= len(cases) && (stats.EarlyStopped || stats.BoundsSkipped != 0) {
-						t.Fatalf("query %d top %d: a TopN covering every candidate cut the run: %+v", qi, sub.topN, stats)
-					}
+				case query.ExecScan:
+					scanRuns++
+				}
+				if sub.topN >= len(cases) && (stats.EarlyStopped || stats.BoundsSkipped != 0) {
+					t.Fatalf("query %d top %d: a TopN covering every document cut the run: %+v", qi, sub.topN, stats)
 				}
 				if stats.EarlyStopped {
 					earlyStops++
@@ -107,7 +122,7 @@ func TestSearchTopKByteIdenticalProperty(t *testing.T) {
 					t.Fatalf("query %d top %d: CandidatesFetched %d != scanned %d + deleted %d",
 						qi, sub.topN, stats.CandidatesFetched, stats.DocsScanned, stats.CandidatesDeleted)
 				}
-				k := key{qi, sub.topN, sub.minProb}
+				k := key{run.indexed, qi, sub.topN, sub.minProb}
 				if workers == 1 {
 					baseline[k] = stats
 				} else if !reflect.DeepEqual(stats, baseline[k]) {
@@ -117,10 +132,10 @@ func TestSearchTopKByteIdenticalProperty(t *testing.T) {
 			}
 		}
 	}
-	if topkRuns == 0 {
-		t.Fatal("vacuous property: no run took the top-k path")
+	if topkRuns == 0 || scanRuns == 0 {
+		t.Fatalf("vacuous property: %d runs took the top-k path, %d the scan", topkRuns, scanRuns)
 	}
-	t.Logf("top-k runs: %d, early stops: %d, on the tie clause: %d", topkRuns, earlyStops, tieStops)
+	t.Logf("top-k runs: %d, scan runs: %d, early stops: %d, on the tie clause: %d", topkRuns, scanRuns, earlyStops, tieStops)
 }
 
 // stoppedOnTie reports whether a top-k run provably stopped on the tie
@@ -223,44 +238,60 @@ func TestSearchTopKEarlyStopsDeterministically(t *testing.T) {
 	}
 }
 
+// certainTies is the corpus of the certain-tie tests: 300 docs carrying
+// "zzcert", c-000 to c-299, where every third (i%3 == 2) is an uncertain
+// match (0.6) and the rest a certain one (one alternative, P = 1). It
+// returns the docs and a store holding them for refsearch.
+func certainTies(t *testing.T) ([]*staccato.Doc, *diskstore.Store) {
+	t.Helper()
+	mem, err := diskstore.OpenMem(diskstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mem.Close() })
+	docs := make([]*staccato.Doc, 300)
+	for i := range docs {
+		alts := []staccato.Alt{{Text: " zzcert ", Prob: 1}}
+		if i%3 == 2 {
+			alts = []staccato.Alt{{Text: " zzcert ", Prob: 0.6}, {Text: "~", Prob: 0.4}}
+		}
+		docs[i] = &staccato.Doc{ID: fmt.Sprintf("c-%03d", i), Params: staccato.Params{Chunks: 1, K: len(alts)}, Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}}}
+		if err := mem.Put(context.Background(), docs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return docs, mem
+}
+
+// certainHead is the top 10 of the certain-tie corpus, under any rescorer
+// that leaves a one-alternative chunk certain: its first ten certain docs
+// at probability 1.
+func certainHead() []query.Result {
+	var head []query.Result
+	for i := 0; len(head) < 10; i++ {
+		if i%3 != 2 {
+			head = append(head, query.Result{DocID: fmt.Sprintf("c-%03d", i), Prob: 1})
+		}
+	}
+	return head
+}
+
 // TestTopKStopsAtCertainTies pins the tie clause of top-k's stop test: on
-// 300 docs, 200 of them a certain match (one alternative, P = 1, bound 1)
-// and 100 an uncertain one, TopN 10 is ten 1.0 ties that no remaining
+// the certainTies corpus, TopN 10 is ten 1.0 ties that no remaining
 // bound can be strictly beaten by. The run must still stop after its
 // first 32-doc round, since every bound-1 candidate it has not fetched
 // has a larger ID than the tenth result, and return exactly what the
 // exhaustive ranking and the sequential reference return.
 func TestTopKStopsAtCertainTies(t *testing.T) {
 	ctx := context.Background()
-	docs := make([]*staccato.Doc, 300)
-	mem, err := diskstore.OpenMem(diskstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	var certain []string
-	for i := range docs {
-		id := fmt.Sprintf("c-%03d", i)
-		alts := []staccato.Alt{{Text: " zzcert ", Prob: 1}}
-		if i%3 == 2 {
-			alts = []staccato.Alt{{Text: " zzcert ", Prob: 0.6}, {Text: "~", Prob: 0.4}}
-		} else {
-			certain = append(certain, id)
-		}
-		docs[i] = &staccato.Doc{ID: id, Params: staccato.Params{Chunks: 1, K: len(alts)}, Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}}}
-		if err := mem.Put(ctx, docs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	docs, mem := certainTies(t)
 	q := mustQ(query.Substring("zzcert"))
 	ref, err := refsearch.Search(ctx, mem, q, query.SearchOptions{TopN: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range ref {
-		if r.DocID != certain[i] || r.Prob != 1 {
-			t.Fatalf("reference rank %d = %+v, want %s at 1", i, r, certain[i])
-		}
+	if !reflect.DeepEqual(ref, certainHead()) {
+		t.Fatalf("reference top 10 = %+v, want %+v", ref, certainHead())
 	}
 
 	var first query.SearchStats
@@ -293,6 +324,74 @@ func TestTopKStopsAtCertainTies(t *testing.T) {
 		} else if !reflect.DeepEqual(stats, first) {
 			t.Fatalf("stats differ across worker counts:\n w=1 %+v\n w=%d %+v", first, workers, stats)
 		}
+	}
+}
+
+// TestScanStopsAtCertainTies pins the same stop where no admissible bound
+// below 1 exists: a scan (WithoutIndex) walks the ID listing at the
+// vacuous bound 1, and a rescored run — whose probabilities the index
+// bounds do not cover — walks the listing or its candidates the same
+// way. Eval never exceeds 1, so the tenth certain match, at listing
+// position 13, ends the run after its first 32-doc round: 268 skipped,
+// at any worker count, with the sequential reference's results. The
+// rescorer, a lexicon boosting "zzcert", raises the uncertain docs above
+// their index bounds but below 1.
+func TestScanStopsAtCertainTies(t *testing.T) {
+	ctx := context.Background()
+	docs, mem := certainTies(t)
+	q := mustQ(query.Substring("zzcert"))
+	rescore := fuzzy.NewLexicon([]string{"zzcert"}).Rescorer(fuzzy.DefaultBoost)
+	for _, arm := range []struct {
+		name    string
+		indexed bool
+		rescore func(*staccato.Doc) *staccato.Doc
+		mode    query.ExecMode
+	}{
+		{"scan", false, nil, query.ExecScan},
+		{"rescored scan", false, rescore, query.ExecScan},
+		{"rescored candidates", true, rescore, query.ExecCandidateOnly},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			opts := query.SearchOptions{TopN: 10, Rescore: arm.rescore}
+			ref, err := refsearch.Search(ctx, mem, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ref, certainHead()) {
+				t.Fatalf("reference top 10 = %+v, want %+v", ref, certainHead())
+			}
+			var first query.SearchStats
+			for _, workers := range []int{1, 2, 8} {
+				dbOpts := []staccatodb.Option{staccatodb.WithWorkers(workers)}
+				if !arm.indexed {
+					dbOpts = append(dbOpts, staccatodb.WithoutIndex())
+				}
+				db, err := staccatodb.OpenMem(dbOpts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				if err := db.Ingest(ctx, docs); err != nil {
+					t.Fatal(err)
+				}
+				got, stats, err := db.Search(ctx, q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("workers %d: top-10 %+v, want the reference %+v", workers, got, ref)
+				}
+				if stats.Mode != arm.mode || !stats.EarlyStopped || stats.DocsScanned != 32 || stats.BoundsSkipped != 268 ||
+					stats.DocsTotal != 300 || stats.DocsPruned != 0 {
+					t.Fatalf("workers %d: stats %+v, want mode %s stopped after one 32-doc round, 268 of 300 skipped", workers, stats, arm.mode)
+				}
+				if workers == 1 {
+					first = stats
+				} else if !reflect.DeepEqual(stats, first) {
+					t.Fatalf("stats differ across worker counts:\n w=1 %+v\n w=%d %+v", first, workers, stats)
+				}
+			}
+		})
 	}
 }
 
