@@ -7,9 +7,10 @@
 // at any worker count).
 //
 // The blessed pattern is extract-and-sort: range the map only to
-// collect keys into a slice, sort it, then iterate the slice (see
-// query.sortedKeys). A loop whose only appends feed slices that are
-// sorted later in the same function is therefore not flagged.
+// collect keys into a slice, sort it, then iterate the slice (or take
+// slices.Sorted(maps.Keys(m)), as query.EvalFST does). A loop whose
+// only appends feed slices that are sorted later in the same function
+// is therefore not flagged.
 package mapiter
 
 import (

@@ -12,7 +12,7 @@
 // by breadth-first search over the characteristic bitvectors of the
 // term's distinct runes. Construction is fully deterministic — sorted
 // rune alphabet, BFS in fixed order — because downstream the state IDs
-// feed pkg/query's product DP, where state numbering pins float
+// number pkg/query's tables, where state numbering pins float
 // accumulation order and therefore bit-identical probabilities.
 //
 // The package is self-contained on purpose: pkg/query flattens a DFA's

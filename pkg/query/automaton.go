@@ -9,17 +9,19 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/fuzzy"
 )
 
-// table is a term's deterministic matcher — a Knuth–Morris–Pratt,
-// keyword or Levenshtein automaton — flattened into one dense transition
-// table, so the DP steps it with one lookup per rune. Runes fall into
-// classes: each distinct rune of the term is a class of its own, and
-// every other rune is either "other word rune" or "other non-word rune"
-// (the keyword boundary test is the only property of a rune outside the
-// term any automaton reads). A table is immutable after compile.
+// table is a query's deterministic matcher — a term's Knuth–Morris–Pratt,
+// keyword or Levenshtein automaton, or the product of a boolean's leaf
+// automata — flattened into one dense transition table, so the DP steps
+// it with one lookup per rune. Runes fall into classes: each distinct
+// rune of the terms is a class of its own, and every other rune is
+// either "other word rune" or "other non-word rune" (the keyword boundary
+// test is the only property of a rune outside the terms any automaton
+// reads). A table is immutable after compile.
 type table struct {
 	// next[q*classes+c] is the state a class-c rune leads to from q, with
-	// hitBit set when that rune completes a match. Matching is absorbing,
-	// so the DP stops stepping a reading at its first hit.
+	// hitBit set when that rune completes a leaf's match. Matching is
+	// absorbing, so the DP stops stepping a reading at its first hit.
+	// Product transitions never set it.
 	next    []uint16
 	classes int
 	// ascii[b] is the class of ASCII rune b; wide holds the term's
@@ -28,14 +30,14 @@ type table struct {
 	wide  []rune
 	// atEnd[q] reports states that count as a match when the document
 	// ends — needed for keyword queries, whose trailing boundary can be
-	// the end of text.
+	// the end of text, and for products, whose formula is decided there.
 	atEnd []bool
 	start uint16
 }
 
 // hitBit flags a transition that completes a match. Every state number
-// is below it: terms have at most maxTermRunes runes and a Levenshtein
-// DFA at most 2¹⁴ states.
+// is below it: terms have at most maxTermRunes runes, a Levenshtein DFA
+// at most 2¹⁴ states, and productTable refuses hitBit states or more.
 const hitBit = 1 << 15
 
 // The rune classes every table shares; the term's i-th distinct rune, in
@@ -56,15 +58,15 @@ var asciiClasses = func() (c [utf8.RuneSelf]uint16) {
 	return c
 }()
 
-// maxTermRunes bounds compiled terms so automaton states (plus the
-// product DP's matched sentinel) always fit the uint16 joint-state
-// encoding, with generous headroom for any realistic query.
+// maxTermRunes bounds compiled terms so a leaf's state numbers, and its
+// matched sentinel one past them, stay below hitBit, with generous
+// headroom for any realistic query.
 const maxTermRunes = 1 << 12
 
-// maxTableCells is the transition-table budget of one leaf: 2²¹ cells,
+// maxTableCells is the transition-table budget of one query: 2²¹ cells,
 // 4 MiB. Every Levenshtein DFA fits (at most 2¹⁴ states over 66 classes),
 // and so does a maxTermRunes-rune substring term with up to 510 distinct
-// runes.
+// runes; a boolean's product table is held to it too.
 const maxTableCells = 1 << 21
 
 func compile(term string, mode Mode, dist int) (*table, error) {
@@ -259,4 +261,100 @@ func fuzzyTable(d *fuzzy.DFA) (*table, error) {
 	}
 	t.start = uint16(d.Start())
 	return t, nil
+}
+
+// productTable compiles a boolean formula over its leaves into one table.
+// Its states are the reachable tuples of per-leaf states, each leaf in an
+// automaton state or at its matched sentinel, len(atEnd), where a hit
+// leaves it for good; its alphabet is the distinct runes of every leaf
+// term, so a joint class fixes each leaf's class. A breadth-first search
+// finds the states, refusing hitBit of them or more, or more than
+// maxTableCells cells, as it goes; they are then numbered in ascending
+// order of their encodeStates keys. Transitions never set hitBit: atEnd[s]
+// is the formula over state s's matched bits, summed once the document
+// ends.
+func productTable(leaves []leaf, e expr) (*table, error) {
+	var runes []rune
+	for _, lf := range leaves {
+		runes = append(runes, []rune(lf.term)...)
+	}
+	alphabet := distinct(runes)
+	classes := classTerm + len(alphabet)
+	// lc[i][c] is leaf i's class for joint class c.
+	lc := make([][]int, len(leaves))
+	for i, lf := range leaves {
+		lc[i] = []int{classOther, classWord}
+		for _, r := range alphabet {
+			lc[i] = append(lc[i], lf.tab.class(r))
+		}
+	}
+	cur, to := make([]uint16, len(leaves)), make([]uint16, len(leaves))
+	for i, lf := range leaves {
+		cur[i] = lf.tab.start
+	}
+	keys := []string{string(encodeStates(nil, cur))}
+	num := map[string]int{keys[0]: 0}
+	var next []uint16 // next[s*classes+c], numbered in search order
+	var key []byte
+	for s := 0; s < len(keys); s++ {
+		decodeStates(keys[s], cur)
+		for c := range classes {
+			for i, lf := range leaves {
+				to[i] = uint16(len(lf.tab.atEnd)) // the matched sentinel, which stays
+				if cur[i] != to[i] {
+					if e := lf.tab.next[int(cur[i])*lf.tab.classes+lc[i][c]]; e&hitBit == 0 {
+						to[i] = e
+					}
+				}
+			}
+			key = encodeStates(key[:0], to)
+			n, ok := num[string(key)]
+			if !ok {
+				if n = len(keys); n+1 >= hitBit || (n+1)*classes > maxTableCells {
+					return nil, fmt.Errorf("query: the product of %d terms reaches %d states × %d classes, past the %d-state or %d-cell (4 MiB) limit",
+						len(leaves), n+1, classes, hitBit-1, maxTableCells)
+				}
+				keys = append(keys, string(key))
+				num[keys[n]] = n
+			}
+			next = append(next, uint16(n))
+		}
+	}
+	rank := make([]uint16, len(keys))
+	for r, k := range slices.Sorted(slices.Values(keys)) {
+		rank[num[k]] = uint16(r)
+	}
+	t, err := newTable(alphabet, len(keys))
+	if err != nil {
+		return nil, err
+	}
+	bits := make([]bool, len(leaves))
+	for s, k := range keys {
+		r := int(rank[s])
+		for c := range classes {
+			t.next[r*classes+c] = rank[next[s*classes+c]]
+		}
+		decodeStates(k, cur)
+		for i, lf := range leaves {
+			bits[i] = cur[i] == uint16(len(lf.tab.atEnd)) || lf.tab.atEnd[cur[i]]
+		}
+		t.atEnd[r] = e.eval(bits)
+	}
+	t.start = rank[0]
+	return t, nil
+}
+
+// encodeStates appends a per-leaf state vector to b, two little-endian
+// bytes per leaf: a product state's key.
+func encodeStates(b []byte, states []uint16) []byte {
+	for _, s := range states {
+		b = append(b, byte(s), byte(s>>8))
+	}
+	return b
+}
+
+func decodeStates(key string, dst []uint16) {
+	for i := range dst {
+		dst[i] = uint16(key[2*i]) | uint16(key[2*i+1])<<8
+	}
 }

@@ -50,8 +50,8 @@ func BenchmarkTermCompiledReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkBooleanEval times the product-automaton DP on a three-leaf
-// boolean query.
+// BenchmarkBooleanEval times Eval of a three-leaf boolean query: the one
+// table DP every query runs, here over the boolean's product table.
 func BenchmarkBooleanEval(b *testing.B) {
 	d := benchDoc(b)
 	mk := func(term string) *query.Query {
@@ -103,11 +103,13 @@ func BenchmarkEngineSearch(b *testing.B) {
 
 var compiled *query.Query
 
-// BenchmarkCompile times compiling one leaf into its transition table:
+// BenchmarkCompile times compiling a query into its transition table:
 // keyword and substring tables are built directly from the term, fuzzy
-// ones flattened from the Levenshtein DFA, whose construction dominates.
-// A query-cache miss pays this once per leaf.
+// ones flattened from the Levenshtein DFA, whose construction dominates,
+// and a boolean's product table from its leaves' tables. A query-cache
+// miss pays this once per query.
 func BenchmarkCompile(b *testing.B) {
+	common := testgen.Vocab(2000)[11:14] // three of the bench's conjunction keywords
 	for _, c := range []struct {
 		name string
 		mk   func() (*query.Query, error)
@@ -118,6 +120,10 @@ func BenchmarkCompile(b *testing.B) {
 		{"fuzzy-d1-8", func() (*query.Query, error) { return query.Fuzzy("probable", 1) }},
 		{"fuzzy-d2-8", func() (*query.Query, error) { return query.Fuzzy("probable", 2) }},
 		{"fuzzy-d2-16", func() (*query.Query, error) { return query.Fuzzy("probabilistic db", 2) }},
+		{"and3-keyword", func() (*query.Query, error) { return query.Spec{Terms: common, Mode: "keyword"}.Compile() }},
+		{"and2-fuzzy-d1", func() (*query.Query, error) {
+			return query.Spec{Terms: []string{"probable", "staccato"}, Mode: "fuzzy", Distance: 1}.Compile()
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -143,9 +143,9 @@ func refEvalDoc(d *staccato.Doc, a refAutomaton) float64 {
 			for _, alt := range ch.Alts {
 				q2, hit := refRunString(a, q, alt.Text)
 				if hit {
-					matched += p * alt.Prob
+					matched += float64(p * alt.Prob)
 				} else {
-					next[q2] += p * alt.Prob
+					next[q2] += float64(p * alt.Prob)
 				}
 			}
 		}
@@ -196,7 +196,7 @@ func refEvalProduct(e expr, autos []refAutomaton, d *staccato.Doc) float64 {
 						}
 					}
 				}
-				next[refEncode(states)] += p * alt.Prob
+				next[refEncode(states)] += float64(p * alt.Prob)
 			}
 		}
 		cur = next
@@ -325,8 +325,9 @@ func fuzzDoc(base *staccato.Doc, edits []byte) *staccato.Doc {
 
 // fuzzQuery compiles up to three leaves from spec — per leaf a mode and
 // distance byte, a length byte and that many piece bytes — and combines
-// them in one of several shapes over And, Or and Not. It returns nil
-// when spec names no compilable leaf.
+// them in one of several shapes over And, Or and Not, through the
+// error-returning path Spec.Compile takes. It returns nil when spec
+// names no compilable leaf, or a formula whose product table is refused.
 func fuzzQuery(spec []byte) *Query {
 	next := func() byte {
 		if len(spec) == 0 {
@@ -362,20 +363,27 @@ func fuzzQuery(spec []byte) *Query {
 		return nil
 	}
 	a, b, c := leaves[0], leaves[len(leaves)/2], leaves[len(leaves)-1]
+	not := func(q *Query) *Query { return combine(opNot, q, nil) }
+	var f *Query
 	switch (shape / 3) % 6 {
 	case 0:
 		return a
 	case 1:
-		return And(a, b, c)
+		f = combine(opAnd, a, []*Query{b, c})
 	case 2:
-		return Or(a, b, c)
+		f = combine(opOr, a, []*Query{b, c})
 	case 3:
-		return Not(a)
+		f = not(a)
 	case 4:
-		return And(a, Not(b))
+		f = combine(opAnd, a, []*Query{not(b)})
 	default:
-		return Or(And(a, b), Not(c))
+		f = combine(opOr, combine(opAnd, a, []*Query{b}), []*Query{not(c)})
 	}
+	q, err := f.withTable()
+	if err != nil {
+		return nil
+	}
+	return q
 }
 
 // FuzzEvalTableMatchesReference holds the table DP to the automata and

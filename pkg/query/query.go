@@ -13,16 +13,17 @@
 // Evaluation is dynamic programming across the chunk path sets: a
 // probability distribution over automaton states is pushed through the
 // chunks in one left-to-right pass, so cost is linear in the document
-// regardless of how many full readings (k^chunks) the Doc encodes. Boolean
-// queries run the DP over the product of the leaf automata, which keeps
-// the correlations between terms that flow through shared readings —
-// P(a AND b) is in general NOT P(a)·P(b), because the same alternative may
-// contain both terms (positive correlation) or terms may live on mutually
-// exclusive alternatives (negative correlation). The product DP gets those
-// cases right where naive per-term multiplication does not.
+// regardless of how many full readings (k^chunks) the Doc encodes. Every
+// query runs that one DP over one transition table; a boolean's table is
+// the product of its leaf automata, built once at compile time, which
+// keeps the correlations between terms that flow through shared readings
+// — P(a AND b) is in general NOT P(a)·P(b), because the same alternative
+// may contain both terms (positive correlation) or terms may live on
+// mutually exclusive alternatives (negative correlation). The product
+// gets those cases right where naive per-term multiplication does not.
 //
 // For ground truth, Query.EvalFST evaluates the same predicate exactly on
-// the unapproximated SFST by running the product automaton over the
+// the unapproximated SFST by running the query's table over the
 // transducer's state graph — the "FullSFST" baseline of the paper, and the
 // upper bound the Staccato dial converges to as chunks decrease and k
 // grows.
@@ -64,6 +65,9 @@ const (
 type Query struct {
 	leaves []leaf
 	expr   expr
+	// tab is the query's one transition table: a single leaf's own, any
+	// other formula's product table.
+	tab *table
 }
 
 // leaf is one compiled term automaton. Duplicate (term, mode, dist)
@@ -106,30 +110,47 @@ func newTerm(term string, mode Mode, dist int) (*Query, error) {
 	return &Query{
 		leaves: []leaf{{term: term, mode: mode, dist: dist, tab: t}},
 		expr:   leafExpr(0),
+		tab:    t,
 	}, nil
 }
 
 // And returns the conjunction of the given queries: the document must
 // satisfy every operand. Correlations between operands through shared
 // readings are respected. A nil or zero-value operand is treated as a
-// query that matches nothing.
-func And(first *Query, rest ...*Query) *Query { return combine(opAnd, first, rest) }
+// query that matches nothing. Like a Must constructor, And panics if
+// the result's product table is over budget; Spec.Compile reports that
+// as an error instead.
+func And(first *Query, rest ...*Query) *Query { return must(combine(opAnd, first, rest).withTable()) }
 
 // Or returns the disjunction of the given queries: the document must
 // satisfy at least one operand. A nil or zero-value operand is treated
-// as a query that matches nothing.
-func Or(first *Query, rest ...*Query) *Query { return combine(opOr, first, rest) }
+// as a query that matches nothing. Or panics as And does.
+func Or(first *Query, rest ...*Query) *Query { return must(combine(opOr, first, rest).withTable()) }
 
 // Not returns the negation of q: the probability that the document does
 // NOT satisfy q. A nil or zero-value q matches nothing, so its negation
-// matches everything.
-func Not(q *Query) *Query {
-	out := &Query{}
-	if q != nil {
-		out.leaves = append([]leaf(nil), q.leaves...)
+// matches everything. Not panics as And does.
+func Not(q *Query) *Query { return must(combine(opNot, q, nil).withTable()) }
+
+// withTable gives q its table — a single leaf's own, any other formula's
+// product table — and returns q, or the error refusing the product.
+func (q *Query) withTable() (*Query, error) {
+	if le, ok := q.expr.(leafExpr); ok {
+		q.tab = q.leaves[le].tab
+		return q, nil
 	}
-	out.expr = notExpr{exprOf(q)}
-	return out
+	var err error
+	if q.tab, err = productTable(q.leaves, q.expr); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+func must(q *Query, err error) *Query {
+	if err != nil {
+		panic(err)
+	}
+	return q
 }
 
 // exprOf returns q's formula, mapping nil and zero-value (never
@@ -148,8 +169,10 @@ type opKind int
 const (
 	opAnd opKind = iota
 	opOr
+	opNot // of first alone
 )
 
+// combine joins the operands' formulas under op, without a table.
 func combine(op opKind, first *Query, rest []*Query) *Query {
 	out := &Query{}
 	if first != nil {
@@ -160,13 +183,14 @@ func combine(op opKind, first *Query, rest []*Query) *Query {
 	for _, q := range rest {
 		kids = append(kids, out.merge(q))
 	}
-	if len(kids) == 1 {
+	switch {
+	case op == opNot:
+		out.expr = notExpr{kids[0]}
+	case len(kids) == 1:
 		out.expr = kids[0]
-		return out
-	}
-	if op == opAnd {
+	case op == opAnd:
 		out.expr = andExpr(kids)
-	} else {
+	default:
 		out.expr = orExpr(kids)
 	}
 	return out

@@ -23,7 +23,9 @@ type Spec struct {
 	Not string
 }
 
-// Compile builds the Query the spec describes.
+// Compile builds the Query the spec describes. Unlike And, Or and Not,
+// it reports a product table over budget as an error, and builds one
+// table for the whole formula.
 func (s Spec) Compile() (*Query, error) {
 	leafFor := func(term string) (*Query, error) {
 		switch s.Mode {
@@ -54,9 +56,9 @@ func (s Spec) Compile() (*Query, error) {
 	var out *Query
 	switch s.Combine {
 	case "", "and":
-		out = And(leaves[0], leaves[1:]...)
+		out = combine(opAnd, leaves[0], leaves[1:])
 	case "or":
-		out = Or(leaves[0], leaves[1:]...)
+		out = combine(opOr, leaves[0], leaves[1:])
 	default:
 		return nil, fmt.Errorf("unknown combine %q (want and or or)", s.Combine)
 	}
@@ -65,9 +67,9 @@ func (s Spec) Compile() (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = And(out, Not(neg))
+		out = combine(opAnd, out, []*Query{combine(opNot, neg, nil)})
 	}
-	return out, nil
+	return out.withTable()
 }
 
 // Validate is the range check both front ends run on the result knobs a

@@ -74,11 +74,37 @@ func TestTableBudget(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, "budget") || !strings.Contains(msg, strconv.Itoa(maxTableCells)) {
 		t.Errorf("over-budget error %q does not name the %d-cell budget", msg, maxTableCells)
 	}
+
+	// A boolean's product table is held to the budget too, and to state
+	// numbers below hitBit: the And of six 6-rune fuzzy d=2 leaves over
+	// disjoint alphabets reaches hitBit states over 38 classes, well
+	// under the cell budget, so it is the state limit that refuses it.
+	spec := Spec{Terms: []string{"abcdef", "ghijkl", "mnopqr", "stuvwx", "yzABCD", "EFGHIJ"}, Mode: "fuzzy", Distance: 2}
+	if hitBit*(classTerm+36) > maxTableCells {
+		t.Fatal("the over-budget boolean no longer reaches the state limit first")
+	}
+	_, err = spec.Compile()
+	if err == nil {
+		t.Fatal("an over-budget boolean compiled")
+	}
+	if msg := err.Error(); !strings.Contains(msg, strconv.Itoa(hitBit)+" states") || !strings.Contains(msg, strconv.Itoa(hitBit-1)+"-state") {
+		t.Errorf("over-budget boolean error %q does not name the %d-state limit it reached", msg, hitBit-1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("And of an over-budget product did not panic")
+		}
+	}()
+	leaves := make([]*Query, len(spec.Terms))
+	for i, term := range spec.Terms {
+		leaves[i] = mustCompile(t)(Fuzzy(term, 2))
+	}
+	And(leaves[0], leaves[1:]...)
 }
 
-// TestEvalAllocs pins the DP's allocations for single-term queries: none
-// over a View already grown to the document, and none through Eval once
-// its pooled View has.
+// TestEvalAllocs pins the DP's allocations for queries whose table fits
+// evalStackStates, leaves and booleans alike: none over a View already
+// grown to the document, and none through Eval.
 func TestEvalAllocs(t *testing.T) {
 	_, f := testgen.MustGenerate(testgen.Config{Length: 120, Seed: 3})
 	d, err := staccato.Build(f, "d", 6, 3)
@@ -93,11 +119,19 @@ func TestEvalAllocs(t *testing.T) {
 	if err := v.Parse(data); err != nil {
 		t.Fatal(err)
 	}
+	sub := func(term string) *Query { return mustCompile(t)(Substring(term)) }
+	kw := func(term string) *Query { return mustCompile(t)(Keyword(term)) }
 	for _, q := range []*Query{
-		mustCompile(t)(Substring("the")),
-		mustCompile(t)(Keyword("and")),
+		sub("the"),
+		kw("and"),
 		mustCompile(t)(Fuzzy("stack", 1)),
+		And(kw("and"), kw("the")),
+		And(kw("and"), Not(kw("the"))),
+		Or(sub("the"), sub("ing"), sub("ion")),
 	} {
+		if len(q.tab.atEnd) > evalStackStates {
+			t.Fatalf("%s: %d table states, above the %d evaluated on the stack", q, len(q.tab.atEnd), evalStackStates)
+		}
 		if n := testing.AllocsPerRun(100, func() { q.evalView(&v) }); n != 0 {
 			t.Errorf("%s over a warm View: %v allocations, want 0", q, n)
 		}

@@ -242,6 +242,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"truncated json", "/v1/search", `{"terms": ["ab"`},
 		{"term over the table budget", "/v1/search", `{"terms": ["` + overBudget.String() + `"]}`},
 		{"fuzzy term over the DFA state cap", "/v1/search", `{"terms": ["` + strings.Repeat("a", 64) + `"], "mode": "fuzzy", "distance": 2}`},
+		{"boolean over the product-state limit", "/v1/search", `{"terms": ["abcdef", "ghijkl", "mnopqr", "stuvwx", "yzABCD", "EFGHIJ"], "mode": "fuzzy", "distance": 2}`},
 		{"unknown field", "/v1/search", `{"terms": ["ab"], "nope": 1}`},
 		{"trailing garbage", "/v1/search", `{"terms": ["ab"]} junk`},
 		{"no terms", "/v1/search", `{}`},

@@ -167,8 +167,8 @@ func BenchmarkFuzzySearchIndexed(b *testing.B) {
 }
 
 // BenchmarkFuzzySearchScan answers the same fuzzy query with the index
-// disabled — every document runs the product-automaton DP against the
-// Levenshtein DFA.
+// disabled — every document runs the table DP over the Levenshtein
+// DFA's table.
 func BenchmarkFuzzySearchScan(b *testing.B) {
 	benchSearch(b, fuzzyBenchQuery, staccatodb.WithoutIndex())
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# lint.sh — the repo's static gate: formatting, go vet, and the
-# staccatolint invariant suite (cmd/staccatovet). CI's lint job runs
-# this script; run it locally before pushing to get the same verdict.
+# lint.sh — the repo's static gate: formatting, go vet, the staccatolint
+# invariant suite (cmd/staccatovet), and a check that pkg/query compiles
+# to no fused multiply-add on arm64. CI's lint job runs this script; run
+# it locally before pushing to get the same verdict. Needs no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,5 +18,22 @@ go vet ./...
 
 echo "== staccatovet (repo invariant suite)"
 go run ./cmd/staccatovet ./...
+
+echo "== no fused multiply-add in pkg/query on arm64"
+# A probability must have the same bits on every GOARCH, but Go may fuse
+# x*y + z into one multiply-add on arm64, which rounds once instead of
+# twice. Writing each product as float64(x * y) forbids the fusion; the
+# arm64 assembly listing of pkg/query shows whether one slipped through.
+asm=$(GOARCH=arm64 go build -gcflags=-S ./pkg/query 2>&1)
+if ! grep -q TEXT <<<"$asm"; then
+  echo "no arm64 assembly listing for pkg/query"
+  exit 1
+fi
+fused=$(grep -E $'\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t' <<<"$asm" || true)
+if [ -n "$fused" ]; then
+  echo "fused multiply-add in pkg/query; write the product as float64(x * y):"
+  echo "$fused"
+  exit 1
+fi
 
 echo "lint: all clean"
