@@ -263,6 +263,12 @@ func fuzzyTable(d *fuzzy.DFA) (*table, error) {
 	return t, nil
 }
 
+// maxLeaves bounds the leaves of a product: each leaf whose term can
+// match independently of the others doubles its states, so 15 of them
+// already reach hitBit. Capping them up front bounds the search below,
+// whose work is its cells times its leaves, before it allocates anything.
+const maxLeaves = 15
+
 // productTable compiles a boolean formula over its leaves into one table.
 // Its states are the reachable tuples of per-leaf states, each leaf in an
 // automaton state or at its matched sentinel, len(atEnd), where a hit
@@ -274,18 +280,26 @@ func fuzzyTable(d *fuzzy.DFA) (*table, error) {
 // is the formula over state s's matched bits, summed once the document
 // ends.
 func productTable(leaves []leaf, e expr) (*table, error) {
+	if len(leaves) > maxLeaves {
+		return nil, fmt.Errorf("query: a boolean of %d distinct terms is past the %d-term limit", len(leaves), maxLeaves)
+	}
 	var runes []rune
 	for _, lf := range leaves {
 		runes = append(runes, []rune(lf.term)...)
 	}
 	alphabet := distinct(runes)
 	classes := classTerm + len(alphabet)
-	// lc[i][c] is leaf i's class for joint class c.
-	lc := make([][]int, len(leaves))
-	for i, lf := range leaves {
-		lc[i] = []int{classOther, classWord}
-		for _, r := range alphabet {
-			lc[i] = append(lc[i], lf.tab.class(r))
+	// lc[c*len(leaves)+i] is leaf i's class for joint class c. A leaf
+	// table within maxTableCells has at most 1,447 distinct runes, so lc
+	// has at most 15 × (2 + 15 × 1,447) entries, 650 KB.
+	lc := make([]uint16, 0, classes*len(leaves))
+	for c := range classes {
+		for _, lf := range leaves {
+			if c < classTerm {
+				lc = append(lc, uint16(c))
+			} else {
+				lc = append(lc, uint16(lf.tab.class(alphabet[c-classTerm])))
+			}
 		}
 	}
 	cur, to := make([]uint16, len(leaves)), make([]uint16, len(leaves))
@@ -300,11 +314,11 @@ func productTable(leaves []leaf, e expr) (*table, error) {
 		decodeStates(keys[s], cur)
 		for c := range classes {
 			for i, lf := range leaves {
-				to[i] = uint16(len(lf.tab.atEnd)) // the matched sentinel, which stays
-				if cur[i] != to[i] {
-					if e := lf.tab.next[int(cur[i])*lf.tab.classes+lc[i][c]]; e&hitBit == 0 {
-						to[i] = e
-					}
+				if to[i] = uint16(len(lf.tab.atEnd)); cur[i] == to[i] {
+					continue // the matched sentinel, which stays
+				}
+				if e := lf.tab.next[int(cur[i])*lf.tab.classes+int(lc[c*len(leaves)+i])]; e&hitBit == 0 {
+					to[i] = e
 				}
 			}
 			key = encodeStates(key[:0], to)

@@ -3,6 +3,7 @@ package query_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
@@ -107,9 +108,21 @@ var compiled *query.Query
 // keyword and substring tables are built directly from the term, fuzzy
 // ones flattened from the Levenshtein DFA, whose construction dominates,
 // and a boolean's product table from its leaves' tables. A query-cache
-// miss pays this once per query.
+// miss pays this once per query. The refuse rows time a refused product:
+// the And of 12 common keywords reaches the state limit, and the Or of
+// 15 terms of 510 distinct wide runes each (a 184 KB request) the cell
+// limit, the costliest search maxLeaves admits.
 func BenchmarkCompile(b *testing.B) {
-	common := testgen.Vocab(2000)[11:14] // three of the bench's conjunction keywords
+	vocab := testgen.Vocab(2000)
+	common := vocab[11:14] // three of the bench's conjunction keywords
+	wide := make([]string, 15)
+	for i := range wide {
+		var sb strings.Builder
+		for j := range 4096 {
+			sb.WriteRune(rune(0x4e00 + i*510 + j%510))
+		}
+		wide[i] = sb.String()
+	}
 	for _, c := range []struct {
 		name string
 		mk   func() (*query.Query, error)
@@ -124,6 +137,8 @@ func BenchmarkCompile(b *testing.B) {
 		{"and2-fuzzy-d1", func() (*query.Query, error) {
 			return query.Spec{Terms: []string{"probable", "staccato"}, Mode: "fuzzy", Distance: 1}.Compile()
 		}},
+		{"refuse-and12-keyword", func() (*query.Query, error) { return refused(query.Spec{Terms: vocab[11:23], Mode: "keyword"}) }},
+		{"refuse-or15-wide", func() (*query.Query, error) { return refused(query.Spec{Terms: wide, Combine: "or"}) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -136,4 +151,12 @@ func BenchmarkCompile(b *testing.B) {
 			}
 		})
 	}
+}
+
+// refused compiles s and fails unless Compile refuses it.
+func refused(s query.Spec) (*query.Query, error) {
+	if q, err := s.Compile(); err == nil {
+		return nil, fmt.Errorf("%s compiled", q)
+	}
+	return nil, nil
 }

@@ -39,6 +39,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -249,15 +250,9 @@ type expr interface {
 // zero-value Query was handed to a combinator.
 type constExpr bool
 
-func (e constExpr) eval([]bool) bool { return bool(e) }
-func (e constExpr) remap([]int) expr { return e }
-func (e constExpr) render(sb *strings.Builder, _ []leaf) {
-	if e {
-		sb.WriteString("true")
-	} else {
-		sb.WriteString("false")
-	}
-}
+func (e constExpr) eval([]bool) bool                     { return bool(e) }
+func (e constExpr) remap([]int) expr                     { return e }
+func (e constExpr) render(sb *strings.Builder, _ []leaf) { sb.WriteString(strconv.FormatBool(bool(e))) }
 
 type leafExpr int
 
@@ -326,8 +321,7 @@ func remapAll(kids []expr, to []int) []expr {
 }
 
 func renderList(sb *strings.Builder, name string, kids []expr, leaves []leaf) {
-	sb.WriteString(name)
-	sb.WriteString("(")
+	sb.WriteString(name + "(")
 	for i, kid := range kids {
 		if i > 0 {
 			sb.WriteString(", ")

@@ -45,6 +45,9 @@ func (s Spec) Compile() (*Query, error) {
 	if s.Distance != 0 && s.Mode != "fuzzy" {
 		return nil, fmt.Errorf("distance %d is only valid with mode fuzzy", s.Distance)
 	}
+	if n := len(s.Terms) + min(len(s.Not), 1); n > maxLeaves {
+		return nil, fmt.Errorf("%d terms: a query takes at most %d", n, maxLeaves)
+	}
 	leaves := make([]*Query, len(s.Terms))
 	for i, term := range s.Terms {
 		leaf, err := leafFor(term)

@@ -25,8 +25,9 @@ func overBudgetTerm() string {
 // TestTableBudget pins the transition-table budget: the longest term
 // compiles in every mode that admits it, as does a substring term of the
 // longest length with 510 distinct runes and every Levenshtein DFA
-// fuzzy.Compile builds; a term whose table would pass the budget is
-// refused with an error that names it.
+// fuzzy.Compile builds; a term whose table would pass the budget, a
+// boolean whose product would, and a boolean of more than maxLeaves terms
+// are refused with an error that names the limit.
 func TestTableBudget(t *testing.T) {
 	ascii := strings.Repeat("abcdefghijklmnopqrstuvwxyz0123456789", maxTermRunes/36+1)[:maxTermRunes]
 	for _, mode := range []Mode{ModeSubstring, ModeKeyword} {
@@ -90,6 +91,26 @@ func TestTableBudget(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, strconv.Itoa(hitBit)+" states") || !strings.Contains(msg, strconv.Itoa(hitBit-1)+"-state") {
 		t.Errorf("over-budget boolean error %q does not name the %d-state limit it reached", msg, hitBit-1)
 	}
+
+	// More than maxLeaves terms are refused before a leaf compiles, and a
+	// product of more than maxLeaves leaves before its search allocates.
+	// One-rune terms keep every leaf table tiny, so only the joint
+	// alphabet grows with the term count.
+	many := make([]string, 5000)
+	for i := range many {
+		many[i] = string(rune(0x4e00 + i))
+	}
+	if _, err := (Spec{Terms: many, Combine: "or"}).Compile(); err == nil || !strings.Contains(err.Error(), "at most "+strconv.Itoa(maxLeaves)) {
+		t.Errorf("an Or of %d terms: error %v, want the %d-term limit", len(many), err, maxLeaves)
+	}
+	ors := make([]*Query, maxLeaves+1)
+	for i := range ors {
+		ors[i] = mustCompile(t)(Substring(many[i]))
+	}
+	if _, err := combine(opOr, ors[0], ors[1:]).withTable(); err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxLeaves)+"-term limit") {
+		t.Errorf("a product of %d leaves: error %v, want the %d-term limit", len(ors), err, maxLeaves)
+	}
+
 	defer func() {
 		if recover() == nil {
 			t.Error("And of an over-budget product did not panic")

@@ -234,6 +234,13 @@ func TestMalformedRequests(t *testing.T) {
 		overBudget.WriteRune(rune(0x4e00 + i%600))
 	}
 
+	// 5000 distinct one-rune terms: each leaf table is tiny, but the
+	// product of all of them would be 5000 leaves over 5002 classes.
+	manyTerms := make([]string, 5000)
+	for i := range manyTerms {
+		manyTerms[i] = fmt.Sprintf("%q", string(rune(0x4e00+i)))
+	}
+
 	cases := []struct {
 		name string
 		url  string
@@ -243,6 +250,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"term over the table budget", "/v1/search", `{"terms": ["` + overBudget.String() + `"]}`},
 		{"fuzzy term over the DFA state cap", "/v1/search", `{"terms": ["` + strings.Repeat("a", 64) + `"], "mode": "fuzzy", "distance": 2}`},
 		{"boolean over the product-state limit", "/v1/search", `{"terms": ["abcdef", "ghijkl", "mnopqr", "stuvwx", "yzABCD", "EFGHIJ"], "mode": "fuzzy", "distance": 2}`},
+		{"boolean over the term limit", "/v1/search", `{"terms": [` + strings.Join(manyTerms, ",") + `], "combine": "or"}`},
 		{"unknown field", "/v1/search", `{"terms": ["ab"], "nope": 1}`},
 		{"trailing garbage", "/v1/search", `{"terms": ["ab"]} junk`},
 		{"no terms", "/v1/search", `{}`},
