@@ -266,9 +266,6 @@ func TestFuzzyValidation(t *testing.T) {
 			t.Errorf("Fuzzy(%q, %d) should be rejected", c.term, c.dist)
 		}
 	}
-	if _, err := query.Term("abc", query.ModeFuzzy); err != nil {
-		t.Errorf("Term in ModeFuzzy should compile at distance 0: %v", err)
-	}
 }
 
 // TestFuzzyDistanceZeroAgreesWithSubstring: the degenerate automaton is

@@ -11,10 +11,13 @@ import (
 )
 
 // This file is the planning half of indexed execution. A compiled Query
-// is a boolean formula over term automata; the Planner extracts from it
+// is a boolean formula over term automata; Query.Plan extracts from it
 // the gram-level evidence every match MUST leave in an inverted q-gram
-// index, and lowers it to the one lookup whose answer is the candidate
-// document set the engine then restricts its scan to.
+// index. The plan is that evidence as one index.Lookup, built in a single
+// pass over the formula, whose answer is the candidate document set the
+// engine then restricts its scan to; the plan's rendering, count of named
+// grams and kind (prunes, scans, matches nothing) are fixed in the same
+// pass, and it renders each leaf in Query.String's form.
 //
 // The contract is strictly no-false-negative: a document outside the
 // candidate set provably has match probability zero, so Search results
@@ -131,24 +134,40 @@ type PostingSource interface {
 }
 
 // Plan is the pruning strategy extracted from a Query at a given gram
-// size. A Plan is immutable, independent of any particular index, and may
-// be reused across Candidates calls and goroutines.
+// size: the one index.Lookup whose answer is the candidate set, with what
+// it does, its rendering and the grams it names, all fixed when the plan
+// is built. A Plan is immutable, independent of any particular index, and
+// may be reused across Candidates calls and goroutines.
 type Plan struct {
-	gramSize int
-	root     planNode
+	lookup index.Lookup
+	kind   planKind
+	text   string
+	// grams is the number of distinct grams lookup names.
+	grams int
 }
+
+// planKind is what a plan, or a branch of one, asks of the index.
+type planKind int
+
+const (
+	// prunes: the lookup's answer is the candidate set.
+	prunes planKind = iota
+	// scans: no pruning, every document is a candidate.
+	scans
+	// matchesNothing: the constant-false plan, no document can match.
+	matchesNothing
+)
 
 // Plan extracts the conservatively-required gram sets from q. gramSize
 // must match the target index's; a gramSize < 1 yields a plan that never
 // prunes.
 func (q *Query) Plan(gramSize int) *Plan {
-	p := &Plan{gramSize: gramSize}
-	if gramSize < 1 {
-		p.root = planAll{reason: "planning disabled"}
-		return p
+	p := scanPlan("planning disabled")
+	if gramSize >= 1 {
+		p = buildPlan(exprOf(q), q.leaves, gramSize)
 	}
-	p.root = buildPlan(exprOf(q), q.leaves, gramSize)
-	return p
+	p.grams = countGrams(p.lookup, map[string]bool{})
+	return &p
 }
 
 // Candidates evaluates the plan against src. A nil result means the plan
@@ -167,15 +186,15 @@ func (p *Plan) Candidates(src PostingSource) *CandidateSet {
 // to 1 or more is raised to exactly 1 — still admissible, and what lets
 // top-k cut ties at probability 1 (see final).
 func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
-	switch p.root.(type) {
-	case planAll:
+	switch p.kind {
+	case scans:
 		return nil, 0
-	case planNone:
+	case matchesNothing:
 		return NewCandidateSet(), 0
 	}
-	ids, bounds, expanded, ok := src.Candidates(lower(p.root))
+	ids, bounds, expanded, ok := src.Candidates(p.lookup)
 	if !ok {
-		return nil, p.NumGrams() + expanded
+		return nil, p.grams + expanded
 	}
 	if bounds == nil {
 		bounds = slices.Repeat([]float64{1}, len(ids))
@@ -185,163 +204,73 @@ func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
 			bounds[i] = 1
 		}
 	}
-	return &CandidateSet{ids: ids, bounds: bounds}, p.NumGrams() + expanded
+	return &CandidateSet{ids: ids, bounds: bounds}, p.grams + expanded
 }
 
 // Prunable reports whether the plan can restrict a scan at all, given a
 // cooperative posting source: buildPlan folds every branch that cannot
-// into a planAll root.
-func (p *Plan) Prunable() bool {
-	_, all := p.root.(planAll)
-	return !all
-}
+// into a scanning root.
+func (p *Plan) Prunable() bool { return p.kind != scans }
 
 // NumGrams returns the number of distinct grams the plan names; wildcard
 // leaves name none (see Lookup).
-func (p *Plan) NumGrams() int {
-	grams := make(map[string]struct{})
-	p.root.collectGrams(grams)
-	return len(grams)
-}
+func (p *Plan) NumGrams() int { return p.grams }
 
 // String renders the plan in the same lisp-ish shape as Query.String,
 // marking each branch as gram-pruned or scan-forced, e.g.
 // and(grams(substr("foo") ×3), scan(negation cannot prune)).
-func (p *Plan) String() string {
-	var sb strings.Builder
-	p.root.render(&sb)
-	return sb.String()
-}
+func (p *Plan) String() string { return p.text }
 
-// planNode mirrors the query's expr tree, reduced to what matters for
-// pruning.
-type planNode interface {
-	collectGrams(into map[string]struct{})
-	render(sb *strings.Builder)
-}
-
-// lower turns a plan node into the question it puts to the index. planAll
-// and planNone have none: buildPlan folds them out of every conjunction
-// and disjunction, and Plan.Lookup answers them as a root itself.
-func lower(n planNode) index.Lookup {
-	switch n := n.(type) {
-	case planGrams:
-		return index.Lookup{Grams: n.grams}
-	case planWild:
-		return index.Lookup{Patterns: n.patterns}
-	case planAnd:
-		return index.Lookup{And: lowerAll(n)}
-	case planOr:
-		return index.Lookup{Or: lowerAll(n)}
+// countGrams adds the grams l names to seen and returns how many distinct
+// ones seen holds.
+func countGrams(l index.Lookup, seen map[string]bool) int {
+	for _, g := range l.Grams {
+		seen[g] = true
 	}
-	return index.Lookup{}
+	for _, kid := range slices.Concat(l.And, l.Or) {
+		countGrams(kid, seen)
+	}
+	return len(seen)
 }
 
-func lowerAll(kids []planNode) []index.Lookup {
-	out := make([]index.Lookup, len(kids))
+func scanPlan(reason string) Plan { return Plan{kind: scans, text: "scan(" + reason + ")"} }
+
+var nonePlan = Plan{kind: matchesNothing, text: "none"}
+
+// gramsPlan asks for the documents holding every q-gram of lf's term.
+func gramsPlan(lf leaf, gramSize int) Plan {
+	grams := termGrams(lf.term, gramSize)
+	return Plan{lookup: index.Lookup{Grams: grams}, text: fmt.Sprintf("grams(%s ×%d)", lf.render(), len(grams))}
+}
+
+// joinPlans joins prunable branches under and/or; one stands alone.
+func joinPlans(op string, kids []Plan) Plan {
+	if len(kids) == 1 {
+		return kids[0]
+	}
+	lookups := make([]index.Lookup, len(kids))
+	texts := make([]string, len(kids))
 	for i, kid := range kids {
-		out[i] = lower(kid)
+		lookups[i], texts[i] = kid.lookup, kid.text
 	}
-	return out
-}
-
-// planAll is a plan that cannot prune: every document is a candidate.
-type planAll struct{ reason string }
-
-func (n planAll) collectGrams(map[string]struct{}) {}
-func (n planAll) render(sb *strings.Builder)       { fmt.Fprintf(sb, "scan(%s)", n.reason) }
-
-// planNone is the constant-false plan: no document can match.
-type planNone struct{}
-
-func (planNone) collectGrams(map[string]struct{}) {}
-func (planNone) render(sb *strings.Builder)       { sb.WriteString("none") }
-
-// planGrams is a prunable leaf: all grams must be present in a matching
-// document. For a fuzzy leaf, term is one contiguous piece of the query
-// term (see buildFuzzyLeaf) and dist records the leaf's edit distance
-// for rendering.
-type planGrams struct {
-	term  string
-	mode  Mode
-	dist  int
-	grams []string
-}
-
-func (n planGrams) collectGrams(into map[string]struct{}) {
-	for _, g := range n.grams {
-		into[g] = struct{}{}
+	p := Plan{text: op + "(" + strings.Join(texts, ", ") + ")"}
+	if op == "and" {
+		p.lookup.And = lookups
+	} else {
+		p.lookup.Or = lookups
 	}
+	return p
 }
 
-func (n planGrams) render(sb *strings.Builder) {
-	switch n.mode {
-	case ModeKeyword:
-		fmt.Fprintf(sb, "grams(kw(%q) ×%d)", n.term, len(n.grams))
-	case ModeFuzzy:
-		fmt.Fprintf(sb, "grams(fuzzy(%q, %d) ×%d)", n.term, n.dist, len(n.grams))
-	default:
-		fmt.Fprintf(sb, "grams(substr(%q) ×%d)", n.term, len(n.grams))
-	}
-}
-
-// planWild is a prunable fuzzy leaf planned through the gram dictionary:
-// a matching document must hold a string matching one of patterns (see
-// buildWildLeaf), each at least gramSize runes with negative runes for
-// wildcards. term and dist are the whole leaf's, for rendering.
-type planWild struct {
-	term     string
-	dist     int
-	patterns [][]rune
-}
-
-func (n planWild) collectGrams(map[string]struct{}) {}
-
-func (n planWild) render(sb *strings.Builder) {
-	fmt.Fprintf(sb, "wild(fuzzy(%q, %d) ×%d patterns)", n.term, n.dist, len(n.patterns))
-}
-
-type planAnd []planNode
-
-func (n planAnd) collectGrams(into map[string]struct{}) {
-	for _, kid := range n {
-		kid.collectGrams(into)
-	}
-}
-
-func (n planAnd) render(sb *strings.Builder) { renderPlanList(sb, "and", n) }
-
-type planOr []planNode
-
-func (n planOr) collectGrams(into map[string]struct{}) {
-	for _, kid := range n {
-		kid.collectGrams(into)
-	}
-}
-
-func (n planOr) render(sb *strings.Builder) { renderPlanList(sb, "or", n) }
-
-func renderPlanList(sb *strings.Builder, name string, kids []planNode) {
-	sb.WriteString(name)
-	sb.WriteString("(")
-	for i, kid := range kids {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		kid.render(sb)
-	}
-	sb.WriteString(")")
-}
-
-// buildPlan lowers an expr tree into plan nodes, folding away branches
-// that cannot influence pruning.
-func buildPlan(e expr, leaves []leaf, gramSize int) planNode {
+// buildPlan lowers an expr tree into the plan of its lookup, folding away
+// branches that cannot influence pruning.
+func buildPlan(e expr, leaves []leaf, gramSize int) Plan {
 	switch t := e.(type) {
 	case constExpr:
 		if bool(t) {
-			return planAll{reason: "matches every document"}
+			return scanPlan("matches every document")
 		}
-		return planNone{}
+		return nonePlan
 	case leafExpr:
 		// The term's length picks the lowering. A term with no gram of its
 		// own scans. Otherwise the shortest contiguous piece a match is sure
@@ -351,58 +280,52 @@ func buildPlan(e expr, leaves []leaf, gramSize int) planNode {
 		lf := leaves[t]
 		switch runes := []rune(lf.term); {
 		case len(runes) < gramSize:
-			return planAll{reason: fmt.Sprintf("term %q shorter than gram size %d", lf.term, gramSize)}
+			return scanPlan(fmt.Sprintf("term %q shorter than gram size %d", lf.term, gramSize))
 		case len(runes)/(lf.dist+1) < gramSize:
 			return buildWildLeaf(lf, runes, gramSize)
 		case lf.mode == ModeFuzzy:
 			return buildFuzzyLeaf(lf, runes, gramSize)
 		default:
-			return planGrams{term: lf.term, mode: lf.mode, grams: termGrams(lf.term, gramSize)}
+			return gramsPlan(lf, gramSize)
 		}
 	case notExpr:
 		// P(not q) > 0 for any document with P(q) < 1; the index records
 		// possible readings, not certain ones, so negation never prunes.
-		return planAll{reason: "negation cannot prune"}
+		return scanPlan("negation cannot prune")
 	case andExpr:
-		kids := make([]planNode, 0, len(t))
+		kids := make([]Plan, 0, len(t))
 		for _, kid := range t {
-			k := buildPlan(kid, leaves, gramSize)
-			if _, none := k.(planNone); none {
-				return planNone{} // a false conjunct kills the whole branch
+			switch k := buildPlan(kid, leaves, gramSize); k.kind {
+			case matchesNothing:
+				return k // a false conjunct kills the whole branch
+			case scans:
+				// an unprunable conjunct just drops out
+			default:
+				kids = append(kids, k)
 			}
-			if _, all := k.(planAll); all {
-				continue // an unprunable conjunct just drops out
-			}
-			kids = append(kids, k)
 		}
-		switch len(kids) {
-		case 0:
-			return planAll{reason: "no conjunct can prune"}
-		case 1:
-			return kids[0]
+		if len(kids) == 0 {
+			return scanPlan("no conjunct can prune")
 		}
-		return planAnd(kids)
+		return joinPlans("and", kids)
 	case orExpr:
-		kids := make([]planNode, 0, len(t))
+		kids := make([]Plan, 0, len(t))
 		for _, kid := range t {
-			k := buildPlan(kid, leaves, gramSize)
-			if all, isAll := k.(planAll); isAll {
-				return all // one unprunable disjunct admits any document
+			switch k := buildPlan(kid, leaves, gramSize); k.kind {
+			case scans:
+				return k // one unprunable disjunct admits any document
+			case matchesNothing:
+				// a false disjunct contributes nothing
+			default:
+				kids = append(kids, k)
 			}
-			if _, none := k.(planNone); none {
-				continue // a false disjunct contributes nothing
-			}
-			kids = append(kids, k)
 		}
-		switch len(kids) {
-		case 0:
-			return planNone{}
-		case 1:
-			return kids[0]
+		if len(kids) == 0 {
+			return nonePlan
 		}
-		return planOr(kids)
+		return joinPlans("or", kids)
 	default:
-		return planAll{reason: "unknown expression"}
+		return scanPlan("unknown expression")
 	}
 }
 
@@ -417,15 +340,12 @@ func buildPlan(e expr, leaves []leaf, gramSize int) planNode {
 // lowering needs every piece to carry gram evidence, i.e. the shortest
 // piece — floor(m/(dist+1)) runes — to be at least gramSize, which
 // buildPlan has checked; shorter terms go to buildWildLeaf.
-func buildFuzzyLeaf(lf leaf, runes []rune, gramSize int) planNode {
-	kids := make([]planNode, 0, lf.dist+1)
+func buildFuzzyLeaf(lf leaf, runes []rune, gramSize int) Plan {
+	kids := make([]Plan, 0, lf.dist+1)
 	for _, piece := range splitPieces(runes, lf.dist+1) {
-		kids = append(kids, planGrams{term: piece, mode: ModeFuzzy, dist: lf.dist, grams: termGrams(piece, gramSize)})
+		kids = append(kids, gramsPlan(leaf{term: piece, mode: ModeFuzzy, dist: lf.dist}, gramSize))
 	}
-	if len(kids) == 1 {
-		return kids[0]
-	}
-	return planOr(kids)
+	return joinPlans("or", kids)
 }
 
 // maxWildPatterns caps the patterns of one wildcard leaf, and with them
@@ -451,15 +371,15 @@ const wildcard rune = -1
 // reading is shorter, the index knows the document as one with such a
 // reading. That is exactly the set an index.Lookup's Patterns asks for,
 // so it is a sound superset of the matches.
-func buildWildLeaf(lf leaf, runes []rune, gramSize int) planNode {
+func buildWildLeaf(lf leaf, runes []rune, gramSize int) Plan {
 	patterns := editPatterns(runes, lf.dist)
 	if patterns != nil {
 		patterns = padPatterns(patterns, gramSize)
 	}
 	if patterns == nil {
-		return planAll{reason: fmt.Sprintf("fuzzy term %q at distance %d leaves pieces shorter than gram size %d", lf.term, lf.dist, gramSize)}
+		return scanPlan(fmt.Sprintf("fuzzy term %q at distance %d leaves pieces shorter than gram size %d", lf.term, lf.dist, gramSize))
 	}
-	return planWild{term: lf.term, dist: lf.dist, patterns: patterns}
+	return Plan{lookup: index.Lookup{Patterns: patterns}, text: fmt.Sprintf("wild(%s ×%d patterns)", lf.render(), len(patterns))}
 }
 
 // editPatterns returns patterns such that every string within dist edits

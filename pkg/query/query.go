@@ -82,6 +82,19 @@ type leaf struct {
 	tab  *table
 }
 
+// render is the one form of a leaf in Query.String and Plan.String:
+// kw("term"), substr("term") or fuzzy("term", dist).
+func (lf leaf) render() string {
+	switch lf.mode {
+	case ModeKeyword:
+		return fmt.Sprintf("kw(%q)", lf.term)
+	case ModeFuzzy:
+		return fmt.Sprintf("fuzzy(%q, %d)", lf.term, lf.dist)
+	default:
+		return fmt.Sprintf("substr(%q)", lf.term)
+	}
+}
+
 // Substring compiles a query matching documents whose text contains term
 // anywhere.
 func Substring(term string) (*Query, error) { return newTerm(term, ModeSubstring, 0) }
@@ -98,10 +111,6 @@ func Keyword(term string) (*Query, error) { return newTerm(term, ModeKeyword, 0)
 // otherwise every text would match. Fuzzy(term, 0) matches exactly what
 // Substring(term) matches, evaluated through the Levenshtein automaton.
 func Fuzzy(term string, dist int) (*Query, error) { return newTerm(term, ModeFuzzy, dist) }
-
-// Term compiles a single-term query in the given mode. For ModeFuzzy it
-// compiles at distance 0; use Fuzzy for a real edit-distance leaf.
-func Term(term string, mode Mode) (*Query, error) { return newTerm(term, mode, 0) }
 
 func newTerm(term string, mode Mode, dist int) (*Query, error) {
 	t, err := compile(term, mode, dist)
@@ -259,15 +268,7 @@ type leafExpr int
 func (e leafExpr) eval(bits []bool) bool { return bits[e] }
 func (e leafExpr) remap(to []int) expr   { return leafExpr(to[e]) }
 func (e leafExpr) render(sb *strings.Builder, leaves []leaf) {
-	lf := leaves[e]
-	switch lf.mode {
-	case ModeKeyword:
-		fmt.Fprintf(sb, "kw(%q)", lf.term)
-	case ModeFuzzy:
-		fmt.Fprintf(sb, "fuzzy(%q, %d)", lf.term, lf.dist)
-	default:
-		fmt.Fprintf(sb, "substr(%q)", lf.term)
-	}
+	sb.WriteString(leaves[e].render())
 }
 
 type andExpr []expr
