@@ -114,6 +114,11 @@ func TestQueryRequestCacheKeyDistinguishesSpecs(t *testing.T) {
 		{Terms: []string{"ab", "cd"}},
 		{Terms: []string{"abcd"}},
 		{Terms: []string{"ab", "cd"}, Combine: "or"},
+		// JSON admits \u0000 inside a term, so no separator byte may
+		// delimit the parts.
+		{Terms: []string{"ab\x00cd"}},
+		{Terms: []string{"x"}, Not: "ab\x00cd"},
+		{Terms: []string{"cd", "x"}, Not: "ab"},
 	}
 	for i, s := range specs {
 		k := s.cacheKey()

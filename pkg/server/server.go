@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -358,12 +357,15 @@ type queryRequest struct {
 // only in, say, distance can never share an entry. Lexicon is included
 // even though it shapes SearchOptions rather than the compiled Query:
 // keying it keeps the cache key aligned with "same spec, same results"
-// rather than an implementation detail of what the cache stores.
+// rather than an implementation detail of what the cache stores. Each
+// part is quoted, so a part ends at its first unescaped quote and no byte
+// a term may hold (JSON admits \u0000) can shift a boundary.
 func (q *queryRequest) cacheKey() string {
-	parts := make([]string, 0, len(q.Terms)+5)
-	parts = append(parts, q.Mode, strconv.Itoa(q.Distance), strconv.FormatBool(q.Lexicon), q.Combine, q.Not)
-	parts = append(parts, q.Terms...)
-	return strings.Join(parts, "\x00")
+	var key []byte
+	for _, part := range append([]string{q.Mode, strconv.Itoa(q.Distance), strconv.FormatBool(q.Lexicon), q.Combine, q.Not}, q.Terms...) {
+		key = strconv.AppendQuote(key, part)
+	}
+	return string(key)
 }
 
 // compile builds the boolean Query the request describes, through the
