@@ -5,8 +5,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 src() { find "$1" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'; }
 
+# bench/ is the benchmark's own module, reported whole so a PR that
+# deletes from it can show the drop.
 echo "== non-test Go lines that are neither blank nor a // comment"
-for d in cmd/*/ internal/*/ pkg/*/; do
+for d in cmd/*/ internal/*/ pkg/*/ bench/; do
   printf '%7d  %s\n' "$(src "$d" | xargs cat | grep -cvE '^\s*(//.*)?$')" "${d%/}"
 done
 
