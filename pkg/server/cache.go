@@ -46,8 +46,9 @@ func newQueryCache(capacity int) *queryCache {
 // get returns the compiled query for key, compiling and caching it on a
 // miss. The bool reports whether the call was a cache hit. compile runs
 // outside the lock, so two concurrent first requests for the same key
-// may both compile — the duplicate insert is harmless (last one wins)
-// and cheaper than serializing every compile behind one mutex.
+// may both compile — harmless, and cheaper than serializing every
+// compile behind one mutex: the first instance inserted is kept and
+// returned to both, and the later one is dropped.
 // Compile errors are returned and never cached: an invalid spec stays
 // invalid, and caching it would only pin garbage.
 func (c *queryCache) get(key string, compile func() (*query.Query, error)) (*query.Query, bool, error) {

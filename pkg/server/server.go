@@ -261,13 +261,14 @@ func (s *Server) endpoint(name string, admit bool, h http.HandlerFunc) http.Hand
 }
 
 // requestCtx derives the request's working context: the server's default
-// deadline, tightened to timeoutMS when the request asked for less.
+// deadline, tightened to timeoutMS when the request asked for less. The
+// two are compared in milliseconds before timeoutMS becomes a Duration,
+// which a timeoutMS past 2⁶³ ns would wrap negative — a deadline already
+// past — so any larger request clamps to the server's maximum.
 func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
 	d := s.opts.RequestTimeout
-	if timeoutMS > 0 {
-		if t := time.Duration(timeoutMS) * time.Millisecond; t < d {
-			d = t
-		}
+	if timeoutMS > 0 && int64(timeoutMS) <= d.Milliseconds() {
+		d = time.Duration(timeoutMS) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), d)
 }

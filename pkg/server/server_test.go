@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -313,6 +314,34 @@ func TestDeadlineExceededReturns504(t *testing.T) {
 	var er errorResponse
 	if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "deadline") {
 		t.Errorf("504 body should name the deadline: %s", body)
+	}
+}
+
+// TestHugeTimeoutClampsToServerMaximum: a timeout_ms too large to be a
+// time.Duration in nanoseconds — from 9,223,372,036,855 up — still means
+// "no tighter than the server's maximum", on search and on ingest, and
+// never a deadline already past. Just below the wrap, and at the largest
+// JSON integer an int holds, the search's deadline is RequestTimeout away.
+func TestHugeTimeoutClampsToServerMaximum(t *testing.T) {
+	const limit = time.Hour
+	s, ts := newTestServer(t, Options{RequestTimeout: limit})
+	left := make(chan time.Duration, 1)
+	s.testHookSearch = func(ctx context.Context) {
+		deadline, _ := ctx.Deadline()
+		left <- time.Until(deadline)
+	}
+	client := ts.Client()
+	for _, ms := range []int{9223372036854, 9223372036855, math.MaxInt} {
+		if status, body := postJSON(t, client, ts.URL+"/v1/ingest", ingestRequest{Docs: testDocs(t, 2), TimeoutMS: ms}); status != http.StatusOK {
+			t.Errorf("ingest at timeout_ms %d: status %d, want 200; body %s", ms, status, body)
+		}
+		status, body := postJSON(t, client, ts.URL+"/v1/search", queryRequest{Terms: []string{"abcd"}, TimeoutMS: ms})
+		if status != http.StatusOK {
+			t.Errorf("search at timeout_ms %d: status %d, want 200; body %s", ms, status, body)
+		}
+		if d := <-left; d <= limit-time.Minute || d > limit {
+			t.Errorf("search at timeout_ms %d: deadline %v away, want about %v", ms, d, limit)
+		}
 	}
 }
 
