@@ -160,10 +160,28 @@ type postings struct {
 	bnds []uint16
 }
 
-// intersect merges two ascending ordinal lists, keeping the min bound at
-// each shared ordinal.
+// intersect returns the ordinals two ascending lists share, each at the
+// min of its two bounds. It walks the shorter list and finds each of its
+// ordinals in the longer one: by a linear merge when the lengths are
+// comparable, and by galloping when the longer list is at least
+// gallopRatio times as long, so a small running set costs a few probes
+// per member instead of a pass over a long posting list. Either way the
+// result is the same set at the same bounds, in a fresh backing sized to
+// the shorter list (a may be a shared posting list).
 func intersect(a, b postings) postings {
-	var out postings // fresh backing; a may be a shared posting list
+	if len(a.ords) > len(b.ords) {
+		a, b = b, a
+	}
+	if len(b.ords) >= gallopRatio*len(a.ords) {
+		return intersectGallop(a, b)
+	}
+	return intersectMerge(a, b)
+}
+
+// intersectMerge is intersect by one linear pass over both lists; a is
+// the shorter.
+func intersectMerge(a, b postings) postings {
+	out := postings{ords: make([]uint32, 0, len(a.ords)), bnds: make([]uint16, 0, len(a.ords))}
 	i, j := 0, 0
 	for i < len(a.ords) && j < len(b.ords) {
 		switch {
@@ -179,6 +197,45 @@ func intersect(a, b postings) postings {
 		}
 	}
 	return out
+}
+
+// intersectGallop is intersect by galloping through b for each ordinal
+// of a, the shorter, from where the previous search stopped.
+func intersectGallop(a, b postings) postings {
+	out := postings{ords: make([]uint32, 0, len(a.ords)), bnds: make([]uint16, 0, len(a.ords))}
+	j := 0
+	for i, o := range a.ords {
+		if j += gallop(b.ords[j:], o); j == len(b.ords) {
+			break
+		}
+		if b.ords[j] == o {
+			out.ords = append(out.ords, o)
+			out.bnds = append(out.bnds, min(a.bnds[i], b.bnds[j]))
+			j++
+		}
+	}
+	return out
+}
+
+// gallopRatio is how many times longer than the other list a list must be
+// for intersect to gallop through it. BenchmarkIntersect sets it: the
+// merge is well ahead at 1:4 and as fast or faster at 1:8, and galloping
+// is about twice as fast at 1:16 and pulls away after.
+const gallopRatio = 16
+
+// gallop returns the index of the first element of the ascending s that
+// is not below x, len(s) if none is. It probes s[0], s[1], s[3], s[7], …
+// until one is not below x, then binary-searches from just past the last
+// probe below x up to and including that one, which may itself be the
+// answer.
+func gallop(s []uint32, x uint32) int {
+	hi := 1
+	for hi <= len(s) && s[hi-1] < x {
+		hi *= 2
+	}
+	lo := hi / 2 // s[:lo] is below x
+	at, _ := slices.BinarySearch(s[lo:min(hi, len(s))], x)
+	return lo + at
 }
 
 // Len returns the number of live indexed documents.

@@ -419,10 +419,27 @@ func (t *tally) add(o tally) {
 // each; the tallies are summed once every worker has stopped. The first
 // error — a store failure, or ctx's own — cancels the rest of the run and
 // is the one returned, not the cancellations it caused.
+//
+// A run that is one job — fewer than minJob IDs, a top-k round over a
+// small candidate set — or that has one worker runs its jobs in order on
+// the calling goroutine, with no goroutine, cancel or WaitGroup to pay
+// for, and the same tally and errors.
 func (e *Engine) evalAll(ctx context.Context, q *Query, opts SearchOptions, ids []string) (tally, error) {
 	size := min(max((len(ids)+e.workers-1)/e.workers, minJob), fetchBatch)
 	jobs := (len(ids) + size - 1) / size
 	workers := min(e.workers, jobs) // never start workers that could have no job to take
+	if workers <= 1 {
+		var t tally
+		for job := range jobs {
+			if err := e.evalBatch(ctx, q, opts, ids[job*size:min((job+1)*size, len(ids))], &t); err != nil {
+				return tally{}, err
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return tally{}, err
+		}
+		return t, nil
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -481,6 +498,7 @@ func (e *Engine) evalBatch(ctx context.Context, q *Query, opts SearchOptions, id
 	// Polling Done per document bounds cancellation latency to one
 	// evaluation; unlike ctx.Err it takes no lock once the channel exists.
 	done := ctx.Done()
+	scratch := q.tab.scratch() // one DP buffer for the whole batch
 	err := e.st.ViewBatch(ctx, ids, func(i int, v *store.View) error {
 		select {
 		case <-done:
@@ -495,7 +513,7 @@ func (e *Engine) evalBatch(ctx context.Context, q *Query, opts SearchOptions, id
 			}
 			p = q.Eval(opts.Rescore(doc))
 		} else {
-			p = q.evalView(v)
+			p = q.evalView(v, scratch)
 		}
 		t.scanned++
 		if p > 0 && p >= opts.MinProb {

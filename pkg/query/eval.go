@@ -38,7 +38,7 @@ func (q *Query) Eval(d *staccato.Doc) float64 {
 		ends  [evalStackAlts]int
 	)
 	v := viewOf(d, store.View{Data: data[:0], Spans: spans[:0], Probs: probs[:0], Ends: ends[:0]})
-	return q.evalView(&v)
+	return q.evalView(&v, nil)
 }
 
 // The largest document Eval copies without a heap allocation: a (6,3)
@@ -65,9 +65,11 @@ func viewOf(d *staccato.Doc, v store.View) store.View {
 
 // evalView is Eval over a document's alternatives read in place — the
 // one evaluation every path runs, whether the document came from a
-// store's ViewBatch or from a Doc. q must be compiled.
-func (q *Query) evalView(v *store.View) float64 {
-	return min(q.tab.eval(v), 1)
+// store's ViewBatch or from a Doc. q must be compiled. scratch is the
+// DP's buffer for a table too large for the stack (see table.eval); nil
+// allocates one.
+func (q *Query) evalView(v *store.View, scratch []float64) float64 {
+	return min(q.tab.eval(v, scratch), 1)
 }
 
 // eval pushes a distribution over the table's states through the chunks.
@@ -77,14 +79,19 @@ func (q *Query) evalView(v *store.View) float64 {
 // ascending order, which fixes every float's summation order, so the same
 // (document, Query) pair always gives the same bits; each product is
 // converted explicitly, which forbids fusing it into a multiply-add.
-func (t *table) eval(v *store.View) float64 {
-	// vec and next swap roles chunk by chunk over one buffer, which stays
-	// on the stack for any automaton of up to evalStackStates states.
+//
+// vec and next swap roles chunk by chunk over one buffer: on the stack
+// for a table of up to evalStackStates states, otherwise scratch when it
+// holds the 2·states floats (t.scratch), else a fresh one.
+func (t *table) eval(v *store.View, scratch []float64) float64 {
 	var stack [2 * evalStackStates]float64
 	n := len(t.atEnd)
 	buf := stack[:]
 	if 2*n > len(buf) {
-		buf = make([]float64, 2*n)
+		if buf = scratch; len(buf) < 2*n {
+			buf = make([]float64, 2*n)
+		}
+		clear(buf[:n]) // next is cleared per chunk
 	}
 	vec, next := buf[:n], buf[n:2*n]
 	vec[t.start] = 1
@@ -122,3 +129,13 @@ func (t *table) eval(v *store.View) float64 {
 // states, a keyword automaton two more than its term has runes, the
 // product of two keywords about 30.
 const evalStackStates = 64
+
+// scratch returns a buffer for t.eval to reuse across the documents of a
+// batch: nil for a table that fits evalStackStates, which eval keeps on
+// its stack.
+func (t *table) scratch() []float64 {
+	if len(t.atEnd) <= evalStackStates {
+		return nil
+	}
+	return make([]float64, 2*len(t.atEnd))
+}

@@ -426,7 +426,7 @@ func FuzzEvalTableMatchesReference(f *testing.F) {
 		if err := v.Parse(data); err != nil {
 			t.Fatal(err)
 		}
-		if got := q.evalView(&v); math.Float64bits(got) != math.Float64bits(want) {
+		if got := q.evalView(&v, nil); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: the View DP = %v, reference %v", q, got, want)
 		}
 	})

@@ -137,13 +137,16 @@ type PostingSource interface {
 // size: the one index.Lookup whose answer is the candidate set, with what
 // it does, its rendering and the grams it names, all fixed when the plan
 // is built. A Plan is immutable, independent of any particular index, and
-// may be reused across Candidates calls and goroutines.
+// may be reused across Candidates calls and goroutines — which is what
+// lets its Query keep it (Query.Plan).
 type Plan struct {
 	lookup index.Lookup
 	kind   planKind
 	text   string
 	// grams is the number of distinct grams lookup names.
 	grams int
+	// gramSize is the gram size the plan was built for.
+	gramSize int
 }
 
 // planKind is what a plan, or a branch of one, asks of the index.
@@ -160,13 +163,28 @@ const (
 
 // Plan extracts the conservatively-required gram sets from q. gramSize
 // must match the target index's; a gramSize < 1 yields a plan that never
-// prunes.
+// prunes. A nil or zero-value q matches nothing, and at a gramSize ≥ 1
+// plans to match nothing.
+//
+// The plan is built once per compiled query and gram size: q keeps the
+// last plan it built and returns that same *Plan to every later call at
+// its gram size, from any goroutine, so a cached Query plans for free.
+// Two goroutines planning q for the first time at once may both build;
+// their plans are equal, and the one stored last is kept.
 func (q *Query) Plan(gramSize int) *Plan {
+	if q == nil {
+		q = &Query{}
+	}
+	if p := q.plan.Load(); p != nil && p.gramSize == gramSize {
+		return p
+	}
 	p := scanPlan("planning disabled")
 	if gramSize >= 1 {
 		p = buildPlan(exprOf(q), q.leaves, gramSize)
 	}
 	p.grams = countGrams(p.lookup, map[string]bool{})
+	p.gramSize = gramSize
+	q.plan.Store(&p)
 	return &p
 }
 

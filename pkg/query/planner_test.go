@@ -2,15 +2,19 @@ package query_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
+	"github.com/paper-repo/staccato-go/pkg/staccato"
 )
 
 // fakeSource records the one lookup each plan hands it and answers from
@@ -465,5 +469,82 @@ func TestEngineSearchByteIdenticalWithCandidates(t *testing.T) {
 	}
 	if prunedRuns == 0 {
 		t.Fatal("no run pruned anything; the test is vacuous")
+	}
+}
+
+// planShape is everything a plan shows a caller: its rendering, whether
+// it prunes, the grams it names, and what Lookup hands a recording source
+// and returns.
+func planShape(p *query.Plan) string {
+	src := &fakeSource{}
+	cand, grams := p.Lookup(src)
+	return fmt.Sprintf("%s prunable=%v names=%d nil=%v grams=%d lookups=%+v",
+		p, p.Prunable(), p.NumGrams(), cand == nil, grams, src.calls)
+}
+
+// TestPlanCachedPerGramSize: a compiled query plans once per gram size.
+// A second Plan at the same size is the same *Plan; a plan at another
+// size, and the plan back at the first one, equal a fresh build's; nil
+// and zero-value queries plan to match nothing; and Plan plus Lookup from
+// 8 goroutines at once, at alternating gram sizes, agree with a
+// sequential run (run it under -race).
+func TestPlanCachedPerGramSize(t *testing.T) {
+	compile := func() *query.Query {
+		return query.And(mustQ(query.Keyword("quick")),
+			query.Or(mustQ(query.Substring("brown")), mustQ(query.Fuzzy("stacking", 1)), mustQ(query.Fuzzy("fox", 1))))
+	}
+	q := compile()
+	first := q.Plan(3)
+	if again := q.Plan(3); again != first {
+		t.Fatal("a second Plan at the same gram size built a new plan")
+	}
+	for _, gramSize := range []int{4, 3, 0, 3} {
+		if got, want := planShape(q.Plan(gramSize)), planShape(compile().Plan(gramSize)); got != want {
+			t.Errorf("gram size %d: cached query plans\n %s\nfresh query plans\n %s", gramSize, got, want)
+		}
+	}
+
+	for name, none := range map[string]*query.Query{"nil": nil, "zero-value": {}} {
+		p := none.Plan(3)
+		if cand, _ := p.Lookup(&fakeSource{}); p.String() != "none" || cand == nil || cand.Len() != 0 {
+			t.Errorf("%s query plans to %s with candidates %v, want none and an empty set", name, p, cand.IDs())
+		}
+	}
+
+	ix := index.New(3)
+	for i, text := range []string{"the quick brown fox", "a quick stacking", "quick fax", "slow brown", "quick"} {
+		ix.Add(&staccato.Doc{
+			ID:     fmt.Sprintf("d%d", i),
+			Params: staccato.Params{Chunks: 1, K: 1},
+			Chunks: []staccato.PathSet{{Alts: []staccato.Alt{{Text: text, Prob: 1}}, Retained: 1}},
+		})
+	}
+	q = compile()
+	want := map[int]string{3: planShape(compile().Plan(3)), 4: planShape(compile().Plan(4))}
+	wantIDs := compile().Plan(3).Candidates(ix).IDs()
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				gramSize := 3 + (g+i)%2
+				p := q.Plan(gramSize)
+				if got := planShape(p); got != want[gramSize] {
+					t.Errorf("goroutine %d, gram size %d: plan %s, want %s", g, gramSize, got, want[gramSize])
+					return
+				}
+				if gramSize == 3 {
+					if got := p.Candidates(ix).IDs(); !slices.Equal(got, wantIDs) {
+						t.Errorf("goroutine %d: candidates %v, want %v", g, got, wantIDs)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(wantIDs) == 0 || len(wantIDs) == ix.Len() {
+		t.Fatalf("candidates %v of %d documents: the concurrent check prunes nothing or keeps nothing", wantIDs, ix.Len())
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Mode selects how a term must occur in the document text.
@@ -69,6 +70,9 @@ type Query struct {
 	// tab is the query's one transition table: a single leaf's own, any
 	// other formula's product table.
 	tab *table
+	// plan is the last plan Plan built, kept for the next call at its gram
+	// size: a query is planned against one index, so that is every call.
+	plan atomic.Pointer[Plan]
 }
 
 // leaf is one compiled term automaton. Duplicate (term, mode, dist)

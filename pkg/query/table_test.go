@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -153,12 +154,71 @@ func TestEvalAllocs(t *testing.T) {
 		if len(q.tab.atEnd) > evalStackStates {
 			t.Fatalf("%s: %d table states, above the %d evaluated on the stack", q, len(q.tab.atEnd), evalStackStates)
 		}
-		if n := testing.AllocsPerRun(100, func() { q.evalView(&v) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { q.evalView(&v, nil) }); n != 0 {
 			t.Errorf("%s over a warm View: %v allocations, want 0", q, n)
 		}
 		if n := testing.AllocsPerRun(100, func() { q.Eval(d) }); n != 0 {
 			t.Errorf("%s: Eval takes %v allocations, want 0", q, n)
 		}
+	}
+}
+
+// viewStore serves parsed records from memory: the one DocStore method
+// evalBatch calls, with nothing of its own to allocate.
+type viewStore struct {
+	store.DocStore // nil; only ViewBatch is called
+	views          []store.View
+}
+
+func (s viewStore) ViewBatch(_ context.Context, ids []string, fn func(int, *store.View) error) error {
+	for i := range ids {
+		if err := fn(i, &s.views[i%len(s.views)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestEvalBatchScratch pins the DP's allocations for a table above
+// evalStackStates — the three-keyword And of the bench's conj-topk — over
+// a worker job: one buffer for the whole batch, so a job of 64 documents
+// allocates what a job of one does.
+func TestEvalBatchScratch(t *testing.T) {
+	cases, err := testgen.ErrDocs(8, testgen.ErrModelConfig{VocabSize: 2000}, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st viewStore
+	for _, c := range cases {
+		data, err := store.Encode(c.Doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v store.View
+		if err := v.Parse(data); err != nil {
+			t.Fatal(err)
+		}
+		st.views = append(st.views, v)
+	}
+	words := testgen.Vocab(2000)[11:14]
+	kw := func(term string) *Query { return mustCompile(t)(Keyword(term)) }
+	q := And(kw(words[0]), kw(words[1]), kw(words[2]))
+	if len(q.tab.atEnd) <= evalStackStates {
+		t.Fatalf("%s: %d table states, not above the %d evaluated on the stack", q, len(q.tab.atEnd), evalStackStates)
+	}
+	e := &Engine{st: st, workers: 1}
+	ids := make([]string, fetchBatch)
+	allocs := func(n int) float64 {
+		tl := tally{res: make([]Result, 0, n)}
+		return testing.AllocsPerRun(20, func() {
+			tl.res = tl.res[:0]
+			if err := e.evalBatch(context.Background(), q, SearchOptions{}, ids[:n], &tl); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, all := allocs(1), allocs(len(ids)); all != one {
+		t.Errorf("evalBatch of %s: %v allocations over 1 document, %v over %d; want the same", q, one, all, len(ids))
 	}
 }
 
