@@ -2,7 +2,6 @@ package query
 
 import (
 	"sort"
-	"strings"
 	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/internal/core"
@@ -121,7 +120,8 @@ func (q *Query) Snippets(d *staccato.Doc, opts SnippetOptions) DocSnippets {
 			return false
 		}
 		examined++
-		if ok, spans := q.MatchText(text); ok {
+		if q.matches(text) {
+			spans := q.spans(text)
 			if opts.ContextRunes > 0 {
 				addContext(text, spans, opts.ContextRunes)
 			}
@@ -141,30 +141,40 @@ func (q *Query) Snippets(d *staccato.Doc, opts SnippetOptions) DocSnippets {
 // MatchText evaluates the query against one concrete string — a single
 // fully-determined reading — returning whether it satisfies the boolean
 // formula and every occurrence of the query's leaf terms within it,
-// sorted by (Start, End, Term). The matched bit agrees exactly with what
-// Eval computes for a document encoding only this reading: a leaf's bit
-// is "the term occurs at least once", and the formula is evaluated over
-// the leaf bits. Occurrences are reported for every leaf, including
-// leaves under Not — a reading satisfying or(a, not(b)) via the first
-// disjunct may still contain b, and the spans say so.
+// sorted by (Start, End, Term). The verdict is Eval's for a document
+// encoding only this reading: the query's table is run over the string,
+// reading each invalid UTF-8 byte as U+FFFD just as the DP does.
+// Occurrences are reported for every leaf, including leaves under Not — a
+// reading satisfying or(a, not(b)) via the first disjunct may still
+// contain b, and the spans say so.
 func (q *Query) MatchText(text string) (bool, []Span) {
 	if q.expr == nil {
 		return false, nil
 	}
-	bits := make([]bool, len(q.leaves))
+	return q.matches(text), q.spans(text)
+}
+
+// matches runs q's table over text from its start state: the DP of
+// table.eval for a single alternative of probability 1. q must be
+// compiled.
+func (q *Query) matches(text string) bool {
+	e := q.tab.run(q.tab.start, []byte(text))
+	return e&hitBit != 0 || q.tab.atEnd[e]
+}
+
+// spans returns every occurrence of q's leaf terms in text, sorted by
+// (Start, End, Term).
+func (q *Query) spans(text string) []Span {
 	var spans []Span
-	for i, lf := range q.leaves {
-		var occ []Span
+	for _, lf := range q.leaves {
 		switch lf.mode {
 		case ModeKeyword:
-			occ = keywordSpans(text, lf.term)
+			spans = append(spans, keywordSpans(text, lf.term)...)
 		case ModeFuzzy:
-			occ = fuzzySpans(text, lf.term, lf.dist)
+			spans = append(spans, fuzzySpans(text, lf.term, lf.dist)...)
 		default:
-			occ = substringSpans(text, lf.term)
+			spans = append(spans, substringSpans(text, lf.term)...)
 		}
-		bits[i] = len(occ) > 0
-		spans = append(spans, occ...)
 	}
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {
@@ -175,41 +185,52 @@ func (q *Query) MatchText(text string) (bool, []Span) {
 		}
 		return spans[i].Term < spans[j].Term
 	})
-	return q.expr.eval(bits), spans
+	return spans
 }
 
 // substringSpans finds every occurrence of term in text, overlapping ones
-// included, with byte and rune offsets. Byte search is rune-exact: UTF-8
-// is self-synchronizing, so a byte-level occurrence of a valid encoding
-// is a rune-level occurrence.
+// included, with byte and rune offsets. It compares decoded runes, an
+// invalid UTF-8 byte reading as U+FFFD on either side, so it finds
+// exactly the occurrences the term's automaton matches; on valid UTF-8
+// that is byte-exact.
 func substringSpans(text, term string) []Span {
 	if term == "" {
 		return nil
 	}
 	var out []Span
 	termRunes := utf8.RuneCountInString(term)
-	runesBefore := 0 // rune count of text[:from]
-	from := 0
-	for {
-		i := strings.Index(text[from:], term)
-		if i < 0 {
-			return out
+	for start, r := 0, 0; start < len(text); r++ {
+		if n, ok := runePrefix(text[start:], term); ok {
+			out = append(out, Span{
+				Term:      term,
+				Start:     start,
+				End:       start + n,
+				RuneStart: r,
+				RuneEnd:   r + termRunes,
+			})
 		}
-		start := from + i
-		runesBefore += utf8.RuneCountInString(text[from:start])
-		out = append(out, Span{
-			Term:      term,
-			Start:     start,
-			End:       start + len(term),
-			RuneStart: runesBefore,
-			RuneEnd:   runesBefore + termRunes,
-		})
-		// Advance one rune past the occurrence's start so overlapping
-		// occurrences are still found.
 		_, sz := utf8.DecodeRuneInString(text[start:])
-		from = start + sz
-		runesBefore++
+		start += sz
 	}
+	return out
+}
+
+// runePrefix reports whether s begins with the runes of term, decoding
+// both the way ranging over a string does, and returns the byte length of
+// that prefix of s.
+func runePrefix(s, term string) (int, bool) {
+	n := 0
+	for _, want := range term {
+		if n == len(s) {
+			return 0, false
+		}
+		r, sz := utf8.DecodeRuneInString(s[n:])
+		if r != want {
+			return 0, false
+		}
+		n += sz
+	}
+	return n, true
 }
 
 // fuzzySpans finds occurrences of term within edit distance dist in

@@ -79,22 +79,22 @@ func TestSnippetContextClampEndToEnd(t *testing.T) {
 	}
 }
 
-// FuzzSnippetContext hammers addContext with arbitrary (often invalid
-// UTF-8 producing) strings and arbitrary span geometry. The harness
-// normalizes the offsets into the valid range MatchText guarantees and
-// then requires the same window properties the deterministic test pins.
+// FuzzSnippetContext hammers addContext with arbitrary strings, invalid
+// UTF-8 included, and arbitrary span geometry. The harness normalizes
+// the offsets into the valid range MatchText guarantees and then
+// requires the same window properties the deterministic test pins.
 func FuzzSnippetContext(f *testing.F) {
 	f.Add("héllo wörld", 1, 3, 4)
 	f.Add("日本語のテキスト", 0, 2, 1)
 	f.Add("🙂🙃🙂", 2, 3, 512)
 	f.Add("plain ascii text", 6, 11, 0)
 	f.Add("", 0, 0, 8)
+	f.Add("x\x80y\xfez", 1, 2, 1)
 	f.Fuzz(func(t *testing.T, text string, start, end, n int) {
-		if !utf8.ValidString(text) {
-			// Readings are Go strings built from valid alternatives; the
-			// extractor's contract starts at valid UTF-8.
-			return
-		}
+		// Readings may hold invalid UTF-8, and a matching one carries
+		// spans: each invalid byte is one U+FFFD rune, to the automaton,
+		// to the span finders and to addContext alike, so the window
+		// properties hold on any text.
 		runes := []rune(text)
 		if start < 0 {
 			start = -start

@@ -217,3 +217,47 @@ func TestSnippetTruncation(t *testing.T) {
 		t.Fatalf("truncated snippet still carries the DP probability, got %v", cut.Prob)
 	}
 }
+
+// TestSnippetsRankUnsortedAlternatives pins the best-reading contract
+// for a document whose chunk lists its alternatives least probable first,
+// as an ingest request may: the most probable matching reading is
+// reported first, and the reported mass is its own.
+func TestSnippetsRankUnsortedAlternatives(t *testing.T) {
+	d := &staccato.Doc{ID: "u", Chunks: []staccato.PathSet{
+		{Alts: []staccato.Alt{{Text: "xab", Prob: 0.2}, {Text: "yab", Prob: 0.8}}, Retained: 1},
+	}}
+	sn := mustQ(query.Substring("ab")).Snippets(d, query.SnippetOptions{MaxReadings: 1})
+	//lint:allow floateq a one-chunk reading's probability is the alternative's own, copied, not computed
+	if len(sn.Readings) != 1 || sn.Readings[0].Text != "yab" || sn.Readings[0].Prob != 0.8 {
+		t.Fatalf("best matching reading %+v, want \"yab\" at p=0.8", sn.Readings)
+	}
+}
+
+// TestMatchTextReadsInvalidUTF8AsEval pins MatchText to the DP on
+// readings holding bytes that are not UTF-8: the automaton reads each as
+// U+FFFD, so a U+FFFD term — or a term that is itself such a byte —
+// matches there, MatchText agrees, and Snippets reports the reading with
+// the occurrence.
+func TestMatchTextReadsInvalidUTF8AsEval(t *testing.T) {
+	for _, c := range []struct{ term, text string }{
+		{"�", "x\x80y"},
+		{"\xff", "a\xfeb"},
+	} {
+		q := mustQ(query.Substring(c.term))
+		d := &staccato.Doc{ID: "one", Chunks: []staccato.PathSet{
+			{Alts: []staccato.Alt{{Text: c.text, Prob: 1}}, Retained: 1},
+		}}
+		if p := q.Eval(d); p <= 0 {
+			t.Fatalf("%s on %q: Eval = %v, want 1", q, c.text, p)
+		}
+		matched, spans := q.MatchText(c.text)
+		if !matched || len(spans) != 1 || spans[0].Start != 1 || spans[0].End != 2 ||
+			spans[0].RuneStart != 1 || spans[0].RuneEnd != 2 {
+			t.Fatalf("%s on %q: MatchText = %v %+v, want a match at bytes and runes [1,2)", q, c.text, matched, spans)
+		}
+		sn := q.Snippets(d, query.SnippetOptions{})
+		if len(sn.Readings) != 1 || sn.Truncated || len(sn.Readings[0].Spans) != 1 {
+			t.Fatalf("%s on %q: Snippets = %+v, want the one reading with its occurrence", q, c.text, sn)
+		}
+	}
+}

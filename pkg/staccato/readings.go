@@ -1,6 +1,9 @@
 package staccato
 
-import "container/heap"
+import (
+	"container/heap"
+	"slices"
+)
 
 // BestReadings enumerates complete readings of the document in descending
 // probability order, calling fn with each reading's text and probability
@@ -11,60 +14,61 @@ import "container/heap"
 // snippet extraction affordable on documents whose full reading set is
 // astronomically large.
 //
-// The order is fully deterministic: readings with equal probability are
-// emitted in ascending lexicographic order of their per-chunk alternative
-// index vectors (chunk 0's index most significant). Probabilities are
-// computed as the left-to-right product of the chosen alternatives'
-// probabilities — the same accumulation order Readings uses — so the two
-// enumerations report bit-identical probabilities for the same reading.
+// BestReadings ranks each chunk's alternatives itself — by descending
+// probability, ties by text, the order Build stores them in — so it does
+// not rely on the order of a document's Alts. The order is fully
+// deterministic: readings with equal probability are emitted in ascending
+// lexicographic order of their per-chunk rank vectors (chunk 0's rank
+// most significant). Probabilities are computed as the left-to-right
+// product of the chosen alternatives' probabilities — the same
+// accumulation order Readings uses — so the two enumerations report
+// bit-identical probabilities for the same reading.
 func (d *Doc) BestReadings(fn func(text string, prob float64) bool) {
 	n := len(d.Chunks)
 	if n == 0 {
 		fn("", 1)
 		return
 	}
-	for _, c := range d.Chunks {
+	ranked := make([][]Alt, n)
+	for i, c := range d.Chunks {
 		if len(c.Alts) == 0 {
 			return // no complete reading exists
 		}
+		ranked[i] = slices.Clone(c.Alts)
+		sortAlts(ranked[i])
 	}
 
 	// Classic lazy k-best over a product of sorted lists: each frontier
-	// entry is an index vector; popping the best pushes its n successors
-	// (one index bumped each), deduplicated so every vector enters the
-	// heap once. Per-chunk alternative lists are sorted by descending
-	// probability, so bumping an index never increases the product —
-	// every successor is no better than its parent, and the heap order
-	// is a valid enumeration order.
+	// entry is a rank vector. Every vector but the all-zero one has one
+	// parent, itself with its last nonzero rank lowered by one; popping a
+	// vector pushes its children, the vectors one rank higher at or after
+	// its own last nonzero position. A parent ranks ahead of its children
+	// (probability no lower, and lexicographically smaller), so each
+	// vector enters the heap once, after everything ahead of it, and the
+	// heap order is the enumeration order.
 	h := &readingHeap{}
-	seen := map[string]bool{}
-	push := func(idx []int) {
-		key := indexKey(idx)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
+	push := func(idx []int, last int) {
 		p := 1.0
 		for i, ci := range idx {
-			p *= d.Chunks[i].Alts[ci].Prob
+			p *= ranked[i][ci].Prob
 		}
-		heap.Push(h, readingCand{idx: idx, key: key, prob: p})
+		heap.Push(h, readingCand{idx: idx, last: last, prob: p})
 	}
-	push(make([]int, n))
+	push(make([]int, n), 0)
 	for h.Len() > 0 {
 		top := heap.Pop(h).(readingCand)
 		var text []byte
 		for i, ci := range top.idx {
-			text = append(text, d.Chunks[i].Alts[ci].Text...)
+			text = append(text, ranked[i][ci].Text...)
 		}
 		if !fn(string(text), top.prob) {
 			return
 		}
-		for i := range top.idx {
-			if top.idx[i]+1 < len(d.Chunks[i].Alts) {
-				next := append([]int(nil), top.idx...)
+		for i := top.last; i < n; i++ {
+			if top.idx[i]+1 < len(ranked[i]) {
+				next := slices.Clone(top.idx)
 				next[i]++
-				push(next)
+				push(next, i)
 			}
 		}
 	}
@@ -72,25 +76,13 @@ func (d *Doc) BestReadings(fn func(text string, prob float64) bool) {
 
 // readingCand is one frontier entry of the lazy enumeration.
 type readingCand struct {
-	idx  []int
-	key  string // encoded idx, doubling as the tie-break
+	idx  []int // the rank of each chunk's chosen alternative
+	last int   // the last position of idx that is not zero, or 0
 	prob float64
 }
 
-// indexKey encodes an index vector compactly; because every chunk's
-// alternative count is far below 2^16, two bytes per chunk preserve the
-// vector's lexicographic order in the string comparison.
-func indexKey(idx []int) string {
-	b := make([]byte, 2*len(idx))
-	for i, v := range idx {
-		b[2*i] = byte(v >> 8)
-		b[2*i+1] = byte(v)
-	}
-	return string(b)
-}
-
 // readingHeap orders candidates by descending probability, ties broken by
-// ascending index vector — a total, deterministic order.
+// ascending rank vector — a total, deterministic order.
 type readingHeap []readingCand
 
 func (h readingHeap) Len() int { return len(h) }
@@ -101,7 +93,7 @@ func (h readingHeap) Less(i, j int) bool {
 	if h[i].prob < h[j].prob {
 		return false
 	}
-	return h[i].key < h[j].key
+	return slices.Compare(h[i].idx, h[j].idx) < 0
 }
 func (h readingHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *readingHeap) Push(x any)   { *h = append(*h, x.(readingCand)) }

@@ -1,6 +1,7 @@
 package staccato_test
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -92,4 +93,54 @@ func TestBestReadingsDegenerateDocs(t *testing.T) {
 		t.Fatal("doc with an empty chunk must emit no readings")
 		return false
 	})
+}
+
+// TestBestReadingsRankUnsortedAlternatives feeds documents whose chunks
+// list their alternatives in an order other than Build's — as an ingest
+// request may — and requires BestReadings and MAP to rank them anyway:
+// the best reading first, and the same enumeration as the sorted
+// document's.
+func TestBestReadingsRankUnsortedAlternatives(t *testing.T) {
+	d := &staccato.Doc{ID: "u", Chunks: []staccato.PathSet{
+		{Alts: []staccato.Alt{{Text: "xab", Prob: 0.2}, {Text: "yab", Prob: 0.8}}, Retained: 1},
+	}}
+	if got := d.MAP(); got != "yab" {
+		t.Fatalf("MAP = %q, want the p=0.8 alternative \"yab\"", got)
+	}
+	d.BestReadings(func(text string, prob float64) bool {
+		//lint:allow floateq a one-chunk reading's probability is the alternative's own, copied, not computed
+		if text != "yab" || prob != 0.8 {
+			t.Fatalf("best reading (%q, %v), want (\"yab\", 0.8)", text, prob)
+		}
+		return false
+	})
+
+	for seed := int64(1); seed <= 4; seed++ {
+		_, f := testgen.MustGenerate(testgen.Config{Length: 18, Seed: seed})
+		sorted, err := staccato.Build(f, "d", 3, 3)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		shuffled := &staccato.Doc{ID: sorted.ID, Chunks: make([]staccato.PathSet, len(sorted.Chunks))}
+		for i, c := range sorted.Chunks {
+			alts := append([]staccato.Alt(nil), c.Alts...)
+			slices.Reverse(alts)
+			shuffled.Chunks[i] = staccato.PathSet{Alts: alts, Retained: c.Retained}
+		}
+		if got, want := shuffled.MAP(), sorted.MAP(); got != want {
+			t.Fatalf("seed %d: MAP of reversed alternatives %q, want %q", seed, got, want)
+		}
+		var want, got []enumerated
+		sorted.BestReadings(func(text string, prob float64) bool {
+			want = append(want, enumerated{text: text, prob: prob})
+			return true
+		})
+		shuffled.BestReadings(func(text string, prob float64) bool {
+			got = append(got, enumerated{text: text, prob: prob})
+			return true
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: reversed alternatives enumerate\n%v\nwant\n%v", seed, got, want)
+		}
+	}
 }

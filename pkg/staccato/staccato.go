@@ -44,9 +44,12 @@ type Alt struct {
 	Prob float64 `json:"prob"`
 }
 
-// PathSet is the retained top-k path set of one chunk. Alts are sorted by
-// descending probability (ties broken by text) and their probabilities sum
-// to 1. Retained records the fraction of the chunk's total probability
+// PathSet is the retained top-k path set of one chunk. Its Alts'
+// probabilities sum to 1. Build sorts Alts by descending probability
+// (ties broken by text), but a document can arrive from elsewhere — an
+// ingest request, a hand-built Doc — in any order, so readers must not
+// rely on that order: MAP and BestReadings rank the alternatives
+// themselves. Retained records the fraction of the chunk's total probability
 // mass the kept paths cover, a diagnostic for how lossy the approximation
 // was at this dial setting.
 type PathSet struct {
@@ -72,13 +75,22 @@ type Doc struct {
 }
 
 // MAP returns the most probable reading under the Doc's product
-// distribution: the concatenation of each chunk's top alternative.
+// distribution: the concatenation of each chunk's top alternative, the
+// most probable one, ties broken by text — the first reading BestReadings
+// emits.
 func (d *Doc) MAP() string {
 	var out []byte
 	for _, c := range d.Chunks {
-		if len(c.Alts) > 0 {
-			out = append(out, c.Alts[0].Text...)
+		if len(c.Alts) == 0 {
+			continue
 		}
+		top := c.Alts[0]
+		for _, a := range c.Alts[1:] {
+			if altBefore(a, top) {
+				top = a
+			}
+		}
+		out = append(out, top.Text...)
 	}
 	return string(out)
 }
@@ -142,11 +154,15 @@ func Build(f *fst.SFST, id string, numChunks, k int) (*Doc, error) {
 // sortAlts orders alternatives by descending probability, breaking ties by
 // text so output is deterministic.
 func sortAlts(alts []Alt) {
-	sort.Slice(alts, func(i, j int) bool {
-		//lint:allow floateq sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make alternative order nondeterministic
-		if alts[i].Prob != alts[j].Prob {
-			return alts[i].Prob > alts[j].Prob
-		}
-		return alts[i].Text < alts[j].Text
-	})
+	sort.Slice(alts, func(i, j int) bool { return altBefore(alts[i], alts[j]) })
+}
+
+// altBefore reports whether a ranks ahead of b within a chunk: a higher
+// probability, or an equal one and a smaller text.
+func altBefore(a, b Alt) bool {
+	//lint:allow floateq sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make alternative order nondeterministic
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
+	}
+	return a.Text < b.Text
 }
