@@ -1,12 +1,8 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
@@ -30,14 +26,8 @@ func indexMain(w io.Writer, args []string) error {
 	cfg := indexConfig{}
 	fs.StringVar(&cfg.store, "store", "", "directory of the database to index (required)")
 	fs.BoolVar(&cfg.verbose, "v", false, "also print the database stats as one JSON line (the /v1/stats \"db\" shape)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errFlagParse
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("index: unexpected argument %q (index takes only flags)", fs.Arg(0))
+	if stop, err := parseFlags(fs, args, false); stop {
+		return err
 	}
 	_, err := runIndex(w, cfg)
 	return err
@@ -51,14 +41,8 @@ func indexMain(w io.Writer, args []string) error {
 // second rebuild: a fresh index is already the desired end state.
 func runIndex(w io.Writer, cfg indexConfig) (indexReport, error) {
 	var rep indexReport
-	if cfg.store == "" {
-		return rep, fmt.Errorf("index: -store DIR is required")
-	}
-	if _, err := os.Stat(filepath.Join(cfg.store, "MANIFEST")); err != nil {
-		return rep, fmt.Errorf("index: no store at %s (%w); run staccato ingest -store first", cfg.store, err)
-	}
 	start := time.Now()
-	db, err := staccatodb.Open(cfg.store)
+	db, err := openStore("index", cfg.store, false)
 	if err != nil {
 		return rep, err
 	}

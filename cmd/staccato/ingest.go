@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"time"
@@ -49,14 +47,8 @@ func ingestMain(w io.Writer, args []string) error {
 	fs.BoolVar(&cfg.noSync, "nosync", false, "skip fsync on commit (faster; an OS crash may lose recent batches)")
 	fs.BoolVar(&cfg.noIndex, "noindex", false, "do not build or maintain the inverted index (searches will scan; build later with staccato index)")
 	fs.BoolVar(&cfg.verbose, "v", false, "also print the database stats as one JSON line (the /v1/stats \"db\" shape)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errFlagParse
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("ingest: unexpected argument %q (ingest takes only flags)", fs.Arg(0))
+	if stop, err := parseFlags(fs, args, false); stop {
+		return err
 	}
 	_, err := runIngest(w, cfg)
 	return err
@@ -66,9 +58,6 @@ func ingestMain(w io.Writer, args []string) error {
 // one batch — one fsync, one index log record — per cfg.batch documents.
 func runIngest(w io.Writer, cfg ingestConfig) (ingestReport, error) {
 	var rep ingestReport
-	if cfg.store == "" {
-		return rep, fmt.Errorf("ingest: -store DIR is required")
-	}
 	if cfg.docs < 1 {
 		return rep, fmt.Errorf("ingest: -docs must be >= 1, got %d", cfg.docs)
 	}
@@ -77,14 +66,7 @@ func runIngest(w io.Writer, cfg ingestConfig) (ingestReport, error) {
 	}
 	ctx := context.Background()
 
-	opts := []staccatodb.Option{}
-	if cfg.noSync {
-		opts = append(opts, staccatodb.WithNoSync())
-	}
-	if cfg.noIndex {
-		opts = append(opts, staccatodb.WithoutIndex())
-	}
-	db, err := staccatodb.Open(cfg.store, opts...)
+	db, err := openStore("ingest", cfg.store, true, dbOptions(0, cfg.noSync, cfg.noIndex)...)
 	if err != nil {
 		return rep, err
 	}

@@ -1,11 +1,11 @@
-// Command staccato demonstrates the Staccato pipeline. It has four
-// subcommands; serving a database over HTTP is the companion binary's
-// job (staccatod -store DIR -addr :8417):
+// Command staccato is the command-line front end of the Staccato
+// pipeline and its database. It has five subcommands:
 //
 //	staccato demo [flags]            single-document walkthrough (default)
 //	staccato ingest -store DIR       persist a synthetic corpus into a database
 //	staccato search [flags] TERM...  planner-pruned corpus search
 //	staccato index -store DIR        (re)build a database's inverted index
+//	staccato serve -store DIR        serve a database over HTTP/JSON
 //
 // demo generates one synthetic OCR transducer, builds approximated
 // documents at a chosen dial setting, persists them through a DocStore,
@@ -48,12 +48,36 @@
 //
 //	staccato index -store DIR
 //
-// Serving a database over the network is the companion binary's job:
-// staccatod exposes the same database directory over HTTP/JSON for
-// sustained concurrent traffic:
+// serve is the long-running network service over the same database
+// directory, built for sustained concurrent traffic where the other
+// subcommands are one-shot runs; the directory stays usable by search
+// and index between runs:
 //
-//	staccato ingest -store DIR        # build the corpus
-//	staccatod -store DIR -addr :8417  # serve it
+//	staccato serve -store DIR [-addr :8417] [-create] [-workers N]
+//	               [-maxinflight N] [-timeout D] [-drain D] [-nosync]
+//	               [-noindex] [-lexicon FILE|vocab:N]
+//
+// Its endpoints (all JSON; see pkg/server for the request shapes):
+//
+//	POST   /v1/ingest     batched document writes
+//	POST   /v1/search     ranked probabilistic search (terms, mode,
+//	                      distance, lexicon, combine, not, min_prob,
+//	                      top, timeout_ms)
+//	POST   /v1/snippets   search plus each match's top readings
+//	POST   /v1/explain    plan + executed SearchStats for a query
+//	GET    /v1/docs/{id}  point read
+//	DELETE /v1/docs/{id}  delete
+//	GET    /v1/stats      database + service counters
+//	GET    /healthz       liveness (503 while draining)
+//	GET    /debug/vars    expvar metrics
+//
+// The server bounds in-flight requests (-maxinflight; excess load is
+// rejected with 429 + Retry-After), runs every request under a deadline
+// (-timeout), caches compiled queries, and on SIGINT or SIGTERM drains
+// in-flight requests (up to -drain) before closing the database.
+//
+// A command line the flags reject exits with status 2, any other error
+// with status 1.
 package main
 
 import (
@@ -63,7 +87,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/query"
@@ -107,17 +133,46 @@ func newFlagSet(name, usage, synopsis string) *flag.FlagSet {
 	return fs
 }
 
+// parseFlags parses a subcommand's command line. stop reports that the
+// subcommand must return err without running: after -h (err is nil),
+// after an error the FlagSet has already reported (errFlagParse), or on a
+// positional argument when takesArgs is false — which also catches a
+// mistyped subcommand before it silently runs the default demo.
+func parseFlags(fs *flag.FlagSet, args []string, takesArgs bool) (stop bool, err error) {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return true, nil
+		}
+		return true, errFlagParse
+	}
+	if !takesArgs && fs.NArg() > 0 {
+		return true, fmt.Errorf("%s: unexpected argument %q (%s takes only flags; the subcommands are demo, ingest, search, index, and serve)",
+			fs.Name(), fs.Arg(0), fs.Name())
+	}
+	return false, nil
+}
+
 func main() {
 	args := os.Args[1:]
+	sub := ""
+	if len(args) > 0 {
+		sub = args[0]
+	}
 	var err error
-	switch {
-	case len(args) > 0 && args[0] == "search":
+	switch sub {
+	case "search":
 		err = searchMain(os.Stdout, args[1:])
-	case len(args) > 0 && args[0] == "ingest":
+	case "ingest":
 		err = ingestMain(os.Stdout, args[1:])
-	case len(args) > 0 && args[0] == "index":
+	case "index":
 		err = indexMain(os.Stdout, args[1:])
-	case len(args) > 0 && args[0] == "demo":
+	case "serve":
+		// Only serve runs until told to stop: SIGINT or SIGTERM starts
+		// its drain. The one-shot subcommands keep the default handling.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err = serveMain(ctx, os.Stdout, args[1:])
+		stop()
+	case "demo":
 		err = demoMain(os.Stdout, args[1:])
 	default:
 		// No subcommand: keep the historical behavior of running the demo.
@@ -135,7 +190,7 @@ func main() {
 func demoMain(w io.Writer, args []string) error {
 	fs := newFlagSet("demo", "[demo] [flags]",
 		"single-document walkthrough: build, approximate, store, and query one synthetic OCR document\n"+
-			"  (other subcommands: ingest, search, index; to serve a database over HTTP run staccatod -store DIR -addr :8417)")
+			"  (other subcommands: ingest, search, index, and serve, which serves a database over HTTP)")
 	cfg := config{}
 	fs.Int64Var(&cfg.seed, "seed", 42, "PRNG seed for the synthetic document")
 	fs.IntVar(&cfg.length, "len", 200, "ground truth length in characters")
@@ -144,16 +199,8 @@ func demoMain(w io.Writer, args []string) error {
 	fs.StringVar(&cfg.term, "term", "", "query term (default: search for a term MAP lost)")
 	fs.IntVar(&cfg.termLen, "termlen", 4, "length of auto-searched terms")
 	fs.BoolVar(&cfg.verbose, "v", false, "print the full truth and MAP strings")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errFlagParse
-	}
-	// The demo takes no positional arguments; rejecting them catches a
-	// mistyped subcommand before it silently runs the default demo.
-	if fs.NArg() > 0 {
-		return fmt.Errorf("demo: unexpected argument %q (subcommands are demo, ingest, index, and search; to serve a database run staccatod -store DIR -addr :8417)", fs.Arg(0))
+	if stop, err := parseFlags(fs, args, false); stop {
+		return err
 	}
 	_, err := run(w, cfg)
 	return err
@@ -195,11 +242,10 @@ func run(w io.Writer, cfg config) (report, error) {
 		return rep, err
 	}
 	defer st.Close()
-	if err := st.Put(ctx, doc); err != nil {
-		return rep, err
-	}
-	if err := st.Put(ctx, mapDoc); err != nil {
-		return rep, err
+	for _, d := range []*staccato.Doc{doc, mapDoc} {
+		if err := st.Put(ctx, d); err != nil {
+			return rep, err
+		}
 	}
 	if doc, err = st.Get(ctx, "doc-0001"); err != nil {
 		return rep, err
@@ -298,11 +344,9 @@ func editDistance(a, b string) int {
 }
 
 func minRetained(d *staccato.Doc) float64 {
-	min := 1.0
+	m := 1.0
 	for _, c := range d.Chunks {
-		if c.Retained < min {
-			min = c.Retained
-		}
+		m = min(m, c.Retained)
 	}
-	return min
+	return m
 }

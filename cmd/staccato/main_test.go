@@ -552,8 +552,9 @@ func TestSearchFuzzyFlagValidation(t *testing.T) {
 }
 
 // TestSearchLexiconFlag checks -lexicon vocab:N re-weights probabilities
-// without changing which documents match, and that broken lexicon specs
-// are rejected.
+// without changing which documents match, that a wordlist file of the
+// same words ranks identically, and that broken lexicon specs are
+// rejected.
 func TestSearchLexiconFlag(t *testing.T) {
 	cfg := searchConfig{
 		docs: 40, length: 30, seed: 9, chunks: 4, k: 3,
@@ -582,6 +583,19 @@ func TestSearchLexiconFlag(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ids(plain), ids(scored)) {
 		t.Errorf("lexicon rescoring changed the matched set\n plain: %v\n lex:   %v", ids(plain), ids(scored))
+	}
+	// A wordlist file of the same words is the same lexicon.
+	words := filepath.Join(t.TempDir(), "words.txt")
+	if err := os.WriteFile(words, []byte(strings.Join(testgen.Vocab(300), "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.lexicon = words
+	fromFile, err := runSearch(&strings.Builder{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromFile.results, scored.results) {
+		t.Errorf("-lexicon FILE ranks differently from vocab:300 with the same words\n file:  %v\n vocab: %v", fromFile.results, scored.results)
 	}
 
 	for _, bad := range []string{"vocab:", "vocab:0", "vocab:x", filepath.Join(t.TempDir(), "missing.txt")} {

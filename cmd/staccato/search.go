@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -79,11 +77,8 @@ func searchMain(w io.Writer, args []string) error {
 	fs.IntVar(&cfg.snippets, "snippets", 0, "print up to N top matching readings per result, with term positions")
 	fs.IntVar(&cfg.context, "context", 0, "with -snippets, include N runes of surrounding text around each match")
 	fs.BoolVar(&cfg.verbose, "v", false, "print the pruning plan and per-run planner stats")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errFlagParse
+	if stop, err := parseFlags(fs, args, true); stop {
+		return err
 	}
 	cfg.terms = fs.Args()
 	// flag.Parse stops at the first positional, so a flag placed after a
@@ -133,26 +128,26 @@ func buildQuery(cfg searchConfig) (*query.Query, error) {
 	return q, nil
 }
 
-// loadLexicon resolves the -lexicon flag into a rescoring dictionary:
-// either a newline-separated wordlist file, or "vocab:N" for the first N
-// words of the built-in synthetic error-model vocabulary — the exact
-// dictionary a -docs corpus was generated from.
+// loadLexicon resolves the -lexicon flag of search and serve into a
+// rescoring dictionary: either a newline-separated wordlist file, or
+// "vocab:N" for the first N words of the built-in synthetic error-model
+// vocabulary — the exact dictionary a -docs corpus was generated from.
 func loadLexicon(spec string) (*fuzzy.Lexicon, error) {
 	if n, ok := strings.CutPrefix(spec, "vocab:"); ok {
 		size, err := strconv.Atoi(n)
 		if err != nil || size <= 0 {
-			return nil, fmt.Errorf("search: -lexicon vocab:N needs a positive word count, got %q", n)
+			return nil, fmt.Errorf("-lexicon vocab:N needs a positive word count, got %q", n)
 		}
 		return fuzzy.NewLexicon(testgen.Vocab(size)), nil
 	}
 	f, err := os.Open(spec)
 	if err != nil {
-		return nil, fmt.Errorf("search: -lexicon: %w", err)
+		return nil, fmt.Errorf("-lexicon: %w", err)
 	}
 	defer f.Close()
 	lex, err := fuzzy.ReadLexicon(f)
 	if err != nil {
-		return nil, fmt.Errorf("search: -lexicon %s: %w", spec, err)
+		return nil, fmt.Errorf("-lexicon %s: %w", spec, err)
 	}
 	return lex, nil
 }
@@ -161,26 +156,15 @@ func loadLexicon(spec string) (*fuzzy.Lexicon, error) {
 // synthetic in-memory database built on the fly (-docs) or a persisted
 // one (-store). It returns the database and its document count.
 func openCorpus(w io.Writer, ctx context.Context, cfg searchConfig) (*staccatodb.DB, int, error) {
-	var opts []staccatodb.Option
-	if cfg.workers != 0 {
-		opts = append(opts, staccatodb.WithWorkers(cfg.workers))
-	}
-	if cfg.noIndex {
-		opts = append(opts, staccatodb.WithoutIndex())
-	}
+	opts := dbOptions(cfg.workers, false, cfg.noIndex)
 	switch {
 	case cfg.docs > 0 && cfg.store != "":
 		return nil, 0, fmt.Errorf("search: -docs and -store are mutually exclusive; pick one corpus source")
 	case cfg.docs <= 0 && cfg.store == "":
 		return nil, 0, fmt.Errorf("search: no corpus given; use -docs N for a synthetic corpus or -store DIR for an ingested one")
 	case cfg.store != "":
-		// Open would initialize a fresh store on any path; a typo'd -store
-		// must be an error, not an empty corpus plus junk files on disk.
-		if _, err := os.Stat(filepath.Join(cfg.store, "MANIFEST")); err != nil {
-			return nil, 0, fmt.Errorf("search: no store at %s (%w); run staccato ingest -store first", cfg.store, err)
-		}
 		openStart := time.Now()
-		db, err := staccatodb.Open(cfg.store, opts...)
+		db, err := openStore("search", cfg.store, false, opts...)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -247,7 +231,7 @@ func runSearch(w io.Writer, cfg searchConfig) (searchReport, error) {
 	if cfg.lexicon != "" {
 		lex, err := loadLexicon(cfg.lexicon)
 		if err != nil {
-			return rep, err
+			return rep, fmt.Errorf("search: %w", err)
 		}
 		sopts.Rescore = lex.Rescorer(fuzzy.DefaultBoost)
 		if cfg.verbose {

@@ -10,7 +10,7 @@ import (
 
 // printStatsJSON emits the database's canonical stats shape as one
 // machine-readable line. The shape is staccatodb.Stats's JSON encoding
-// — the exact object the staccatod /v1/stats endpoint serves under
+// — the exact object the staccato serve /v1/stats endpoint serves under
 // "db" — so scripts can read live doc count and index persistence the
 // same way whether they shell out to the CLI or curl the server.
 func printStatsJSON(w io.Writer, st staccatodb.Stats) error {

@@ -11,7 +11,7 @@ import (
 
 // TestVerboseStatsJSONShape pins the satellite contract: ingest -v,
 // index -v, and search -v all print a `stats:` line whose JSON is the
-// canonical staccatodb.Stats encoding — the same object the staccatod
+// canonical staccatodb.Stats encoding — the same object the staccato serve
 // /v1/stats endpoint serves as "db" — with consistent live doc count
 // and index persistence.
 func TestVerboseStatsJSONShape(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 )
 
 // Result is one document's answer to a corpus query. The JSON form is
-// the wire shape of the staccatod search endpoint.
+// the wire shape of the server's /v1/search endpoint (staccato serve).
 type Result struct {
 	DocID string  `json:"doc_id"`
 	Prob  float64 `json:"prob"`
@@ -50,8 +50,8 @@ const (
 // DocsScanned + DocsPruned + BoundsSkipped; callers that planned the
 // query (such as staccatodb.DB) fill the planner fields IndexUsed,
 // PlanGrams, and Plan.
-// The JSON form is the wire shape of the staccatod search and explain
-// endpoints.
+// The JSON form is the wire shape of the server's /v1/search and
+// /v1/explain endpoints.
 type SearchStats struct {
 	// Mode is the execution path the run took.
 	Mode ExecMode `json:"mode"`

@@ -32,7 +32,7 @@ const (
 // text actually says. Context, filled only when SnippetOptions.ContextRunes
 // is positive, is the matched text plus up to that many runes of
 // surrounding reading text on each side. The JSON form is the wire shape
-// of the staccatod snippets endpoint.
+// of the server's /v1/snippets endpoint.
 type Span struct {
 	Term      string `json:"term"`
 	Start     int    `json:"start"`

@@ -390,7 +390,7 @@ func (s *Server) searchOptions(req *queryRequest) (query.SearchOptions, error) {
 	}
 	if req.Lexicon {
 		if s.rescore == nil {
-			return opts, errors.New("lexicon rescoring requested but no lexicon is loaded; start staccatod with -lexicon")
+			return opts, errors.New("lexicon rescoring requested but no lexicon is loaded; start the server with -lexicon (staccato serve -lexicon)")
 		}
 		opts.Rescore = s.rescore
 	}
@@ -728,6 +728,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // handleVars serves the server's expvar map as /debug/vars-style JSON.
 // The map is per-server rather than process-global, so the standard
 // expvar handler (which only sees published globals) cannot serve it.
+// Its top-level key, "staccatod", names the service and is wire format.
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\n%q: %s\n}\n", "staccatod", s.met.vars.String())

@@ -37,7 +37,7 @@ const MaxChunks = math.MaxInt32
 
 // Alt is one retained reading of a chunk with its probability, normalized
 // over the chunk's retained paths. The JSON tags on Doc and its parts
-// define the document wire shape of the staccatod ingest endpoint; the
+// define the document wire shape of the server's /v1/ingest endpoint; the
 // durable on-disk encoding is pkg/store's binary codec, not JSON.
 type Alt struct {
 	Text string  `json:"text"`

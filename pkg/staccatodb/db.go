@@ -395,7 +395,7 @@ func (db *DB) Snippets(ctx context.Context, q *query.Query, opts query.SearchOpt
 }
 
 // Workers returns the query engine's worker pool size — the evaluation
-// parallelism ceiling, which services in front of the DB (staccatod)
+// parallelism ceiling, which services in front of the DB (pkg/server)
 // report alongside their own in-flight gauges to make engine saturation
 // observable.
 func (db *DB) Workers() int { return db.eng.Workers() }
@@ -445,7 +445,7 @@ func (db *DB) Explain(q *query.Query) string {
 // Stats describes the database's current shape; for OpenMem databases
 // the segment, disk and index log fields describe the in-memory file
 // system. The JSON tags define the one canonical stats shape, shared
-// verbatim by the CLI's verbose output and the staccatod /v1/stats
+// verbatim by the CLI's verbose output and the server's /v1/stats
 // endpoint — live doc count and index persistence always read the same
 // either way.
 type Stats struct {
