@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"net/http"
@@ -173,7 +174,7 @@ func TestServeFlags(t *testing.T) {
 	if n != 10 {
 		t.Errorf("serve has %d flags, want 10", n)
 	}
-	if err := serveMain(context.Background(), io.Discard, []string{"-nosuchflag"}); err != errFlagParse {
+	if err := serveMain(context.Background(), io.Discard, []string{"-nosuchflag"}); !errors.Is(err, errFlagParse) {
 		t.Errorf("unknown flag: err = %v, want errFlagParse (exit status 2)", err)
 	}
 	if err := serveMain(context.Background(), io.Discard, []string{"-h"}); err != nil {

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -227,8 +228,7 @@ func TestSnippetsRankUnsortedAlternatives(t *testing.T) {
 		{Alts: []staccato.Alt{{Text: "xab", Prob: 0.2}, {Text: "yab", Prob: 0.8}}, Retained: 1},
 	}}
 	sn := mustQ(query.Substring("ab")).Snippets(d, query.SnippetOptions{MaxReadings: 1})
-	//lint:allow floateq a one-chunk reading's probability is the alternative's own, copied, not computed
-	if len(sn.Readings) != 1 || sn.Readings[0].Text != "yab" || sn.Readings[0].Prob != 0.8 {
+	if len(sn.Readings) != 1 || sn.Readings[0].Text != "yab" || math.Float64bits(sn.Readings[0].Prob) != math.Float64bits(0.8) {
 		t.Fatalf("best matching reading %+v, want \"yab\" at p=0.8", sn.Readings)
 	}
 }

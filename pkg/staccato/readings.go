@@ -44,8 +44,8 @@ func (d *Doc) BestReadings(fn func(text string, prob float64) bool) {
 	// vector pushes its children, the vectors one rank higher at or after
 	// its own last nonzero position. A parent ranks ahead of its children
 	// (probability no lower, and lexicographically smaller), so each
-	// vector enters the heap once, after everything ahead of it, and the
-	// heap order is the enumeration order.
+	// vector enters the heap once, when its parent is popped and before
+	// its own turn, and the heap order is the enumeration order.
 	h := &readingHeap{}
 	push := func(idx []int, last int) {
 		p := 1.0

