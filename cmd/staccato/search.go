@@ -309,7 +309,4 @@ func printSnippets(w io.Writer, sn query.DocSnippets) {
 		}
 		fmt.Fprintln(w)
 	}
-	if sn.Truncated {
-		fmt.Fprintln(w, "      (enumeration budget hit before all requested readings were found)")
-	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/paper-repo/staccato-go/internal/core"
@@ -70,10 +70,9 @@ func (l *Lexicon) Len() int { return len(l.words) }
 // each chunk's retained alternatives toward in-dictionary text: an
 // alternative's probability is multiplied by boost^f, where f is the
 // fraction of its word tokens found in the lexicon, and the chunk is
-// then renormalized to sum to 1 and re-sorted by (descending
-// probability, ascending text) — the PathSet invariants every consumer
-// assumes. A boost ≤ 0 or exactly 1, or an empty lexicon, returns the
-// identity transform.
+// then renormalized to sum to 1 and re-sorted in staccato.CompareAlts
+// order, the order Build stores. A boost ≤ 0 or exactly 1, or an empty
+// lexicon, returns the identity transform.
 //
 // The transform never creates or destroys support: every alternative
 // keeps a strictly positive probability, so a query's match set — and
@@ -102,13 +101,7 @@ func (l *Lexicon) Rescorer(boost float64) func(*staccato.Doc) *staccato.Doc {
 					alts[ai].Prob /= sum
 				}
 			}
-			sort.Slice(alts, func(i, j int) bool {
-				//lint:allow floateq sort comparators need exact comparison; an epsilon tie-break is not a strict weak order and would make the rescored ranking nondeterministic
-				if alts[i].Prob != alts[j].Prob {
-					return alts[i].Prob > alts[j].Prob
-				}
-				return alts[i].Text < alts[j].Text
-			})
+			slices.SortFunc(alts, staccato.CompareAlts)
 			out.Chunks[ci] = staccato.PathSet{Alts: alts, Retained: ch.Retained}
 		}
 		return out

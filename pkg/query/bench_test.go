@@ -160,3 +160,56 @@ func refused(s query.Spec) (*query.Query, error) {
 	}
 	return nil, nil
 }
+
+var snippets query.DocSnippets
+
+// BenchmarkSnippets times snippet extraction under the default options
+// over 64 error-model documents at the (6,3) dial, per query: a
+// substring, a fuzzy d=1 and an And of two substrings, over the corpus's
+// most frequent words. One op extracts the snippets of every document;
+// those that do not match stop at Eval.
+func BenchmarkSnippets(b *testing.B) {
+	cases, err := testgen.ErrDocs(64, testgen.ErrModelConfig{Seed: 11}, 6, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vocab := testgen.Vocab(200)
+	sub := func(term string) *query.Query {
+		q, err := query.Substring(term)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return q
+	}
+	fz, err := query.Fuzzy(vocab[1], 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		q    *query.Query
+	}{
+		{"substring", sub(vocab[0])},
+		{"fuzzy-d1", fz},
+		{"and2-substring", query.And(sub(vocab[0]), sub(vocab[2]))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			matched := 0
+			for _, dc := range cases {
+				if len(c.q.Snippets(dc.Doc, query.SnippetOptions{}).Readings) > 0 {
+					matched++
+				}
+			}
+			if matched == 0 {
+				b.Fatalf("%s matches none of the %d documents", c.q, len(cases))
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, dc := range cases {
+					snippets = c.q.Snippets(dc.Doc, query.SnippetOptions{})
+				}
+			}
+			b.ReportMetric(float64(matched), "matching-docs")
+		})
+	}
+}

@@ -28,17 +28,20 @@ func (q *Query) Eval(d *staccato.Doc) float64 {
 	if q.expr == nil {
 		return 0
 	}
-	// The copy lives on the stack for a document of up to evalStackAlts
-	// alternatives and evalStackBytes of text, so Eval allocates no more
-	// than the DP does; a larger one grows its slices on the heap.
-	var (
-		data  [evalStackBytes]byte
-		spans [2 * evalStackAlts]int
-		probs [evalStackAlts]float64
-		ends  [evalStackAlts]int
-	)
-	v := viewOf(d, store.View{Data: data[:0], Spans: spans[:0], Probs: probs[:0], Ends: ends[:0]})
+	var c docCopy
+	v := c.view(d)
 	return q.evalView(&v, nil)
+}
+
+// docCopy holds a copy of a Doc's alternatives for a store.View of them,
+// on the stack for a document of up to evalStackAlts alternatives and
+// evalStackBytes of text, so Eval allocates no more than the DP does; a
+// larger one grows the view's slices on the heap.
+type docCopy struct {
+	data  [evalStackBytes]byte
+	spans [2 * evalStackAlts]int
+	probs [evalStackAlts]float64
+	ends  [evalStackAlts]int
 }
 
 // The largest document Eval copies without a heap allocation: a (6,3)
@@ -48,10 +51,10 @@ const (
 	evalStackBytes = 1024
 )
 
-// viewOf returns v, whose slices are empty, holding a copy of d's
-// alternatives: their texts back to back in Data, so a Doc and a stored
-// record run through one DP.
-func viewOf(d *staccato.Doc, v store.View) store.View {
+// view copies d's alternatives into c and returns their View: the texts
+// back to back in Data, so a Doc and a stored record run through one DP.
+func (c *docCopy) view(d *staccato.Doc) store.View {
+	v := store.View{Data: c.data[:0], Spans: c.spans[:0], Probs: c.probs[:0], Ends: c.ends[:0]}
 	for _, ch := range d.Chunks {
 		for _, alt := range ch.Alts {
 			v.Spans = append(v.Spans, len(v.Data), len(v.Data)+len(alt.Text))

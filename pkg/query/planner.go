@@ -34,7 +34,7 @@ import (
 //     match does not fix the rune (see buildWildLeaf);
 //   - a leaf shorter than gramSize scans: no gram holds its whole term
 //     (padding it with wildcards at every offset would plan it the same
-//     way; ROADMAP item 4 says why that waits);
+//     way; ROADMAP item 1(b) says why that waits);
 //   - AND intersects its children's candidates (children that cannot
 //     prune simply drop out of the intersection);
 //   - OR unions its children's and can only prune if every child can;

@@ -1,11 +1,15 @@
 package query
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/internal/core"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
 // Defaults for SnippetOptions zero values.
@@ -13,9 +17,6 @@ const (
 	// DefaultMaxReadings is how many matching readings a snippet reports
 	// per document.
 	DefaultMaxReadings = 3
-	// DefaultMaxEnumerate bounds how many readings (matching or not) the
-	// best-first enumeration examines per document before giving up.
-	DefaultMaxEnumerate = 4096
 	// MaxContextRunes caps SnippetOptions.ContextRunes: larger requests
 	// are clamped, not rejected. One cap here keeps every surface — the
 	// library, the CLI -context flag, and the server's context_runes
@@ -57,14 +58,10 @@ type SnippetReading struct {
 // DocSnippets is one matching document's snippet report: the document's
 // overall match probability (identical to the Result.Prob Search ranks
 // by) and its most probable readings that satisfy the query, best first.
-// Truncated reports that the enumeration budget ran out before
-// MaxReadings matching readings were found — the readings present are
-// still correct and still the best ones.
 type DocSnippets struct {
-	DocID     string           `json:"doc_id"`
-	Prob      float64          `json:"prob"`
-	Readings  []SnippetReading `json:"readings"`
-	Truncated bool             `json:"truncated,omitempty"`
+	DocID    string           `json:"doc_id"`
+	Prob     float64          `json:"prob"`
+	Readings []SnippetReading `json:"readings"`
 }
 
 // SnippetOptions shapes snippet extraction. Zero values select the
@@ -72,10 +69,6 @@ type DocSnippets struct {
 type SnippetOptions struct {
 	// MaxReadings is how many matching readings to report per document.
 	MaxReadings int
-	// MaxEnumerate bounds how many readings the best-first enumeration
-	// may examine per document; documents dominated by non-matching
-	// readings give up (Truncated) rather than enumerate without bound.
-	MaxEnumerate int
 	// ContextRunes, when positive, fills each Span.Context with the
 	// matched text plus up to ContextRunes runes of surrounding reading
 	// text on each side. Zero leaves Context empty; values above
@@ -87,20 +80,20 @@ func (o SnippetOptions) withDefaults() SnippetOptions {
 	if o.MaxReadings <= 0 {
 		o.MaxReadings = DefaultMaxReadings
 	}
-	if o.MaxEnumerate <= 0 {
-		o.MaxEnumerate = DefaultMaxEnumerate
-	}
 	if o.ContextRunes > MaxContextRunes {
 		o.ContextRunes = MaxContextRunes
 	}
 	return o
 }
 
-// Snippets extracts the document's top matching readings for the query:
-// readings are enumerated best-probability-first (staccato.Doc.BestReadings)
-// and the first MaxReadings that satisfy the query are reported, each with
-// the positions of every query term occurring in it. Prob is the DP's
-// overall match probability, exactly what Search reports for the document.
+// Snippets extracts the document's top matching readings for the query —
+// the MaxReadings most probable readings that satisfy it, found by the
+// k-best form of Eval's DP (bestReadings) — each with the positions of
+// every query term occurring in it. Prob is the DP's overall match
+// probability, exactly what Search reports for the document. A document
+// with a positive Prob reports at least one reading, however many
+// readings it encodes, unless one of its chunks has no alternatives and
+// so no complete reading exists.
 //
 // Extraction is deterministic: the same (Doc, Query, SnippetOptions)
 // always produces the identical DocSnippets, which is what lets
@@ -108,34 +101,154 @@ func (o SnippetOptions) withDefaults() SnippetOptions {
 // modes and worker counts.
 func (q *Query) Snippets(d *staccato.Doc, opts SnippetOptions) DocSnippets {
 	opts = opts.withDefaults()
-	out := DocSnippets{DocID: d.ID, Prob: q.Eval(d)}
-	if q.expr == nil || out.Prob <= 0 {
+	out := DocSnippets{DocID: d.ID}
+	if q.expr == nil {
 		return out
 	}
-	examined := 0
-	exhausted := true
-	d.BestReadings(func(text string, prob float64) bool {
-		if examined >= opts.MaxEnumerate {
-			exhausted = false
-			return false
+	var c docCopy // one copy of the document serves both passes
+	v := c.view(d)
+	if out.Prob = q.evalView(&v, nil); out.Prob <= 0 {
+		return out
+	}
+	out.Readings = q.bestReadings(&v, d, opts.MaxReadings)
+	for i := range out.Readings {
+		r := &out.Readings[i]
+		r.Spans = q.spans(r.Text)
+		if opts.ContextRunes > 0 {
+			addContext(r.Text, r.Spans, opts.ContextRunes)
 		}
-		examined++
-		if q.matches(text) {
-			spans := q.spans(text)
-			if opts.ContextRunes > 0 {
-				addContext(text, spans, opts.ContextRunes)
-			}
-			out.Readings = append(out.Readings, SnippetReading{Text: text, Prob: prob, Spans: spans})
-		}
-		return len(out.Readings) < opts.MaxReadings
-	})
-	// The DP said the document matches, so matching readings exist; if the
-	// budget stopped the enumeration before MaxReadings of them surfaced,
-	// say so instead of silently under-reporting.
-	if !exhausted && len(out.Readings) < opts.MaxReadings {
-		out.Truncated = true
 	}
 	return out
+}
+
+// latticePath is a partial reading bestReadings keeps: its probability,
+// the lattice node it ends on (a table state, or the matched node), its
+// last alternative (an index into the document's view, -1 for the empty
+// reading) and the index of the partial reading it extends (-1 for none).
+type latticePath struct {
+	prob      float64
+	node      int
+	alt, back int
+}
+
+// bestReadings returns the k most probable readings that satisfy q of
+// document d, whose alternatives v holds, best first and without their
+// spans. q must be compiled.
+//
+// It runs Eval's DP in the (max, ×) semiring instead of (+, ×). The
+// lattice's nodes are a chunk boundary and a table state, plus one
+// absorbing matched node per boundary. Each alternative of a chunk is an
+// edge weighted by its probability: into the matched node when the table
+// run over its text hits, and from the matched node back to it. A reading
+// matches when its path ends on the matched node or on a state with atEnd
+// set. That is Eval's acceptance, so the mass Eval accepts is carried by
+// matching paths, and a document with a positive Eval has one. Each node
+// keeps its k best partial readings with backpointers — the eager
+// per-node k-best that staccato.TopK runs per transducer state, in the
+// general form of Huang and Chiang's "Better k-best parsing" — so the
+// work is O(chunks × live states × k × alternatives), whatever the number
+// of readings.
+//
+// Readings come in descending probability, ties in ascending rank
+// vector: each chunk's alternative rank under staccato.CompareAlts, chunk
+// 0 most significant. A probability is the left-to-right product from 1,
+// Doc.Readings' multiplication order, so the two agree bit for bit. Each
+// layer's candidates are generated in (parent rank vector, alternative
+// rank) order, which is ascending rank vector, and a node keeps its k
+// best by probability without reordering equal ones, so exact ties keep
+// that order. A float product is monotone but not strictly so: one more
+// factor can round two strictly ordered partial readings to a tie. The
+// readings reported still come in rank-vector order among themselves, but
+// which of such a rounding-created tie makes the k-th place is settled
+// where the partial readings met: one that had k strictly more probable
+// partial readings at a node is dropped there, even if its rank vector is
+// lower than theirs.
+func (q *Query) bestReadings(v *store.View, d *staccato.Doc, k int) []SnippetReading {
+	t := q.tab
+	matched := len(t.atEnd) // the absorbing node past every table state
+	kept := make([]latticePath, 1, 64)
+	kept[0] = latticePath{prob: 1, node: int(t.start), alt: -1, back: -1}
+	layer := []int{0} // the partial readings at this boundary, ascending rank vector
+	var (
+		rank, order, path []int
+		cands             []latticePath
+	)
+	lo := 0
+	for c, hi := range v.Ends {
+		rank = rankAlts(rank[:0], d.Chunks[c].Alts, lo)
+		cands = slices.Grow(cands[:0], len(layer)*len(rank))
+		for _, i := range layer {
+			p := kept[i]
+			for _, a := range rank {
+				to := matched
+				if p.node != matched {
+					if e := t.run(uint16(p.node), v.Data[v.Spans[2*a]:v.Spans[2*a+1]]); e&hitBit == 0 {
+						to = int(e)
+					}
+				}
+				cands = append(cands, latticePath{prob: float64(p.prob * v.Probs[a]), node: to, alt: a, back: i})
+			}
+		}
+		// Each node's k best: sorted by node, then by descending
+		// probability, then in generation order, a candidate is kept
+		// unless the one k places before it ends on the same node.
+		order = order[:0]
+		for i := range cands {
+			order = append(order, i)
+		}
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Or(cmp.Compare(cands[a].node, cands[b].node), cmp.Compare(cands[b].prob, cands[a].prob), a-b)
+		})
+		layer = layer[:0]
+		for i, ci := range order {
+			if i < k || cands[order[i-k]].node != cands[ci].node {
+				layer = append(layer, ci)
+			}
+		}
+		// The survivors go on in generation order.
+		slices.Sort(layer)
+		kept = slices.Grow(kept, len(layer))
+		for i, ci := range layer {
+			layer[i] = len(kept)
+			kept = append(kept, cands[ci])
+		}
+		lo = hi
+	}
+
+	var accepted []int
+	for _, i := range layer {
+		if n := kept[i].node; n == matched || t.atEnd[n] {
+			accepted = append(accepted, i)
+		}
+	}
+	slices.SortStableFunc(accepted, func(a, b int) int { return cmp.Compare(kept[b].prob, kept[a].prob) })
+	var out []SnippetReading
+	for _, i := range accepted[:min(k, len(accepted))] {
+		path = path[:0] // the reading's alternatives, last first
+		n := 0
+		for j := i; kept[j].alt >= 0; j = kept[j].back {
+			a := kept[j].alt
+			path = append(path, a)
+			n += v.Spans[2*a+1] - v.Spans[2*a]
+		}
+		var text strings.Builder
+		text.Grow(n)
+		for _, a := range slices.Backward(path) {
+			text.Write(v.Data[v.Spans[2*a]:v.Spans[2*a+1]])
+		}
+		out = append(out, SnippetReading{Text: text.String(), Prob: kept[i].prob})
+	}
+	return out
+}
+
+// rankAlts appends to dst the view indices of a chunk's alternatives, the
+// first of which is at lo, in staccato.CompareAlts order.
+func rankAlts(dst []int, alts []staccato.Alt, lo int) []int {
+	for i := range alts {
+		dst = append(dst, lo+i)
+	}
+	slices.SortStableFunc(dst, func(a, b int) int { return staccato.CompareAlts(alts[a-lo], alts[b-lo]) })
+	return dst
 }
 
 // MatchText evaluates the query against one concrete string — a single
@@ -151,15 +264,8 @@ func (q *Query) MatchText(text string) (bool, []Span) {
 	if q.expr == nil {
 		return false, nil
 	}
-	return q.matches(text), q.spans(text)
-}
-
-// matches runs q's table over text from its start state: the DP of
-// table.eval for a single alternative of probability 1. q must be
-// compiled.
-func (q *Query) matches(text string) bool {
 	e := q.tab.run(q.tab.start, []byte(text))
-	return e&hitBit != 0 || q.tab.atEnd[e]
+	return e&hitBit != 0 || q.tab.atEnd[e], q.spans(text)
 }
 
 // spans returns every occurrence of q's leaf terms in text, sorted by

@@ -81,16 +81,13 @@ func TestSnippetPositionsWitnessed(t *testing.T) {
 		oracle := matchOracle{mode: mode}
 
 		for _, d := range docs {
-			sn := q.Snippets(d, query.SnippetOptions{MaxReadings: 5, MaxEnumerate: 1 << 20})
+			sn := q.Snippets(d, query.SnippetOptions{MaxReadings: 5})
 			if sn.DocID != d.ID {
 				t.Fatalf("snippet doc id %q, want %q", sn.DocID, d.ID)
 			}
 			//lint:allow floateq Snippets documents Prob as exactly the DP's Eval output
 			if sn.Prob != q.Eval(d) {
 				t.Fatalf("doc %s term %q: snippet prob %v != Eval %v", d.ID, term, sn.Prob, q.Eval(d))
-			}
-			if sn.Truncated {
-				t.Fatalf("doc %s term %q: truncated despite an exhaustive budget", d.ID, term)
 			}
 
 			// Brute-force oracle: all readings in Readings order, stably
@@ -195,30 +192,6 @@ func TestMatchTextAgreesWithEval(t *testing.T) {
 	}
 }
 
-// TestSnippetTruncation pins the budget contract: a budget too small to
-// reach any matching reading reports Truncated with the readings it did
-// find, and never examines more than the budget.
-func TestSnippetTruncation(t *testing.T) {
-	// Two chunks, where the only matching reading is the least probable
-	// combination: "xz" appears only as alt2+alt2.
-	d := &staccato.Doc{ID: "t", Chunks: []staccato.PathSet{
-		{Alts: []staccato.Alt{{Text: "aa", Prob: 0.6}, {Text: "ax", Prob: 0.4}}, Retained: 1},
-		{Alts: []staccato.Alt{{Text: "bb", Prob: 0.7}, {Text: "zb", Prob: 0.3}}, Retained: 1},
-	}}
-	q := mustQ(query.Substring("xz"))
-	full := q.Snippets(d, query.SnippetOptions{})
-	if len(full.Readings) != 1 || full.Truncated || full.Readings[0].Text != "axzb" {
-		t.Fatalf("full budget: %+v", full)
-	}
-	cut := q.Snippets(d, query.SnippetOptions{MaxReadings: 1, MaxEnumerate: 2})
-	if len(cut.Readings) != 0 || !cut.Truncated {
-		t.Fatalf("budget 2 must truncate before the rank-4 matching reading: %+v", cut)
-	}
-	if cut.Prob <= 0 {
-		t.Fatalf("truncated snippet still carries the DP probability, got %v", cut.Prob)
-	}
-}
-
 // TestSnippetsRankUnsortedAlternatives pins the best-reading contract
 // for a document whose chunk lists its alternatives least probable first,
 // as an ingest request may: the most probable matching reading is
@@ -256,8 +229,66 @@ func TestMatchTextReadsInvalidUTF8AsEval(t *testing.T) {
 			t.Fatalf("%s on %q: MatchText = %v %+v, want a match at bytes and runes [1,2)", q, c.text, matched, spans)
 		}
 		sn := q.Snippets(d, query.SnippetOptions{})
-		if len(sn.Readings) != 1 || sn.Truncated || len(sn.Readings[0].Spans) != 1 {
+		if len(sn.Readings) != 1 || len(sn.Readings[0].Spans) != 1 {
 			t.Fatalf("%s on %q: Snippets = %+v, want the one reading with its occurrence", q, c.text, sn)
 		}
+	}
+}
+
+// TestSnippetsFindRareMatchAmongManyReadings pins that a matching
+// document always gets its snippets, however many more probable readings
+// fail to match. The document has 13 chunks: twelve even choices between
+// "a" and "b", then "yy" or, with probability 0.001, "ZZ"; the 4,096 most
+// probable of its 8,192 readings all end in "yy". Its "ZZ" readings are
+// reported with their three best prefixes, ties in rank-vector order
+// ("a" ranks ahead of "b"), each at 0.5¹²·0.001.
+func TestSnippetsFindRareMatchAmongManyReadings(t *testing.T) {
+	d := &staccato.Doc{ID: "many"}
+	for range 12 {
+		d.Chunks = append(d.Chunks, staccato.PathSet{Alts: []staccato.Alt{{Text: "a", Prob: 0.5}, {Text: "b", Prob: 0.5}}, Retained: 1})
+	}
+	d.Chunks = append(d.Chunks, staccato.PathSet{Alts: []staccato.Alt{{Text: "yy", Prob: 0.999}, {Text: "ZZ", Prob: 0.001}}, Retained: 1})
+	sn := mustQ(query.Substring("ZZ")).Snippets(d, query.SnippetOptions{})
+	if math.Float64bits(sn.Prob) != math.Float64bits(0.001) {
+		t.Fatalf("Prob = %v, want 0.001", sn.Prob)
+	}
+	want := []string{"aaaaaaaaaaaaZZ", "aaaaaaaaaaabZZ", "aaaaaaaaaabaZZ"}
+	if len(sn.Readings) != len(want) {
+		t.Fatalf("%d readings %+v, want %q", len(sn.Readings), sn.Readings, want)
+	}
+	p := math.Ldexp(0.001, -12)
+	for i, r := range sn.Readings {
+		if r.Text != want[i] || math.Float64bits(r.Prob) != math.Float64bits(p) {
+			t.Fatalf("reading %d = (%q, %v), want (%q, %v)", i, r.Text, r.Prob, want[i], p)
+		}
+		if len(r.Spans) != 1 || r.Spans[0].Start != 12 || r.Spans[0].End != 14 {
+			t.Fatalf("reading %d spans %+v, want one at [12,14)", i, r.Spans)
+		}
+	}
+}
+
+// TestSnippetsDegenerateDocs pins the edge cases: a document with no
+// chunks has exactly the empty reading, at probability 1, and a chunk
+// with no alternatives leaves no complete reading to report — even when
+// a match in an earlier chunk gives the document a positive Prob.
+func TestSnippetsDegenerateDocs(t *testing.T) {
+	notA := query.Not(mustQ(query.Substring("a")))
+	sn := notA.Snippets(&staccato.Doc{ID: "empty"}, query.SnippetOptions{})
+	if math.Float64bits(sn.Prob) != math.Float64bits(1) || len(sn.Readings) != 1 ||
+		sn.Readings[0].Text != "" || math.Float64bits(sn.Readings[0].Prob) != math.Float64bits(1) {
+		t.Fatalf("empty doc under %s: %+v, want the reading \"\" at 1", notA, sn)
+	}
+
+	hollow := &staccato.Doc{ID: "hollow", Chunks: []staccato.PathSet{
+		{Alts: []staccato.Alt{{Text: "a", Prob: 1}}, Retained: 1},
+		{},
+	}}
+	for _, q := range []*query.Query{notA, mustQ(query.Substring("a"))} {
+		if sn := q.Snippets(hollow, query.SnippetOptions{}); len(sn.Readings) != 0 {
+			t.Fatalf("hollow doc under %s: %+v, want no reading", q, sn)
+		}
+	}
+	if p := mustQ(query.Substring("a")).Eval(hollow); p <= 0 {
+		t.Fatalf("hollow doc: Eval = %v, want the first chunk's match", p)
 	}
 }

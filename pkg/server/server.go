@@ -535,10 +535,6 @@ type snippetsRequest struct {
 	// MaxReadings is how many matching readings to report per document
 	// (default query.DefaultMaxReadings).
 	MaxReadings int `json:"max_readings,omitempty"`
-	// MaxEnumerate bounds how many readings the per-document best-first
-	// enumeration may examine (default query.DefaultMaxEnumerate); the
-	// server additionally caps it so one request cannot buy unbounded CPU.
-	MaxEnumerate int `json:"max_enumerate,omitempty"`
 	// ContextRunes, when positive, adds surrounding reading text to each
 	// span: the match plus up to this many runes on each side.
 	ContextRunes int `json:"context_runes,omitempty"`
@@ -548,8 +544,7 @@ type snippetsRequest struct {
 // per-document CPU the admission semaphore cannot see inside, so the
 // per-request dials are clamped to sane maxima rather than trusted.
 const (
-	maxSnippetReadings  = 64
-	maxSnippetEnumerate = 1 << 16
+	maxSnippetReadings = 64
 	// maxSnippetContext mirrors the library-wide cap so the server's
 	// reject threshold and the library's clamp threshold never drift.
 	maxSnippetContext = query.MaxContextRunes
@@ -573,9 +568,6 @@ func (req *snippetsRequest) check() error {
 	if req.MaxReadings < 0 || req.MaxReadings > maxSnippetReadings {
 		return fmt.Errorf("max_readings must be in [0, %d], got %d", maxSnippetReadings, req.MaxReadings)
 	}
-	if req.MaxEnumerate < 0 || req.MaxEnumerate > maxSnippetEnumerate {
-		return fmt.Errorf("max_enumerate must be in [0, %d], got %d", maxSnippetEnumerate, req.MaxEnumerate)
-	}
 	if req.ContextRunes < 0 || req.ContextRunes > maxSnippetContext {
 		return fmt.Errorf("context_runes must be in [0, %d], got %d", maxSnippetContext, req.ContextRunes)
 	}
@@ -590,7 +582,7 @@ func (s *Server) handleSnippets(w http.ResponseWriter, r *http.Request) {
 	)
 	run, ok := s.runQuery(w, r, &req, &req.queryRequest, req.check, func(ctx context.Context, q *query.Query, opts query.SearchOptions) (err error) {
 		snippets, stats, err = s.db.Snippets(ctx, q, opts,
-			query.SnippetOptions{MaxReadings: req.MaxReadings, MaxEnumerate: req.MaxEnumerate, ContextRunes: req.ContextRunes})
+			query.SnippetOptions{MaxReadings: req.MaxReadings, ContextRunes: req.ContextRunes})
 		return err
 	})
 	if !ok {

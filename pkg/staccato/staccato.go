@@ -18,9 +18,11 @@
 package staccato
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/paper-repo/staccato-go/pkg/fst"
 )
@@ -45,11 +47,11 @@ type Alt struct {
 }
 
 // PathSet is the retained top-k path set of one chunk. Its Alts'
-// probabilities sum to 1. Build sorts Alts by descending probability
-// (ties broken by text), but a document can arrive from elsewhere — an
-// ingest request, a hand-built Doc — in any order, so readers must not
-// rely on that order: MAP and BestReadings rank the alternatives
-// themselves. Retained records the fraction of the chunk's total probability
+// probabilities sum to 1. Build sorts Alts in CompareAlts order, but a
+// document can arrive from elsewhere — an ingest request, a hand-built
+// Doc — in any order, so readers must not rely on that order: MAP and
+// query snippets rank the alternatives themselves, with CompareAlts.
+// Retained records the fraction of the chunk's total probability
 // mass the kept paths cover, a diagnostic for how lossy the approximation
 // was at this dial setting.
 type PathSet struct {
@@ -75,22 +77,15 @@ type Doc struct {
 }
 
 // MAP returns the most probable reading under the Doc's product
-// distribution: the concatenation of each chunk's top alternative, the
-// most probable one, ties broken by text — the first reading BestReadings
-// emits.
+// distribution: the concatenation of each chunk's top alternative in
+// CompareAlts order — the most probable one, ties broken by text.
 func (d *Doc) MAP() string {
 	var out []byte
 	for _, c := range d.Chunks {
 		if len(c.Alts) == 0 {
 			continue
 		}
-		top := c.Alts[0]
-		for _, a := range c.Alts[1:] {
-			if altBefore(a, top) {
-				top = a
-			}
-		}
-		out = append(out, top.Text...)
+		out = append(out, slices.MinFunc(c.Alts, CompareAlts).Text...)
 	}
 	return string(out)
 }
@@ -151,18 +146,15 @@ func Build(f *fst.SFST, id string, numChunks, k int) (*Doc, error) {
 	return doc, nil
 }
 
-// sortAlts orders alternatives by descending probability, breaking ties by
-// text so output is deterministic.
-func sortAlts(alts []Alt) {
-	sort.Slice(alts, func(i, j int) bool { return altBefore(alts[i], alts[j]) })
-}
-
-// altBefore reports whether a ranks ahead of b within a chunk: a higher
-// probability, or an equal one and a smaller text.
-func altBefore(a, b Alt) bool {
+// CompareAlts is the rank order of a chunk's alternatives, for
+// slices.SortFunc: a negative result when a ranks ahead of b — a higher
+// probability, or an equal one and a smaller text — positive when b ranks
+// ahead, and zero only for equal alternatives. Build stores Alts in this
+// order; every reader that ranks alternatives uses it.
+func CompareAlts(a, b Alt) int {
 	//lint:allow floateq sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make alternative order nondeterministic
 	if a.Prob != b.Prob {
-		return a.Prob > b.Prob
+		return cmp.Compare(b.Prob, a.Prob)
 	}
-	return a.Text < b.Text
+	return strings.Compare(a.Text, b.Text)
 }

@@ -2,6 +2,7 @@ package staccato_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -438,5 +439,38 @@ func TestReadingsAgreeWithBuild(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("readings sum to %v, want 1 (PathSet alts are normalized)", sum)
+	}
+}
+
+// TestMAPRanksUnsortedAlternatives feeds documents whose chunks list
+// their alternatives in an order other than Build's — as an ingest
+// request may — and requires MAP to rank them anyway, by CompareAlts,
+// the order Build stores them in.
+func TestMAPRanksUnsortedAlternatives(t *testing.T) {
+	d := &staccato.Doc{ID: "u", Chunks: []staccato.PathSet{
+		{Alts: []staccato.Alt{{Text: "xab", Prob: 0.2}, {Text: "yab", Prob: 0.8}}, Retained: 1},
+	}}
+	if got := d.MAP(); got != "yab" {
+		t.Fatalf("MAP = %q, want the p=0.8 alternative \"yab\"", got)
+	}
+
+	for seed := int64(1); seed <= 4; seed++ {
+		_, f := testgen.MustGenerate(testgen.Config{Length: 18, Seed: seed})
+		sorted, err := staccato.Build(f, "d", 3, 3)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		shuffled := &staccato.Doc{ID: sorted.ID, Chunks: make([]staccato.PathSet, len(sorted.Chunks))}
+		for i, c := range sorted.Chunks {
+			if !slices.IsSortedFunc(c.Alts, staccato.CompareAlts) {
+				t.Fatalf("seed %d chunk %d: Build stored %+v out of CompareAlts order", seed, i, c.Alts)
+			}
+			alts := slices.Clone(c.Alts)
+			slices.Reverse(alts)
+			shuffled.Chunks[i] = staccato.PathSet{Alts: alts, Retained: c.Retained}
+		}
+		if got, want := shuffled.MAP(), sorted.MAP(); got != want {
+			t.Fatalf("seed %d: MAP of reversed alternatives %q, want %q", seed, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/paper-repo/staccato-go/internal/core"
@@ -167,7 +168,7 @@ func TopK(seg Segment, k int) (PathSet, error) {
 	for text, p := range merged {
 		alts = append(alts, Alt{Text: text, Prob: p / retainedShifted})
 	}
-	sortAlts(alts)
+	slices.SortFunc(alts, CompareAlts)
 
 	// Retained fraction, also in the log domain: the retained paths have
 	// total weight minW - ln(retainedShifted).

@@ -2,6 +2,7 @@ package staccatodb_test
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"github.com/paper-repo/staccato-go/internal/refsearch"
 	"github.com/paper-repo/staccato-go/pkg/fuzzy"
 	"github.com/paper-repo/staccato-go/pkg/query"
+	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
@@ -60,7 +62,7 @@ func TestSearchModesByteIdenticalProperty(t *testing.T) {
 		t.Fatal("query battery has no fuzzy leaves; the property no longer covers them")
 	}
 
-	snips := query.SnippetOptions{MaxReadings: 2, MaxEnumerate: 512}
+	snips := query.SnippetOptions{MaxReadings: 2}
 	runPhase := func(phase string) {
 		t.Helper()
 		candidateRuns := 0
@@ -257,7 +259,7 @@ func TestFuzzyLexiconRescoreByteIdenticalAcrossModes(t *testing.T) {
 		t.Fatal("empty lexicon from corpus truths")
 	}
 	opts := query.SearchOptions{Rescore: lex.Rescorer(fuzzy.DefaultBoost)}
-	snips := query.SnippetOptions{MaxReadings: 2, MaxEnumerate: 512}
+	snips := query.SnippetOptions{MaxReadings: 2}
 
 	var queries []*query.Query
 	for _, c := range cases[:6] {
@@ -376,6 +378,68 @@ func TestShortTermExecutionModes(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res, scanned) {
 			t.Errorf("%s top=%d: indexed and WithoutIndex results differ\n indexed: %+v\n scan:    %+v", c.q, c.top, res, scanned)
+		}
+	}
+}
+
+// TestSnippetsRareMatchAcrossModes stores a document whose one matching
+// reading family is far down its 8,192 readings — twelve even "a"/"b"
+// chunks, then "yy" or, at 0.001, "ZZ" — and requires DB.Snippets to
+// report its three best matching readings in every execution mode: the
+// 2-rune "ZZ" scans, and "aZZ", a gram long, runs candidate-only and
+// top-k and scans WithoutIndex.
+func TestSnippetsRareMatchAcrossModes(t *testing.T) {
+	ctx := context.Background()
+	d := &staccato.Doc{ID: "many"}
+	for range 12 {
+		d.Chunks = append(d.Chunks, staccato.PathSet{Alts: []staccato.Alt{{Text: "a", Prob: 0.5}, {Text: "b", Prob: 0.5}}, Retained: 1})
+	}
+	d.Chunks = append(d.Chunks, staccato.PathSet{Alts: []staccato.Alt{{Text: "yy", Prob: 0.999}, {Text: "ZZ", Prob: 0.001}}, Retained: 1})
+	indexed, err := staccatodb.OpenMem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer indexed.Close()
+	scanned, err := staccatodb.OpenMem(staccatodb.WithoutIndex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scanned.Close()
+	for _, db := range []*staccatodb.DB{indexed, scanned} {
+		if err := db.Ingest(ctx, []*staccato.Doc{d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	each := math.Ldexp(0.001, -12)
+	for _, c := range []struct {
+		db   *staccatodb.DB
+		term string
+		top  int
+		mode query.ExecMode
+		prob float64
+		want []string
+	}{
+		{indexed, "ZZ", 0, query.ExecScan, 0.001, []string{"aaaaaaaaaaaaZZ", "aaaaaaaaaaabZZ", "aaaaaaaaaabaZZ"}},
+		{indexed, "aZZ", 0, query.ExecCandidateOnly, 0.0005, []string{"aaaaaaaaaaaaZZ", "aaaaaaaaaabaZZ", "aaaaaaaaabaaZZ"}},
+		{indexed, "aZZ", 1, query.ExecTopK, 0.0005, []string{"aaaaaaaaaaaaZZ", "aaaaaaaaaabaZZ", "aaaaaaaaabaaZZ"}},
+		{scanned, "aZZ", 1, query.ExecScan, 0.0005, []string{"aaaaaaaaaaaaZZ", "aaaaaaaaaabaZZ", "aaaaaaaaabaaZZ"}},
+	} {
+		q := mustQ(query.Substring(c.term))
+		sn, stats, err := c.db.Snippets(ctx, q, query.SearchOptions{TopN: c.top}, query.SnippetOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Mode != c.mode || len(sn) != 1 {
+			t.Fatalf("%s top=%d: %d documents in mode %q, want 1 in %q", q, c.top, len(sn), stats.Mode, c.mode)
+		}
+		if math.Float64bits(sn[0].Prob) != math.Float64bits(c.prob) || len(sn[0].Readings) != len(c.want) {
+			t.Fatalf("%s top=%d: %+v, want Prob %v and readings %q", q, c.top, sn[0], c.prob, c.want)
+		}
+		for i, r := range sn[0].Readings {
+			if r.Text != c.want[i] || math.Float64bits(r.Prob) != math.Float64bits(each) {
+				t.Fatalf("%s top=%d: reading %d = (%q, %v), want (%q, %v)", q, c.top, i, r.Text, r.Prob, c.want[i], each)
+			}
 		}
 	}
 }
