@@ -33,6 +33,24 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildErrModel measures Build on the end-to-end benchmark's
+// corpus shape: error-model documents over a 2000-word vocabulary,
+// approximated at (6,3). One op builds one document, cycling through 64
+// pre-generated transducers so no single document's shape dominates.
+func BenchmarkBuildErrModel(b *testing.B) {
+	cases, err := testgen.ErrCorpusFSTs(64, testgen.ErrModelConfig{VocabSize: 2000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := staccato.Build(cases[i%len(cases)].FST, "d", 6, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkChunk isolates boundary selection (cut-state sweep) from path
 // extraction.
 func BenchmarkChunk(b *testing.B) {
