@@ -1,11 +1,11 @@
 package staccato
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/paper-repo/staccato-go/internal/core"
 	"github.com/paper-repo/staccato-go/pkg/fst"
@@ -16,8 +16,18 @@ import (
 // on a transducer too large to materialize exactly.
 var ErrPathExplosion = errors.New("staccato: path enumeration budget exceeded (lower k or raise numChunks)")
 
-// maxEntries bounds the total number of partial paths TopK will hold.
+// maxEntries bounds the total number of partial paths TopK will push.
 const maxEntries = 4 << 20
+
+// arenaShare is how many entries each state's list gets in a segment's
+// shared arena. A dial's k is small; a list that outgrows its share
+// (AllPaths) moves to a slice of its own on append.
+const arenaShare = 4
+
+// linearMerge is how many distinct texts a chunk's merge scans linearly
+// before it indexes them in a map: a dial keeps a handful of paths, but
+// AllPaths can keep millions.
+const linearMerge = 32
 
 // pathEntry is one partial path in the k-best DP, represented as a
 // backpointer chain so extension is O(1) instead of copying strings.
@@ -28,77 +38,136 @@ type pathEntry struct {
 	label   rune
 }
 
+// comparePathEntries is the k-best rank order, for slices.SortFunc: lower
+// weight first, then lower predecessor state, predecessor index and
+// label. Entries it calls equal are identical, so which k entries a list
+// keeps, and in what order, never depends on the order they arrive in.
+func comparePathEntries(a, b pathEntry) int {
+	if c := cmp.Compare(a.weight, b.weight); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.prev, b.prev); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.prevIdx, b.prevIdx); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.label, b.label)
+}
+
+// admit offers e to l, a list that keeps the k best entries offered to
+// it. The list appends until it holds k entries and then sorts once; from
+// then on e goes in only if it ranks ahead of the k-th entry, which it
+// replaces. This keeps exactly what sorting every offered entry and
+// truncating to k would. admit reports false when e ranks behind a full
+// list — and so does every entry that ranks behind e.
+func admit(l []pathEntry, k int, e pathEntry) ([]pathEntry, bool) {
+	if len(l) < k {
+		l = append(l, e)
+		if len(l) == k {
+			slices.SortFunc(l, comparePathEntries)
+		}
+		return l, true
+	}
+	i := k - 1
+	if comparePathEntries(e, l[i]) >= 0 {
+		return l, false
+	}
+	for ; i > 0 && comparePathEntries(e, l[i-1]) < 0; i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = e
+	return l, true
+}
+
+// settle sorts a list that never filled; admit keeps a full one sorted.
+func settle(l []pathEntry, k int) {
+	if len(l) < k {
+		slices.SortFunc(l, comparePathEntries)
+	}
+}
+
+// dpState is one state's part of the sweep: its best partial paths from
+// the segment root, and the negative-log mass of all of them.
+type dpState struct {
+	paths []pathEntry
+	mass  float64
+}
+
 // TopK enumerates the k most probable paths through seg and returns them
 // as a PathSet: paths emitting the same string are merged (their
 // probabilities summed), and the merged alternatives are normalized to a
 // distribution over the retained mass.
 //
-// The DP sweeps states in topological order keeping at most k best partial
-// paths per state. Lists are finalized (sorted, truncated) when the sweep
-// reaches their state, so backpointers into predecessors are stable. All
-// per-state storage is indexed relative to seg.From, so the cost of a
-// segment depends on its own size, not its position in the document, and
-// normalization happens in the log domain so arbitrarily long chunks
-// (weights far beyond exp underflow) still produce finite probabilities.
+// One sweep over the states in topological order keeps at most k best
+// partial paths per state, in a bounded list (admit), and accumulates
+// the forward log-domain mass of all paths, from which Retained follows.
+// A list is finalized when the sweep reaches its state, so backpointers
+// into predecessors are stable. All per-state storage is indexed relative
+// to seg.From, so the cost of a segment depends on its own size, not its
+// position in the document, and normalization happens in the log domain
+// so arbitrarily long chunks (weights far beyond exp underflow) still
+// produce finite probabilities.
 func TopK(seg Segment, k int) (PathSet, error) {
+	return topK(seg, k, maxEntries)
+}
+
+// topK is TopK under a budget of budget pushed partial paths, a parameter
+// so tests can reach ErrPathExplosion on small transducers.
+func topK(seg Segment, k, budget int) (PathSet, error) {
 	if k < 1 {
 		return PathSet{}, fmt.Errorf("staccato: TopK: k must be >= 1, got %d", k)
 	}
 	f := seg.F
-	n := f.NumStates()
 	last := int(seg.To)
 	if seg.ToEnd {
-		last = n - 1
+		last = f.NumStates() - 1
 	}
 	base := int(seg.From)
 
-	// entries[s-base] holds the partial paths arriving at state s.
-	entries := make([][]pathEntry, last-base+1)
-	entries[0] = []pathEntry{{weight: 0, prev: fst.NoState, prevIdx: -1}}
-	total := 0
-
-	// completed collects accepting terminal entries as (state, index)
-	// pairs into finalized lists.
-	type done struct {
-		state fst.StateID
-		idx   int32
+	// states[s-base] is state s; the arena's last share holds completed,
+	// the k best accepting paths, each an entry pointing at (state, index)
+	// of its final partial path and ranked like any state's list.
+	share := min(k, arenaShare)
+	states := make([]dpState, last-base+1)
+	arena := make([]pathEntry, (len(states)+1)*share)
+	for i := range states {
+		states[i] = dpState{paths: arena[i*share : i*share : (i+1)*share], mass: math.Inf(1)}
 	}
-	var completed []done
+	completed := arena[len(states)*share : len(states)*share]
+	states[0].paths = append(states[0].paths, pathEntry{prev: fst.NoState, prevIdx: -1})
+	states[0].mass = 0
+	total := 0
+	totalW := math.Inf(1)
 
 	for s := base; s <= last; s++ {
-		es := entries[s-base]
+		st := &states[s-base]
+		es := st.paths
 		if len(es) == 0 {
 			continue
 		}
-		sort.Slice(es, func(i, j int) bool {
-			//lint:allow floateq sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make path selection nondeterministic
-			if es[i].weight != es[j].weight {
-				return es[i].weight < es[j].weight
-			}
-			if es[i].prev != es[j].prev {
-				return es[i].prev < es[j].prev
-			}
-			if es[i].prevIdx != es[j].prevIdx {
-				return es[i].prevIdx < es[j].prevIdx
-			}
-			return es[i].label < es[j].label
-		})
-		if len(es) > k {
-			es = es[:k]
-		}
-		entries[s-base] = es
+		settle(es, k)
+		// A state reached only through weights that overflow to +Inf
+		// carries paths but no mass.
+		massive := !math.IsInf(st.mass, 1)
 
+		accepting := s == last
 		if seg.ToEnd {
-			if f.IsFinal(fst.StateID(s)) {
-				for i := range es {
-					completed = append(completed, done{fst.StateID(s), int32(i)})
+			accepting = f.IsFinal(fst.StateID(s))
+		}
+		if accepting {
+			for i, e := range es {
+				var ok bool
+				if completed, ok = admit(completed, k, pathEntry{weight: e.weight, prev: fst.StateID(s), prevIdx: int32(i)}); !ok {
+					break
 				}
 			}
-		} else if s == last {
-			for i := range es {
-				completed = append(completed, done{fst.StateID(s), int32(i)})
+			if massive {
+				totalW = core.LogAddWeights(totalW, st.mass)
 			}
-			break // interior boundary: do not extend past it
+			if !seg.ToEnd {
+				break // interior boundary: do not extend past it
+			}
 		}
 
 		for _, a := range f.Arcs(fst.StateID(s)) {
@@ -107,109 +176,88 @@ func TopK(seg Segment, k int) (PathSet, error) {
 				// hand-built Segment fails loudly instead of corrupting memory.
 				return PathSet{}, fmt.Errorf("staccato: TopK: arc %d→%d escapes segment ending at %d", s, a.To, last)
 			}
+			to := &states[int(a.To)-base]
+			// es is sorted, so its extensions along a arrive in rank
+			// order: once one is turned away, so are all after it.
 			for i, e := range es {
-				entries[int(a.To)-base] = append(entries[int(a.To)-base], pathEntry{
+				var ok bool
+				if to.paths, ok = admit(to.paths, k, pathEntry{
 					weight:  e.weight + a.Weight,
 					prev:    fst.StateID(s),
 					prevIdx: int32(i),
 					label:   a.Label,
-				})
+				}); !ok {
+					break
+				}
 			}
 			total += len(es)
-			if total > maxEntries {
+			if total > budget {
 				return PathSet{}, ErrPathExplosion
 			}
+			if massive {
+				to.mass = core.LogAddWeights(to.mass, st.mass+a.Weight)
+			}
 		}
-	}
-
-	// Keep the k best completions overall.
-	sort.Slice(completed, func(i, j int) bool {
-		wi := entries[int(completed[i].state)-base][completed[i].idx].weight
-		wj := entries[int(completed[j].state)-base][completed[j].idx].weight
-		//lint:allow floateq sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make the k-best cut nondeterministic
-		if wi != wj {
-			return wi < wj
-		}
-		if completed[i].state != completed[j].state {
-			return completed[i].state < completed[j].state
-		}
-		return completed[i].idx < completed[j].idx
-	})
-	if len(completed) > k {
-		completed = completed[:k]
 	}
 	if len(completed) == 0 {
 		return PathSet{}, fmt.Errorf("staccato: TopK: segment from state %d has no accepting path", seg.From)
 	}
+	settle(completed, k)
 
-	// Materialize strings and merge duplicates by summing probability.
-	// Weights are shifted by the best completion's weight before leaving
-	// the log domain: relative probabilities are exact and finite even
-	// when absolute path probabilities underflow float64.
-	minW := entries[int(completed[0].state)-base][completed[0].idx].weight
-	merged := make(map[string]float64, len(completed))
+	// Materialize strings and merge duplicates by summing probability in
+	// completion order. Weights are shifted by the best completion's
+	// weight before leaving the log domain: relative probabilities are
+	// exact and finite even when absolute path probabilities underflow
+	// float64.
+	minW := completed[0].weight
+	alts := make([]Alt, 0, len(completed))
+	var index map[string]int // text → position in alts, once there are many
 	var retainedShifted float64
+	var buf [64]rune
 	for _, c := range completed {
-		var rev []rune
-		st, idx := c.state, c.idx
-		for st != fst.NoState {
-			e := entries[int(st)-base][idx]
+		rev := buf[:0]
+		for st, idx := c.prev, c.prevIdx; st != fst.NoState; {
+			e := states[int(st)-base].paths[idx]
 			if e.prev != fst.NoState && e.label != fst.Epsilon {
 				rev = append(rev, e.label)
 			}
 			st, idx = e.prev, e.prevIdx
 		}
-		p := math.Exp(-(entries[int(c.state)-base][c.idx].weight - minW))
-		merged[core.StringFromReversed(rev)] += p
+		slices.Reverse(rev)
+		text := string(rev)
+		p := math.Exp(-(c.weight - minW))
 		retainedShifted += p
-	}
 
-	alts := make([]Alt, 0, len(merged))
-	for text, p := range merged {
-		alts = append(alts, Alt{Text: text, Prob: p / retainedShifted})
+		j, found := index[text]
+		if index == nil {
+			j = slices.IndexFunc(alts, func(a Alt) bool { return a.Text == text })
+			found = j >= 0
+		}
+		if found {
+			alts[j].Prob += p
+			continue
+		}
+		alts = append(alts, Alt{Text: text, Prob: p})
+		if index != nil {
+			index[text] = len(alts) - 1
+		} else if len(alts) > linearMerge {
+			index = make(map[string]int, len(completed))
+			for i, a := range alts {
+				index[a.Text] = i
+			}
+		}
+	}
+	for i := range alts {
+		alts[i].Prob /= retainedShifted
 	}
 	slices.SortFunc(alts, CompareAlts)
 
 	// Retained fraction, also in the log domain: the retained paths have
 	// total weight minW - ln(retainedShifted).
 	retainedW := minW - math.Log(retainedShifted)
-	totalW := segmentWeight(seg, last)
 	ps := PathSet{Alts: alts, Retained: 1}
 	if !math.IsInf(totalW, 1) {
 		ps.Retained = math.Min(1, core.ProbFromWeight(retainedW-totalW))
 	}
 	return ps, nil
-}
-
-// segmentWeight returns the negative-log total probability mass of all
-// paths through the segment — a forward sweep accumulating in the log
-// domain so long segments don't underflow.
-func segmentWeight(seg Segment, last int) float64 {
-	f := seg.F
-	base := int(seg.From)
-	w := make([]float64, last-base+1)
-	for i := 1; i < len(w); i++ {
-		w[i] = math.Inf(1)
-	}
-	totalW := math.Inf(1)
-	for s := base; s <= last; s++ {
-		ws := w[s-base]
-		if math.IsInf(ws, 1) {
-			continue
-		}
-		if seg.ToEnd {
-			if f.IsFinal(fst.StateID(s)) {
-				totalW = core.LogAddWeights(totalW, ws)
-			}
-		} else if s == last {
-			totalW = core.LogAddWeights(totalW, ws)
-			break
-		}
-		for _, a := range f.Arcs(fst.StateID(s)) {
-			if int(a.To) <= last {
-				w[int(a.To)-base] = core.LogAddWeights(w[int(a.To)-base], ws+a.Weight)
-			}
-		}
-	}
-	return totalW
 }
