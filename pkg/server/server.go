@@ -277,9 +277,7 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, co
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) // the status line is already out; a failed body write has no better channel
+	json.NewEncoder(w).Encode(v) // the status line is already out; a failed body write has no better channel
 }
 
 // errorResponse is the JSON body of every non-2xx response.
