@@ -1,9 +1,10 @@
 package fst
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates states and arcs and then produces a validated,
@@ -79,6 +80,19 @@ func (b *Builder) SetFinal(s StateID) {
 	b.finals[s] = true
 }
 
+// compareArcs is the canonical order of a state's arcs, for
+// slices.SortFunc: by target state, then label, then weight. Arcs it
+// calls equal carry equal fields, so the order never depends on the sort.
+func compareArcs(a, b Arc) int {
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Label, b.Label); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Weight, b.Weight)
+}
+
 // Build validates and normalizes the machine. It fails if no start state
 // was set, no accepting path exists, or the graph contains a cycle.
 // States not on any start→final path are pruned, and the survivors are
@@ -126,7 +140,7 @@ func (b *Builder) Build() (*SFST, error) {
 	for s := range b.finals {
 		finals = append(finals, s)
 	}
-	sort.Slice(finals, func(i, j int) bool { return finals[i] < finals[j] })
+	slices.Sort(finals)
 	coreach := make([]bool, n)
 	for _, s := range finals {
 		if !coreach[s] {
@@ -221,15 +235,7 @@ func (b *Builder) Build() (*SFST, error) {
 			}
 			arcs = append(arcs, Arc{To: remap[a.To], Label: a.Label, Weight: a.Weight})
 		}
-		sort.Slice(arcs, func(i, j int) bool {
-			if arcs[i].To != arcs[j].To {
-				return arcs[i].To < arcs[j].To
-			}
-			if arcs[i].Label != arcs[j].Label {
-				return arcs[i].Label < arcs[j].Label
-			}
-			return arcs[i].Weight < arcs[j].Weight
-		})
+		slices.SortFunc(arcs, compareArcs)
 		out.arcs[newID] = arcs
 		out.nArcs += len(arcs)
 		if b.finals[oldID] {
