@@ -8,6 +8,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"unicode"
 )
 
@@ -63,13 +64,10 @@ func ProbEq(a, b float64) bool {
 
 // StringFromReversed builds a string from runes collected in reverse
 // order — the shape every backpointer traceback (Viterbi, top-k paths)
-// produces.
+// produces. It reverses rev in place.
 func StringFromReversed(rev []rune) string {
-	out := make([]rune, len(rev))
-	for i, r := range rev {
-		out[len(rev)-1-i] = r
-	}
-	return string(out)
+	slices.Reverse(rev)
+	return string(rev)
 }
 
 // IsWordRune reports whether r counts as a word character for keyword

@@ -24,11 +24,6 @@ const maxEntries = 4 << 20
 // (AllPaths) moves to a slice of its own on append.
 const arenaShare = 4
 
-// linearMerge is how many distinct texts a chunk's merge scans linearly
-// before it indexes them in a map: a dial keeps a handful of paths, but
-// AllPaths can keep millions.
-const linearMerge = 32
-
 // pathEntry is one partial path in the k-best DP, represented as a
 // backpointer chain so extension is O(1) instead of copying strings.
 type pathEntry struct {
@@ -204,17 +199,15 @@ func topK(seg Segment, k, budget int) (PathSet, error) {
 	}
 	settle(completed, k)
 
-	// Materialize strings and merge duplicates by summing probability in
-	// completion order. Weights are shifted by the best completion's
-	// weight before leaving the log domain: relative probabilities are
-	// exact and finite even when absolute path probabilities underflow
-	// float64.
+	// Materialize one alternative per completion. Weights are shifted by
+	// the best completion's weight before leaving the log domain: relative
+	// probabilities are exact and finite even when absolute path
+	// probabilities underflow float64.
 	minW := completed[0].weight
-	alts := make([]Alt, 0, len(completed))
-	var index map[string]int // text → position in alts, once there are many
+	alts := make([]Alt, len(completed))
 	var retainedShifted float64
 	var buf [64]rune
-	for _, c := range completed {
+	for i, c := range completed {
 		rev := buf[:0]
 		for st, idx := c.prev, c.prevIdx; st != fst.NoState; {
 			e := states[int(st)-base].paths[idx]
@@ -223,30 +216,23 @@ func topK(seg Segment, k, budget int) (PathSet, error) {
 			}
 			st, idx = e.prev, e.prevIdx
 		}
-		slices.Reverse(rev)
-		text := string(rev)
 		p := math.Exp(-(c.weight - minW))
+		alts[i] = Alt{Text: core.StringFromReversed(rev), Prob: p}
 		retainedShifted += p
-
-		j, found := index[text]
-		if index == nil {
-			j = slices.IndexFunc(alts, func(a Alt) bool { return a.Text == text })
-			found = j >= 0
-		}
-		if found {
-			alts[j].Prob += p
+	}
+	// Paths emitting the same string merge by summing their probabilities.
+	// The stable sort keeps equal texts in completion order, so each sum
+	// adds up in that order.
+	slices.SortStableFunc(alts, func(a, b Alt) int { return cmp.Compare(a.Text, b.Text) })
+	merged := alts[:0]
+	for _, a := range alts {
+		if n := len(merged); n > 0 && merged[n-1].Text == a.Text {
+			merged[n-1].Prob += a.Prob
 			continue
 		}
-		alts = append(alts, Alt{Text: text, Prob: p})
-		if index != nil {
-			index[text] = len(alts) - 1
-		} else if len(alts) > linearMerge {
-			index = make(map[string]int, len(completed))
-			for i, a := range alts {
-				index[a.Text] = i
-			}
-		}
+		merged = append(merged, a)
 	}
+	alts = merged
 	for i := range alts {
 		alts[i].Prob /= retainedShifted
 	}
