@@ -3,6 +3,7 @@ package staccatodb_test
 import (
 	"context"
 	"os"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -345,4 +346,43 @@ func BenchmarkSearchTopKExhaustive(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(lastStats.DocsScanned), "evaluated_docs")
+}
+
+// BenchmarkIngest loads 2,048 error-model documents at (6,3) into a fresh
+// store (WithNoSync, so the fsync does not drown the index work), in
+// commits of 1, 4 and 256 documents: a Put, mixed-rw's small writes and
+// the bulk load. It reports µs/doc over the whole load and allocs/op per
+// load of all 2,048.
+func BenchmarkIngest(b *testing.B) {
+	cases, err := testgen.ErrDocs(2048, testgen.ErrModelConfig{Seed: 1}, 6, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	docs := make([]*staccato.Doc, len(cases))
+	for i, c := range cases {
+		docs[i] = c.Doc
+	}
+	ctx := context.Background()
+	for _, size := range []int{1, 4, 256} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db, err := staccatodb.Open(b.TempDir(), staccatodb.WithNoSync())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for from := 0; from < len(docs); from += size {
+					if err := db.Ingest(ctx, docs[from:min(from+size, len(docs))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				db.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(docs)), "µs/doc")
+		})
+	}
 }
