@@ -1,34 +1,98 @@
 package index
 
-import "sort"
+import (
+	"cmp"
+	"encoding/binary"
+	"slices"
+	"strings"
+)
 
 // Batch is one commit's additions, inverted: the documents in add order
 // and, per distinct gram in ascending order, the run of documents holding
 // it. It is the one shape additions take past gram extraction — ApplyBatch
 // appends its runs to the posting lists, Writer.Append and WriteSnapshot
 // store it as it stands, Load reads it back — so a commit is inverted once,
-// by whoever extracted its entries, outside every lock.
+// by whoever extracted it, outside every lock.
 type Batch struct {
 	ids   []string // the documents; a document's local ordinal is its position
 	flags []byte   // aligned with ids: flagOverflow | flagShort
 	grams []string // ascending, distinct
-	// lists is aligned with grams: ascending local ordinals and their
-	// bounds, never empty, never naming an overflow document.
-	lists []postings
+	// The runs lie back to back in ords and bnds, in gram order: gram k's
+	// run ends at ends[k] and starts where gram k-1's ended. A run is
+	// ascending local ordinals and their bounds, never empty, never naming
+	// an overflow document.
+	ends []uint32
+	ords []uint32
+	bnds []uint16
 }
 
-// Invert builds the Batch of adds. An overflow entry contributes its ID
-// and flags only; a gram an entry lists twice is kept once, at the larger
-// bound.
+// run returns gram k's run.
+func (b *Batch) run(k int) postings {
+	from, to := uint32(0), b.ends[k]
+	if k > 0 {
+		from = b.ends[k-1]
+	}
+	return postings{b.ords[from:to:to], b.bnds[from:to:to]}
+}
+
+// posting is one (document, gram) pair of a commit: the gram's slot in the
+// numbering of whoever collected it, and the document's local ordinal.
+type posting struct {
+	slot, ord int32
+	bnd       uint16
+}
+
+// invert fills b's dictionary and runs from post, the commit's postings
+// in document order, whose slots number the grams of texts; n counts each
+// slot's postings, and a gram without postings is left out. The distinct
+// grams are sorted once, and each posting is placed straight into its
+// gram's run, which the document order keeps ascending. n is consumed.
+func (b *Batch) invert(texts []string, n []int32, post []posting) {
+	// Sorting slots by their first eight bytes, compared as one integer,
+	// leaves a string comparison to the rare tie.
+	type keyed struct {
+		prefix uint64
+		slot   int32
+	}
+	order := make([]keyed, 0, len(texts))
+	for s, c := range n {
+		if c > 0 {
+			var p [8]byte
+			copy(p[:], texts[s])
+			order = append(order, keyed{binary.BigEndian.Uint64(p[:]), int32(s)})
+		}
+	}
+	slices.SortFunc(order, func(a, b keyed) int {
+		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+			return c
+		}
+		return strings.Compare(texts[a.slot], texts[b.slot])
+	})
+	// n becomes each slot's next place in the flat arrays.
+	b.grams, b.ends = make([]string, len(order)), make([]uint32, len(order))
+	end := int32(0)
+	for k, o := range order {
+		b.grams[k] = texts[o.slot]
+		end, n[o.slot] = end+n[o.slot], end
+		b.ends[k] = uint32(end)
+	}
+	b.ords, b.bnds = make([]uint32, end), make([]uint16, end)
+	for _, p := range post {
+		at := n[p.slot]
+		b.ords[at], b.bnds[at] = uint32(p.ord), p.bnd
+		n[p.slot]++
+	}
+}
+
+// Invert builds the Batch of hand-built entries. An overflow entry
+// contributes its ID and flags only; a gram an entry lists twice is kept
+// once, at the larger bound.
 func Invert(adds []Entry) *Batch {
 	b := &Batch{ids: make([]string, len(adds)), flags: make([]byte, len(adds))}
-	// Hashing a gram is what inverting costs, so it is done once per posting:
-	// the first pass numbers the distinct grams as it meets them, counts
-	// their postings, and notes each posting's gram number in of.
-	type run struct{ n, at int } // postings counted; dictionary position
-	var runs []run
-	var of []int32
-	number := make(map[string]int32)
+	slot := make(map[string]int32)
+	var texts []string
+	var n, last, at []int32 // per slot: postings, the last entry listing it, its posting there
+	var post []posting
 	for i, e := range adds {
 		b.ids[i] = e.ID
 		if e.Overflow {
@@ -38,47 +102,61 @@ func Invert(adds []Entry) *Batch {
 		if e.Short {
 			b.flags[i] = flagShort
 		}
-		for _, g := range e.Grams {
-			r, met := number[g]
+		for j, g := range e.Grams {
+			s, met := slot[g]
 			if !met {
-				r = int32(len(runs))
-				number[g] = r
-				runs = append(runs, run{})
+				s = int32(len(texts))
+				slot[g] = s
+				texts, n, last, at = append(texts, g), append(n, 0), append(last, -1), append(at, 0)
 			}
-			runs[r].n++
-			of = append(of, r)
-		}
-	}
-	grams := make([]string, 0, len(number))
-	for g := range number {
-		grams = append(grams, g)
-	}
-	sort.Strings(grams)
-	b.grams = grams
-	// The runs lie back to back in two flat arrays, each with exactly the
-	// room its gram was counted to need.
-	b.lists = make([]postings, len(grams))
-	ords, bnds := make([]uint32, len(of)), make([]uint16, len(of))
-	from := 0
-	for k, g := range grams {
-		r := &runs[number[g]]
-		b.lists[k] = postings{ords[from : from : from+r.n], bnds[from : from : from+r.n]}
-		r.at, from = k, from+r.n
-	}
-	next := 0
-	for i, e := range adds {
-		if e.Overflow {
-			continue
-		}
-		for j := range e.Grams {
-			l := &b.lists[runs[of[next]].at]
-			next++
-			if n := len(l.ords); n > 0 && l.ords[n-1] == uint32(i) {
-				l.bnds[n-1] = max(l.bnds[n-1], e.Bound(j))
+			if last[s] == int32(i) {
+				post[at[s]].bnd = max(post[at[s]].bnd, e.Bound(j))
 				continue
 			}
-			l.ords, l.bnds = append(l.ords, uint32(i)), append(l.bnds, e.Bound(j))
+			last[s], at[s] = int32(i), int32(len(post))
+			n[s]++
+			post = append(post, posting{slot: s, ord: int32(i), bnd: e.Bound(j)})
 		}
 	}
+	b.invert(texts, n, post)
 	return b
+}
+
+// merge joins the batches of contiguous document ranges, in order, into
+// one: their documents in sequence and, per gram, the runs of every range
+// that holds it, each ordinal rebased by the documents of the ranges
+// before its own — so a merged run is ascending as it is concatenated.
+func merge(parts []*Batch) *Batch {
+	b, base := &Batch{}, make([]uint32, len(parts))
+	grams, total := 0, 0
+	for i, p := range parts {
+		base[i] = uint32(len(b.ids))
+		b.ids, b.flags = append(b.ids, p.ids...), append(b.flags, p.flags...)
+		grams, total = grams+len(p.grams), total+len(p.ords)
+	}
+	b.grams, b.ends = make([]string, 0, grams), make([]uint32, 0, grams)
+	b.ords, b.bnds = make([]uint32, 0, total), make([]uint16, 0, total)
+	at, next := make([]int, len(parts)), make([]uint32, len(parts)) // each range's next gram and posting
+	for {
+		g, found := "", false
+		for i, p := range parts {
+			if at[i] < len(p.grams) && (!found || p.grams[at[i]] < g) {
+				g, found = p.grams[at[i]], true
+			}
+		}
+		if !found {
+			return b
+		}
+		for i, p := range parts {
+			if at[i] < len(p.grams) && p.grams[at[i]] == g {
+				from, to := next[i], p.ends[at[i]]
+				for _, o := range p.ords[from:to] {
+					b.ords = append(b.ords, base[i]+o)
+				}
+				b.bnds = append(b.bnds, p.bnds[from:to]...)
+				at[i], next[i] = at[i]+1, to
+			}
+		}
+		b.grams, b.ends = append(b.grams, g), append(b.ends, uint32(len(b.ords)))
+	}
 }

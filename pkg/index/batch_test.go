@@ -19,11 +19,9 @@ func TestInvert(t *testing.T) {
 		ids:   []string{"a", "over", "c"},
 		flags: []byte{0, flagOverflow, flagShort},
 		grams: []string{"abc", "bcd", "xyz"},
-		lists: []postings{
-			{[]uint32{0, 2}, []uint16{7, 3}},
-			{[]uint32{0}, []uint16{9}},
-			{[]uint32{2}, []uint16{maxBound}},
-		},
+		ends:  []uint32{2, 3, 4},
+		ords:  []uint32{0, 2, 0, 2},
+		bnds:  []uint16{7, 3, 9, maxBound},
 	}
 	if !reflect.DeepEqual(b, want) {
 		t.Errorf("Invert = %+v, want %+v", b, want)

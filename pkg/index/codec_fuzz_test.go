@@ -31,20 +31,21 @@ func malformedCommits() map[string][]byte {
 	one := func(flags byte, ords []uint32, bnds []uint16) []byte {
 		return encodeCommit(&Batch{
 			ids: []string{"a", "b"}, flags: []byte{flags, 0},
-			grams: []string{"abc"}, lists: []postings{{ords, bnds}},
+			grams: []string{"abc"}, ends: []uint32{uint32(len(ords))}, ords: ords, bnds: bnds,
 		}, nil, State{Ops: 1})
 	}
 	valid := one(flagShort, []uint32{0, 1}, []uint16{7, 9})
+	overrun := one(0, []uint32{0, 1}, []uint16{7, 9})
 	unsorted := encodeCommit(&Batch{
 		ids: []string{"a"}, flags: []byte{0},
-		grams: []string{"abd", "abc"}, lists: []postings{{[]uint32{0}, []uint16{1}}, {[]uint32{0}, []uint16{1}}},
+		grams: []string{"abd", "abc"}, ends: []uint32{1, 2}, ords: []uint32{0, 0}, bnds: []uint16{1, 1},
 	}, nil, State{Ops: 1})
 	return map[string][]byte{
 		"unassigned flag bit":            one(flagShort|1<<2, []uint32{0, 1}, []uint16{7, 9}),
 		"local ordinal out of range":     one(0, []uint32{0, 2}, []uint16{7, 9}),
 		"non-ascending delta":            one(0, []uint32{1, 1}, []uint16{7, 9}),
 		"posting for an overflow doc":    one(flagOverflow, []uint32{0, 1}, []uint16{7, 9}),
-		"count overrunning the payload":  one(0, []uint32{0, 1}, []uint16{7}),
+		"count overrunning the payload":  overrun[:len(overrun)-2], // two postings, one bound
 		"empty run":                      one(0, nil, nil),
 		"gram not above its predecessor": unsorted,
 		"trailing bytes":                 append(bytes.Clone(valid), 0),
@@ -87,10 +88,13 @@ func FuzzCommitRecord(f *testing.F) {
 		if err != nil {
 			return // malformed input rejected cleanly: nothing to round-trip
 		}
-		if len(adds.ids) != len(adds.flags) || len(adds.grams) != len(adds.lists) {
-			t.Fatalf("misaligned batch: %d ids, %d flags, %d grams, %d lists", len(adds.ids), len(adds.flags), len(adds.grams), len(adds.lists))
+		if len(adds.ids) != len(adds.flags) || len(adds.grams) != len(adds.ends) || len(adds.ords) != len(adds.bnds) ||
+			len(adds.ends) > 0 && adds.ends[len(adds.ends)-1] != uint32(len(adds.ords)) {
+			t.Fatalf("misaligned batch: %d ids, %d flags, %d grams, %d ends, %d ordinals, %d bounds",
+				len(adds.ids), len(adds.flags), len(adds.grams), len(adds.ends), len(adds.ords), len(adds.bnds))
 		}
-		for k, l := range adds.lists {
+		for k := range adds.grams {
+			l := adds.run(k)
 			if len(l.ords) == 0 || len(l.ords) != len(l.bnds) {
 				t.Fatalf("gram %q: %d ordinals, %d bounds", adds.grams[k], len(l.ords), len(l.bnds))
 			}

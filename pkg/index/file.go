@@ -268,7 +268,7 @@ func encodeCommit(adds *Batch, dels []string, st State) []byte {
 		buf = binary.AppendUvarint(buf, uint64((len(g)-shared)*(len(prev)+1)+shared))
 		buf = append(buf, g[shared:]...)
 		prev = g
-		run := adds.lists[k]
+		run := adds.run(k)
 		buf = binary.AppendUvarint(buf, uint64(len(run.ords)))
 		last := uint32(0)
 		for _, o := range run.ords {
@@ -326,10 +326,8 @@ func parseCommit(p []byte) (adds *Batch, dels []string, st State, err error) {
 	if !ok || nGrams > uint64(len(p)) {
 		return bad()
 	}
-	adds.grams = make([]string, nGrams)
-	adds.lists = make([]postings, nGrams)
-	// A posting is at least three bytes, so the runs sliced out of these
-	// are never moved by a later append.
+	adds.grams, adds.ends = make([]string, nGrams), make([]uint32, nGrams)
+	// A posting is at least three bytes.
 	ords, bnds := make([]uint32, 0, len(p)/3), make([]uint16, 0, len(p)/3)
 	var gram []byte
 	for k := range adds.grams {
@@ -346,7 +344,7 @@ func parseCommit(p []byte) (adds *Batch, dels []string, st State, err error) {
 		if count, p, ok = takeUvarint(p); !ok || count == 0 || count > uint64(len(p))/3 {
 			return bad()
 		}
-		from, o := len(ords), uint64(0)
+		o := uint64(0)
 		for i := uint64(0); i < count; i++ {
 			var delta uint64
 			if delta, p, ok = takeUvarint(p); !ok || (i > 0 && delta == 0) || delta >= nAdds {
@@ -363,11 +361,12 @@ func parseCommit(p []byte) (adds *Batch, dels []string, st State, err error) {
 		for ; count > 0; count-- {
 			bnds, p = append(bnds, binary.LittleEndian.Uint16(p)), p[2:]
 		}
-		adds.lists[k] = postings{ords[from:len(ords):len(ords)], bnds[from:len(bnds):len(bnds)]}
+		adds.ends[k] = uint32(len(ords))
 	}
 	if len(p) != 0 {
 		return bad()
 	}
+	adds.ords, adds.bnds = ords, bnds
 	return adds, dels, st, nil
 }
 

@@ -62,13 +62,28 @@ func commitsDigest(docs []*staccato.Doc, build func([]*staccato.Doc, int) *Batch
 // regenerates it, with go test ./pkg/index -run TestBatchFingerprint -update.
 func TestBatchFingerprint(t *testing.T) {
 	docs := fingerprintDocs(t)
-	got := commitsDigest(docs, func(docs []*staccato.Doc, q int) *Batch {
-		entries := make([]Entry, len(docs))
-		for i, d := range docs {
-			entries[i] = EntryFor(d, q)
+	// Every way a commit is built must give the same bytes: inline, split
+	// into three ranges (whatever minRange says), and Invert of each
+	// document's EntryFor.
+	got := commitsDigest(docs, func(docs []*staccato.Doc, q int) *Batch { return BatchOf(docs, q, 1) })
+	ways := map[string]func([]*staccato.Doc, int) *Batch{
+		"three ranges": func(docs []*staccato.Doc, q int) *Batch {
+			n := len(docs)
+			return build([][]*staccato.Doc{docs[:n/4], docs[n/4 : n/2], docs[n/2:]}, q)
+		},
+		"Invert(EntryFor)": func(docs []*staccato.Doc, q int) *Batch {
+			entries := make([]Entry, len(docs))
+			for i, d := range docs {
+				entries[i] = EntryFor(d, q)
+			}
+			return Invert(entries)
+		},
+	}
+	for name, build := range ways {
+		if other := commitsDigest(docs, build); other != got {
+			t.Errorf("%s: digest %s, inline BatchOf %s", name, other, got)
 		}
-		return Invert(entries)
-	})
+	}
 
 	if *update {
 		if err := os.WriteFile(batchFingerprintFile, []byte(got+"\n"), 0o644); err != nil {

@@ -18,7 +18,7 @@
 //
 // Alongside each gram the DP accumulates an admissible probability upper
 // bound: the probability that any retained reading contains that gram is
-// at most the stored bound (see DocGramBounds), which is rounded up to 16
+// at most the stored bound (see BatchOf), which is rounded up to 16
 // bits (see Quantize) so that it stays admissible. Bounds ride the posting
 // lists and let the engine process top-k candidates best-bound-first and
 // stop early once the running k-th result beats every remaining bound.
@@ -31,8 +31,10 @@
 package index
 
 import (
+	"math"
 	"slices"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
@@ -50,9 +52,9 @@ const DefaultGramSize = 3
 // alternatives can produce, so ordinary OCR documents stay far below this.
 const maxSuffixes = 1024
 
-// Entry is one document's indexed gram set, the unit gram extraction
-// produces; Invert turns a commit's entries into the postings-major Batch
-// the index and its log consume.
+// Entry is one document's indexed gram set: EntryFor's view of it, and
+// the unit of hand-built additions, which Invert turns into the
+// postings-major Batch the index and its log consume.
 type Entry struct {
 	ID string
 	// Grams is the sorted set of q-grams occurring in at least one
@@ -85,109 +87,223 @@ func (e *Entry) Bound(i int) uint16 {
 	return maxBound
 }
 
-// EntryFor extracts doc's gram set at gram size q. Overflow is reported in
-// the Entry rather than as an error, because the only safe response — treat
-// the document as always matching — is the index's to make, not the
-// caller's.
+// EntryFor extracts doc's gram set at gram size q: the view of a
+// one-document BatchOf. Overflow is reported in the Entry rather than as
+// an error, because the only safe response — treat the document as always
+// matching — is the index's to make, not the caller's.
 func EntryFor(doc *staccato.Doc, q int) Entry {
-	grams, bounds, short, ok := DocGramBounds(doc, q)
-	return Entry{ID: doc.ID, Grams: grams, Bounds: bounds, Overflow: !ok, Short: short}
-}
-
-// DocGrams returns the sorted set of q-grams (in runes) that occur in any
-// retained reading of doc, including grams spanning chunk boundaries. The
-// second result is false when the boundary DP exceeded its frontier
-// budget; the returned grams are then incomplete and the document must be
-// treated as matching everything.
-//
-// The DP is exact, not merely conservative: every returned gram occurs in
-// at least one retained reading, because each emitted window is a real
-// reachable suffix concatenated with a real alternative.
-func DocGrams(doc *staccato.Doc, q int) ([]string, bool) {
-	grams, _, _, ok := docGramMass(doc, q)
-	return grams, ok
-}
-
-// DocGramBounds is DocGrams plus, per gram, an admissible upper bound on
-// the probability that a reading drawn from doc's distribution contains
-// that gram, quantized upward to 16 bits (Quantize) — here, once, so the
-// live index, the log and a reload all carry the same value.
-//
-// The bound is a union bound over disjoint boundary events. The DP
-// carries, for every reachable (≤ q-1)-rune suffix of a reading prefix,
-// the total probability mass of the prefixes ending in it. For a fixed
-// chunk, the events "the prefix ends in suffix tail AND this chunk reads
-// alternative alt" are pairwise disjoint and have probability
-// mass(tail)·P(alt). Every occurrence of a gram in a reading ends inside
-// exactly one chunk and is contained in that chunk's window tail+alt.Text,
-// so summing mass(tail)·P(alt) over every event whose window contains the
-// gram (counting each event once per gram, however many times the gram
-// repeats inside one window) over-counts the probability that the gram
-// occurs at all. Bounds are clamped to [0, 1].
-//
-// The returned bound slice is aligned with the gram slice. short reports
-// whether doc has a retained reading shorter than q runes — the shortest
-// reading takes each chunk's shortest alternative — which is what
-// Entry.Short records; it is exact even when the DP overflows.
-func DocGramBounds(doc *staccato.Doc, q int) (grams []string, bounds []uint16, short, ok bool) {
-	grams, mass, short, ok := docGramMass(doc, q)
-	if !ok {
-		return nil, nil, short, false
+	b := BatchOf([]*staccato.Doc{doc}, q, 1)
+	e := Entry{ID: doc.ID, Overflow: b.flags[0]&flagOverflow != 0, Short: b.flags[0]&flagShort != 0}
+	if !e.Overflow {
+		// One document: every run is the one posting ordinal 0.
+		e.Grams, e.Bounds = b.grams, b.bnds
 	}
-	bounds = make([]uint16, len(mass))
-	for i, m := range mass {
-		bounds[i] = Quantize(m)
-	}
-	return grams, bounds, short, true
+	return e
 }
 
-// docGramMass is the boundary DP behind DocGramBounds: the sorted grams
-// and, aligned, each gram's accumulated event mass capped at 1.
+// minRange is the fewest documents BatchOf hands a goroutine of its own.
+// A split commit builds a dictionary per range and merges them, so a
+// range must be long enough to win that back. Extracting error-model
+// documents on 2 vCPUs, two ranges against one took 26.2 → 29.2 µs/doc at
+// 64 documents, 24.7 → 23.9 at 128 and 20.1 → 18.5 at 256;
+// BenchmarkIngest/256 went from a median of 46.5 to 43.7 µs/doc. A Put and
+// mixed-rw's 4-document writes stay inline.
+const minRange = 128
+
+// BatchOf extracts the gram sets of docs at gram size q and inverts them
+// into one Batch — byte for byte the Batch Invert makes of each document's
+// EntryFor, without building the entries. Extraction writes the commit's
+// postings directly: each gram is interned once per range of documents,
+// and each range sorts its distinct grams once. With workers > 1 and at
+// least minRange documents per worker, docs is split into that many
+// contiguous ranges, extracted concurrently and merged. A nil document is
+// kept as an entry with the empty ID and no grams.
+func BatchOf(docs []*staccato.Doc, q, workers int) *Batch {
+	n := max(1, min(workers, len(docs)/minRange))
+	parts := make([][]*staccato.Doc, n)
+	for i := range parts {
+		parts[i] = docs[i*len(docs)/n : (i+1)*len(docs)/n]
+	}
+	return build(parts, q)
+}
+
+// build extracts each of parts, the first inline and the rest on
+// goroutines of their own, and merges them in order.
+func build(parts [][]*staccato.Doc, q int) *Batch {
+	out := make([]*Batch, len(parts))
+	var wg sync.WaitGroup
+	for i := 1; i < len(parts); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = newExtractor(parts[i], q).batch(parts[i])
+		}()
+	}
+	out[0] = newExtractor(parts[0], q).batch(parts[0])
+	wg.Wait()
+	if len(out) == 1 {
+		return out[0]
+	}
+	return merge(out)
+}
+
+// extractor runs the boundary DP over a range of documents, numbering
+// every gram and every frontier suffix it meets once for the whole range:
+// a window or a tail is a byte range of a reused buffer, looked up by
+// string(bytes), which does not allocate, so only a first sighting does.
+type extractor struct {
+	q int
+	// slot numbers the grams; texts, n and marks are indexed by number.
+	slot  map[string]int32
+	texts []string
+	n     []int32 // postings in the range
+	marks []gramMark
+	// tailAt and tails number the frontier's suffixes the same way.
+	tailAt map[string]int32
+	tails  []tailSlot
+	chunk  int32 // chunks extracted so far: the stamp of next's members
+
+	// touched is the current document's grams, each with its event mass
+	// (see extract).
+	touched        []gramMass
+	frontier, next []suffix
+	text           []byte // the event's window tail+alt.Text
+	runeAt         []int  // byte offset of each rune of text, then len(text)
+	post           []posting
+}
+
+// gramMark is where a gram stands in the current document: the document
+// that touched it last, its position in touched while that document is
+// the current one, and the last event of that document that counted it.
+type gramMark struct{ doc, at, event int32 }
+
+// tailSlot is one numbered suffix and its position in next, valid while
+// chunk is the current chunk.
+type tailSlot struct {
+	text      string
+	chunk, at int32
+}
+
+type gramMass struct {
+	slot int32
+	mass float64
+}
+
+// suffix is one entry of the DP's frontier: a distinct last-(≤ q-1)-rune
+// string of a reading prefix ending at a chunk boundary, and the total
+// probability of the prefixes ending in it.
+type suffix struct {
+	tail string
+	mass float64
+}
+
+// newExtractor returns an extractor for docs at gram size q, with room
+// for what they are likely to hold: a document has about one posting per
+// two bytes of alternatives, while a range's distinct grams grow like the
+// square root of its bytes (Heaps' law; ≈ 24·√bytes on the error-model
+// corpus, from 2,700 grams at 64 documents to 5,900 at 256).
+func newExtractor(docs []*staccato.Doc, q int) *extractor {
+	size := 0
+	for _, d := range docs {
+		if d != nil {
+			for _, ch := range d.Chunks {
+				for _, alt := range ch.Alts {
+					size += len(alt.Text)
+				}
+			}
+		}
+	}
+	grams := int(min(float64(size/2), 24*math.Sqrt(float64(size))))
+	return &extractor{
+		q:        q,
+		slot:     make(map[string]int32, grams),
+		texts:    make([]string, 0, grams),
+		n:        make([]int32, 0, grams),
+		marks:    make([]gramMark, 0, grams),
+		tailAt:   make(map[string]int32, 32),
+		tails:    make([]tailSlot, 0, 32),
+		touched:  make([]gramMass, 0, min(grams, 256)),
+		frontier: make([]suffix, 0, 32),
+		next:     make([]suffix, 0, 32),
+		text:     make([]byte, 0, 64),
+		runeAt:   make([]int, 0, 64),
+		post:     make([]posting, 0, size/2),
+	}
+}
+
+// batch extracts docs, the i-th at local ordinal i, straight into the
+// range's postings, and inverts them.
+func (x *extractor) batch(docs []*staccato.Doc) *Batch {
+	b := &Batch{ids: make([]string, len(docs)), flags: make([]byte, len(docs))}
+	for i, d := range docs {
+		if d == nil {
+			continue
+		}
+		b.ids[i] = d.ID
+		short, ok := x.extract(d, int32(i))
+		if !ok {
+			b.flags[i] = flagOverflow
+			continue
+		}
+		if short {
+			b.flags[i] = flagShort
+		}
+		for _, t := range x.touched {
+			x.n[t.slot]++
+			x.post = append(x.post, posting{slot: t.slot, ord: int32(i), bnd: Quantize(min(1, t.mass))})
+		}
+	}
+	b.invert(x.texts, x.n, x.post) // a gram met only in overflow documents has no posting
+	return b
+}
+
+// extract runs the boundary DP over doc, the range's document ord, and
+// leaves in x.touched every gram doc holds with its event mass, in the
+// order the DP met them; ok is false when the frontier outgrew
+// maxSuffixes, and then x.touched is incomplete. short reports whether doc
+// has a retained reading shorter than q runes — the shortest reading takes
+// each chunk's shortest alternative — which is what Entry.Short records;
+// it is exact even when the DP overflows.
 //
-// Every (tail, alternative) event is laid out once, UTF-8 with invalid
-// bytes normalized as a []rune conversion would, in a reused buffer; its
-// windows and its new suffix are byte ranges of that buffer, looked up in
-// maps that hand back a slot — a lookup by string(bytes) does not allocate,
-// so only a gram's or a suffix's first sighting does.
-func docGramMass(doc *staccato.Doc, q int) (grams []string, mass []float64, short, ok bool) {
+// A gram's mass, capped at 1, is an admissible upper bound on the
+// probability that a reading drawn from doc's distribution contains it: a
+// union bound over disjoint boundary events. The DP carries, for every
+// reachable (≤ q-1)-rune suffix of a reading prefix, the total
+// probability mass of the prefixes ending in it. For a fixed chunk, the
+// events "the prefix ends in suffix tail AND this chunk reads alternative
+// alt" are pairwise disjoint and have probability mass(tail)·P(alt). Every
+// occurrence of a gram in a reading ends inside exactly one chunk and is
+// contained in that chunk's window tail+alt.Text, so summing
+// mass(tail)·P(alt) over every event whose window contains the gram
+// (counting each event once per gram, however many times the gram repeats
+// inside one window) over-counts the probability that the gram occurs at
+// all. The frontier is walked in ascending tail order and the
+// alternatives as given, so every sum runs in one fixed order.
+//
+// The gram set is exact, not merely conservative: every gram occurs in at
+// least one retained reading, because each window is a real reachable
+// suffix concatenated with a real alternative. Each event's window is laid
+// out as UTF-8, with invalid bytes normalized as a []rune conversion would.
+func (x *extractor) extract(doc *staccato.Doc, ord int32) (short, ok bool) {
+	x.touched = x.touched[:0]
+	q := x.q
 	if q < 1 {
-		return nil, nil, false, false
+		return false, false
 	}
-	shortest, size := 0, 0
+	shortest := 0
 	for _, ch := range doc.Chunks {
 		least := 0 // a chunk without alternatives reads as the empty string below
 		for i, alt := range ch.Alts {
 			if n := utf8.RuneCountInString(alt.Text); i == 0 || n < least {
 				least = n
 			}
-			size += len(alt.Text)
 		}
 		shortest += least
 	}
 	short = shortest < q
 
-	type gram struct {
-		text   string
-		mass   float64
-		seenIn int32 // the last event that counted it
-	}
-	// suffix is one entry of the DP's frontier: a distinct last-(≤ q-1)-rune
-	// string of a reading prefix ending at a chunk boundary, and the total
-	// probability of the prefixes ending in it.
-	type suffix struct {
-		tail string
-		mass float64
-	}
-	// A chunk's alternatives mostly repeat one another's grams: half the
-	// document's bytes is room for nearly every one without regrowing.
-	found := make([]gram, 0, size/2)
-	slot := make(map[string]int32, size/2) // gram -> position in found
+	x.frontier = append(x.frontier[:0], suffix{"", 1})
 	event := int32(0)
-	frontier := []suffix{{"", 1}} // ascending by tail
-	var next []suffix
-	nextAt := make(map[string]int32) // tail -> position in next
-	var text []byte                  // the event's window tail+alt.Text
-	var runeAt []int                 // byte offset of each rune of text, then len(text)
 	for _, ch := range doc.Chunks {
 		alts := ch.Alts
 		if len(alts) == 0 {
@@ -197,16 +313,13 @@ func docGramMass(doc *staccato.Doc, q int) (grams []string, mass []float64, shor
 			// never drops them.
 			alts = []staccato.Alt{{}}
 		}
-		next = next[:0]
-		clear(nextAt)
-		// The frontier is walked in ascending tail order and the
-		// alternatives as given, so every float accumulation below runs in
-		// one fixed order.
-		for _, from := range frontier {
+		x.chunk++
+		x.next = x.next[:0]
+		for _, from := range x.frontier {
 			for _, alt := range alts {
 				w := from.mass * alt.Prob
 				event++
-				text, runeAt = text[:0], runeAt[:0]
+				text, runeAt := x.text[:0], x.runeAt[:0]
 				for _, s := range [2]string{from.tail, alt.Text} {
 					for _, r := range s {
 						runeAt = append(runeAt, len(text))
@@ -215,42 +328,46 @@ func docGramMass(doc *staccato.Doc, q int) (grams []string, mass []float64, shor
 				}
 				n := len(runeAt)
 				runeAt = append(runeAt, len(text))
+				x.text, x.runeAt = text, runeAt
 				for i := 0; i+q <= n; i++ {
 					g := text[runeAt[i]:runeAt[i+q]]
-					at, known := slot[string(g)]
+					s, known := x.slot[string(g)]
 					if !known {
-						at = int32(len(found))
-						found = append(found, gram{text: string(g)})
-						slot[found[at].text] = at
+						s = int32(len(x.texts))
+						x.texts = append(x.texts, string(g))
+						x.n, x.marks = append(x.n, 0), append(x.marks, gramMark{doc: -1})
+						x.slot[x.texts[s]] = s
 					}
-					if found[at].seenIn != event { // once per event, however often it repeats
-						found[at].seenIn = event
-						found[at].mass += w
+					m := &x.marks[s]
+					if m.doc != ord {
+						m.doc, m.at, m.event = ord, int32(len(x.touched)), 0
+						x.touched = append(x.touched, gramMass{slot: s})
+					}
+					if m.event != event { // once per event, however often it repeats
+						m.event = event
+						x.touched[m.at].mass += w
 					}
 				}
 				tail := text[runeAt[max(0, n-(q-1))]:]
-				at, known := nextAt[string(tail)]
+				s, known := x.tailAt[string(tail)]
 				if !known {
-					at = int32(len(next))
-					next = append(next, suffix{tail: string(tail)})
-					nextAt[next[at].tail] = at
+					s = int32(len(x.tails))
+					x.tails = append(x.tails, tailSlot{text: string(tail)})
+					x.tailAt[x.tails[s].text] = s
 				}
-				next[at].mass += w
+				ts := &x.tails[s]
+				if ts.chunk != x.chunk {
+					ts.chunk, ts.at = x.chunk, int32(len(x.next))
+					x.next = append(x.next, suffix{tail: ts.text})
+				}
+				x.next[ts.at].mass += w
 			}
 		}
-		if len(next) > maxSuffixes {
-			return nil, nil, short, false
+		if len(x.next) > maxSuffixes {
+			return short, false
 		}
-		slices.SortFunc(next, func(a, b suffix) int { return strings.Compare(a.tail, b.tail) })
-		frontier, next = next, frontier
+		slices.SortFunc(x.next, func(a, b suffix) int { return strings.Compare(a.tail, b.tail) })
+		x.frontier, x.next = x.next, x.frontier
 	}
-	grams, mass = make([]string, len(found)), make([]float64, len(found))
-	for i, g := range found {
-		grams[i] = g.text
-	}
-	slices.Sort(grams) // on bare strings: several times faster than sorting found by a comparator
-	for i, g := range grams {
-		mass[i] = min(1, found[slot[g]].mass)
-	}
-	return grams, mass, short, true
+	return short, true
 }

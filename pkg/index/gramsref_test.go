@@ -1,8 +1,11 @@
 package index
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
@@ -72,6 +75,13 @@ func gramCorpus(t testing.TB) []*staccato.Doc {
 	for _, c := range cases {
 		docs = append(docs, c.Doc)
 	}
+	return append(docs, stressDocs()...)
+}
+
+// stressDocs are documents the error model never makes: multi-byte and
+// invalid UTF-8, empty alternatives and chunks, a gram repeated inside one
+// window, a reading shorter than any gram, and an overflow.
+func stressDocs() []*staccato.Doc {
 	alts := func(texts ...string) staccato.PathSet {
 		ps := staccato.PathSet{Retained: 1}
 		for i, text := range texts {
@@ -83,31 +93,62 @@ func gramCorpus(t testing.TB) []*staccato.Doc {
 	for i := 0; i < 40; i++ {
 		wideA, wideB = append(wideA, string(rune('a'+i))), append(wideB, string(rune('①'+i)))
 	}
-	return append(docs,
-		&staccato.Doc{ID: "bytes", Chunks: []staccato.PathSet{alts("né", "n\xffe", "\xc3"), alts("\xa9日本", "", "語x"), {}, alts("aaaa", "aa")}},
-		&staccato.Doc{ID: "short", Chunks: []staccato.PathSet{alts("a", ""), alts("b")}},
-		&staccato.Doc{ID: "overflow", Chunks: []staccato.PathSet{alts(wideA...), alts(wideB...), alts("z")}},
-	)
+	return []*staccato.Doc{
+		{ID: "bytes", Chunks: []staccato.PathSet{alts("né", "n\xffe", "\xc3"), alts("\xa9日本", "", "語x"), {}, alts("aaaa", "aa")}},
+		{ID: "short", Chunks: []staccato.PathSet{alts("a", ""), alts("b")}},
+		{ID: "overflow", Chunks: []staccato.PathSet{alts(wideA...), alts(wideB...), alts("z")}},
+	}
 }
 
-// TestDocGramMassMatchesReference: the allocation-free DP returns the
-// reference's grams and, bit for bit, its bounds, at several gram sizes —
-// and keeps its allocations to what it must keep (the grams, the suffixes,
-// the working buffers), where the reference made a string per window.
+// referenceShort reports whether doc has a reading shorter than q runes,
+// by its shortest reading.
+func referenceShort(doc *staccato.Doc, q int) bool {
+	shortest := 0
+	for _, ch := range doc.Chunks {
+		least := math.MaxInt
+		for _, alt := range ch.Alts {
+			least = min(least, len([]rune(alt.Text)))
+		}
+		if least < math.MaxInt {
+			shortest += least
+		}
+	}
+	return shortest < q
+}
+
+// TestDocGramMassMatchesReference: the extractor returns the reference's
+// grams and, bit for bit, their masses, at several gram sizes, with one
+// extractor — one dictionary — shared by the whole corpus as a commit's
+// range shares it. A 256-document commit keeps its allocations to what it
+// must keep: each distinct gram once, the suffixes once, the working
+// buffers and the Batch.
 func TestDocGramMassMatchesReference(t *testing.T) {
 	docs := gramCorpus(t)
 	overflowed := false
 	for _, q := range []int{1, 2, 3, 4} {
-		for _, d := range docs {
-			grams, mass, _, ok := docGramMass(d, q)
+		x := newExtractor(docs, q)
+		for i, d := range docs {
+			short, ok := x.extract(d, int32(i))
 			wantGrams, wantMass, wantOK := referenceGramMass(d, q)
-			if ok != wantOK || len(grams) != len(wantGrams) {
-				t.Fatalf("q=%d doc %s: ok %v with %d grams, reference %v with %d", q, d.ID, ok, len(grams), wantOK, len(wantGrams))
+			if short != referenceShort(d, q) {
+				t.Fatalf("q=%d doc %s: short %v, reference %v", q, d.ID, short, !short)
 			}
-			overflowed = overflowed || !ok
-			for i := range grams {
-				if grams[i] != wantGrams[i] || math.Float64bits(mass[i]) != math.Float64bits(wantMass[i]) {
-					t.Fatalf("q=%d doc %s gram %d: %q at %v, reference %q at %v", q, d.ID, i, grams[i], mass[i], wantGrams[i], wantMass[i])
+			if ok != wantOK {
+				t.Fatalf("q=%d doc %s: ok %v, reference %v", q, d.ID, ok, wantOK)
+			}
+			if !ok {
+				overflowed = true
+				continue
+			}
+			got := slices.Clone(x.touched)
+			slices.SortFunc(got, func(a, b gramMass) int { return strings.Compare(x.texts[a.slot], x.texts[b.slot]) })
+			if len(got) != len(wantGrams) {
+				t.Fatalf("q=%d doc %s: %d grams, reference %d", q, d.ID, len(got), len(wantGrams))
+			}
+			for i, g := range got {
+				text, mass := x.texts[g.slot], min(1, g.mass)
+				if text != wantGrams[i] || math.Float64bits(mass) != math.Float64bits(wantMass[i]) {
+					t.Fatalf("q=%d doc %s gram %d: %q at %v, reference %q at %v", q, d.ID, i, text, mass, wantGrams[i], wantMass[i])
 				}
 			}
 		}
@@ -116,25 +157,30 @@ func TestDocGramMassMatchesReference(t *testing.T) {
 		t.Error("no document overflowed; the corpus no longer covers that exit")
 	}
 
-	docs = docs[:60] // the error-model documents: ≈ 105 grams each
-	perDoc := testing.AllocsPerRun(5, func() {
-		for _, d := range docs {
-			EntryFor(d, DefaultGramSize)
+	commit := fingerprintDocs(t)[:256] // error-model documents: ≈ 105 grams each
+	for _, workers := range []int{1, 2} {
+		perDoc := testing.AllocsPerRun(5, func() { BatchOf(commit, DefaultGramSize, workers) }) / float64(len(commit))
+		// A string per distinct gram of the range and per suffix, and
+		// the dictionaries' growth; extracting each document's entry
+		// made it 131 with Invert's inversion.
+		if perDoc > 48 {
+			t.Errorf("BatchOf at %d workers makes %.1f allocations per document, want at most 48", workers, perDoc)
 		}
-	}) / float64(len(docs))
-	// ≈ 105 gram strings, two dozen suffix strings and a few buffers; a
-	// string per window and two per event made it 345.
-	if perDoc > 180 {
-		t.Errorf("EntryFor makes %.0f allocations per document, want at most 180", perDoc)
+		t.Logf("BatchOf at %d workers: %.1f allocations per document", workers, perDoc)
 	}
-	t.Logf("EntryFor: %.0f allocations per document", perDoc)
 }
 
-func BenchmarkEntryFor(b *testing.B) {
-	docs := gramCorpus(b)[:60]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EntryFor(docs[i%len(docs)], DefaultGramSize)
+// BenchmarkBatchOf extracts and inverts one 256-document error-model
+// commit, inline and split over two workers.
+func BenchmarkBatchOf(b *testing.B) {
+	commit := fingerprintDocs(b)[:256]
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BatchOf(commit, DefaultGramSize, workers)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(commit)), "µs/doc")
+		})
 	}
 }

@@ -67,7 +67,7 @@ func (ix *Index) GramSize() int { return ix.q }
 // Add indexes doc, superseding any previously indexed document with the
 // same ID. The document is read synchronously and not retained.
 func (ix *Index) Add(doc *staccato.Doc) {
-	ix.Apply([]Entry{EntryFor(doc, ix.q)}, nil)
+	ix.ApplyBatch(BatchOf([]*staccato.Doc{doc}, ix.q, 1), nil)
 }
 
 // Delete removes the document with the given ID; unknown IDs are a no-op.
@@ -113,7 +113,7 @@ func (ix *Index) ApplyBatch(b *Batch, dels []string) {
 			ix.post[g] = p
 			ix.learnRunes(g)
 		}
-		run := b.lists[k]
+		run := b.run(k)
 		p.ords = slices.Grow(p.ords, len(run.ords))
 		for _, local := range run.ords {
 			p.ords = append(p.ords, base+local)
@@ -303,19 +303,16 @@ func (ix *Index) Snapshot() *Batch {
 		grams = append(grams, g)
 	}
 	sort.Strings(grams)
-	// Sized for every posting, dead ones too, so the runs sliced out of
-	// them below are never moved by a later append.
-	ords, bnds := make([]uint32, 0, ix.npost), make([]uint16, 0, ix.npost)
+	b.ords, b.bnds = make([]uint32, 0, ix.npost), make([]uint16, 0, ix.npost)
 	for _, g := range grams {
-		p, from := ix.post[g], len(ords)
+		p, from := ix.post[g], len(b.ords)
 		for k, o := range p.ords {
 			if n := renumber[o]; n != dead {
-				ords, bnds = append(ords, n), append(bnds, p.bnds[k])
+				b.ords, b.bnds = append(b.ords, n), append(b.bnds, p.bnds[k])
 			}
 		}
-		if len(ords) > from {
-			b.grams = append(b.grams, g)
-			b.lists = append(b.lists, postings{ords[from:len(ords):len(ords)], bnds[from:len(bnds):len(bnds)]})
+		if len(b.ords) > from {
+			b.grams, b.ends = append(b.grams, g), append(b.ends, uint32(len(b.ords)))
 		}
 	}
 	return b
