@@ -110,14 +110,13 @@ func EntryFor(doc *staccato.Doc, q int) Entry {
 // mixed-rw's 4-document writes stay inline.
 const minRange = 128
 
-// BatchOf extracts the gram sets of docs at gram size q and inverts them
-// into one Batch — byte for byte the Batch Invert makes of each document's
-// EntryFor, without building the entries. Extraction writes the commit's
-// postings directly: each gram is interned once per range of documents,
-// and each range sorts its distinct grams once. With workers > 1 and at
-// least minRange documents per worker, docs is split into that many
-// contiguous ranges, extracted concurrently and merged. A nil document is
-// kept as an entry with the empty ID and no grams.
+// BatchOf extracts the gram sets of docs at gram size q into one
+// commit's Batch, writing its postings straight from the boundary DP: each
+// gram is interned once per range of documents, and each range sorts its
+// distinct grams once. With workers > 1 and at least minRange documents
+// per worker, docs is split into that many contiguous ranges, extracted
+// concurrently and merged; the Batch is the same however docs is split. A
+// nil document is kept as an entry with the empty ID and no grams.
 func BatchOf(docs []*staccato.Doc, q, workers int) *Batch {
 	n := max(1, min(workers, len(docs)/minRange))
 	parts := make([][]*staccato.Doc, n)
@@ -167,9 +166,9 @@ type extractor struct {
 	// (see extract).
 	touched        []gramMass
 	frontier, next []suffix
-	text           []byte // the event's window tail+alt.Text
-	runeAt         []int  // byte offset of each rune of text, then len(text)
-	post           []posting
+	text           []byte    // the event's window tail+alt.Text
+	runeAt         []int     // byte offset of each rune of text, then len(text)
+	post           []posting // the range's postings, in document order
 }
 
 // gramMark is where a gram stands in the current document: the document
