@@ -22,6 +22,12 @@
 //     timeout_ms); a request that exceeds it returns 504 with the
 //     deadline error rather than occupying a worker forever.
 //
+// Request bodies are size-capped (413 past the cap) and strictly
+// decoded: an unknown field or anything after the JSON value is a 400.
+// Ingest bodies, the bulk of the bytes, are decoded in one pass by
+// readIngest, with encoding/json behind it for every body it does not
+// take.
+//
 // Shutdown is graceful by construction: Shutdown marks the server
 // draining (new requests get 503, health reports draining so load
 // balancers stop routing), waits for every in-flight request to finish,
@@ -36,10 +42,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -65,9 +73,9 @@ const (
 	retryAfter = 1 * time.Second
 )
 
-// maxBodyBytes bounds request bodies: generous for document batches,
-// tight for queries — a malformed client must not buffer the server into
-// the ground.
+// Request bodies are capped: generously for document batches, tightly
+// for queries — a malformed client must not buffer the server into the
+// ground. A body past its cap is answered 413.
 const (
 	maxIngestBodyBytes = 64 << 20 // 64 MiB of documents per batch
 	maxQueryBodyBytes  = 1 << 20  // 1 MiB of query spec
@@ -309,19 +317,48 @@ func writeDBError(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeBody strictly decodes r's JSON body into v: unknown fields,
-// trailing garbage, and bodies over limit are all 400-level errors
-// reported by the returned error.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+// decodeJSON strictly decodes the one JSON value rd holds into v: an
+// unknown field, or anything but whitespace after the value, is an
+// error, and so is a read past a body's size cap (see writeBodyError).
+func decodeJSON(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
-	if dec.More() {
+	// More would report false before a stray '}' or ']'; only EOF proves
+	// that nothing follows the value.
+	switch _, err := dec.Token(); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return fmt.Errorf("invalid JSON body: %w", err)
+	default:
 		return errors.New("invalid JSON body: trailing data after the request object")
 	}
-	return nil
+}
+
+// readBody reads r's whole body through its size cap.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead) // room for the read that finds EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return nil, fmt.Errorf("invalid JSON body: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 when the body ran past its size cap, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
 // queryRequest is the wire form of a query: a term list plus the same
@@ -395,7 +432,8 @@ func (s *Server) searchOptions(req *queryRequest) (query.SearchOptions, error) {
 	return opts, nil
 }
 
-// ingestRequest is the wire form of a batched write.
+// ingestRequest is the wire form of a batched write. readIngest decodes
+// it in one pass, and decodeJSON whatever body readIngest leaves.
 type ingestRequest struct {
 	Docs      []*staccato.Doc `json:"docs"`
 	TimeoutMS int             `json:"timeout_ms,omitempty"`
@@ -409,10 +447,17 @@ type ingestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if err := decodeBody(w, r, &req, maxIngestBodyBytes); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	body, err := readBody(w, r, maxIngestBodyBytes)
+	if err != nil {
+		writeBodyError(w, err)
 		return
+	}
+	req, ok := readIngest(body)
+	if !ok {
+		if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+			writeBodyError(w, err)
+			return
+		}
 	}
 	if len(req.Docs) == 0 {
 		writeError(w, http.StatusBadRequest, "ingest requires at least one document in docs")
@@ -456,15 +501,15 @@ type queryRun struct {
 }
 
 // runQuery is the lifecycle the three query endpoints share: strictly
-// decode the body into body, whose query spec is req; run check (the
+// decode the body into body (decodeJSON), whose query spec is req; run check (the
 // endpoint's own knob validation, may be nil); resolve the query through
 // the cache; build the engine options; derive the request deadline; then
 // time call, the endpoint's DB work. Every failure is answered here —
 // ok false means the response is already written.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, body any, req *queryRequest, check func() error,
 	call func(ctx context.Context, q *query.Query, opts query.SearchOptions) error) (run queryRun, ok bool) {
-	if err := decodeBody(w, r, body, maxQueryBodyBytes); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes), body); err != nil {
+		writeBodyError(w, err)
 		return run, false
 	}
 	if check != nil {

@@ -261,6 +261,11 @@ func TestMalformedRequests(t *testing.T) {
 		{"boolean over the term limit", "/v1/search", `{"terms": [` + strings.Join(manyTerms, ",") + `], "combine": "or"}`},
 		{"unknown field", "/v1/search", `{"terms": ["ab"], "nope": 1}`},
 		{"trailing garbage", "/v1/search", `{"terms": ["ab"]} junk`},
+		{"trailing brace", "/v1/search", `{"terms": ["a"]}}`},
+		{"trailing bracket and garbage", "/v1/search", `{"terms": ["a"]}]garbage`},
+		{"snippets trailing brace", "/v1/snippets", `{"terms": ["a"]}}`},
+		{"ingest trailing bracket", "/v1/ingest", `{"docs": [{"id": "a", "chunks": [{"alts": [{"text": "ab", "prob": 1}], "retained": 1}]}]}]`},
+		{"ingest second value", "/v1/ingest", `{"docs": [{"id": "a", "chunks": [{"alts": [{"text": "ab", "prob": 1}], "retained": 1}]}]} {}`},
 		{"no terms", "/v1/search", `{}`},
 		{"bad mode", "/v1/search", `{"terms": ["ab"], "mode": "regex"}`},
 		{"bad combine", "/v1/search", `{"terms": ["ab"], "combine": "xor"}`},
@@ -300,6 +305,68 @@ func TestMalformedRequests(t *testing.T) {
 				t.Errorf("error body is not the JSON error shape: %s", data)
 			}
 		})
+	}
+	if status, body := getJSON(t, client, ts.URL+"/healthz"); status != http.StatusOK || !strings.Contains(string(body), `"docs":0`) {
+		t.Errorf("a rejected ingest committed documents: %d %s", status, body)
+	}
+}
+
+// TestOversizedBodyReturns413: a body past its size cap is answered
+// 413 with the JSON error shape, not 400 — even when the JSON value in
+// it ends before the cap and only whitespace runs past it.
+func TestOversizedBodyReturns413(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	// pad fills the middle of a body up to one byte past the cap.
+	pad := func(head, fill, tail string) string {
+		return head + strings.Repeat(fill, maxQueryBodyBytes+1-len(head)-len(tail)) + tail
+	}
+	for _, body := range []string{pad(`{"terms": ["`, "a", `"]}`), pad(`{"terms": ["ab"]}`, " ", "")} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/search", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%.12s…: status %d, want 413; body %s", body, resp.StatusCode, data)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(data, &er); err != nil || !strings.Contains(er.Error, "limit") {
+			t.Errorf("413 body should name the limit: %s", data)
+		}
+	}
+}
+
+// TestIngestFallbackKeepsJSONSemantics: a body the one-pass reader
+// leaves to encoding/json is decoded as before — a key in another case
+// still matches its field — and a null document is still a 400.
+func TestIngestFallbackKeepsJSONSemantics(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	client := ts.Client()
+	doc := `{"ID": "folded", "Chunks": [{"alts": [{"text": "ab", "prob": 1}], "retained": 1}]}`
+	if _, ok := readIngest([]byte(`{"docs": [` + doc + `]}`)); ok {
+		t.Fatal("the reader took a case-folded key")
+	}
+	resp, err := client.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(`{"docs": [`+doc+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200; body %s", resp.StatusCode, data)
+	}
+	if status, body := getJSON(t, client, ts.URL+"/v1/docs/folded"); status != http.StatusOK {
+		t.Errorf("the folded-key document is not stored: %d %s", status, body)
+	}
+	resp, err = client.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(`{"docs": [null]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "docs[0]") {
+		t.Errorf("null document: status %d, body %s; want 400 naming docs[0]", resp.StatusCode, data)
 	}
 }
 
