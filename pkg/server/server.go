@@ -24,9 +24,6 @@
 //
 // Request bodies are size-capped (413 past the cap) and strictly
 // decoded: an unknown field or anything after the JSON value is a 400.
-// Ingest bodies, the bulk of the bytes, are decoded in one pass by
-// readIngest, with encoding/json behind it for every body it does not
-// take.
 //
 // Shutdown is graceful by construction: Shutdown marks the server
 // draining (new requests get 503, health reports draining so load
@@ -338,11 +335,18 @@ func decodeJSON(rd io.Reader, v any) error {
 	}
 }
 
+// maxBodyPresize bounds how much of a body's claimed Content-Length
+// readBody allocates before the bytes arrive. The claim is the
+// client's: sized from it alone, a request that sends headers and no
+// body would hold the whole cap. A longer body grows the buffer as it
+// is read.
+const maxBodyPresize = 1 << 20
+
 // readBody reads r's whole body through its size cap.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= limit {
-		buf.Grow(int(n) + bytes.MinRead) // room for the read that finds EOF
+		buf.Grow(int(min(n, maxBodyPresize)) + bytes.MinRead) // room for the read that finds EOF
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		return nil, fmt.Errorf("invalid JSON body: %w", err)
@@ -432,8 +436,7 @@ func (s *Server) searchOptions(req *queryRequest) (query.SearchOptions, error) {
 	return opts, nil
 }
 
-// ingestRequest is the wire form of a batched write. readIngest decodes
-// it in one pass, and decodeJSON whatever body readIngest leaves.
+// ingestRequest is the wire form of a batched write; see readIngest.
 type ingestRequest struct {
 	Docs      []*staccato.Doc `json:"docs"`
 	TimeoutMS int             `json:"timeout_ms,omitempty"`

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -334,6 +335,32 @@ func TestOversizedBodyReturns413(t *testing.T) {
 		if err := json.Unmarshal(data, &er); err != nil || !strings.Contains(er.Error, "limit") {
 			t.Errorf("413 body should name the limit: %s", data)
 		}
+	}
+}
+
+// TestReadBodyPresizeIsBounded: a body that claims the whole ingest cap
+// in its Content-Length but brings a few bytes costs about those bytes
+// plus the bounded pre-size, never the claim: a client could otherwise
+// hold the cap per request by sending headers and no body.
+func TestReadBodyPresizeIsBounded(t *testing.T) {
+	const body = `{"docs": []}`
+	least := uint64(math.MaxUint64)
+	for range 3 { // the least of three keeps a stray allocation elsewhere out
+		r := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body))
+		r.ContentLength = maxIngestBodyBytes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := readBody(httptest.NewRecorder(), r, maxIngestBodyBytes)
+		runtime.ReadMemStats(&after)
+		if err != nil || string(got) != body {
+			t.Fatalf("readBody = %q, %v; want %q", got, err, body)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	// Under the race detector bytes.Buffer's growth allocates the
+	// pre-size twice; the claim is 64 times it.
+	if bound := uint64(4 * maxBodyPresize); least > bound {
+		t.Fatalf("a %d-byte body claiming %d bytes allocated %d bytes, want at most %d", len(body), maxIngestBodyBytes, least, bound)
 	}
 }
 
