@@ -5,12 +5,15 @@
 //
 // Usage:
 //
-//	go run ./cmd/staccatovet ./...          # whole repo (what CI runs)
+//	go run ./cmd/staccatovet ./...          # the root module
 //	go run ./cmd/staccatovet ./pkg/query    # one package
 //	go run ./cmd/staccatovet -list          # describe the analyzers
+//	go -C bench run github.com/paper-repo/staccato-go/cmd/staccatovet ./...
+//	                                        # the nested bench module
 //
-// The suite is intentionally self-hosted (see internal/analysis): it
-// depends only on the standard library, so it runs anywhere the repo
+// scripts/lint.sh (what CI runs) runs both module forms. The suite is
+// intentionally self-hosted (see internal/analysis): it depends only on
+// the standard library and the go command, so it runs anywhere the repo
 // builds — no vettool protocol, no external checker binaries.
 package main
 

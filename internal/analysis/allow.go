@@ -21,6 +21,8 @@ import (
 // The reason is mandatory. An allow with no reason is itself a
 // diagnostic: the point of the hatch is that every suppressed finding
 // documents why the invariant does not apply, not that it disappears.
+// For the same reason Run returns, as stale, each allow that covers no
+// finding of its analyzer, and drivers report those too.
 
 const allowPrefix = "lint:allow"
 
@@ -81,42 +83,47 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) (dirs []directive, 
 	return dirs, bad
 }
 
-// ApplyAllows filters diags, dropping any diagnostic covered by a
-// //lint:allow directive for the named analyzer. The returned slice is
-// sorted by position.
-func ApplyAllows(name string, fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
+// applyAllows filters diags through files' //lint:allow directives for
+// name: kept holds, sorted by position, the diagnostics no directive
+// covers, and stale one diagnostic for each directive for name that
+// covers none.
+func applyAllows(name string, fset *token.FileSet, files []*ast.File, diags []Diagnostic) (kept, stale []Diagnostic) {
 	dirs, _ := parseDirectives(fset, files)
-	var kept []Diagnostic
+	used := make([]bool, len(dirs))
 	for _, d := range diags {
-		if !suppressed(name, fset, dirs, d) {
+		covered := false
+		for i, dir := range dirs {
+			if dir.analyzer == name && covers(fset, dir, d) {
+				used[i], covered = true, true
+			}
+		}
+		if !covered {
 			kept = append(kept, d)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
-	return kept
-}
-
-func suppressed(name string, fset *token.FileSet, dirs []directive, d Diagnostic) bool {
-	pos := fset.Position(d.Pos)
-	for _, dir := range dirs {
-		if dir.analyzer != name {
-			continue
-		}
-		dirFile := fset.Position(dir.pos).Filename
-		if dirFile != pos.Filename {
-			continue
-		}
-		if dir.funcEnd.IsValid() {
-			if d.Pos >= dir.pos && d.Pos <= dir.funcEnd {
-				return true
-			}
-			continue
-		}
-		if pos.Line == dir.line || pos.Line == dir.line+1 {
-			return true
+	for i, dir := range dirs {
+		if dir.analyzer == name && !used[i] {
+			stale = append(stale, Diagnostic{
+				Pos:     dir.pos,
+				Message: "//lint:allow " + name + " suppresses no " + name + " finding; delete it",
+			})
 		}
 	}
-	return false
+	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
+	return kept, stale
+}
+
+// covers reports whether dir's scope holds d: dir's function body for a
+// doc-comment directive, else dir's own line and the line below it.
+func covers(fset *token.FileSet, dir directive, d Diagnostic) bool {
+	pos := fset.Position(d.Pos)
+	if fset.Position(dir.pos).Filename != pos.Filename {
+		return false
+	}
+	if dir.funcEnd.IsValid() {
+		return d.Pos >= dir.pos && d.Pos <= dir.funcEnd
+	}
+	return pos.Line == dir.line || pos.Line == dir.line+1
 }
 
 // CheckDirectives returns a diagnostic for every malformed //lint:allow

@@ -43,9 +43,12 @@ func f() {
 	onDirective := diagAt(t, fset, 4) // same line as the directive
 	lineBelow := diagAt(t, fset, 5)   // directly below: suppressed
 	twoBelow := diagAt(t, fset, 6)    // out of range: kept
-	kept := ApplyAllows("demo", fset, files, []Diagnostic{onDirective, lineBelow, twoBelow})
+	kept, stale := applyAllows("demo", fset, files, []Diagnostic{onDirective, lineBelow, twoBelow})
 	if len(kept) != 1 || kept[0].Pos != twoBelow.Pos {
-		t.Fatalf("ApplyAllows kept %d diagnostics, want only the line-6 one: %+v", len(kept), kept)
+		t.Fatalf("applyAllows kept %d diagnostics, want only the line-6 one: %+v", len(kept), kept)
+	}
+	if len(stale) != 0 {
+		t.Fatalf("a directive that suppressed two diagnostics was reported stale: %+v", stale)
 	}
 }
 
@@ -57,7 +60,7 @@ var x = 1
 `
 	fset, files := parseSrc(t, src)
 	d := diagAt(t, fset, 4)
-	if kept := ApplyAllows("demo", fset, files, []Diagnostic{d}); len(kept) != 1 {
+	if kept, _ := applyAllows("demo", fset, files, []Diagnostic{d}); len(kept) != 1 {
 		t.Fatalf("a directive for another analyzer suppressed a demo diagnostic")
 	}
 }
@@ -80,7 +83,7 @@ func g() {
 	fset, files := parseSrc(t, src)
 	inF := diagAt(t, fset, 8)  // deep inside f: suppressed
 	inG := diagAt(t, fset, 12) // in g: kept
-	kept := ApplyAllows("demo", fset, files, []Diagnostic{inF, inG})
+	kept, _ := applyAllows("demo", fset, files, []Diagnostic{inF, inG})
 	if len(kept) != 1 || kept[0].Pos != inG.Pos {
 		t.Fatalf("function-scope allow: kept %d diagnostics, want only g's: %+v", len(kept), kept)
 	}

@@ -8,9 +8,10 @@
 //
 // The deliberate differences from x/tools are small: there are no Facts
 // (no analyzer here needs cross-package state), drivers load packages
-// through internal/analysis/loader rather than go/packages, and
-// suppression via //lint:allow directives (see allow.go) is part of the
-// framework so every analyzer shares one escape-hatch contract.
+// through internal/analysis/loader (go list export data) rather than
+// go/packages, and suppression via //lint:allow directives (see
+// allow.go) is part of the framework, applied by Run, so every analyzer
+// shares one escape-hatch contract.
 package analysis
 
 import (
@@ -18,6 +19,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"github.com/paper-repo/staccato-go/internal/analysis/loader"
 )
 
 // Analyzer describes one invariant check. Run is invoked once per
@@ -64,6 +67,30 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
+}
+
+// Run runs a over pkg: it builds the Pass, collects what a reports and
+// applies pkg's //lint:allow directives. It returns the findings no
+// directive covers, sorted by position, and one stale finding for each
+// directive naming a that covered none. Drivers and analysistest share
+// it, so fixtures exercise the escape hatch the way real code does.
+func Run(a *Analyzer, pkg *loader.Package) (diags, stale []Diagnostic, err error) {
+	var all []Diagnostic
+	pass := &Pass{
+		Analyzer:  a,
+		Fset:      pkg.Fset,
+		Files:     pkg.Files,
+		Pkg:       pkg.Types,
+		PkgPath:   pkg.PkgPath,
+		RelPath:   pkg.RelPath,
+		TypesInfo: pkg.Info,
+		Report:    func(d Diagnostic) { all = append(all, d) },
+	}
+	if err := a.Run(pass); err != nil {
+		return nil, nil, fmt.Errorf("%s: %s: %w", pkg.PkgPath, a.Name, err)
+	}
+	diags, stale = applyAllows(a.Name, pkg.Fset, pkg.Files, all)
+	return diags, stale, nil
 }
 
 // Callee resolves a call's static callee, unwrapping parens; nil for

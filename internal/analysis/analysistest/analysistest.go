@@ -5,8 +5,9 @@
 // Fixtures live under <testdata>/src/<pkg>/ and import the standard
 // library — or, when an analyzer names one of this module's packages
 // (lockio and internal/framelog), that real package by its full import
-// path, which the source importer resolves through go/build. A line that
-// should be flagged carries a comment
+// path; loader.LoadDir resolves either through the export data go list
+// reports for the fixture's imports. A line that should be flagged
+// carries a comment
 //
 //	code() // want "regexp"
 //
@@ -34,10 +35,9 @@ var wantRe = regexp.MustCompile(`want +"((?:[^"\\]|\\.)*)"`)
 // mismatch between diagnostics and want comments through t.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	l := loader.NewBare()
 	for _, pkgPath := range pkgs {
 		dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgPath))
-		pkg, err := l.LoadDir(dir, pkgPath)
+		pkg, err := loader.LoadDir(dir, pkgPath)
 		if err != nil {
 			t.Errorf("%s: loading fixture: %v", pkgPath, err)
 			continue
@@ -48,22 +48,11 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 
 func runPackage(t *testing.T, a *analysis.Analyzer, pkg *loader.Package) {
 	t.Helper()
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		PkgPath:   pkg.PkgPath,
-		RelPath:   pkg.RelPath,
-		TypesInfo: pkg.Info,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Errorf("%s: %s failed: %v", pkg.PkgPath, a.Name, err)
+	diags, _, err := analysis.Run(a, pkg)
+	if err != nil {
+		t.Errorf("%v", err)
 		return
 	}
-	diags = analysis.ApplyAllows(a.Name, pkg.Fset, pkg.Files, diags)
 
 	wants := collectWants(t, pkg.Fset, pkg.Files)
 	matched := make([]bool, len(wants))

@@ -1,33 +1,29 @@
 // Package driver loads packages and runs the staccatolint suite over
 // them — the engine behind cmd/staccatovet. It is a separate package so
-// the whole flow (pattern expansion, analysis, //lint:allow filtering,
-// diagnostic formatting, exit status) is testable without executing a
-// child process.
+// the whole flow (loading, analysis, //lint:allow filtering, diagnostic
+// formatting, exit status) is testable without executing a child
+// process of its own.
 package driver
 
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/paper-repo/staccato-go/internal/analysis"
 	"github.com/paper-repo/staccato-go/internal/analysis/loader"
 	"github.com/paper-repo/staccato-go/internal/analysis/staccatolint"
 )
 
-// Run analyzes the packages matched by patterns (default "./...")
-// under the module containing dir, writing findings to out. It returns
-// the number of findings; an error means the analysis itself could not
-// run (bad pattern, unparseable source).
+// Run analyzes the packages matched by patterns (default "./...") in
+// the module containing dir ("" for the current directory), writing
+// findings to out. It returns the number of findings; an error means the
+// analysis itself could not run (bad pattern, code that does not
+// compile).
 func Run(dir string, patterns []string, out io.Writer) (int, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	l, err := loader.New(dir)
-	if err != nil {
-		return 0, err
-	}
-	pkgs, err := l.Load(patterns...)
+	pkgs, err := loader.Load(dir, patterns...)
 	if err != nil {
 		return 0, err
 	}
@@ -38,34 +34,23 @@ func Run(dir string, patterns []string, out io.Writer) (int, error) {
 	}
 
 	findings := 0
-	for _, pkg := range pkgs {
-		// A malformed or misaddressed //lint:allow is itself a finding:
-		// the escape hatch must never silently suppress nothing.
-		for _, d := range analysis.CheckDirectives(pkg.Fset, pkg.Files, known) {
+	report := func(pkg *loader.Package, name string, diags []analysis.Diagnostic) {
+		for _, d := range diags {
 			findings++
-			fmt.Fprintf(out, "%s: lint: %s\n", pkg.Fset.Position(d.Pos), d.Message)
+			fmt.Fprintf(out, "%s: %s: %s\n", pkg.Fset.Position(d.Pos), name, d.Message)
 		}
+	}
+	for _, pkg := range pkgs {
+		// A malformed, misaddressed or stale //lint:allow is itself a
+		// finding: the escape hatch must never silently suppress nothing.
+		report(pkg, "lint", analysis.CheckDirectives(pkg.Fset, pkg.Files, known))
 		for _, a := range analyzers {
-			var diags []analysis.Diagnostic
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				PkgPath:   pkg.PkgPath,
-				RelPath:   pkg.RelPath,
-				TypesInfo: pkg.Info,
-				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+			diags, stale, err := analysis.Run(a, pkg)
+			if err != nil {
+				return findings, err
 			}
-			if err := a.Run(pass); err != nil {
-				return findings, fmt.Errorf("%s: %s: %w", pkg.PkgPath, a.Name, err)
-			}
-			diags = analysis.ApplyAllows(a.Name, pkg.Fset, pkg.Files, diags)
-			sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-			for _, d := range diags {
-				findings++
-				fmt.Fprintf(out, "%s: %s: %s\n", pkg.Fset.Position(d.Pos), a.Name, d.Message)
-			}
+			report(pkg, a.Name, diags)
+			report(pkg, "lint", stale)
 		}
 	}
 	return findings, nil

@@ -117,6 +117,33 @@ func same(a, b float64) bool {
 	}
 }
 
+func TestRunReportsStaleAllow(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module example.com/scratch\n\ngo 1.21\n",
+		"pkg/query/q.go": `package query
+
+func same(a, b float64) bool {
+	//lint:allow floateq exactness is the point here
+	return a == b
+}
+
+func sameInt(a, b int) bool {
+	//lint:allow floateq nothing here compares floats
+	return a == b
+}
+`,
+	})
+	var buf strings.Builder
+	findings, err := Run(dir, nil, &buf)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	out := buf.String()
+	if findings != 1 || !strings.Contains(out, "q.go:9:") || !strings.Contains(out, "suppresses no floateq finding") {
+		t.Fatalf("want one stale-allow finding at q.go:9, got %d; output:\n%s", findings, out)
+	}
+}
+
 func TestListNamesEveryAnalyzer(t *testing.T) {
 	var buf strings.Builder
 	List(&buf)

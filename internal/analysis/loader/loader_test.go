@@ -7,14 +7,30 @@ import (
 	"testing"
 )
 
+// moduleRoot is the enclosing module's root, relative to this package.
+const moduleRoot = "../../.."
+
+// writeModule materializes a synthetic module whose files map from
+// module-relative path to source.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for rel, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // TestLoadModulePackage loads one real package of the enclosing module
 // and checks the fields analyzers rely on.
 func TestLoadModulePackage(t *testing.T) {
-	l, err := New("")
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	pkgs, err := l.Load("./internal/core")
+	pkgs, err := Load(moduleRoot, "./internal/core")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -39,11 +55,7 @@ func TestLoadModulePackage(t *testing.T) {
 // TestLoadSkipsFixtureDirs expands ./... under a subtree that contains
 // testdata fixtures and checks none of them leak into the result.
 func TestLoadSkipsFixtureDirs(t *testing.T) {
-	l, err := New("")
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	pkgs, err := l.Load("./internal/analysis/...")
+	pkgs, err := Load(moduleRoot, "./internal/analysis/...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -57,8 +69,54 @@ func TestLoadSkipsFixtureDirs(t *testing.T) {
 	}
 }
 
-// TestLoadDirStdlibOnly checks the bare loader used by analysistest:
-// no module context, stdlib imports typechecked from source.
+// TestLoadSkipsTestOnlyPackage checks that a directory holding only
+// _test.go files is skipped, not an error, beside a package that loads,
+// while a pattern that matches no package is an error.
+func TestLoadSkipsTestOnlyPackage(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":           "module example.com/scratch\n\ngo 1.21\n",
+		"pkg/good/good.go": "package good\n\nimport \"sort\"\n\nfunc Sorted(xs []int) { sort.Ints(xs) }\n",
+		"pkg/only/only_test.go": `package only
+
+import "testing"
+
+func TestNothing(t *testing.T) {}
+`,
+	})
+	if _, err := Load(dir, "./nosuch/..."); err == nil {
+		t.Errorf("Load of a pattern matching nothing returned no error")
+	}
+	pkgs, err := Load(dir, "./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 1 || pkgs[0].RelPath != "pkg/good" {
+		var rels []string
+		for _, p := range pkgs {
+			rels = append(rels, p.RelPath)
+		}
+		t.Fatalf("Load returned %q, want only pkg/good", rels)
+	}
+}
+
+// TestLoadModuleHardTypeErrorFails ensures a module package that does
+// not type-check is an error naming the package.
+func TestLoadModuleHardTypeErrorFails(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":         "module example.com/scratch\n\ngo 1.21\n",
+		"pkg/bad/bad.go": "package bad\n\nfunc Broken() int {\n\treturn \"not an int\"\n}\n",
+	})
+	_, err := Load(dir, "./...")
+	if err == nil {
+		t.Fatalf("Load typechecked a package with a hard type error")
+	}
+	if !strings.Contains(err.Error(), "example.com/scratch/pkg/bad") {
+		t.Errorf("Load error does not name the package: %v", err)
+	}
+}
+
+// TestLoadDirStdlibOnly checks the fixture loader used by analysistest
+// outside any module: stdlib imports resolve through export data.
 func TestLoadDirStdlibOnly(t *testing.T) {
 	dir := t.TempDir()
 	src := `package fix
@@ -73,7 +131,7 @@ func Sorted(xs []string) []string {
 	if err := os.WriteFile(filepath.Join(dir, "fix.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewBare().LoadDir(dir, "pkg/fix")
+	p, err := LoadDir(dir, "pkg/fix")
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
@@ -98,7 +156,7 @@ func Broken() int {
 	if err := os.WriteFile(filepath.Join(dir, "fix.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBare().LoadDir(dir, "fix"); err == nil {
+	if _, err := LoadDir(dir, "fix"); err == nil {
 		t.Fatalf("LoadDir typechecked a package with a hard type error")
 	}
 }

@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -354,15 +355,38 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return buf.Bytes(), nil
 }
 
+// boundBodyRead bounds the read of an admitted request's body by
+// RequestTimeout: a client that sends the headers and withholds the body
+// would otherwise hold its in-flight slot until it hung up. Call the
+// returned func once the body is in: net/http's background read starts
+// there, and a deadline left set would cancel r's context before
+// requestCtx's own deadline. After a failed read the deadline stays, so
+// net/http's discard of the unread body fails fast and closes the
+// connection.
+func (s *Server) boundBodyRead(w http.ResponseWriter) (bodyIn func()) {
+	if sw, ok := w.(*statusWriter); ok {
+		w = sw.ResponseWriter
+	}
+	rc := http.NewResponseController(w)
+	if rc.SetReadDeadline(time.Now().Add(s.opts.RequestTimeout)) != nil {
+		return func() {} // http.ErrNotSupported (no connection under w), or a closed connection
+	}
+	return func() { rc.SetReadDeadline(time.Time{}) } // fails only on a closed connection
+}
+
 // writeBodyError answers a request whose body could not be read or
-// decoded: 413 when the body ran past its size cap, 400 otherwise.
+// decoded: 413 when the body ran past its size cap, 408 when it did not
+// arrive within RequestTimeout, 400 otherwise.
 func writeBodyError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	switch {
+	case errors.As(err, &tooLarge):
 		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
-		return
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		writeError(w, http.StatusRequestTimeout, "request body not received in time: %v", err)
+	default:
+		writeError(w, http.StatusBadRequest, "%v", err)
 	}
-	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
 // queryRequest is the wire form of a query: a term list plus the same
@@ -450,11 +474,13 @@ type ingestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	bodyIn := s.boundBodyRead(w)
 	body, err := readBody(w, r, maxIngestBodyBytes)
 	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
+	bodyIn()
 	req, ok := readIngest(body)
 	if !ok {
 		if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
@@ -511,10 +537,12 @@ type queryRun struct {
 // ok false means the response is already written.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, body any, req *queryRequest, check func() error,
 	call func(ctx context.Context, q *query.Query, opts query.SearchOptions) error) (run queryRun, ok bool) {
+	bodyIn := s.boundBodyRead(w)
 	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes), body); err != nil {
 		writeBodyError(w, err)
 		return run, false
 	}
+	bodyIn()
 	if check != nil {
 		if err := check(); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)

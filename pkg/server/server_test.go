@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -496,6 +498,50 @@ func TestOverloadReturns429(t *testing.T) {
 	}
 	if st.Server.Requests["search"].Errors < 1 {
 		t.Errorf("the 429 was not counted as a search-endpoint error: %+v", st.Server.Requests["search"])
+	}
+}
+
+// TestWithheldBodyReleasesSlot: a client that sends an ingest's headers
+// and only part of its body holds its in-flight slot for at most
+// RequestTimeout, then gets a 408, instead of holding the slot until it
+// hangs up.
+func TestWithheldBodyReleasesSlot(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	_, ts := newTestServer(t, Options{MaxInFlight: 1, RequestTimeout: timeout})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/ingest HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n%s", `{"docs":`)
+
+	search := func() int {
+		status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/search", queryRequest{Terms: []string{"abcd"}})
+		return status
+	}
+	for search() != http.StatusTooManyRequests { // wait for the ingest to take the slot
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the withheld ingest never took the in-flight slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for search() == http.StatusTooManyRequests {
+		if time.Since(start) > timeout+5*time.Second {
+			t.Fatalf("the withheld ingest still holds its slot %v after RequestTimeout %v", time.Since(start), timeout)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if status := search(); status != http.StatusOK {
+		t.Fatalf("search after the slot was freed: status %d, want 200", status)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Errorf("withheld ingest: status %d, want 408", resp.StatusCode)
 	}
 }
 

@@ -59,7 +59,6 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
@@ -383,14 +382,18 @@ func (db *DB) Snippets(ctx context.Context, q *query.Query, opts query.SearchOpt
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make([]query.DocSnippets, 0, len(results))
-	for _, r := range results {
-		doc, err := db.disk.Get(ctx, r.DocID)
-		if errors.Is(err, store.ErrNotFound) {
+	ids := make([]string, len(results))
+	for i, r := range results {
+		ids[i] = r.DocID
+	}
+	docs, err := db.disk.GetBatch(ctx, ids)
+	if err != nil {
+		return nil, stats, err
+	}
+	out := make([]query.DocSnippets, 0, len(docs))
+	for _, doc := range docs {
+		if doc == nil { // deleted since Search ranked it
 			continue
-		}
-		if err != nil {
-			return nil, stats, err
 		}
 		if opts.Rescore != nil {
 			doc = opts.Rescore(doc)

@@ -18,6 +18,8 @@ go vet ./...
 
 echo "== staccatovet (repo invariant suite)"
 go run ./cmd/staccatovet ./...
+# bench/ is a nested module, which ./... does not enter.
+go -C bench run github.com/paper-repo/staccato-go/cmd/staccatovet ./...
 
 echo "== no fused multiply-add in pkg/query on arm64"
 # A probability must have the same bits on every GOARCH, but Go may fuse
