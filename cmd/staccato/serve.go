@@ -97,6 +97,7 @@ func runServe(ctx context.Context, w io.Writer, cfg serveConfig) error {
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 	st := db.Stats()
 	resolved := srv.Options()

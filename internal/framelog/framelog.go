@@ -58,6 +58,14 @@ func Append(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
+// Seal fills in the header of frame: HeaderSize bytes of room followed by
+// its payload, the layout of a frame whose payload was encoded in place.
+func Seal(frame []byte) {
+	payload := frame[HeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+}
+
 // Damage describes the first frame a Reader could not vouch for.
 type Damage struct {
 	What string // "checksum mismatch", or the caller's reason given to Bad

@@ -92,7 +92,7 @@ func TestRescorerReweightsTowardLexicon(t *testing.T) {
 	for ci := range out.Chunks {
 		for ai := range out.Chunks[ci].Alts {
 			a, b := out.Chunks[ci].Alts[ai], out2.Chunks[ci].Alts[ai]
-			//lint:allow floateq bit-identity is exactly what this test asserts
+			// Bit-identity is exactly what this test asserts
 			if a.Text != b.Text || a.Prob != b.Prob {
 				t.Fatalf("rescore is nondeterministic at chunk %d alt %d", ci, ai)
 			}

@@ -15,9 +15,11 @@ func assertAligned(t *testing.T, when string, ix *Index) {
 	t.Helper()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for g, p := range ix.post {
-		if len(p.ords) != len(p.bnds) {
-			t.Fatalf("%s: gram %q has %d postings but %d bounds", when, g, len(p.ords), len(p.bnds))
+	for g, s := range ix.dict {
+		for _, p := range ix.runs(s) {
+			if len(p.ords) != len(p.bnds) {
+				t.Fatalf("%s: gram %q has %d postings but %d bounds", when, g, len(p.ords), len(p.bnds))
+			}
 		}
 	}
 }
@@ -53,7 +55,7 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 	if err := WriteSnapshot(framelog.OS, path, ix, State{}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenAppend(framelog.OS, path, 3, false)
+	w, err := OpenAppend(framelog.OS, path, ix, false)
 	if err != nil {
 		t.Fatal(err)
 	}

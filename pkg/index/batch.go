@@ -10,9 +10,10 @@ import (
 // Batch is one commit's additions, inverted: the documents in add order
 // and, per distinct gram in ascending order, the run of documents holding
 // it. It is the one shape additions take past gram extraction — ApplyBatch
-// appends its runs to the posting lists, Writer.Append and WriteSnapshot
-// store it as it stands, Load reads it back — so a commit is inverted once,
-// by whoever extracted it, outside every lock.
+// appends its runs to the delta's posting lists, Writer.Append and
+// WriteSnapshot store it as it stands, Load reads it back, and the index's
+// base is one — so a commit is inverted once, by whoever extracted it,
+// outside every lock.
 type Batch struct {
 	ids   []string // the documents; a document's local ordinal is its position
 	flags []byte   // aligned with ids: flagOverflow | flagShort
@@ -48,32 +49,19 @@ type posting struct {
 // grams are sorted once, and each posting is placed straight into its
 // gram's run, which the document order keeps ascending. n is consumed.
 func (b *Batch) invert(texts []string, n []int32, post []posting) {
-	// Sorting slots by their first eight bytes, compared as one integer,
-	// leaves a string comparison to the rare tie.
-	type keyed struct {
-		prefix uint64
-		slot   int32
-	}
-	order := make([]keyed, 0, len(texts))
+	order := make([]uint32, 0, len(texts))
 	for s, c := range n {
 		if c > 0 {
-			var p [8]byte
-			copy(p[:], texts[s])
-			order = append(order, keyed{binary.BigEndian.Uint64(p[:]), int32(s)})
+			order = append(order, uint32(s))
 		}
 	}
-	slices.SortFunc(order, func(a, b keyed) int {
-		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
-			return c
-		}
-		return strings.Compare(texts[a.slot], texts[b.slot])
-	})
+	sortByGram(order, func(s uint32) string { return texts[s] })
 	// n becomes each slot's next place in the flat arrays.
 	b.grams, b.ends = make([]string, len(order)), make([]uint32, len(order))
 	end := int32(0)
-	for k, o := range order {
-		b.grams[k] = texts[o.slot]
-		end, n[o.slot] = end+n[o.slot], end
+	for k, s := range order {
+		b.grams[k] = texts[s]
+		end, n[s] = end+n[s], end
 		b.ends[k] = uint32(end)
 	}
 	b.ords, b.bnds = make([]uint32, end), make([]uint16, end)
@@ -81,6 +69,30 @@ func (b *Batch) invert(texts []string, n []int32, post []posting) {
 		at := n[p.slot]
 		b.ords[at], b.bnds[at] = uint32(p.ord), p.bnd
 		n[p.slot]++
+	}
+}
+
+// sortByGram sorts slots by their grams: by the first eight bytes of each,
+// compared as one integer, and only the rare tie by the whole gram.
+func sortByGram(slots []uint32, gram func(uint32) string) {
+	type keyed struct {
+		prefix uint64
+		slot   uint32
+	}
+	keys := make([]keyed, len(slots))
+	for i, s := range slots {
+		var p [8]byte
+		copy(p[:], gram(s))
+		keys[i] = keyed{binary.BigEndian.Uint64(p[:]), s}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
+		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+			return c
+		}
+		return strings.Compare(gram(a.slot), gram(b.slot))
+	})
+	for i, k := range keys {
+		slots[i] = k.slot
 	}
 }
 

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"fmt"
 	"slices"
 	"strings"
+	"testing"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 )
@@ -25,6 +27,17 @@ func DocGramBounds(doc *staccato.Doc, q int) (grams []string, bounds []uint16, s
 	return e.Grams, e.Bounds, e.Short, !e.Overflow
 }
 
+// encodeCommit returns the payload of one commit record, and holds
+// commitSize to its length: every test that encodes a commit checks it.
+func encodeCommit(adds *Batch, dels []string, st State) []byte {
+	n := commitSize(adds, dels, st)
+	payload := appendPayload(make([]byte, 0, n), adds, dels, st)
+	if len(payload) != n {
+		panic(fmt.Sprintf("commitSize is %d for a %d-byte payload", n, len(payload)))
+	}
+	return payload
+}
+
 // Entries un-inverts b: its documents in add order, each with its sorted
 // grams and their bounds. Test-only; production code never needs the
 // doc-major view back.
@@ -43,9 +56,26 @@ func (b *Batch) Entries() []Entry {
 	return out
 }
 
+// Snapshot is the live documents as one Batch: the base a rewrite would
+// build now.
+func (ix *Index) Snapshot() *Batch {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.merged()
+}
+
 // Entries is the live documents' entries, sorted by ID.
 func (ix *Index) Entries() []Entry {
 	out := ix.Snapshot().Entries()
 	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.ID, b.ID) })
 	return out
+}
+
+// SetRewriteFloor lowers the length below which Writer.Append never
+// rewrites a log to n until the test ends, so that a small corpus
+// rewrites its log many times.
+func SetRewriteFloor(t testing.TB, n int64) {
+	saved := rewriteFloor
+	rewriteFloor = n
+	t.Cleanup(func() { rewriteFloor = saved })
 }

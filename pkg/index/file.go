@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
@@ -17,7 +19,9 @@ import (
 // directory: a sequence of internal/framelog frames, the same framing as
 // a diskstore segment. The first frame is a header naming the format and
 // the gram size; every later frame is one commit, laid out the way the
-// index holds it — postings-major (a Batch):
+// index holds it — postings-major (a Batch). The first commit is the
+// base, a snapshot of the index when the log was last written whole; the
+// commits after it are the writes since:
 //
 //	header  = magic | uvarint q
 //	commit  = kind=1 | uvarint ops | uvarint bytes | uvarint seg
@@ -42,14 +46,24 @@ import (
 // the one before; its bounds follow in the same order, 16-bit fixed point
 // (see Quantize: rounded up when the entry was extracted, so every bound in
 // the file is admissible and none needs sanitizing). A snapshot is one
-// commit holding every live document, renumbered densely (Index.Snapshot).
+// commit holding every live document, renumbered densely.
 //
-// parseCommit accepts exactly what encodeCommit can produce from a Batch: a
-// flags byte with an unassigned bit, a gram not above its predecessor, an
-// empty run, a zero delta, an ordinal outside the add list or naming an
-// overflow document, a count overrunning the payload and trailing bytes all
-// make the record malformed. Loading such a file appends each run to its
-// posting list: one dictionary lookup per distinct gram of a commit, no
+// The log rewrites itself. Once an append takes it past 3/2 of the
+// length of the log holding just its base, and past 1 MiB (rewriteFloor),
+// Writer.Append merges the index's base and delta into a new base without
+// the dead ordinals and replaces the log with header and base alone, as
+// WriteSnapshot does. The log, and the index in memory, thus stay within
+// 3/2 of what the live documents take, and the floor keeps a small store
+// from replacing its file on every synced Put.
+//
+// parseCommit accepts exactly what appendPayload can produce from a Batch:
+// a flags byte with an unassigned bit, a gram not above its predecessor,
+// an empty run, a zero delta, an ordinal outside the add list or naming an
+// overflow document, a count overrunning the payload and trailing bytes
+// all make the record malformed. Loading such a file adopts the first
+// commit as the index's base as it was parsed — one dictionary entry per
+// gram, no posting copied — and appends each later commit's runs to the
+// delta: one dictionary lookup per distinct gram of a commit, no
 // re-inversion.
 //
 // Files of an older version (magic "staccato-index v1", "v2" or "v3": the
@@ -91,25 +105,37 @@ type State struct {
 // the requested gram size — a header from a different q or format.
 var ErrMismatch = errors.New("index: file does not match the requested gram size")
 
-// Writer appends commit records to an index log.
+// Writer appends commit records to the log of one index, and rewrites the
+// log from that index once it has grown past its trigger.
 type Writer struct {
+	fsys framelog.FS
+	path string
+	ix   *Index
 	f    framelog.File
 	sync bool
 	end  atomic.Int64 // the log's length: where the next record goes
 }
 
-// OpenAppend opens an existing index log on fsys for appending. Only the
-// header frame is validated against gram size q — callers must have run
-// Load or WriteSnapshot on the file first (both leave it ending on a
-// clean frame boundary), which is what makes skipping a second full parse
-// here safe. withSync fsyncs after every Append, mirroring the store's
-// own durability setting.
-func OpenAppend(fsys framelog.FS, path string, q int, withSync bool) (*Writer, error) {
-	f, _, size, err := openLog(fsys, path, q, os.O_RDWR)
+// rewriteFloor is the length below which Append never rewrites a log;
+// past it, a log is rewritten once it is longer than 3/2 of the log of its
+// base alone. The ratio bounds the log, and the delta beside the base in
+// memory, at 3/2 of what the live documents take; the floor keeps a small
+// store from replacing its file on every synced Put. It is a variable only
+// so that tests can lower it (export_test.go).
+var rewriteFloor int64 = 1 << 20
+
+// OpenAppend opens an existing index log on fsys for appending the
+// commits ix applies. Only the header frame is validated against ix's
+// gram size — callers must have run Load or WriteSnapshot on the file
+// first (both leave it ending on a clean frame boundary), which is what
+// makes skipping a second full parse here safe. withSync fsyncs after
+// every Append, mirroring the store's own durability setting.
+func OpenAppend(fsys framelog.FS, path string, ix *Index, withSync bool) (*Writer, error) {
+	f, _, size, err := openLog(fsys, path, ix.GramSize(), os.O_RDWR)
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f, sync: withSync}
+	w := &Writer{fsys: fsys, path: path, ix: ix, f: f, sync: withSync}
 	w.end.Store(size)
 	return w, nil
 }
@@ -141,20 +167,38 @@ func openLog(fsys framelog.FS, path string, q, flag int) (framelog.File, *framel
 }
 
 // Append writes one commit record mirroring a store commit that applied
-// adds and dels and left the store at st. Appends are serialized by the
-// caller.
+// adds and dels — which the Writer's index has already applied — and left
+// the store at st. If that takes the log past its trigger, Append then
+// rewrites the log from the index, as WriteSnapshot does. An error from
+// the rewrite leaves on disk either the old log, the record included, or
+// the new one. Appends are serialized by the caller.
 func (w *Writer) Append(adds *Batch, dels []string, st State) error {
-	frame := framelog.Append(nil, encodeCommit(adds, dels, st))
+	frame := appendCommit(nil, adds, dels, st)
 	end := w.end.Load()
 	if _, err := w.f.WriteAt(frame, end); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
-	w.end.Store(end + int64(len(frame)))
+	end += int64(len(frame))
+	w.end.Store(end)
 	if w.sync {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("index: %w", err)
 		}
 	}
+	if end <= max(w.ix.base()*3/2, rewriteFloor) {
+		return nil
+	}
+	size, err := writeBase(w.fsys, w.path, w.ix, st)
+	if err != nil {
+		return err
+	}
+	f, err := w.fsys.OpenFile(w.path, os.O_RDWR)
+	if err != nil {
+		return fmt.Errorf("index: %w", err)
+	}
+	w.f.Close() // the replaced log's handle
+	w.f = f
+	w.end.Store(size)
 	return nil
 }
 
@@ -169,27 +213,61 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// WriteSnapshot atomically replaces the index log at path on fsys with a
-// fresh one holding ix's live documents as a single commit at state st. A
+// WriteSnapshot rewrites ix — merges its delta into its base, without the
+// dead ordinals — and atomically replaces the index log at path on fsys
+// with a fresh one holding that base as a single commit at state st. A
 // crash or failure at any point leaves either the old log or the new one,
-// never a mix.
+// never a mix; ix is rewritten either way.
 func WriteSnapshot(fsys framelog.FS, path string, ix *Index, st State) error {
-	buf := framelog.Append(nil, encodeHeader(ix.GramSize()))
-	buf = framelog.Append(buf, encodeCommit(ix.Snapshot(), nil, st))
-	if _, err := framelog.ReplaceFile(fsys, path, buf); err != nil {
-		return fmt.Errorf("index: %w", err)
+	_, err := writeBase(fsys, path, ix, st)
+	return err
+}
+
+// writeBase is WriteSnapshot, and reports the new log's length.
+func writeBase(fsys framelog.FS, path string, ix *Index, st State) (int64, error) {
+	log := ix.rewrite(st)
+	if _, err := framelog.ReplaceFile(fsys, path, log); err != nil {
+		return 0, fmt.Errorf("index: %w", err)
 	}
-	return nil
+	return int64(len(log)), nil
+}
+
+// rewrite merges the index's base and delta into a new base without the
+// dead ordinals, swaps it in, and returns the index log that holds just
+// it, stamped st. The merge and the encoding run beside lookups; only the
+// swap excludes them.
+func (ix *Index) rewrite(st State) []byte {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	ix.mu.RLock()
+	b := ix.merged()
+	ix.mu.RUnlock()
+	log := framelog.Append(nil, encodeHeader(ix.q))
+	log = appendCommit(log, b, nil, st)
+	t := adopt(b, int64(len(log)))
+	ix.mu.Lock()
+	ix.tables = t
+	ix.mu.Unlock()
+	return log
+}
+
+// base is the length of a log holding just ix's base.
+func (ix *Index) base() int64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.logBase
 }
 
 // Load is LoadFS on the operating system's file system.
 func Load(path string, q int) (*Index, State, error) { return LoadFS(framelog.OS, path, q) }
 
-// LoadFS replays the index log at path on fsys into a fresh Index and
-// returns it with the State of the last intact commit. A damaged or torn
-// tail is truncated away (the index is derived data; dropping records can
-// only force a rebuild, never lose documents). Missing files surface as
-// fs.ErrNotExist; a header for a different gram size as ErrMismatch.
+// LoadFS reads the index log at path on fsys into a fresh Index and
+// returns it with the State of the last intact commit. The first commit
+// becomes the index's base as it was parsed; every later one is applied to
+// its delta. A damaged or torn tail is truncated away (the index is
+// derived data; dropping records can only force a rebuild, never lose
+// documents). Missing files surface as fs.ErrNotExist; a header for a
+// different gram size as ErrMismatch.
 func LoadFS(fsys framelog.FS, path string, q int) (*Index, State, error) {
 	ix := New(q)
 	f, r, _, err := openLog(fsys, path, q, os.O_RDONLY)
@@ -197,8 +275,9 @@ func LoadFS(fsys framelog.FS, path string, q int) (*Index, State, error) {
 		return ix, State{}, err
 	}
 	defer f.Close()
+	ix.logBase = r.Offset()
 	var st State
-	for {
+	for first := true; ; first = false {
 		payload, err := r.Next()
 		if err == io.EOF {
 			return ix, st, nil
@@ -206,7 +285,12 @@ func LoadFS(fsys framelog.FS, path string, q int) (*Index, State, error) {
 		if err == nil {
 			adds, dels, recSt, perr := parseCommit(payload)
 			if perr == nil {
-				ix.ApplyBatch(adds, dels)
+				// The first commit's dels name no document yet.
+				if first {
+					ix.tables = adopt(adds, r.Offset())
+				} else {
+					ix.ApplyBatch(adds, dels)
+				}
 				st = recSt
 				continue
 			}
@@ -244,8 +328,48 @@ func parseHeader(p []byte) (int, error) {
 	return int(q), nil
 }
 
-func encodeCommit(adds *Batch, dels []string, st State) []byte {
-	buf := []byte{recCommit}
+// appendCommit appends one commit record to buf as a frame, encoded in
+// place: buf grows once, by exactly the frame's length.
+func appendCommit(buf []byte, adds *Batch, dels []string, st State) []byte {
+	at := len(buf)
+	buf = slices.Grow(buf, framelog.HeaderSize+commitSize(adds, dels, st))[:at+framelog.HeaderSize]
+	buf = appendPayload(buf, adds, dels, st)
+	framelog.Seal(buf[at:])
+	return buf
+}
+
+// commitSize is the length of the payload appendPayload encodes.
+func commitSize(adds *Batch, dels []string, st State) int {
+	n := 1 + uvarintLen(st.Ops) + uvarintLen(uint64(st.Bytes)) + uvarintLen(st.Seg) + uvarintLen(uint64(len(dels)))
+	for _, id := range dels {
+		n += uvarintLen(uint64(len(id))) + len(id)
+	}
+	n += uvarintLen(uint64(len(adds.ids)))
+	for _, id := range adds.ids {
+		n += uvarintLen(uint64(len(id))) + len(id) + 1
+	}
+	n += uvarintLen(uint64(len(adds.grams)))
+	prev := ""
+	for k, g := range adds.grams {
+		lens, suffix := frontCode(prev, g)
+		n += uvarintLen(lens) + len(suffix)
+		prev = g
+		run := adds.run(k)
+		n += uvarintLen(uint64(len(run.ords))) + 3*len(run.ords) // a bound and, mostly, a one-byte delta each
+		last := uint32(0)
+		for _, o := range run.ords {
+			if d := o - last; d >= 1<<7 {
+				n += uvarintLen(uint64(d)) - 1
+			}
+			last = o
+		}
+	}
+	return n
+}
+
+// appendPayload appends the payload of one commit record to buf.
+func appendPayload(buf []byte, adds *Batch, dels []string, st State) []byte {
+	buf = append(buf, recCommit)
 	buf = binary.AppendUvarint(buf, st.Ops)
 	buf = binary.AppendUvarint(buf, uint64(st.Bytes))
 	buf = binary.AppendUvarint(buf, st.Seg)
@@ -261,12 +385,9 @@ func encodeCommit(adds *Batch, dels []string, st State) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(adds.grams)))
 	prev := ""
 	for k, g := range adds.grams {
-		shared := 0
-		for shared < len(prev) && shared < len(g) && prev[shared] == g[shared] {
-			shared++
-		}
-		buf = binary.AppendUvarint(buf, uint64((len(g)-shared)*(len(prev)+1)+shared))
-		buf = append(buf, g[shared:]...)
+		lens, suffix := frontCode(prev, g)
+		buf = binary.AppendUvarint(buf, lens)
+		buf = append(buf, suffix...)
 		prev = g
 		run := adds.run(k)
 		buf = binary.AppendUvarint(buf, uint64(len(run.ords)))
@@ -281,6 +402,18 @@ func encodeCommit(adds *Batch, dels []string, st State) []byte {
 	}
 	return buf
 }
+
+// frontCode returns g front-coded after prev: the lengths of its suffix
+// and of the prefix it shares with prev as one number, and the suffix.
+func frontCode(prev, g string) (lens uint64, suffix string) {
+	shared := 0
+	for shared < len(prev) && shared < len(g) && prev[shared] == g[shared] {
+		shared++
+	}
+	return uint64((len(g)-shared)*(len(prev)+1) + shared), g[shared:]
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func parseCommit(p []byte) (adds *Batch, dels []string, st State, err error) {
 	bad := func() (*Batch, []string, State, error) {

@@ -2,7 +2,6 @@ package index
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"unicode/utf8"
 
@@ -12,21 +11,50 @@ import (
 // Index is an in-memory inverted q-gram index over documents. It is safe
 // for concurrent use: lookups run in parallel, mutations are serialized.
 //
-// Internally every live document holds an ordinal; posting lists are
-// ascending ordinal slices that only ever have new (larger) ordinals
-// appended, so they stay sorted without re-sorting. Deletes and
-// supersedes just kill the old ordinal — posting lists keep the stale
-// entry and lookups filter it out — which makes mutation O(grams) and
-// defers all garbage collection to the next snapshot rewrite.
+// Internally every live document holds an ordinal, and the posting lists
+// come in two parts, the pattern of LSM trees (O'Neil et al., 1996) and of
+// Lucene's immutable segments. The base is one immutable Batch — sorted
+// grams and their runs back to back in flat arrays — as a snapshot left
+// it: loading adopts the log's first commit as it stands. The delta holds,
+// per gram, the postings of every commit since, as ascending ordinal
+// slices that only ever have new (larger) ordinals appended. Every delta
+// ordinal is above every base ordinal, so a gram's list is its base run
+// followed by its delta run, and a lookup answers each part on its own.
+// Deletes and supersedes just kill the old ordinal — posting lists keep
+// the stale entry and lookups filter it out — which makes mutation
+// O(grams). A rewrite (Writer.Append, WriteSnapshot) merges both parts
+// into a new base without the dead ordinals.
 type Index struct {
 	q int
 
-	mu   sync.RWMutex
-	ord  map[string]uint32 // live doc ID -> ordinal
-	ids  []string          // ordinal -> doc ID; "" marks a dead ordinal
-	post map[string]*postings
-	// npost is the total length of the lists in post, dead postings
-	// included (Stats.Postings).
+	// wmu serializes mutations: ApplyBatch, and a rewrite from the merge
+	// that reads the index to the swap that replaces it. Lock order: wmu,
+	// then mu.
+	wmu sync.Mutex
+	mu  sync.RWMutex
+	tables
+
+	// accums recycles the ordinal-sized scratch of a lookup's Patterns and
+	// Or nodes.
+	accums sync.Pool
+}
+
+// tables is everything a rewrite replaces at once.
+type tables struct {
+	ord map[string]uint32 // live doc ID -> ordinal
+	ids []string          // ordinal -> doc ID; "" marks a dead ordinal
+	// base is the immutable part; its documents hold ordinals [0, nbase)
+	// and its runs name them directly. Only its grams and runs are read.
+	base  *Batch
+	nbase uint32
+	// dict maps each gram to its slot. Slot k below len(base.grams) is
+	// base gram k; the slots after it are grams no base run holds, named
+	// in order by extra. delta is each slot's delta run, possibly empty.
+	dict  map[string]uint32
+	extra []string
+	delta []postings
+	// npost is the total length of the base runs and delta runs, dead
+	// postings included (Stats.Postings).
 	npost int
 	// always holds ordinals of overflow documents, which are candidates
 	// for every query.
@@ -35,14 +63,14 @@ type Index struct {
 	// shorter than q runes (Entry.Short), which are candidates for every
 	// wildcard lookup.
 	short map[uint32]struct{}
-	// alphabet is every rune of every gram ever indexed, ascending and
-	// grow-only: the values a wildcard position is probed with.
+	// alphabet is every rune of every gram in the dictionary, ascending and
+	// grow-only until the next rewrite: the values a wildcard position is
+	// probed with.
 	alphabet []rune
 	ascii    [2]uint64 // bitmap of the alphabet's runes below utf8.RuneSelf
-
-	// accums recycles the ordinal-sized scratch of a lookup's Patterns and
-	// Or nodes.
-	accums sync.Pool
+	// logBase is the length of an index log holding just the base, which
+	// sets when a log built on it is rewritten (Writer.Append).
+	logBase int64
 }
 
 // New returns an empty index over q-rune grams. q < 1 selects
@@ -51,13 +79,36 @@ func New(q int) *Index {
 	if q < 1 {
 		q = DefaultGramSize
 	}
-	return &Index{
-		q:      q,
-		ord:    make(map[string]uint32),
-		post:   make(map[string]*postings),
-		always: make(map[uint32]struct{}),
-		short:  make(map[uint32]struct{}),
+	return &Index{q: q, tables: adopt(&Batch{}, 0)}
+}
+
+// adopt returns the tables of an index whose base is b, as it stands, and
+// whose log holding just b is logBase bytes long: one dictionary entry per
+// gram of b and no posting copied. The index takes b's ID list as its
+// own, marking dead ordinals in it. An ID that b repeats ends at its last
+// document, as in ApplyBatch.
+func adopt(b *Batch, logBase int64) tables {
+	t := tables{
+		ord:     make(map[string]uint32, len(b.ids)),
+		ids:     b.ids,
+		base:    b,
+		nbase:   uint32(len(b.ids)),
+		dict:    make(map[string]uint32, len(b.grams)),
+		delta:   make([]postings, len(b.grams)),
+		npost:   len(b.ords),
+		always:  make(map[uint32]struct{}),
+		short:   make(map[uint32]struct{}),
+		logBase: logBase,
 	}
+	for i, id := range b.ids {
+		t.kill(id)
+		t.add(id, uint32(i), b.flags[i])
+	}
+	for k, g := range b.grams {
+		t.dict[g] = uint32(k)
+		t.learnRunes(g)
+	}
+	return t
 }
 
 // GramSize returns the q the index was built with. Plans must be extracted
@@ -81,73 +132,91 @@ func (ix *Index) Apply(adds []Entry, dels []string) {
 	ix.ApplyBatch(Invert(adds), dels)
 }
 
-// ApplyBatch atomically applies one commit's worth of mutations: deletions
-// first, then b's additions in order, so an ID repeated within b ends at
-// its last entry. An ID must not appear in both b and dels: the
-// dels-then-adds order cannot represent an intra-commit interleaving
-// (staccatodb's writes are puts only or one delete, never both). It costs
-// one dictionary lookup per distinct gram of b and one append per run.
+// ApplyBatch atomically applies one commit's worth of mutations to the
+// delta: deletions first, then b's additions in order, so an ID repeated
+// within b ends at its last entry. An ID must not appear in both b and
+// dels: the dels-then-adds order cannot represent an intra-commit
+// interleaving (staccatodb's writes are puts only or one delete, never
+// both). It costs one dictionary lookup per distinct gram of b and one
+// append per run.
 func (ix *Index) ApplyBatch(b *Batch, dels []string) {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, id := range dels {
 		ix.kill(id)
 	}
-	base := uint32(len(ix.ids))
+	first := uint32(len(ix.ids))
 	for i, id := range b.ids {
 		ix.kill(id)
-		o := base + uint32(i)
 		ix.ids = append(ix.ids, id)
-		ix.ord[id] = o
-		switch {
-		case b.flags[i]&flagOverflow != 0:
-			ix.always[o] = struct{}{}
-		case b.flags[i]&flagShort != 0:
-			ix.short[o] = struct{}{}
-		}
+		ix.add(id, first+uint32(i), b.flags[i])
 	}
 	for k, g := range b.grams {
-		p := ix.post[g]
-		if p == nil {
-			p = new(postings)
-			ix.post[g] = p
+		s, known := ix.dict[g]
+		if !known {
+			s = uint32(len(ix.delta))
+			ix.dict[g] = s
+			ix.extra, ix.delta = append(ix.extra, g), append(ix.delta, postings{})
 			ix.learnRunes(g)
 		}
-		run := b.run(k)
+		p, run := &ix.delta[s], b.run(k)
 		p.ords = slices.Grow(p.ords, len(run.ords))
 		for _, local := range run.ords {
-			p.ords = append(p.ords, base+local)
+			p.ords = append(p.ords, first+local)
 		}
 		p.bnds = append(p.bnds, run.bnds...)
 		ix.npost += len(run.ords)
 	}
 }
 
-// kill marks id's current ordinal dead. Callers hold ix.mu.
-func (ix *Index) kill(id string) {
-	if o, ok := ix.ord[id]; ok {
-		delete(ix.ord, id)
-		delete(ix.always, o)
-		delete(ix.short, o)
-		ix.ids[o] = ""
+// add makes o, which ids already names, id's live ordinal.
+func (t *tables) add(id string, o uint32, flags byte) {
+	t.ord[id] = o
+	switch {
+	case flags&flagOverflow != 0:
+		t.always[o] = struct{}{}
+	case flags&flagShort != 0:
+		t.short[o] = struct{}{}
 	}
 }
 
-// learnRunes adds a new gram's runes to the alphabet. Callers hold ix.mu.
-func (ix *Index) learnRunes(g string) {
+// kill marks id's current ordinal dead.
+func (t *tables) kill(id string) {
+	if o, ok := t.ord[id]; ok {
+		delete(t.ord, id)
+		delete(t.always, o)
+		delete(t.short, o)
+		t.ids[o] = ""
+	}
+}
+
+// learnRunes adds a new gram's runes to the alphabet.
+func (t *tables) learnRunes(g string) {
 	for _, r := range g {
-		// A bulk load meets every gram as a new one; the bitmap keeps its
-		// ASCII runes, nearly all already known, off the search below.
-		if r < utf8.RuneSelf && ix.ascii[r/64]&(1<<(r%64)) != 0 {
+		// A load meets every gram as a new one; the bitmap keeps its ASCII
+		// runes, nearly all already known, off the search below.
+		if r < utf8.RuneSelf && t.ascii[r/64]&(1<<(r%64)) != 0 {
 			continue
 		}
-		if at, known := slices.BinarySearch(ix.alphabet, r); !known {
-			ix.alphabet = slices.Insert(ix.alphabet, at, r)
+		if at, known := slices.BinarySearch(t.alphabet, r); !known {
+			t.alphabet = slices.Insert(t.alphabet, at, r)
 		}
 		if r < utf8.RuneSelf {
-			ix.ascii[r/64] |= 1 << (r % 64)
+			t.ascii[r/64] |= 1 << (r % 64)
 		}
 	}
+}
+
+// runs returns slot s's base run and delta run.
+func (t *tables) runs(s uint32) parts {
+	var p parts
+	if int(s) < len(t.base.grams) {
+		p[0] = t.base.run(int(s))
+	}
+	p[1] = t.delta[s]
+	return p
 }
 
 // postings is one gram's posting list: ascending document ordinals and,
@@ -159,6 +228,14 @@ type postings struct {
 	ords []uint32
 	bnds []uint16
 }
+
+// parts is a gram's list, or a lookup node's result, split where the base
+// ends: [0] holds base ordinals and [1] the ordinals added since, each
+// ascending, so the two end to end are the whole list. A node is answered
+// part by part — an intersection of lists is the intersection of their
+// base parts followed by that of their delta parts — and no part is ever
+// copied just to join it to the other.
+type parts [2]postings
 
 // intersect returns the ordinals two ascending lists share, each at the
 // min of its two bounds. It walks the shorter list and finds each of its
@@ -250,10 +327,10 @@ type Stats struct {
 	// Docs is the number of live indexed documents.
 	Docs int
 	// Grams is the number of distinct grams with at least one posting
-	// (dead postings included until the next snapshot rewrite).
+	// (dead postings included until the next rewrite).
 	Grams int
 	// Postings is the total posting-list length across all grams (dead
-	// postings included until the next snapshot rewrite).
+	// postings included until the next rewrite).
 	Postings int
 	// OverflowDocs counts live documents indexed as always-matching.
 	OverflowDocs int
@@ -263,57 +340,104 @@ type Stats struct {
 func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	st := Stats{Docs: len(ix.ord), Grams: len(ix.post), Postings: ix.npost}
-	for o := range ix.always {
-		if ix.ids[o] != "" {
-			st.OverflowDocs++
-		}
-	}
-	return st
+	return Stats{Docs: len(ix.ord), Grams: len(ix.dict), Postings: ix.npost, OverflowDocs: len(ix.always)}
 }
 
-// Snapshot returns the live documents as one Batch — the inverse of
-// ApplyBatch, without the dead ordinals and stale postings that write churn
-// accumulates. Live ordinals are renumbered densely in ordinal order, so
-// the posting runs stay ascending as they are copied and a snapshot of an
-// index without dead ordinals reproduces its layout exactly.
-func (ix *Index) Snapshot() *Batch {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+// merged returns the live documents as one Batch, without the dead
+// ordinals and stale postings that write churn accumulates: the new base
+// of a rewrite. Live ordinals are renumbered densely in ordinal order, so
+// each gram's base run followed by its delta run stays ascending as it is
+// copied, and runs are copied as they stand while no ordinal is dead.
+// Callers hold ix.mu.
+func (t *tables) merged() *Batch {
 	const dead = ^uint32(0)
-	b := &Batch{ids: make([]string, 0, len(ix.ord)), flags: make([]byte, 0, len(ix.ord))}
-	renumber := make([]uint32, len(ix.ids))
-	for o, id := range ix.ids {
+	b := &Batch{ids: make([]string, 0, len(t.ord)), flags: make([]byte, 0, len(t.ord))}
+	var renumber []uint32 // nil while no ordinal is dead
+	if len(t.ord) < len(t.ids) {
+		renumber = make([]uint32, len(t.ids))
+	}
+	for o, id := range t.ids {
 		if id == "" {
 			renumber[o] = dead
 			continue
 		}
-		renumber[o] = uint32(len(b.ids))
+		if renumber != nil {
+			renumber[o] = uint32(len(b.ids))
+		}
 		var flags byte
-		if _, overflow := ix.always[uint32(o)]; overflow {
+		if _, overflow := t.always[uint32(o)]; overflow {
 			flags |= flagOverflow
 		}
-		if _, short := ix.short[uint32(o)]; short {
+		if _, short := t.short[uint32(o)]; short {
 			flags |= flagShort
 		}
 		b.ids, b.flags = append(b.ids, id), append(b.flags, flags)
 	}
-	grams := make([]string, 0, len(ix.post))
-	for g := range ix.post {
-		grams = append(grams, g)
-	}
-	sort.Strings(grams)
-	b.ords, b.bnds = make([]uint32, 0, ix.npost), make([]uint16, 0, ix.npost)
-	for _, g := range grams {
-		p, from := ix.post[g], len(b.ords)
-		for k, o := range p.ords {
-			if n := renumber[o]; n != dead {
-				b.ords, b.bnds = append(b.ords, n), append(b.bnds, p.bnds[k])
+	slots := t.order()
+	live := t.npost
+	if renumber != nil {
+		live = 0
+		for _, s := range slots {
+			for _, run := range t.runs(s) {
+				for _, o := range run.ords {
+					if renumber[o] != dead {
+						live++
+					}
+				}
 			}
 		}
-		if len(b.ords) > from {
-			b.grams, b.ends = append(b.grams, g), append(b.ends, uint32(len(b.ords)))
+	}
+	b.grams, b.ends = make([]string, 0, len(slots)), make([]uint32, 0, len(slots))
+	b.ords, b.bnds = make([]uint32, live), make([]uint16, live)
+	n := 0
+	for _, s := range slots {
+		from := n
+		for _, run := range t.runs(s) {
+			if renumber == nil {
+				copy(b.ords[n:], run.ords)
+				n += copy(b.bnds[n:], run.bnds)
+				continue
+			}
+			for j, o := range run.ords {
+				if o = renumber[o]; o != dead {
+					b.ords[n], b.bnds[n] = o, run.bnds[j]
+					n++
+				}
+			}
+		}
+		if n > from {
+			b.grams, b.ends = append(b.grams, t.gram(s)), append(b.ends, uint32(n))
 		}
 	}
 	return b
+}
+
+// gram returns slot s's gram.
+func (t *tables) gram(s uint32) string {
+	if int(s) < len(t.base.grams) {
+		return t.base.grams[s]
+	}
+	return t.extra[int(s)-len(t.base.grams)]
+}
+
+// order returns every slot in ascending gram order: the base's, already
+// in order, merged with the extra slots, sorted.
+func (t *tables) order() []uint32 {
+	extra := make([]uint32, len(t.extra))
+	for i := range extra {
+		extra[i] = uint32(len(t.base.grams) + i)
+	}
+	sortByGram(extra, t.gram)
+	out := make([]uint32, 0, len(t.base.grams)+len(extra))
+	k := 0
+	for _, e := range extra {
+		for ; k < len(t.base.grams) && t.base.grams[k] < t.gram(e); k++ {
+			out = append(out, uint32(k))
+		}
+		out = append(out, e)
+	}
+	for ; k < len(t.base.grams); k++ {
+		out = append(out, uint32(k))
+	}
+	return out
 }

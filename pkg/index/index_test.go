@@ -129,7 +129,7 @@ func TestAppendReplays(t *testing.T) {
 	if err := index.WriteSnapshot(framelog.OS, path, ix, index.State{}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := index.OpenAppend(framelog.OS, path, 3, true)
+	w, err := index.OpenAppend(framelog.OS, path, ix, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestLoadTornTailTruncates(t *testing.T) {
 	if err := index.WriteSnapshot(framelog.OS, path, ix, index.State{Ops: 1, Bytes: 1}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := index.OpenAppend(framelog.OS, path, 3, true)
+	w, err := index.OpenAppend(framelog.OS, path, ix, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestDuplicateIDInOneCommit(t *testing.T) {
 	if err := index.WriteSnapshot(framelog.OS, path, index.New(3), index.State{}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := index.OpenAppend(framelog.OS, path, 3, false)
+	w, err := index.OpenAppend(framelog.OS, path, index.New(3), false)
 	if err != nil {
 		t.Fatal(err)
 	}

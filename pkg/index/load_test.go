@@ -1,0 +1,89 @@
+package index
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"github.com/paper-repo/staccato-go/internal/framelog"
+	"github.com/paper-repo/staccato-go/internal/testgen"
+	"github.com/paper-repo/staccato-go/pkg/staccato"
+)
+
+// benchLogs holds the two index logs BenchmarkIndexLoad and
+// BenchmarkIndexRewrite read: 8,000 error-model documents at the bench's
+// dial (6,3), once ingested in 256-document commits as the bench does and
+// once as a snapshot. They are built once per test binary.
+var benchLogs = sync.OnceValues(func() (framelog.FS, error) {
+	cases, err := testgen.ErrDocs(8000, testgen.ErrModelConfig{Seed: 1}, 6, 3)
+	if err != nil {
+		return nil, err
+	}
+	docs := make([]*staccato.Doc, len(cases))
+	for i, c := range cases {
+		docs[i] = c.Doc
+	}
+	fsys := framelog.NewMemFS()
+	ix := New(DefaultGramSize)
+	if err := WriteSnapshot(fsys, "log", ix, State{}); err != nil {
+		return nil, err
+	}
+	w, err := OpenAppend(fsys, "log", ix, false)
+	if err != nil {
+		return nil, err
+	}
+	defer w.Close()
+	saved := rewriteFloor
+	rewriteFloor = 1 << 40 // the log as the bench's bulk load left it before rewrites
+	defer func() { rewriteFloor = saved }()
+	for from := 0; from < len(docs); from += 256 {
+		b := BatchOf(docs[from:min(from+256, len(docs))], DefaultGramSize, 1)
+		ix.ApplyBatch(b, nil)
+		if err := w.Append(b, nil, State{Ops: uint64(from + 1)}); err != nil {
+			return nil, err
+		}
+	}
+	return fsys, WriteSnapshot(fsys, "snapshot", ix, State{Ops: 8000})
+})
+
+// BenchmarkIndexLoad times LoadFS over the 32-commit log of 8,000
+// documents and over their snapshot.
+func BenchmarkIndexLoad(b *testing.B) {
+	fsys, err := benchLogs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"log", "snapshot"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := LoadFS(fsys, name, DefaultGramSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIndexRewrite times the rewrite of the index the 32-commit log
+// loads to — its first commit as the base, 31 in the delta — into one
+// base and the log that holds it: one merge and one encoding.
+func BenchmarkIndexRewrite(b *testing.B) {
+	fsys, err := benchLogs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var size int
+	for b.Loop() {
+		b.StopTimer()
+		ix, _, err := LoadFS(fsys, "log", DefaultGramSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC() // the load's garbage is not the rewrite's
+		b.StartTimer()
+		size = len(ix.rewrite(State{Ops: 8000}))
+	}
+	b.ReportMetric(float64(size), "bytes")
+}

@@ -83,21 +83,21 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 // Lookup ever sees an overflow document, and since min and the capped sum
 // of 1s are both 1, joining them once here equals admitting them at every
 // leaf. Callers hold ix.mu.
-func (ix *Index) materialize(acc postings) ([]string, []float64) {
+func (ix *Index) materialize(acc parts) ([]string, []float64) {
 	type cand struct {
 		id string
 		b  float64
 	}
-	out := make([]cand, 0, len(acc.ords)+len(ix.always))
-	for k, o := range acc.ords {
-		if id := ix.ids[o]; id != "" {
-			out = append(out, cand{id, Dequantize(acc.bnds[k])})
+	out := make([]cand, 0, len(acc[0].ords)+len(acc[1].ords)+len(ix.always))
+	for _, part := range acc {
+		for k, o := range part.ords {
+			if id := ix.ids[o]; id != "" {
+				out = append(out, cand{id, Dequantize(part.bnds[k])})
+			}
 		}
 	}
 	for o := range ix.always {
-		if id := ix.ids[o]; id != "" {
-			out = append(out, cand{id, 1})
-		}
+		out = append(out, cand{ix.ids[o], 1})
 	}
 	slices.SortFunc(out, func(a, b cand) int { return strings.Compare(a.id, b.id) })
 	ids := make([]string, len(out))
@@ -116,60 +116,85 @@ type evaluator struct {
 	grams int // dictionary grams the Patterns nodes that answered read
 }
 
-func (e *evaluator) eval(l Lookup) (postings, bool) {
+func (e *evaluator) eval(l Lookup) (parts, bool) {
 	switch {
 	case len(l.Grams) > 0:
-		return intersectAll(e.lists(nil, l.Grams)), true
+		return intersectParts(e.lists(newPartLists(len(l.Grams)), l.Grams)), true
 	case len(l.Patterns) > 0:
 		return e.patterns(l.Patterns)
 	case len(l.And) > 0:
-		// One rarest-first intersection over everything the children
-		// require: a Grams child contributes its posting lists unmerged, any
-		// other child its evaluated postings.
-		var lists []postings
+		// One rarest-first intersection per part over everything the
+		// children require: a Grams child contributes its posting lists
+		// unmerged, any other child its evaluated postings.
+		n := 0
+		for _, kid := range l.And {
+			n += max(1, len(kid.Grams))
+		}
+		all := newPartLists(n)
 		for _, kid := range l.And {
 			if len(kid.Grams) > 0 {
-				lists = e.lists(lists, kid.Grams)
+				all = e.lists(all, kid.Grams)
 			} else if p, ok := e.eval(kid); ok {
-				lists = append(lists, p)
+				all.push(p)
 			}
 		}
-		if len(lists) == 0 {
-			return postings{}, false
+		if len(all[0]) == 0 {
+			return parts{}, false
 		}
-		return intersectAll(lists), true
+		return intersectParts(all), true
 	case len(l.Or) > 0:
 		total := e.ix.getAccum()
 		for _, kid := range l.Or {
 			p, ok := e.eval(kid)
 			if !ok {
-				return postings{}, false // total, part-filled, is dropped
+				return parts{}, false // total, part-filled, is dropped
 			}
 			total.add(p)
 		}
-		acc := total.drain()
+		acc := total.drain(e.ix.nbase)
 		e.ix.accums.Put(total)
 		return acc, true
 	}
-	return postings{}, false
+	return parts{}, false
+}
+
+// partLists is the lists an intersection joins, part by part.
+type partLists [2][]postings
+
+func newPartLists(n int) partLists {
+	return partLists{make([]postings, 0, n), make([]postings, 0, n)}
+}
+
+func (ls *partLists) push(p parts) {
+	ls[0], ls[1] = append(ls[0], p[0]), append(ls[1], p[1])
 }
 
 // lists appends the posting list of each of grams to into; a gram the
 // dictionary lacks has the empty list.
-func (e *evaluator) lists(into []postings, grams []string) []postings {
+func (e *evaluator) lists(into partLists, grams []string) partLists {
 	for _, g := range grams {
-		var l postings
-		if p := e.ix.post[g]; p != nil {
-			l = *p
+		var p parts
+		if s, ok := e.ix.dict[g]; ok {
+			p = e.ix.runs(s)
 		}
-		into = append(into, l)
+		into.push(p)
 	}
 	return into
+}
+
+// intersectParts intersects each part of ls on its own.
+func intersectParts(ls partLists) parts {
+	return parts{intersectAll(ls[0]), intersectAll(ls[1])}
 }
 
 // intersectAll intersects lists, which it reorders, rarest-first so the
 // working set only shrinks, carrying the min bound through each merge.
 func intersectAll(lists []postings) postings {
+	for _, l := range lists {
+		if len(l.ords) == 0 {
+			return postings{} // nothing to intersect: skip the sort
+		}
+	}
 	slices.SortFunc(lists, func(a, b postings) int { return len(a.ords) - len(b.ords) })
 	acc := lists[0]
 	for _, next := range lists[1:] {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"unicode/utf8"
 )
@@ -21,18 +22,18 @@ const maxWildProbes = 1 << 15
 // bound 1, every document with a reading shorter than q, which no gram
 // covers. Windows are expanded by probing the posting map with every
 // alphabet rune at each wildcard position.
-func (e *evaluator) patterns(patterns [][]rune) (postings, bool) {
+func (e *evaluator) patterns(patterns [][]rune) (parts, bool) {
 	ix := e.ix
 	probes, grams := maxWildProbes, 0
 	scratch, total := ix.getAccum(), ix.getAccum()
 	for _, pat := range patterns {
 		// Expand every window first: probing is cheap next to reading the
 		// posting lists, and the rarest window is worth reading first.
-		var windows [][]*postings
+		var windows [][]uint32
 		for i := 0; i+ix.q <= len(pat); i++ {
 			hits, constrains, ok := ix.expand(pat[i:i+ix.q], &probes)
 			if !ok {
-				return postings{}, false
+				return parts{}, false
 			}
 			if constrains {
 				windows = append(windows, hits)
@@ -40,41 +41,41 @@ func (e *evaluator) patterns(patterns [][]rune) (postings, bool) {
 			}
 		}
 		if len(windows) == 0 {
-			return postings{}, false
+			return parts{}, false
 		}
 		if len(windows) == 1 {
 			// A pattern of exactly q runes: the window's bound sum is the
 			// pattern's, and capping it before or after it joins the other
 			// patterns' gives the same capped total — add it straight in.
-			for _, p := range windows[0] {
-				total.add(*p)
+			for _, s := range windows[0] {
+				total.add(ix.runs(s))
 			}
 			continue
 		}
-		sort.SliceStable(windows, func(i, j int) bool { return postingsIn(windows[i]) < postingsIn(windows[j]) })
+		sort.SliceStable(windows, func(i, j int) bool { return ix.postingsIn(windows[i]) < ix.postingsIn(windows[j]) })
 		// The first window's union is the only one built in full; every
 		// later window only confirms or drops what is left.
-		var acc postings
+		var acc parts
 		if first := windows[0]; len(first) == 1 {
-			acc = *first[0]
+			acc = ix.runs(first[0])
 		} else {
-			for _, p := range first {
-				scratch.add(*p)
+			for _, s := range first {
+				scratch.add(ix.runs(s))
 			}
-			acc = scratch.drain()
+			acc = scratch.drain(ix.nbase)
 		}
 		for _, hits := range windows[1:] {
-			if len(acc.ords) == 0 {
+			if len(acc[0].ords)+len(acc[1].ords) == 0 {
 				break
 			}
-			acc = scratch.within(acc, hits)
+			acc = scratch.within(&ix.tables, acc, hits)
 		}
 		total.add(acc)
 	}
 	for o := range ix.short {
 		total.put(o, maxBound) // on top of whatever its grams summed to: the drain caps it at 1
 	}
-	acc := total.drain()
+	acc := total.drain(ix.nbase)
 	// Both are drained, so empty; a refused lookup above leaves total
 	// part-filled and simply drops the pair.
 	ix.accums.Put(scratch)
@@ -83,11 +84,11 @@ func (e *evaluator) patterns(patterns [][]rune) (postings, bool) {
 	return acc, true
 }
 
-// expand returns, in ascending gram order, the posting lists of the
-// dictionary grams matching one q-rune window. constrains is false for a
-// window of wildcards only, which every gram matches; ok is false when
-// the probes would overdraw budget. Callers hold ix.mu.
-func (ix *Index) expand(window []rune, budget *int) (hits []*postings, constrains, ok bool) {
+// expand returns, in ascending gram order, the slots of the dictionary
+// grams matching one q-rune window. constrains is false for a window of
+// wildcards only, which every gram matches; ok is false when the probes
+// would overdraw budget. Callers hold ix.mu.
+func (ix *Index) expand(window []rune, budget *int) (hits []uint32, constrains, ok bool) {
 	var wild []int // wildcard positions, left to right
 	for i, r := range window {
 		if r < 0 {
@@ -121,8 +122,8 @@ func (ix *Index) expand(window []rune, budget *int) (hits []*postings, constrain
 		for _, r := range probe {
 			key = utf8.AppendRune(key, r)
 		}
-		if p := ix.post[string(key)]; p != nil {
-			hits = append(hits, p)
+		if s, ok := ix.dict[string(key)]; ok {
+			hits = append(hits, s)
 		}
 		k := len(wild) - 1
 		for ; k >= 0; k-- {
@@ -137,11 +138,12 @@ func (ix *Index) expand(window []rune, budget *int) (hits []*postings, constrain
 	}
 }
 
-// postingsIn is the total length of lists.
-func postingsIn(lists []*postings) int {
+// postingsIn is the total length of the lists of slots.
+func (t *tables) postingsIn(slots []uint32) int {
 	n := 0
-	for _, p := range lists {
-		n += len(p.ords)
+	for _, s := range slots {
+		p := t.runs(s)
+		n += len(p[0].ords) + len(p[1].ords)
 	}
 	return n
 }
@@ -168,9 +170,11 @@ func (ix *Index) getAccum() *accum {
 	return &accum{sum: make([]uint32, n), seen: make([]uint64, (n+63)/64)}
 }
 
-func (a *accum) add(l postings) {
-	for k, o := range l.ords {
-		a.put(o, l.bnds[k])
+func (a *accum) add(p parts) {
+	for _, l := range p {
+		for k, o := range l.ords {
+			a.put(o, l.bnds[k])
+		}
 	}
 }
 
@@ -186,8 +190,9 @@ func (a *accum) put(o uint32, b uint16) {
 }
 
 // drain returns the union of the lists added — ascending ordinals, each
-// with its bound sum capped at 1 — and empties a for reuse.
-func (a *accum) drain() postings {
+// with its bound sum capped at 1, split where the base's nbase ordinals
+// end — and empties a for reuse.
+func (a *accum) drain(nbase uint32) parts {
 	out := postings{ords: make([]uint32, 0, a.n), bnds: make([]uint16, 0, a.n)}
 	for w, word := range a.seen {
 		for ; word != 0; word &= word - 1 {
@@ -198,37 +203,44 @@ func (a *accum) drain() postings {
 		a.seen[w] = 0
 	}
 	a.n = 0
-	return out
+	at, _ := slices.BinarySearch(out.ords, nbase)
+	return parts{{out.ords[:at:at], out.bnds[:at:at]}, {out.ords[at:], out.bnds[at:]}}
 }
 
-// within intersects acc with the union of lists without building the
-// union: it returns the postings of acc whose ordinal some list holds,
-// each at the min of its bound and the sum of its bounds in lists. a must
-// be empty and is left empty.
-func (a *accum) within(acc postings, lists []*postings) postings {
+// within intersects acc with the union of the lists of slots without
+// building the union: it returns the postings of acc whose ordinal some
+// list holds, each at the min of its bound and the sum of its bounds in
+// those lists. a must be empty and is left empty.
+func (a *accum) within(t *tables, acc parts, slots []uint32) parts {
 	const inNone = ^uint32(0) // in acc, in no list yet; no sum reaches it
-	for _, o := range acc.ords {
-		a.seen[o/64] |= 1 << (o % 64)
-		a.sum[o] = inNone
+	for _, part := range acc {
+		for _, o := range part.ords {
+			a.seen[o/64] |= 1 << (o % 64)
+			a.sum[o] = inNone
+		}
 	}
-	for _, l := range lists {
-		for k, o := range l.ords {
-			if a.seen[o/64]&(1<<(o%64)) == 0 {
-				continue
-			}
-			if a.sum[o] == inNone {
-				a.sum[o] = uint32(l.bnds[k])
-			} else {
-				a.sum[o] += uint32(l.bnds[k])
+	for _, s := range slots {
+		for _, l := range t.runs(s) {
+			for k, o := range l.ords {
+				if a.seen[o/64]&(1<<(o%64)) == 0 {
+					continue
+				}
+				if a.sum[o] == inNone {
+					a.sum[o] = uint32(l.bnds[k])
+				} else {
+					a.sum[o] += uint32(l.bnds[k])
+				}
 			}
 		}
 	}
-	var out postings // fresh backing; acc may be a shared posting list
-	for k, o := range acc.ords {
-		a.seen[o/64] &^= 1 << (o % 64)
-		if a.sum[o] != inNone {
-			out.ords = append(out.ords, o)
-			out.bnds = append(out.bnds, uint16(min(uint32(acc.bnds[k]), a.sum[o])))
+	var out parts // fresh backing; acc may be a shared posting list
+	for i, part := range acc {
+		for k, o := range part.ords {
+			a.seen[o/64] &^= 1 << (o % 64)
+			if a.sum[o] != inNone {
+				out[i].ords = append(out[i].ords, o)
+				out[i].bnds = append(out[i].bnds, uint16(min(uint32(part.bnds[k]), a.sum[o])))
+			}
 		}
 	}
 	return out

@@ -162,7 +162,7 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 	if err := WriteSnapshot(framelog.OS, path, New(3), State{}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenAppend(framelog.OS, path, 3, false)
+	w, err := OpenAppend(framelog.OS, path, New(3), false)
 	if err != nil {
 		t.Fatal(err)
 	}

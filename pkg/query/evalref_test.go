@@ -136,7 +136,7 @@ func refEvalDoc(d *staccato.Doc, a refAutomaton) float64 {
 	for _, ch := range d.Chunks {
 		clear(next)
 		for q, p := range vec {
-			//lint:allow floateq exact zero marks an unreached state, as in the DP this mirrors
+			// Exact zero marks an unreached state, as in the DP this mirrors
 			if p == 0 {
 				continue
 			}

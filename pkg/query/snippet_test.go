@@ -85,7 +85,7 @@ func TestSnippetPositionsWitnessed(t *testing.T) {
 			if sn.DocID != d.ID {
 				t.Fatalf("snippet doc id %q, want %q", sn.DocID, d.ID)
 			}
-			//lint:allow floateq Snippets documents Prob as exactly the DP's Eval output
+			// Snippets documents Prob as exactly the DP's Eval output
 			if sn.Prob != q.Eval(d) {
 				t.Fatalf("doc %s term %q: snippet prob %v != Eval %v", d.ID, term, sn.Prob, q.Eval(d))
 			}
@@ -113,7 +113,7 @@ func TestSnippetPositionsWitnessed(t *testing.T) {
 					d.ID, term, mode, len(sn.Readings), len(want))
 			}
 			for i, r := range sn.Readings {
-				//lint:allow floateq the per-reading mass is documented bit-identical with Doc.Readings (same multiplication order)
+				// The per-reading mass is documented bit-identical with Doc.Readings (same multiplication order)
 				if r.Text != want[i].text || r.Prob != want[i].prob {
 					t.Fatalf("doc %s term %q: reading %d = (%q, %v), oracle wants (%q, %v)",
 						d.ID, term, i, r.Text, r.Prob, want[i].text, want[i].prob)

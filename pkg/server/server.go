@@ -20,7 +20,10 @@
 //   - Per-request deadlines. Every DB call runs under a context
 //     deadline (the server default, tightened per request via
 //     timeout_ms); a request that exceeds it returns 504 with the
-//     deadline error rather than occupying a worker forever.
+//     deadline error rather than occupying a worker forever. An
+//     admitted request's body read and response write are bounded by
+//     the same timeout, so a client that withholds its body or stops
+//     reading the response gives its slot back.
 //
 // Request bodies are size-capped (413 past the cap) and strictly
 // decoded: an unknown field or anything after the JSON value is a 400.
@@ -251,6 +254,8 @@ func (s *Server) endpoint(name string, admit bool, h http.HandlerFunc) http.Hand
 				defer func() { <-s.sem }()
 				s.met.inFlight.Add(1)
 				defer s.met.inFlight.Add(-1)
+				s.boundWrite(w)
+				defer s.boundWrite(w)
 			default:
 				s.met.rejected.Add(1)
 				secs := int(retryAfter / time.Second)
@@ -372,6 +377,19 @@ func (s *Server) boundBodyRead(w http.ResponseWriter) (bodyIn func()) {
 		return func() {} // http.ErrNotSupported (no connection under w), or a closed connection
 	}
 	return func() { rc.SetReadDeadline(time.Time{}) } // fails only on a closed connection
+}
+
+// boundWrite bounds the writing of an admitted request's response by
+// RequestTimeout from now: a client that stops reading would otherwise
+// hold its in-flight slot until it hung up. A write that cannot finish in
+// time fails, and the handler returns. endpoint arms it at admission and
+// again when the handler returns, for the flush of the response's
+// buffered tail — a 408 for a body that timed out is written only then.
+// net/http clears the deadline after that flush, so the next request on a
+// kept-alive connection does not inherit it.
+func (s *Server) boundWrite(w http.ResponseWriter) {
+	// http.ErrNotSupported (no connection under w) leaves the write unbounded.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(s.opts.RequestTimeout))
 }
 
 // writeBodyError answers a request whose body could not be read or

@@ -545,6 +545,92 @@ func TestWithheldBodyReleasesSlot(t *testing.T) {
 	}
 }
 
+// TestStalledReaderReleasesSlot: a client that sends a search whose
+// response is megabytes long and never reads it holds its in-flight slot
+// only until the response write runs past RequestTimeout.
+func TestStalledReaderReleasesSlot(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	s, ts := newTestServer(t, Options{MaxInFlight: 1, RequestTimeout: timeout})
+	// 1,000 matches with 8 kB IDs: an 8 MB response, twice the default
+	// ceiling of a Linux socket's send buffer; the client's receive
+	// buffer is cut to a few kB below.
+	docs := make([]*staccato.Doc, 1000)
+	for i := range docs {
+		docs[i] = &staccato.Doc{ID: fmt.Sprintf("%04d%s", i, strings.Repeat("x", 8<<10)), Chunks: []staccato.PathSet{{
+			Alts: []staccato.Alt{{Text: "abcd", Prob: 1}}, Retained: 1,
+		}}}
+	}
+	if err := s.db.Ingest(context.Background(), docs); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	body := `{"terms":["abcd"]}`
+	fmt.Fprintf(conn, "POST /v1/search HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+
+	explain := func() int {
+		status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/explain", queryRequest{Terms: []string{"abcd"}})
+		return status
+	}
+	for explain() != http.StatusTooManyRequests { // wait for the search to take the slot
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the stalled search never took the in-flight slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for explain() == http.StatusTooManyRequests {
+		if time.Since(start) > timeout+5*time.Second {
+			t.Fatalf("the stalled search still holds its slot %v after RequestTimeout %v", time.Since(start), timeout)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if status := explain(); status != http.StatusOK {
+		t.Fatalf("explain after the slot was freed: status %d, want 200", status)
+	}
+}
+
+// TestKeepAliveOutlivesWriteDeadline: two requests on one keep-alive
+// connection, the second after the first's write deadline has passed,
+// are both answered — the deadline does not outlive its request.
+func TestKeepAliveOutlivesWriteDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	_, ts := newTestServer(t, Options{RequestTimeout: timeout})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	body := `{"terms":["abcd"]}`
+	for i, req := range []string{
+		fmt.Sprintf("POST /v1/search HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body),
+		"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+	} {
+		if i > 0 {
+			time.Sleep(3 * timeout)
+		}
+		if _, err := io.WriteString(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(r, nil)
+		if err != nil {
+			t.Fatalf("request %d on the kept-alive connection: %v", i+1, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d on the kept-alive connection: status %d, want 200", i+1, resp.StatusCode)
+		}
+	}
+}
+
 // TestGracefulShutdownDrains pins the drain invariant: Shutdown refuses
 // new requests immediately, but does not return — and does not close
 // the DB — until the in-flight request has completed successfully.
@@ -875,7 +961,7 @@ func TestSnippetsEndpoint(t *testing.T) {
 		if sn.DocID != sr.Results[i].DocID {
 			t.Fatalf("snippet %d is doc %q, search ranked %q there", i, sn.DocID, sr.Results[i].DocID)
 		}
-		//lint:allow floateq the snippet prob is documented as exactly the Result.Prob Search ranks by
+		// The snippet prob is documented as exactly the Result.Prob Search ranks by
 		if sn.Prob != sr.Results[i].Prob {
 			t.Errorf("doc %s: snippet prob %v != search prob %v", sn.DocID, sn.Prob, sr.Results[i].Prob)
 		}

@@ -59,7 +59,7 @@ func topKReference(seg Segment, k, budget int) (PathSet, error) {
 			continue
 		}
 		sort.Slice(es, func(i, j int) bool {
-			//lint:allow floateq sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make path selection nondeterministic
+			// Sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make path selection nondeterministic
 			if es[i].weight != es[j].weight {
 				return es[i].weight < es[j].weight
 			}
@@ -114,7 +114,7 @@ func topKReference(seg Segment, k, budget int) (PathSet, error) {
 	sort.Slice(completed, func(i, j int) bool {
 		wi := entries[int(completed[i].state)-base][completed[i].idx].weight
 		wj := entries[int(completed[j].state)-base][completed[j].idx].weight
-		//lint:allow floateq sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make the k-best cut nondeterministic
+		// Sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make the k-best cut nondeterministic
 		if wi != wj {
 			return wi < wj
 		}

@@ -20,7 +20,10 @@
 // the store as one all-or-none batch, and only then applies the same
 // change to the in-memory index and appends a mirroring record to the
 // index log (index.FileName in the store directory), stamped with the
-// store's CommitState, before the write call returns.
+// store's CommitState, before the write call returns. The log rewrites
+// itself as a snapshot once it grows past 3/2 of its last one and past
+// 1 MiB (see index.Writer.Append), so it stays sized to the live
+// documents.
 // Store first, so a failed commit, which stores nothing, leaves the index
 // describing what the store still holds. Compact and RebuildIndex take
 // the same lock, so they exclude writers. Open compares the log's final
@@ -151,7 +154,7 @@ func (db *DB) loadOrRebuildIndex() error {
 	ix, got, err := index.LoadFS(db.fsys, db.indexPath(), db.cfg.gramSize)
 	if err == nil && got == toState(db.disk.CommitState()) {
 		db.idx = ix
-		if w, err := index.OpenAppend(db.fsys, db.indexPath(), db.cfg.gramSize, !db.cfg.noSync); err == nil {
+		if w, err := index.OpenAppend(db.fsys, db.indexPath(), ix, !db.cfg.noSync); err == nil {
 			db.idxW = w
 		}
 		return nil
@@ -179,7 +182,7 @@ func (db *DB) installIndex(ix *index.Index) error {
 	var w *index.Writer
 	err := index.WriteSnapshot(db.fsys, db.indexPath(), ix, toState(db.disk.CommitState()))
 	if err == nil {
-		w, err = index.OpenAppend(db.fsys, db.indexPath(), db.cfg.gramSize, !db.cfg.noSync)
+		w, err = index.OpenAppend(db.fsys, db.indexPath(), ix, !db.cfg.noSync)
 	}
 	if err != nil {
 		err = fmt.Errorf("staccatodb: persisting index: %w", err)
@@ -298,10 +301,12 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 	}
 	db.idx.ApplyBatch(adds, dels)
 	if db.idxW != nil {
-		// A log write failure stops persistence — the in-memory index stays
-		// correct for this process, and the log's now stale CommitState
-		// forces a rebuild on the next Open — but never fails the write:
-		// the documents are already durable.
+		// A log write failure — of the record, or of the rewrite a record
+		// that takes the log past its trigger sets off — stops persistence:
+		// the in-memory index stays correct for this process, and the log
+		// goes stale with the next write, which forces a rebuild on the
+		// next Open. It never fails the write: the documents are already
+		// durable.
 		if db.idxW.Append(adds, dels, toState(db.disk.CommitState())) != nil {
 			db.idxW.Close()
 			db.mu.Lock()
@@ -471,7 +476,8 @@ type Stats struct {
 	// queries, but the next Open pays a rebuild.
 	IndexPersisted bool `json:"index_persisted"`
 	// IndexDocs, IndexGrams, IndexPostings (dead postings included until
-	// the next Compact) and IndexOverflowDocs mirror index.Stats.
+	// the index log's next rewrite, which Compact forces) and
+	// IndexOverflowDocs mirror index.Stats.
 	IndexDocs         int `json:"index_docs"`
 	IndexGrams        int `json:"index_grams"`
 	IndexPostings     int `json:"index_postings"`
@@ -518,12 +524,9 @@ func (db *DB) Compact(ctx context.Context) error {
 	if db.idx == nil {
 		return nil
 	}
-	// Compact the in-memory index too: replaying its own snapshot drops the
-	// dead ordinals and stale postings that write churn accumulates, so
-	// index memory tracks live documents, not total-writes-ever.
-	compacted := index.New(db.cfg.gramSize)
-	compacted.ApplyBatch(db.idx.Snapshot(), nil)
-	return db.installIndex(compacted)
+	// Rewriting the index log rewrites the in-memory index too, dropping
+	// the dead ordinals and stale postings that write churn accumulates.
+	return db.installIndex(db.idx)
 }
 
 // RebuildIndex discards the current index and rebuilds it from a full

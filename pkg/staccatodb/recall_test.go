@@ -196,7 +196,7 @@ func TestRecallMonotonicityProperty(t *testing.T) {
 // FullSFST answer retrieves every relevant document.
 func TestRecallFullIsOne(t *testing.T) {
 	r := newRecallRun(t, 40, testgen.ErrModelConfig{Words: 10, Seed: 3}, 6, 1)
-	//lint:allow floateq full recall is a mean of ratios of equal integer counts, exactly 1 by construction
+	// Full recall is a mean of ratios of equal integer counts, exactly 1 by construction
 	if got := r.recall(r.fullSets); got != 1 {
 		t.Fatalf("FullSFST recall = %v, want exactly 1", got)
 	}
