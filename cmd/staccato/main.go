@@ -8,7 +8,7 @@
 //	staccato serve -store DIR        serve a database over HTTP/JSON
 //
 // demo generates one synthetic OCR transducer, builds approximated
-// documents at a chosen dial setting, persists them through a DocStore,
+// documents at a chosen dial setting, persists them through the store,
 // and runs probabilistic queries — showing recall beyond the MAP string,
 // the paper's headline result:
 //

@@ -34,6 +34,7 @@ package framelog
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -66,7 +67,26 @@ func Seal(frame []byte) {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 }
 
-// Damage describes the first frame a Reader could not vouch for.
+// Check vouches for frame, one whole frame read back from where an
+// index says it lies: its length field must name exactly the bytes after
+// the header, and its checksum must hold. A reader that locates frames by
+// offset instead of streaming them through a Reader calls it before
+// trusting a payload.
+func Check(frame []byte) error {
+	if len(frame) < HeaderSize {
+		return &Damage{What: "partial frame header"}
+	}
+	payload := frame[HeaderSize:]
+	if n := binary.LittleEndian.Uint32(frame[0:4]); int(n) != len(payload) {
+		return &Damage{What: fmt.Sprintf("frame length %d, want %d", n, len(payload))}
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
+		return &Damage{What: "checksum mismatch"}
+	}
+	return nil
+}
+
+// Damage describes a frame a Reader or Check could not vouch for.
 type Damage struct {
 	What string // "checksum mismatch", or the caller's reason given to Bad
 	Torn bool   // a crash mid-append explains it; see the package comment

@@ -49,6 +49,24 @@ func wantDamage(t *testing.T, when string, err error, torn bool) {
 	}
 }
 
+// TestCheck: Check vouches for exactly the frames Append writes. Every
+// single-byte flip of a frame, header included, is damage, and so is a
+// frame cut short or read with a byte too many.
+func TestCheck(t *testing.T) {
+	frame := Append(nil, []byte("some payload"))
+	if err := Check(frame); err != nil {
+		t.Fatalf("Check of an intact frame: %v", err)
+	}
+	for i := range frame {
+		bad := bytes.Clone(frame)
+		bad[i] ^= 0xFF
+		wantDamage(t, fmt.Sprintf("byte %d flipped", i), Check(bad), false)
+	}
+	wantDamage(t, "short header", Check(frame[:HeaderSize-1]), false)
+	wantDamage(t, "cut payload", Check(frame[:len(frame)-1]), false)
+	wantDamage(t, "extra byte", Check(append(bytes.Clone(frame), 0)), false)
+}
+
 func TestRoundTrip(t *testing.T) {
 	data, payloads, _ := threeFrames()
 	frames, off, err := readAll(data)

@@ -1,9 +1,11 @@
 // Package refsearch is the reference the engine's property tests compare
-// against: the paper's filescan, written the obvious way. It shares no
-// code with query.Engine — no worker pool, no batching, no candidate set,
-// no bounds — so agreement with it is evidence about the engine rather
-// than about a second run of the engine. Test-only: nothing in the
-// product imports it.
+// against: the paper's filescan, written the obvious way. It reads
+// through the store's one reader, as the engine does, but shares no
+// evaluation, batching or ranking code with query.Engine — no worker
+// pool, no candidate set, no bounds, no table DP: each document is
+// decoded whole and scored by Query.Eval — so agreement with it is
+// evidence about the engine rather than about a second run of the
+// engine. Test-only: nothing in the product imports it.
 package refsearch
 
 import (
@@ -11,7 +13,6 @@ import (
 	"sort"
 
 	"github.com/paper-repo/staccato-go/pkg/query"
-	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
@@ -22,8 +23,16 @@ import (
 // opts.TopN when it is positive. opts.Rescore is applied before
 // evaluation; opts.Candidates and opts.Stats are ignored.
 func Search(ctx context.Context, st store.DocStore, q *query.Query, opts query.SearchOptions) ([]query.Result, error) {
+	ids, err := st.ListDocIDs(ctx)
+	if err != nil {
+		return nil, err
+	}
 	var out []query.Result
-	err := st.Scan(ctx, func(d *staccato.Doc) error {
+	err = st.ViewBatch(ctx, ids, func(_ int, v *store.View) error {
+		d, err := store.Decode(v.Data)
+		if err != nil {
+			return err
+		}
 		if opts.Rescore != nil {
 			d = opts.Rescore(d)
 		}

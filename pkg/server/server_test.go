@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -417,6 +420,63 @@ func TestDeadlineExceededReturns504(t *testing.T) {
 	var er errorResponse
 	if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "deadline") {
 		t.Errorf("504 body should name the deadline: %s", body)
+	}
+}
+
+// TestDamagedRecordReturns500: a stored record whose bytes changed on
+// disk is the server's failure, never an answer. Reading it, by ID or in
+// a search that scans it, is a 500 through writeDBError's default case;
+// an intact record next to it still reads.
+func TestDamagedRecordReturns500(t *testing.T) {
+	dir := t.TempDir()
+	db, err := staccatodb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	client := ts.Client()
+	docs := testDocs(t, 4)
+	if status, body := postJSON(t, client, ts.URL+"/v1/ingest", ingestRequest{Docs: docs}); status != http.StatusOK {
+		t.Fatalf("ingest: status %d, body %s", status, body)
+	}
+	// The batch's first document is the segment's first frame. Flip the
+	// low bit of its first probability: a record that still parses.
+	path := filepath.Join(dir, "seg-00000001.log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, binary.LittleEndian.AppendUint64(nil, math.Float64bits(docs[0].Chunks[0].Alts[0].Prob)))
+	if at < 0 {
+		t.Fatal("the first probability is not in the segment")
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte{data[at] ^ 1}, int64(at))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if status, body := getJSON(t, client, ts.URL+"/v1/docs/"+docs[0].ID); status != http.StatusInternalServerError {
+		t.Errorf("GET the damaged record: status %d, want 500; body %s", status, body)
+	}
+	if status, body := getJSON(t, client, ts.URL+"/v1/docs/"+docs[1].ID); status != http.StatusOK {
+		t.Errorf("GET an intact record: status %d, want 200; body %s", status, body)
+	}
+	if status, body := postJSON(t, client, ts.URL+"/v1/search", queryRequest{Terms: []string{"e"}}); status != http.StatusInternalServerError {
+		t.Errorf("scanning search: status %d, want 500; body %s", status, body)
 	}
 }
 

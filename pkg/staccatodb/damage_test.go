@@ -7,11 +7,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/index"
+	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
@@ -256,5 +258,89 @@ func TestOpenSweepsStaleIndexTemp(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
 		t.Error("Open rewrote the index log: it rebuilt instead of loading")
+	}
+}
+
+// TestEveryFlipIsCorruptOrUnread flips every byte of every live frame of
+// a small store in turn, header bytes included, and restores it before
+// the next. A read that meets the flipped frame must fail with
+// diskstore.ErrCorrupt; every other read, and a top-k search that does
+// not read the frame, must answer exactly as before the flip. No read may
+// turn the damage into a different document or probability. The store is
+// not reopened: what replay makes of the damage is its own policy.
+func TestEveryFlipIsCorruptOrUnread(t *testing.T) {
+	ctx := context.Background()
+	dir := buildDamageStore(t)
+	db, err := staccatodb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st := db.Store()
+	ids, err := st.ListDocIDs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := mustQ(query.Substring("e")) // below the gram size: reads every document
+	topk := mustQ(query.Substring(corpus(t, damageDocs, 41)[0].Truth[:4]))
+	topkOpts := query.SearchOptions{TopN: 2}
+	wantDocs, err := st.GetBatch(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTopK, stats, err := db.Search(ctx, topk, topkOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Mode != query.ExecTopK || stats.CandidatesFetched >= len(ids) {
+		t.Fatalf("top-k query ran %s fetching %d of %d documents; it no longer leaves records unread", stats.Mode, stats.CandidatesFetched, len(ids))
+	}
+
+	path := filepath.Join(dir, "seg-00000001.log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := frameBounds(t, data); len(b) != damageDocs+1 || b[len(b)-1] != int64(len(data)) {
+		t.Fatalf("segment frames end at %v; want one live frame per document filling the file", b)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	write := func(at int, b byte) {
+		if _, err := f.WriteAt([]byte{b}, int64(at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for at := range data {
+		write(at, data[at]^0xFF)
+		corrupt := 0
+		for i, id := range ids {
+			doc, err := db.Get(ctx, id)
+			switch {
+			case errors.Is(err, diskstore.ErrCorrupt):
+				corrupt++
+			case err != nil:
+				t.Fatalf("byte %d: Get %s: %v", at, id, err)
+			case !reflect.DeepEqual(doc, wantDocs[i]):
+				t.Fatalf("byte %d: Get %s returned a different document", at, id)
+			}
+		}
+		if corrupt != 1 {
+			t.Fatalf("byte %d: %d Gets reported ErrCorrupt, want exactly the flipped record's", at, corrupt)
+		}
+		if _, err := st.GetBatch(ctx, ids); !errors.Is(err, diskstore.ErrCorrupt) {
+			t.Fatalf("byte %d: GetBatch of every ID = %v, want ErrCorrupt", at, err)
+		}
+		if _, _, err := db.Search(ctx, scan, query.SearchOptions{}); !errors.Is(err, diskstore.ErrCorrupt) {
+			t.Fatalf("byte %d: scan Search = %v, want ErrCorrupt", at, err)
+		}
+		got, _, err := db.Search(ctx, topk, topkOpts)
+		if !errors.Is(err, diskstore.ErrCorrupt) && (err != nil || !reflect.DeepEqual(got, wantTopK)) {
+			t.Fatalf("byte %d: top-k Search = %v, %v; want ErrCorrupt or %v", at, got, err, wantTopK)
+		}
+		write(at, data[at])
 	}
 }

@@ -2,13 +2,15 @@ package diskstore_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
@@ -141,7 +143,7 @@ func BenchmarkOpenReindex(b *testing.B) {
 }
 
 // scanAll drains a full Scan, decoding every document.
-func scanAll(b *testing.B, st store.DocStore) {
+func scanAll(b *testing.B, st *diskstore.Store) {
 	b.Helper()
 	n := 0
 	if err := st.Scan(context.Background(), func(*staccato.Doc) error {
@@ -183,6 +185,64 @@ func benchScan(b *testing.B, st *diskstore.Store) {
 		scanAll(b, st)
 	}
 	reportDocsPerSec(b, benchDocs)
+}
+
+const compactDocs = 3000
+
+var (
+	compactCorpusOnce sync.Once
+	compactCorpus     []*staccato.Doc
+)
+
+// BenchmarkCompact times Compact over compactDocs error-model documents
+// at dial (6,3), a third of them overwritten once: it reads every live
+// record through the store's one reader, checks its frame, and copies it
+// into fresh segments, skipping the dead quarter of the records. Each
+// iteration compacts a freshly written store.
+func BenchmarkCompact(b *testing.B) {
+	compactCorpusOnce.Do(func() {
+		cases, err := testgen.ErrDocs(compactDocs, testgen.ErrModelConfig{VocabSize: 2000, Seed: 1}, 6, 3)
+		if err != nil {
+			panic(err)
+		}
+		for _, c := range cases {
+			compactCorpus = append(compactCorpus, c.Doc)
+		}
+	})
+	ctx := context.Background()
+	root := b.TempDir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(root, strconv.Itoa(i))
+		st, err := diskstore.Open(dir, diskstore.Options{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch := st.Batch() // Commit returns any error a Put latched
+		for _, d := range compactCorpus {
+			batch.Put(d)
+		}
+		for j := 0; j < compactDocs; j += 3 {
+			batch.Put(compactCorpus[j])
+		}
+		if err := batch.Commit(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := st.Compact(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	reportDocsPerSec(b, compactDocs)
 }
 
 // TestBatchedIngestFasterThanUnbatched is a coarse, generously-margined

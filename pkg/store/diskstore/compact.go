@@ -1,9 +1,11 @@
 package diskstore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
@@ -12,7 +14,10 @@ import (
 // Compact rewrites every live record into fresh segment files and drops
 // everything else — superseded puts and tombstones — reclaiming the disk
 // space appends accumulate. Compaction is explicit (no background
-// goroutine) and exclusive: reads and writes wait while it runs.
+// goroutine) and exclusive: reads and writes wait while it runs. Each
+// record is copied as readRuns read and checked it, so a damaged record
+// fails the compaction with ErrCorrupt instead of being sealed again
+// under a fresh checksum; the old segments stay the store.
 //
 // The swap is crash-safe through the manifest. New segments are written
 // and fsynced while the manifest still names only the old ones; a single
@@ -66,26 +71,30 @@ func (s *Store) Compact(ctx context.Context) error {
 	if err := newSegment(); err != nil {
 		return abandon(err)
 	}
-	for _, id := range ids {
+	var b batch
+	for from := 0; from < len(ids); from += readRun {
 		if err := ctx.Err(); err != nil {
 			return abandon(err)
 		}
-		ref := s.index[id]
-		payload, err := s.readPayload(ref)
-		if err != nil {
+		run := ids[from:min(from+readRun, len(ids))]
+		if err := s.readRuns(run, &b); err != nil {
 			return abandon(err)
 		}
-		if cur.size >= s.opts.MaxSegmentBytes {
-			if err := newSegment(); err != nil {
-				return abandon(err)
+		// readRuns leaves the slots in storage order; write in ID order.
+		slices.SortFunc(b.slots, func(x, y slot) int { return cmp.Compare(x.idx, y.idx) })
+		for _, sl := range b.slots {
+			if cur.size >= s.opts.MaxSegmentBytes {
+				if err := newSegment(); err != nil {
+					return abandon(err)
+				}
 			}
+			frame := b.frame(sl)
+			if _, err := cur.f.WriteAt(frame, cur.size); err != nil {
+				return abandon(fmt.Errorf("diskstore: %w", err))
+			}
+			newRefs[run[sl.idx]] = recordRef{seg: cur.num, off: cur.size + framelog.HeaderSize, n: sl.ref.n}
+			cur.size += int64(len(frame))
 		}
-		frame := framelog.Append(nil, payload)
-		if _, err := cur.f.WriteAt(frame, cur.size); err != nil {
-			return abandon(fmt.Errorf("diskstore: %w", err))
-		}
-		newRefs[id] = recordRef{seg: cur.num, off: cur.size + framelog.HeaderSize, n: ref.n}
-		cur.size += int64(len(frame))
 	}
 	for _, seg := range newSegs {
 		if err := seg.f.Sync(); err != nil {

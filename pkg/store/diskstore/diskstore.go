@@ -26,6 +26,15 @@
 // on Open, so the newest record for each ID wins and disk holds no
 // secondary structures that can desynchronize.
 //
+// # Reads
+//
+// Get, GetBatch, ViewBatch, Scan and Compact get every record byte from
+// one reader. It reads each run of adjacent frames with one ReadAt and
+// checks every frame — its length against the index, its checksum —
+// before any caller sees the payload. A frame that fails is ErrCorrupt: a
+// damaged record is an error, never an answer, and Compact never seals it
+// again under a fresh checksum.
+//
 // # Crash safety
 //
 // Frames, the torn-tail rule and the atomic file replace all live in
@@ -64,6 +73,12 @@ import (
 
 // ErrClosed is returned by every operation on a closed store.
 var ErrClosed = errors.New("diskstore: store is closed")
+
+// ErrCorrupt is returned, wrapped with the segment and offset, by a read
+// that meets a record whose frame no longer holds what was written: its
+// length disagrees with the index, or its checksum fails. The damaged
+// bytes never reach the caller.
+var ErrCorrupt = errors.New("diskstore: corrupt record")
 
 const (
 	manifestName  = "MANIFEST"
@@ -538,52 +553,28 @@ func (s *Store) Put(ctx context.Context, doc *staccato.Doc) error {
 	return s.writeOps([]op{o})
 }
 
-// Get returns the document with the given ID, or store.ErrNotFound. Like
-// ViewBatch, it holds the read lock only long enough to copy the raw
-// record off its segment; decoding happens after the lock is released.
+// Get returns the document with the given ID, or store.ErrNotFound: the
+// one-ID case of GetBatch.
 func (s *Store) Get(ctx context.Context, id string) (*staccato.Doc, error) {
-	if err := ctx.Err(); err != nil {
+	docs, err := s.GetBatch(ctx, []string{id})
+	if err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	ref, ok := s.index[id]
-	if !ok {
-		s.mu.RUnlock()
+	if docs[0] == nil {
 		return nil, fmt.Errorf("%w: %q", store.ErrNotFound, id)
 	}
-	//lint:allow lockio the read lock must pin the segment file open across the ReadAt (Compact closes segments under the write lock); only the decode happens outside
-	payload, err := s.readPayload(ref)
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	doc, err := livePayload(id, payload)
-	if err != nil {
-		return nil, err
-	}
-	return store.Decode(doc)
+	return docs[0], nil
 }
 
-// readPayload copies one record's payload off its segment. Callers must
-// hold s.mu (read or write): the lock keeps Compact from closing the
-// segment file under the ReadAt.
-func (s *Store) readPayload(ref recordRef) ([]byte, error) {
-	payload := make([]byte, ref.n)
-	return payload, s.readAt(ref, payload)
-}
-
-// readAt fills dst with the bytes ref names — one record's payload, or a
-// run of adjacent frames — in one ReadAt. Callers must hold s.mu.
-func (s *Store) readAt(ref recordRef, dst []byte) error {
-	seg := s.segs[ref.seg]
+// readAt fills dst with the bytes of segment num from off on. Callers
+// must hold s.mu: the lock keeps Compact from closing the segment file
+// under the ReadAt.
+func (s *Store) readAt(num uint64, off int64, dst []byte) error {
+	seg := s.segs[num]
 	if seg == nil {
-		return fmt.Errorf("diskstore: index references missing segment %d", ref.seg)
+		return fmt.Errorf("diskstore: index references missing segment %d", num)
 	}
-	if _, err := seg.f.ReadAt(dst, ref.off); err != nil {
+	if _, err := seg.f.ReadAt(dst, off); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
 	return nil
@@ -591,8 +582,8 @@ func (s *Store) readAt(ref recordRef, dst []byte) error {
 
 // livePayload parses one record payload and returns its encoded
 // document, verifying the record is the live put the index claimed for
-// id — the single validation Get, GetBatch and ViewBatch apply to bytes
-// read off a segment.
+// id — the single validation GetBatch and ViewBatch apply to a payload
+// readRuns has vouched for.
 func livePayload(id string, payload []byte) ([]byte, error) {
 	kind, gotID, doc, err := parsePayload(payload)
 	if err != nil {
@@ -626,12 +617,16 @@ var batches = sync.Pool{New: func() any { return new(batch) }}
 // payload returns sl's bytes in b's buffer.
 func (b *batch) payload(sl slot) []byte { return b.buf[sl.at : sl.at+sl.ref.n] }
 
-// readBatch is the run reader GetBatch and ViewBatch share. The read lock
-// is taken once for the whole batch, the records are sorted by (segment,
-// offset), and each run of records that sit back to back in one segment
-// — the common case for a sorted batch after a bulk ingest — is one
-// read into b.buf, so a batch costs one read per run of adjacent records
-// instead of one per ID. IDs with no live record get no slot.
+// frame returns sl's whole frame, header included, in b's buffer.
+func (b *batch) frame(sl slot) []byte { return b.buf[sl.at-framelog.HeaderSize : sl.at+sl.ref.n] }
+
+// readRun is how many records Scan and Compact read at a time: enough
+// that a run of adjacent records is one read, few enough that a run's
+// bytes stay well under a MB.
+const readRun = 256
+
+// readBatch is readRuns under the read lock, taken once for the whole
+// batch; parsing and decoding happen after it is released.
 func (s *Store) readBatch(ctx context.Context, ids []string, b *batch) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -641,6 +636,20 @@ func (s *Store) readBatch(ctx context.Context, ids []string, b *batch) error {
 	if s.closed {
 		return ErrClosed
 	}
+	//lint:allow lockio the read lock must pin the segment files open across the batch's ReadAt pass; parsing happens after RUnlock
+	return s.readRuns(ids, b)
+}
+
+// readRuns is the store's one reader: Get, GetBatch, ViewBatch, Scan and
+// Compact get every record byte through it. The records are sorted by
+// (segment, offset), and each run of frames that sit back to back in one
+// segment — the common case for a sorted batch after a bulk ingest — is
+// one read into b.buf from the run's first frame header, so a batch costs
+// one read per run of adjacent records instead of one per ID. Before any
+// caller sees a payload, framelog.Check vouches for its frame: the length
+// the index recorded and the checksum. A frame that fails is ErrCorrupt.
+// IDs with no live record get no slot. Callers hold s.mu.
+func (s *Store) readRuns(ids []string, b *batch) error {
 	b.slots = b.slots[:0]
 	for i, id := range ids {
 		if ref, ok := s.index[id]; ok {
@@ -666,15 +675,19 @@ func (s *Store) readBatch(ctx context.Context, ids []string, b *batch) error {
 			}
 		}
 		last := b.slots[j-1].ref
-		n := int(last.off-first.off) + last.n
+		from := first.off - framelog.HeaderSize
+		n := int(last.off-from) + last.n
 		start := len(b.buf)
 		b.buf = slices.Grow(b.buf, n)[:start+n]
-		//lint:allow lockio the read lock must pin the segment files open across the batch's ReadAt pass; parsing happens after RUnlock
-		if err := s.readAt(recordRef{seg: first.seg, off: first.off, n: n}, b.buf[start:]); err != nil {
+		if err := s.readAt(first.seg, from, b.buf[start:]); err != nil {
 			return err
 		}
 		for ; i < j; i++ {
-			b.slots[i].at = start + int(b.slots[i].ref.off-first.off)
+			sl := &b.slots[i]
+			sl.at = start + int(sl.ref.off-from)
+			if err := framelog.Check(b.frame(*sl)); err != nil {
+				return fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, segName(sl.ref.seg), sl.ref.off-framelog.HeaderSize, err)
+			}
 		}
 	}
 	return nil
@@ -746,33 +759,30 @@ func (s *Store) Delete(ctx context.Context, id string) error {
 	return s.writeOps([]op{{kind: recDelete, id: id}})
 }
 
-// Scan visits all documents in ascending ID order. The snapshot of IDs is
-// taken up front, so fn may call back into the store; a document deleted
-// between snapshot and visit is skipped.
+// Scan visits all documents in ascending ID order, reading them
+// through GetBatch in runs of readRun. The listing of IDs is taken up
+// front and fn runs outside the lock, so fn may call back into the
+// store; a document deleted before its run is read is skipped. If fn
+// returns store.ErrStopScan the scan ends and Scan returns nil; any other
+// error ends the scan and is returned.
 func (s *Store) Scan(ctx context.Context, fn func(doc *staccato.Doc) error) error {
 	ids, err := s.ListDocIDs(ctx)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		doc, err := s.Get(ctx, id)
-		if errors.Is(err, store.ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(doc); err != nil {
-			if errors.Is(err, store.ErrStopScan) {
-				return nil
+	for from := 0; err == nil && from < len(ids); from += readRun {
+		var docs []*staccato.Doc
+		docs, err = s.GetBatch(ctx, ids[from:min(from+readRun, len(ids))])
+		for _, d := range docs {
+			if d == nil { // deleted since the listing
+				continue
 			}
-			return err
+			if err = fn(d); err != nil {
+				break
+			}
 		}
 	}
-	return nil
+	if errors.Is(err, store.ErrStopScan) {
+		return nil
+	}
+	return err
 }
 
 // Len returns the number of live documents.

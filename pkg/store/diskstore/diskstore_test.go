@@ -1,7 +1,9 @@
 package diskstore_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -60,7 +62,7 @@ func eachFS(t *testing.T, opts diskstore.Options, fn func(t *testing.T, st *disk
 	t.Run("mem", func(t *testing.T) { fn(t, openMemT(t, opts)) })
 }
 
-func scanIDs(t *testing.T, st store.DocStore) []string {
+func scanIDs(t *testing.T, st *diskstore.Store) []string {
 	t.Helper()
 	var ids []string
 	if err := st.Scan(context.Background(), func(d *staccato.Doc) error {
@@ -624,6 +626,71 @@ func TestInterruptedCompactionSweep(t *testing.T) {
 	}
 	if _, err := os.Stat(stray); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("stale segment %s not swept on Open (stat err=%v)", stray, err)
+	}
+}
+
+// TestCompactKeepsDamage: Compact copies each record as the store's one
+// reader checked it, so a flipped probability byte fails the compaction
+// with ErrCorrupt instead of being sealed again under a fresh checksum,
+// after which the store would reopen cleanly and answer 1.5 for 0.75.
+// The old segments stay the store and the new ones are removed.
+func TestCompactKeepsDamage(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	st := openT(t, dir, diskstore.Options{})
+	hello := &staccato.Doc{ID: "a", Chunks: []staccato.PathSet{{
+		Alts: []staccato.Alt{{Text: "hello world", Prob: 0.75}, {Text: "hallo world", Prob: 0.25}}, Retained: 1,
+	}}}
+	if err := st.Put(ctx, hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(ctx, sampleDoc(t, "b", 1)); err != nil {
+		t.Fatal(err)
+	}
+	seg := lastSegment(t, dir)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.75)))
+	if at < 0 {
+		t.Fatal("0.75 not found in the segment")
+	}
+	f, err := os.OpenFile(seg, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte{data[at+6] ^ 0x10}, int64(at+6)) // 0x3FE8… → 0x3FF8…: 0.75 → 1.5
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+
+	if err := st.Compact(ctx); !errors.Is(err, diskstore.ErrCorrupt) {
+		t.Fatalf("Compact over a damaged record = %v, want ErrCorrupt", err)
+	}
+	if after, _ := filepath.Glob(filepath.Join(dir, "seg-*.log")); !slices.Equal(after, before) {
+		t.Errorf("segments after the failed Compact = %v, want the old %v", after, before)
+	}
+	if _, err := st.Get(ctx, "a"); !errors.Is(err, diskstore.ErrCorrupt) {
+		t.Errorf("Get of the damaged record = %v, want ErrCorrupt", err)
+	}
+	if _, err := st.Get(ctx, "b"); err != nil {
+		t.Errorf("Get of the intact record: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := diskstore.Open(dir, diskstore.Options{})
+	if err != nil {
+		return // replay refused the interior damage
+	}
+	defer st2.Close()
+	if d, err := st2.Get(ctx, "a"); err == nil {
+		t.Fatalf("reopened store answers the damaged record: %+v", d.Chunks)
 	}
 }
 

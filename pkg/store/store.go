@@ -10,39 +10,26 @@ package store
 import (
 	"context"
 	"errors"
-
-	"github.com/paper-repo/staccato-go/pkg/staccato"
 )
 
-// ErrNotFound is returned by Get when no document has the requested ID.
+// ErrNotFound is returned by a store's Get when no document has the
+// requested ID.
 var ErrNotFound = errors.New("store: document not found")
 
 // ErrInvalidDoc is returned, wrapped with the offending chunk, by a write
 // of a document whose chunks are not probability distributions.
 var ErrInvalidDoc = errors.New("store: invalid document")
 
-// ErrStopScan can be returned by a Scan callback to end the scan early
-// without Scan reporting an error.
+// ErrStopScan can be returned by a store's Scan callback to end the scan
+// early without Scan reporting an error.
 var ErrStopScan = errors.New("store: stop scan")
 
-// DocStore stores Staccato documents keyed by their ID.
+// DocStore is what the query engine reads documents through: the live
+// IDs, their records read in place, and their count. Writes, whole-document
+// reads and scans are methods of the store itself (diskstore.Store).
 //
-// Implementations must be safe for concurrent use, must not retain or
-// alias documents passed to Put (callers may mutate them afterwards), and
-// Scan must visit documents in ascending ID order so results are
-// deterministic and pagination can be layered on top later.
+// Implementations must be safe for concurrent use.
 type DocStore interface {
-	// Put stores doc, replacing any existing document with the same ID.
-	Put(ctx context.Context, doc *staccato.Doc) error
-	// Get returns the document with the given ID, or ErrNotFound.
-	Get(ctx context.Context, id string) (*staccato.Doc, error)
-	// Delete removes the document with the given ID. Deleting an ID that
-	// is not present is a no-op, not an error, so Delete is idempotent.
-	Delete(ctx context.Context, id string) error
-	// Scan calls fn for each stored document in ascending ID order. If fn
-	// returns ErrStopScan the scan ends and Scan returns nil; any other
-	// error ends the scan and is returned.
-	Scan(ctx context.Context, fn func(doc *staccato.Doc) error) error
 	// ListDocIDs returns the IDs of all stored documents in ascending
 	// order without reading or decoding document bodies. The listing is a
 	// snapshot: concurrent writes may or may not be reflected. The caller

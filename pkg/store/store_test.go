@@ -56,10 +56,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-// newMemStore returns an empty in-memory DocStore: a diskstore over its
-// in-memory file system. The MemStore tests below check the DocStore
-// contract through the interface alone.
-func newMemStore(t *testing.T) store.DocStore {
+// newMemStore returns an empty in-memory store: a diskstore over its
+// in-memory file system.
+func newMemStore(t *testing.T) *diskstore.Store {
 	t.Helper()
 	st, err := diskstore.OpenMem(diskstore.Options{})
 	if err != nil {
