@@ -71,6 +71,29 @@ func (ix *Index) Entries() []Entry {
 	return out
 }
 
+// ByID returns a lookup's answer — (ID, bound) pairs in no particular
+// order — sorted by ID, bounds kept aligned, for a test to compare with a
+// list; nil bounds stay nil.
+func ByID(ids []string, bounds []float64) ([]string, []float64) {
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(ids[a], ids[b]) })
+	sorted := make([]string, len(ids))
+	var sortedBounds []float64
+	if bounds != nil {
+		sortedBounds = make([]float64, len(ids))
+	}
+	for i, o := range order {
+		sorted[i] = ids[o]
+		if bounds != nil {
+			sortedBounds[i] = bounds[o]
+		}
+	}
+	return sorted, sortedBounds
+}
+
 // SetRewriteFloor lowers the length below which Writer.Append never
 // rewrites a log to n until the test ends, so that a small corpus
 // rewrites its log many times.

@@ -18,6 +18,7 @@ func candidates(t *testing.T, ix *index.Index, grams ...string) []string {
 	if !ok {
 		t.Fatalf("Candidates(%v) cannot answer", grams)
 	}
+	ids, _ = index.ByID(ids, nil)
 	return ids
 }
 

@@ -146,7 +146,7 @@ func BenchmarkCandidatesAnd(b *testing.B) {
 	for _, w := range testgen.Vocab(2000)[11:14] {
 		l.And = append(l.And, Lookup{Grams: wordGrams(w, DefaultGramSize)})
 	}
-	ids, _, _, ok := ix.Candidates(l)
+	ids, _, _, _, ok := ix.Candidates(l)
 	if !ok {
 		b.Fatal("the And lookup did not answer")
 	}

@@ -1,9 +1,6 @@
 package index
 
-import (
-	"slices"
-	"strings"
-)
+import "slices"
 
 // Lookup is a candidate question put to the index: a tree in which each
 // node sets exactly one field. A query plan lowers itself to one Lookup
@@ -25,10 +22,10 @@ type Lookup struct {
 	Or []Lookup
 }
 
-// Candidates answers l: ascending and duplicate-free, the IDs of the live
-// documents l admits, plus every overflow document, and aligned with them
-// an admissible upper bound on the probability that a retained reading of
-// the document satisfies l:
+// Candidates answers l: duplicate-free and in no particular order, the IDs
+// of the live documents l admits, plus every overflow document, and
+// aligned with them an admissible upper bound on the probability that a
+// retained reading of the document satisfies l:
 //
 //   - Grams: the min over the grams of the per-(doc, gram) bound;
 //   - Patterns: min(1, Σ_pattern min_window min(1, Σ_gram bound(doc, gram)))
@@ -42,12 +39,13 @@ type Lookup struct {
 // This is the index half of the planner's no-false-negative contract: a
 // live document absent from the result provably has no retained reading
 // satisfying l. grams is the number of dictionary grams the Patterns nodes
-// that answered expanded their wildcards to. ok is false — the caller
-// must not prune — when the root cannot be answered: a node with no field
-// set, a pattern with no window holding a literal rune (it constrains
-// nothing), a Patterns node whose expansion would exceed maxWildProbes, an
-// And none of whose children answered, an Or one of whose children did
-// not.
+// that answered expanded their wildcards to, and live the number of live
+// documents the index held as it answered — read under the same lock, so
+// it counts every ID returned. ok is false — the caller must not prune —
+// when the root cannot be answered: a node with no field set, a pattern
+// with no window holding a literal rune (it constrains nothing), a
+// Patterns node whose expansion would exceed maxWildProbes, an And none of
+// whose children answered, an Or one of whose children did not.
 //
 // The whole tree is evaluated on document ordinals under one read lock,
 // and on the stored 16-bit bounds: sums and mins of integers are exact, so
@@ -55,16 +53,16 @@ type Lookup struct {
 // listed or intersections are scheduled in, and it is the same for an index
 // that wrote its log and one that loaded it. The bounds become float64
 // once, in materialize.
-func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams int, ok bool) {
+func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams, live int, ok bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	e := evaluator{ix: ix}
 	acc, ok := e.eval(l)
 	if !ok {
-		return nil, nil, e.grams, false
+		return nil, nil, e.grams, len(ix.ord), false
 	}
 	ids, bounds = ix.materialize(acc)
-	return ids, bounds, e.grams, true
+	return ids, bounds, e.grams, len(ix.ord), true
 }
 
 // CandidatesWithBounds is Candidates for a single Grams node.
@@ -72,38 +70,36 @@ func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams int
 // Deprecated: call Candidates. Kept for bench/trace.go, and goes with the
 // benchmark PR that re-points it.
 func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool) {
-	ids, bounds, _, ok := ix.Candidates(Lookup{Grams: grams})
+	ids, bounds, _, _, ok := ix.Candidates(Lookup{Grams: grams})
 	return ids, bounds, ok
 }
 
-// materialize is the one place a lookup leaves ordinal space: it turns
-// acc into ascending live document IDs with their bounds, joined at bound
-// 1 by every overflow document. A live document owns exactly one ordinal,
-// which sits in always or in posting lists, never both — so no node of a
-// Lookup ever sees an overflow document, and since min and the capped sum
-// of 1s are both 1, joining them once here equals admitting them at every
-// leaf. Callers hold ix.mu.
+// materialize is the one place a lookup leaves ordinal space: it writes
+// out acc's live document IDs with their bounds in ordinal order — base
+// part, then delta part, then every overflow document at bound 1.
+// Nothing is sorted: the caller orders the candidates only as far as it
+// reads them. A live document owns exactly one ordinal, which sits in
+// always or in posting lists, never both — so no node of a Lookup ever
+// sees an overflow document, and since min and the capped sum of 1s are
+// both 1, joining them once here equals admitting them at every leaf.
+// Callers hold ix.mu.
 func (ix *Index) materialize(acc parts) ([]string, []float64) {
-	type cand struct {
-		id string
-		b  float64
-	}
-	out := make([]cand, 0, len(acc[0].ords)+len(acc[1].ords)+len(ix.always))
+	n := len(acc[0].ords) + len(acc[1].ords) + len(ix.always)
+	ids, bnds := make([]string, 0, n), make([]float64, 0, n)
 	for _, part := range acc {
 		for k, o := range part.ords {
 			if id := ix.ids[o]; id != "" {
-				out = append(out, cand{id, Dequantize(part.bnds[k])})
+				ids, bnds = append(ids, id), append(bnds, Dequantize(part.bnds[k]))
 			}
 		}
 	}
+	over := make([]uint32, 0, len(ix.always))
 	for o := range ix.always {
-		out = append(out, cand{ix.ids[o], 1})
+		over = append(over, o)
 	}
-	slices.SortFunc(out, func(a, b cand) int { return strings.Compare(a.id, b.id) })
-	ids := make([]string, len(out))
-	bnds := make([]float64, len(out))
-	for i, c := range out {
-		ids[i], bnds[i] = c.id, c.b
+	slices.Sort(over)
+	for _, o := range over {
+		ids, bnds = append(ids, ix.ids[o]), append(bnds, 1)
 	}
 	return ids, bnds
 }

@@ -28,10 +28,14 @@ func wild(t *testing.T, ix *Index, patterns ...string) ([]string, []float64, int
 	for i, p := range patterns {
 		ps[i] = pat(p)
 	}
-	ids, bounds, grams, ok := ix.Candidates(Lookup{Patterns: ps})
+	ids, bounds, grams, live, ok := ix.Candidates(Lookup{Patterns: ps})
 	if !ok {
 		t.Fatalf("Candidates(Patterns: %v) cannot answer", patterns)
 	}
+	if live != ix.Len() {
+		t.Errorf("Candidates(Patterns: %v) counts %d live documents, Len %d", patterns, live, ix.Len())
+	}
+	ids, bounds = ByID(ids, bounds)
 	return ids, bounds, grams
 }
 
@@ -101,12 +105,13 @@ func TestPatternsCandidates(t *testing.T) {
 
 	// The literal lookup does not add short documents: a reading holding
 	// a whole gram is at least q runes long.
-	if ids, _, _ := ix.CandidatesWithBounds([]string{"bdx"}); !reflect.DeepEqual(ids, []string{"d2", "over"}) {
+	ids, _, _ := ix.CandidatesWithBounds([]string{"bdx"})
+	if ids, _ = ByID(ids, nil); !reflect.DeepEqual(ids, []string{"d2", "over"}) {
 		t.Errorf("CandidatesWithBounds(bdx) = %v, want [d2 over]", ids)
 	}
 
 	for _, refused := range [][][]rune{nil, {pat("???")}, {pat("ab")}, {pat("ab?"), pat("??")}} {
-		if _, _, _, ok := ix.Candidates(Lookup{Patterns: refused}); ok {
+		if _, _, _, _, ok := ix.Candidates(Lookup{Patterns: refused}); ok {
 			t.Errorf("Candidates(Patterns: %q) answered; a pattern without a literal window constrains nothing", refused)
 		}
 	}
@@ -129,7 +134,7 @@ func TestWildcardProbeBudget(t *testing.T) {
 	if ids, _, grams := wild(t, ix, "一??"+string(rune(0x4E03))); !reflect.DeepEqual(ids, []string{"wide"}) || grams != 1 {
 		t.Errorf("two wildcards (148² probes): got %v over %d grams, want the one document over 1", ids, grams)
 	}
-	if _, _, _, ok := ix.Candidates(Lookup{Patterns: [][]rune{pat("一???")}}); ok {
+	if _, _, _, _, ok := ix.Candidates(Lookup{Patterns: [][]rune{pat("一???")}}); ok {
 		t.Error("three wildcards (148³ probes) answered; want a refusal")
 	}
 	// The budget is per Patterns node, not per window.
@@ -137,7 +142,7 @@ func TestWildcardProbeBudget(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		many = append(many, pat("一??"+string(rune(0x4E03))))
 	}
-	if _, _, _, ok := ix.Candidates(Lookup{Patterns: many}); ok {
+	if _, _, _, _, ok := ix.Candidates(Lookup{Patterns: many}); ok {
 		t.Error("two 148²-probe windows in one node answered; want a refusal")
 	}
 }

@@ -166,21 +166,29 @@ func TestSearchSkipsDeletedCandidate(t *testing.T) {
 }
 
 // TestEngineStatsInvariantEveryPipeline drives all three execution modes
-// at 1, 2, and 8 workers with a candidate deleted between planning and
+// at 1, 2, and 8 workers with documents deleted between planning and
 // fetching, and checks the accounting invariants on the engine's own
 // stats — no caller arithmetic: DocsTotal == DocsScanned + DocsPruned +
-// BoundsSkipped everywhere, and CandidatesFetched == DocsScanned +
-// CandidatesDeleted with the deletion visible wherever the source is the
-// candidate set (the scan lists after the delete, never attempts the
-// fetch, and reports both candidate counters as zero) — and the output
-// against the sequential reference.
+// BoundsSkipped everywhere, with DocsPruned ≥ 0, and CandidatesFetched ==
+// DocsScanned + CandidatesDeleted with the deletions visible wherever the
+// source is the candidate set and the run fetched them (the scan lists
+// after the deletes, never attempts the fetch, and reports both candidate
+// counters as zero) — and the output against the sequential reference.
+// DocsTotal is the corpus the run drew from: what the scan listed, and
+// for the candidate modes the live count the index took with the
+// candidates, the deleted ones still among them. The store's count read
+// after the run would leave the top-k run's DocsPruned at -1: it skips
+// m-0199 on its bound and never sees x-filler.
 func TestEngineStatsInvariantEveryPipeline(t *testing.T) {
 	ctx := context.Background()
 	st, q, cand := markerCorpus(t, 200)
+	planned := st.Len()
 	// m-0003 has one of the best bounds, so even an early-stopping top-k
-	// run attempts it.
-	if err := st.Delete(ctx, "m-0003"); err != nil {
-		t.Fatal(err)
+	// run attempts it; m-0199 has the worst.
+	for _, id := range []string{"m-0003", "m-0199", "x-filler"} {
+		if err := st.Delete(ctx, id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	live := st.Len()
 
@@ -191,7 +199,7 @@ func TestEngineStatsInvariantEveryPipeline(t *testing.T) {
 		wantDeleted int
 	}{
 		{mode: query.ExecScan},
-		{mode: query.ExecCandidateOnly, cand: cand, wantDeleted: 1},
+		{mode: query.ExecCandidateOnly, cand: cand, wantDeleted: 2},
 		{mode: query.ExecTopK, cand: cand, topN: 5, wantDeleted: 1},
 	} {
 		want := reference(t, st, q, query.SearchOptions{TopN: tc.topN})
@@ -206,9 +214,13 @@ func TestEngineStatsInvariantEveryPipeline(t *testing.T) {
 			if stats.Mode != tc.mode {
 				t.Fatalf("%s: Mode = %q", name, stats.Mode)
 			}
-			if stats.DocsTotal != live || stats.DocsTotal != stats.DocsScanned+stats.DocsPruned+stats.BoundsSkipped {
-				t.Fatalf("%s: DocsTotal %d (live %d) != scanned %d + pruned %d + skipped %d",
-					name, stats.DocsTotal, live, stats.DocsScanned, stats.DocsPruned, stats.BoundsSkipped)
+			wantTotal := live
+			if tc.cand != nil {
+				wantTotal = planned
+			}
+			if stats.DocsTotal != wantTotal || stats.DocsPruned < 0 || stats.DocsTotal != stats.DocsScanned+stats.DocsPruned+stats.BoundsSkipped {
+				t.Fatalf("%s: DocsTotal %d (want %d) != scanned %d + pruned %d + skipped %d",
+					name, stats.DocsTotal, wantTotal, stats.DocsScanned, stats.DocsPruned, stats.BoundsSkipped)
 			}
 			if stats.CandidatesDeleted != tc.wantDeleted {
 				t.Fatalf("%s: CandidatesDeleted = %d, want %d", name, stats.CandidatesDeleted, tc.wantDeleted)

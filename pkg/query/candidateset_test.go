@@ -167,7 +167,7 @@ func modelLookup(ix *index.Index, live map[string]index.Entry, l index.Lookup, g
 	}
 	set := modelSet{}
 	if l.Patterns != nil {
-		ids, bounds, n, ok := ix.Candidates(l)
+		ids, bounds, n, _, ok := ix.Candidates(l)
 		if !ok {
 			return nil, false
 		}
@@ -275,7 +275,7 @@ func TestCandidateSetAlgebraMatchesMapModel(t *testing.T) {
 				what := fmt.Sprintf("%s, round %d trial %d: %+v", shape.name, round, trial, l)
 				wantGrams := 0
 				want, wantOK := modelLookup(ix, live, l, &wantGrams)
-				ids, bounds, gotGrams, ok := ix.Candidates(l)
+				ids, bounds, gotGrams, _, ok := ix.Candidates(l)
 				if ok != wantOK || gotGrams != wantGrams {
 					t.Fatalf("%s: answered %v over %d expanded grams, want %v over %d", what, ok, gotGrams, wantOK, wantGrams)
 				}

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,8 +57,10 @@ type SearchStats struct {
 	// DocsTotal is the number of live documents the run considered —
 	// pruned, skipped and evaluated alike. A scan's is what it listed and
 	// found stored, DocsScanned + BoundsSkipped; a candidate-sourced run
-	// never sees the corpus, so there it is the store's live-document
-	// count, read after the run.
+	// never sees the corpus, so there it is the live-document count the
+	// posting source took together with the candidates, or, for a set
+	// that carries none (NewCandidateSet), the store's, read after the
+	// run.
 	DocsTotal int `json:"docs_total"`
 	// DocsScanned is the number of documents the DP actually evaluated.
 	DocsScanned int `json:"docs_scanned"`
@@ -198,38 +199,44 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 	}
 	var (
 		mode         = ExecScan
-		seq          ranking
-		got          tally // every round's outcome, summed
-		skipped      int   // documents the run never fetched
+		ids          []string // what an unlimited run evaluates
+		got          tally    // every round's outcome, summed
+		skipped      int      // documents the run never fetched
 		earlyStopped bool
 		err          error
 	)
 	switch cand := opts.Candidates; {
 	case cand == nil:
-		seq.ids, err = e.st.ListDocIDs(ctx)
+		ids, err = e.st.ListDocIDs(ctx)
 	case opts.TopN > 0 && opts.Rescore == nil:
-		mode, seq.ranked = ExecTopK, cand.Ranked()
+		mode = ExecTopK
 	default:
-		mode, seq.ids = ExecCandidateOnly, cand.IDs()
+		mode, ids = ExecCandidateOnly, cand.IDs()
 	}
 	switch {
 	case err != nil:
 	case opts.TopN <= 0:
-		got, err = e.evalAll(ctx, q, opts, seq.ids)
+		got, err = e.evalAll(ctx, q, opts, ids)
+	case mode == ExecTopK:
+		seq := rankBounds(opts.Candidates, opts.MinProb)
+		got, skipped, earlyStopped, err = e.evalRounds(ctx, q, opts, &seq)
 	default:
-		got, skipped, earlyStopped, err = e.evalRounds(ctx, q, opts, seq)
+		seq := rankIDs(ids, opts.MinProb)
+		got, skipped, earlyStopped, err = e.evalRounds(ctx, q, opts, &seq)
 	}
 
 	// The one place execution counters are written. A scan evaluates every
 	// document it lists that is still stored, or skips it, so that is its
 	// corpus; a candidate-sourced run never observes the corpus — that is
-	// its point — so its corpus-level counters derive from the store's live
-	// count: a candidate deleted between planning and fetching is no longer
-	// live, every live document that was neither evaluated nor skipped on
-	// its bound was pruned, and DocsTotal == DocsScanned + DocsPruned +
-	// BoundsSkipped holds by construction — deliberately unclamped, so a
-	// write racing the run shows up as a skewed count instead of being
-	// silently absorbed.
+	// its point — so its corpus-level counters derive from the live count
+	// the posting source took together with the candidates (the store's,
+	// read now, when the set carries none): every candidate was one of
+	// those live documents, a candidate deleted between planning and
+	// fetching no longer counts as scanned, and every live document that
+	// was neither evaluated nor skipped on its bound was pruned. So
+	// DocsTotal == DocsScanned + DocsPruned + BoundsSkipped holds by
+	// construction, and under the source's own count DocsPruned cannot go
+	// negative however writes race the run.
 	if s := opts.Stats; s != nil {
 		s.Mode = mode
 		s.DocsScanned = got.scanned
@@ -238,7 +245,9 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 		s.DocsTotal = got.scanned + skipped
 		s.CandidatesFetched, s.CandidatesDeleted = 0, 0
 		if mode != ExecScan {
-			s.DocsTotal = e.st.Len()
+			if s.DocsTotal = opts.Candidates.live; s.DocsTotal == 0 {
+				s.DocsTotal = e.st.Len()
+			}
 			s.CandidatesFetched, s.CandidatesDeleted = got.fetched, got.fetched-got.scanned
 		}
 		s.DocsPruned = s.DocsTotal - got.scanned - skipped
@@ -250,72 +259,125 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 }
 
 // ranking is the sequence a limited run walks, with an admissible upper
-// bound at every position: the candidates best-bound-first (ranked), or,
-// where no bound below 1 is known, ascending IDs (ids) at the vacuous
-// bound 1. Exactly one of the two is set.
+// bound at every position, taken front to back a round at a time: a
+// candidate set best-bound-first (queue), or, where no bound below 1 is
+// known, ascending IDs (ids) at the vacuous bound 1. Positions whose
+// slack-widened bound falls below MinProb cannot produce a reportable
+// result, and the sequence being bound-descending, they form its tail;
+// usable counts the positions before it, of total.
+//
+// The candidate set arrives in no particular order and a run usually
+// reads a small prefix of it, so the ranking orders it only as far as
+// the run takes it: queue is a binary heap under compareBounded of the
+// usable positions not yet taken. Building it costs O(total) and each
+// position taken O(log usable), against O(total log total) for sorting
+// the whole set up front, and compareBounded is a total order over the
+// distinct IDs, so the positions come off it exactly as Ranked lists
+// them.
 type ranking struct {
-	ids    []string
-	ranked []BoundedCandidate
+	ids           []string
+	queue         []BoundedCandidate
+	taken         int
+	usable, total int
 }
 
-func (r ranking) len() int { return len(r.ids) + len(r.ranked) }
-
-// at is position i with its bound.
-func (r ranking) at(i int) BoundedCandidate {
-	if r.ranked != nil {
-		return r.ranked[i]
+// rankIDs ranks ids, ascending, at the vacuous bound 1.
+func rankIDs(ids []string, minProb float64) ranking {
+	r := ranking{ids: ids, usable: len(ids), total: len(ids)}
+	if minProb > 0 && boundSlack < minProb {
+		r.usable = 0
 	}
-	return BoundedCandidate{ID: r.ids[i], Bound: 1}
+	return r
 }
 
-// round is the IDs of positions [lo, hi) in ascending order, for
-// near-sequential reads; the ranking is fetch-order-independent. In ID
-// order that is a sub-slice of ids, which evalAll only reads.
-func (r ranking) round(lo, hi int) []string {
-	if r.ranked == nil {
-		return r.ids[lo:hi]
+// rankBounds ranks c's candidates best-bound-first.
+func rankBounds(c *CandidateSet, minProb float64) ranking {
+	queue := make([]BoundedCandidate, 0, len(c.ids))
+	for i, id := range c.ids {
+		if b := c.bounds[i]; !(minProb > 0 && b*boundSlack < minProb) {
+			queue = append(queue, BoundedCandidate{ID: id, Bound: b})
+		}
 	}
-	ids := make([]string, 0, hi-lo)
-	for _, c := range r.ranked[lo:hi] {
-		ids = append(ids, c.ID)
+	for i := len(queue)/2 - 1; i >= 0; i-- {
+		siftDown(queue, i)
 	}
-	sort.Strings(ids)
-	return ids
+	return ranking{queue: queue, usable: len(queue), total: len(c.ids)}
+}
+
+// peek is the first position not yet taken, which must be usable.
+func (r *ranking) peek() BoundedCandidate {
+	if r.ids != nil {
+		return BoundedCandidate{ID: r.ids[r.taken], Bound: 1}
+	}
+	return r.queue[0]
+}
+
+// take returns the IDs of the next n usable positions in ascending order,
+// for near-sequential reads; the ranking is fetch-order-independent. In
+// ID order that is a sub-slice of ids, which evalAll only reads.
+func (r *ranking) take(n int) []string {
+	r.taken += n
+	if r.ids != nil {
+		return r.ids[r.taken-n : r.taken]
+	}
+	out := make([]string, n)
+	for i := range out {
+		last := len(r.queue) - 1
+		out[i] = r.queue[0].ID
+		r.queue[0] = r.queue[last]
+		r.queue = r.queue[:last]
+		siftDown(r.queue, 0)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// siftDown restores the heap order of h below i, every other subtree
+// being in order already: h[i] moves down past every child that
+// compareBounded puts before it.
+func siftDown(h []BoundedCandidate, i int) {
+	for {
+		kid := 2*i + 1
+		if kid >= len(h) {
+			return
+		}
+		if kid+1 < len(h) && compareBounded(h[kid+1], h[kid]) < 0 {
+			kid++
+		}
+		if compareBounded(h[i], h[kid]) < 0 {
+			return
+		}
+		h[i], h[kid] = h[kid], h[i]
+		i = kid
+	}
 }
 
 // evalRounds is Search's one round loop for opts.TopN > 0: it evaluates
-// seq in rounds of firstRound's size, doubling, until seq runs out or the
-// running top N is final against the next position. It reports what the
-// rounds produced, how many positions it never fetched — the tail whose
-// bound sits below opts.MinProb included — and whether it stopped early.
-func (e *Engine) evalRounds(ctx context.Context, q *Query, opts SearchOptions, seq ranking) (got tally, skipped int, earlyStopped bool, err error) {
-	// Positions whose bound already sits below MinProb cannot produce a
-	// reportable result; seq is bound-descending, so they form a tail.
-	usable := seq.len()
-	if opts.MinProb > 0 {
-		usable = sort.Search(usable, func(i int) bool {
-			return seq.at(i).Bound*boundSlack < opts.MinProb
-		})
-	}
+// seq in rounds of firstRound's size, doubling, until its usable positions
+// run out or the running top N is final against the next position. It
+// reports what the rounds produced, how many positions it never fetched —
+// the tail whose bound sits below opts.MinProb included — and whether it
+// stopped early.
+func (e *Engine) evalRounds(ctx context.Context, q *Query, opts SearchOptions, seq *ranking) (got tally, skipped int, earlyStopped bool, err error) {
 	next := 0
-	for size := firstRound(opts.TopN, usable); next < usable; size *= 2 {
-		end := min(next+size, usable)
+	for size := firstRound(opts.TopN, seq.usable); next < seq.usable; size *= 2 {
+		n := min(size, seq.usable-next)
 		var round tally
-		if round, err = e.evalAll(ctx, q, opts, seq.round(next, end)); err != nil {
+		if round, err = e.evalAll(ctx, q, opts, seq.take(n)); err != nil {
 			break
 		}
-		next = end
+		next += n
 		got.add(round)
 		// Keeping only the running top N between rounds is lossless: the
 		// ranking is a total order, so the global top N is the top N of the
 		// per-round top-N union.
 		got.res = rankResults(got.res, opts.TopN)
-		if next < usable && len(got.res) == opts.TopN && final(got.res[opts.TopN-1], seq.at(next)) {
+		if next < seq.usable && len(got.res) == opts.TopN && final(got.res[opts.TopN-1], seq.peek()) {
 			earlyStopped = true
 			break
 		}
 	}
-	return got, seq.len() - next, earlyStopped, err
+	return got, seq.total - next, earlyStopped, err
 }
 
 // SearchTopK is Search with cand as opts.Candidates, for callers that

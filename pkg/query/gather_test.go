@@ -300,3 +300,51 @@ func TestSearchKeepsNoViewMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestCandidateSetSharedAcrossSearches: one candidate set, fresh from the
+// index and so out of ID order, serves concurrent top-k and
+// candidate-only searches and direct IDs and Ranked calls, the first IDs
+// call among them. Every answer must equal its sequential reference; run
+// under -race, this is what holds the lazy ID sort to a set that may be
+// shared.
+func TestCandidateSetSharedAcrossSearches(t *testing.T) {
+	ctx := context.Background()
+	st, q, cand := markerCorpus(t, 200)
+	wantTopK := reference(t, st, q, query.SearchOptions{TopN: 5})
+	wantAll := reference(t, st, q, query.SearchOptions{})
+	eng := query.NewEngine(st, query.EngineOptions{Workers: 2})
+	var wg sync.WaitGroup
+	for g := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				var got, want []query.Result
+				var err error
+				switch (g + i) % 4 {
+				case 0:
+					got, err = eng.Search(ctx, q, query.SearchOptions{Candidates: cand, TopN: 5})
+					want = wantTopK
+				case 1:
+					got, err = eng.Search(ctx, q, query.SearchOptions{Candidates: cand})
+					want = wantAll
+				case 2:
+					if ids := cand.IDs(); len(ids) != 200 || !slices.IsSorted(ids) {
+						t.Errorf("goroutine %d: IDs = %v, want 200 ascending", g, ids)
+						return
+					}
+				default:
+					if r := cand.Ranked(); len(r) != 200 || r[0].ID != "m-0000" {
+						t.Errorf("goroutine %d: Ranked starts %+v, want 200 from m-0000", g, r[:min(3, len(r))])
+						return
+					}
+				}
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("goroutine %d: search = %v, %v; want the reference", g, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/pkg/index"
@@ -49,13 +50,25 @@ import (
 // Each candidate carries an admissible upper bound on that document's
 // match probability (see Ranked): what the posting source reported, or the
 // vacuous 1, which is always admissible.
+//
+// The set is the one place candidates are put in order, and only as far
+// as a reader asks: it keeps them as the posting source returned them, in
+// no particular order; IDs sorts a copy by ID on its first call, Ranked
+// sorts by bound, and a top-k run orders them one round at a time
+// (ranking). The stored candidates are never modified, so a set may be
+// shared between goroutines.
 type CandidateSet struct {
-	// ids is ascending and duplicate-free — the shape posting sources
-	// return and the engine fetches in.
+	// ids is duplicate-free, in no particular order.
 	ids []string
 	// bounds is aligned with ids: bounds[i] is an upper bound in [0, 1] on
 	// ids[i]'s match probability.
 	bounds []float64
+	// live is the number of live documents the posting source held as it
+	// answered, which every ID of ids was one of; 0 when it is not known.
+	live int
+
+	byIDOnce sync.Once
+	byID     []string // ids ascending, once IDs has run
 }
 
 // NewCandidateSet builds a set from ids, in any order, duplicates allowed,
@@ -77,12 +90,14 @@ func (c *CandidateSet) Len() int {
 }
 
 // IDs returns the candidates in ascending order; nil for the nil set. The
-// slice is the set's own storage and must not be modified.
+// first call sorts them; the slice is the set's own storage and must not
+// be modified.
 func (c *CandidateSet) IDs() []string {
 	if c == nil {
 		return nil
 	}
-	return c.ids
+	c.byIDOnce.Do(func() { c.byID = slices.Sorted(slices.Values(c.ids)) })
+	return c.byID
 }
 
 // BoundedCandidate pairs a candidate document ID with its probability
@@ -93,8 +108,8 @@ type BoundedCandidate struct {
 }
 
 // Ranked returns the candidates ordered best-bound-first (descending
-// bound, ties by ascending ID — the processing order the top-k engine
-// path wants). Nil for the nil set.
+// bound, ties by ascending ID — the order a top-k run walks them in, see
+// ranking). Nil for the nil set.
 func (c *CandidateSet) Ranked() []BoundedCandidate {
 	if c == nil {
 		return nil
@@ -103,17 +118,21 @@ func (c *CandidateSet) Ranked() []BoundedCandidate {
 	for i, id := range c.ids {
 		out[i] = BoundedCandidate{ID: id, Bound: c.bounds[i]}
 	}
-	slices.SortFunc(out, func(a, b BoundedCandidate) int {
-		//lint:allow floateq exact equality picks the deterministic ID tiebreak; either branch is admissible
-		if a.Bound != b.Bound {
-			if a.Bound > b.Bound {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a.ID, b.ID)
-	})
+	slices.SortFunc(out, compareBounded)
 	return out
+}
+
+// compareBounded is the best-bound-first order: descending bound, ties by
+// ascending ID. Over a duplicate-free set it is total.
+func compareBounded(a, b BoundedCandidate) int {
+	//lint:allow floateq exact equality picks the deterministic ID tiebreak; either branch is admissible
+	if a.Bound != b.Bound {
+		if a.Bound > b.Bound {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.ID, b.ID)
 }
 
 // PostingSource answers the planner's lookup — the seam at which a test
@@ -123,14 +142,17 @@ func (c *CandidateSet) Ranked() []BoundedCandidate {
 // whose retained readings could satisfy the lookup must appear in the
 // result.
 type PostingSource interface {
-	// Candidates answers l as index.Index.Candidates documents: ascending,
-	// duplicate-free IDs, aligned admissible bounds, the dictionary grams
-	// the wildcard patterns expanded to, and ok=false when the source
-	// cannot answer and the caller must not prune. A source without bound
-	// information returns nil bounds, which reads as 1 everywhere — it still
-	// plans, just without early-termination fuel. The caller takes both
-	// slices over.
-	Candidates(l index.Lookup) (ids []string, bounds []float64, grams int, ok bool)
+	// Candidates answers l as index.Index.Candidates documents:
+	// duplicate-free IDs in no particular order, aligned admissible bounds,
+	// the dictionary grams the wildcard patterns expanded to, the number of
+	// live documents the source held as it answered, and ok=false when the
+	// source cannot answer and the caller must not prune. A source without
+	// bound information returns nil bounds, which reads as 1 everywhere — it
+	// still plans, just without early-termination fuel; one that does not
+	// count its documents returns live 0, and the engine then reads the
+	// store's count (SearchStats.DocsTotal). The caller takes both slices
+	// over.
+	Candidates(l index.Lookup) (ids []string, bounds []float64, grams, live int, ok bool)
 }
 
 // Plan is the pruning strategy extracted from a Query at a given gram
@@ -210,7 +232,7 @@ func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
 	case matchesNothing:
 		return NewCandidateSet(), 0
 	}
-	ids, bounds, expanded, ok := src.Candidates(p.lookup)
+	ids, bounds, expanded, live, ok := src.Candidates(p.lookup)
 	if !ok {
 		return nil, p.grams + expanded
 	}
@@ -222,7 +244,7 @@ func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
 			bounds[i] = 1
 		}
 	}
-	return &CandidateSet{ids: ids, bounds: bounds}, p.grams + expanded
+	return &CandidateSet{ids: ids, bounds: bounds, live: live}, p.grams + expanded
 }
 
 // Prunable reports whether the plan can restrict a scan at all, given a

@@ -19,17 +19,20 @@ import (
 
 // fakeSource records the one lookup each plan hands it and answers from
 // canned postings, with each answered document's bound from bounds — or
-// without bound information when bounds is nil.
+// without bound information when bounds is nil. It answers in ascending
+// ID order, or, given shuffle, in an order shuffle draws: the contract
+// promises none.
 type fakeSource struct {
 	byGram map[string][]string
 	// wild is what a Patterns node admits; it reports one dictionary gram
 	// per pattern.
-	wild   []string
-	bounds map[string]float64
-	calls  []index.Lookup
+	wild    []string
+	bounds  map[string]float64
+	shuffle *rand.Rand
+	calls   []index.Lookup
 }
 
-func (f *fakeSource) Candidates(l index.Lookup) ([]string, []float64, int, bool) {
+func (f *fakeSource) Candidates(l index.Lookup) ([]string, []float64, int, int, bool) {
 	f.calls = append(f.calls, l)
 	grams := 0
 	set := f.admits(l, &grams)
@@ -38,13 +41,16 @@ func (f *fakeSource) Candidates(l index.Lookup) ([]string, []float64, int, bool)
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	if f.shuffle != nil {
+		f.shuffle.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	}
 	var bounds []float64
 	if f.bounds != nil {
 		for _, id := range ids {
 			bounds = append(bounds, f.bounds[id])
 		}
 	}
-	return ids, bounds, grams, true
+	return ids, bounds, grams, 0, true
 }
 
 func (f *fakeSource) admits(l index.Lookup, grams *int) map[string]bool {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -20,9 +21,11 @@ import (
 // 1 or its probability rounded up to the index's fixed point. The arm
 // byte picks the run: bit 0 drops the candidates (the scan over the ID
 // listing), bit 1 adds a rescorer that lifts " zz " readings above their
-// bounds (so the candidates are walked in ID order too). At any TopN in
-// [1, n+2] and 1–3 workers, the run must return the unlimited Search
-// under the same rescorer cut to TopN, with the stats invariant intact.
+// bounds (so the candidates are walked in ID order too). The posting
+// source hands the candidates over in an order drawn from the whole input,
+// so no run can lean on ID order. At any TopN in [1, n+2] and 1–3 workers,
+// the run must return the unlimited Search under the same rescorer cut to
+// TopN, with the stats invariant intact.
 func FuzzTopKMatchesExhaustive(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x7f}, 40), 10, 2, byte(0))                        // all certain: the tie clause
 	f.Add(bytes.Repeat([]byte{0xff, 0x7f, 0x30}, 20), 5, 3, byte(0))             // certain under vacuous bounds, beside uncertain ones
@@ -42,7 +45,11 @@ func FuzzTopKMatchesExhaustive(f *testing.F) {
 		workers = 1 + int((uint(workers)-1)%3)
 		ctx := context.Background()
 		st := memStore(t)
-		src := &fakeSource{byGram: map[string][]string{}, bounds: map[string]float64{}}
+		seed := int64(arm)
+		for _, b := range probs {
+			seed = seed*31 + int64(b)
+		}
+		src := &fakeSource{byGram: map[string][]string{}, bounds: map[string]float64{}, shuffle: rand.New(rand.NewSource(seed))}
 		put := func(id string, alts ...staccato.Alt) {
 			d := &staccato.Doc{ID: id, Params: staccato.Params{Chunks: 1, K: len(alts)}, Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}}}
 			if err := st.Put(ctx, d); err != nil {

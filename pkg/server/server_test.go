@@ -567,7 +567,7 @@ func TestOverloadReturns429(t *testing.T) {
 // hangs up.
 func TestWithheldBodyReleasesSlot(t *testing.T) {
 	const timeout = 300 * time.Millisecond
-	_, ts := newTestServer(t, Options{MaxInFlight: 1, RequestTimeout: timeout})
+	s, ts := newTestServer(t, Options{MaxInFlight: 1, RequestTimeout: timeout})
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -580,11 +580,16 @@ func TestWithheldBodyReleasesSlot(t *testing.T) {
 		status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/search", queryRequest{Terms: []string{"abcd"}})
 		return status
 	}
-	for search() != http.StatusTooManyRequests { // wait for the ingest to take the slot
+	// Wait on the in_flight gauge, not on a 429: probing with searches can
+	// miss the whole window the slot is held in on a loaded machine.
+	for s.met.inFlight.Value() != 1 {
 		if time.Since(start) > 5*time.Second {
 			t.Fatal("the withheld ingest never took the in-flight slot")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+	}
+	if status := search(); status != http.StatusTooManyRequests {
+		t.Fatalf("search while the withheld ingest holds the only slot: status %d, want 429", status)
 	}
 	for search() == http.StatusTooManyRequests {
 		if time.Since(start) > timeout+5*time.Second {

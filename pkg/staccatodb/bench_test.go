@@ -2,6 +2,7 @@ package staccatodb_test
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"strconv"
 	"sync"
@@ -45,8 +46,10 @@ func TestMain(m *testing.M) {
 	if benchDir != "" {
 		os.RemoveAll(benchDir)
 	}
-	if topkDir != "" {
-		os.RemoveAll(topkDir)
+	for i := range topkCorpora {
+		if dir := topkCorpora[i].dir; dir != "" {
+			os.RemoveAll(dir)
+		}
 	}
 	os.Exit(code)
 }
@@ -186,11 +189,15 @@ func BenchmarkFuzzySearchScan(b *testing.B) {
 // TestSearchTopKEarlyStopsDeterministically asserts the early stop.
 const topkCorpusDocs = 10000
 
-var (
-	topkOnce sync.Once
-	topkDir  string
-	topkErr  error
-)
+// topkCorpora holds the marker corpus ingested in ID order ([0]) and in
+// a shuffled order ([1]). The index numbers documents in the order they
+// arrive, so only the shuffled one hands the candidates over out of ID
+// order — the shape overwrites leave behind.
+var topkCorpora [2]struct {
+	once sync.Once
+	dir  string
+	err  error
+}
 
 // topkMarker is document i's marker text: every tier the document
 // belongs to, as space-delimited tokens so each tier contributes its own
@@ -209,28 +216,22 @@ func topkMarker(i int) string {
 	return m
 }
 
-// topkCorpus ingests the shared marker corpus once per test binary.
-func topkCorpus(b *testing.B) string {
+// topkCorpus ingests the shared marker corpus once per test binary, in ID
+// order or, shuffled, in a fixed random order.
+func topkCorpus(b *testing.B, shuffled bool) string {
 	b.Helper()
-	topkOnce.Do(func() {
-		topkDir, topkErr = os.MkdirTemp("", "staccatodb-topk-*")
-		if topkErr != nil {
-			return
-		}
-		ctx := context.Background()
-		var db *staccatodb.DB
-		db, topkErr = staccatodb.Open(topkDir, staccatodb.WithNoSync())
-		if topkErr != nil {
-			return
-		}
-		defer db.Close()
-		var batch []*staccato.Doc
-		i := 0
-		topkErr = testgen.EachDoc(topkCorpusDocs,
+	c := &topkCorpora[0]
+	if shuffled {
+		c = &topkCorpora[1]
+	}
+	c.once.Do(func() {
+		var docs []*staccato.Doc
+		c.err = testgen.EachDoc(topkCorpusDocs,
 			testgen.Config{Length: benchDocLen, Seed: 202}, benchChunks, benchK,
 			func(dc testgen.DocCase) error {
 				// Strictly decreasing marker probability by document number
 				// keeps the bound ranking total and deterministic.
+				i := len(docs)
 				p := 0.95 - 0.9*float64(i)/float64(topkCorpusDocs)
 				alts := []staccato.Alt{{Text: topkMarker(i), Prob: p}, {Text: "~", Prob: 1 - p}}
 				if alts[0].Prob < alts[1].Prob {
@@ -238,44 +239,58 @@ func topkCorpus(b *testing.B) string {
 				}
 				dc.Doc.Chunks = append(dc.Doc.Chunks, staccato.PathSet{Alts: alts, Retained: 1})
 				dc.Doc.Params.Chunks++
-				i++
-				batch = append(batch, dc.Doc)
-				if len(batch) >= 128 {
-					if err := db.Ingest(ctx, batch); err != nil {
-						return err
-					}
-					batch = batch[:0]
-				}
+				docs = append(docs, dc.Doc)
 				return nil
 			})
-		if topkErr == nil {
-			topkErr = db.Ingest(ctx, batch)
+		if c.err != nil {
+			return
+		}
+		if shuffled {
+			rng := rand.New(rand.NewSource(48))
+			rng.Shuffle(len(docs), func(i, j int) { docs[i], docs[j] = docs[j], docs[i] })
+		}
+		if c.dir, c.err = os.MkdirTemp("", "staccatodb-topk-*"); c.err != nil {
+			return
+		}
+		ctx := context.Background()
+		var db *staccatodb.DB
+		if db, c.err = staccatodb.Open(c.dir, staccatodb.WithNoSync()); c.err != nil {
+			return
+		}
+		defer db.Close()
+		for len(docs) > 0 && c.err == nil {
+			n := min(128, len(docs))
+			c.err, docs = db.Ingest(ctx, docs[:n]), docs[n:]
 		}
 	})
-	if topkErr != nil {
-		b.Fatal(topkErr)
+	if c.err != nil {
+		b.Fatal(c.err)
 	}
-	return topkDir
+	return c.dir
 }
 
 // BenchmarkSearchTopK runs the same `-top 10` query against candidate
 // sets three decades apart. The candidates metric confirms the tier the
 // query selected; evaluated_docs and early_stopped expose how much of it
-// the bound-driven path actually touched.
+// the bound-driven path actually touched. The shuffled tiers run over the
+// corpus ingested out of ID order, so the candidates leave the index in
+// no order a sort could exploit.
 func BenchmarkSearchTopK(b *testing.B) {
-	dir := topkCorpus(b)
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name, term string
 		want       int
+		shuffled   bool
 	}{
-		{"cand=10", "zqx10", 10},
-		{"cand=100", "zqc100", 100},
-		{"cand=1000", "zqm1000", 1000},
-		{"cand=10000", "zqall", 10000},
+		{"cand=10", "zqx10", 10, false},
+		{"cand=100", "zqc100", 100, false},
+		{"cand=1000", "zqm1000", 1000, false},
+		{"cand=10000", "zqall", 10000, false},
+		{"shuffled/cand=1000", "zqm1000", 1000, true},
+		{"shuffled/cand=10000", "zqall", 10000, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			db, err := staccatodb.Open(dir, staccatodb.WithNoSync())
+			db, err := staccatodb.Open(topkCorpus(b, tc.shuffled), staccatodb.WithNoSync())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -320,7 +335,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 // BenchmarkSearchTopK/cand=10000 is what bound-driven early termination
 // buys.
 func BenchmarkSearchTopKExhaustive(b *testing.B) {
-	dir := topkCorpus(b)
+	dir := topkCorpus(b, false)
 	ctx := context.Background()
 	db, err := staccatodb.Open(dir, staccatodb.WithNoSync())
 	if err != nil {

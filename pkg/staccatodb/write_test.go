@@ -134,9 +134,12 @@ func TestFailedWriteNeverPrunesStoredDoc(t *testing.T) {
 // TestSearchAndMaintenanceRaceWrites runs writers, planned searches with
 // Stats, Compact and RebuildIndex against one disk database at once. Every
 // search must succeed and report, for each document, the probability of
-// some version of it the test wrote; once the writers stop, the index
-// must answer exactly like a scan, and the closed directory must reopen
-// with the index loaded rather than rebuilt.
+// some version of it the test wrote, and counters that add up:
+// DocsTotal == DocsScanned + DocsPruned + BoundsSkipped with DocsPruned
+// never negative, however the writes move the corpus under a top-k or
+// candidate-only run. Once the writers stop, the index must answer
+// exactly like a scan, and the closed directory must reopen with the
+// index loaded rather than rebuilt.
 func TestSearchAndMaintenanceRaceWrites(t *testing.T) {
 	const (
 		numIDs       = 12
@@ -248,6 +251,10 @@ func TestSearchAndMaintenanceRaceWrites(t *testing.T) {
 				}
 				if stats.IndexUsed {
 					planned[s]++
+				}
+				if stats.DocsPruned < 0 || stats.DocsTotal != stats.DocsScanned+stats.DocsPruned+stats.BoundsSkipped {
+					t.Errorf("search %s: stats %+v do not add up", queries[qi], stats)
+					return
 				}
 				// Stats reads the index log's size beside the writers' appends.
 				if st := db.Stats(); st.IndexPersisted && st.IndexBytes == 0 {
