@@ -60,17 +60,6 @@ func (f *SFST) IsFinal(s StateID) bool {
 	return s >= 0 && int(s) < len(f.finals) && f.finals[s]
 }
 
-// Finals returns the accepting states in ascending order.
-func (f *SFST) Finals() []StateID {
-	var out []StateID
-	for s, ok := range f.finals {
-		if ok {
-			out = append(out, StateID(s))
-		}
-	}
-	return out
-}
-
 // Arcs returns the outgoing arcs of s in canonical order. The returned
 // slice is owned by the SFST and must not be modified.
 func (f *SFST) Arcs(s StateID) []Arc { return f.arcs[s] }

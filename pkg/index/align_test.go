@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // assertAligned checks the invariant every lookup indexes by: each gram's
@@ -52,7 +53,7 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), FileName)
 	ix := New(3)
-	if err := WriteSnapshot(framelog.OS, path, ix, State{}); err != nil {
+	if err := WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{}); err != nil {
 		t.Fatal(err)
 	}
 	w, err := OpenAppend(framelog.OS, path, ix, false)
@@ -76,7 +77,7 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 			}
 		}
 		ix.Apply(adds, dels)
-		if err := w.Append(Invert(adds), dels, State{Ops: uint64(step + 1)}); err != nil {
+		if err := w.Append(Invert(adds), dels, diskstore.CommitState{Ops: uint64(step + 1)}); err != nil {
 			t.Fatal(err)
 		}
 		assertAligned(t, fmt.Sprintf("after Apply %d", step), ix)
@@ -91,7 +92,7 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 	}
 	assertAligned(t, "after Load of the append log", replayed)
 
-	if err := WriteSnapshot(framelog.OS, path, replayed, State{Ops: 200}); err != nil {
+	if err := WriteSnapshot(framelog.OS, path, replayed, diskstore.CommitState{Ops: 200}); err != nil {
 		t.Fatal(err)
 	}
 	snap, _, err := Load(path, 3)

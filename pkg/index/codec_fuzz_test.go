@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // wellFormedCommits are payloads parseCommit must accept: every flags
@@ -16,12 +18,12 @@ func wellFormedCommits() [][]byte {
 			{ID: "doc-1", Grams: []string{"abc", "abd", "bcd"}, Bounds: []uint16{q(0.25), q(1), q(0)}},
 			{ID: "doc-2", Overflow: true},
 			{ID: "doc-3", Grams: []string{"abc", "xyz"}, Bounds: []uint16{q(0.5), q(1e-9)}},
-		}), []string{"gone"}, State{Ops: 7, Bytes: 99, Seg: 2}),
+		}), []string{"gone"}, diskstore.CommitState{Ops: 7, Bytes: 99, Seg: 2}),
 		encodeCommit(Invert([]Entry{
 			{ID: "tiny", Grams: []string{"abc"}, Bounds: []uint16{q(0.5)}, Short: true},
 			{ID: "both", Overflow: true, Short: true},
-		}), nil, State{Ops: 2}),
-		encodeCommit(Invert(nil), nil, State{}),
+		}), nil, diskstore.CommitState{Ops: 2}),
+		encodeCommit(Invert(nil), nil, diskstore.CommitState{}),
 	}
 }
 
@@ -32,14 +34,14 @@ func malformedCommits() map[string][]byte {
 		return encodeCommit(&Batch{
 			ids: []string{"a", "b"}, flags: []byte{flags, 0},
 			grams: []string{"abc"}, ends: []uint32{uint32(len(ords))}, ords: ords, bnds: bnds,
-		}, nil, State{Ops: 1})
+		}, nil, diskstore.CommitState{Ops: 1})
 	}
 	valid := one(flagShort, []uint32{0, 1}, []uint16{7, 9})
 	overrun := one(0, []uint32{0, 1}, []uint16{7, 9})
 	unsorted := encodeCommit(&Batch{
 		ids: []string{"a"}, flags: []byte{0},
 		grams: []string{"abd", "abc"}, ends: []uint32{1, 2}, ords: []uint32{0, 0}, bnds: []uint16{1, 1},
-	}, nil, State{Ops: 1})
+	}, nil, diskstore.CommitState{Ops: 1})
 	return map[string][]byte{
 		"unassigned flag bit":            one(flagShort|1<<2, []uint32{0, 1}, []uint16{7, 9}),
 		"local ordinal out of range":     one(0, []uint32{0, 2}, []uint16{7, 9}),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // DocGrams returns the sorted set of q-grams (in runes) that occur in any
@@ -29,7 +30,7 @@ func DocGramBounds(doc *staccato.Doc, q int) (grams []string, bounds []uint16, s
 
 // encodeCommit returns the payload of one commit record, and holds
 // commitSize to its length: every test that encodes a commit checks it.
-func encodeCommit(adds *Batch, dels []string, st State) []byte {
+func encodeCommit(adds *Batch, dels []string, st diskstore.CommitState) []byte {
 	n := commitSize(adds, dels, st)
 	payload := appendPayload(make([]byte, 0, n), adds, dels, st)
 	if len(payload) != n {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // # On-disk format
@@ -90,17 +91,6 @@ const (
 	flagShort    = byte(1) << 1
 )
 
-// State is the diskstore CommitState a commit record was written against,
-// decoupled from the diskstore package so index files can front any
-// store backend. Seg (the store's active segment number) is what keeps
-// the fingerprint collision-free across compactions, which reset Ops and
-// Bytes but always allocate fresh, higher segment numbers.
-type State struct {
-	Ops   uint64
-	Bytes int64
-	Seg   uint64
-}
-
 // ErrMismatch is returned by Load when the file exists but cannot serve
 // the requested gram size — a header from a different q or format.
 var ErrMismatch = errors.New("index: file does not match the requested gram size")
@@ -172,7 +162,7 @@ func openLog(fsys framelog.FS, path string, q, flag int) (framelog.File, *framel
 // rewrites the log from the index, as WriteSnapshot does. An error from
 // the rewrite leaves on disk either the old log, the record included, or
 // the new one. Appends are serialized by the caller.
-func (w *Writer) Append(adds *Batch, dels []string, st State) error {
+func (w *Writer) Append(adds *Batch, dels []string, st diskstore.CommitState) error {
 	frame := appendCommit(nil, adds, dels, st)
 	end := w.end.Load()
 	if _, err := w.f.WriteAt(frame, end); err != nil {
@@ -218,13 +208,13 @@ func (w *Writer) Close() error {
 // with a fresh one holding that base as a single commit at state st. A
 // crash or failure at any point leaves either the old log or the new one,
 // never a mix; ix is rewritten either way.
-func WriteSnapshot(fsys framelog.FS, path string, ix *Index, st State) error {
+func WriteSnapshot(fsys framelog.FS, path string, ix *Index, st diskstore.CommitState) error {
 	_, err := writeBase(fsys, path, ix, st)
 	return err
 }
 
 // writeBase is WriteSnapshot, and reports the new log's length.
-func writeBase(fsys framelog.FS, path string, ix *Index, st State) (int64, error) {
+func writeBase(fsys framelog.FS, path string, ix *Index, st diskstore.CommitState) (int64, error) {
 	log := ix.rewrite(st)
 	if _, err := framelog.ReplaceFile(fsys, path, log); err != nil {
 		return 0, fmt.Errorf("index: %w", err)
@@ -236,7 +226,7 @@ func writeBase(fsys framelog.FS, path string, ix *Index, st State) (int64, error
 // dead ordinals, swaps it in, and returns the index log that holds just
 // it, stamped st. The merge and the encoding run beside lookups; only the
 // swap excludes them.
-func (ix *Index) rewrite(st State) []byte {
+func (ix *Index) rewrite(st diskstore.CommitState) []byte {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
 	ix.mu.RLock()
@@ -259,24 +249,32 @@ func (ix *Index) base() int64 {
 }
 
 // Load is LoadFS on the operating system's file system.
-func Load(path string, q int) (*Index, State, error) { return LoadFS(framelog.OS, path, q) }
+func Load(path string, q int) (*Index, diskstore.CommitState, error) {
+	return LoadFS(framelog.OS, path, q)
+}
 
 // LoadFS reads the index log at path on fsys into a fresh Index and
-// returns it with the State of the last intact commit. The first commit
-// becomes the index's base as it was parsed; every later one is applied to
-// its delta. A damaged or torn tail is truncated away (the index is
-// derived data; dropping records can only force a rebuild, never lose
-// documents). Missing files surface as fs.ErrNotExist; a header for a
+// returns it with the store state of the last intact commit. The first
+// commit becomes the index's base as it was parsed; every later one is
+// applied to its delta. A damaged or torn tail is truncated away (the
+// index is derived data; dropping records can only force a rebuild, never
+// lose documents). Missing files surface as fs.ErrNotExist; a header for a
 // different gram size as ErrMismatch.
-func LoadFS(fsys framelog.FS, path string, q int) (*Index, State, error) {
+//
+// LoadFS first removes the staging file a crash in the middle of a
+// rewrite strands beside path, which only a later successful rewrite
+// would otherwise overwrite. Best effort: a read-only directory keeps its
+// debris and the log still loads.
+func LoadFS(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState, error) {
+	_ = fsys.Remove(path + framelog.TempSuffix)
 	ix := New(q)
 	f, r, _, err := openLog(fsys, path, q, os.O_RDONLY)
 	if err != nil {
-		return ix, State{}, err
+		return ix, diskstore.CommitState{}, err
 	}
 	defer f.Close()
 	ix.logBase = r.Offset()
-	var st State
+	var st diskstore.CommitState
 	for first := true; ; first = false {
 		payload, err := r.Next()
 		if err == io.EOF {
@@ -297,7 +295,7 @@ func LoadFS(fsys framelog.FS, path string, q int) (*Index, State, error) {
 			err = r.Bad("malformed commit record")
 		}
 		if !errors.As(err, new(*framelog.Damage)) {
-			return ix, State{}, fmt.Errorf("index: reading %s: %w", path, err)
+			return ix, diskstore.CommitState{}, fmt.Errorf("index: reading %s: %w", path, err)
 		}
 		// Torn or interior, the policy is the same: cut the log back to
 		// its intact prefix so appends resume at a frame boundary. The
@@ -330,7 +328,7 @@ func parseHeader(p []byte) (int, error) {
 
 // appendCommit appends one commit record to buf as a frame, encoded in
 // place: buf grows once, by exactly the frame's length.
-func appendCommit(buf []byte, adds *Batch, dels []string, st State) []byte {
+func appendCommit(buf []byte, adds *Batch, dels []string, st diskstore.CommitState) []byte {
 	at := len(buf)
 	buf = slices.Grow(buf, framelog.HeaderSize+commitSize(adds, dels, st))[:at+framelog.HeaderSize]
 	buf = appendPayload(buf, adds, dels, st)
@@ -339,7 +337,7 @@ func appendCommit(buf []byte, adds *Batch, dels []string, st State) []byte {
 }
 
 // commitSize is the length of the payload appendPayload encodes.
-func commitSize(adds *Batch, dels []string, st State) int {
+func commitSize(adds *Batch, dels []string, st diskstore.CommitState) int {
 	n := 1 + uvarintLen(st.Ops) + uvarintLen(uint64(st.Bytes)) + uvarintLen(st.Seg) + uvarintLen(uint64(len(dels)))
 	for _, id := range dels {
 		n += uvarintLen(uint64(len(id))) + len(id)
@@ -368,7 +366,7 @@ func commitSize(adds *Batch, dels []string, st State) int {
 }
 
 // appendPayload appends the payload of one commit record to buf.
-func appendPayload(buf []byte, adds *Batch, dels []string, st State) []byte {
+func appendPayload(buf []byte, adds *Batch, dels []string, st diskstore.CommitState) []byte {
 	buf = append(buf, recCommit)
 	buf = binary.AppendUvarint(buf, st.Ops)
 	buf = binary.AppendUvarint(buf, uint64(st.Bytes))
@@ -415,9 +413,9 @@ func frontCode(prev, g string) (lens uint64, suffix string) {
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-func parseCommit(p []byte) (adds *Batch, dels []string, st State, err error) {
-	bad := func() (*Batch, []string, State, error) {
-		return nil, nil, State{}, fmt.Errorf("index: malformed commit record")
+func parseCommit(p []byte) (adds *Batch, dels []string, st diskstore.CommitState, err error) {
+	bad := func() (*Batch, []string, diskstore.CommitState, error) {
+		return nil, nil, diskstore.CommitState{}, fmt.Errorf("index: malformed commit record")
 	}
 	if len(p) < 1 || p[0] != recCommit {
 		return bad()
@@ -430,7 +428,7 @@ func parseCommit(p []byte) (adds *Batch, dels []string, st State, err error) {
 			return bad()
 		}
 	}
-	st = State{Ops: head[0], Bytes: int64(head[1]), Seg: head[2]}
+	st = diskstore.CommitState{Ops: head[0], Bytes: int64(head[1]), Seg: head[2]}
 	nDels := head[3]
 	if nDels > uint64(len(p)) {
 		return bad()

@@ -12,6 +12,7 @@ import (
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden batch fingerprint in testdata")
@@ -45,7 +46,7 @@ func commitsDigest(docs []*staccato.Doc, build func([]*staccato.Doc, int) *Batch
 	for q := 1; q <= 4; q++ {
 		for _, size := range []int{1, 4, 37, 256} {
 			for from, n := 0, 0; from < len(docs); from, n = from+size, n+1 {
-				rec := encodeCommit(build(docs[from:min(from+size, len(docs))], q), nil, State{Ops: uint64(n)})
+				rec := encodeCommit(build(docs[from:min(from+size, len(docs))], q), nil, diskstore.CommitState{Ops: uint64(n)})
 				h.Write(binary.AppendUvarint(nil, uint64(len(rec))))
 				h.Write(rec)
 			}

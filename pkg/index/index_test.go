@@ -10,6 +10,7 @@ import (
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/index"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 func candidates(t *testing.T, ix *index.Index, grams ...string) []string {
@@ -108,7 +109,7 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
 	ix := index.New(3)
 	ix.Add(doc([]string{"hello"}))
-	st := index.State{Ops: 7, Bytes: 1234}
+	st := diskstore.CommitState{Ops: 7, Bytes: 1234}
 	if err := index.WriteSnapshot(framelog.OS, path, ix, st); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 func TestAppendReplays(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
 	ix := index.New(3)
-	if err := index.WriteSnapshot(framelog.OS, path, ix, index.State{}); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{}); err != nil {
 		t.Fatal(err)
 	}
 	w, err := index.OpenAppend(framelog.OS, path, ix, true)
@@ -135,15 +136,15 @@ func TestAppendReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := index.EntryFor(doc([]string{"hello"}), 3)
-	if err := w.Append(index.Invert([]index.Entry{e1}), nil, index.State{Ops: 1, Bytes: 10}); err != nil {
+	if err := w.Append(index.Invert([]index.Entry{e1}), nil, diskstore.CommitState{Ops: 1, Bytes: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(index.Invert(nil), []string{"t"}, index.State{Ops: 2, Bytes: 20}); err != nil {
+	if err := w.Append(index.Invert(nil), []string{"t"}, diskstore.CommitState{Ops: 2, Bytes: 20}); err != nil {
 		t.Fatal(err)
 	}
 	d2 := doc([]string{"world"})
 	d2.ID = "u"
-	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, index.State{Ops: 3, Bytes: 30}); err != nil {
+	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, diskstore.CommitState{Ops: 3, Bytes: 30}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -154,7 +155,7 @@ func TestAppendReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (st != index.State{Ops: 3, Bytes: 30}) {
+	if (st != diskstore.CommitState{Ops: 3, Bytes: 30}) {
 		t.Errorf("state = %+v, want ops 3 bytes 30", st)
 	}
 	if got.Len() != 1 {
@@ -169,7 +170,7 @@ func TestLoadTornTailTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
 	ix := index.New(3)
 	ix.Add(doc([]string{"hello"}))
-	if err := index.WriteSnapshot(framelog.OS, path, ix, index.State{Ops: 1, Bytes: 1}); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{Ops: 1, Bytes: 1}); err != nil {
 		t.Fatal(err)
 	}
 	w, err := index.OpenAppend(framelog.OS, path, ix, true)
@@ -178,7 +179,7 @@ func TestLoadTornTailTruncates(t *testing.T) {
 	}
 	d2 := doc([]string{"world"})
 	d2.ID = "u"
-	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, index.State{Ops: 2, Bytes: 2}); err != nil {
+	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, diskstore.CommitState{Ops: 2, Bytes: 2}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -197,7 +198,7 @@ func TestLoadTornTailTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (st != index.State{Ops: 1, Bytes: 1}) {
+	if (st != diskstore.CommitState{Ops: 1, Bytes: 1}) {
 		t.Errorf("state after torn tail = %+v, want the snapshot's", st)
 	}
 	if got.Len() != 1 {
@@ -214,6 +215,52 @@ func TestLoadTornTailTruncates(t *testing.T) {
 	}
 }
 
+// TestLoadSweepsStrandedTemp: a crash in the middle of a rewrite strands
+// the staging file beside the log. Load removes it, and loads the log as
+// it stands: its every commit, its last stamp, not a byte rewritten.
+func TestLoadSweepsStrandedTemp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), index.FileName)
+	ix := index.New(3)
+	ix.Add(doc([]string{"hello"}))
+	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{Ops: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := index.OpenAppend(framelog.OS, path, ix, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2 := doc([]string{"world"})
+	d2.ID = "u"
+	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, diskstore.CommitState{Ops: 2, Bytes: 20}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+framelog.TempSuffix, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, st, err := index.Load(path, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + framelog.TempSuffix); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("staging file after Load: %v, want it removed", err)
+	}
+	if after, _ := os.ReadFile(path); !reflect.DeepEqual(after, before) {
+		t.Error("Load changed the log")
+	}
+	if (st != diskstore.CommitState{Ops: 2, Bytes: 20}) {
+		t.Errorf("state = %+v, want the appended commit's", st)
+	}
+	if ids := candidates(t, got, "orl"); got.Len() != 2 || !reflect.DeepEqual(ids, []string{"u"}) {
+		t.Errorf("Len = %d, Candidates(orl) = %v; want 2 and [u]", got.Len(), ids)
+	}
+}
+
 func TestLoadMissingAndMismatched(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, index.FileName)
@@ -221,7 +268,7 @@ func TestLoadMissingAndMismatched(t *testing.T) {
 		t.Errorf("Load(missing) err = %v, want fs.ErrNotExist", err)
 	}
 	ix := index.New(4)
-	if err := index.WriteSnapshot(framelog.OS, path, ix, index.State{}); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := index.Load(path, 3); !errors.Is(err, index.ErrMismatch) {
@@ -257,7 +304,7 @@ func TestStats(t *testing.T) {
 // stores the commit's own ordinals, in one that loads it.
 func TestDuplicateIDInOneCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
-	if err := index.WriteSnapshot(framelog.OS, path, index.New(3), index.State{}); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, index.New(3), diskstore.CommitState{}); err != nil {
 		t.Fatal(err)
 	}
 	w, err := index.OpenAppend(framelog.OS, path, index.New(3), false)
@@ -269,7 +316,7 @@ func TestDuplicateIDInOneCommit(t *testing.T) {
 	commit := index.Invert([]index.Entry{
 		index.EntryFor(doc([]string{"hello"}), 3), index.EntryFor(other, 3), index.EntryFor(doc([]string{"help"}), 3),
 	})
-	if err := w.Append(commit, nil, index.State{Ops: 1}); err != nil {
+	if err := w.Append(commit, nil, diskstore.CommitState{Ops: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

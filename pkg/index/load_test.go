@@ -8,6 +8,7 @@ import (
 	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // benchLogs holds the two index logs BenchmarkIndexLoad and
@@ -25,7 +26,7 @@ var benchLogs = sync.OnceValues(func() (framelog.FS, error) {
 	}
 	fsys := framelog.NewMemFS()
 	ix := New(DefaultGramSize)
-	if err := WriteSnapshot(fsys, "log", ix, State{}); err != nil {
+	if err := WriteSnapshot(fsys, "log", ix, diskstore.CommitState{}); err != nil {
 		return nil, err
 	}
 	w, err := OpenAppend(fsys, "log", ix, false)
@@ -39,11 +40,11 @@ var benchLogs = sync.OnceValues(func() (framelog.FS, error) {
 	for from := 0; from < len(docs); from += 256 {
 		b := BatchOf(docs[from:min(from+256, len(docs))], DefaultGramSize, 1)
 		ix.ApplyBatch(b, nil)
-		if err := w.Append(b, nil, State{Ops: uint64(from + 1)}); err != nil {
+		if err := w.Append(b, nil, diskstore.CommitState{Ops: uint64(from + 1)}); err != nil {
 			return nil, err
 		}
 	}
-	return fsys, WriteSnapshot(fsys, "snapshot", ix, State{Ops: 8000})
+	return fsys, WriteSnapshot(fsys, "snapshot", ix, diskstore.CommitState{Ops: 8000})
 })
 
 // BenchmarkIndexLoad times LoadFS over the 32-commit log of 8,000
@@ -74,8 +75,12 @@ func BenchmarkIndexRewrite(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	var size int
-	for b.Loop() {
+	// A b.N loop, not b.Loop: b.Loop stops once the time since the timer
+	// last started reaches -benchtime, and the StartTimer of every
+	// iteration resets that, so at the default -benchtime it never stops.
+	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ix, _, err := LoadFS(fsys, "log", DefaultGramSize)
 		if err != nil {
@@ -83,7 +88,7 @@ func BenchmarkIndexRewrite(b *testing.B) {
 		}
 		runtime.GC() // the load's garbage is not the rewrite's
 		b.StartTimer()
-		size = len(ix.rewrite(State{Ops: 8000}))
+		size = len(ix.rewrite(diskstore.CommitState{Ops: 8000}))
 	}
 	b.ReportMetric(float64(size), "bytes")
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/index"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // TestFailedSnapshotLeavesNoTemp: a snapshot that fails before its rename
@@ -34,21 +35,21 @@ func TestFailedSnapshotLeavesNoTemp(t *testing.T) {
 			path := filepath.Join(dir, index.FileName)
 			old := index.New(3)
 			old.Add(doc([]string{"hello"}))
-			if err := index.WriteSnapshot(framelog.OS, path, old, index.State{Ops: 1}); err != nil {
+			if err := index.WriteSnapshot(framelog.OS, path, old, diskstore.CommitState{Ops: 1}); err != nil {
 				t.Fatal(err)
 			}
 			breakIt(t, path)
 
 			next := index.New(3)
 			next.Add(doc([]string{"world"}))
-			if err := index.WriteSnapshot(framelog.OS, path, next, index.State{Ops: 2}); err == nil {
+			if err := index.WriteSnapshot(framelog.OS, path, next, diskstore.CommitState{Ops: 2}); err == nil {
 				t.Fatal("WriteSnapshot reported success over a failed replace")
 			}
 			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
 				t.Errorf("failed snapshot left %v behind", left)
 			}
 			if name == "temp cannot be opened" {
-				if _, st, err := index.Load(path, 3); err != nil || st != (index.State{Ops: 1}) {
+				if _, st, err := index.Load(path, 3); err != nil || st != (diskstore.CommitState{Ops: 1}) {
 					t.Errorf("previous log after a failed snapshot: state %+v, err %v; want it intact", st, err)
 				}
 			}

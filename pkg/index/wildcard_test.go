@@ -9,6 +9,7 @@ import (
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // pat spells a pattern with '?' for the wildcard.
@@ -164,7 +165,7 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), FileName)
-	if err := WriteSnapshot(framelog.OS, path, New(3), State{}); err != nil {
+	if err := WriteSnapshot(framelog.OS, path, New(3), diskstore.CommitState{}); err != nil {
 		t.Fatal(err)
 	}
 	w, err := OpenAppend(framelog.OS, path, New(3), false)
@@ -172,7 +173,7 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	adds := []Entry{e, entry("plain", "xyz", 0.5)}
-	if err := w.Append(Invert(adds), nil, State{Ops: 1}); err != nil {
+	if err := w.Append(Invert(adds), nil, diskstore.CommitState{Ops: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -193,7 +194,7 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("append log", loaded)
-	if err := WriteSnapshot(framelog.OS, path, loaded, State{Ops: 1}); err != nil {
+	if err := WriteSnapshot(framelog.OS, path, loaded, diskstore.CommitState{Ops: 1}); err != nil {
 		t.Fatal(err)
 	}
 	snap, _, err := Load(path, 3)
@@ -205,7 +206,7 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 	compacted.ApplyBatch(snap.Snapshot(), nil)
 	check("compaction", compacted)
 
-	payload := encodeCommit(Invert(adds), nil, State{Ops: 1})
+	payload := encodeCommit(Invert(adds), nil, diskstore.CommitState{Ops: 1})
 	at := bytes.Index(payload, []byte("tiny")) + len("tiny")
 	if payload[at] != flagShort {
 		t.Fatalf("flags byte = %#x, want %#x", payload[at], flagShort)

@@ -210,8 +210,10 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 		ids, err = e.st.ListDocIDs(ctx)
 	case opts.TopN > 0 && opts.Rescore == nil:
 		mode = ExecTopK
-	default:
+	case opts.TopN > 0: // the one walk of a set in ID order
 		mode, ids = ExecCandidateOnly, cand.IDs()
+	default:
+		mode, ids = ExecCandidateOnly, cand.ids
 	}
 	switch {
 	case err != nil:

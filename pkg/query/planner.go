@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/pkg/index"
@@ -51,12 +50,11 @@ import (
 // match probability (see Ranked): what the posting source reported, or the
 // vacuous 1, which is always admissible.
 //
-// The set is the one place candidates are put in order, and only as far
-// as a reader asks: it keeps them as the posting source returned them, in
-// no particular order; IDs sorts a copy by ID on its first call, Ranked
-// sorts by bound, and a top-k run orders them one round at a time
-// (ranking). The stored candidates are never modified, so a set may be
-// shared between goroutines.
+// The set keeps the candidates as the posting source returned them, in
+// no particular order, and puts them in order only as far as a reader
+// asks: IDs sorts a copy by ID, Ranked sorts a copy by bound, and a top-k
+// run orders them one round at a time (ranking). The stored candidates are
+// never modified, so a set may be shared between goroutines.
 type CandidateSet struct {
 	// ids is duplicate-free, in no particular order.
 	ids []string
@@ -66,17 +64,12 @@ type CandidateSet struct {
 	// live is the number of live documents the posting source held as it
 	// answered, which every ID of ids was one of; 0 when it is not known.
 	live int
-
-	byIDOnce sync.Once
-	byID     []string // ids ascending, once IDs has run
 }
 
 // NewCandidateSet builds a set from ids, in any order, duplicates allowed,
 // each at the vacuous bound 1.
 func NewCandidateSet(ids ...string) *CandidateSet {
-	sorted := slices.Clone(ids)
-	slices.Sort(sorted)
-	sorted = slices.Compact(sorted)
+	sorted := slices.Compact(slices.Sorted(slices.Values(ids)))
 	return &CandidateSet{ids: sorted, bounds: slices.Repeat([]float64{1}, len(sorted))}
 }
 
@@ -89,15 +82,13 @@ func (c *CandidateSet) Len() int {
 	return len(c.ids)
 }
 
-// IDs returns the candidates in ascending order; nil for the nil set. The
-// first call sorts them; the slice is the set's own storage and must not
-// be modified.
+// IDs returns a fresh copy of the candidates in ascending order; nil for
+// the nil set.
 func (c *CandidateSet) IDs() []string {
 	if c == nil {
 		return nil
 	}
-	c.byIDOnce.Do(func() { c.byID = slices.Sorted(slices.Values(c.ids)) })
-	return c.byID
+	return slices.Sorted(slices.Values(c.ids))
 }
 
 // BoundedCandidate pairs a candidate document ID with its probability

@@ -275,13 +275,20 @@ func (s *Server) endpoint(name string, admit bool, h http.HandlerFunc) http.Hand
 // deadline, tightened to timeoutMS when the request asked for less. The
 // two are compared in milliseconds before timeoutMS becomes a Duration,
 // which a timeoutMS past 2⁶³ ns would wrap negative — a deadline already
-// past — so any larger request clamps to the server's maximum.
-func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
+// past — so any larger request clamps to the server's maximum. It is the
+// one check of timeout_ms for every endpoint: a negative one is answered
+// with 400, and ok is false.
+func (s *Server) requestCtx(w http.ResponseWriter, r *http.Request, timeoutMS int) (ctx context.Context, cancel context.CancelFunc, ok bool) {
+	if timeoutMS < 0 {
+		writeError(w, http.StatusBadRequest, "timeout_ms must not be negative, got %d", timeoutMS)
+		return nil, nil, false
+	}
 	d := s.opts.RequestTimeout
 	if timeoutMS > 0 && int64(timeoutMS) <= d.Milliseconds() {
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}
-	return context.WithTimeout(r.Context(), d)
+	ctx, cancel = context.WithTimeout(r.Context(), d)
+	return ctx, cancel, true
 }
 
 // writeJSON writes v as the JSON response body with the given status.
@@ -516,7 +523,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel, ok := s.requestCtx(w, r, req.TimeoutMS)
+	if !ok {
+		return
+	}
 	defer cancel()
 	if err := s.db.Ingest(ctx, req.Docs); err != nil {
 		writeDBError(w, err)
@@ -549,9 +559,10 @@ type queryRun struct {
 
 // runQuery is the lifecycle the three query endpoints share: strictly
 // decode the body into body (decodeJSON), whose query spec is req; run check (the
-// endpoint's own knob validation, may be nil); resolve the query through
-// the cache; build the engine options; derive the request deadline; then
-// time call, the endpoint's DB work. Every failure is answered here —
+// endpoint's own knob validation, may be nil); derive the request
+// deadline, which compilation counts against too; resolve the query
+// through the cache; build the engine options; then time call, the
+// endpoint's DB work. Every failure is answered here —
 // ok false means the response is already written.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, body any, req *queryRequest, check func() error,
 	call func(ctx context.Context, q *query.Query, opts query.SearchOptions) error) (run queryRun, ok bool) {
@@ -567,10 +578,11 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, body any, req 
 			return run, false
 		}
 	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "timeout_ms must not be negative, got %d", req.TimeoutMS)
+	ctx, cancel, ok := s.requestCtx(w, r, req.TimeoutMS)
+	if !ok {
 		return run, false
 	}
+	defer cancel()
 	q, hit, err := s.compiledQuery(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid query: %v", err)
@@ -581,8 +593,6 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, body any, req 
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return run, false
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
 	if s.testHookSearch != nil {
 		s.testHookSearch(ctx)
 	}
@@ -731,7 +741,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGetDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ctx, cancel := s.requestCtx(r, 0)
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 	doc, err := s.db.Get(ctx, id)
 	switch {
@@ -754,7 +764,7 @@ func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "document id is required")
 		return
 	}
-	ctx, cancel := s.requestCtx(r, 0)
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 	if err := s.db.Delete(ctx, id); err != nil {
 		writeDBError(w, err)

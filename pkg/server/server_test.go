@@ -283,6 +283,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"negative min_prob", "/v1/snippets", `{"terms": ["ab"], "min_prob": -0.1}`},
 		{"negative timeout", "/v1/search", `{"terms": ["ab"], "timeout_ms": -3}`},
 		{"explain bad mode", "/v1/explain", `{"terms": ["ab"], "mode": "regex"}`},
+		{"ingest negative timeout", "/v1/ingest", `{"docs": [{"id": "a", "chunks": [{"alts": [{"text": "ab", "prob": 1}], "retained": 1}]}], "timeout_ms": -1}`},
 		{"ingest no docs", "/v1/ingest", `{"docs": []}`},
 		{"ingest empty id", "/v1/ingest", `{"docs": [{"id": ""}]}`},
 		{"ingest non-distribution chunk", "/v1/ingest", `{"docs": [{"id": "a", "chunks": [{"alts": [{"text": "hello", "prob": 0.4}, {"text": "hellp", "prob": 0.4}], "retained": 1}]}]}`},

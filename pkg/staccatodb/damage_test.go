@@ -74,7 +74,7 @@ func frameBounds(t *testing.T, data []byte) []int64 {
 func snapshotOf(t *testing.T, ix *index.Index) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), index.FileName)
-	if err := index.WriteSnapshot(framelog.OS, path, ix, index.State{}); err != nil {
+	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

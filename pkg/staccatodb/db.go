@@ -112,13 +112,9 @@ func OpenMem(opts ...Option) (*DB, error) {
 // open is Open over any file system: the store's files and the index log
 // both live in dir on fsys.
 func open(fsys framelog.FS, dir string, opts []Option) (*DB, error) {
-	cfg := defaultConfig()
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
-	}
-	cfg, err := cfg.validated()
-	if err != nil {
-		return nil, err
 	}
 	disk, err := diskstore.OpenFS(fsys, dir, diskstore.Options{MaxSegmentBytes: cfg.maxSegmentBytes, NoSync: cfg.noSync})
 	if err != nil {
@@ -147,12 +143,8 @@ func (db *DB) indexPath() string { return filepath.Join(db.dir, index.FileName) 
 // unpersisted index only costs a rebuild next time. Failures to read the
 // store itself still fail.
 func (db *DB) loadOrRebuildIndex() error {
-	// A crash mid-snapshot strands the replace's staging file, and only a
-	// later successful snapshot would ever overwrite it. Best effort: a
-	// read-only directory keeps its debris and still opens.
-	_ = db.fsys.Remove(db.indexPath() + framelog.TempSuffix)
-	ix, got, err := index.LoadFS(db.fsys, db.indexPath(), db.cfg.gramSize)
-	if err == nil && got == toState(db.disk.CommitState()) {
+	ix, got, err := index.LoadFS(db.fsys, db.indexPath(), index.DefaultGramSize)
+	if err == nil && got == db.disk.CommitState() {
 		db.idx = ix
 		if w, err := index.OpenAppend(db.fsys, db.indexPath(), ix, !db.cfg.noSync); err == nil {
 			db.idxW = w
@@ -160,12 +152,10 @@ func (db *DB) loadOrRebuildIndex() error {
 		return nil
 	}
 	//lint:allow ctxflow Open's signature deliberately takes no context (a DB either opens or it doesn't); the rebuild scan is startup work with no caller deadline to inherit
-	ix, err = db.scannedIndex(context.Background())
-	if err != nil {
-		return err
+	if ix, err = db.scannedIndex(context.Background()); err == nil {
+		_ = db.installIndex(ix) // a log that cannot be written leaves the index installed but unpersisted
 	}
-	_ = db.installIndex(ix) // a log that cannot be written leaves the index installed but unpersisted
-	return nil
+	return err
 }
 
 // installIndex makes ix the live index, replaces the index log with a
@@ -180,7 +170,7 @@ func (db *DB) installIndex(ix *index.Index) error {
 		db.idxW.Close()
 	}
 	var w *index.Writer
-	err := index.WriteSnapshot(db.fsys, db.indexPath(), ix, toState(db.disk.CommitState()))
+	err := index.WriteSnapshot(db.fsys, db.indexPath(), ix, db.disk.CommitState())
 	if err == nil {
 		w, err = index.OpenAppend(db.fsys, db.indexPath(), ix, !db.cfg.noSync)
 	}
@@ -203,25 +193,19 @@ const rebuildRun = 1024
 // scannedIndex builds a fresh index from a full store scan, read and
 // extracted in runs of rebuildRun documents, each applied as one Batch.
 func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
-	ix := index.New(db.cfg.gramSize)
+	ix := index.New(index.DefaultGramSize)
 	ids, err := db.disk.ListDocIDs(ctx)
 	for from := 0; err == nil && from < len(ids); from += rebuildRun {
 		var docs []*staccato.Doc
 		if docs, err = db.disk.GetBatch(ctx, ids[from:min(from+rebuildRun, len(ids))]); err == nil {
 			docs = slices.DeleteFunc(docs, func(d *staccato.Doc) bool { return d == nil }) // deleted since the listing
-			ix.ApplyBatch(index.BatchOf(docs, db.cfg.gramSize, db.Workers()), nil)
+			ix.ApplyBatch(index.BatchOf(docs, index.DefaultGramSize, db.Workers()), nil)
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("staccatodb: rebuilding index: %w", err)
 	}
 	return ix, nil
-}
-
-// toState converts the store's staleness fingerprint into the index
-// log's representation — the single place the field mapping lives.
-func toState(cs diskstore.CommitState) index.State {
-	return index.State{Ops: cs.Ops, Bytes: cs.Bytes, Seg: cs.Seg}
 }
 
 // index returns the live index — nil when disabled or closed — and the
@@ -278,7 +262,7 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 	// rejects it before its entry could be applied.
 	var adds *index.Batch
 	if !db.cfg.noIndex {
-		adds = index.BatchOf(puts, db.cfg.gramSize, db.Workers())
+		adds = index.BatchOf(puts, index.DefaultGramSize, db.Workers())
 	}
 
 	db.writeMu.Lock()
@@ -307,7 +291,7 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 		// goes stale with the next write, which forces a rebuild on the
 		// next Open. It never fails the write: the documents are already
 		// durable.
-		if db.idxW.Append(adds, dels, toState(db.disk.CommitState())) != nil {
+		if db.idxW.Append(adds, dels, db.disk.CommitState()) != nil {
 			db.idxW.Close()
 			db.mu.Lock()
 			db.idxW = nil

@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/internal/refsearch"
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/index"
@@ -605,20 +607,15 @@ func TestDamagedIndexFileRebuilt(t *testing.T) {
 	}
 }
 
-func TestOptionValidation(t *testing.T) {
-	if _, err := staccatodb.OpenMem(staccatodb.WithGramSize(0)); err == nil {
-		t.Error("WithGramSize(0) accepted")
-	}
-	if _, err := staccatodb.Open(filepath.Join(t.TempDir(), "x"), staccatodb.WithGramSize(-1)); err == nil {
-		t.Error("WithGramSize(-1) accepted")
-	}
-}
-
+// TestGramSizeChangeForcesRebuild: an index log written at a gram size
+// other than index.DefaultGramSize, even one stamped with the store's
+// current state, must not be loaded. Open rebuilds the index at the
+// default size, rewrites the log at it, and the rebuilt index prunes.
 func TestGramSizeChangeForcesRebuild(t *testing.T) {
 	ctx := context.Background()
 	dir := filepath.Join(t.TempDir(), "db")
 	cases := corpus(t, 8, 43)
-	db, err := staccatodb.Open(dir, staccatodb.WithGramSize(3))
+	db, err := staccatodb.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,22 +624,39 @@ func TestGramSizeChangeForcesRebuild(t *testing.T) {
 	}
 	db.Close()
 
-	db4, err := staccatodb.Open(dir, staccatodb.WithGramSize(4))
+	path := filepath.Join(dir, index.FileName)
+	_, stamp, err := index.Load(path, index.DefaultGramSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db4.Close()
-	if st := db4.Stats(); st.IndexDocs != len(cases) {
-		t.Fatalf("IndexDocs after gram-size change = %d, want %d", st.IndexDocs, len(cases))
+	const q = index.DefaultGramSize + 1
+	ix := index.New(q)
+	ix.ApplyBatch(index.BatchOf(docsOf(cases), q, 1), nil)
+	if err := index.WriteSnapshot(framelog.OS, path, ix, stamp); err != nil {
+		t.Fatal(err)
 	}
-	// A 4-rune term is exactly one 4-gram; it must still prune.
+
+	db, err = staccatodb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if st := db.Stats(); st.IndexDocs != len(cases) || !st.IndexPersisted {
+		t.Fatalf("stats after a gram-size change: %+v, want %d indexed documents, persisted", st, len(cases))
+	}
+	if _, _, err := index.Load(path, index.DefaultGramSize); err != nil {
+		t.Fatalf("the log was not rewritten at gram size %d: %v", index.DefaultGramSize, err)
+	}
 	term := cases[1].Doc.MAP()[2:8]
-	_, stats, err := db4.Search(ctx, mustQ(query.Substring(term)), query.SearchOptions{})
+	got, stats, err := db.Search(ctx, mustQ(query.Substring(term)), query.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.IndexUsed {
-		t.Fatalf("index unused after gram-size rebuild; stats %+v", stats)
+	if !stats.IndexUsed || stats.DocsPruned == 0 {
+		t.Fatalf("index did not prune after the gram-size rebuild; stats %+v", stats)
+	}
+	if !slices.ContainsFunc(got, func(r query.Result) bool { return r.DocID == cases[1].Doc.ID }) {
+		t.Fatalf("search for %q lost %s, whose MAP reading holds it: %+v", term, cases[1].Doc.ID, got)
 	}
 }
 

@@ -1,32 +1,11 @@
 package staccatodb
 
-import (
-	"fmt"
-
-	"github.com/paper-repo/staccato-go/pkg/index"
-)
-
-// config collects everything the Option functions can set. Validation is
-// deferred to Open/OpenMem so a bad option surfaces as an error, not a
-// panic inside an option constructor.
+// config collects everything the Option functions can set.
 type config struct {
 	workers         int
-	gramSize        int
 	noIndex         bool
 	noSync          bool
 	maxSegmentBytes int64
-	err             error
-}
-
-func defaultConfig() config {
-	return config{gramSize: index.DefaultGramSize}
-}
-
-func (c config) validated() (config, error) {
-	if c.err != nil {
-		return c, c.err
-	}
-	return c, nil
 }
 
 // Option configures Open and OpenMem.
@@ -38,20 +17,6 @@ type Option func(*config)
 // (index.BatchOf), and small writes on none but the caller's.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
-}
-
-// WithGramSize sets the inverted index's gram size q. Larger grams prune
-// harder but only serve longer terms; the default is
-// index.DefaultGramSize. An existing on-disk index built at a different q
-// is rebuilt on Open.
-func WithGramSize(q int) Option {
-	return func(c *config) {
-		if q < 1 {
-			c.err = fmt.Errorf("staccatodb: gram size must be >= 1, got %d", q)
-			return
-		}
-		c.gramSize = q
-	}
 }
 
 // WithoutIndex disables the inverted index entirely: no index is loaded,

@@ -326,8 +326,8 @@ func TestSearchAndMaintenanceRaceWrites(t *testing.T) {
 	}
 	cs := raw.CommitState()
 	raw.Close()
-	if want := (index.State{Ops: cs.Ops, Bytes: cs.Bytes, Seg: cs.Seg}); stamp != want {
-		t.Fatalf("index log stamped %+v, store at %+v: the next Open would rebuild", stamp, want)
+	if stamp != cs {
+		t.Fatalf("index log stamped %+v, store at %+v: the next Open would rebuild", stamp, cs)
 	}
 
 	noIdx, err := staccatodb.Open(dir, staccatodb.WithoutIndex())
