@@ -53,11 +53,7 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), FileName)
 	ix := New(3)
-	if err := WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenAppend(framelog.OS, path, ix, false)
-	if err != nil {
+	if err := ix.Persist(framelog.OS, path, diskstore.CommitState{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 200; step++ {
@@ -76,13 +72,12 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 				dels = append(dels, id)
 			}
 		}
-		ix.Apply(adds, dels)
-		if err := w.Append(Invert(adds), dels, diskstore.CommitState{Ops: uint64(step + 1)}); err != nil {
+		if err := ix.Commit(Invert(adds), dels, diskstore.CommitState{Ops: uint64(step + 1)}); err != nil {
 			t.Fatal(err)
 		}
 		assertAligned(t, fmt.Sprintf("after Apply %d", step), ix)
 	}
-	if err := w.Close(); err != nil {
+	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,7 +87,10 @@ func TestPostingsAndBoundsStayAligned(t *testing.T) {
 	}
 	assertAligned(t, "after Load of the append log", replayed)
 
-	if err := WriteSnapshot(framelog.OS, path, replayed, diskstore.CommitState{Ops: 200}); err != nil {
+	if err := replayed.Persist(framelog.OS, path, diskstore.CommitState{Ops: 200}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayed.Close(); err != nil {
 		t.Fatal(err)
 	}
 	snap, _, err := Load(path, 3)

@@ -10,10 +10,9 @@ import (
 // Batch is one commit's additions, inverted: the documents in add order
 // and, per distinct gram in ascending order, the run of documents holding
 // it. It is the one shape additions take past gram extraction — ApplyBatch
-// appends its runs to the delta's posting lists, Writer.Append and
-// WriteSnapshot store it as it stands, Load reads it back, and the index's
-// base is one — so a commit is inverted once, by whoever extracted it,
-// outside every lock.
+// appends its runs to the delta's posting lists, Commit and Persist store
+// it as it stands, Load reads it back, and the index's base is one — so a
+// commit is inverted once, by whoever extracted it, outside every lock.
 type Batch struct {
 	ids   []string // the documents; a document's local ordinal is its position
 	flags []byte   // aligned with ids: flagOverflow | flagShort

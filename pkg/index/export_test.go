@@ -95,8 +95,8 @@ func ByID(ids []string, bounds []float64) ([]string, []float64) {
 	return sorted, sortedBounds
 }
 
-// SetRewriteFloor lowers the length below which Writer.Append never
-// rewrites a log to n until the test ends, so that a small corpus
+// SetRewriteFloor lowers the length below which Commit never rewrites a
+// log to n until the test ends, so that a small corpus
 // rewrites its log many times.
 func SetRewriteFloor(t testing.TB, n int64) {
 	saved := rewriteFloor

@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"os"
 	"slices"
-	"sync/atomic"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
@@ -49,13 +48,15 @@ import (
 // the file is admissible and none needs sanitizing). A snapshot is one
 // commit holding every live document, renumbered densely.
 //
-// The log rewrites itself. Once an append takes it past 3/2 of the
-// length of the log holding just its base, and past 1 MiB (rewriteFloor),
-// Writer.Append merges the index's base and delta into a new base without
-// the dead ordinals and replaces the log with header and base alone, as
-// WriteSnapshot does. The log, and the index in memory, thus stay within
-// 3/2 of what the live documents take, and the floor keeps a small store
-// from replacing its file on every synced Put.
+// The index owns its log: Open loads it or writes it anew, Commit appends
+// one record per store commit, Persist replaces it with a snapshot, and
+// Close releases it. The log rewrites itself. Once a Commit takes it past
+// 3/2 of the length of the log holding just its base, and past 1 MiB
+// (rewriteFloor), Commit merges the index's base and delta into a new base
+// without the dead ordinals and replaces the log with header and base
+// alone, as Persist does. The log, and the index in memory, thus stay
+// within 3/2 of what the live documents take, and the floor keeps a small
+// store from replacing its file on every synced Put.
 //
 // parseCommit accepts exactly what appendPayload can produce from a Batch:
 // a flags byte with an unassigned bit, a gram not above its predecessor,
@@ -95,18 +96,7 @@ const (
 // the requested gram size — a header from a different q or format.
 var ErrMismatch = errors.New("index: file does not match the requested gram size")
 
-// Writer appends commit records to the log of one index, and rewrites the
-// log from that index once it has grown past its trigger.
-type Writer struct {
-	fsys framelog.FS
-	path string
-	ix   *Index
-	f    framelog.File
-	sync bool
-	end  atomic.Int64 // the log's length: where the next record goes
-}
-
-// rewriteFloor is the length below which Append never rewrites a log;
+// rewriteFloor is the length below which Commit never rewrites a log;
 // past it, a log is rewritten once it is longer than 3/2 of the log of its
 // base alone. The ratio bounds the log, and the delta beside the base in
 // memory, at 3/2 of what the live documents take; the floor keeps a small
@@ -114,121 +104,130 @@ type Writer struct {
 // so that tests can lower it (export_test.go).
 var rewriteFloor int64 = 1 << 20
 
-// OpenAppend opens an existing index log on fsys for appending the
-// commits ix applies. Only the header frame is validated against ix's
-// gram size — callers must have run Load or WriteSnapshot on the file
-// first (both leave it ending on a clean frame boundary), which is what
-// makes skipping a second full parse here safe. withSync fsyncs after
-// every Append, mirroring the store's own durability setting.
-func OpenAppend(fsys framelog.FS, path string, ix *Index, withSync bool) (*Writer, error) {
-	f, _, size, err := openLog(fsys, path, ix.GramSize(), os.O_RDWR)
-	if err != nil {
+// logFile is where a persisted index keeps its log. The Index's wmu
+// guards it.
+type logFile struct {
+	fsys framelog.FS
+	path string
+	sync bool          // fsync after every record
+	f    framelog.File // nil while the index is unpersisted
+}
+
+// Open returns the index of a store at state st, persisted to the log at
+// path on fsys. It loads the log (see Load) when its last intact commit
+// is stamped st; otherwise — the log missing, damaged down to its header,
+// at another gram size or stale — it persists the index build returns
+// (see Persist). From then on every Commit appends to the log, and sync
+// fsyncs after each record. Only build's error fails Open: a log that
+// cannot be written leaves the index serving unpersisted, which costs
+// only a rebuild at the next Open.
+func Open(fsys framelog.FS, path string, st diskstore.CommitState, sync bool, build func() (*Index, error)) (*Index, error) {
+	ix, got, end, err := load(fsys, path, DefaultGramSize)
+	if err == nil && got == st {
+		if f, err := fsys.OpenFile(path, os.O_RDWR); err == nil {
+			ix.log = logFile{fsys: fsys, path: path, sync: sync, f: f}
+			ix.logEnd.Store(end)
+		}
+		return ix, nil
+	}
+	if ix, err = build(); err != nil {
 		return nil, err
 	}
-	w := &Writer{fsys: fsys, path: path, ix: ix, f: f, sync: withSync}
-	w.end.Store(size)
-	return w, nil
+	_ = ix.Persist(fsys, path, st, sync)
+	return ix, nil
 }
 
-// openLog opens the log at path on fsys with flag for a frame-by-frame
-// read, consumes its first frame, which must be an intact header for
-// gram size q, and reports the file's size.
-func openLog(fsys framelog.FS, path string, q, flag int) (framelog.File, *framelog.Reader, int64, error) {
-	f, err := fsys.OpenFile(path, flag)
-	if err != nil {
-		return nil, nil, 0, err
+// Commit applies one store commit that applied adds and dels and left
+// the store at st, as ApplyBatch does, and appends its record to the log.
+// If that takes the log past its trigger, Commit then rewrites the log
+// from the index, as Persist does. Any failure of the log closes it and
+// is returned: the index goes on serving, unpersisted, and the log left
+// on disk is the old one, the record included or not, or the new one.
+func (ix *Index) Commit(adds *Batch, dels []string, st diskstore.CommitState) error {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	ix.apply(adds, dels)
+	if ix.log.f == nil {
+		return nil
 	}
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return nil, nil, 0, err
-	}
-	r := framelog.NewReader(io.NewSectionReader(f, 0, size), size)
-	payload, err := r.Next()
-	if err != nil {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
-	}
-	if gotQ, err := parseHeader(payload); err != nil || gotQ != q {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("%w: %s", ErrMismatch, path)
-	}
-	return f, r, size, nil
-}
-
-// Append writes one commit record mirroring a store commit that applied
-// adds and dels — which the Writer's index has already applied — and left
-// the store at st. If that takes the log past its trigger, Append then
-// rewrites the log from the index, as WriteSnapshot does. An error from
-// the rewrite leaves on disk either the old log, the record included, or
-// the new one. Appends are serialized by the caller.
-func (w *Writer) Append(adds *Batch, dels []string, st diskstore.CommitState) error {
 	frame := appendCommit(nil, adds, dels, st)
-	end := w.end.Load()
-	if _, err := w.f.WriteAt(frame, end); err != nil {
+	end := ix.logEnd.Load()
+	_, err := ix.log.f.WriteAt(frame, end)
+	if err == nil && ix.log.sync {
+		err = ix.log.f.Sync()
+	}
+	if err != nil {
+		ix.closeLog()
 		return fmt.Errorf("index: %w", err)
 	}
 	end += int64(len(frame))
-	w.end.Store(end)
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("index: %w", err)
-		}
-	}
-	if end <= max(w.ix.base()*3/2, rewriteFloor) {
+	ix.logEnd.Store(end)
+	if end <= max(ix.logBase*3/2, rewriteFloor) {
 		return nil
 	}
-	size, err := writeBase(w.fsys, w.path, w.ix, st)
-	if err != nil {
-		return err
-	}
-	f, err := w.fsys.OpenFile(w.path, os.O_RDWR)
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	w.f.Close() // the replaced log's handle
-	w.f = f
-	w.end.Store(size)
-	return nil
+	return ix.rewriteLog(st)
 }
 
-// Size is the log's length in bytes. It is safe to call beside Append.
-func (w *Writer) Size() int64 { return w.end.Load() }
-
-// Close releases the log file handle.
-func (w *Writer) Close() error {
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	return nil
+// Persist rewrites ix — merges its delta into its base, without the dead
+// ordinals — and atomically replaces the log at path on fsys with one
+// holding that base as a single commit at state st; every Commit appends
+// to that log from then on, in place of any log ix kept before. A crash
+// or failure at any point leaves either the old file or the new one,
+// never a mix; ix is rewritten either way, and after a failure it serves
+// on unpersisted.
+func (ix *Index) Persist(fsys framelog.FS, path string, st diskstore.CommitState, sync bool) error {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	ix.log.fsys, ix.log.path, ix.log.sync = fsys, path, sync
+	return ix.rewriteLog(st)
 }
 
-// WriteSnapshot rewrites ix — merges its delta into its base, without the
-// dead ordinals — and atomically replaces the index log at path on fsys
-// with a fresh one holding that base as a single commit at state st. A
-// crash or failure at any point leaves either the old log or the new one,
-// never a mix; ix is rewritten either way.
-func WriteSnapshot(fsys framelog.FS, path string, ix *Index, st diskstore.CommitState) error {
-	_, err := writeBase(fsys, path, ix, st)
-	return err
-}
-
-// writeBase is WriteSnapshot, and reports the new log's length.
-func writeBase(fsys framelog.FS, path string, ix *Index, st diskstore.CommitState) (int64, error) {
+// rewriteLog is Persist to the log ix.log names. Callers hold wmu.
+func (ix *Index) rewriteLog(st diskstore.CommitState) error {
 	log := ix.rewrite(st)
-	if _, err := framelog.ReplaceFile(fsys, path, log); err != nil {
-		return 0, fmt.Errorf("index: %w", err)
+	_, err := framelog.ReplaceFile(ix.log.fsys, ix.log.path, log)
+	var f framelog.File
+	if err == nil {
+		f, err = ix.log.fsys.OpenFile(ix.log.path, os.O_RDWR)
 	}
-	return int64(len(log)), nil
+	if err != nil {
+		ix.closeLog()
+		return fmt.Errorf("index: %w", err)
+	}
+	if ix.log.f != nil {
+		ix.log.f.Close() // the replaced log's handle
+	}
+	ix.log.f = f
+	ix.logEnd.Store(int64(len(log)))
+	return nil
+}
+
+// Close releases the index's log. The index goes on serving, unpersisted.
+func (ix *Index) Close() error {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	return ix.closeLog()
+}
+
+// closeLog is Close. Callers hold wmu.
+func (ix *Index) closeLog() error {
+	f := ix.log.f
+	if f == nil {
+		return nil
+	}
+	ix.log.f = nil
+	ix.logEnd.Store(0)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("index: %w", err)
+	}
+	return nil
 }
 
 // rewrite merges the index's base and delta into a new base without the
 // dead ordinals, swaps it in, and returns the index log that holds just
 // it, stamped st. The merge and the encoding run beside lookups; only the
-// swap excludes them.
+// swap excludes them. Callers hold wmu.
 func (ix *Index) rewrite(st diskstore.CommitState) []byte {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
 	ix.mu.RLock()
 	b := ix.merged()
 	ix.mu.RUnlock()
@@ -241,44 +240,51 @@ func (ix *Index) rewrite(st diskstore.CommitState) []byte {
 	return log
 }
 
-// base is the length of a log holding just ix's base.
-func (ix *Index) base() int64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.logBase
-}
-
-// Load is LoadFS on the operating system's file system.
+// Load reads the index log at path into a fresh Index and returns it with
+// the store state of the last intact commit. The first commit becomes the
+// index's base as it was parsed; every later one is applied to its delta.
+// A damaged or torn tail is truncated away (the index is derived data;
+// dropping records can only force a rebuild, never lose documents).
+// Missing files surface as fs.ErrNotExist; a header for a different gram
+// size as ErrMismatch. The index is not persisted: Open is what appends.
 func Load(path string, q int) (*Index, diskstore.CommitState, error) {
-	return LoadFS(framelog.OS, path, q)
+	ix, st, _, err := load(framelog.OS, path, q)
+	return ix, st, err
 }
 
-// LoadFS reads the index log at path on fsys into a fresh Index and
-// returns it with the store state of the last intact commit. The first
-// commit becomes the index's base as it was parsed; every later one is
-// applied to its delta. A damaged or torn tail is truncated away (the
-// index is derived data; dropping records can only force a rebuild, never
-// lose documents). Missing files surface as fs.ErrNotExist; a header for a
-// different gram size as ErrMismatch.
+// load is Load on fsys, and reports the length of the intact log, where
+// the next record goes.
 //
-// LoadFS first removes the staging file a crash in the middle of a
-// rewrite strands beside path, which only a later successful rewrite
-// would otherwise overwrite. Best effort: a read-only directory keeps its
+// load first removes the staging file a crash in the middle of a rewrite
+// strands beside path, which only a later successful rewrite would
+// otherwise overwrite. Best effort: a read-only directory keeps its
 // debris and the log still loads.
-func LoadFS(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState, error) {
+func load(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState, int64, error) {
 	_ = fsys.Remove(path + framelog.TempSuffix)
 	ix := New(q)
-	f, r, _, err := openLog(fsys, path, q, os.O_RDONLY)
+	f, err := fsys.OpenFile(path, os.O_RDONLY)
 	if err != nil {
-		return ix, diskstore.CommitState{}, err
+		return ix, diskstore.CommitState{}, 0, err
 	}
 	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return ix, diskstore.CommitState{}, 0, err
+	}
+	r := framelog.NewReader(io.NewSectionReader(f, 0, size), size)
+	payload, err := r.Next()
+	if err != nil {
+		return ix, diskstore.CommitState{}, 0, fmt.Errorf("%w: %s has no valid header", ErrMismatch, path)
+	}
+	if gotQ, err := parseHeader(payload); err != nil || gotQ != q {
+		return ix, diskstore.CommitState{}, 0, fmt.Errorf("%w: %s", ErrMismatch, path)
+	}
 	ix.logBase = r.Offset()
 	var st diskstore.CommitState
 	for first := true; ; first = false {
 		payload, err := r.Next()
 		if err == io.EOF {
-			return ix, st, nil
+			return ix, st, r.Offset(), nil
 		}
 		if err == nil {
 			adds, dels, recSt, perr := parseCommit(payload)
@@ -295,7 +301,7 @@ func LoadFS(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState
 			err = r.Bad("malformed commit record")
 		}
 		if !errors.As(err, new(*framelog.Damage)) {
-			return ix, diskstore.CommitState{}, fmt.Errorf("index: reading %s: %w", path, err)
+			return ix, diskstore.CommitState{}, 0, fmt.Errorf("index: reading %s: %w", path, err)
 		}
 		// Torn or interior, the policy is the same: cut the log back to
 		// its intact prefix so appends resume at a frame boundary. The
@@ -306,7 +312,7 @@ func LoadFS(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState
 			_ = t.Truncate(r.Offset())
 			t.Close()
 		}
-		return ix, st, nil
+		return ix, st, r.Offset(), nil
 	}
 }
 

@@ -25,9 +25,11 @@
 //
 // The index lives in memory as gram → posting list and persists to a
 // single crc-framed log file (see file.go) inside the store directory,
-// commit by commit in the postings-major shape it applies them in (Batch),
-// maintained transactionally with diskstore commits and rebuilt from a
-// store scan whenever it is missing or stale.
+// commit by commit in the postings-major shape it applies them in (Batch).
+// The Index owns that log from Open, which loads it or persists a rebuild
+// from a store scan when it is missing or stale, through Commit, which
+// applies and appends each diskstore commit, to the rewrites that keep it
+// sized to the live documents.
 package index
 
 import (

@@ -3,6 +3,7 @@ package index
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
@@ -22,14 +23,15 @@ import (
 // followed by its delta run, and a lookup answers each part on its own.
 // Deletes and supersedes just kill the old ordinal — posting lists keep
 // the stale entry and lookups filter it out — which makes mutation
-// O(grams). A rewrite (Writer.Append, WriteSnapshot) merges both parts
-// into a new base without the dead ordinals.
+// O(grams). A rewrite (Commit past its trigger, Persist) merges both
+// parts into a new base without the dead ordinals.
 type Index struct {
 	q int
 
-	// wmu serializes mutations: ApplyBatch, and a rewrite from the merge
-	// that reads the index to the swap that replaces it. Lock order: wmu,
-	// then mu.
+	// wmu serializes mutations and the log: ApplyBatch, Commit from the
+	// apply through the record's append, and a rewrite from the merge that
+	// reads the index to the swap that replaces it. Lock order: wmu, then
+	// mu; lookups take only mu, which no file I/O holds.
 	wmu sync.Mutex
 	mu  sync.RWMutex
 	tables
@@ -37,6 +39,11 @@ type Index struct {
 	// accums recycles the ordinal-sized scratch of a lookup's Patterns and
 	// Or nodes.
 	accums sync.Pool
+
+	// log is the index's log, under wmu (see Open); logEnd is its length,
+	// where the next record goes, and 0 while the index is unpersisted.
+	log    logFile
+	logEnd atomic.Int64
 }
 
 // tables is everything a rewrite replaces at once.
@@ -69,7 +76,7 @@ type tables struct {
 	alphabet []rune
 	ascii    [2]uint64 // bitmap of the alphabet's runes below utf8.RuneSelf
 	// logBase is the length of an index log holding just the base, which
-	// sets when a log built on it is rewritten (Writer.Append).
+	// sets when a log built on it is rewritten (Commit).
 	logBase int64
 }
 
@@ -142,6 +149,11 @@ func (ix *Index) Apply(adds []Entry, dels []string) {
 func (ix *Index) ApplyBatch(b *Batch, dels []string) {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
+	ix.apply(b, dels)
+}
+
+// apply is ApplyBatch. Callers hold wmu.
+func (ix *Index) apply(b *Batch, dels []string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, id := range dels {
@@ -334,13 +346,16 @@ type Stats struct {
 	Postings int
 	// OverflowDocs counts live documents indexed as always-matching.
 	OverflowDocs int
+	// LogBytes is the length of the index's log; 0 while the index is
+	// unpersisted.
+	LogBytes int64
 }
 
 // Stats reports document, gram, and posting counts.
 func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return Stats{Docs: len(ix.ord), Grams: len(ix.dict), Postings: ix.npost, OverflowDocs: len(ix.always)}
+	return Stats{Docs: len(ix.ord), Grams: len(ix.dict), Postings: ix.npost, OverflowDocs: len(ix.always), LogBytes: ix.logEnd.Load()}
 }
 
 // merged returns the live documents as one Batch, without the dead

@@ -110,7 +110,10 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 	ix := index.New(3)
 	ix.Add(doc([]string{"hello"}))
 	st := diskstore.CommitState{Ops: 7, Bytes: 1234}
-	if err := index.WriteSnapshot(framelog.OS, path, ix, st); err != nil {
+	if err := ix.Persist(framelog.OS, path, st, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, gotSt, err := index.Load(path, 3)
@@ -128,26 +131,22 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 func TestAppendReplays(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
 	ix := index.New(3)
-	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := index.OpenAppend(framelog.OS, path, ix, true)
-	if err != nil {
+	if err := ix.Persist(framelog.OS, path, diskstore.CommitState{}, true); err != nil {
 		t.Fatal(err)
 	}
 	e1 := index.EntryFor(doc([]string{"hello"}), 3)
-	if err := w.Append(index.Invert([]index.Entry{e1}), nil, diskstore.CommitState{Ops: 1, Bytes: 10}); err != nil {
+	if err := ix.Commit(index.Invert([]index.Entry{e1}), nil, diskstore.CommitState{Ops: 1, Bytes: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(index.Invert(nil), []string{"t"}, diskstore.CommitState{Ops: 2, Bytes: 20}); err != nil {
+	if err := ix.Commit(index.Invert(nil), []string{"t"}, diskstore.CommitState{Ops: 2, Bytes: 20}); err != nil {
 		t.Fatal(err)
 	}
 	d2 := doc([]string{"world"})
 	d2.ID = "u"
-	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, diskstore.CommitState{Ops: 3, Bytes: 30}); err != nil {
+	if err := ix.Commit(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, diskstore.CommitState{Ops: 3, Bytes: 30}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,19 +169,15 @@ func TestLoadTornTailTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
 	ix := index.New(3)
 	ix.Add(doc([]string{"hello"}))
-	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{Ops: 1, Bytes: 1}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := index.OpenAppend(framelog.OS, path, ix, true)
-	if err != nil {
+	if err := ix.Persist(framelog.OS, path, diskstore.CommitState{Ops: 1, Bytes: 1}, true); err != nil {
 		t.Fatal(err)
 	}
 	d2 := doc([]string{"world"})
 	d2.ID = "u"
-	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, diskstore.CommitState{Ops: 2, Bytes: 2}); err != nil {
+	if err := ix.Commit(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, diskstore.CommitState{Ops: 2, Bytes: 2}); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
+	ix.Close()
 
 	// Tear the last record: drop its final 3 bytes.
 	fi, err := os.Stat(path)
@@ -222,19 +217,15 @@ func TestLoadSweepsStrandedTemp(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
 	ix := index.New(3)
 	ix.Add(doc([]string{"hello"}))
-	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{Ops: 1}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := index.OpenAppend(framelog.OS, path, ix, true)
-	if err != nil {
+	if err := ix.Persist(framelog.OS, path, diskstore.CommitState{Ops: 1}, true); err != nil {
 		t.Fatal(err)
 	}
 	d2 := doc([]string{"world"})
 	d2.ID = "u"
-	if err := w.Append(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, diskstore.CommitState{Ops: 2, Bytes: 20}); err != nil {
+	if err := ix.Commit(index.Invert([]index.Entry{index.EntryFor(d2, 3)}), nil, diskstore.CommitState{Ops: 2, Bytes: 20}); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
+	ix.Close()
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +259,10 @@ func TestLoadMissingAndMismatched(t *testing.T) {
 		t.Errorf("Load(missing) err = %v, want fs.ErrNotExist", err)
 	}
 	ix := index.New(4)
-	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{}); err != nil {
+	if err := ix.Persist(framelog.OS, path, diskstore.CommitState{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := index.Load(path, 3); !errors.Is(err, index.ErrMismatch) {
@@ -304,11 +298,8 @@ func TestStats(t *testing.T) {
 // stores the commit's own ordinals, in one that loads it.
 func TestDuplicateIDInOneCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), index.FileName)
-	if err := index.WriteSnapshot(framelog.OS, path, index.New(3), diskstore.CommitState{}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := index.OpenAppend(framelog.OS, path, index.New(3), false)
-	if err != nil {
+	logged := index.New(3)
+	if err := logged.Persist(framelog.OS, path, diskstore.CommitState{}, false); err != nil {
 		t.Fatal(err)
 	}
 	other := doc([]string{"world"})
@@ -316,10 +307,10 @@ func TestDuplicateIDInOneCommit(t *testing.T) {
 	commit := index.Invert([]index.Entry{
 		index.EntryFor(doc([]string{"hello"}), 3), index.EntryFor(other, 3), index.EntryFor(doc([]string{"help"}), 3),
 	})
-	if err := w.Append(commit, nil, diskstore.CommitState{Ops: 1}); err != nil {
+	if err := logged.Commit(commit, nil, diskstore.CommitState{Ops: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := logged.Close(); err != nil {
 		t.Fatal(err)
 	}
 	applied := index.New(3)

@@ -26,28 +26,23 @@ var benchLogs = sync.OnceValues(func() (framelog.FS, error) {
 	}
 	fsys := framelog.NewMemFS()
 	ix := New(DefaultGramSize)
-	if err := WriteSnapshot(fsys, "log", ix, diskstore.CommitState{}); err != nil {
+	if err := ix.Persist(fsys, "log", diskstore.CommitState{}, false); err != nil {
 		return nil, err
 	}
-	w, err := OpenAppend(fsys, "log", ix, false)
-	if err != nil {
-		return nil, err
-	}
-	defer w.Close()
+	defer ix.Close()
 	saved := rewriteFloor
 	rewriteFloor = 1 << 40 // the log as the bench's bulk load left it before rewrites
 	defer func() { rewriteFloor = saved }()
 	for from := 0; from < len(docs); from += 256 {
 		b := BatchOf(docs[from:min(from+256, len(docs))], DefaultGramSize, 1)
-		ix.ApplyBatch(b, nil)
-		if err := w.Append(b, nil, diskstore.CommitState{Ops: uint64(from + 1)}); err != nil {
+		if err := ix.Commit(b, nil, diskstore.CommitState{Ops: uint64(from + 1)}); err != nil {
 			return nil, err
 		}
 	}
-	return fsys, WriteSnapshot(fsys, "snapshot", ix, diskstore.CommitState{Ops: 8000})
+	return fsys, ix.Persist(fsys, "snapshot", diskstore.CommitState{Ops: 8000}, false)
 })
 
-// BenchmarkIndexLoad times LoadFS over the 32-commit log of 8,000
+// BenchmarkIndexLoad times load over the 32-commit log of 8,000
 // documents and over their snapshot.
 func BenchmarkIndexLoad(b *testing.B) {
 	fsys, err := benchLogs()
@@ -58,7 +53,7 @@ func BenchmarkIndexLoad(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, _, err := LoadFS(fsys, name, DefaultGramSize); err != nil {
+				if _, _, _, err := load(fsys, name, DefaultGramSize); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -82,7 +77,7 @@ func BenchmarkIndexRewrite(b *testing.B) {
 	// iteration resets that, so at the default -benchtime it never stops.
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ix, _, err := LoadFS(fsys, "log", DefaultGramSize)
+		ix, _, _, err := load(fsys, "log", DefaultGramSize)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,15 +35,18 @@ func TestFailedSnapshotLeavesNoTemp(t *testing.T) {
 			path := filepath.Join(dir, index.FileName)
 			old := index.New(3)
 			old.Add(doc([]string{"hello"}))
-			if err := index.WriteSnapshot(framelog.OS, path, old, diskstore.CommitState{Ops: 1}); err != nil {
+			if err := old.Persist(framelog.OS, path, diskstore.CommitState{Ops: 1}, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Close(); err != nil {
 				t.Fatal(err)
 			}
 			breakIt(t, path)
 
 			next := index.New(3)
 			next.Add(doc([]string{"world"}))
-			if err := index.WriteSnapshot(framelog.OS, path, next, diskstore.CommitState{Ops: 2}); err == nil {
-				t.Fatal("WriteSnapshot reported success over a failed replace")
+			if err := next.Persist(framelog.OS, path, diskstore.CommitState{Ops: 2}, false); err == nil {
+				t.Fatal("Persist reported success over a failed replace")
 			}
 			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
 				t.Errorf("failed snapshot left %v behind", left)

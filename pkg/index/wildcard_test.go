@@ -165,18 +165,15 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), FileName)
-	if err := WriteSnapshot(framelog.OS, path, New(3), diskstore.CommitState{}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenAppend(framelog.OS, path, New(3), false)
-	if err != nil {
+	logged := New(3)
+	if err := logged.Persist(framelog.OS, path, diskstore.CommitState{}, false); err != nil {
 		t.Fatal(err)
 	}
 	adds := []Entry{e, entry("plain", "xyz", 0.5)}
-	if err := w.Append(Invert(adds), nil, diskstore.CommitState{Ops: 1}); err != nil {
+	if err := logged.Commit(Invert(adds), nil, diskstore.CommitState{Ops: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := logged.Close(); err != nil {
 		t.Fatal(err)
 	}
 	check := func(when string, ix *Index) {
@@ -194,7 +191,10 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("append log", loaded)
-	if err := WriteSnapshot(framelog.OS, path, loaded, diskstore.CommitState{Ops: 1}); err != nil {
+	if err := loaded.Persist(framelog.OS, path, diskstore.CommitState{Ops: 1}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Close(); err != nil {
 		t.Fatal(err)
 	}
 	snap, _, err := Load(path, 3)

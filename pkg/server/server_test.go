@@ -287,6 +287,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"ingest no docs", "/v1/ingest", `{"docs": []}`},
 		{"ingest empty id", "/v1/ingest", `{"docs": [{"id": ""}]}`},
 		{"ingest non-distribution chunk", "/v1/ingest", `{"docs": [{"id": "a", "chunks": [{"alts": [{"text": "hello", "prob": 0.4}, {"text": "hellp", "prob": 0.4}], "retained": 1}]}]}`},
+		{"ingest 8 KB id", "/v1/ingest", `{"docs": [{"id": "` + strings.Repeat("x", 8<<10) + `", "chunks": [{"alts": [{"text": "ab", "prob": 1}], "retained": 1}]}]}`},
 		{"explain bad body", "/v1/explain", `[1,2,3]`},
 		{"snippets truncated json", "/v1/snippets", `{"terms": ["ab"`},
 		{"snippets unknown field", "/v1/snippets", `{"terms": ["ab"], "nope": 1}`},
@@ -617,12 +618,12 @@ func TestWithheldBodyReleasesSlot(t *testing.T) {
 func TestStalledReaderReleasesSlot(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	s, ts := newTestServer(t, Options{MaxInFlight: 1, RequestTimeout: timeout})
-	// 1,000 matches with 8 kB IDs: an 8 MB response, twice the default
-	// ceiling of a Linux socket's send buffer; the client's receive
-	// buffer is cut to a few kB below.
-	docs := make([]*staccato.Doc, 1000)
+	// 32,000 matches with 256-byte IDs, the longest a store takes: an
+	// 8 MB response, twice the default ceiling of a Linux socket's send
+	// buffer; the client's receive buffer is cut to a few kB below.
+	docs := make([]*staccato.Doc, 32000)
 	for i := range docs {
-		docs[i] = &staccato.Doc{ID: fmt.Sprintf("%04d%s", i, strings.Repeat("x", 8<<10)), Chunks: []staccato.PathSet{{
+		docs[i] = &staccato.Doc{ID: fmt.Sprintf("%05d%s", i, strings.Repeat("x", 251)), Chunks: []staccato.PathSet{{
 			Alts: []staccato.Alt{{Text: "abcd", Prob: 1}}, Retained: 1,
 		}}}
 	}
@@ -641,8 +642,10 @@ func TestStalledReaderReleasesSlot(t *testing.T) {
 	body := `{"terms":["abcd"]}`
 	fmt.Fprintf(conn, "POST /v1/search HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
 
+	// The probe matches no document, so it costs next to nothing beside
+	// the 32,000-document search, even under the race detector.
 	explain := func() int {
-		status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/explain", queryRequest{Terms: []string{"abcd"}})
+		status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/explain", queryRequest{Terms: []string{"qqqq"}})
 		return status
 	}
 	for explain() != http.StatusTooManyRequests { // wait for the search to take the slot

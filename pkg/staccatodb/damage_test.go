@@ -74,7 +74,10 @@ func frameBounds(t *testing.T, data []byte) []int64 {
 func snapshotOf(t *testing.T, ix *index.Index) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), index.FileName)
-	if err := index.WriteSnapshot(framelog.OS, path, ix, diskstore.CommitState{}); err != nil {
+	if err := ix.Persist(framelog.OS, path, diskstore.CommitState{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -17,22 +17,23 @@
 //
 // The DB is the single sequencer of mutations. Every write extracts its
 // index additions before any lock, takes the DB's write lock, commits to
-// the store as one all-or-none batch, and only then applies the same
-// change to the in-memory index and appends a mirroring record to the
-// index log (index.FileName in the store directory), stamped with the
-// store's CommitState, before the write call returns. The log rewrites
-// itself as a snapshot once it grows past 3/2 of its last one and past
-// 1 MiB (see index.Writer.Append), so it stays sized to the live
-// documents.
+// the store as one all-or-none batch, and only then hands the same change
+// to the index (index.Index.Commit), which applies it in memory and
+// appends a mirroring record to its log (index.FileName in the store
+// directory), stamped with the store's CommitState, before the write call
+// returns. The index owns that log: it rewrites it as a snapshot once it
+// grows past 3/2 of its last one and past 1 MiB, so it stays sized to the
+// live documents, and stops persisting, serving on from memory, when the
+// log cannot be written.
 // Store first, so a failed commit, which stores nothing, leaves the index
-// describing what the store still holds. Compact and RebuildIndex take
-// the same lock, so they exclude writers. Open compares the log's final
-// state against the store's: any mismatch — the index file missing, the
-// store modified without the index attached, a torn tail truncated on
-// either side, a crash between the store commit and the log append —
-// declares the index stale and rebuilds it from a full scan. The index
-// is thus a pure cache: no failure mode of the index file can lose
-// documents or change query results.
+// describing what the store still holds. Compact takes the same lock, so
+// it excludes writers. Open hands index.Open the store's CommitState: any
+// mismatch with the log's final state — the index file missing, the store
+// modified without the index attached, a torn tail truncated on either
+// side, a crash between the store commit and the log append — declares
+// the index stale and rebuilds it from a full scan. The index is thus a
+// pure cache: no failure mode of the index file can lose documents or
+// change query results, and the recovery for any of them is a reopen.
 //
 // # Query execution
 //
@@ -77,19 +78,17 @@ type DB struct {
 	disk *diskstore.Store
 	eng  *query.Engine
 
-	// writeMu orders every mutation: writes, Compact, RebuildIndex and
-	// Close hold it from the store commit through the index update, so
-	// the store and the index change in the same order and maintenance
-	// excludes writers.
+	// writeMu orders every mutation: writes, Compact and Close hold it
+	// from the store commit through the index update, so the store and
+	// the index change in the same order and maintenance excludes writers.
 	writeMu sync.Mutex
 
-	// mu guards the fields below. idx and idxW are assigned only with
-	// writeMu also held, so a writeMu holder reads them directly and
-	// everyone else goes through index(). Lock order: writeMu, then the
-	// store's lock or mu; mu is never held across a store or index call.
+	// mu guards the fields below. idx is assigned only with writeMu also
+	// held, so a writeMu holder reads it directly and everyone else goes
+	// through index(). Lock order: writeMu, then the store's lock or mu;
+	// mu is never held across a store or index call.
 	mu     sync.Mutex
-	idx    *index.Index  // nil when the index is disabled
-	idxW   *index.Writer // nil when not persisting (after a log write failure)
+	idx    *index.Index // nil when the index is disabled or the DB closed
 	closed bool
 }
 
@@ -123,7 +122,15 @@ func open(fsys framelog.FS, dir string, opts []Option) (*DB, error) {
 	db := &DB{cfg: cfg, fsys: fsys, dir: dir, disk: disk}
 	db.eng = query.NewEngine(disk, query.EngineOptions{Workers: cfg.workers})
 	if !cfg.noIndex {
-		if err := db.loadOrRebuildIndex(); err != nil {
+		// Only a failure to read the store fails Open. An index log that
+		// cannot be written — a read-only corpus directory, a full disk —
+		// leaves the index serving unpersisted: search must keep working,
+		// and an unpersisted index only costs a rebuild next time.
+		build := func() (*index.Index, error) {
+			//lint:allow ctxflow Open's signature deliberately takes no context (a DB either opens or it doesn't); the rebuild scan is startup work with no caller deadline to inherit
+			return db.scannedIndex(context.Background())
+		}
+		if db.idx, err = index.Open(fsys, db.indexPath(), disk.CommitState(), !cfg.noSync, build); err != nil {
 			disk.Close()
 			return nil, err
 		}
@@ -133,55 +140,6 @@ func open(fsys framelog.FS, dir string, opts []Option) (*DB, error) {
 
 // indexPath returns the index log's location inside the store directory.
 func (db *DB) indexPath() string { return filepath.Join(db.dir, index.FileName) }
-
-// loadOrRebuildIndex loads the index log if its recorded CommitState
-// matches the store's, and otherwise rebuilds the index from a full scan
-// and snapshots it. Runs during Open, before the DB is shared. Failures
-// to WRITE the index log — a read-only corpus directory, a full disk —
-// degrade to an unpersisted in-memory index rather than failing Open:
-// search over a read-only directory must keep working, and an
-// unpersisted index only costs a rebuild next time. Failures to read the
-// store itself still fail.
-func (db *DB) loadOrRebuildIndex() error {
-	ix, got, err := index.LoadFS(db.fsys, db.indexPath(), index.DefaultGramSize)
-	if err == nil && got == db.disk.CommitState() {
-		db.idx = ix
-		if w, err := index.OpenAppend(db.fsys, db.indexPath(), ix, !db.cfg.noSync); err == nil {
-			db.idxW = w
-		}
-		return nil
-	}
-	//lint:allow ctxflow Open's signature deliberately takes no context (a DB either opens or it doesn't); the rebuild scan is startup work with no caller deadline to inherit
-	if ix, err = db.scannedIndex(context.Background()); err == nil {
-		_ = db.installIndex(ix) // a log that cannot be written leaves the index installed but unpersisted
-	}
-	return err
-}
-
-// installIndex makes ix the live index, replaces the index log with a
-// snapshot of it stamped with the store's CommitState, then reopens the
-// log for appending. Callers hold writeMu (Open runs before the DB is
-// shared), so no commit lands between the stamp and the snapshot and the
-// stamp is exact. If the log cannot be written ix is installed all the
-// same — it is correct for this process — with persistence off, and the
-// next Open rebuilds.
-func (db *DB) installIndex(ix *index.Index) error {
-	if db.idxW != nil {
-		db.idxW.Close()
-	}
-	var w *index.Writer
-	err := index.WriteSnapshot(db.fsys, db.indexPath(), ix, db.disk.CommitState())
-	if err == nil {
-		w, err = index.OpenAppend(db.fsys, db.indexPath(), ix, !db.cfg.noSync)
-	}
-	if err != nil {
-		err = fmt.Errorf("staccatodb: persisting index: %w", err)
-	}
-	db.mu.Lock()
-	db.idx, db.idxW = ix, w
-	db.mu.Unlock()
-	return err
-}
 
 // rebuildRun is how many documents a rebuild reads and extracts at a
 // time. A longer run shares more of its gram dictionary and splits better
@@ -208,12 +166,11 @@ func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
 	return ix, nil
 }
 
-// index returns the live index — nil when disabled or closed — and the
-// index log's writer, nil when the index is not being persisted.
-func (db *DB) index() (*index.Index, *index.Writer) {
+// index returns the live index — nil when disabled or closed.
+func (db *DB) index() *index.Index {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.idx, db.idxW
+	return db.idx
 }
 
 func (db *DB) isClosed() bool {
@@ -283,21 +240,12 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 	if del != "" {
 		dels = []string{del}
 	}
-	db.idx.ApplyBatch(adds, dels)
-	if db.idxW != nil {
-		// A log write failure — of the record, or of the rewrite a record
-		// that takes the log past its trigger sets off — stops persistence:
-		// the in-memory index stays correct for this process, and the log
-		// goes stale with the next write, which forces a rebuild on the
-		// next Open. It never fails the write: the documents are already
-		// durable.
-		if db.idxW.Append(adds, dels, db.disk.CommitState()) != nil {
-			db.idxW.Close()
-			db.mu.Lock()
-			db.idxW = nil
-			db.mu.Unlock()
-		}
-	}
+	// A log write failure — of the record, or of the rewrite a record
+	// that takes the log past its trigger sets off — stops persistence:
+	// the in-memory index stays correct for this process, and the log goes
+	// stale with the next write, which forces a rebuild on the next Open.
+	// It never fails the write: the documents are already durable.
+	_ = db.idx.Commit(adds, dels, db.disk.CommitState())
 	return nil
 }
 
@@ -345,7 +293,7 @@ func (db *DB) Search(ctx context.Context, q *query.Query, opts query.SearchOptio
 	if db.isClosed() {
 		return nil, stats, ErrClosed
 	}
-	ix, _ := db.index()
+	ix := db.index()
 	opts.Candidates = planCandidates(ix, q, &stats)
 	opts.Stats = &stats
 	res, err := db.eng.Search(ctx, q, opts)
@@ -419,7 +367,7 @@ func planCandidates(ix *index.Index, q *query.Query, stats *query.SearchStats) *
 // prune, and the execution mode Search would take. It runs the planner
 // but not the engine.
 func (db *DB) Explain(q *query.Query) string {
-	ix, _ := db.index()
+	ix := db.index()
 	if q == nil {
 		return "plan: none (nil query)"
 	}
@@ -475,19 +423,18 @@ type Stats struct {
 
 // Stats reports document, segment, and index counts.
 func (db *DB) Stats() Stats {
-	ix, w := db.index()
+	ix := db.index()
 	dst := db.disk.Stats()
-	st := Stats{Docs: dst.Docs, Segments: dst.Segments, DiskBytes: dst.DiskBytes, IndexPersisted: w != nil}
+	st := Stats{Docs: dst.Docs, Segments: dst.Segments, DiskBytes: dst.DiskBytes}
 	if ix != nil {
 		ist := ix.Stats()
 		st.IndexEnabled = true
+		st.IndexPersisted = ist.LogBytes > 0
 		st.IndexDocs = ist.Docs
 		st.IndexGrams = ist.Grams
 		st.IndexPostings = ist.Postings
 		st.IndexOverflowDocs = ist.OverflowDocs
-	}
-	if w != nil {
-		st.IndexBytes = w.Size()
+		st.IndexBytes = ist.LogBytes
 	}
 	return st
 }
@@ -508,34 +455,13 @@ func (db *DB) Compact(ctx context.Context) error {
 	if db.idx == nil {
 		return nil
 	}
-	// Rewriting the index log rewrites the in-memory index too, dropping
-	// the dead ordinals and stale postings that write churn accumulates.
-	return db.installIndex(db.idx)
-}
-
-// RebuildIndex discards the current index and rebuilds it from a full
-// store scan and snapshots it to the index log — the force-refresh for
-// an index suspected out of step (Open already rebuilds automatically
-// whenever staleness is detectable). Writers wait for the length of the
-// scan, so the rebuilt index and its stamp cover exactly what the store
-// holds. A database opened WithoutIndex extracts no index entries on
-// write, so nothing would keep a rebuilt index current and RebuildIndex
-// refuses — reopen without the option instead (Open then builds the
-// index itself).
-func (db *DB) RebuildIndex(ctx context.Context) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if db.isClosed() {
-		return ErrClosed
+	// Persisting rewrites the in-memory index too, dropping the dead
+	// ordinals and stale postings that write churn accumulates, and it
+	// takes an index that had stopped persisting back to its log.
+	if err := db.idx.Persist(db.fsys, db.indexPath(), db.disk.CommitState(), !db.cfg.noSync); err != nil {
+		return fmt.Errorf("staccatodb: persisting index: %w", err)
 	}
-	if db.cfg.noIndex {
-		return errors.New("staccatodb: index disabled by WithoutIndex; reopen without it to build and maintain one")
-	}
-	ix, err := db.scannedIndex(ctx)
-	if err != nil {
-		return err
-	}
-	return db.installIndex(ix)
+	return nil
 }
 
 // Close waits for writes in flight, then detaches the index, closes the
@@ -551,13 +477,13 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	w := db.idxW
-	db.idx, db.idxW = nil, nil
+	ix := db.idx
+	db.idx = nil
 	db.mu.Unlock()
 
 	var err error
-	if w != nil {
-		err = w.Close()
+	if ix != nil {
+		err = ix.Close()
 	}
 	if cerr := db.disk.Close(); cerr != nil && err == nil {
 		err = cerr

@@ -540,12 +540,6 @@ func TestRebuildIndexAfterNoIndexIngest(t *testing.T) {
 	if err := raw.Ingest(ctx, docsOf(cases)); err != nil {
 		t.Fatal(err)
 	}
-	// A WithoutIndex DB has no commit hook to keep a rebuilt index
-	// current, so RebuildIndex must refuse rather than attach one that
-	// would silently rot.
-	if err := raw.RebuildIndex(ctx); err == nil {
-		t.Fatal("RebuildIndex on a WithoutIndex DB should refuse")
-	}
 	raw.Close()
 
 	// Reopening with the index enabled IS the recovery path: the missing
@@ -558,13 +552,6 @@ func TestRebuildIndexAfterNoIndexIngest(t *testing.T) {
 	st := db.Stats()
 	if !st.IndexEnabled || st.IndexDocs != len(cases) {
 		t.Fatalf("Stats after indexed reopen = %+v", st)
-	}
-	// The forced refresh works on an index-enabled DB and re-snapshots.
-	if err := db.RebuildIndex(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.Stats(); st.IndexDocs != len(cases) {
-		t.Fatalf("IndexDocs after RebuildIndex = %d, want %d", st.IndexDocs, len(cases))
 	}
 }
 
@@ -632,7 +619,10 @@ func TestGramSizeChangeForcesRebuild(t *testing.T) {
 	const q = index.DefaultGramSize + 1
 	ix := index.New(q)
 	ix.ApplyBatch(index.BatchOf(docsOf(cases), q, 1), nil)
-	if err := index.WriteSnapshot(framelog.OS, path, ix, stamp); err != nil {
+	if err := ix.Persist(framelog.OS, path, stamp, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
 

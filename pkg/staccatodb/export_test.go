@@ -12,3 +12,10 @@ func OpenFS(fsys framelog.FS, opts ...Option) (*DB, error) { return open(fsys, "
 // Store is the database's document store, for tests that read it
 // directly.
 func (db *DB) Store() *diskstore.Store { return db.disk }
+
+// WithMaxSegmentBytes sets the store's segment roll size, on disk and in
+// memory alike (see diskstore.Options.MaxSegmentBytes), so that a test's
+// small corpus rolls segments.
+func WithMaxSegmentBytes(n int64) Option {
+	return func(c *config) { c.maxSegmentBytes = n }
+}

@@ -66,8 +66,9 @@ func (f indexFaultFile) Sync() error {
 // TestIndexLogFailureDegrades drives the index log's failure policy: a log
 // that cannot be written never fails Open or a write. The index stays
 // installed, unpersisted, and answers exactly like a scan; maintenance
-// reports the failure; and a reopen once the log is writable again
-// rebuilds and answers the same.
+// reports the failure; a reopen once the log is writable again rebuilds
+// and answers the same; and once a later fault clears, Compact takes the
+// index back to its log, which the next reopen loads.
 func TestIndexLogFailureDegrades(t *testing.T) {
 	ctx := context.Background()
 	cases := corpus(t, 30, 11)
@@ -168,13 +169,11 @@ func TestIndexLogFailureDegrades(t *testing.T) {
 	agrees(t, db, "after writes")
 
 	// (c) Maintenance reports the failure and keeps the index installed.
-	for name, op := range map[string]func(context.Context) error{"Compact": db.Compact, "RebuildIndex": db.RebuildIndex} {
-		if err := op(ctx); err == nil || !strings.Contains(err.Error(), "persisting index") || !errors.Is(err, errIndexWrite) {
-			t.Fatalf("%s with an unwritable index log: err = %v, want the persisting-index error", name, err)
-		}
-		unpersisted(t, db, "after "+name)
-		agrees(t, db, "after "+name)
+	if err := db.Compact(ctx); err == nil || !strings.Contains(err.Error(), "persisting index") || !errors.Is(err, errIndexWrite) {
+		t.Fatalf("Compact with an unwritable index log: err = %v, want the persisting-index error", err)
 	}
+	unpersisted(t, db, "after Compact")
+	agrees(t, db, "after Compact")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +199,44 @@ func TestIndexLogFailureDegrades(t *testing.T) {
 		t.Errorf("after the reopen: %+v, want a persisted index of %d log bytes", st, len(logAfter))
 	}
 	agrees(t, re, "after the reopen")
+
+	// (e) A refused append stops persistence again; once the fault
+	// clears, Compact persists the index anew, and a reopen loads that
+	// log as it stands.
+	ffs.armed = true
+	for _, d := range []*staccatodb.DB{re, ref} {
+		if err := d.Delete(ctx, docs[2].ID); err != nil {
+			t.Fatalf("Delete with an unwritable index log: %v", err)
+		}
+	}
+	unpersisted(t, re, "after a refused append")
+	ffs.armed = false
+	if err := re.Compact(ctx); err != nil {
+		t.Fatalf("Compact once the fault cleared: %v", err)
+	}
+	compacted, err := ffs.ReadFile(index.FileName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := re.Stats(); !st.IndexPersisted || st.IndexBytes != int64(len(compacted)) || st.IndexDocs != st.Docs {
+		t.Fatalf("after Compact: %+v, want a persisted index of %d log bytes", st, len(compacted))
+	}
+	agrees(t, re, "after Compact")
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := staccatodb.OpenFS(ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if now, _ := ffs.ReadFile(index.FileName); !bytes.Equal(now, compacted) {
+		t.Error("the reopen rebuilt the index instead of loading the log Compact wrote")
+	}
+	if st := loaded.Stats(); !st.IndexPersisted || st.IndexBytes != int64(len(compacted)) {
+		t.Errorf("after the reopen: %+v, want a persisted index of %d log bytes", st, len(compacted))
+	}
+	agrees(t, loaded, "after reopening the compacted log")
 }
 
 // TestFileSystemsWriteIdenticalIndexLogs runs one write and maintenance
@@ -233,7 +270,6 @@ func TestFileSystemsWriteIdenticalIndexLogs(t *testing.T) {
 		{"delete", func(db *staccatodb.DB) error { return db.Delete(ctx, docs[3].ID) }},
 		{"compact", func(db *staccatodb.DB) error { return db.Compact(ctx) }},
 		{"delete after compact", func(db *staccatodb.DB) error { return db.Delete(ctx, docs[12].ID) }},
-		{"rebuild", func(db *staccatodb.DB) error { return db.RebuildIndex(ctx) }},
 	}
 	for _, step := range steps {
 		for _, db := range []*staccatodb.DB{disk, inMem} {

@@ -5,7 +5,7 @@ type config struct {
 	workers         int
 	noIndex         bool
 	noSync          bool
-	maxSegmentBytes int64
+	maxSegmentBytes int64 // diskstore.Options.MaxSegmentBytes; set only by tests
 }
 
 // Option configures Open and OpenMem.
@@ -33,10 +33,4 @@ func WithoutIndex() Option {
 // and a lost index tail just forces a rebuild).
 func WithNoSync() Option {
 	return func(c *config) { c.noSync = true }
-}
-
-// WithMaxSegmentBytes sets the store's segment roll size, on disk and in
-// memory alike; see diskstore.Options.MaxSegmentBytes.
-func WithMaxSegmentBytes(n int64) Option {
-	return func(c *config) { c.maxSegmentBytes = n }
 }

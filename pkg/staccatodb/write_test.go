@@ -132,7 +132,7 @@ func TestFailedWriteNeverPrunesStoredDoc(t *testing.T) {
 }
 
 // TestSearchAndMaintenanceRaceWrites runs writers, planned searches with
-// Stats, Compact and RebuildIndex against one disk database at once. Every
+// Stats and Compact against one disk database at once. Every
 // search must succeed and report, for each document, the probability of
 // some version of it the test wrote, and counters that add up:
 // DocsTotal == DocsScanned + DocsPruned + BoundsSkipped with DocsPruned
@@ -282,10 +282,6 @@ func TestSearchAndMaintenanceRaceWrites(t *testing.T) {
 			}
 			if err := db.Compact(ctx); err != nil {
 				t.Errorf("Compact: %v", err)
-				return
-			}
-			if err := db.RebuildIndex(ctx); err != nil {
-				t.Errorf("RebuildIndex: %v", err)
 				return
 			}
 		}

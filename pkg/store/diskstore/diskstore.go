@@ -837,14 +837,24 @@ func (s *Store) closeSegments() error {
 	return firstErr
 }
 
+// maxIDBytes caps a document ID's length. Every search result, index
+// record and cached candidate carries the ID, so an unbounded one lets a
+// single request make every response that names the document megabytes
+// long.
+const maxIDBytes = 256
+
 // putOp encodes doc as a put record. Every write passes through it, so it
 // is where a document that is not a product of probability distributions
 // is refused: each chunk needs at least one alternative, every probability
 // in (0, 1], probabilities summing to 1, and a retained mass in [0, 1].
 // Stored unchecked, such a chunk makes a query's "probability" exceed 1.
+// An ID over maxIDBytes is refused here too.
 func putOp(doc *staccato.Doc) (op, error) {
 	if doc == nil || doc.ID == "" {
 		return op{}, fmt.Errorf("diskstore: Put: document must have a non-empty ID")
+	}
+	if len(doc.ID) > maxIDBytes {
+		return op{}, fmt.Errorf("diskstore: Put: %w: ID of %d bytes, over the limit of %d", store.ErrInvalidDoc, len(doc.ID), maxIDBytes)
 	}
 	for i, ch := range doc.Chunks {
 		sum := 0.0

@@ -482,6 +482,34 @@ func TestPutRejectsNonDistributions(t *testing.T) {
 	}
 }
 
+// TestPutCapsIDLength: an ID of up to 256 bytes is stored, and one byte
+// more is refused as an invalid document whose error names the limit —
+// through Put and through a batch, which then stores nothing.
+func TestPutCapsIDLength(t *testing.T) {
+	ctx := context.Background()
+	st := openMemT(t, diskstore.Options{})
+	longest := sampleDoc(t, strings.Repeat("a", 256), 1)
+	if err := st.Put(ctx, longest); err != nil {
+		t.Fatalf("Put of a 256-byte ID: %v", err)
+	}
+	if got, err := st.Get(ctx, longest.ID); err != nil || got.ID != longest.ID {
+		t.Fatalf("Get of the 256-byte ID = %v, %v", got, err)
+	}
+	over := sampleDoc(t, strings.Repeat("b", 257), 2)
+	if err := st.Put(ctx, over); !errors.Is(err, store.ErrInvalidDoc) || !strings.Contains(err.Error(), "256") {
+		t.Fatalf("Put of a 257-byte ID = %v, want store.ErrInvalidDoc naming the limit", err)
+	}
+	b := st.Batch()
+	b.Put(sampleDoc(t, "good", 3))
+	b.Put(over)
+	if err := b.Commit(ctx); !errors.Is(err, store.ErrInvalidDoc) {
+		t.Errorf("Commit = %v, want store.ErrInvalidDoc", err)
+	}
+	if st.Len() != 1 {
+		t.Errorf("store holds %d documents, want only the 256-byte ID", st.Len())
+	}
+}
+
 func TestSegmentRollAndReopen(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()

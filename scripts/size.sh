@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# size.sh — the three numbers ROADMAP item 6 asks every deletion PR to
-# report, before and after. Report only: it never fails a build.
+# size.sh — the numbers ROADMAP item 6 asks every deletion PR to report,
+# before and after. Report only: it never fails a build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src() { find "$1" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'; }
@@ -20,6 +20,9 @@ echo "== exported identifiers under pkg/"
 for d in pkg/*/; do
   printf '%7d  %s\n' "$(src "$d" | xargs grep -hE "$exported" | wc -l)" "${d%/}"
 done
+
+echo "== staccatodb options"
+printf '%7d  %s\n' "$(grep -c '^func With' pkg/staccatodb/options.go)" pkg/staccatodb/options.go
 
 echo "== //lint:allow directives"
 printf '%7d  %s\n' "$(grep -rn '//lint:allow' --include='*.go' . | wc -l)" .
