@@ -14,11 +14,9 @@ import (
 // bound list is exactly as long as its posting list.
 func assertAligned(t *testing.T, when string, ix *Index) {
 	t.Helper()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for g, s := range ix.dict {
-		for _, p := range ix.runs(s) {
-			if len(p.ords) != len(p.bnds) {
+	for _, part := range ix.cur.Load().parts {
+		for k, g := range part.grams {
+			if p := part.Batch.run(k); len(p.ords) != len(p.bnds) {
 				t.Fatalf("%s: gram %q has %d postings but %d bounds", when, g, len(p.ords), len(p.bnds))
 			}
 		}

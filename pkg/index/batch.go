@@ -137,17 +137,44 @@ func Invert(adds []Entry) *Batch {
 // one: their documents in sequence and, per gram, the runs of every range
 // that holds it, each ordinal rebased by the documents of the ranges
 // before its own — so a merged run is ascending as it is concatenated.
-func merge(parts []*Batch) *Batch {
-	b, base := &Batch{}, make([]uint32, len(parts))
-	grams, total := 0, 0
-	for i, p := range parts {
-		base[i] = uint32(len(b.ids))
-		b.ids, b.flags = append(b.ids, p.ids...), append(b.flags, p.flags...)
-		grams, total = grams+len(p.grams), total+len(p.ords)
+// The documents dead marks, by their ordinal across the ranges, are left
+// out with their postings, the rest renumbered densely, and a gram left
+// without a posting goes; a nil dead leaves out nothing. The merged grams
+// are copied back to back into one string.
+func merge(parts []*Batch, dead []uint64) *Batch {
+	const gone = ^uint32(0)
+	n, total := 0, 0
+	for _, p := range parts {
+		n, total = n+len(p.ids), total+len(p.ords)
 	}
-	b.grams, b.ends = make([]string, 0, grams), make([]uint32, 0, grams)
+	// renumber maps an ordinal across the ranges to its merged one.
+	renumber := make([]uint32, n)
+	b := &Batch{ids: make([]string, 0, n), flags: make([]byte, 0, n)}
+	o := uint32(0)
+	for _, p := range parts {
+		for j, id := range p.ids {
+			if renumber[o] = gone; int(o/64) >= len(dead) || dead[o/64]&(1<<(o%64)) == 0 {
+				renumber[o] = uint32(len(b.ids))
+				b.ids, b.flags = append(b.ids, id), append(b.flags, p.flags[j])
+			}
+			o++
+		}
+	}
+	if len(b.ids) < n { // size the runs without the dead postings
+		total, o = 0, 0
+		for _, p := range parts {
+			for _, k := range p.ords {
+				if renumber[o+k] != gone {
+					total++
+				}
+			}
+			o += uint32(len(p.ids))
+		}
+	}
 	b.ords, b.bnds = make([]uint32, 0, total), make([]uint16, 0, total)
-	at, next := make([]int, len(parts)), make([]uint32, len(parts)) // each range's next gram and posting
+	at := make([]int, len(parts)) // each range's next gram
+	var text []byte
+	var cut []uint32 // where each merged gram ends in text
 	for {
 		g, found := "", false
 		for i, p := range parts {
@@ -156,18 +183,30 @@ func merge(parts []*Batch) *Batch {
 			}
 		}
 		if !found {
-			return b
+			break
 		}
+		from, base := len(b.ords), uint32(0)
 		for i, p := range parts {
 			if at[i] < len(p.grams) && p.grams[at[i]] == g {
-				from, to := next[i], p.ends[at[i]]
-				for _, o := range p.ords[from:to] {
-					b.ords = append(b.ords, base[i]+o)
+				run := p.run(at[i])
+				for j, o := range run.ords {
+					if o = renumber[base+o]; o != gone {
+						b.ords, b.bnds = append(b.ords, o), append(b.bnds, run.bnds[j])
+					}
 				}
-				b.bnds = append(b.bnds, p.bnds[from:to]...)
-				at[i], next[i] = at[i]+1, to
+				at[i]++
 			}
+			base += uint32(len(p.ids))
 		}
-		b.grams, b.ends = append(b.grams, g), append(b.ends, uint32(len(b.ords)))
+		if len(b.ords) > from {
+			text, cut = append(text, g...), append(cut, uint32(len(text)+len(g)))
+			b.ends = append(b.ends, uint32(len(b.ords)))
+		}
 	}
+	all, from := string(text), uint32(0)
+	b.grams = make([]string, len(cut))
+	for k, to := range cut {
+		b.grams[k], from = all[from:to], to
+	}
+	return b
 }

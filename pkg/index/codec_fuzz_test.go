@@ -44,6 +44,7 @@ func malformedCommits() map[string][]byte {
 	}, nil, diskstore.CommitState{Ops: 1})
 	return map[string][]byte{
 		"unassigned flag bit":            one(flagShort|1<<2, []uint32{0, 1}, []uint16{7, 9}),
+		"overflow and short both set":    one(flagOverflow|flagShort, []uint32{1}, []uint16{9}),
 		"local ordinal out of range":     one(0, []uint32{0, 2}, []uint16{7, 9}),
 		"non-ascending delta":            one(0, []uint32{1, 1}, []uint16{7, 9}),
 		"posting for an overflow doc":    one(flagOverflow, []uint32{0, 1}, []uint16{7, 9}),
@@ -73,7 +74,7 @@ func TestParseCommitAcceptsAndRejects(t *testing.T) {
 // FuzzCommitRecord pins decode→encode→decode stability for the commit
 // codec. Every bit pattern of a 16-bit bound is a valid bound, so there is
 // nothing to sanitize; what parseCommit must guarantee is that whatever it
-// accepts is a Batch ApplyBatch can take — runs aligned, ascending, inside
+// accepts is a Batch Commit can take — runs aligned, ascending, inside
 // the add list, clear of overflow documents — and canonical: re-encoding it
 // and decoding that yields deeply equal structures and the same bytes
 // again. A violation means a persisted index could drift across
@@ -106,7 +107,7 @@ func FuzzCommitRecord(f *testing.F) {
 				}
 			}
 		}
-		New(3).ApplyBatch(adds, dels) // must not panic
+		_ = New(3).Commit(adds, dels, diskstore.CommitState{}) // must not panic
 
 		re := encodeCommit(adds, dels, st)
 		adds2, dels2, st2, err := parseCommit(re)

@@ -59,11 +59,7 @@ func (b *Batch) Entries() []Entry {
 
 // Snapshot is the live documents as one Batch: the base a rewrite would
 // build now.
-func (ix *Index) Snapshot() *Batch {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.merged()
-}
+func (ix *Index) Snapshot() *Batch { return ix.cur.Load().merged() }
 
 // Entries is the live documents' entries, sorted by ID.
 func (ix *Index) Entries() []Entry {

@@ -59,7 +59,8 @@ import (
 // store from replacing its file on every synced Put.
 //
 // parseCommit accepts exactly what appendPayload can produce from a Batch:
-// a flags byte with an unassigned bit, a gram not above its predecessor,
+// a flags byte with an unassigned bit or with both bits set, a gram not
+// above its predecessor,
 // an empty run, a zero delta, an ordinal outside the add list or naming an
 // overflow document, a count overrunning the payload and trailing bytes
 // all make the record malformed. Loading such a file adopts the first
@@ -223,26 +224,21 @@ func (ix *Index) closeLog() error {
 	return nil
 }
 
-// rewrite merges the index's base and delta into a new base without the
-// dead ordinals, swaps it in, and returns the index log that holds just
-// it, stamped st. The merge and the encoding run beside lookups; only the
-// swap excludes them. Callers hold wmu.
+// rewrite merges every part of the index into one without the dead
+// ordinals, publishes it, and returns the index log that holds just it,
+// stamped st. Lookups go on reading the version they loaded throughout.
+// Callers hold wmu.
 func (ix *Index) rewrite(st diskstore.CommitState) []byte {
-	ix.mu.RLock()
-	b := ix.merged()
-	ix.mu.RUnlock()
+	b := ix.cur.Load().merged()
 	log := framelog.Append(nil, encodeHeader(ix.q))
 	log = appendCommit(log, b, nil, st)
-	t := adopt(b, int64(len(log)))
-	ix.mu.Lock()
-	ix.tables = t
-	ix.mu.Unlock()
+	ix.adopt(b, int64(len(log)))
 	return log
 }
 
 // Load reads the index log at path into a fresh Index and returns it with
-// the store state of the last intact commit. The first commit becomes the
-// index's base as it was parsed; every later one is applied to its delta.
+// the store state of the last intact commit. Each commit becomes a part
+// as it was parsed, and the parts are tiered once, at the end.
 // A damaged or torn tail is truncated away (the index is derived data;
 // dropping records can only force a rebuild, never lose documents).
 // Missing files surface as fs.ErrNotExist; a header for a different gram
@@ -280,22 +276,19 @@ func load(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState, 
 		return ix, diskstore.CommitState{}, 0, fmt.Errorf("%w: %s", ErrMismatch, path)
 	}
 	ix.logBase = r.Offset()
-	var st diskstore.CommitState
+	v, st := ix.cur.Load(), diskstore.CommitState{}
 	for first := true; ; first = false {
 		payload, err := r.Next()
 		if err == io.EOF {
-			return ix, st, r.Offset(), nil
+			break
 		}
 		if err == nil {
 			adds, dels, recSt, perr := parseCommit(payload)
 			if perr == nil {
-				// The first commit's dels name no document yet.
+				v, st = v.with(ix.ord, adds, dels), recSt
 				if first {
-					ix.tables = adopt(adds, r.Offset())
-				} else {
-					ix.ApplyBatch(adds, dels)
+					ix.logBase = r.Offset()
 				}
-				st = recSt
 				continue
 			}
 			err = r.Bad("malformed commit record")
@@ -312,8 +305,15 @@ func load(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState, 
 			_ = t.Truncate(r.Offset())
 			t.Close()
 		}
-		return ix, st, r.Offset(), nil
+		break
 	}
+	// The parts are tiered, and their grams learnt, once for the whole log.
+	v.parts = tier(v.parts)
+	for i, p := range v.parts {
+		v.learn(p.Batch, v.parts[:i])
+	}
+	ix.cur.Store(v)
+	return ix, st, r.Offset(), nil
 }
 
 func encodeHeader(q int) []byte {
@@ -454,7 +454,9 @@ func parseCommit(p []byte) (adds *Batch, dels []string, st diskstore.CommitState
 	adds = &Batch{ids: make([]string, nAdds), flags: make([]byte, nAdds)}
 	for i := range adds.ids {
 		adds.ids[i], p, ok = takeString(p)
-		if !ok || len(p) < 1 || p[0]&^(flagOverflow|flagShort) != 0 {
+		// Invert and BatchOf write Short only on a document that is not
+		// an overflow.
+		if !ok || len(p) < 1 || p[0]&^(flagOverflow|flagShort) != 0 || p[0] == flagOverflow|flagShort {
 			return bad()
 		}
 		adds.flags[i], p = p[0], p[1:]
@@ -466,18 +468,29 @@ func parseCommit(p []byte) (adds *Batch, dels []string, st diskstore.CommitState
 	adds.grams, adds.ends = make([]string, nGrams), make([]uint32, nGrams)
 	// A posting is at least three bytes.
 	ords, bnds := make([]uint32, 0, len(p)/3), make([]uint16, 0, len(p)/3)
-	var gram []byte
+	// The grams are decoded back to back into text, gram k ending at
+	// cut[k], and become substrings of it: one string for the record.
+	var text []byte
+	cut := make([]uint32, nGrams)
+	prev := 0 // where the gram before starts
 	for k := range adds.grams {
 		var lens, count uint64
-		if lens, p, ok = takeUvarint(p); !ok || lens/uint64(len(gram)+1) > uint64(len(p)) {
+		n := uint64(len(text)-prev) + 1
+		if lens, p, ok = takeUvarint(p); !ok || lens/n > uint64(len(p)) {
 			return bad()
 		}
-		shared, suffix := lens%uint64(len(gram)+1), lens/uint64(len(gram)+1)
-		gram, p = append(gram[:shared], p[:suffix]...), p[suffix:]
-		if k > 0 && string(gram) <= adds.grams[k-1] {
+		shared, suffix := int(lens%n), lens/n
+		at := len(text)
+		text = append(text, text[prev:prev+shared]...)
+		text, p = append(text, p[:suffix]...), p[suffix:]
+		// The gram is above the one before if it extends it, or if its
+		// first byte past what it shares is above the other's; only a
+		// shared part shorter than the two have in common, which the
+		// encoder never writes, needs the whole comparison.
+		if k > 0 && (suffix == 0 || prev+shared < at && text[at+shared] <= text[prev+shared] && string(text[at:]) <= string(text[prev:at])) {
 			return bad()
 		}
-		adds.grams[k] = string(gram)
+		prev, cut[k] = at, uint32(len(text))
 		if count, p, ok = takeUvarint(p); !ok || count == 0 || count > uint64(len(p))/3 {
 			return bad()
 		}
@@ -502,6 +515,10 @@ func parseCommit(p []byte) (adds *Batch, dels []string, st diskstore.CommitState
 	}
 	if len(p) != 0 {
 		return bad()
+	}
+	all, from := string(text), uint32(0)
+	for k, to := range cut {
+		adds.grams[k], from = all[from:to], to
 	}
 	adds.ords, adds.bnds = ords, bnds
 	return adds, dels, st, nil

@@ -145,7 +145,7 @@ func build(parts [][]*staccato.Doc, q int) *Batch {
 	if len(out) == 1 {
 		return out[0]
 	}
-	return merge(out)
+	return merge(out, nil)
 }
 
 // extractor runs the boundary DP over a range of documents, numbering

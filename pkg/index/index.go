@@ -1,84 +1,134 @@
 package index
 
 import (
+	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // Index is an in-memory inverted q-gram index over documents. It is safe
-// for concurrent use: lookups run in parallel, mutations are serialized.
+// for concurrent use: lookups take no lock, and mutations are serialized.
 //
-// Internally every live document holds an ordinal, and the posting lists
-// come in two parts, the pattern of LSM trees (O'Neil et al., 1996) and of
-// Lucene's immutable segments. The base is one immutable Batch — sorted
-// grams and their runs back to back in flat arrays — as a snapshot left
-// it: loading adopts the log's first commit as it stands. The delta holds,
-// per gram, the postings of every commit since, as ascending ordinal
-// slices that only ever have new (larger) ordinals appended. Every delta
-// ordinal is above every base ordinal, so a gram's list is its base run
-// followed by its delta run, and a lookup answers each part on its own.
-// Deletes and supersedes just kill the old ordinal — posting lists keep
-// the stale entry and lookups filter it out — which makes mutation
-// O(grams). A rewrite (Commit past its trigger, Persist) merges both
-// parts into a new base without the dead ordinals.
+// The index is a sequence of immutable versions, one per commit, in the
+// manner of LSM trees (O'Neil et al., 1996) and of MVCC snapshots. A
+// version holds the index in the shape of its log: a list of parts, each
+// one Batch — sorted grams and their runs back to back in flat arrays — as
+// a commit or a rewrite built it or as its log record parsed, with the
+// ordinal its first document takes; a bitmap of the dead ordinals; and
+// the counts and the wildcard alphabet. Commit publishes the next version
+// through one atomic pointer, and a lookup pins the version it loads and
+// answers from it alone, part by part, so it never sees half a commit.
+// Deletes and supersedes only mark the old ordinal dead, in a copy of the
+// bitmap: the parts keep the stale postings and lookups filter them out.
+// A fixed tiering rule merges the newest parts while they hold, together,
+// at least half the postings of the part before them, which keeps each
+// part under half the size of the one before it and so the part count
+// logarithmic. A rewrite (Commit past its trigger, Persist) merges every
+// part into one without the dead ordinals.
 type Index struct {
 	q int
 
-	// wmu serializes mutations and the log: ApplyBatch, Commit from the
-	// apply through the record's append, and a rewrite from the merge that
-	// reads the index to the swap that replaces it. Lock order: wmu, then
-	// mu; lookups take only mu, which no file I/O holds.
+	// cur is the current version. Lookups load it and take no lock.
+	cur atomic.Pointer[version]
+
+	// wmu serializes the writers — Commit from the apply through the
+	// record's append, Persist from the merge to the swap, and Close —
+	// and guards ord, logBase and log.
 	wmu sync.Mutex
-	mu  sync.RWMutex
-	tables
+	ord map[string]uint32 // live document ID -> ordinal
+	// logBase is the length of an index log holding just the last
+	// rewrite's part, which sets when a log built on it is rewritten
+	// (Commit).
+	logBase int64
 
 	// accums recycles the ordinal-sized scratch of a lookup's Patterns and
 	// Or nodes.
 	accums sync.Pool
 
-	// log is the index's log, under wmu (see Open); logEnd is its length,
-	// where the next record goes, and 0 while the index is unpersisted.
+	// log is the index's log (see Open); logEnd is its length, where the
+	// next record goes, and 0 while the index is unpersisted.
 	log    logFile
 	logEnd atomic.Int64
 }
 
-// tables is everything a rewrite replaces at once.
-type tables struct {
-	ord map[string]uint32 // live doc ID -> ordinal
-	ids []string          // ordinal -> doc ID; "" marks a dead ordinal
-	// base is the immutable part; its documents hold ordinals [0, nbase)
-	// and its runs name them directly. Only its grams and runs are read.
-	base  *Batch
-	nbase uint32
-	// dict maps each gram to its slot. Slot k below len(base.grams) is
-	// base gram k; the slots after it are grams no base run holds, named
-	// in order by extra. delta is each slot's delta run, possibly empty.
-	dict  map[string]uint32
-	extra []string
-	delta []postings
-	// npost is the total length of the base runs and delta runs, dead
-	// postings included (Stats.Postings).
-	npost int
-	// always holds ordinals of overflow documents, which are candidates
-	// for every query.
-	always map[uint32]struct{}
-	// short holds ordinals of non-overflow documents with a reading
-	// shorter than q runes (Entry.Short), which are candidates for every
-	// wildcard lookup.
-	short map[uint32]struct{}
-	// alphabet is every rune of every gram in the dictionary, ascending and
-	// grow-only until the next rewrite: the values a wildcard position is
-	// probed with.
+// version is the index as of one commit. It is never changed once
+// published; the next commit builds a new one, sharing what it leaves as
+// it is.
+type version struct {
+	// parts hold the ordinals [0, n), in order, each its own range.
+	parts []part
+	n     uint32
+	// dead is a bitmap of the dead ordinals. An ordinal past its end is
+	// live, so versions share it until a commit kills one.
+	dead []uint64
+	live int // the live documents
+	// grams counts the distinct grams of the parts, and postings their
+	// runs' length, dead postings included (Stats).
+	grams, postings int
+	// alphabet is every rune of every gram of the parts, ascending: the
+	// values a wildcard position is probed with.
 	alphabet []rune
-	ascii    [2]uint64 // bitmap of the alphabet's runes below utf8.RuneSelf
-	// logBase is the length of an index log holding just the base, which
-	// sets when a log built on it is rewritten (Commit).
-	logBase int64
 }
+
+// part is one Batch of a version, whose documents hold the ordinals from
+// first on, in its add order; its runs name them by their local ordinal,
+// the position in its add list.
+type part struct {
+	*Batch
+	first uint32
+	// slots is an open-addressing table of its grams by their hash, for
+	// find: a slot holds 1 + the index of a gram, or 0. Its length is a
+	// power of two, at least twice the grams', and shift takes the top
+	// bits of a hash that index it.
+	slots []uint32
+	shift uint8
+	// over and short are the local ordinals of its overflow documents,
+	// candidates for every query, and of its short ones, candidates for
+	// every wildcard lookup (Entry.Short), read from its flags.
+	over, short []uint32
+}
+
+func newPart(b *Batch, first uint32) part {
+	size := bits.Len(uint(2 * len(b.grams)))
+	p := part{Batch: b, first: first, slots: make([]uint32, 1<<size), shift: uint8(64 - size)}
+	for k, g := range b.grams {
+		h := maphash.String(gramSeed, g) >> p.shift
+		for p.slots[h] != 0 {
+			h = (h + 1) & uint64(len(p.slots)-1)
+		}
+		p.slots[h] = uint32(k + 1)
+	}
+	for i, f := range b.flags {
+		switch {
+		case f&flagOverflow != 0:
+			p.over = append(p.over, uint32(i))
+		case f&flagShort != 0:
+			p.short = append(p.short, uint32(i))
+		}
+	}
+	return p
+}
+
+// find returns the run of gram g in the part, empty if it holds none.
+func (p *part) find(g string) postings {
+	for h := maphash.String(gramSeed, g) >> p.shift; ; h = (h + 1) & uint64(len(p.slots)-1) {
+		k := p.slots[h]
+		if k == 0 {
+			return postings{}
+		}
+		if p.grams[k-1] == g {
+			return p.run(int(k - 1))
+		}
+	}
+}
+
+// gramSeed seeds the hash of the parts' gram tables.
+var gramSeed = maphash.MakeSeed()
 
 // New returns an empty index over q-rune grams. q < 1 selects
 // DefaultGramSize.
@@ -86,36 +136,9 @@ func New(q int) *Index {
 	if q < 1 {
 		q = DefaultGramSize
 	}
-	return &Index{q: q, tables: adopt(&Batch{}, 0)}
-}
-
-// adopt returns the tables of an index whose base is b, as it stands, and
-// whose log holding just b is logBase bytes long: one dictionary entry per
-// gram of b and no posting copied. The index takes b's ID list as its
-// own, marking dead ordinals in it. An ID that b repeats ends at its last
-// document, as in ApplyBatch.
-func adopt(b *Batch, logBase int64) tables {
-	t := tables{
-		ord:     make(map[string]uint32, len(b.ids)),
-		ids:     b.ids,
-		base:    b,
-		nbase:   uint32(len(b.ids)),
-		dict:    make(map[string]uint32, len(b.grams)),
-		delta:   make([]postings, len(b.grams)),
-		npost:   len(b.ords),
-		always:  make(map[uint32]struct{}),
-		short:   make(map[uint32]struct{}),
-		logBase: logBase,
-	}
-	for i, id := range b.ids {
-		t.kill(id)
-		t.add(id, uint32(i), b.flags[i])
-	}
-	for k, g := range b.grams {
-		t.dict[g] = uint32(k)
-		t.learnRunes(g)
-	}
-	return t
+	ix := &Index{q: q, ord: make(map[string]uint32)}
+	ix.cur.Store(&version{})
+	return ix
 }
 
 // GramSize returns the q the index was built with. Plans must be extracted
@@ -125,152 +148,169 @@ func (ix *Index) GramSize() int { return ix.q }
 // Add indexes doc, superseding any previously indexed document with the
 // same ID. The document is read synchronously and not retained.
 func (ix *Index) Add(doc *staccato.Doc) {
-	ix.ApplyBatch(BatchOf([]*staccato.Doc{doc}, ix.q, 1), nil)
+	_ = ix.Commit(BatchOf([]*staccato.Doc{doc}, ix.q, 1), nil, diskstore.CommitState{})
 }
 
 // Delete removes the document with the given ID; unknown IDs are a no-op.
 func (ix *Index) Delete(id string) {
-	ix.ApplyBatch(&Batch{}, []string{id})
+	_ = ix.Commit(&Batch{}, []string{id}, diskstore.CommitState{})
 }
 
-// Apply is ApplyBatch over Invert(adds), for callers that have not
-// inverted their entries already.
+// Apply commits Invert(adds) and dels, for callers that have not inverted
+// their entries already.
 func (ix *Index) Apply(adds []Entry, dels []string) {
-	ix.ApplyBatch(Invert(adds), dels)
+	_ = ix.Commit(Invert(adds), dels, diskstore.CommitState{})
 }
 
-// ApplyBatch atomically applies one commit's worth of mutations to the
-// delta: deletions first, then b's additions in order, so an ID repeated
-// within b ends at its last entry. An ID must not appear in both b and
+// apply publishes the version that follows the current one by deleting
+// dels and then adding b's documents in order, so that an ID repeated
+// within b ends at its last document. An ID must not appear in both b and
 // dels: the dels-then-adds order cannot represent an intra-commit
 // interleaving (staccatodb's writes are puts only or one delete, never
-// both). It costs one dictionary lookup per distinct gram of b and one
-// append per run.
-func (ix *Index) ApplyBatch(b *Batch, dels []string) {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	ix.apply(b, dels)
-}
-
-// apply is ApplyBatch. Callers hold wmu.
+// both). Callers hold wmu.
 func (ix *Index) apply(b *Batch, dels []string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+	v := ix.cur.Load()
+	next := v.with(ix.ord, b, dels)
+	if len(next.parts) > len(v.parts) {
+		next.learn(next.parts[len(v.parts)].Batch, v.parts)
+		next.parts = tier(next.parts)
+	}
+	ix.cur.Store(next)
+}
+
+// with returns the version that follows v by one commit, and updates ord
+// to match: dels and every earlier document of an ID that b adds die, and
+// b, unless it adds nothing, becomes the last part. It neither learns b's
+// grams nor tiers the parts.
+func (v *version) with(ord map[string]uint32, b *Batch, dels []string) *version {
+	next := *v
+	var killed []uint32
+	kill := func(id string) {
+		if o, ok := ord[id]; ok {
+			delete(ord, id)
+			killed = append(killed, o)
+		}
+	}
 	for _, id := range dels {
-		ix.kill(id)
+		kill(id)
 	}
-	first := uint32(len(ix.ids))
 	for i, id := range b.ids {
-		ix.kill(id)
-		ix.ids = append(ix.ids, id)
-		ix.add(id, first+uint32(i), b.flags[i])
+		kill(id)
+		ord[id] = v.n + uint32(i)
 	}
-	for k, g := range b.grams {
-		s, known := ix.dict[g]
-		if !known {
-			s = uint32(len(ix.delta))
-			ix.dict[g] = s
-			ix.extra, ix.delta = append(ix.extra, g), append(ix.delta, postings{})
-			ix.learnRunes(g)
+	if len(b.ids) > 0 {
+		next.parts = append(slices.Clip(v.parts), newPart(b, v.n))
+		next.n += uint32(len(b.ids))
+		next.postings += len(b.ords)
+	}
+	if len(killed) > 0 {
+		next.dead = make([]uint64, (next.n+63)/64)
+		copy(next.dead, v.dead)
+		for _, o := range killed {
+			next.dead[o/64] |= 1 << (o % 64)
 		}
-		p, run := &ix.delta[s], b.run(k)
-		p.ords = slices.Grow(p.ords, len(run.ords))
-		for _, local := range run.ords {
-			p.ords = append(p.ords, first+local)
-		}
-		p.bnds = append(p.bnds, run.bnds...)
-		ix.npost += len(run.ords)
 	}
+	next.live = len(ord)
+	return &next
 }
 
-// add makes o, which ids already names, id's live ordinal.
-func (t *tables) add(id string, o uint32, flags byte) {
-	t.ord[id] = o
-	switch {
-	case flags&flagOverflow != 0:
-		t.always[o] = struct{}{}
-	case flags&flagShort != 0:
-		t.short[o] = struct{}{}
-	}
+func (v *version) isDead(o uint32) bool {
+	return int(o/64) < len(v.dead) && v.dead[o/64]&(1<<(o%64)) != 0
 }
 
-// kill marks id's current ordinal dead.
-func (t *tables) kill(id string) {
-	if o, ok := t.ord[id]; ok {
-		delete(t.ord, id)
-		delete(t.always, o)
-		delete(t.short, o)
-		t.ids[o] = ""
-	}
-}
-
-// learnRunes adds a new gram's runes to the alphabet.
-func (t *tables) learnRunes(g string) {
-	for _, r := range g {
-		// A load meets every gram as a new one; the bitmap keeps its ASCII
-		// runes, nearly all already known, off the search below.
-		if r < utf8.RuneSelf && t.ascii[r/64]&(1<<(r%64)) != 0 {
+// learn counts the grams of b that no part of older holds and adds their
+// runes to the alphabet, which it copies first.
+func (v *version) learn(b *Batch, older []part) {
+	for _, g := range b.grams {
+		if slices.ContainsFunc(older, func(p part) bool { return len(p.find(g).ords) > 0 }) {
 			continue
 		}
-		if at, known := slices.BinarySearch(t.alphabet, r); !known {
-			t.alphabet = slices.Insert(t.alphabet, at, r)
-		}
-		if r < utf8.RuneSelf {
-			t.ascii[r/64] |= 1 << (r % 64)
+		v.grams++
+		for _, r := range g {
+			if at, known := slices.BinarySearch(v.alphabet, r); !known {
+				v.alphabet = slices.Insert(slices.Clip(v.alphabet), at, r)
+			}
 		}
 	}
 }
 
-// runs returns slot s's base run and delta run.
-func (t *tables) runs(s uint32) parts {
-	var p parts
-	if int(s) < len(t.base.grams) {
-		p[0] = t.base.run(int(s))
+// tier merges runs of adjacent parts so that each part holds fewer than
+// half the postings of the one before it: from the oldest on, the newest
+// parts merge while, together, they hold at least half the postings of
+// the part before them. Only whole parts are joined, so ordinals keep
+// their meaning.
+func tier(parts []part) []part {
+	var groups [][]part // runs of parts, each a subslice of parts
+	var postings []int  // each group's
+	for i, p := range parts {
+		groups, postings = append(groups, parts[i:i+1]), append(postings, len(p.ords))
+		for n := len(groups); n > 1 && 2*postings[n-1] >= postings[n-2]; n-- {
+			groups[n-2] = groups[n-2][:len(groups[n-2])+len(groups[n-1])]
+			postings[n-2] += postings[n-1]
+			groups, postings = groups[:n-1], postings[:n-1]
+		}
 	}
-	p[1] = t.delta[s]
-	return p
+	out := make([]part, len(groups))
+	for i, g := range groups {
+		if out[i] = g[0]; len(g) > 1 {
+			batches := make([]*Batch, len(g))
+			for j, p := range g {
+				batches[j] = p.Batch
+			}
+			out[i] = newPart(merge(batches, nil), g[0].first)
+		}
+	}
+	return out
+}
+
+// adopt makes b, whose IDs are distinct, the whole index, and logBase
+// the length of the log that holds just it. Callers hold wmu.
+func (ix *Index) adopt(b *Batch, logBase int64) {
+	ix.ord = make(map[string]uint32, len(b.ids))
+	ix.logBase = logBase
+	v := (&version{}).with(ix.ord, b, nil)
+	v.learn(b, nil)
+	ix.cur.Store(v)
 }
 
 // postings is one gram's posting list: ascending document ordinals and,
 // aligned with them, each document's probability upper bound for the
-// gram, quantized (see Entry.Bounds). ApplyBatch appends to both slices
-// together, so bnds[i] always belongs to ords[i]. A lookup's intermediate
-// results have the same shape.
+// gram, quantized (see Entry.Bounds). A lookup's intermediate results
+// have the same shape.
 type postings struct {
 	ords []uint32
 	bnds []uint16
 }
 
-// parts is a gram's list, or a lookup node's result, split where the base
-// ends: [0] holds base ordinals and [1] the ordinals added since, each
-// ascending, so the two end to end are the whole list. A node is answered
-// part by part — an intersection of lists is the intersection of their
-// base parts followed by that of their delta parts — and no part is ever
-// copied just to join it to the other.
-type parts [2]postings
+// parts is a lookup node's result split by the parts of the version it
+// reads: [i] holds part i's postings, in its local ordinals. A node is
+// answered part by part — an intersection of lists is the intersection
+// of their part-i runs, for each i — and no run is ever copied just to
+// join it to another.
+type parts []postings
 
 // intersect returns the ordinals two ascending lists share, each at the
-// min of its two bounds. It walks the shorter list and finds each of its
-// ordinals in the longer one: by a linear merge when the lengths are
-// comparable, and by galloping when the longer list is at least
-// gallopRatio times as long, so a small running set costs a few probes
-// per member instead of a pass over a long posting list. Either way the
-// result is the same set at the same bounds, in a fresh backing sized to
-// the shorter list (a may be a shared posting list).
-func intersect(a, b postings) postings {
+// min of its two bounds, in out's backing, which has room for the shorter
+// list and shares none with a or b. It walks the shorter list and finds
+// each of its ordinals in the longer one: by a linear merge when the
+// lengths are comparable, and by galloping when the longer list is at
+// least gallopRatio times as long, so a small running set costs a few
+// probes per member instead of a pass over a long posting list. Either
+// way the result is the same set at the same bounds.
+func intersect(out, a, b postings) postings {
 	if len(a.ords) > len(b.ords) {
 		a, b = b, a
 	}
 	if len(b.ords) >= gallopRatio*len(a.ords) {
-		return intersectGallop(a, b)
+		return intersectGallop(out, a, b)
 	}
-	return intersectMerge(a, b)
+	return intersectMerge(out, a, b)
 }
 
-// intersectMerge is intersect by one linear pass over both lists; a is
-// the shorter.
-func intersectMerge(a, b postings) postings {
-	out := postings{ords: make([]uint32, 0, len(a.ords)), bnds: make([]uint16, 0, len(a.ords))}
+// intersectMerge is intersect by one linear pass over both lists; a
+// is the shorter.
+func intersectMerge(out, a, b postings) postings {
+	out.ords, out.bnds = out.ords[:0], out.bnds[:0]
 	i, j := 0, 0
 	for i < len(a.ords) && j < len(b.ords) {
 		switch {
@@ -288,10 +328,10 @@ func intersectMerge(a, b postings) postings {
 	return out
 }
 
-// intersectGallop is intersect by galloping through b for each ordinal
-// of a, the shorter, from where the previous search stopped.
-func intersectGallop(a, b postings) postings {
-	out := postings{ords: make([]uint32, 0, len(a.ords)), bnds: make([]uint16, 0, len(a.ords))}
+// intersectGallop is intersect by galloping through b for each
+// ordinal of a, the shorter, from where the previous search stopped.
+func intersectGallop(out, a, b postings) postings {
+	out.ords, out.bnds = out.ords[:0], out.bnds[:0]
 	j := 0
 	for i, o := range a.ords {
 		if j += gallop(b.ords[j:], o); j == len(b.ords) {
@@ -328,11 +368,7 @@ func gallop(s []uint32, x uint32) int {
 }
 
 // Len returns the number of live indexed documents.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.ord)
-}
+func (ix *Index) Len() int { return ix.cur.Load().live }
 
 // Stats describes the index's current shape.
 type Stats struct {
@@ -353,106 +389,25 @@ type Stats struct {
 
 // Stats reports document, gram, and posting counts.
 func (ix *Index) Stats() Stats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return Stats{Docs: len(ix.ord), Grams: len(ix.dict), Postings: ix.npost, OverflowDocs: len(ix.always), LogBytes: ix.logEnd.Load()}
+	v := ix.cur.Load()
+	st := Stats{Docs: v.live, Grams: v.grams, Postings: v.postings, LogBytes: ix.logEnd.Load()}
+	for _, p := range v.parts {
+		for _, o := range p.over {
+			if !v.isDead(p.first + o) {
+				st.OverflowDocs++
+			}
+		}
+	}
+	return st
 }
 
 // merged returns the live documents as one Batch, without the dead
-// ordinals and stale postings that write churn accumulates: the new base
-// of a rewrite. Live ordinals are renumbered densely in ordinal order, so
-// each gram's base run followed by its delta run stays ascending as it is
-// copied, and runs are copied as they stand while no ordinal is dead.
-// Callers hold ix.mu.
-func (t *tables) merged() *Batch {
-	const dead = ^uint32(0)
-	b := &Batch{ids: make([]string, 0, len(t.ord)), flags: make([]byte, 0, len(t.ord))}
-	var renumber []uint32 // nil while no ordinal is dead
-	if len(t.ord) < len(t.ids) {
-		renumber = make([]uint32, len(t.ids))
+// ordinals and stale postings that write churn accumulates: the part a
+// rewrite leaves. Live ordinals are renumbered densely in ordinal order.
+func (v *version) merged() *Batch {
+	batches := make([]*Batch, len(v.parts))
+	for i, p := range v.parts {
+		batches[i] = p.Batch
 	}
-	for o, id := range t.ids {
-		if id == "" {
-			renumber[o] = dead
-			continue
-		}
-		if renumber != nil {
-			renumber[o] = uint32(len(b.ids))
-		}
-		var flags byte
-		if _, overflow := t.always[uint32(o)]; overflow {
-			flags |= flagOverflow
-		}
-		if _, short := t.short[uint32(o)]; short {
-			flags |= flagShort
-		}
-		b.ids, b.flags = append(b.ids, id), append(b.flags, flags)
-	}
-	slots := t.order()
-	live := t.npost
-	if renumber != nil {
-		live = 0
-		for _, s := range slots {
-			for _, run := range t.runs(s) {
-				for _, o := range run.ords {
-					if renumber[o] != dead {
-						live++
-					}
-				}
-			}
-		}
-	}
-	b.grams, b.ends = make([]string, 0, len(slots)), make([]uint32, 0, len(slots))
-	b.ords, b.bnds = make([]uint32, live), make([]uint16, live)
-	n := 0
-	for _, s := range slots {
-		from := n
-		for _, run := range t.runs(s) {
-			if renumber == nil {
-				copy(b.ords[n:], run.ords)
-				n += copy(b.bnds[n:], run.bnds)
-				continue
-			}
-			for j, o := range run.ords {
-				if o = renumber[o]; o != dead {
-					b.ords[n], b.bnds[n] = o, run.bnds[j]
-					n++
-				}
-			}
-		}
-		if n > from {
-			b.grams, b.ends = append(b.grams, t.gram(s)), append(b.ends, uint32(n))
-		}
-	}
-	return b
-}
-
-// gram returns slot s's gram.
-func (t *tables) gram(s uint32) string {
-	if int(s) < len(t.base.grams) {
-		return t.base.grams[s]
-	}
-	return t.extra[int(s)-len(t.base.grams)]
-}
-
-// order returns every slot in ascending gram order: the base's, already
-// in order, merged with the extra slots, sorted.
-func (t *tables) order() []uint32 {
-	extra := make([]uint32, len(t.extra))
-	for i := range extra {
-		extra[i] = uint32(len(t.base.grams) + i)
-	}
-	sortByGram(extra, t.gram)
-	out := make([]uint32, 0, len(t.base.grams)+len(extra))
-	k := 0
-	for _, e := range extra {
-		for ; k < len(t.base.grams) && t.base.grams[k] < t.gram(e); k++ {
-			out = append(out, uint32(k))
-		}
-		out = append(out, e)
-	}
-	for ; k < len(t.base.grams); k++ {
-		out = append(out, uint32(k))
-	}
-	return out
+	return merge(batches, v.dead)
 }

@@ -95,7 +95,9 @@ func TestIndexEntriesRoundTrip(t *testing.T) {
 	ix.Apply([]index.Entry{{ID: "big", Overflow: true}}, nil)
 
 	ix2 := index.New(3)
-	ix2.ApplyBatch(ix.Snapshot(), nil)
+	if err := ix2.Commit(ix.Snapshot(), nil, diskstore.CommitState{}); err != nil {
+		t.Fatal(err)
+	}
 	for _, grams := range [][]string{{"ell"}, {"hal"}, {"orl"}, {"zzz"}} {
 		a := candidates(t, ix, grams...)
 		b := candidates(t, ix2, grams...)
@@ -314,7 +316,9 @@ func TestDuplicateIDInOneCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	applied := index.New(3)
-	applied.ApplyBatch(commit, nil)
+	if err := applied.Commit(commit, nil, diskstore.CommitState{}); err != nil {
+		t.Fatal(err)
+	}
 	loaded, _, err := index.Load(path, 3)
 	if err != nil {
 		t.Fatal(err)

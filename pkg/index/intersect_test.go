@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
+	"github.com/paper-repo/staccato-go/pkg/staccato"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // fuzzLists decodes two ascending, duplicate-free posting lists. a takes
@@ -76,7 +78,9 @@ func FuzzIntersect(f *testing.F) {
 		a, b := fuzzLists(as, bs, n)
 		aIn, bIn := clonePostings(a), clonePostings(b)
 		want := referenceIntersect(a, b)
-		for _, got := range []postings{intersect(a, b), intersect(b, a)} {
+		fresh := func(n int) postings { return postings{make([]uint32, 0, n), make([]uint16, 0, n)} }
+		short := min(len(a.ords), len(b.ords))
+		for _, got := range []postings{intersect(fresh(short), a, b), intersect(fresh(short), b, a)} {
 			if !slices.Equal(got.ords, want.ords) || !slices.Equal(got.bnds, want.bnds) {
 				t.Fatalf("intersect of %d and %d ordinals = %v %v, want %v %v", len(a.ords), len(b.ords), got.ords, got.bnds, want.ords, want.bnds)
 			}
@@ -117,12 +121,13 @@ func BenchmarkIntersect(b *testing.B) {
 		short.bnds = make([]uint16, len(short.ords))
 		for _, way := range []struct {
 			name string
-			fn   func(a, b postings) postings
+			fn   func(out, a, b postings) postings
 		}{{"merge", intersectMerge}, {"gallop", intersectGallop}} {
 			b.Run(fmt.Sprintf("ratio=1:%d/%s", ratio, way.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					sinkPostings = way.fn(short, long)
+					n := len(short.ords)
+					sinkPostings = way.fn(postings{make([]uint32, 0, n), make([]uint16, 0, n)}, short, long)
 				}
 			})
 		}
@@ -132,29 +137,41 @@ func BenchmarkIntersect(b *testing.B) {
 // BenchmarkCandidatesAnd times the lookup a three-keyword And plans to —
 // the shape of the bench's conj-topk workload — over an index of 2,000
 // error-model documents: one rarest-first intersection of the three
-// words' gram lists, then the candidates' IDs and bounds.
+// words' gram lists, then the candidates' IDs and bounds. The index is
+// built in commits of 1 document, the most commits it can take, and of
+// 256, the bench's ingest batch.
 func BenchmarkCandidatesAnd(b *testing.B) {
 	cases, err := testgen.ErrDocs(2000, testgen.ErrModelConfig{VocabSize: 2000}, 6, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix := New(DefaultGramSize)
-	for _, c := range cases {
-		ix.Add(c.Doc)
+	docs := make([]*staccato.Doc, len(cases))
+	for i, c := range cases {
+		docs[i] = c.Doc
 	}
 	var l Lookup
 	for _, w := range testgen.Vocab(2000)[11:14] {
 		l.And = append(l.And, Lookup{Grams: wordGrams(w, DefaultGramSize)})
 	}
-	ids, _, _, _, ok := ix.Candidates(l)
-	if !ok {
-		b.Fatal("the And lookup did not answer")
+	for _, commits := range []int{1, 256} {
+		b.Run(fmt.Sprintf("commits=%d", commits), func(b *testing.B) {
+			ix := New(DefaultGramSize)
+			for from := 0; from < len(docs); from += commits {
+				if err := ix.Commit(BatchOf(docs[from:min(from+commits, len(docs))], DefaultGramSize, 1), nil, diskstore.CommitState{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ids, _, _, _, ok := ix.Candidates(l)
+			if !ok {
+				b.Fatal("the And lookup did not answer")
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				ix.Candidates(l)
+			}
+			b.ReportMetric(float64(len(ids)), "candidates")
+		})
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		ix.Candidates(l)
-	}
-	b.ReportMetric(float64(len(ids)), "candidates")
 }
 
 // wordGrams is every distinct q-rune window of w.

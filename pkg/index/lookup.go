@@ -38,31 +38,61 @@ type Lookup struct {
 //
 // This is the index half of the planner's no-false-negative contract: a
 // live document absent from the result provably has no retained reading
-// satisfying l. grams is the number of dictionary grams the Patterns nodes
-// that answered expanded their wildcards to, and live the number of live
-// documents the index held as it answered — read under the same lock, so
-// it counts every ID returned. ok is false — the caller must not prune —
-// when the root cannot be answered: a node with no field set, a pattern
-// with no window holding a literal rune (it constrains nothing), a
-// Patterns node whose expansion would exceed maxWildProbes, an And none of
-// whose children answered, an Or one of whose children did not.
+// satisfying l. grams is the number of distinct dictionary grams the
+// Patterns nodes that answered expanded their wildcards to, and live the
+// number of live documents of the version it answered from, so it counts
+// every ID returned. ok is false — the caller must not prune — when the
+// root cannot be answered: a node with no field set, a pattern with no
+// window holding a literal rune (it constrains nothing), a Patterns node
+// whose expansion would exceed maxWildProbes, an And none of whose
+// children answered, an Or one of whose children did not.
 //
-// The whole tree is evaluated on document ordinals under one read lock,
-// and on the stored 16-bit bounds: sums and mins of integers are exact, so
-// the result does not depend on the order windows expand, children are
-// listed or intersections are scheduled in, and it is the same for an index
-// that wrote its log and one that loaded it. The bounds become float64
-// once, in materialize.
+// The whole tree is evaluated on the one version Candidates loads, part
+// by part — each part answers it in its own ordinals — and on the stored
+// 16-bit bounds: sums and mins of integers are exact, so the result does
+// not depend on the order windows expand, children are listed or
+// intersections are scheduled in, nor on how the version's documents are
+// split into parts, and it is the same for an index that wrote its log
+// and one that loaded it. The bounds become float64 once, as the IDs are
+// written out.
 func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams, live int, ok bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	e := evaluator{ix: ix}
-	acc, ok := e.eval(l)
-	if !ok {
-		return nil, nil, e.grams, len(ix.ord), false
+	v := ix.cur.Load()
+	e := evaluator{ix: ix, v: v}
+	parts := v.parts
+	if len(parts) == 0 {
+		parts = []part{newPart(&Batch{}, 0)} // to learn whether l can be answered at all
 	}
-	ids, bounds = ix.materialize(acc)
-	return ids, bounds, e.grams, len(ix.ord), true
+	accs := make([]postings, len(parts))
+	n := 0
+	for i := range parts {
+		e.p, e.earlier, e.node = &parts[i], parts[:i], 0
+		if accs[i], ok = e.eval(l); !ok {
+			return nil, nil, e.grams, v.live, false
+		}
+		n += len(accs[i].ords)
+	}
+	// A live document sits in runs or among the overflow documents, never
+	// both — so no node of a Lookup ever sees an overflow document — and
+	// since min and the capped sum of 1s are both 1, joining them once
+	// here equals admitting them at every leaf. Nothing is sorted: the
+	// caller orders the candidates only as far as it reads them.
+	ids, bounds = make([]string, 0, n), make([]float64, 0, n)
+	for i, acc := range accs {
+		p := &parts[i]
+		for k, o := range acc.ords {
+			if !v.isDead(p.first + o) {
+				ids, bounds = append(ids, p.ids[o]), append(bounds, Dequantize(acc.bnds[k]))
+			}
+		}
+	}
+	for _, p := range parts {
+		for _, o := range p.over {
+			if !v.isDead(p.first + o) {
+				ids, bounds = append(ids, p.ids[o]), append(bounds, 1)
+			}
+		}
+	}
+	return ids, bounds, e.grams, v.live, true
 }
 
 // CandidatesWithBounds is Candidates for a single Grams node.
@@ -74,130 +104,105 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 	return ids, bounds, ok
 }
 
-// materialize is the one place a lookup leaves ordinal space: it writes
-// out acc's live document IDs with their bounds in ordinal order — base
-// part, then delta part, then every overflow document at bound 1.
-// Nothing is sorted: the caller orders the candidates only as far as it
-// reads them. A live document owns exactly one ordinal, which sits in
-// always or in posting lists, never both — so no node of a Lookup ever
-// sees an overflow document, and since min and the capped sum of 1s are
-// both 1, joining them once here equals admitting them at every leaf.
-// Callers hold ix.mu.
-func (ix *Index) materialize(acc parts) ([]string, []float64) {
-	n := len(acc[0].ords) + len(acc[1].ords) + len(ix.always)
-	ids, bnds := make([]string, 0, n), make([]float64, 0, n)
-	for _, part := range acc {
-		for k, o := range part.ords {
-			if id := ix.ids[o]; id != "" {
-				ids, bnds = append(ids, id), append(bnds, Dequantize(part.bnds[k]))
-			}
-		}
-	}
-	over := make([]uint32, 0, len(ix.always))
-	for o := range ix.always {
-		over = append(over, o)
-	}
-	slices.Sort(over)
-	for _, o := range over {
-		ids, bnds = append(ids, ix.ids[o]), append(bnds, 1)
-	}
-	return ids, bnds
-}
-
-// evaluator carries one Candidates call's state down the Lookup tree.
-// Nodes produce postings that may include dead ordinals; materialize
-// drops them once, at the end. Callers hold ix.mu.
+// evaluator carries one Candidates call's state down the Lookup tree, in
+// one part at a time. Nodes produce postings, in the part's ordinals,
+// that may include dead ones; Candidates drops them once, at the end.
 type evaluator struct {
-	ix    *Index
-	grams int // dictionary grams the Patterns nodes that answered read
+	ix      *Index
+	v       *version
+	p       *part  // the part being answered
+	earlier []part // the parts before it
+	grams   int    // dictionary grams the Patterns nodes that answered read
+	// orders holds the order the first part took the lists of each
+	// intersection in, in the order the tree visits them, which is the
+	// same in every part; node is the next one's.
+	orders [][]int
+	node   int
 }
 
-func (e *evaluator) eval(l Lookup) (parts, bool) {
+func (e *evaluator) eval(l Lookup) (postings, bool) {
 	switch {
 	case len(l.Grams) > 0:
-		return intersectParts(e.lists(newPartLists(len(l.Grams)), l.Grams)), true
+		return e.intersect(e.lists(make([]postings, 0, len(l.Grams)), l.Grams)), true
 	case len(l.Patterns) > 0:
 		return e.patterns(l.Patterns)
 	case len(l.And) > 0:
-		// One rarest-first intersection per part over everything the
-		// children require: a Grams child contributes its posting lists
-		// unmerged, any other child its evaluated postings.
+		// One intersection over everything the children require: a Grams
+		// child contributes its posting lists unmerged, any other child
+		// its evaluated postings.
 		n := 0
 		for _, kid := range l.And {
 			n += max(1, len(kid.Grams))
 		}
-		all := newPartLists(n)
+		all, answered := make([]postings, 0, n), false
 		for _, kid := range l.And {
 			if len(kid.Grams) > 0 {
-				all = e.lists(all, kid.Grams)
+				all, answered = e.lists(all, kid.Grams), true
 			} else if p, ok := e.eval(kid); ok {
-				all.push(p)
+				all, answered = append(all, p), true
 			}
 		}
-		if len(all[0]) == 0 {
-			return parts{}, false
+		if !answered {
+			return postings{}, false
 		}
-		return intersectParts(all), true
+		return e.intersect(all), true
 	case len(l.Or) > 0:
-		total := e.ix.getAccum()
+		total := e.getAccum()
 		for _, kid := range l.Or {
 			p, ok := e.eval(kid)
 			if !ok {
-				return parts{}, false // total, part-filled, is dropped
+				return postings{}, false // total, part-filled, is dropped
 			}
 			total.add(p)
 		}
-		acc := total.drain(e.ix.nbase)
+		acc := total.drain()
 		e.ix.accums.Put(total)
 		return acc, true
 	}
-	return parts{}, false
+	return postings{}, false
 }
 
-// partLists is the lists an intersection joins, part by part.
-type partLists [2][]postings
-
-func newPartLists(n int) partLists {
-	return partLists{make([]postings, 0, n), make([]postings, 0, n)}
-}
-
-func (ls *partLists) push(p parts) {
-	ls[0], ls[1] = append(ls[0], p[0]), append(ls[1], p[1])
-}
-
-// lists appends the posting list of each of grams to into; a gram the
-// dictionary lacks has the empty list.
-func (e *evaluator) lists(into partLists, grams []string) partLists {
+// lists appends the part's run of each of grams to into, the empty list
+// for a gram it lacks.
+func (e *evaluator) lists(into []postings, grams []string) []postings {
 	for _, g := range grams {
-		var p parts
-		if s, ok := e.ix.dict[g]; ok {
-			p = e.ix.runs(s)
-		}
-		into.push(p)
+		into = append(into, e.p.find(g))
 	}
 	return into
 }
 
-// intersectParts intersects each part of ls on its own.
-func intersectParts(ls partLists) parts {
-	return parts{intersectAll(ls[0]), intersectAll(ls[1])}
-}
-
-// intersectAll intersects lists, which it reorders, rarest-first so the
-// working set only shrinks, carrying the min bound through each merge.
-func intersectAll(lists []postings) postings {
+// intersect intersects lists, carrying the min bound through each step.
+// The first part, the largest, sets the order in which every part takes
+// the lists of each node: rarest first, so that the working set only
+// shrinks. Since the working set never outgrows the first list, the steps
+// take turns in the two halves of one buffer of twice its length.
+func (e *evaluator) intersect(lists []postings) postings {
+	if e.node == len(e.orders) {
+		order := make([]int, len(lists))
+		for j := range order {
+			order[j] = j
+		}
+		slices.SortFunc(order, func(a, b int) int { return len(lists[a].ords) - len(lists[b].ords) })
+		e.orders = append(e.orders, order)
+	}
+	order := e.orders[e.node]
+	e.node++
 	for _, l := range lists {
 		if len(l.ords) == 0 {
-			return postings{} // nothing to intersect: skip the sort
+			return postings{} // nothing to intersect
 		}
 	}
-	slices.SortFunc(lists, func(a, b postings) int { return len(a.ords) - len(b.ords) })
-	acc := lists[0]
-	for _, next := range lists[1:] {
+	acc, n := lists[order[0]], len(lists[order[0]].ords)
+	if len(lists) == 1 {
+		return acc
+	}
+	ords, bnds := make([]uint32, 2*n), make([]uint16, 2*n)
+	for j, o := range order[1:] {
 		if len(acc.ords) == 0 {
 			break
 		}
-		acc = intersect(acc, next)
+		h := j % 2 * n
+		acc = intersect(postings{ords[h : h : h+n], bnds[h : h : h+n]}, acc, lists[o])
 	}
 	return acc
 }

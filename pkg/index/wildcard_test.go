@@ -129,8 +129,8 @@ func TestWildcardProbeBudget(t *testing.T) {
 	}
 	e.ID = "wide"
 	ix.Apply([]Entry{e}, nil)
-	if len(ix.alphabet) != 148 {
-		t.Fatalf("alphabet holds %d runes, want 148", len(ix.alphabet))
+	if n := len(ix.cur.Load().alphabet); n != 148 {
+		t.Fatalf("alphabet holds %d runes, want 148", n)
 	}
 	if ids, _, grams := wild(t, ix, "一??"+string(rune(0x4E03))); !reflect.DeepEqual(ids, []string{"wide"}) || grams != 1 {
 		t.Errorf("two wildcards (148² probes): got %v over %d grams, want the one document over 1", ids, grams)
@@ -150,7 +150,7 @@ func TestWildcardProbeBudget(t *testing.T) {
 
 // TestShortFlagSurvivesPersistence: Short rides the flags byte through
 // the append log, a snapshot, and the in-memory compaction path
-// (Snapshot → ApplyBatch), and a flags byte with an unassigned bit is a
+// (Snapshot → Commit), and a flags byte with an unassigned bit is a
 // malformed record, not a guess.
 func TestShortFlagSurvivesPersistence(t *testing.T) {
 	tiny := &staccato.Doc{ID: "tiny", Chunks: []staccato.PathSet{{
@@ -203,7 +203,9 @@ func TestShortFlagSurvivesPersistence(t *testing.T) {
 	}
 	check("snapshot", snap)
 	compacted := New(3)
-	compacted.ApplyBatch(snap.Snapshot(), nil)
+	if err := compacted.Commit(snap.Snapshot(), nil, diskstore.CommitState{}); err != nil {
+		t.Fatal(err)
+	}
 	check("compaction", compacted)
 
 	payload := encodeCommit(Invert(adds), nil, diskstore.CommitState{Ops: 1})

@@ -149,7 +149,8 @@ func (db *DB) indexPath() string { return filepath.Join(db.dir, index.FileName) 
 const rebuildRun = 1024
 
 // scannedIndex builds a fresh index from a full store scan, read and
-// extracted in runs of rebuildRun documents, each applied as one Batch.
+// extracted in runs of rebuildRun documents, each committed as one Batch
+// to the unpersisted index.
 func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
 	ix := index.New(index.DefaultGramSize)
 	ids, err := db.disk.ListDocIDs(ctx)
@@ -157,7 +158,7 @@ func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
 		var docs []*staccato.Doc
 		if docs, err = db.disk.GetBatch(ctx, ids[from:min(from+rebuildRun, len(ids))]); err == nil {
 			docs = slices.DeleteFunc(docs, func(d *staccato.Doc) bool { return d == nil }) // deleted since the listing
-			ix.ApplyBatch(index.BatchOf(docs, index.DefaultGramSize, db.Workers()), nil)
+			err = ix.Commit(index.BatchOf(docs, index.DefaultGramSize, db.Workers()), nil, diskstore.CommitState{})
 		}
 	}
 	if err != nil {

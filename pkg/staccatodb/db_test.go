@@ -618,7 +618,9 @@ func TestGramSizeChangeForcesRebuild(t *testing.T) {
 	}
 	const q = index.DefaultGramSize + 1
 	ix := index.New(q)
-	ix.ApplyBatch(index.BatchOf(docsOf(cases), q, 1), nil)
+	if err := ix.Commit(index.BatchOf(docsOf(cases), q, 1), nil, stamp); err != nil {
+		t.Fatal(err)
+	}
 	if err := ix.Persist(framelog.OS, path, stamp, false); err != nil {
 		t.Fatal(err)
 	}

@@ -11,57 +11,15 @@ import (
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
+	"github.com/paper-repo/staccato-go/internal/framelog/faultfs"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 )
 
-// indexFaultFS refuses, while armed, every write to the index log and its
-// snapshot staging file: write opens, WriteAt and Sync. The store's own
-// files pass through.
-type indexFaultFS struct {
-	framelog.FS
-	armed bool
-}
-
-var errIndexWrite = errors.New("injected index write failure")
-
-func isIndexFile(name string) bool {
-	base := filepath.Base(name)
-	return base == index.FileName || base == index.FileName+framelog.TempSuffix
-}
-
-func (f *indexFaultFS) OpenFile(name string, flag int) (framelog.File, error) {
-	if !isIndexFile(name) {
-		return f.FS.OpenFile(name, flag)
-	}
-	if f.armed && flag&(os.O_WRONLY|os.O_RDWR) != 0 {
-		return nil, errIndexWrite
-	}
-	file, err := f.FS.OpenFile(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return indexFaultFile{file, f}, nil
-}
-
-type indexFaultFile struct {
-	framelog.File
-	fs *indexFaultFS
-}
-
-func (f indexFaultFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.fs.armed {
-		return 0, errIndexWrite
-	}
-	return f.File.WriteAt(p, off)
-}
-
-func (f indexFaultFile) Sync() error {
-	if f.fs.armed {
-		return errIndexWrite
-	}
-	return f.File.Sync()
-}
+// indexWrites is the fault that refuses every write to the index log and
+// its snapshot staging file: write opens, WriteAt and Sync. The store's
+// own files pass through.
+var indexWrites = faultfs.Fault{Name: index.FileName + "*", Ops: faultfs.OpenWrite | faultfs.WriteAt | faultfs.Sync}
 
 // TestIndexLogFailureDegrades drives the index log's failure policy: a log
 // that cannot be written never fails Open or a write. The index stays
@@ -102,9 +60,9 @@ func TestIndexLogFailureDegrades(t *testing.T) {
 		}
 	}
 	// populated returns a file system holding the corpus and its index log.
-	populated := func(t *testing.T) *indexFaultFS {
+	populated := func(t *testing.T) *faultfs.FS {
 		t.Helper()
-		ffs := &indexFaultFS{FS: framelog.NewMemFS()}
+		ffs := faultfs.New(framelog.NewMemFS())
 		db, err := staccatodb.OpenFS(ffs)
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +85,7 @@ func TestIndexLogFailureDegrades(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ffs.armed = true
+		ffs.Arm(indexWrites)
 		db, err := staccatodb.OpenFS(ffs)
 		if err != nil {
 			t.Fatalf("Open over an unwritable index log (missing %v): %v", missing, err)
@@ -152,7 +110,7 @@ func TestIndexLogFailureDegrades(t *testing.T) {
 	}
 
 	// (b) Writes after the log fails still succeed, and persistence stops.
-	ffs.armed = true
+	ffs.Arm(indexWrites)
 	moved := docs[0]
 	for _, d := range []*staccatodb.DB{db, ref} {
 		if err := d.Delete(ctx, moved.ID); err != nil {
@@ -169,7 +127,7 @@ func TestIndexLogFailureDegrades(t *testing.T) {
 	agrees(t, db, "after writes")
 
 	// (c) Maintenance reports the failure and keeps the index installed.
-	if err := db.Compact(ctx); err == nil || !strings.Contains(err.Error(), "persisting index") || !errors.Is(err, errIndexWrite) {
+	if err := db.Compact(ctx); err == nil || !strings.Contains(err.Error(), "persisting index") || !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("Compact with an unwritable index log: err = %v, want the persisting-index error", err)
 	}
 	unpersisted(t, db, "after Compact")
@@ -179,7 +137,7 @@ func TestIndexLogFailureDegrades(t *testing.T) {
 	}
 
 	// (d) Disarmed, a reopen finds the log stale, rebuilds and persists.
-	ffs.armed = false
+	ffs.Arm(faultfs.Fault{})
 	if logNow, _ := ffs.ReadFile(index.FileName); !bytes.Equal(logNow, logBefore) {
 		t.Fatal("the index log changed while its writes were refused")
 	}
@@ -203,14 +161,14 @@ func TestIndexLogFailureDegrades(t *testing.T) {
 	// (e) A refused append stops persistence again; once the fault
 	// clears, Compact persists the index anew, and a reopen loads that
 	// log as it stands.
-	ffs.armed = true
+	ffs.Arm(indexWrites)
 	for _, d := range []*staccatodb.DB{re, ref} {
 		if err := d.Delete(ctx, docs[2].ID); err != nil {
 			t.Fatalf("Delete with an unwritable index log: %v", err)
 		}
 	}
 	unpersisted(t, re, "after a refused append")
-	ffs.armed = false
+	ffs.Arm(faultfs.Fault{})
 	if err := re.Compact(ctx); err != nil {
 		t.Fatalf("Compact once the fault cleared: %v", err)
 	}

@@ -6,61 +6,26 @@ import (
 	"errors"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
+	"github.com/paper-repo/staccato-go/internal/framelog/faultfs"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 )
 
-// rewriteFaultFS fails one step of an index log rewrite, named by step:
+// rewriteSteps fails one step of an index log rewrite, named by its key:
 // opening the staging file, writing it, syncing it, renaming it over the
-// log, or reopening the renamed log for appending. Everything else
-// passes through.
-type rewriteFaultFS struct {
-	framelog.FS
-	step string // "" passes everything
-}
-
-func (f *rewriteFaultFS) OpenFile(name string, flag int) (framelog.File, error) {
-	staging := filepath.Base(name) == index.FileName+framelog.TempSuffix
-	if staging && f.step == "temp open" || !staging && filepath.Base(name) == index.FileName && flag&os.O_RDWR != 0 && f.step == "reopen" {
-		return nil, errIndexWrite
-	}
-	file, err := f.FS.OpenFile(name, flag)
-	if err != nil || !staging {
-		return file, err
-	}
-	return stagingFaultFile{file, f}, nil
-}
-
-func (f *rewriteFaultFS) Rename(oldname, newname string) error {
-	if f.step == "rename" && filepath.Base(newname) == index.FileName {
-		return errIndexWrite
-	}
-	return f.FS.Rename(oldname, newname)
-}
-
-type stagingFaultFile struct {
-	framelog.File
-	fs *rewriteFaultFS
-}
-
-func (f stagingFaultFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.fs.step == "write" {
-		return 0, errIndexWrite
-	}
-	return f.File.WriteAt(p, off)
-}
-
-func (f stagingFaultFile) Sync() error {
-	if f.fs.step == "sync" {
-		return errIndexWrite
-	}
-	return f.File.Sync()
+// log, or reopening the renamed log for appending. "" fails nothing.
+var rewriteSteps = map[string]faultfs.Fault{
+	"":          {},
+	"temp open": {Name: index.FileName + framelog.TempSuffix, Ops: faultfs.OpenWrite},
+	"write":     {Name: index.FileName + framelog.TempSuffix, Ops: faultfs.WriteAt},
+	"sync":      {Name: index.FileName + framelog.TempSuffix, Ops: faultfs.Sync},
+	"rename":    {Name: index.FileName, Ops: faultfs.Rename},
+	"reopen":    {Name: index.FileName, Ops: faultfs.OpenWrite},
 }
 
 // TestLogRewriteFailureDegrades fails each step of the automatic rewrite
@@ -118,7 +83,7 @@ func TestLogRewriteFailureDegrades(t *testing.T) {
 
 	for _, step := range []string{"", "temp open", "write", "sync", "rename", "reopen"} {
 		t.Run("fail "+step, func(t *testing.T) {
-			ffs := &rewriteFaultFS{FS: cloneFS(t, filled)}
+			ffs := faultfs.New(cloneFS(t, filled))
 			db, err := staccatodb.OpenFS(ffs)
 			if err != nil {
 				t.Fatal(err)
@@ -128,11 +93,11 @@ func TestLogRewriteFailureDegrades(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ffs.step = step
+			ffs.Arm(rewriteSteps[step])
 			if err := db.Ingest(ctx, trigger); err != nil {
 				t.Fatalf("the write that set off the rewrite failed: %v", err)
 			}
-			ffs.step = ""
+			ffs.Arm(faultfs.Fault{})
 			after, err := ffs.ReadFile(index.FileName)
 			if err != nil {
 				t.Fatal(err)

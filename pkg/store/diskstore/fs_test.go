@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
+	"github.com/paper-repo/staccato-go/internal/framelog/faultfs"
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 )
@@ -103,60 +104,6 @@ func TestFileSystemsWriteIdenticalBytes(t *testing.T) {
 	same("after Compact")
 }
 
-// faultFS fails the n-th WriteAt or Sync on any file it opened, counting
-// from arm, counts the ReadAt calls, and passes everything else through.
-type faultFS struct {
-	framelog.FS
-	calls, failAt int
-	reads         int
-}
-
-var errInjected = errors.New("injected I/O failure")
-
-func (f *faultFS) arm(n int) { f.calls, f.failAt = 0, n }
-
-func (f *faultFS) OpenFile(name string, flag int) (framelog.File, error) {
-	file, err := f.FS.OpenFile(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return faultFile{file, f}, nil
-}
-
-func (f *faultFS) fail() error {
-	if f.failAt == 0 {
-		return nil
-	}
-	if f.calls++; f.calls == f.failAt {
-		return errInjected
-	}
-	return nil
-}
-
-type faultFile struct {
-	framelog.File
-	fs *faultFS
-}
-
-func (f faultFile) WriteAt(p []byte, off int64) (int, error) {
-	if err := f.fs.fail(); err != nil {
-		return 0, err
-	}
-	return f.File.WriteAt(p, off)
-}
-
-func (f faultFile) ReadAt(p []byte, off int64) (int, error) {
-	f.fs.reads++
-	return f.File.ReadAt(p, off)
-}
-
-func (f faultFile) Sync() error {
-	if err := f.fs.fail(); err != nil {
-		return err
-	}
-	return f.File.Sync()
-}
-
 // TestFailedBatchNeverReappears fails each WriteAt and Sync of a batch
 // that rolls two segments in turn. The failed Commit must leave the
 // store holding exactly what it held before, in process and after a
@@ -184,7 +131,7 @@ func TestFailedBatchNeverReappears(t *testing.T) {
 	}
 	for n := 1; ; n++ {
 		mem := framelog.NewMemFS()
-		ffs := &faultFS{FS: mem}
+		ffs := faultfs.New(mem)
 		st, err := OpenFS(ffs, "", opts)
 		if err != nil {
 			t.Fatal(err)
@@ -206,9 +153,9 @@ func TestFailedBatchNeverReappears(t *testing.T) {
 		}
 		b.Delete("old-1")
 		segs := st.Stats().Segments
-		ffs.arm(n)
+		ffs.Arm(faultfs.Fault{Name: "*", Ops: faultfs.WriteAt | faultfs.Sync, N: n})
 		err = b.Commit(ctx)
-		if ffs.calls < n {
+		if ffs.Calls() < n {
 			// The batch made fewer than n faultable calls: every one has
 			// been failed in turn.
 			if err != nil {
@@ -220,7 +167,7 @@ func TestFailedBatchNeverReappears(t *testing.T) {
 			st.Close()
 			return
 		}
-		if !errors.Is(err, errInjected) {
+		if !errors.Is(err, faultfs.ErrInjected) {
 			t.Fatalf("call %d failed: Commit = %v, want the injected error", n, err)
 		}
 		if got := held(t, st); !reflect.DeepEqual(got, before) {
@@ -243,9 +190,9 @@ func TestFailedBatchNeverReappears(t *testing.T) {
 // holds.
 func TestGetBatchReadsPerRun(t *testing.T) {
 	ctx := context.Background()
-	ingest := func(t *testing.T, opts Options) (*Store, *faultFS) {
+	ingest := func(t *testing.T, opts Options) (*Store, *faultfs.FS) {
 		t.Helper()
-		ffs := &faultFS{FS: framelog.NewMemFS()}
+		ffs := faultfs.New(framelog.NewMemFS())
 		st, err := OpenFS(ffs, "", opts)
 		if err != nil {
 			t.Fatal(err)
@@ -262,13 +209,13 @@ func TestGetBatchReadsPerRun(t *testing.T) {
 		}
 		return st, ffs
 	}
-	reads := func(t *testing.T, st *Store, ffs *faultFS, n int) int {
+	reads := func(t *testing.T, st *Store, ffs *faultfs.FS, n int) int {
 		t.Helper()
 		ids := make([]string, n)
 		for i := range ids {
 			ids[i] = fmt.Sprintf("doc-%03d", i)
 		}
-		ffs.reads = 0
+		before := ffs.Reads()
 		docs, err := st.GetBatch(ctx, ids)
 		if err != nil {
 			t.Fatal(err)
@@ -278,7 +225,7 @@ func TestGetBatchReadsPerRun(t *testing.T) {
 				t.Fatalf("slot %d: got %v, want %s", i, d, ids[i])
 			}
 		}
-		return ffs.reads
+		return ffs.Reads() - before
 	}
 
 	t.Run("one run", func(t *testing.T) {
