@@ -172,29 +172,40 @@ func merge(parts []*Batch, dead []uint64) *Batch {
 		}
 	}
 	b.ords, b.bnds = make([]uint32, 0, total), make([]uint16, 0, total)
-	at := make([]int, len(parts)) // each range's next gram
+	// next holds the key of each range's next gram, ^0 once it has none
+	// left (left is how many have): a short array that is scanned for the
+	// least gram, then for the ranges that hold it.
+	at, next, left := make([]int, len(parts)), make([]uint64, len(parts)), 0
+	for i, p := range parts {
+		if next[i] = ^uint64(0); len(p.grams) > 0 {
+			next[i], left = gramKey(p.grams[0]), left+1
+		}
+	}
 	var text []byte
 	var cut []uint32 // where each merged gram ends in text
-	for {
-		g, found := "", false
-		for i, p := range parts {
-			if at[i] < len(p.grams) && (!found || p.grams[at[i]] < g) {
-				g, found = p.grams[at[i]], true
+	for left > 0 {
+		key, g := slices.Min(next), ""
+		for i, k := range next {
+			// Keys of grams longer than seven bytes can tie; their grams
+			// decide.
+			if k == key && at[i] < len(parts[i].grams) && (g == "" || k&0xFF == 0xFF && parts[i].grams[at[i]] < g) {
+				g = parts[i].grams[at[i]]
 			}
-		}
-		if !found {
-			break
 		}
 		from, base := len(b.ords), uint32(0)
 		for i, p := range parts {
-			if at[i] < len(p.grams) && p.grams[at[i]] == g {
+			if next[i] == key && at[i] < len(p.grams) && p.grams[at[i]] == g {
 				run := p.run(at[i])
 				for j, o := range run.ords {
 					if o = renumber[base+o]; o != gone {
 						b.ords, b.bnds = append(b.ords, o), append(b.bnds, run.bnds[j])
 					}
 				}
-				at[i]++
+				if at[i]++; at[i] < len(p.grams) {
+					next[i] = gramKey(p.grams[at[i]])
+				} else {
+					next[i], left = ^uint64(0), left-1
+				}
 			}
 			base += uint32(len(p.ids))
 		}
@@ -209,4 +220,18 @@ func merge(parts []*Batch, dead []uint64) *Batch {
 		b.grams[k], from = all[from:to], to
 	}
 	return b
+}
+
+// gramKey orders grams as strings do: g's first seven bytes, zero-padded,
+// above its length, or above 0xFF when it is longer than seven bytes, so
+// that only two longer grams can tie without being equal.
+func gramKey(g string) uint64 {
+	var k uint64
+	for i := 0; i < len(g) && i < 7; i++ {
+		k |= uint64(g[i]) << (56 - 8*i)
+	}
+	if len(g) < 8 {
+		return k | uint64(len(g))
+	}
+	return k | 0xFF
 }

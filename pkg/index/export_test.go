@@ -28,6 +28,14 @@ func DocGramBounds(doc *staccato.Doc, q int) (grams []string, bounds []uint16, s
 	return e.Grams, e.Bounds, e.Short, !e.Overflow
 }
 
+// Add indexes doc as a commit of its own, superseding any indexed
+// document with the same ID.
+func (ix *Index) Add(doc *staccato.Doc) { ix.Apply([]Entry{EntryFor(doc, ix.q)}, nil) }
+
+// Delete removes the document with the given ID as a commit of its own;
+// unknown IDs are a no-op.
+func (ix *Index) Delete(id string) { ix.Apply(nil, []string{id}) }
+
 // encodeCommit returns the payload of one commit record, and holds
 // commitSize to its length: every test that encodes a commit checks it.
 func encodeCommit(adds *Batch, dels []string, st diskstore.CommitState) []byte {

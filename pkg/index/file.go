@@ -139,15 +139,29 @@ func Open(fsys framelog.FS, path string, st diskstore.CommitState, sync bool, bu
 }
 
 // Commit applies one store commit that applied adds and dels and left
-// the store at st, as ApplyBatch does, and appends its record to the log.
-// If that takes the log past its trigger, Commit then rewrites the log
-// from the index, as Persist does. Any failure of the log closes it and
-// is returned: the index goes on serving, unpersisted, and the log left
-// on disk is the old one, the record included or not, or the new one.
+// the store at st, and appends its record to the log: it publishes the
+// version that follows the current one by deleting dels and then adding
+// adds' documents in order, so that an ID repeated within adds ends at
+// its last document. An ID must not appear in both: the dels-then-adds
+// order cannot represent an intra-commit interleaving (staccatodb's
+// writes are puts only or one delete, never both). On an unpersisted
+// index that is all Commit does.
+//
+// If the record takes the log past its trigger, Commit then rewrites the
+// log from the index, as Persist does. Any failure of the log closes it
+// and is returned: the index goes on serving, unpersisted, and the log
+// left on disk is the old one, the record included or not, or the new
+// one.
 func (ix *Index) Commit(adds *Batch, dels []string, st diskstore.CommitState) error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
-	ix.apply(adds, dels)
+	v := ix.cur.Load()
+	next := v.with(ix.ord, adds, dels)
+	if len(next.parts) > len(v.parts) {
+		next.learn(adds, v.parts)
+		next.parts = tier(next.parts)
+	}
+	ix.cur.Store(next)
 	if ix.log.f == nil {
 		return nil
 	}
@@ -232,7 +246,8 @@ func (ix *Index) rewrite(st diskstore.CommitState) []byte {
 	b := ix.cur.Load().merged()
 	log := framelog.Append(nil, encodeHeader(ix.q))
 	log = appendCommit(log, b, nil, st)
-	ix.adopt(b, int64(len(log)))
+	ix.ord, ix.logBase = make(map[string]uint32, len(b.ids)), int64(len(log))
+	ix.cur.Store((&version{}).with(ix.ord, b, nil).settle())
 	return log
 }
 
@@ -307,12 +322,7 @@ func load(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState, 
 		}
 		break
 	}
-	// The parts are tiered, and their grams learnt, once for the whole log.
-	v.parts = tier(v.parts)
-	for i, p := range v.parts {
-		v.learn(p.Batch, v.parts[:i])
-	}
-	ix.cur.Store(v)
+	ix.cur.Store(v.settle()) // once for the whole log
 	return ix, st, r.Offset(), nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
@@ -145,37 +144,10 @@ func New(q int) *Index {
 // at the same gram size or lookups would be meaningless.
 func (ix *Index) GramSize() int { return ix.q }
 
-// Add indexes doc, superseding any previously indexed document with the
-// same ID. The document is read synchronously and not retained.
-func (ix *Index) Add(doc *staccato.Doc) {
-	_ = ix.Commit(BatchOf([]*staccato.Doc{doc}, ix.q, 1), nil, diskstore.CommitState{})
-}
-
-// Delete removes the document with the given ID; unknown IDs are a no-op.
-func (ix *Index) Delete(id string) {
-	_ = ix.Commit(&Batch{}, []string{id}, diskstore.CommitState{})
-}
-
 // Apply commits Invert(adds) and dels, for callers that have not inverted
 // their entries already.
 func (ix *Index) Apply(adds []Entry, dels []string) {
 	_ = ix.Commit(Invert(adds), dels, diskstore.CommitState{})
-}
-
-// apply publishes the version that follows the current one by deleting
-// dels and then adding b's documents in order, so that an ID repeated
-// within b ends at its last document. An ID must not appear in both b and
-// dels: the dels-then-adds order cannot represent an intra-commit
-// interleaving (staccatodb's writes are puts only or one delete, never
-// both). Callers hold wmu.
-func (ix *Index) apply(b *Batch, dels []string) {
-	v := ix.cur.Load()
-	next := v.with(ix.ord, b, dels)
-	if len(next.parts) > len(v.parts) {
-		next.learn(next.parts[len(v.parts)].Batch, v.parts)
-		next.parts = tier(next.parts)
-	}
-	ix.cur.Store(next)
 }
 
 // with returns the version that follows v by one commit, and updates ord
@@ -185,21 +157,16 @@ func (ix *Index) apply(b *Batch, dels []string) {
 func (v *version) with(ord map[string]uint32, b *Batch, dels []string) *version {
 	next := *v
 	var killed []uint32
-	kill := func(id string) {
+	for i, id := range slices.Concat(dels, b.ids) {
 		if o, ok := ord[id]; ok {
-			delete(ord, id)
 			killed = append(killed, o)
 		}
-	}
-	for _, id := range dels {
-		kill(id)
-	}
-	for i, id := range b.ids {
-		kill(id)
-		ord[id] = v.n + uint32(i)
+		if delete(ord, id); i >= len(dels) {
+			ord[id] = v.n + uint32(i-len(dels))
+		}
 	}
 	if len(b.ids) > 0 {
-		next.parts = append(slices.Clip(v.parts), newPart(b, v.n))
+		next.parts = append(slices.Clip(v.parts), part{Batch: b, first: v.n})
 		next.n += uint32(len(b.ids))
 		next.postings += len(b.ords)
 	}
@@ -258,19 +225,20 @@ func tier(parts []part) []part {
 				batches[j] = p.Batch
 			}
 			out[i] = newPart(merge(batches, nil), g[0].first)
+		} else if g[0].slots == nil { // a part of with, which gets its tables once it stays
+			out[i] = newPart(g[0].Batch, g[0].first)
 		}
 	}
 	return out
 }
 
-// adopt makes b, whose IDs are distinct, the whole index, and logBase
-// the length of the log that holds just it. Callers hold wmu.
-func (ix *Index) adopt(b *Batch, logBase int64) {
-	ix.ord = make(map[string]uint32, len(b.ids))
-	ix.logBase = logBase
-	v := (&version{}).with(ix.ord, b, nil)
-	v.learn(b, nil)
-	ix.cur.Store(v)
+// settle tiers v's parts and learns all their grams, and returns v.
+func (v *version) settle() *version {
+	v.parts = tier(v.parts)
+	for i, p := range v.parts {
+		v.learn(p.Batch, v.parts[:i])
+	}
+	return v
 }
 
 // postings is one gram's posting list: ascending document ordinals and,

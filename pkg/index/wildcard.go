@@ -52,7 +52,13 @@ func (e *evaluator) patterns(patterns [][]rune) (postings, bool) {
 			}
 			continue
 		}
-		sort.SliceStable(windows, func(i, j int) bool { return postingsIn(windows[i]) < postingsIn(windows[j]) })
+		size := func(runs []postings) (n int) {
+			for _, run := range runs {
+				n += len(run.ords)
+			}
+			return n
+		}
+		sort.SliceStable(windows, func(i, j int) bool { return size(windows[i]) < size(windows[j]) })
 		// The first window's union is the only one built in full; every
 		// later window only confirms or drops what is left.
 		var acc postings
@@ -139,15 +145,6 @@ func (e *evaluator) expand(window []rune, budget *int) (runs []postings, grams i
 			return runs, grams, true, true
 		}
 	}
-}
-
-// postingsIn is the total length of runs.
-func postingsIn(runs []postings) int {
-	n := 0
-	for _, run := range runs {
-		n += len(run.ords)
-	}
-	return n
 }
 
 // accum unions posting lists in one part's ordinals, summing each

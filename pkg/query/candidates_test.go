@@ -34,7 +34,7 @@ func candidateCorpus(t *testing.T, n int, seed int64) (*diskstore.Store, *index.
 		if err := st.Put(ctx, c.Doc); err != nil {
 			t.Fatal(err)
 		}
-		ix.Add(c.Doc)
+		ix.Apply([]index.Entry{index.EntryFor(c.Doc, ix.GramSize())}, nil)
 		truths[i] = c.Truth
 	}
 	return st, ix, truths

@@ -118,7 +118,7 @@ func algebraIndex(rng *rand.Rand) (ix *index.Index, live map[string]index.Entry)
 		case 0:
 			add(randomEntry(id))
 		case 1:
-			ix.Delete(id)
+			ix.Apply(nil, []string{id})
 			delete(live, id)
 		}
 	}

@@ -38,7 +38,7 @@ func markerCorpus(t *testing.T, n int) (*diskstore.Store, *query.Query, *query.C
 		if err := st.Put(ctx, d); err != nil {
 			t.Fatal(err)
 		}
-		ix.Add(d)
+		ix.Apply([]index.Entry{index.EntryFor(d, ix.GramSize())}, nil)
 	}
 	for i := range n {
 		p := 0.9 - 0.8*float64(i)/float64(n)

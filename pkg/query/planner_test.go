@@ -398,7 +398,7 @@ func TestPlannerNoFalseNegatives(t *testing.T) {
 	ix := index.New(gramSize)
 	truths := make([]string, len(cases))
 	for i, c := range cases {
-		ix.Add(c.Doc)
+		ix.Apply([]index.Entry{index.EntryFor(c.Doc, ix.GramSize())}, nil)
 		truths[i] = c.Truth
 	}
 	rng := rand.New(rand.NewSource(77))
@@ -441,7 +441,7 @@ func TestEngineSearchByteIdenticalWithCandidates(t *testing.T) {
 		if err := st.Put(ctx, c.Doc); err != nil {
 			t.Fatal(err)
 		}
-		ix.Add(c.Doc)
+		ix.Apply([]index.Entry{index.EntryFor(c.Doc, ix.GramSize())}, nil)
 		truths[i] = c.Truth
 	}
 	eng := query.NewEngine(st, query.EngineOptions{Workers: 4})
@@ -519,11 +519,11 @@ func TestPlanCachedPerGramSize(t *testing.T) {
 
 	ix := index.New(3)
 	for i, text := range []string{"the quick brown fox", "a quick stacking", "quick fax", "slow brown", "quick"} {
-		ix.Add(&staccato.Doc{
+		ix.Apply([]index.Entry{index.EntryFor(&staccato.Doc{
 			ID:     fmt.Sprintf("d%d", i),
 			Params: staccato.Params{Chunks: 1, K: 1},
 			Chunks: []staccato.PathSet{{Alts: []staccato.Alt{{Text: text, Prob: 1}}, Retained: 1}},
-		})
+		}, 3)}, nil)
 	}
 	q = compile()
 	want := map[int]string{3: planShape(compile().Plan(3)), 4: planShape(compile().Plan(4))}

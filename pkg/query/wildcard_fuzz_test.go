@@ -47,8 +47,8 @@ func FuzzWildcardPlan(f *testing.F) {
 		}
 		target := handDoc("target", chunks...)
 		ix := index.New(q)
-		ix.Add(target)
-		ix.Add(handDoc("decoy", []string{"the quick brown fox", "abcdefgh"}, []string{" jumps", "日本語"}))
+		ix.Apply([]index.Entry{index.EntryFor(target, ix.GramSize())}, nil)
+		ix.Apply([]index.Entry{index.EntryFor(handDoc("decoy", []string{"the quick brown fox", "abcdefgh"}, []string{" jumps", "日本語"}), ix.GramSize())}, nil)
 		plan := lf.Plan(q)
 		cand := plan.Candidates(ix)
 		if cand == nil {

@@ -87,7 +87,7 @@ func wildcardCorpus(t *testing.T, errModel bool, q int) (*diskstore.Store, *inde
 		if err := st.Put(ctx, d); err != nil {
 			t.Fatal(err)
 		}
-		ix.Add(d)
+		ix.Apply([]index.Entry{index.EntryFor(d, ix.GramSize())}, nil)
 	}
 	return st, ix, truths
 }

@@ -100,7 +100,7 @@ func TestIndexSmallerThanStore(t *testing.T) {
 	}
 	built := index.New(index.DefaultGramSize)
 	for _, d := range docs {
-		built.Add(d)
+		built.Apply([]index.Entry{index.EntryFor(d, built.GramSize())}, nil)
 	}
 	if loaded.Stats() != built.Stats() || !bytes.Equal(snapshotOf(t, loaded), snapshotOf(t, built)) {
 		t.Errorf("the loaded index (%+v) differs from one built from the documents (%+v)", loaded.Stats(), built.Stats())
