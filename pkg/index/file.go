@@ -40,34 +40,34 @@ import (
 // it ("" before the first), followed by suffix; shared is at most
 // len(prev), so the two lengths ride one varint as a two-digit number in
 // base len(prev)+1 — one byte per gram where two would be, and no pair of
-// lengths the decoder would have to refuse. A gram's ordinals are positions in the commit's add
-// list — Load rebases them on the ordinals the index has issued so far —
-// ascending, the first as it stands and each later one as its distance from
-// the one before; its bounds follow in the same order, 16-bit fixed point
-// (see Quantize: rounded up when the entry was extracted, so every bound in
-// the file is admissible and none needs sanitizing). A snapshot is one
-// commit holding every live document, renumbered densely.
+// lengths the decoder would have to refuse. A gram's ordinals are
+// positions in the commit's add list — the part Load makes of the commit
+// keeps them, and its documents take the ordinals after those the index
+// has issued so far — ascending, the first as it stands and each later
+// one as its distance from the one before; its bounds follow in the same
+// order, 16-bit fixed point (see Quantize: rounded up when the entry was
+// extracted, so every bound in the file is admissible and none needs
+// sanitizing). A snapshot is one commit holding every live document,
+// renumbered densely.
 //
 // The index owns its log: Open loads it or writes it anew, Commit appends
 // one record per store commit, Persist replaces it with a snapshot, and
 // Close releases it. The log rewrites itself. Once a Commit takes it past
 // 3/2 of the length of the log holding just its base, and past 1 MiB
-// (rewriteFloor), Commit merges the index's base and delta into a new base
-// without the dead ordinals and replaces the log with header and base
-// alone, as Persist does. The log, and the index in memory, thus stay
-// within 3/2 of what the live documents take, and the floor keeps a small
-// store from replacing its file on every synced Put.
+// (rewriteFloor), Commit merges every part of the index into one without
+// the dead ordinals and replaces the log with header and that base alone,
+// as Persist does. The log, and the index in memory, thus stay within 3/2
+// of what the live documents take, and the floor keeps a small store from
+// replacing its file on every synced Put.
 //
 // parseCommit accepts exactly what appendPayload can produce from a Batch:
 // a flags byte with an unassigned bit or with both bits set, a gram not
-// above its predecessor,
-// an empty run, a zero delta, an ordinal outside the add list or naming an
-// overflow document, a count overrunning the payload and trailing bytes
-// all make the record malformed. Loading such a file adopts the first
-// commit as the index's base as it was parsed — one dictionary entry per
-// gram, no posting copied — and appends each later commit's runs to the
-// delta: one dictionary lookup per distinct gram of a commit, no
-// re-inversion.
+// above its predecessor, an empty run, a zero delta, an ordinal outside
+// the add list or naming an overflow document, a count overrunning the
+// payload and trailing bytes all make the record malformed. Loading a
+// file is parsing it: each commit becomes a part of the index as it was
+// parsed, its ordinals local to its add list, and the parts are tiered
+// once, at the end, as Commit tiers them (see Index).
 //
 // Files of an older version (magic "staccato-index v1", "v2" or "v3": the
 // doc-major layouts, the last two with an 8-byte float per posting) fail header
@@ -99,10 +99,10 @@ var ErrMismatch = errors.New("index: file does not match the requested gram size
 
 // rewriteFloor is the length below which Commit never rewrites a log;
 // past it, a log is rewritten once it is longer than 3/2 of the log of its
-// base alone. The ratio bounds the log, and the delta beside the base in
-// memory, at 3/2 of what the live documents take; the floor keeps a small
-// store from replacing its file on every synced Put. It is a variable only
-// so that tests can lower it (export_test.go).
+// base alone. The ratio bounds the log, and the parts in memory, at 3/2 of
+// what the live documents take; the floor keeps a small store from
+// replacing its file on every synced Put. It is a variable only so that
+// tests can lower it (export_test.go).
 var rewriteFloor int64 = 1 << 20
 
 // logFile is where a persisted index keeps its log. The Index's wmu
@@ -183,9 +183,9 @@ func (ix *Index) Commit(adds *Batch, dels []string, st diskstore.CommitState) er
 	return ix.rewriteLog(st)
 }
 
-// Persist rewrites ix — merges its delta into its base, without the dead
+// Persist rewrites ix — merges every part into one, without the dead
 // ordinals — and atomically replaces the log at path on fsys with one
-// holding that base as a single commit at state st; every Commit appends
+// holding that part as a single commit at state st; every Commit appends
 // to that log from then on, in place of any log ix kept before. A crash
 // or failure at any point leaves either the old file or the new one,
 // never a mix; ix is rewritten either way, and after a failure it serves

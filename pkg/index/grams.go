@@ -23,9 +23,10 @@
 // lists and let the engine process top-k candidates best-bound-first and
 // stop early once the running k-th result beats every remaining bound.
 //
-// The index lives in memory as gram → posting list and persists to a
-// single crc-framed log file (see file.go) inside the store directory,
-// commit by commit in the postings-major shape it applies them in (Batch).
+// The index lives in memory as immutable versions, one per commit, each
+// a few parts in the postings-major shape of a commit (Batch), and
+// persists to a single crc-framed log file (see file.go) inside the store
+// directory, commit by commit in that same shape.
 // The Index owns that log from Open, which loads it or persists a rebuild
 // from a store scan when it is missing or stale, through Commit, which
 // applies and appends each diskstore commit, to the rewrites that keep it

@@ -145,7 +145,9 @@ func New(q int) *Index {
 func (ix *Index) GramSize() int { return ix.q }
 
 // Apply commits Invert(adds) and dels, for callers that have not inverted
-// their entries already.
+// their entries already and keep no log: on a persisted index the record
+// is stamped with the zero CommitState, and a failure of the log, which
+// stops persistence as in Commit, goes unreported.
 func (ix *Index) Apply(adds []Entry, dels []string) {
 	_ = ix.Commit(Invert(adds), dels, diskstore.CommitState{})
 }
@@ -225,7 +227,7 @@ func tier(parts []part) []part {
 				batches[j] = p.Batch
 			}
 			out[i] = newPart(merge(batches, nil), g[0].first)
-		} else if g[0].slots == nil { // a part of with, which gets its tables once it stays
+		} else if g[0].slots == nil { // from with, which leaves a part's tables until it stays
 			out[i] = newPart(g[0].Batch, g[0].first)
 		}
 	}

@@ -62,8 +62,8 @@ func BenchmarkIndexLoad(b *testing.B) {
 }
 
 // BenchmarkIndexRewrite times the rewrite of the index the 32-commit log
-// loads to — its first commit as the base, 31 in the delta — into one
-// base and the log that holds it: one merge and one encoding.
+// loads to into one base and the log that holds it: one merge and one
+// encoding.
 func BenchmarkIndexRewrite(b *testing.B) {
 	fsys, err := benchLogs()
 	if err != nil {

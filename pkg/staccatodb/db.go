@@ -184,12 +184,14 @@ func (db *DB) isClosed() bool {
 // keeps the index in step. On disk each Put is one fsync; use Ingest to
 // amortize the fsync across many documents.
 //
-// Writes concurrent with Search follow snapshot semantics: the candidate
-// set is computed when a query call starts, so a document committed
-// while that call is running may be missing from its results, which then
-// match an execution ordered before the write; the next call sees the
-// document. A write that has RETURNED is always fully
-// visible: it returns only after the index has absorbed what the store
+// Writes concurrent with Search follow snapshot semantics: a query's
+// candidate set comes from the one index version its lookup pins — the
+// index as a whole commit left it, never part of one — so a document
+// committed while that call is running may be missing from its results,
+// which then match an execution ordered before the write; the next call
+// sees the document. (The store is read as it stands, not pinned.) A
+// write that has RETURNED is always fully visible: it returns only after
+// the index has published the version that holds what the store
 // committed, so no candidate set computed after it can prune its
 // document.
 func (db *DB) Put(ctx context.Context, doc *staccato.Doc) error {
