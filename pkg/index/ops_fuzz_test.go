@@ -13,7 +13,9 @@ import (
 
 // opsEntries is the pool FuzzIndexOps writes documents from: hand-built
 // entries over the 64 grams of the alphabet "abcd", so that documents share
-// grams, with an overflow entry and two whose readings are short.
+// grams, with an overflow entry and two whose readings are short. Some
+// also hold 日本語 or 日本誌, nine-byte grams that share their first seven
+// bytes.
 var opsEntries = func() []Entry {
 	rng := rand.New(rand.NewSource(5))
 	out := make([]Entry, 16)
@@ -29,6 +31,12 @@ var opsEntries = func() []Entry {
 				e.Bounds = append(e.Bounds, uint16(rng.Intn(maxBound+1)))
 			}
 		}
+		for _, g := range []string{"日本語", "日本誌"} {
+			if rng.Intn(3) == 0 {
+				e.Grams = append(e.Grams, g)
+				e.Bounds = append(e.Bounds, uint16(rng.Intn(maxBound+1)))
+			}
+		}
 	}
 	return out
 }()
@@ -39,7 +47,7 @@ var opsLookups = []Lookup{
 	{Grams: []string{"abc", "bcd"}},
 	{Patterns: [][]rune{{'a', -1, 'c'}, {'b', 'c', -1, 'a'}}},
 	{And: []Lookup{{Grams: []string{"bca"}}, {Patterns: [][]rune{{-1, 'd', 'a', 'b'}}}}},
-	{Or: []Lookup{{Grams: []string{"aaa"}}, {Grams: []string{"dcb", "cba"}}, {Patterns: [][]rune{{'c', -1, -1, 'd'}}}}},
+	{Or: []Lookup{{Grams: []string{"aaa"}}, {Grams: []string{"dcb", "日本誌"}}, {Patterns: [][]rune{{'c', -1, -1, 'd'}, {'日', '本', -1}}}}},
 }
 
 // FuzzIndexOps is a model check of the index's whole life. The input
