@@ -260,27 +260,27 @@ type postings struct {
 type parts []postings
 
 // intersect returns the ordinals two ascending lists share, each at the
-// min of its two bounds, in out's backing, which has room for the shorter
-// list and shares none with a or b. It walks the shorter list and finds
-// each of its ordinals in the longer one: by a linear merge when the
-// lengths are comparable, and by galloping when the longer list is at
-// least gallopRatio times as long, so a small running set costs a few
-// probes per member instead of a pass over a long posting list. Either
-// way the result is the same set at the same bounds.
-func intersect(out, a, b postings) postings {
+// min of its two bounds. It walks the shorter list and finds each of its
+// ordinals in the longer one: by a linear merge when the lengths are
+// comparable, and by galloping when the longer list is at least
+// gallopRatio times as long, so a small running set costs a few probes
+// per member instead of a pass over a long posting list. Either way the
+// result is the same set at the same bounds, in a fresh backing sized to
+// the shorter list (a may be a shared posting list).
+func intersect(a, b postings) postings {
 	if len(a.ords) > len(b.ords) {
 		a, b = b, a
 	}
 	if len(b.ords) >= gallopRatio*len(a.ords) {
-		return intersectGallop(out, a, b)
+		return intersectGallop(a, b)
 	}
-	return intersectMerge(out, a, b)
+	return intersectMerge(a, b)
 }
 
-// intersectMerge is intersect by one linear pass over both lists; a
-// is the shorter.
-func intersectMerge(out, a, b postings) postings {
-	out.ords, out.bnds = out.ords[:0], out.bnds[:0]
+// intersectMerge is intersect by one linear pass over both lists; a is
+// the shorter.
+func intersectMerge(a, b postings) postings {
+	out := postings{ords: make([]uint32, 0, len(a.ords)), bnds: make([]uint16, 0, len(a.ords))}
 	i, j := 0, 0
 	for i < len(a.ords) && j < len(b.ords) {
 		switch {
@@ -298,10 +298,10 @@ func intersectMerge(out, a, b postings) postings {
 	return out
 }
 
-// intersectGallop is intersect by galloping through b for each
-// ordinal of a, the shorter, from where the previous search stopped.
-func intersectGallop(out, a, b postings) postings {
-	out.ords, out.bnds = out.ords[:0], out.bnds[:0]
+// intersectGallop is intersect by galloping through b for each ordinal
+// of a, the shorter, from where the previous search stopped.
+func intersectGallop(a, b postings) postings {
+	out := postings{ords: make([]uint32, 0, len(a.ords)), bnds: make([]uint16, 0, len(a.ords))}
 	j := 0
 	for i, o := range a.ords {
 		if j += gallop(b.ords[j:], o); j == len(b.ords) {

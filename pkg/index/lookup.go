@@ -174,8 +174,7 @@ func (e *evaluator) lists(into []postings, grams []string) []postings {
 // intersect intersects lists, carrying the min bound through each step.
 // The first part, the largest, sets the order in which every part takes
 // the lists of each node: rarest first, so that the working set only
-// shrinks. Since the working set never outgrows the first list, the steps
-// take turns in the two halves of one buffer of twice its length.
+// shrinks.
 func (e *evaluator) intersect(lists []postings) postings {
 	if e.node == len(e.orders) {
 		order := make([]int, len(lists))
@@ -192,17 +191,12 @@ func (e *evaluator) intersect(lists []postings) postings {
 			return postings{} // nothing to intersect
 		}
 	}
-	acc, n := lists[order[0]], len(lists[order[0]].ords)
-	if len(lists) == 1 {
-		return acc
-	}
-	ords, bnds := make([]uint32, 2*n), make([]uint16, 2*n)
-	for j, o := range order[1:] {
+	acc := lists[order[0]]
+	for _, o := range order[1:] {
 		if len(acc.ords) == 0 {
 			break
 		}
-		h := j % 2 * n
-		acc = intersect(postings{ords[h : h : h+n], bnds[h : h : h+n]}, acc, lists[o])
+		acc = intersect(acc, lists[o])
 	}
 	return acc
 }
