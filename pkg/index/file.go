@@ -493,11 +493,7 @@ func parseCommit(p []byte) (adds *Batch, dels []string, st diskstore.CommitState
 		at := len(text)
 		text = append(text, text[prev:prev+shared]...)
 		text, p = append(text, p[:suffix]...), p[suffix:]
-		// The gram is above the one before if it extends it, or if its
-		// first byte past what it shares is above the other's; only a
-		// shared part shorter than the two have in common, which the
-		// encoder never writes, needs the whole comparison.
-		if k > 0 && (suffix == 0 || prev+shared < at && text[at+shared] <= text[prev+shared] && string(text[at:]) <= string(text[prev:at])) {
+		if k > 0 && string(text[at:]) <= string(text[prev:at]) {
 			return bad()
 		}
 		prev, cut[k] = at, uint32(len(text))
