@@ -92,6 +92,8 @@ type part struct {
 	over, short []uint32
 }
 
+// newPart returns b as the part whose documents take the ordinals from
+// first on, with its gram table and its overflow and short lists.
 func newPart(b *Batch, first uint32) part {
 	size := bits.Len(uint(2 * len(b.grams)))
 	p := part{Batch: b, first: first, slots: make([]uint32, 1<<size), shift: uint8(64 - size)}
