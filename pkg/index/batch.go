@@ -80,9 +80,7 @@ func sortByGram(slots []uint32, gram func(uint32) string) {
 	}
 	keys := make([]keyed, len(slots))
 	for i, s := range slots {
-		var p [8]byte
-		copy(p[:], gram(s))
-		keys[i] = keyed{binary.BigEndian.Uint64(p[:]), s}
+		keys[i] = keyed{prefix(gram(s)), s}
 	}
 	slices.SortFunc(keys, func(a, b keyed) int {
 		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
@@ -93,6 +91,14 @@ func sortByGram(slots []uint32, gram func(uint32) string) {
 	for i, k := range keys {
 		slots[i] = k.slot
 	}
+}
+
+// prefix is the first eight bytes of g, zero-padded, as one integer. Two
+// grams whose prefixes differ compare as their prefixes do.
+func prefix(g string) uint64 {
+	var p [8]byte
+	copy(p[:], g)
+	return binary.BigEndian.Uint64(p[:])
 }
 
 // Invert builds the Batch of hand-built entries. An overflow entry
@@ -139,75 +145,91 @@ func Invert(adds []Entry) *Batch {
 // before its own — so a merged run is ascending as it is concatenated.
 // The documents dead marks, by their ordinal across the ranges, are left
 // out with their postings, the rest renumbered densely, and a gram left
-// without a posting goes; a nil dead leaves out nothing. The merged grams
-// are copied back to back into one string.
+// without a posting goes; a nil dead leaves out nothing. Each merged gram
+// is picked by comparing every range's next one, so more than maxFanIn
+// ranges — only load's one tiering of a log of small commits has them —
+// are first merged maxFanIn at a time. The merged grams are copied back
+// to back into one string.
 func merge(parts []*Batch, dead []uint64) *Batch {
 	const gone = ^uint32(0)
+	for len(parts) > maxFanIn {
+		var fewer []*Batch
+		for from := 0; from < len(parts); from += maxFanIn {
+			fewer = append(fewer, merge(parts[from:min(from+maxFanIn, len(parts))], nil))
+		}
+		parts = fewer
+	}
 	n, total := 0, 0
 	for _, p := range parts {
 		n, total = n+len(p.ids), total+len(p.ords)
 	}
-	// renumber maps an ordinal across the ranges to its merged one.
-	renumber := make([]uint32, n)
+	// renumber maps an ordinal across the ranges to its merged one, when
+	// some document is dead; otherwise a range's ordinals only shift by
+	// base, the documents before it.
+	var renumber []uint32
+	if slices.ContainsFunc(dead, func(w uint64) bool { return w != 0 }) {
+		renumber = make([]uint32, n)
+	}
 	b := &Batch{ids: make([]string, 0, n), flags: make([]byte, 0, n)}
-	o := uint32(0)
-	for _, p := range parts {
+	base, o := make([]uint32, len(parts)), uint32(0)
+	for i, p := range parts {
+		base[i] = o
 		for j, id := range p.ids {
-			if renumber[o] = gone; int(o/64) >= len(dead) || dead[o/64]&(1<<(o%64)) == 0 {
-				renumber[o] = uint32(len(b.ids))
+			if isDead(dead, o) {
+				renumber[o] = gone
+			} else {
+				if renumber != nil {
+					renumber[o] = uint32(len(b.ids))
+				}
 				b.ids, b.flags = append(b.ids, id), append(b.flags, p.flags[j])
 			}
 			o++
 		}
 	}
 	if len(b.ids) < n { // size the runs without the dead postings
-		total, o = 0, 0
-		for _, p := range parts {
+		total = 0
+		for i, p := range parts {
 			for _, k := range p.ords {
-				if renumber[o+k] != gone {
+				if renumber[base[i]+k] != gone {
 					total++
 				}
 			}
-			o += uint32(len(p.ids))
 		}
 	}
 	b.ords, b.bnds = make([]uint32, 0, total), make([]uint16, 0, total)
-	// next holds the key of each range's next gram, ^0 once it has none
-	// left (left is how many have): a short array that is scanned for the
-	// least gram, then for the ranges that hold it.
-	at, next, left := make([]int, len(parts)), make([]uint64, len(parts)), 0
-	for i, p := range parts {
-		if next[i] = ^uint64(0); len(p.grams) > 0 {
-			next[i], left = gramKey(p.grams[0]), left+1
-		}
-	}
+	at := make([]int, len(parts)) // each range's next gram
 	var text []byte
 	var cut []uint32 // where each merged gram ends in text
-	for left > 0 {
-		key, g := slices.Min(next), ""
-		for i, k := range next {
-			// Keys of grams longer than seven bytes can tie; their grams
-			// decide.
-			if k == key && at[i] < len(parts[i].grams) && (g == "" || k&0xFF == 0xFF && parts[i].grams[at[i]] < g) {
-				g = parts[i].grams[at[i]]
+	for {
+		g, found := "", false
+		for i, p := range parts {
+			if at[i] < len(p.grams) && (!found || p.grams[at[i]] < g) {
+				g, found = p.grams[at[i]], true
 			}
 		}
-		from, base := len(b.ords), uint32(0)
+		if !found {
+			break
+		}
+		from := len(b.ords)
 		for i, p := range parts {
-			if next[i] == key && at[i] < len(p.grams) && p.grams[at[i]] == g {
-				run := p.run(at[i])
-				for j, o := range run.ords {
-					if o = renumber[base+o]; o != gone {
-						b.ords, b.bnds = append(b.ords, o), append(b.bnds, run.bnds[j])
-					}
+			if at[i] == len(p.grams) || p.grams[at[i]] != g {
+				continue
+			}
+			run := p.run(at[i])
+			at[i]++
+			if renumber == nil {
+				to := len(b.ords)
+				b.ords, b.bnds = append(b.ords, run.ords...), append(b.bnds, run.bnds...)
+				for ; to < len(b.ords); to++ {
+					b.ords[to] += base[i]
 				}
-				if at[i]++; at[i] < len(p.grams) {
-					next[i] = gramKey(p.grams[at[i]])
-				} else {
-					next[i], left = ^uint64(0), left-1
+				continue
+			}
+			for j, o := range run.ords {
+				if o = renumber[base[i]+o]; o != gone {
+					b.ords, b.bnds = append(b.ords, o), append(b.bnds, run.bnds[j])
 				}
 			}
-			base += uint32(len(p.ids))
 		}
 		if len(b.ords) > from {
 			text, cut = append(text, g...), append(cut, uint32(len(text)+len(g)))
@@ -222,16 +244,7 @@ func merge(parts []*Batch, dead []uint64) *Batch {
 	return b
 }
 
-// gramKey orders grams as strings do: g's first seven bytes, zero-padded,
-// above its length, or above 0xFF when it is longer than seven bytes, so
-// that only two longer grams can tie without being equal.
-func gramKey(g string) uint64 {
-	var k uint64
-	for i := 0; i < len(g) && i < 7; i++ {
-		k |= uint64(g[i]) << (56 - 8*i)
-	}
-	if len(g) < 8 {
-		return k | uint64(len(g))
-	}
-	return k | 0xFF
-}
+// maxFanIn is the most ranges merge joins at once. Commit's tiering joins
+// a few; a group of thousands of one-document commits, merged at once,
+// would cost a comparison per commit for every merged gram.
+const maxFanIn = 8

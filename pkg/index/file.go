@@ -155,13 +155,7 @@ func Open(fsys framelog.FS, path string, st diskstore.CommitState, sync bool, bu
 func (ix *Index) Commit(adds *Batch, dels []string, st diskstore.CommitState) error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
-	v := ix.cur.Load()
-	next := v.with(ix.ord, adds, dels)
-	if len(next.parts) > len(v.parts) {
-		next.learn(adds, v.parts)
-		next.parts = tier(next.parts)
-	}
-	ix.cur.Store(next)
+	ix.cur.Store(ix.cur.Load().step(ix.ord, adds, dels))
 	if ix.log.f == nil {
 		return nil
 	}
@@ -247,7 +241,7 @@ func (ix *Index) rewrite(st diskstore.CommitState) []byte {
 	log := framelog.Append(nil, encodeHeader(ix.q))
 	log = appendCommit(log, b, nil, st)
 	ix.ord, ix.logBase = make(map[string]uint32, len(b.ids)), int64(len(log))
-	ix.cur.Store((&version{}).with(ix.ord, b, nil).settle())
+	ix.cur.Store((&version{}).step(ix.ord, b, nil))
 	return log
 }
 
@@ -291,7 +285,8 @@ func load(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState, 
 		return ix, diskstore.CommitState{}, 0, fmt.Errorf("%w: %s", ErrMismatch, path)
 	}
 	ix.logBase = r.Offset()
-	v, st := ix.cur.Load(), diskstore.CommitState{}
+	// The version is built in place, and published once it is settled.
+	v, st := &version{}, diskstore.CommitState{}
 	for first := true; ; first = false {
 		payload, err := r.Next()
 		if err == io.EOF {
@@ -300,7 +295,8 @@ func load(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState, 
 		if err == nil {
 			adds, dels, recSt, perr := parseCommit(payload)
 			if perr == nil {
-				v, st = v.with(ix.ord, adds, dels), recSt
+				v.push(ix.ord, adds, dels)
+				st = recSt
 				if first {
 					ix.logBase = r.Offset()
 				}
@@ -322,7 +318,12 @@ func load(fsys framelog.FS, path string, q int) (*Index, diskstore.CommitState, 
 		}
 		break
 	}
-	ix.cur.Store(v.settle()) // once for the whole log
+	// Tiered once for the whole log, each group of parts merged once.
+	v.parts = tier(v.parts)
+	for i, p := range v.parts {
+		v.learn(p.Batch, v.parts[:i])
+	}
+	ix.cur.Store(v)
 	return ix, st, r.Offset(), nil
 }
 

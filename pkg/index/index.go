@@ -1,8 +1,6 @@
 package index
 
 import (
-	"hash/maphash"
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -80,12 +78,8 @@ type version struct {
 type part struct {
 	*Batch
 	first uint32
-	// slots is an open-addressing table of its grams by their hash, for
-	// find: a slot holds 1 + the index of a gram, or 0. Its length is a
-	// power of two, at least twice the grams', and shift takes the top
-	// bits of a hash that index it.
-	slots []uint32
-	shift uint8
+	// at is the index of each of its grams, for find.
+	at map[string]uint32
 	// over and short are the local ordinals of its overflow documents,
 	// candidates for every query, and of its short ones, candidates for
 	// every wildcard lookup (Entry.Short), read from its flags.
@@ -95,14 +89,9 @@ type part struct {
 // newPart returns b as the part whose documents take the ordinals from
 // first on, with its gram table and its overflow and short lists.
 func newPart(b *Batch, first uint32) part {
-	size := bits.Len(uint(2 * len(b.grams)))
-	p := part{Batch: b, first: first, slots: make([]uint32, 1<<size), shift: uint8(64 - size)}
+	p := part{Batch: b, first: first, at: make(map[string]uint32, len(b.grams))}
 	for k, g := range b.grams {
-		h := maphash.String(gramSeed, g) >> p.shift
-		for p.slots[h] != 0 {
-			h = (h + 1) & uint64(len(p.slots)-1)
-		}
-		p.slots[h] = uint32(k + 1)
+		p.at[g] = uint32(k)
 	}
 	for i, f := range b.flags {
 		switch {
@@ -117,19 +106,11 @@ func newPart(b *Batch, first uint32) part {
 
 // find returns the run of gram g in the part, empty if it holds none.
 func (p *part) find(g string) postings {
-	for h := maphash.String(gramSeed, g) >> p.shift; ; h = (h + 1) & uint64(len(p.slots)-1) {
-		k := p.slots[h]
-		if k == 0 {
-			return postings{}
-		}
-		if p.grams[k-1] == g {
-			return p.run(int(k - 1))
-		}
+	if k, ok := p.at[g]; ok {
+		return p.run(int(k))
 	}
+	return postings{}
 }
-
-// gramSeed seeds the hash of the parts' gram tables.
-var gramSeed = maphash.MakeSeed()
 
 // New returns an empty index over q-rune grams. q < 1 selects
 // DefaultGramSize.
@@ -154,39 +135,48 @@ func (ix *Index) Apply(adds []Entry, dels []string) {
 	_ = ix.Commit(Invert(adds), dels, diskstore.CommitState{})
 }
 
-// with returns the version that follows v by one commit, and updates ord
-// to match: dels and every earlier document of an ID that b adds die, and
-// b, unless it adds nothing, becomes the last part. It neither learns b's
-// grams nor tiers the parts.
-func (v *version) with(ord map[string]uint32, b *Batch, dels []string) *version {
+// step returns the version that follows v by one commit (see push),
+// with b's grams learned and the parts tiered.
+func (v *version) step(ord map[string]uint32, b *Batch, dels []string) *version {
 	next := *v
-	var killed []uint32
+	next.parts, next.dead = slices.Clone(v.parts), slices.Clone(v.dead)
+	next.push(ord, b, dels)
+	next.parts = tier(next.parts)
+	next.learn(b, v.parts)
+	return &next
+}
+
+// push makes v, which is not published, follow itself by one commit in
+// place, and updates ord to match: dels and every earlier document of an
+// ID that b adds die, and b, unless it adds nothing, becomes the last
+// part, without its gram table until tier gives it one. It neither learns
+// b's grams nor tiers the parts.
+func (v *version) push(ord map[string]uint32, b *Batch, dels []string) {
 	for i, id := range slices.Concat(dels, b.ids) {
 		if o, ok := ord[id]; ok {
-			killed = append(killed, o)
+			if w := int(o / 64); w >= len(v.dead) {
+				v.dead = append(v.dead, make([]uint64, w+1-len(v.dead))...)
+			}
+			v.dead[o/64] |= 1 << (o % 64)
 		}
 		if delete(ord, id); i >= len(dels) {
 			ord[id] = v.n + uint32(i-len(dels))
 		}
 	}
 	if len(b.ids) > 0 {
-		next.parts = append(slices.Clip(v.parts), part{Batch: b, first: v.n})
-		next.n += uint32(len(b.ids))
-		next.postings += len(b.ords)
+		v.parts = append(v.parts, part{Batch: b, first: v.n})
+		v.n += uint32(len(b.ids))
+		v.postings += len(b.ords)
 	}
-	if len(killed) > 0 {
-		next.dead = make([]uint64, (next.n+63)/64)
-		copy(next.dead, v.dead)
-		for _, o := range killed {
-			next.dead[o/64] |= 1 << (o % 64)
-		}
-	}
-	next.live = len(ord)
-	return &next
+	v.live = len(ord)
 }
 
-func (v *version) isDead(o uint32) bool {
-	return int(o/64) < len(v.dead) && v.dead[o/64]&(1<<(o%64)) != 0
+func (v *version) isDead(o uint32) bool { return isDead(v.dead, o) }
+
+// isDead reports whether the bitmap dead marks ordinal o; an ordinal past
+// its end is not marked.
+func isDead(dead []uint64, o uint32) bool {
+	return int(o/64) < len(dead) && dead[o/64]&(1<<(o%64)) != 0
 }
 
 // learn counts the grams of b that no part of older holds and adds their
@@ -229,20 +219,11 @@ func tier(parts []part) []part {
 				batches[j] = p.Batch
 			}
 			out[i] = newPart(merge(batches, nil), g[0].first)
-		} else if g[0].slots == nil { // from with, which leaves a part's tables until it stays
+		} else if g[0].at == nil { // from push, which leaves a part's table until it stays
 			out[i] = newPart(g[0].Batch, g[0].first)
 		}
 	}
 	return out
-}
-
-// settle tiers v's parts and learns all their grams, and returns v.
-func (v *version) settle() *version {
-	v.parts = tier(v.parts)
-	for i, p := range v.parts {
-		v.learn(p.Batch, v.parts[:i])
-	}
-	return v
 }
 
 // postings is one gram's posting list: ascending document ordinals and,

@@ -134,10 +134,33 @@ func BenchmarkIntersect(b *testing.B) {
 // BenchmarkCandidatesAnd times the lookup a three-keyword And plans to —
 // the shape of the bench's conj-topk workload — over an index of 2,000
 // error-model documents: one rarest-first intersection of the three
-// words' gram lists, then the candidates' IDs and bounds. The index is
+// words' gram lists, then the candidates' IDs and bounds.
+func BenchmarkCandidatesAnd(b *testing.B) {
+	var l Lookup
+	for _, w := range testgen.Vocab(2000)[11:14] {
+		l.And = append(l.And, Lookup{Grams: wordGrams(w, DefaultGramSize)})
+	}
+	benchCandidates(b, l)
+}
+
+// BenchmarkCandidatesPatterns times the lookup a fuzzy term plans to: one
+// Patterns node holding a word with each of its runes in turn a wildcard,
+// which expands each window's wildcard against the alphabet.
+func BenchmarkCandidatesPatterns(b *testing.B) {
+	var l Lookup
+	word := []rune(testgen.Vocab(2000)[11])
+	for i := range word {
+		p := slices.Clone(word)
+		p[i] = -1
+		l.Patterns = append(l.Patterns, p)
+	}
+	benchCandidates(b, l)
+}
+
+// benchCandidates times l over an index of 2,000 error-model documents,
 // built in commits of 1 document, the most commits it can take, and of
 // 256, the bench's ingest batch.
-func BenchmarkCandidatesAnd(b *testing.B) {
+func benchCandidates(b *testing.B, l Lookup) {
 	cases, err := testgen.ErrDocs(2000, testgen.ErrModelConfig{VocabSize: 2000}, 6, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -145,10 +168,6 @@ func BenchmarkCandidatesAnd(b *testing.B) {
 	docs := make([]*staccato.Doc, len(cases))
 	for i, c := range cases {
 		docs[i] = c.Doc
-	}
-	var l Lookup
-	for _, w := range testgen.Vocab(2000)[11:14] {
-		l.And = append(l.And, Lookup{Grams: wordGrams(w, DefaultGramSize)})
 	}
 	for _, commits := range []int{1, 256} {
 		b.Run(fmt.Sprintf("commits=%d", commits), func(b *testing.B) {
@@ -160,7 +179,7 @@ func BenchmarkCandidatesAnd(b *testing.B) {
 			}
 			ids, _, _, _, ok := ix.Candidates(l)
 			if !ok {
-				b.Fatal("the And lookup did not answer")
+				b.Fatal("the lookup did not answer")
 			}
 			b.ReportAllocs()
 			for b.Loop() {

@@ -11,10 +11,13 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
-// benchLogs holds the two index logs BenchmarkIndexLoad and
+// benchLogs holds the index logs BenchmarkIndexLoad and
 // BenchmarkIndexRewrite read: 8,000 error-model documents at the bench's
 // dial (6,3), once ingested in 256-document commits as the bench does and
-// once as a snapshot. They are built once per test binary.
+// once as a snapshot; and, as single Puts and Deletes leave it, 4,000
+// one-document commits, the first 2,000 adding a document each, the next
+// overwriting or deleting one of them in turn. They are built once per
+// test binary.
 var benchLogs = sync.OnceValues(func() (framelog.FS, error) {
 	cases, err := testgen.ErrDocs(8000, testgen.ErrModelConfig{Seed: 1}, 6, 3)
 	if err != nil {
@@ -39,17 +42,35 @@ var benchLogs = sync.OnceValues(func() (framelog.FS, error) {
 			return nil, err
 		}
 	}
-	return fsys, ix.Persist(fsys, "snapshot", diskstore.CommitState{Ops: 8000}, false)
+	if err := ix.Persist(fsys, "snapshot", diskstore.CommitState{Ops: 8000}, false); err != nil {
+		return nil, err
+	}
+	small := New(DefaultGramSize)
+	if err := small.Persist(fsys, "commits", diskstore.CommitState{}, false); err != nil {
+		return nil, err
+	}
+	defer small.Close()
+	for i := range 4000 {
+		adds, dels := BatchOf(docs[i%2000:i%2000+1], DefaultGramSize, 1), []string(nil)
+		if i >= 2000 && i%2 == 1 {
+			adds, dels = Invert(nil), []string{docs[i%2000].ID}
+		}
+		if err := small.Commit(adds, dels, diskstore.CommitState{Ops: uint64(i + 1)}); err != nil {
+			return nil, err
+		}
+	}
+	return fsys, nil
 })
 
 // BenchmarkIndexLoad times load over the 32-commit log of 8,000
-// documents and over their snapshot.
+// documents, over their snapshot, and over the log of 4,000 one-document
+// commits.
 func BenchmarkIndexLoad(b *testing.B) {
 	fsys, err := benchLogs()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range []string{"log", "snapshot"} {
+	for _, name := range []string{"log", "snapshot", "commits"} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {

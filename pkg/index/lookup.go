@@ -57,15 +57,15 @@ type Lookup struct {
 // written out.
 func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams, live int, ok bool) {
 	v := ix.cur.Load()
-	e := evaluator{ix: ix, v: v}
 	parts := v.parts
 	if len(parts) == 0 {
 		parts = []part{newPart(&Batch{}, 0)} // to learn whether l can be answered at all
 	}
+	e := evaluator{ix: ix, v: v, parts: parts}
 	accs := make([]postings, len(parts))
 	n := 0
 	for i := range parts {
-		e.p, e.earlier, e.node = &parts[i], parts[:i], 0
+		e.i, e.p, e.node, e.window = i, &parts[i], 0, 0
 		if accs[i], ok = e.eval(l); !ok {
 			return nil, nil, e.grams, v.live, false
 		}
@@ -108,16 +108,19 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 // one part at a time. Nodes produce postings, in the part's ordinals,
 // that may include dead ones; Candidates drops them once, at the end.
 type evaluator struct {
-	ix      *Index
-	v       *version
-	p       *part  // the part being answered
-	earlier []part // the parts before it
-	grams   int    // dictionary grams the Patterns nodes that answered read
-	// orders holds the order the first part took the lists of each
-	// intersection in, in the order the tree visits them, which is the
-	// same in every part; node is the next one's.
-	orders [][]int
-	node   int
+	ix    *Index
+	v     *version
+	parts []part // the parts answered, in order
+	i     int    // the part being answered
+	p     *part  // and a pointer to it
+	grams int    // dictionary grams the Patterns nodes that answered read
+	// The tree visits its intersections and wildcard windows in the same
+	// order in every part. orders holds the order the first part took the
+	// lists of each intersection in, and matches each part's runs of the
+	// grams each window expanded to; node and window are the next ones'.
+	orders       [][]int
+	matches      [][][]postings
+	node, window int
 }
 
 func (e *evaluator) eval(l Lookup) (postings, bool) {
@@ -163,9 +166,14 @@ func (e *evaluator) eval(l Lookup) (postings, bool) {
 }
 
 // lists appends the part's run of each of grams to into, the empty list
-// for a gram it lacks.
+// for a gram it lacks. Past the first part, whose lists set the order of
+// each intersection, an empty list empties the intersection it is in, so
+// lists stops at one, and does nothing after one.
 func (e *evaluator) lists(into []postings, grams []string) []postings {
 	for _, g := range grams {
+		if e.i > 0 && len(into) > 0 && len(into[len(into)-1].ords) == 0 {
+			break
+		}
 		into = append(into, e.p.find(g))
 	}
 	return into

@@ -96,13 +96,18 @@ func TestReadersPinAVersion(t *testing.T) {
 	done := make(chan struct{})
 	var writers, lookers sync.WaitGroup
 	var looked atomic.Int64 // lookups answered
+	var failed atomic.Bool  // a reader stopped at a wrong answer
 	writers.Add(2)
 	go func() {
 		defer writers.Done()
 		for k, c := range plan[1:] {
-			// Some lookup runs between any two commits.
-			for n := looked.Load(); looked.Load() == n; {
+			// Some lookup runs between any two commits, until a reader
+			// fails and stops looking.
+			for n := looked.Load(); looked.Load() == n && !failed.Load(); {
 				runtime.Gosched()
+			}
+			if failed.Load() {
+				return
 			}
 			if err := ix.Commit(Invert(c.adds), c.dels, diskstore.CommitState{Ops: uint64(k + 2)}); err != nil {
 				t.Error(err)
@@ -135,9 +140,11 @@ func TestReadersPinAVersion(t *testing.T) {
 					got, n := answer(ix, l)
 					if k := n - start; k < 0 || k > commits {
 						t.Errorf("a lookup reported %d live documents, no commit's count", n)
+						failed.Store(true)
 						return
 					} else if got != want[k][i] {
 						t.Errorf("lookup %d on the version of commit %d: got %s, want %s", i, k, got, want[k][i])
+						failed.Store(true)
 						return
 					} else {
 						versions[r][k] = true

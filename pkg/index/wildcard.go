@@ -2,7 +2,6 @@ package index
 
 import (
 	"math/bits"
-	"slices"
 	"sort"
 	"unicode/utf8"
 )
@@ -91,10 +90,11 @@ func (e *evaluator) patterns(patterns [][]rune) (postings, bool) {
 }
 
 // expand returns the part's runs of the dictionary grams matching one
-// q-rune window, and how many of those grams no earlier part holds, so
-// that a gram counts once however many parts hold it. constrains is false
-// for a window of wildcards only, which every gram matches; ok is false
-// when the probes would overdraw budget.
+// q-rune window, and how many grams of the version match it the first
+// time the window is expanded in a lookup, 0 after: the window is probed
+// once, in the first part, against every part, and each part's runs are
+// kept (evaluator.matches) for when it is answered. constrains is false for a window of wildcards only, which every
+// gram matches; ok is false when the probes would overdraw budget.
 func (e *evaluator) expand(window []rune, budget *int) (runs []postings, grams int, constrains, ok bool) {
 	var wild []int // wildcard positions, left to right
 	for i, r := range window {
@@ -116,6 +116,22 @@ func (e *evaluator) expand(window []rune, budget *int) (runs []postings, grams i
 		return nil, 0, true, true // an empty dictionary has no gram to match
 	}
 	*budget -= cost
+	if e.window == len(e.matches) {
+		var runs [][]postings
+		runs, grams = e.probe(window, wild)
+		e.matches = append(e.matches, runs)
+	}
+	runs = e.matches[e.window][e.i]
+	e.window++
+	return runs, grams, true, true
+}
+
+// probe returns, per part, the runs of the grams matching window, whose
+// wildcards are at wild, and how many grams match in some part: it tries
+// every alphabet rune at each wildcard.
+func (e *evaluator) probe(window []rune, wild []int) (runs [][]postings, grams int) {
+	runs = make([][]postings, len(e.parts))
+	alphabet := e.v.alphabet
 	// An odometer over the wildcard positions, leftmost most significant.
 	probe := append([]rune(nil), window...)
 	at := make([]int, len(wild))
@@ -128,11 +144,14 @@ func (e *evaluator) expand(window []rune, budget *int) (runs []postings, grams i
 		for _, r := range probe {
 			key = utf8.AppendRune(key, r)
 		}
-		if run := e.p.find(string(key)); len(run.ords) > 0 {
-			runs = append(runs, run)
-			if !slices.ContainsFunc(e.earlier, func(p part) bool { return len(p.find(string(key)).ords) > 0 }) {
-				grams++
+		hit := false
+		for i := range e.parts {
+			if run := e.parts[i].find(string(key)); len(run.ords) > 0 {
+				runs[i], hit = append(runs[i], run), true
 			}
+		}
+		if hit {
+			grams++
 		}
 		k := len(wild) - 1
 		for ; k >= 0; k-- {
@@ -142,7 +161,7 @@ func (e *evaluator) expand(window []rune, budget *int) (runs []postings, grams i
 			at[k] = 0
 		}
 		if k < 0 {
-			return runs, grams, true, true
+			return runs, grams
 		}
 	}
 }
