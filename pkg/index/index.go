@@ -19,7 +19,8 @@ import (
 // ordinal its first document takes; a bitmap of the dead ordinals; and
 // the counts and the wildcard alphabet. Commit publishes the next version
 // through one atomic pointer, and a lookup pins the version it loads and
-// answers from it alone, part by part, so it never sees half a commit.
+// answers from it alone, all its parts at once, so it never sees half a
+// commit.
 // Deletes and supersedes only mark the old ordinal dead, in a copy of the
 // bitmap: the parts keep the stale postings and lookups filter them out.
 // A fixed tiering rule merges the newest parts while they hold, together,
@@ -235,11 +236,11 @@ type postings struct {
 	bnds []uint16
 }
 
-// parts is a lookup node's result split by the parts of the version it
-// reads: [i] holds part i's postings, in its local ordinals. A node is
-// answered part by part — an intersection of lists is the intersection
-// of their part-i runs, for each i — and no run is ever copied just to
-// join it to another.
+// parts is a lookup node's answer over the version it reads: [i] holds
+// part i's postings, in its local ordinals. Every node answers for all
+// the parts at once — an intersection of lists is the intersection of
+// their part-i runs, for each i — so no run is ever copied just to join
+// it to another, and Candidates joins the root's parts into one answer.
 type parts []postings
 
 // intersect returns the ordinals two ascending lists share, each at the

@@ -38,38 +38,35 @@ type Lookup struct {
 //
 // This is the index half of the planner's no-false-negative contract: a
 // live document absent from the result provably has no retained reading
-// satisfying l. grams is the number of distinct dictionary grams the
-// Patterns nodes that answered expanded their wildcards to, and live the
-// number of live documents of the version it answered from, so it counts
-// every ID returned. ok is false — the caller must not prune — when the
-// root cannot be answered: a node with no field set, a pattern with no
-// window holding a literal rune (it constrains nothing), a Patterns node
-// whose expansion would exceed maxWildProbes, an And none of whose
-// children answered, an Or one of whose children did not.
+// satisfying l. grams counts, over every window of the Patterns nodes
+// that answered, the dictionary grams the window matched — a gram two
+// windows match counts twice — and live is the number of live documents
+// of the version it answered from, so it counts every ID returned. ok is
+// false — the caller must not prune — when the root cannot be answered: a
+// node with no field set, a pattern with no window holding a literal rune
+// (it constrains nothing), a Patterns node whose expansion would exceed
+// maxWildProbes, an And none of whose children answered, an Or one of
+// whose children did not.
 //
-// The whole tree is evaluated on the one version Candidates loads, part
-// by part — each part answers it in its own ordinals — and on the stored
-// 16-bit bounds: sums and mins of integers are exact, so the result does
-// not depend on the order windows expand, children are listed or
-// intersections are scheduled in, nor on how the version's documents are
-// split into parts, and it is the same for an index that wrote its log
-// and one that loaded it. The bounds become float64 once, as the IDs are
-// written out.
+// The whole tree is evaluated in one pass on the one version Candidates
+// loads — every node answers for all its parts at once, each in its own
+// ordinals, and the root's parts are joined at the end — and on the
+// stored 16-bit bounds: sums and mins of integers are exact, so the
+// result does not depend on the order windows expand, children are
+// listed or intersections are scheduled in, nor on how the version's
+// documents are split into parts, and it is the same for an index that
+// wrote its log and one that loaded it. The bounds become float64 once,
+// as the IDs are written out.
 func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams, live int, ok bool) {
 	v := ix.cur.Load()
-	parts := v.parts
-	if len(parts) == 0 {
-		parts = []part{newPart(&Batch{}, 0)} // to learn whether l can be answered at all
+	e := evaluator{ix: ix, v: v}
+	acc, ok := e.eval(l)
+	if !ok {
+		return nil, nil, e.grams, v.live, false
 	}
-	e := evaluator{ix: ix, v: v, parts: parts}
-	accs := make([]postings, len(parts))
 	n := 0
-	for i := range parts {
-		e.i, e.p, e.node, e.window = i, &parts[i], 0, 0
-		if accs[i], ok = e.eval(l); !ok {
-			return nil, nil, e.grams, v.live, false
-		}
-		n += len(accs[i].ords)
+	for _, a := range acc {
+		n += len(a.ords)
 	}
 	// A live document sits in runs or among the overflow documents, never
 	// both — so no node of a Lookup ever sees an overflow document — and
@@ -77,15 +74,15 @@ func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams, li
 	// here equals admitting them at every leaf. Nothing is sorted: the
 	// caller orders the candidates only as far as it reads them.
 	ids, bounds = make([]string, 0, n), make([]float64, 0, n)
-	for i, acc := range accs {
-		p := &parts[i]
-		for k, o := range acc.ords {
+	for i, a := range acc {
+		p := &v.parts[i]
+		for k, o := range a.ords {
 			if !v.isDead(p.first + o) {
-				ids, bounds = append(ids, p.ids[o]), append(bounds, Dequantize(acc.bnds[k]))
+				ids, bounds = append(ids, p.ids[o]), append(bounds, Dequantize(a.bnds[k]))
 			}
 		}
 	}
-	for _, p := range parts {
+	for _, p := range v.parts {
 		for _, o := range p.over {
 			if !v.isDead(p.first + o) {
 				ids, bounds = append(ids, p.ids[o]), append(bounds, 1)
@@ -104,29 +101,19 @@ func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool
 	return ids, bounds, ok
 }
 
-// evaluator carries one Candidates call's state down the Lookup tree, in
-// one part at a time. Nodes produce postings, in the part's ordinals,
-// that may include dead ones; Candidates drops them once, at the end.
+// evaluator carries one Candidates call's state down the Lookup tree.
+// Every node answers for all the parts of the version at once, as parts
+// that may include dead ordinals; Candidates drops them once, at the end.
 type evaluator struct {
 	ix    *Index
 	v     *version
-	parts []part // the parts answered, in order
-	i     int    // the part being answered
-	p     *part  // and a pointer to it
-	grams int    // dictionary grams the Patterns nodes that answered read
-	// The tree visits its intersections and wildcard windows in the same
-	// order in every part. orders holds the order the first part took the
-	// lists of each intersection in, and matches each part's runs of the
-	// grams each window expanded to; node and window are the next ones'.
-	orders       [][]int
-	matches      [][][]postings
-	node, window int
+	grams int // dictionary grams the Patterns nodes that answered read
 }
 
-func (e *evaluator) eval(l Lookup) (postings, bool) {
+func (e *evaluator) eval(l Lookup) (parts, bool) {
 	switch {
 	case len(l.Grams) > 0:
-		return e.intersect(e.lists(make([]postings, 0, len(l.Grams)), l.Grams)), true
+		return e.intersect(e.lists(make([]parts, 0, len(l.Grams)), l.Grams)), true
 	case len(l.Patterns) > 0:
 		return e.patterns(l.Patterns)
 	case len(l.And) > 0:
@@ -137,7 +124,7 @@ func (e *evaluator) eval(l Lookup) (postings, bool) {
 		for _, kid := range l.And {
 			n += max(1, len(kid.Grams))
 		}
-		all, answered := make([]postings, 0, n), false
+		all, answered := make([]parts, 0, n), false
 		for _, kid := range l.And {
 			if len(kid.Grams) > 0 {
 				all, answered = e.lists(all, kid.Grams), true
@@ -146,65 +133,74 @@ func (e *evaluator) eval(l Lookup) (postings, bool) {
 			}
 		}
 		if !answered {
-			return postings{}, false
+			return nil, false
 		}
 		return e.intersect(all), true
 	case len(l.Or) > 0:
-		total := e.getAccum()
-		for _, kid := range l.Or {
-			p, ok := e.eval(kid)
-			if !ok {
-				return postings{}, false // total, part-filled, is dropped
+		kids := make([]parts, len(l.Or))
+		for k, kid := range l.Or {
+			var ok bool
+			if kids[k], ok = e.eval(kid); !ok {
+				return nil, false
 			}
-			total.add(p)
 		}
-		acc := total.drain()
-		e.ix.accums.Put(total)
-		return acc, true
+		out := make(parts, len(e.v.parts))
+		for i := range out {
+			total := e.getAccum(i)
+			for _, kid := range kids {
+				total.add(kid[i])
+			}
+			out[i] = total.drain()
+			e.ix.accums.Put(total)
+		}
+		return out, true
 	}
-	return postings{}, false
+	return nil, false
 }
 
-// lists appends the part's run of each of grams to into, the empty list
-// for a gram it lacks. Past the first part, whose lists set the order of
-// each intersection, an empty list empties the intersection it is in, so
-// lists stops at one, and does nothing after one.
-func (e *evaluator) lists(into []postings, grams []string) []postings {
-	for _, g := range grams {
-		if e.i > 0 && len(into) > 0 && len(into[len(into)-1].ords) == 0 {
-			break
+// lists appends the run of each of grams in every part to into, the
+// empty list where a part lacks the gram. An empty list empties the
+// intersection it is in, so every part but the first, whose lengths set
+// the intersection's order, stops at its first one: past it, the part's
+// lists are left empty.
+func (e *evaluator) lists(into []parts, grams []string) []parts {
+	n := len(e.v.parts)
+	runs := make([]postings, len(grams)*n)
+	for k, g := range grams {
+		l := runs[k*n : (k+1)*n]
+		for i := range l {
+			if i == 0 || len(into) == 0 || len(into[len(into)-1][i].ords) > 0 {
+				l[i] = e.v.parts[i].find(g)
+			}
 		}
-		into = append(into, e.p.find(g))
+		into = append(into, l)
 	}
 	return into
 }
 
-// intersect intersects lists, carrying the min bound through each step.
-// The first part, the largest, sets the order in which every part takes
-// the lists of each node: rarest first, so that the working set only
-// shrinks.
-func (e *evaluator) intersect(lists []postings) postings {
-	if e.node == len(e.orders) {
-		order := make([]int, len(lists))
-		for j := range order {
-			order[j] = j
-		}
-		slices.SortFunc(order, func(a, b int) int { return len(lists[a].ords) - len(lists[b].ords) })
-		e.orders = append(e.orders, order)
+// intersect intersects lists part by part, carrying the min bound through
+// each step. Every part takes the lists in the order of their lengths in
+// the first part, the largest: rarest first, so that the working set only
+// shrinks. A part in which one of the lists is empty has nothing to
+// intersect.
+func (e *evaluator) intersect(lists []parts) parts {
+	out := make(parts, len(e.v.parts))
+	if len(out) == 0 {
+		return out
 	}
-	order := e.orders[e.node]
-	e.node++
-	for _, l := range lists {
-		if len(l.ords) == 0 {
-			return postings{} // nothing to intersect
+	slices.SortFunc(lists, func(a, b parts) int { return len(a[0].ords) - len(b[0].ords) })
+	for i := range out {
+		if slices.ContainsFunc(lists, func(l parts) bool { return len(l[i].ords) == 0 }) {
+			continue
 		}
-	}
-	acc := lists[order[0]]
-	for _, o := range order[1:] {
-		if len(acc.ords) == 0 {
-			break
+		acc := lists[0][i]
+		for _, l := range lists[1:] {
+			if len(acc.ords) == 0 {
+				break
+			}
+			acc = intersect(acc, l[i])
 		}
-		acc = intersect(acc, lists[o])
+		out[i] = acc
 	}
-	return acc
+	return out
 }

@@ -65,8 +65,8 @@ func TestLogRewritesItself(t *testing.T) {
 		}
 		a, b := mustQuery(t)(query.Substring(words[0])), mustQuery(t)(query.Keyword(words[1]))
 		f := mustQuery(t)(query.Fuzzy(words[0], 1))
-		// An And over an Or or a fuzzy term intersects a union split back
-		// into base and delta parts.
+		// An And over an Or or a fuzzy term intersects a union answered
+		// per part of the index.
 		queries = append(queries, a, b, f, query.And(a, b), query.Or(a, b), query.Not(a), query.And(b, query.Or(a, f)), query.And(b, f))
 	}
 	searchOpts := []query.SearchOptions{{}, {TopN: 5}}

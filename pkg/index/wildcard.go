@@ -2,7 +2,7 @@ package index
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"unicode/utf8"
 )
 
@@ -19,83 +19,86 @@ const maxWildProbes = 1 << 15
 // that is true of at least one pattern — per pattern the intersection
 // over windows of the union over matching dictionary grams — plus, at
 // bound 1, every document with a reading shorter than q, which no gram
-// covers. Windows are expanded by probing the part's dictionary with every
-// alphabet rune at each wildcard position.
-func (e *evaluator) patterns(patterns [][]rune) (postings, bool) {
+// covers. Each window is expanded once, against every part, before any
+// part is answered.
+func (e *evaluator) patterns(patterns [][]rune) (parts, bool) {
 	q := e.ix.q
 	probes, grams := maxWildProbes, 0
-	scratch, total := e.getAccum(), e.getAccum()
-	for _, pat := range patterns {
-		// Expand every window first: probing is cheap next to reading the
-		// posting lists, and the rarest window is worth reading first.
-		var windows [][]postings
+	// Per pattern, per window that constrains: per part, the runs of the
+	// grams matching it. Probing is cheap next to reading the posting
+	// lists, and the rarest window is worth reading first.
+	windows := make([][][][]postings, len(patterns))
+	for k, pat := range patterns {
 		for i := 0; i+q <= len(pat); i++ {
 			runs, n, constrains, ok := e.expand(pat[i:i+q], &probes)
 			if !ok {
-				return postings{}, false
+				return nil, false
 			}
 			if constrains {
-				windows = append(windows, runs)
+				windows[k] = append(windows[k], runs)
 				grams += n
 			}
 		}
-		if len(windows) == 0 {
-			return postings{}, false
+		if len(windows[k]) == 0 {
+			return nil, false
 		}
-		if len(windows) == 1 {
-			// A pattern of exactly q runes: the window's bound sum is the
-			// pattern's, and capping it before or after it joins the other
-			// patterns' gives the same capped total — add it straight in.
-			for _, run := range windows[0] {
-				total.add(run)
-			}
-			continue
-		}
-		size := func(runs []postings) (n int) {
-			for _, run := range runs {
-				n += len(run.ords)
-			}
-			return n
-		}
-		sort.SliceStable(windows, func(i, j int) bool { return size(windows[i]) < size(windows[j]) })
-		// The first window's union is the only one built in full; every
-		// later window only confirms or drops what is left.
-		var acc postings
-		if first := windows[0]; len(first) == 1 {
-			acc = first[0]
-		} else {
-			for _, run := range first {
-				scratch.add(run)
-			}
-			acc = scratch.drain()
-		}
-		for _, runs := range windows[1:] {
-			if len(acc.ords) == 0 {
-				break
-			}
-			acc = scratch.within(acc, runs)
-		}
-		total.add(acc)
 	}
-	for _, o := range e.p.short {
-		total.put(o, maxBound) // on top of whatever its grams summed to: the drain caps it at 1
+	out := make(parts, len(e.v.parts))
+	for i, p := range e.v.parts {
+		scratch, total := e.getAccum(i), e.getAccum(i)
+		for _, pat := range windows {
+			if len(pat) == 1 {
+				// A pattern of exactly q runes: the window's bound sum is the
+				// pattern's, and capping it before or after it joins the other
+				// patterns' gives the same capped total — add it straight in.
+				for _, run := range pat[0][i] {
+					total.add(run)
+				}
+				continue
+			}
+			size := func(runs [][]postings) (n int) {
+				for _, run := range runs[i] {
+					n += len(run.ords)
+				}
+				return n
+			}
+			slices.SortStableFunc(pat, func(a, b [][]postings) int { return size(a) - size(b) })
+			// The first window's union is the only one built in full; every
+			// later window only confirms or drops what is left.
+			var acc postings
+			if first := pat[0][i]; len(first) == 1 {
+				acc = first[0]
+			} else {
+				for _, run := range first {
+					scratch.add(run)
+				}
+				acc = scratch.drain()
+			}
+			for _, runs := range pat[1:] {
+				if len(acc.ords) == 0 {
+					break
+				}
+				acc = scratch.within(acc, runs[i])
+			}
+			total.add(acc)
+		}
+		for _, o := range p.short {
+			total.put(o, maxBound) // on top of whatever its grams summed to: the drain caps it at 1
+		}
+		out[i] = total.drain()
+		e.ix.accums.Put(scratch)
+		e.ix.accums.Put(total)
 	}
-	acc := total.drain()
-	// Both are drained, so empty; a refused lookup above leaves total
-	// part-filled and simply drops the pair.
-	e.ix.accums.Put(scratch)
-	e.ix.accums.Put(total)
 	e.grams += grams
-	return acc, true
+	return out, true
 }
 
-// expand returns the part's runs of the dictionary grams matching one
-// q-rune window, and how many grams of the version match it the first
-// time the window is expanded in a lookup, 0 after: the window is probed
-// once, in the first part, against every part, and each part's runs are
-// kept (evaluator.matches) for when it is answered. constrains is false for a window of wildcards only, which every
-// gram matches; ok is false when the probes would overdraw budget.
-func (e *evaluator) expand(window []rune, budget *int) (runs []postings, grams int, constrains, ok bool) {
+// expand returns, per part, the runs of the dictionary grams matching one
+// q-rune window, and how many grams match it in some part: it probes
+// every part with every alphabet rune at each wildcard. constrains is
+// false for a window of wildcards only, which every gram matches; ok is
+// false when the probes would overdraw budget.
+func (e *evaluator) expand(window []rune, budget *int) (runs [][]postings, grams int, constrains, ok bool) {
 	var wild []int // wildcard positions, left to right
 	for i, r := range window {
 		if r < 0 {
@@ -112,28 +115,13 @@ func (e *evaluator) expand(window []rune, budget *int) (runs []postings, grams i
 			return nil, 0, false, false
 		}
 	}
-	if cost == 0 {
-		return nil, 0, true, true // an empty dictionary has no gram to match
-	}
 	*budget -= cost
-	if e.window == len(e.matches) {
-		var runs [][]postings
-		runs, grams = e.probe(window, wild)
-		e.matches = append(e.matches, runs)
+	runs = make([][]postings, len(e.v.parts))
+	if cost == 0 {
+		return runs, 0, true, true // an empty dictionary has no gram to match
 	}
-	runs = e.matches[e.window][e.i]
-	e.window++
-	return runs, grams, true, true
-}
-
-// probe returns, per part, the runs of the grams matching window, whose
-// wildcards are at wild, and how many grams match in some part: it tries
-// every alphabet rune at each wildcard.
-func (e *evaluator) probe(window []rune, wild []int) (runs [][]postings, grams int) {
-	runs = make([][]postings, len(e.parts))
-	alphabet := e.v.alphabet
 	// An odometer over the wildcard positions, leftmost most significant.
-	probe := append([]rune(nil), window...)
+	probe := slices.Clone(window)
 	at := make([]int, len(wild))
 	key := make([]byte, 0, len(window)*utf8.UTFMax)
 	for {
@@ -145,8 +133,8 @@ func (e *evaluator) probe(window []rune, wild []int) (runs [][]postings, grams i
 			key = utf8.AppendRune(key, r)
 		}
 		hit := false
-		for i := range e.parts {
-			if run := e.parts[i].find(string(key)); len(run.ords) > 0 {
+		for i := range e.v.parts {
+			if run := e.v.parts[i].find(string(key)); len(run.ords) > 0 {
 				runs[i], hit = append(runs[i], run), true
 			}
 		}
@@ -161,7 +149,7 @@ func (e *evaluator) probe(window []rune, wild []int) (runs [][]postings, grams i
 			at[k] = 0
 		}
 		if k < 0 {
-			return runs, grams
+			return runs, grams, true, true
 		}
 	}
 }
@@ -176,11 +164,11 @@ type accum struct {
 	n    int      // bits set in seen
 }
 
-// getAccum returns an empty accum for every ordinal of the part: a
+// getAccum returns an empty accum for every ordinal of part i: a
 // recycled one if it is large enough, else a new one with room to grow.
 // Whoever leaves it empty again may Put it back in ix.accums.
-func (e *evaluator) getAccum() *accum {
-	n := len(e.p.ids)
+func (e *evaluator) getAccum(i int) *accum {
+	n := len(e.v.parts[i].ids)
 	if a, _ := e.ix.accums.Get().(*accum); a != nil && len(a.sum) >= n {
 		return a
 	}

@@ -118,6 +118,33 @@ func TestPatternsCandidates(t *testing.T) {
 	}
 }
 
+// TestEmptyIndexRefusesLikeOneDocument: an index with no parts refuses
+// every lookup Candidates documents as unanswerable, exactly as an index
+// of one document does, and answers a Grams lookup and a Patterns lookup
+// with no IDs.
+func TestEmptyIndexRefusesLikeOneDocument(t *testing.T) {
+	empty, one := New(3), New(3)
+	one.Apply([]Entry{entry("d", "abc", 0.5)}, nil)
+	answerable := Lookup{Grams: []string{"abc"}}
+	for _, l := range []Lookup{
+		{}, // no field set
+		{Patterns: [][]rune{pat("???"), pat("?")}},            // no window holds a literal rune
+		{And: []Lookup{{}, {Patterns: [][]rune{pat("???")}}}}, // no child answers
+		{Or: []Lookup{answerable, {}}},                        // a child does not answer
+	} {
+		for _, ix := range []*Index{empty, one} {
+			if _, _, _, _, ok := ix.Candidates(l); ok {
+				t.Errorf("%d-document index answered %+v; want a refusal", ix.Len(), l)
+			}
+		}
+	}
+	for _, l := range []Lookup{answerable, {Patterns: [][]rune{pat("abc")}}, {Patterns: [][]rune{pat("a?c")}}} {
+		if ids, bounds, grams, live, ok := empty.Candidates(l); !ok || len(ids) != 0 || len(bounds) != 0 || grams != 0 || live != 0 {
+			t.Errorf("empty index: Candidates(%+v) = %v %v, %d grams, %d live, ok %v; want an answer with no IDs", l, ids, bounds, grams, live, ok)
+		}
+	}
+}
+
 // TestWildcardProbeBudget: wildcard positions multiply probes by the
 // alphabet size, and a lookup that would overdraw maxWildProbes is
 // refused rather than run.

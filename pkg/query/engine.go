@@ -88,8 +88,9 @@ type SearchStats struct {
 	// IndexUsed reports whether a candidate set restricted the run at all.
 	IndexUsed bool `json:"index_used"`
 	// PlanGrams is the number of dictionary grams the planner consulted:
-	// the distinct grams the plan names, plus every gram a wildcard leaf's
-	// patterns expanded to in the index (Plan.Lookup).
+	// the distinct grams the plan names, plus, for each window of a
+	// wildcard leaf's patterns, the grams of the index it matched — a gram
+	// that several windows match counts once per window (Plan.Lookup).
 	PlanGrams int `json:"plan_grams"`
 	// Plan is the rendered Plan the run executed under.
 	Plan string `json:"plan"`

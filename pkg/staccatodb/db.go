@@ -58,6 +58,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/index"
@@ -77,19 +78,16 @@ type DB struct {
 	dir  string      // store directory on fsys
 	disk *diskstore.Store
 	eng  *query.Engine
+	idx  *index.Index // nil when the index is disabled; set once, by open
 
 	// writeMu orders every mutation: writes, Compact and Close hold it
 	// from the store commit through the index update, so the store and
 	// the index change in the same order and maintenance excludes writers.
 	writeMu sync.Mutex
-
-	// mu guards the fields below. idx is assigned only with writeMu also
-	// held, so a writeMu holder reads it directly and everyone else goes
-	// through index(). Lock order: writeMu, then the store's lock or mu;
-	// mu is never held across a store or index call.
-	mu     sync.Mutex
-	idx    *index.Index // nil when the index is disabled or the DB closed
-	closed bool
+	// closed is set once, by Close, with writeMu held. A reader that loads
+	// it false as Close runs is safe: a closed index answers lookups from
+	// memory, and the closed store reports its own error.
+	closed atomic.Bool
 }
 
 // Open opens (creating if necessary) the database in dir: the durable
@@ -167,19 +165,6 @@ func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
 	return ix, nil
 }
 
-// index returns the live index — nil when disabled or closed.
-func (db *DB) index() *index.Index {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.idx
-}
-
-func (db *DB) isClosed() bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.closed
-}
-
 // Put stores doc, replacing any existing document with the same ID, and
 // keeps the index in step. On disk each Put is one fsync; use Ingest to
 // amortize the fsync across many documents.
@@ -227,7 +212,7 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if db.isClosed() {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	// Store first, so a failed commit, which stores nothing, leaves the
@@ -269,7 +254,7 @@ func (db *DB) commit(ctx context.Context, puts []*staccato.Doc, del string) erro
 
 // Get returns the document with the given ID, or store.ErrNotFound.
 func (db *DB) Get(ctx context.Context, id string) (*staccato.Doc, error) {
-	if db.isClosed() {
+	if db.closed.Load() {
 		return nil, ErrClosed
 	}
 	return db.disk.Get(ctx, id)
@@ -293,11 +278,10 @@ func (db *DB) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 // set by the caller.
 func (db *DB) Search(ctx context.Context, q *query.Query, opts query.SearchOptions) ([]query.Result, query.SearchStats, error) {
 	var stats query.SearchStats
-	if db.isClosed() {
+	if db.closed.Load() {
 		return nil, stats, ErrClosed
 	}
-	ix := db.index()
-	opts.Candidates = planCandidates(ix, q, &stats)
+	opts.Candidates = planCandidates(db.idx, q, &stats)
 	opts.Stats = &stats
 	res, err := db.eng.Search(ctx, q, opts)
 	return res, stats, err
@@ -370,7 +354,10 @@ func planCandidates(ix *index.Index, q *query.Query, stats *query.SearchStats) *
 // prune, and the execution mode Search would take. It runs the planner
 // but not the engine.
 func (db *DB) Explain(q *query.Query) string {
-	ix := db.index()
+	ix := db.idx
+	if db.closed.Load() {
+		ix = nil
+	}
 	if q == nil {
 		return "plan: none (nil query)"
 	}
@@ -426,11 +413,10 @@ type Stats struct {
 
 // Stats reports document, segment, and index counts.
 func (db *DB) Stats() Stats {
-	ix := db.index()
 	dst := db.disk.Stats()
 	st := Stats{Docs: dst.Docs, Segments: dst.Segments, DiskBytes: dst.DiskBytes}
-	if ix != nil {
-		ist := ix.Stats()
+	if db.idx != nil && !db.closed.Load() {
+		ist := db.idx.Stats()
 		st.IndexEnabled = true
 		st.IndexPersisted = ist.LogBytes > 0
 		st.IndexDocs = ist.Docs
@@ -449,7 +435,7 @@ func (db *DB) Stats() Stats {
 func (db *DB) Compact(ctx context.Context) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if db.isClosed() {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	if err := db.disk.Compact(ctx); err != nil {
@@ -467,26 +453,19 @@ func (db *DB) Compact(ctx context.Context) error {
 	return nil
 }
 
-// Close waits for writes in flight, then detaches the index, closes the
-// index log, and closes the store. Operations after Close return
-// ErrClosed (or the store's own closed error). Close never loses
+// Close waits for writes in flight, then closes the index log and the
+// store. Operations after Close return ErrClosed (or the store's own
+// closed error), and Stats and Explain report no index. Close never loses
 // committed data.
 func (db *DB) Close() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	if db.closed.Swap(true) {
 		return nil
 	}
-	db.closed = true
-	ix := db.idx
-	db.idx = nil
-	db.mu.Unlock()
-
 	var err error
-	if ix != nil {
-		err = ix.Close()
+	if db.idx != nil {
+		err = db.idx.Close()
 	}
 	if cerr := db.disk.Close(); cerr != nil && err == nil {
 		err = cerr

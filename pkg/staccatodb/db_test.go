@@ -112,6 +112,27 @@ func TestOpenMemLifecycle(t *testing.T) {
 	if _, _, err := db.Search(ctx, mustQ(query.Substring("xx")), query.SearchOptions{}); !errors.Is(err, staccatodb.ErrClosed) {
 		t.Errorf("Search after Close: err = %v, want ErrClosed", err)
 	}
+	if _, err := db.Get(ctx, cases[0].Doc.ID); !errors.Is(err, staccatodb.ErrClosed) {
+		t.Errorf("Get after Close: err = %v, want ErrClosed", err)
+	}
+	if _, _, err := db.Snippets(ctx, mustQ(query.Substring(term)), query.SearchOptions{}, query.SnippetOptions{}); !errors.Is(err, staccatodb.ErrClosed) {
+		t.Errorf("Snippets after Close: err = %v, want ErrClosed", err)
+	}
+	if err := db.Compact(ctx); !errors.Is(err, staccatodb.ErrClosed) {
+		t.Errorf("Compact after Close: err = %v, want ErrClosed", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Errorf("second Close: err = %v, want nil", err)
+	}
+	// A closed DB reports no index, though the index still answers from
+	// memory.
+	if st := db.Stats(); st.IndexEnabled || st.IndexPersisted || st.IndexDocs != 0 || st.IndexGrams != 0 ||
+		st.IndexPostings != 0 || st.IndexOverflowDocs != 0 || st.IndexBytes != 0 {
+		t.Errorf("Stats after Close = %+v, want no index", st)
+	}
+	if got := db.Explain(mustQ(query.Substring(term))); !strings.HasPrefix(got, "plan: full scan (no index)") {
+		t.Errorf("Explain after Close = %q, want a full scan with no index", got)
+	}
 }
 
 // TestOpenMemCompact: an in-memory DB compacts its store and its index

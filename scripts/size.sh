@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# size.sh — the numbers ROADMAP item 6 asks every deletion PR to report,
+# size.sh — the numbers ROADMAP item 10 asks every deletion PR to report,
 # before and after. Report only: it never fails a build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
