@@ -92,6 +92,7 @@ import (
 	"syscall"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
+	"github.com/paper-repo/staccato-go/pkg/fuzzy"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
@@ -221,8 +222,10 @@ func run(w io.Writer, cfg config) (report, error) {
 
 	fmt.Fprintf(w, "ingested SFST: %d states, %d arcs, ~%.3g distinct readings\n",
 		f.NumStates(), f.NumArcs(), f.NumPaths())
+	// Edit distance, not a positional comparison, which would overstate
+	// the divergence whenever a deletion or split shifts the rest.
 	fmt.Fprintf(w, "MAP string prob: %.3g, edit distance to truth: %d of %d chars\n",
-		vit.Prob, editDistance(truth, vit.Output), len(truth))
+		vit.Prob, fuzzy.EditDistance([]rune(truth), []rune(vit.Output)), len(truth))
 
 	// Approximate: one doc at the requested dial, one at the MAP extreme.
 	doc, err := staccato.Build(f, "doc-0001", cfg.chunks, cfg.k)
@@ -318,29 +321,6 @@ func findLostTerm(truth, mapStr string, doc *staccato.Doc, n int) string {
 		}
 	}
 	return best
-}
-
-// editDistance is plain Levenshtein distance; positional comparison would
-// wildly overstate MAP divergence whenever a deletion or split shifts the
-// rest of the string.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
 }
 
 func minRetained(d *staccato.Doc) float64 {

@@ -18,7 +18,6 @@ import (
 
 	"github.com/paper-repo/staccato-go/internal/core"
 	"github.com/paper-repo/staccato-go/pkg/fst"
-	"github.com/paper-repo/staccato-go/pkg/staccato"
 )
 
 // ErrModelConfig controls error-model generation. Zero values take the
@@ -373,60 +372,24 @@ func pickErrConfusables(rng *rand.Rand, cfg ErrModelConfig, t rune) []errConfusa
 	return out
 }
 
-// EachErrDoc streams n error-model documents, one at a time like EachDoc:
-// the i-th document uses seed cfg.Seed+i and carries the ID "doc-%04d"
-// (1-based), approximated at the (chunks, k) dial.
-func EachErrDoc(n int, cfg ErrModelConfig, chunks, k int, fn func(DocCase) error) error {
-	if n < 0 {
-		return fmt.Errorf("testgen: corpus size must be >= 0, got %d", n)
-	}
-	cfg = cfg.withDefaults()
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		truth, f, err := GenerateErrModel(c)
-		if err != nil {
-			return err
-		}
-		d, err := staccato.Build(f, fmt.Sprintf("doc-%04d", i+1), chunks, k)
-		if err != nil {
-			return fmt.Errorf("testgen: error-model doc %d: %w", i+1, err)
-		}
-		if err := fn(DocCase{Truth: truth, Doc: d}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ErrDocs collects EachErrDoc's stream.
+// ErrDocs generates n error-model documents as Docs does: the i-th uses
+// seed cfg.Seed+i and carries the ID "doc-%04d" (1-based), approximated
+// at the (chunks, k) dial.
 func ErrDocs(n int, cfg ErrModelConfig, chunks, k int) ([]DocCase, error) {
-	out := make([]DocCase, 0, max(n, 0))
-	if err := EachErrDoc(n, cfg, chunks, k, func(dc DocCase) error {
-		out = append(out, dc)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return docs(n, cfg.gen(), chunks, k)
 }
 
 // ErrCorpusFSTs generates n (truth, SFST) pairs under the error model —
 // the raw transducers the FullSFST recall baseline evaluates directly.
-func ErrCorpusFSTs(n int, cfg ErrModelConfig) ([]Case, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("testgen: corpus size must be >= 0, got %d", n)
-	}
+func ErrCorpusFSTs(n int, cfg ErrModelConfig) ([]Case, error) { return cases(n, cfg.gen()) }
+
+// gen generates document i from cfg, its defaults applied, with seed
+// cfg.Seed+i.
+func (cfg ErrModelConfig) gen() generator {
 	cfg = cfg.withDefaults()
-	out := make([]Case, n)
-	for i := range out {
+	return func(i int) (string, *fst.SFST, error) {
 		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		truth, f, err := GenerateErrModel(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Case{Truth: truth, FST: f}
+		c.Seed += int64(i)
+		return GenerateErrModel(c)
 	}
-	return out, nil
 }

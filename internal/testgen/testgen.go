@@ -137,23 +137,7 @@ type Case struct {
 
 // Corpus generates n documents by advancing the seed, for property tests
 // that want variety while staying deterministic.
-func Corpus(n int, cfg Config) ([]Case, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("testgen: corpus size must be >= 0, got %d", n)
-	}
-	cfg = cfg.withDefaults()
-	out := make([]Case, n)
-	for i := range out {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		truth, f, err := Generate(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Case{Truth: truth, FST: f}
-	}
-	return out, nil
-}
+func Corpus(n int, cfg Config) ([]Case, error) { return cases(n, cfg.gen()) }
 
 // DocCase pairs one approximated corpus document with its ground truth.
 type DocCase struct {
@@ -168,26 +152,7 @@ type DocCase struct {
 // not memory. fn errors — including store.ErrStopScan-style sentinels —
 // abort generation and are returned as-is.
 func EachDoc(n int, cfg Config, chunks, k int, fn func(DocCase) error) error {
-	if n < 0 {
-		return fmt.Errorf("testgen: corpus size must be >= 0, got %d", n)
-	}
-	cfg = cfg.withDefaults()
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		truth, f, err := Generate(c)
-		if err != nil {
-			return err
-		}
-		d, err := staccato.Build(f, fmt.Sprintf("doc-%04d", i+1), chunks, k)
-		if err != nil {
-			return fmt.Errorf("testgen: doc %d: %w", i+1, err)
-		}
-		if err := fn(DocCase{Truth: truth, Doc: d}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return eachDoc(n, cfg.gen(), chunks, k, fn)
 }
 
 // Docs builds a corpus of n Staccato documents at the (chunks, k) dial
@@ -195,8 +160,70 @@ func EachDoc(n int, cfg Config, chunks, k int, fn func(DocCase) error) error {
 // scan over them — are fully deterministic and identical to what a
 // streamed ingest writes.
 func Docs(n int, cfg Config, chunks, k int) ([]DocCase, error) {
+	return docs(n, cfg.gen(), chunks, k)
+}
+
+// generator returns the truth and transducer of corpus document i.
+type generator func(i int) (string, *fst.SFST, error)
+
+// gen generates document i from cfg, its defaults applied, with seed
+// cfg.Seed+i.
+func (cfg Config) gen() generator {
+	cfg = cfg.withDefaults()
+	return func(i int) (string, *fst.SFST, error) {
+		c := cfg
+		c.Seed += int64(i)
+		return Generate(c)
+	}
+}
+
+// eachCase is the one corpus loop under every corpus function of the
+// package: it hands documents 0..n-1 of gen to fn in order and returns
+// the first error either makes, as is.
+func eachCase(n int, gen generator, fn func(i int, c Case) error) error {
+	if n < 0 {
+		return fmt.Errorf("testgen: corpus size must be >= 0, got %d", n)
+	}
+	for i := 0; i < n; i++ {
+		truth, f, err := gen(i)
+		if err != nil {
+			return err
+		}
+		if err := fn(i, Case{Truth: truth, FST: f}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cases collects eachCase's stream.
+func cases(n int, gen generator) ([]Case, error) {
+	out := make([]Case, 0, max(n, 0))
+	if err := eachCase(n, gen, func(_ int, c Case) error {
+		out = append(out, c)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// eachDoc approximates each document of gen at the (chunks, k) dial as
+// "doc-%04d" (1-based) and hands it to fn.
+func eachDoc(n int, gen generator, chunks, k int, fn func(DocCase) error) error {
+	return eachCase(n, gen, func(i int, c Case) error {
+		d, err := staccato.Build(c.FST, fmt.Sprintf("doc-%04d", i+1), chunks, k)
+		if err != nil {
+			return fmt.Errorf("testgen: doc %d: %w", i+1, err)
+		}
+		return fn(DocCase{Truth: c.Truth, Doc: d})
+	})
+}
+
+// docs collects eachDoc's stream.
+func docs(n int, gen generator, chunks, k int) ([]DocCase, error) {
 	out := make([]DocCase, 0, max(n, 0))
-	if err := EachDoc(n, cfg, chunks, k, func(dc DocCase) error {
+	if err := eachDoc(n, gen, chunks, k, func(dc DocCase) error {
 		out = append(out, dc)
 		return nil
 	}); err != nil {

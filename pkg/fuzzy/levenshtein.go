@@ -1,19 +1,29 @@
-// Package fuzzy is the edit-distance query subsystem: a Levenshtein
-// automaton compiled once per (term, distance) into a deterministic
-// finite automaton, plus a lexicon rescoring pass that re-weights a
-// document's retained readings toward in-dictionary variants.
+// Package fuzzy is the edit-distance subsystem: two plain edit-distance
+// kernels, a Levenshtein automaton compiled once per (term, distance)
+// into a deterministic finite automaton, and a lexicon rescoring pass
+// that re-weights a document's retained readings toward in-dictionary
+// variants.
+//
+// EndCosts (Sellers) and EditDistance (Levenshtein) are the plain
+// dynamic programs over runes, one column step shared between them: the
+// Sellers column pins its top cell at 0 so a window may begin anywhere
+// in the text, the Levenshtein one counts the text's runes there. They
+// are every edit distance the system computes outside the automaton —
+// the Within oracle, pkg/query's fuzzy snippet spans and the demo's MAP
+// divergence all call them.
 //
 // The DFA answers substring-approximate matching — "does the input
 // contain a window within edit distance d of term?" — which is the
-// Sellers variant of the classic Levenshtein automaton: the dynamic
-// programming column starts every row at cost 0, so a match may begin
-// anywhere in the input. States are clamped DP columns (every cell
-// capped at d+1, beyond which the exact value cannot matter), discovered
-// by breadth-first search over the characteristic bitvectors of the
-// term's distinct runes. Construction is fully deterministic — sorted
-// rune alphabet, BFS in fixed order — because downstream the state IDs
-// number pkg/query's tables, where state numbering pins float
-// accumulation order and therefore bit-identical probabilities.
+// Sellers variant of the classic Levenshtein automaton. States are
+// clamped DP columns (every cell capped at d+1, beyond which the exact
+// value cannot matter), discovered by breadth-first search over the
+// characteristic bitvectors of the term's distinct runes. The builder
+// steps its clamped columns with its own stepColumn, not the kernels,
+// so that Within stays an independent oracle for it. Construction is
+// fully deterministic — sorted rune alphabet, BFS in fixed order —
+// because downstream the state IDs number pkg/query's tables, where
+// state numbering pins float accumulation order and therefore
+// bit-identical probabilities.
 //
 // The package is self-contained on purpose: pkg/query flattens a DFA's
 // Transitions into its own term table, but nothing here depends on query
@@ -23,6 +33,7 @@ package fuzzy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -45,9 +56,6 @@ const maxStates = 1 << 14
 // DFA is a compiled Levenshtein automaton for one (term, distance)
 // pair. It is immutable after Compile and safe for concurrent use.
 type DFA struct {
-	term []rune
-	dist int
-
 	alphabet []rune   // sorted distinct runes of term
 	masks    []uint64 // masks[i]: bit j set iff term[j] == alphabet[i]
 
@@ -76,9 +84,9 @@ func Compile(term string, dist int) (*DFA, error) {
 	if len(pat) <= dist {
 		return nil, fmt.Errorf("fuzzy: term %q of %d runes must be longer than distance %d (every string would match)", term, len(pat), dist)
 	}
-	d := &DFA{term: pat, dist: dist}
-	d.buildAlphabet()
-	if err := d.buildStates(); err != nil {
+	d := &DFA{}
+	d.buildAlphabet(pat)
+	if err := d.buildStates(pat, dist); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -92,12 +100,6 @@ func MustCompile(term string, dist int) *DFA {
 	}
 	return d
 }
-
-// Term returns the compiled pattern.
-func (d *DFA) Term() string { return string(d.term) }
-
-// Distance returns the compiled edit distance.
-func (d *DFA) Distance() int { return d.dist }
 
 // NumStates returns the number of DFA states.
 func (d *DFA) NumStates() int { return len(d.accept) }
@@ -146,9 +148,9 @@ func (d *DFA) class(r rune) int {
 	return 0
 }
 
-func (d *DFA) buildAlphabet() {
-	seen := make(map[rune]bool, len(d.term))
-	for _, r := range d.term {
+func (d *DFA) buildAlphabet(term []rune) {
+	seen := make(map[rune]bool, len(term))
+	for _, r := range term {
 		if !seen[r] {
 			seen[r] = true
 			d.alphabet = append(d.alphabet, r)
@@ -157,7 +159,7 @@ func (d *DFA) buildAlphabet() {
 	sort.Slice(d.alphabet, func(i, j int) bool { return d.alphabet[i] < d.alphabet[j] })
 	d.masks = make([]uint64, len(d.alphabet))
 	for i, a := range d.alphabet {
-		for j, r := range d.term {
+		for j, r := range term {
 			if r == a {
 				d.masks[i] |= 1 << uint(j)
 			}
@@ -171,9 +173,9 @@ func (d *DFA) buildAlphabet() {
 // (cell 0 is always 0 in the Sellers substring formulation and is not
 // stored). BFS over a fixed class order with first-seen state numbering
 // makes the construction — and therefore every state ID — deterministic.
-func (d *DFA) buildStates() error {
-	m := len(d.term)
-	cap1 := uint8(d.dist + 1)
+func (d *DFA) buildStates(term []rune, dist int) error {
+	m := len(term)
+	cap1 := uint8(dist + 1)
 
 	startCol := make([]uint8, m)
 	for j := 0; j < m; j++ {
@@ -186,7 +188,7 @@ func (d *DFA) buildStates() error {
 
 	ids := map[string]uint16{string(startCol): 0}
 	cols := [][]uint8{startCol}
-	d.accept = []bool{startCol[m-1] <= uint8(d.dist)}
+	d.accept = []bool{startCol[m-1] <= uint8(dist)}
 	nClasses := len(d.alphabet) + 1
 	d.trans = nil
 
@@ -202,12 +204,12 @@ func (d *DFA) buildStates() error {
 			id, ok := ids[key]
 			if !ok {
 				if len(cols) >= maxStates {
-					return fmt.Errorf("fuzzy: term %q at distance %d exceeds %d DFA states", string(d.term), d.dist, maxStates)
+					return fmt.Errorf("fuzzy: term %q at distance %d exceeds %d DFA states", string(term), dist, maxStates)
 				}
 				id = uint16(len(cols))
 				ids[key] = id
 				cols = append(cols, next)
-				d.accept = append(d.accept, next[m-1] <= uint8(d.dist))
+				d.accept = append(d.accept, next[m-1] <= uint8(dist))
 			}
 			d.trans = append(d.trans, id)
 		}
@@ -248,42 +250,66 @@ func stepColumn(col []uint8, mask uint64, cap1 uint8) []uint8 {
 
 // Within is the reference oracle: it reports whether text contains a
 // substring within edit distance dist of term, by the plain O(len(text)
-// × len(term)) Sellers dynamic program. It exists to check the DFA (unit
-// tests, the FuzzLevenshteinDFA target, and the planner's no-false-
-// negative property tests run the two against each other), not to be
-// fast. Unlike Compile, it accepts any term and distance: a term of
-// dist or fewer runes trivially matches everything, including the
+// × len(term)) Sellers dynamic program (EndCosts). It exists to check
+// the DFA (unit tests, the FuzzLevenshteinDFA target, and the planner's
+// no-false-negative property tests run the two against each other), not
+// to be fast. Unlike Compile, it accepts any term and distance: a term
+// of dist or fewer runes trivially matches everything, including the
 // empty text.
 func Within(text, term string, dist int) bool {
-	pat := []rune(term)
-	if len(pat) <= dist {
-		return true
+	return slices.Min(EndCosts([]rune(text), []rune(term))) <= dist
+}
+
+// EndCosts is the Sellers dynamic program: costs[e], for e in [0,
+// len(text)], is the fewest edits that turn term into some window
+// text[s:e], s ≤ e, so costs[0] = len(term), the empty window. A window
+// within distance d of term ends at e exactly when costs[e] ≤ d.
+func EndCosts(text, term []rune) []int {
+	costs := make([]int, len(text)+1)
+	col := firstColumn(term)
+	costs[0] = col[len(term)]
+	for e, r := range text {
+		step(col, term, r, 0)
+		costs[e+1] = col[len(term)]
 	}
-	col := make([]int, len(pat))
+	return costs
+}
+
+// EditDistance is the Levenshtein distance between a and b: the fewest
+// rune insertions, deletions and substitutions that turn one into the
+// other.
+func EditDistance(a, b []rune) int {
+	col := firstColumn(b)
+	for i, r := range a {
+		step(col, b, r, i+1)
+	}
+	return col[len(b)]
+}
+
+// firstColumn is the DP column before any text: col[j] = j, the cost of
+// deleting term[:j].
+func firstColumn(term []rune) []int {
+	col := make([]int, len(term)+1)
 	for j := range col {
-		col[j] = j + 1
+		col[j] = j
 	}
-	for _, r := range text {
-		prevDiag, prevNew := 0, 0
-		for j := range col {
-			sub := prevDiag
-			if pat[j] != r {
-				sub++
-			}
-			v := sub
-			if del := col[j] + 1; del < v {
-				v = del
-			}
-			if ins := prevNew + 1; ins < v {
-				v = ins
-			}
-			prevDiag = col[j]
-			col[j] = v
-			prevNew = v
+	return col
+}
+
+// step advances the DP column col, where col[j] is the cost of matching
+// term[:j], by one text rune r: col[0] becomes top (0 lets a Sellers
+// window start after r; Levenshtein counts the runes consumed), and
+// col[j] the cheapest of pairing r with term[j-1] (free when they are
+// equal), leaving r unmatched, or leaving term[j-1] unmatched.
+func step(col []int, term []rune, r rune, top int) {
+	diag := col[0]
+	col[0] = top
+	for j, t := range term {
+		v := diag
+		if t != r {
+			v++
 		}
-		if col[len(col)-1] <= dist {
-			return true
-		}
+		diag = col[j+1]
+		col[j+1] = min(v, diag+1, col[j]+1)
 	}
-	return false
 }

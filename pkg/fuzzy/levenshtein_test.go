@@ -3,6 +3,7 @@ package fuzzy
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -149,9 +150,6 @@ func TestNumStatesBounded(t *testing.T) {
 	if n := d.NumStates(); n >= maxStates {
 		t.Fatalf("NumStates=%d, want < %d", n, maxStates)
 	}
-	if d.Term() != "abababababababababababababababab" || d.Distance() != MaxDistance {
-		t.Fatalf("Term/Distance round-trip broken: %q %d", d.Term(), d.Distance())
-	}
 }
 
 // TestCompileRefusesStateCap: the state cap is an input limit that a
@@ -183,6 +181,72 @@ func FuzzLevenshteinDFA(f *testing.F) {
 		got, want := dfaContains(d, text), Within(text, term, dist)
 		if got != want {
 			t.Fatalf("term=%q dist=%d text=%q: DFA=%v oracle=%v", term, dist, text, got, want)
+		}
+	})
+}
+
+func TestEditKernels(t *testing.T) {
+	for _, c := range []struct {
+		a, b string
+		want int
+	}{
+		{"", "", 0},
+		{"", "abc", 3},
+		{"kitten", "sitting", 3},
+		{"staccato", "staccat0", 1},
+		{"héllo", "hello", 1}, // one rune, two bytes
+		{"日本語", "日木語", 1},
+		{"ab", "ba", 2},
+	} {
+		if got := EditDistance([]rune(c.a), []rune(c.b)); got != c.want {
+			t.Errorf("EditDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+	// The window "stacato", ending after rune 9, is one deletion away
+	// from the term; the best windows ending one rune earlier or later
+	// are two away, and before the "s" only the lone "a" saves an edit.
+	got := EndCosts([]rune("a stacatos"), []rune("staccato"))
+	if want := []int{8, 7, 7, 7, 6, 5, 4, 3, 2, 1, 2}; !slices.Equal(got, want) {
+		t.Errorf("EndCosts = %v, want %v", got, want)
+	}
+}
+
+// FuzzEditKernels holds the two kernels to their definitions: an end
+// cost is the best edit distance of any window ending there, and the
+// edit distance is a symmetric distance bounded by the lengths.
+func FuzzEditKernels(f *testing.F) {
+	f.Add("the staccat0 system", "staccato")
+	f.Add("", "abc")
+	f.Add("abc", "")
+	f.Add("この日木語の", "日本語")
+	f.Add("aabaa", "aaaa")
+	f.Add("ba", "ab")
+	f.Add("a\xffb", "a\x80b")
+	f.Fuzz(func(t *testing.T, x, y string) {
+		a, b := []rune(x), []rune(y)
+		a, b = a[:min(len(a), 32)], b[:min(len(b), 32)]
+		costs := EndCosts(a, b)
+		if len(costs) != len(a)+1 || costs[0] != len(b) {
+			t.Fatalf("EndCosts(%q, %q) = %v: want %d costs, the first %d", string(a), string(b), costs, len(a)+1, len(b))
+		}
+		for e := range costs {
+			best := len(b)
+			for s := 0; s <= e; s++ {
+				best = min(best, EditDistance(a[s:e], b))
+			}
+			if costs[e] != best {
+				t.Fatalf("EndCosts(%q, %q)[%d] = %d, want the best window's %d", string(a), string(b), e, costs[e], best)
+			}
+		}
+		d := EditDistance(a, b)
+		if r := EditDistance(b, a); r != d {
+			t.Fatalf("EditDistance(%q, %q) = %d but %d reversed", string(a), string(b), d, r)
+		}
+		if (d == 0) != slices.Equal(a, b) {
+			t.Fatalf("EditDistance(%q, %q) = %d", string(a), string(b), d)
+		}
+		if lo, hi := max(len(a)-len(b), len(b)-len(a)), max(len(a), len(b)); d < lo || d > hi {
+			t.Fatalf("EditDistance(%q, %q) = %d, outside [%d, %d]", string(a), string(b), d, lo, hi)
 		}
 	})
 }

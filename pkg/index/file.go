@@ -56,9 +56,12 @@ import (
 // 3/2 of the length of the log holding just its base, and past 1 MiB
 // (rewriteFloor), Commit merges every part of the index into one without
 // the dead ordinals and replaces the log with header and that base alone,
-// as Persist does. The log, and the index in memory, thus stay within 3/2
-// of what the live documents take, and the floor keeps a small store from
-// replacing its file on every synced Put.
+// as Persist does. The trigger counts bytes, not dead postings, so it
+// keeps the log within 3/2 of its base while the writes are puts; a
+// delete record is a few bytes however many postings it kills, so a store
+// that deletes every document keeps every posting in memory, and a log
+// that only grew, until Compact (which calls Persist). The floor keeps a
+// small store from replacing its file on every synced Put.
 //
 // parseCommit accepts exactly what appendPayload can produce from a Batch:
 // a flags byte with an unassigned bit or with both bits set, a gram not

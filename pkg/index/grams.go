@@ -29,8 +29,8 @@
 // directory, commit by commit in that same shape.
 // The Index owns that log from Open, which loads it or persists a rebuild
 // from a store scan when it is missing or stale, through Commit, which
-// applies and appends each diskstore commit, to the rewrites that keep it
-// sized to the live documents.
+// applies and appends each diskstore commit, to the rewrites that bound
+// its growth (see file.go for what they do not bound: deletes).
 package index
 
 import (

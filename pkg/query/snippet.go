@@ -8,6 +8,7 @@ import (
 	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/internal/core"
+	"github.com/paper-repo/staccato-go/pkg/fuzzy"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
@@ -340,16 +341,18 @@ func runePrefix(s, term string) (int, bool) {
 }
 
 // fuzzySpans finds occurrences of term within edit distance dist in
-// text, reporting one span per occurrence site. A Sellers DP over the
-// text's runes marks every end position whose best-matching window is
-// within dist; maximal runs of consecutive accepting ends — the smear a
-// single occurrence leaves, since extending or trimming a match by one
-// rune costs at most one edit — collapse to one span each. Within a run
-// the reported window ends where the edit distance is smallest (latest
-// such end on ties, so "staccat0" is reported over its truncation
-// "staccat") and starts wherever minimizes the distance again (latest
-// such start on ties, i.e. the tightest window). The span's Term
-// is the matched variant as it appears in the text. Selection is
+// text, reporting one span per occurrence site. The Sellers end costs
+// (fuzzy.EndCosts) over the text's runes mark every end position whose
+// best-matching window is within dist; maximal runs of consecutive
+// accepting ends — the smear a single occurrence leaves, since extending
+// or trimming a match by one rune costs at most one edit — collapse to
+// one span each. Within a run the reported window ends where the edit
+// distance is smallest (latest such end on ties, so "staccat0" is
+// reported over its truncation "staccat") and starts wherever minimizes
+// the distance again (latest such start on ties, i.e. the tightest
+// window). The span's Term is the matched variant as it appears in the
+// text. Runes are decoded by ranging over the text, as the table reads
+// it, so an invalid byte is one U+FFFD rune one byte long. Selection is
 // deterministic, so snippet output stays byte-identical across execution
 // modes.
 func fuzzySpans(text, term string, dist int) []Span {
@@ -357,44 +360,15 @@ func fuzzySpans(text, term string, dist int) []Span {
 	if len(pat) == 0 || len(pat) <= dist {
 		return nil // such terms never compile into a query
 	}
-	runes := []rune(text)
-	byteOff := make([]int, len(runes)+1)
-	for i, b := 0, 0; ; i++ {
-		byteOff[i] = b
-		if i == len(runes) {
-			break
-		}
-		b += utf8.RuneLen(runes[i])
+	var runes []rune
+	var byteOff []int // byteOff[i] is where rune i starts, then len(text)
+	for b, r := range text {
+		runes = append(runes, r)
+		byteOff = append(byteOff, b)
 	}
+	byteOff = append(byteOff, len(text))
 
-	// endCost[e] = min edits from term to some window ending at rune e.
-	endCost := make([]int, len(runes)+1)
-	endCost[0] = len(pat) // the empty window: delete the whole term
-	col := make([]int, len(pat))
-	for j := range col {
-		col[j] = j + 1
-	}
-	for e, r := range runes {
-		prevDiag, prevNew := 0, 0
-		for j := range col {
-			sub := prevDiag
-			if pat[j] != r {
-				sub++
-			}
-			v := sub
-			if del := col[j] + 1; del < v {
-				v = del
-			}
-			if ins := prevNew + 1; ins < v {
-				v = ins
-			}
-			prevDiag = col[j]
-			col[j] = v
-			prevNew = v
-		}
-		endCost[e+1] = col[len(pat)-1]
-	}
-
+	endCost := fuzzy.EndCosts(runes, pat)
 	var out []Span
 	for e := 1; e <= len(runes); e++ {
 		if endCost[e] > dist {
@@ -411,7 +385,7 @@ func fuzzySpans(text, term string, dist int) []Span {
 		}
 		start := fuzzyStart(runes, pat, best, dist)
 		out = append(out, Span{
-			Term:      string(runes[start:best]),
+			Term:      text[byteOff[start]:byteOff[best]],
 			Start:     byteOff[start],
 			End:       byteOff[best],
 			RuneStart: start,
@@ -432,39 +406,12 @@ func fuzzyStart(runes, pat []rune, end, dist int) int {
 		if s < 0 || s > end {
 			continue
 		}
-		d := editDistRunes(runes[s:end], pat)
+		d := fuzzy.EditDistance(runes[s:end], pat)
 		if bestS < 0 || d < bestD || (d == bestD && s > bestS) {
 			bestS, bestD = s, d
 		}
 	}
 	return bestS
-}
-
-// editDistRunes is the plain Levenshtein distance between rune slices.
-func editDistRunes(a, b []rune) int {
-	col := make([]int, len(b)+1)
-	for j := range col {
-		col[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		prevDiag := col[0]
-		col[0] = i
-		for j := 1; j <= len(b); j++ {
-			v := prevDiag
-			if a[i-1] != b[j-1] {
-				v++
-			}
-			if del := col[j] + 1; del < v {
-				v = del
-			}
-			if ins := col[j-1] + 1; ins < v {
-				v = ins
-			}
-			prevDiag = col[j]
-			col[j] = v
-		}
-	}
-	return col[len(b)]
 }
 
 // addContext fills each span's Context with the matched text plus up to

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
@@ -30,7 +31,9 @@ import (
 //     bestReadings): there each reported reading is a distinct tied
 //     matching reading, in rank-vector order. Documents whose
 //     probabilities are all powers of two multiply without rounding, and
-//     must match the oracle everywhere.
+//     must match the oracle everywhere;
+//   - every span MatchText and Snippets report indexes its reading (see
+//     spanOffsetsErr).
 func FuzzSnippetsAgreeWithEval(f *testing.F) {
 	// Substring("�") over a reading holding the invalid byte 0x80,
 	// and Substring("\xff") over one holding 0xff: the automaton reads
@@ -53,6 +56,9 @@ func FuzzSnippetsAgreeWithEval(f *testing.F) {
 	f.Add(uint8(5), uint8(0), []byte{}, []byte{7, 0, 0, 1, 0, 0, 7})
 	f.Add(uint8(5), uint8(1), []byte{}, []byte{0, 1, 0, 6})
 	f.Add(uint8(5), uint8(1), []byte{6, 8}, []byte{9, 0, 0, 2})
+	// Fuzzy("the", 1) with 0xff spliced after the "h" alternative: the
+	// reading "th\xffe" matches with the invalid byte inside the window.
+	f.Add(uint8(5), uint8(0), []byte{3, 39}, []byte{0, 5, 1, 6, 1})
 	var bases []*staccato.Doc
 	for seed := int64(1); seed <= 4; seed++ {
 		_, f0 := testgen.MustGenerate(testgen.Config{Length: 24, Seed: seed})
@@ -122,6 +128,9 @@ func FuzzSnippetsAgreeWithEval(f *testing.F) {
 			if matched && single && len(spans) == 0 {
 				t.Fatalf("%s on %q: a matching leaf reported no occurrence", q, text)
 			}
+			if err := spanOffsetsErr(text, spans); err != nil {
+				t.Fatalf("%s: MatchText: %v", q, err)
+			}
 			if q.Eval(pick) > 0 {
 				matching = append(matching, reading{text, prob, ord})
 			}
@@ -140,6 +149,9 @@ func FuzzSnippetsAgreeWithEval(f *testing.F) {
 		}
 		last := -1 // the rank-vector position of the last tied reading found
 		for i, rd := range sn.Readings {
+			if err := spanOffsetsErr(rd.Text, rd.Spans); err != nil {
+				t.Fatalf("%s: Snippets: %v", q, err)
+			}
 			want := matching[i]
 			if math.Float64bits(rd.Prob) != math.Float64bits(want.prob) {
 				t.Fatalf("%s: reading %d (%q) at p=%v, but the %d-th most probable matching reading has p=%v",
@@ -169,4 +181,54 @@ func FuzzSnippetsAgreeWithEval(f *testing.F) {
 			last = matching[g+j].ord
 		}
 	})
+}
+
+// spanOffsetsErr reports the first span whose offsets do not index text:
+// 0 ≤ Start ≤ End ≤ len(text), and RuneStart and RuneEnd count the runes
+// before Start and End, an invalid byte counting as one rune as ranging
+// over the text decodes it.
+func spanOffsetsErr(text string, spans []Span) error {
+	for _, sp := range spans {
+		if sp.Start < 0 || sp.Start > sp.End || sp.End > len(text) ||
+			utf8.RuneCountInString(text[:sp.Start]) != sp.RuneStart ||
+			utf8.RuneCountInString(text[:sp.End]) != sp.RuneEnd {
+			return fmt.Errorf("span %+v does not index the %d bytes of %q", sp, len(text), text)
+		}
+	}
+	return nil
+}
+
+// TestSpanOffsetsOverInvalidUTF8: every finder reports offsets that index
+// a reading holding bytes that are not UTF-8, and a fuzzy span over an
+// exact occurrence is the substring span, byte for byte.
+func TestSpanOffsetsOverInvalidUTF8(t *testing.T) {
+	const text = "ab\xffcdefg \x80sta\xc3cato"
+	var leaves []*Query
+	for _, q := range []func() (*Query, error){
+		func() (*Query, error) { return Substring("cdef") },
+		func() (*Query, error) { return Substring("\xff") },
+		func() (*Query, error) { return Keyword("cdefg") },
+		func() (*Query, error) { return Keyword("cato") },
+		func() (*Query, error) { return Fuzzy("cdef", 1) },
+		func() (*Query, error) { return Fuzzy("staccato", 1) },
+		func() (*Query, error) { return Fuzzy("ab\x80cd", 2) },
+	} {
+		leaf, err := q()
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, leaf)
+		matched, spans := leaf.MatchText(text)
+		if !matched || len(spans) == 0 {
+			t.Fatalf("%s on %q: MatchText = %v %+v, want a match", leaf, text, matched, spans)
+		}
+		if err := spanOffsetsErr(text, spans); err != nil {
+			t.Errorf("%s: %v", leaf, err)
+		}
+	}
+	_, exact := leaves[0].MatchText(text)
+	_, approx := leaves[4].MatchText(text)
+	if len(approx) != 1 || approx[0] != exact[0] {
+		t.Errorf("fuzzy(\"cdef\", 1) spans %+v, want the substring span %+v", approx, exact)
+	}
 }

@@ -22,9 +22,10 @@
 // appends a mirroring record to its log (index.FileName in the store
 // directory), stamped with the store's CommitState, before the write call
 // returns. The index owns that log: it rewrites it as a snapshot once it
-// grows past 3/2 of its last one and past 1 MiB, so it stays sized to the
-// live documents, and stops persisting, serving on from memory, when the
-// log cannot be written.
+// grows past 3/2 of its last one and past 1 MiB, and stops persisting,
+// serving on from memory, when the log cannot be written. The trigger
+// counts bytes, which puts add and deletes barely do: deleted documents'
+// postings stay in memory and in the log until Compact.
 // Store first, so a failed commit, which stores nothing, leaves the index
 // describing what the store still holds. Compact takes the same lock, so
 // it excludes writers. Open hands index.Open the store's CommitState: any

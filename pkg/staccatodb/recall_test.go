@@ -38,7 +38,7 @@ type recallRun struct {
 	fullSets []docSet // per term: FullSFST retrieval set
 }
 
-// recallDocID names document i as testgen.EachErrDoc does.
+// recallDocID names document i as testgen.ErrDocs does.
 func recallDocID(i int) string { return fmt.Sprintf("doc-%04d", i+1) }
 
 // newRecallRun generates n error-model documents, samples up to nQueries

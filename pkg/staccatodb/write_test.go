@@ -28,6 +28,29 @@ func oneReading(id, text string) *staccato.Doc {
 	}
 }
 
+// TestWriteRefusesDocWithoutID: a nil document and one with an empty ID
+// are store.ErrInvalidDoc to a library caller, like every other invalid
+// document, through Put and Ingest alike, and the batch stores nothing.
+func TestWriteRefusesDocWithoutID(t *testing.T) {
+	ctx := context.Background()
+	db, err := staccatodb.OpenMem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, doc := range []*staccato.Doc{nil, {}, oneReading("", "text")} {
+		if err := db.Put(ctx, doc); !errors.Is(err, store.ErrInvalidDoc) {
+			t.Errorf("Put(%+v) = %v, want store.ErrInvalidDoc", doc, err)
+		}
+		if err := db.Ingest(ctx, []*staccato.Doc{oneReading("ok", "text"), doc}); !errors.Is(err, store.ErrInvalidDoc) {
+			t.Errorf("Ingest of a batch holding %+v = %v, want store.ErrInvalidDoc", doc, err)
+		}
+	}
+	if st := db.Stats(); st.Docs != 0 || st.IndexDocs != 0 {
+		t.Errorf("after refused writes: %+v, want nothing stored", st)
+	}
+}
+
 // TestFailedWriteNeverPrunesStoredDoc holds the write path to "the index
 // describes exactly what the store holds" when a write fails: whatever
 // the failed call left in the store, a planned search must answer like a

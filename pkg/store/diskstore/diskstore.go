@@ -851,7 +851,7 @@ const maxIDBytes = 256
 // An ID over maxIDBytes is refused here too.
 func putOp(doc *staccato.Doc) (op, error) {
 	if doc == nil || doc.ID == "" {
-		return op{}, fmt.Errorf("diskstore: Put: document must have a non-empty ID")
+		return op{}, fmt.Errorf("diskstore: Put: %w: document must have a non-empty ID", store.ErrInvalidDoc)
 	}
 	if len(doc.ID) > maxIDBytes {
 		return op{}, fmt.Errorf("diskstore: Put: %w: ID of %d bytes, over the limit of %d", store.ErrInvalidDoc, len(doc.ID), maxIDBytes)

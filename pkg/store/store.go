@@ -16,8 +16,9 @@ import (
 // requested ID.
 var ErrNotFound = errors.New("store: document not found")
 
-// ErrInvalidDoc is returned, wrapped with the offending chunk, by a write
-// of a document whose chunks are not probability distributions.
+// ErrInvalidDoc is returned, wrapped with what is wrong, by a write of a
+// nil document, of one whose ID is empty or too long, or of one whose
+// chunks are not probability distributions.
 var ErrInvalidDoc = errors.New("store: invalid document")
 
 // ErrStopScan can be returned by a store's Scan callback to end the scan
