@@ -233,7 +233,7 @@ func runSearch(w io.Writer, cfg searchConfig) (searchReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("search: %w", err)
 		}
-		sopts.Rescore = lex.Rescorer(fuzzy.DefaultBoost)
+		sopts.Rescore = lex.Rescorer()
 		if cfg.verbose {
 			fmt.Fprintf(w, "lexicon: %d words, boost=%g\n", lex.Len(), fuzzy.DefaultBoost)
 		}

@@ -3,10 +3,10 @@
 // helpers that call it) register into a process-wide table and panic on
 // duplicate names — which is exactly what happens when two servers
 // coexist in one process, as every pkg/server test and bench/'s traced
-// runs do. The allowed shape is the one
-// pkg/server/metrics.go uses: build vars with new(expvar.Map).Init()
-// and plain expvar.Int/Float values, and serve them from the server's
-// own handler.
+// runs do. The allowed shape is per-instance state served from the
+// server's own handler, as pkg/server does: it keeps its counters in
+// plain atomics and renders /debug/vars from its own snapshot; an
+// expvar.Map built with new(expvar.Map).Init() would do as well.
 package expvarglobal
 
 import (

@@ -12,11 +12,10 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 )
 
-// DefaultBoost is the Rescorer weight multiplier applied per fully
-// in-dictionary token: a reading whose tokens are all lexicon words gets
-// its probability scaled by DefaultBoost before renormalization, a
-// reading with no dictionary words keeps weight 1, and mixed readings
-// land in between.
+// DefaultBoost is the Rescorer's weight multiplier: a reading whose tokens
+// are all lexicon words gets its probability scaled by DefaultBoost before
+// renormalization, a reading with no dictionary words keeps weight 1, and
+// mixed readings land in between.
 const DefaultBoost = 4.0
 
 // Lexicon is an immutable dictionary of known-good words — the OCR
@@ -68,19 +67,19 @@ func (l *Lexicon) Len() int { return len(l.words) }
 
 // Rescorer returns a deterministic document transform that re-weights
 // each chunk's retained alternatives toward in-dictionary text: an
-// alternative's probability is multiplied by boost^f, where f is the
-// fraction of its word tokens found in the lexicon, and the chunk is
+// alternative's probability is multiplied by DefaultBoost^f, where f is
+// the fraction of its word tokens found in the lexicon, and the chunk is
 // then renormalized to sum to 1 and re-sorted in staccato.CompareAlts
-// order, the order Build stores. A boost ≤ 0 or exactly 1, or an empty
-// lexicon, returns the identity transform.
+// order, the order Build stores. An empty lexicon returns the identity
+// transform.
 //
 // The transform never creates or destroys support: every alternative
 // keeps a strictly positive probability, so a query's match set — and
 // with it the planner's no-false-negative contract — is unchanged; only
 // the probabilities (and therefore the ranking) move. The input document
 // is never mutated; chunks are copied before re-weighting.
-func (l *Lexicon) Rescorer(boost float64) func(*staccato.Doc) *staccato.Doc {
-	if boost <= 0 || core.ProbEq(boost, 1) || l.Len() == 0 {
+func (l *Lexicon) Rescorer() func(*staccato.Doc) *staccato.Doc {
+	if l.Len() == 0 {
 		return func(d *staccato.Doc) *staccato.Doc { return d }
 	}
 	return func(d *staccato.Doc) *staccato.Doc {
@@ -92,7 +91,7 @@ func (l *Lexicon) Rescorer(boost float64) func(*staccato.Doc) *staccato.Doc {
 			alts := make([]staccato.Alt, len(ch.Alts))
 			var sum float64
 			for ai, alt := range ch.Alts {
-				w := alt.Prob * l.tokenBoost(alt.Text, boost)
+				w := alt.Prob * l.tokenBoost(alt.Text)
 				alts[ai] = staccato.Alt{Text: alt.Text, Prob: w}
 				sum += w
 			}
@@ -108,11 +107,11 @@ func (l *Lexicon) Rescorer(boost float64) func(*staccato.Doc) *staccato.Doc {
 	}
 }
 
-// tokenBoost computes boost^f for one alternative's text, where f is
+// tokenBoost computes DefaultBoost^f for one alternative's text, where f is
 // the in-lexicon fraction of its word tokens. Text with no word tokens
 // (pure punctuation, chunk fragments of delimiters) is left at weight 1:
 // the lexicon has no opinion about it.
-func (l *Lexicon) tokenBoost(text string, boost float64) float64 {
+func (l *Lexicon) tokenBoost(text string) float64 {
 	total, hits := 0, 0
 	start := -1
 	flush := func(end int) {
@@ -138,6 +137,6 @@ func (l *Lexicon) tokenBoost(text string, boost float64) float64 {
 	if total == 0 || hits == 0 {
 		return 1
 	}
-	// hits/total is in (0, 1], so the result is in (1, boost] for boost > 1.
-	return math.Pow(boost, float64(hits)/float64(total))
+	// hits/total is in (0, 1], so the result is in (1, DefaultBoost].
+	return math.Pow(DefaultBoost, float64(hits)/float64(total))
 }

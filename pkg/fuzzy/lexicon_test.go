@@ -57,7 +57,7 @@ func rescoreDoc() *staccato.Doc {
 func TestRescorerReweightsTowardLexicon(t *testing.T) {
 	l := NewLexicon([]string{"staccato", "system"})
 	doc := rescoreDoc()
-	out := l.Rescorer(DefaultBoost)(doc)
+	out := l.Rescorer()(doc)
 
 	// The input document is untouched.
 	if doc.Chunks[0].Alts[0].Text != "staccat0 " || doc.Chunks[0].Alts[0].Prob != 0.6 {
@@ -88,7 +88,7 @@ func TestRescorerReweightsTowardLexicon(t *testing.T) {
 		}
 	}
 	// Deterministic: rescoring twice yields bit-identical output.
-	out2 := l.Rescorer(DefaultBoost)(rescoreDoc())
+	out2 := l.Rescorer()(rescoreDoc())
 	for ci := range out.Chunks {
 		for ai := range out.Chunks[ci].Alts {
 			a, b := out.Chunks[ci].Alts[ai], out2.Chunks[ci].Alts[ai]
@@ -103,34 +103,27 @@ func TestRescorerReweightsTowardLexicon(t *testing.T) {
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
 func TestRescorerIdentityCases(t *testing.T) {
-	doc := rescoreDoc()
-	for name, r := range map[string]func(*staccato.Doc) *staccato.Doc{
-		"empty lexicon": NewLexicon(nil).Rescorer(DefaultBoost),
-		"boost 1":       NewLexicon([]string{"system"}).Rescorer(1),
-		"boost 0":       NewLexicon([]string{"system"}).Rescorer(0),
-	} {
-		if got := r(doc); got != doc {
-			t.Errorf("%s: rescorer is not the identity transform", name)
-		}
+	if doc := rescoreDoc(); NewLexicon(nil).Rescorer()(doc) != doc {
+		t.Error("an empty lexicon's rescorer is not the identity transform")
 	}
-	if got := NewLexicon([]string{"x"}).Rescorer(DefaultBoost)(nil); got != nil {
+	if got := NewLexicon([]string{"x"}).Rescorer()(nil); got != nil {
 		t.Error("rescoring nil should return nil")
 	}
 }
 
 func TestTokenBoostMixedTokens(t *testing.T) {
 	l := NewLexicon([]string{"good"})
-	// "good bad": one of two tokens in the lexicon → boost^(1/2).
-	got := l.tokenBoost("good bad", 4)
+	// "good bad": one of two tokens in the lexicon → DefaultBoost^(1/2) = 2.
+	got := l.tokenBoost("good bad")
 	if !almostEq(got, 2) {
 		t.Fatalf("tokenBoost(good bad)=%v, want 2", got)
 	}
 	// No word tokens → neutral weight.
-	if got := l.tokenBoost(" .,! ", 4); !almostEq(got, 1) {
+	if got := l.tokenBoost(" .,! "); !almostEq(got, 1) {
 		t.Fatalf("tokenBoost(punctuation)=%v, want 1", got)
 	}
 	// No hits → neutral weight, not boost^0 computed the long way.
-	if got := l.tokenBoost("bad worse", 4); !almostEq(got, 1) {
+	if got := l.tokenBoost("bad worse"); !almostEq(got, 1) {
 		t.Fatalf("tokenBoost(no hits)=%v, want 1", got)
 	}
 }

@@ -52,16 +52,15 @@ import (
 //
 // The index owns its log: Open loads it or writes it anew, Commit appends
 // one record per store commit, Persist replaces it with a snapshot, and
-// Close releases it. The log rewrites itself. Once a Commit takes it past
-// 3/2 of the length of the log holding just its base, and past 1 MiB
-// (rewriteFloor), Commit merges every part of the index into one without
-// the dead ordinals and replaces the log with header and that base alone,
-// as Persist does. The trigger counts bytes, not dead postings, so it
-// keeps the log within 3/2 of its base while the writes are puts; a
-// delete record is a few bytes however many postings it kills, so a store
-// that deletes every document keeps every posting in memory, and a log
-// that only grew, until Compact (which calls Persist). The floor keeps a
-// small store from replacing its file on every synced Put.
+// Close releases it. The log rewrites itself. Once a Commit leaves it
+// past 1 MiB (rewriteFloor) and either past 3/2 of the length of the log
+// holding just its base, or with more than half of the index's ordinals
+// dead, Commit merges every part of the index into one without the dead
+// ordinals and replaces the log with header and that base alone, as
+// Persist does. The byte trigger keeps the log within 3/2 of its base
+// while the writes are puts; the ordinal trigger catches deletes, whose
+// records are a few bytes however many postings they kill. The floor
+// keeps a small store from replacing its file on every synced Put.
 //
 // parseCommit accepts exactly what appendPayload can produce from a Batch:
 // a flags byte with an unassigned bit or with both bits set, a gram not
@@ -102,9 +101,10 @@ var ErrMismatch = errors.New("index: file does not match the requested gram size
 
 // rewriteFloor is the length below which Commit never rewrites a log;
 // past it, a log is rewritten once it is longer than 3/2 of the log of its
-// base alone. The ratio bounds the log, and the parts in memory, at 3/2 of
-// what the live documents take; the floor keeps a small store from
-// replacing its file on every synced Put. It is a variable only so that
+// base alone, or once more than half of the index's ordinals are dead.
+// The two bound the log, and the parts in memory, at about twice what the
+// live documents take; the floor keeps a small store from replacing its
+// file on every synced Put. It is a variable only so that
 // tests can lower it (export_test.go).
 var rewriteFloor int64 = 1 << 20
 
@@ -150,15 +150,17 @@ func Open(fsys framelog.FS, path string, st diskstore.CommitState, sync bool, bu
 // writes are puts only or one delete, never both). On an unpersisted
 // index that is all Commit does.
 //
-// If the record takes the log past its trigger, Commit then rewrites the
-// log from the index, as Persist does. Any failure of the log closes it
+// If the record takes the log past its trigger — 3/2 of its base, or
+// more than half the ordinals dead — Commit then rewrites the log from
+// the index, as Persist does. Any failure of the log closes it
 // and is returned: the index goes on serving, unpersisted, and the log
 // left on disk is the old one, the record included or not, or the new
 // one.
 func (ix *Index) Commit(adds *Batch, dels []string, st diskstore.CommitState) error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
-	ix.cur.Store(ix.cur.Load().step(ix.ord, adds, dels))
+	v := ix.cur.Load().step(ix.ord, adds, dels)
+	ix.cur.Store(v)
 	if ix.log.f == nil {
 		return nil
 	}
@@ -174,7 +176,7 @@ func (ix *Index) Commit(adds *Batch, dels []string, st diskstore.CommitState) er
 	}
 	end += int64(len(frame))
 	ix.logEnd.Store(end)
-	if end <= max(ix.logBase*3/2, rewriteFloor) {
+	if end <= rewriteFloor || end <= ix.logBase*3/2 && 2*(int(v.n)-v.live) <= int(v.n) {
 		return nil
 	}
 	return ix.rewriteLog(st)

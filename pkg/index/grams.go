@@ -30,7 +30,7 @@
 // The Index owns that log from Open, which loads it or persists a rebuild
 // from a store scan when it is missing or stale, through Commit, which
 // applies and appends each diskstore commit, to the rewrites that bound
-// its growth (see file.go for what they do not bound: deletes).
+// its growth and drop what deletes and supersedes leave dead (file.go).
 package index
 
 import (
@@ -118,8 +118,7 @@ const minRange = 128
 // gram is interned once per range of documents, and each range sorts its
 // distinct grams once. With workers > 1 and at least minRange documents
 // per worker, docs is split into that many contiguous ranges, extracted
-// concurrently and merged; the Batch is the same however docs is split. A
-// nil document is kept as an entry with the empty ID and no grams.
+// concurrently and merged; the Batch is the same however docs is split.
 func BatchOf(docs []*staccato.Doc, q, workers int) *Batch {
 	n := max(1, min(workers, len(docs)/minRange))
 	parts := make([][]*staccato.Doc, n)
@@ -207,11 +206,9 @@ type suffix struct {
 func newExtractor(docs []*staccato.Doc, q int) *extractor {
 	size := 0
 	for _, d := range docs {
-		if d != nil {
-			for _, ch := range d.Chunks {
-				for _, alt := range ch.Alts {
-					size += len(alt.Text)
-				}
+		for _, ch := range d.Chunks {
+			for _, alt := range ch.Alts {
+				size += len(alt.Text)
 			}
 		}
 	}
@@ -238,9 +235,6 @@ func newExtractor(docs []*staccato.Doc, q int) *extractor {
 func (x *extractor) batch(docs []*staccato.Doc) *Batch {
 	b := &Batch{ids: make([]string, len(docs)), flags: make([]byte, len(docs))}
 	for i, d := range docs {
-		if d == nil {
-			continue
-		}
 		b.ids[i] = d.ID
 		short, ok := x.extract(d, int32(i))
 		if !ok {

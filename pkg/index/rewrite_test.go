@@ -18,6 +18,7 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
+	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 // logShape reads an index log's frames: the length of its header and
@@ -185,5 +186,42 @@ func TestLogRewritesItself(t *testing.T) {
 	}
 	if rewrites < 10 {
 		t.Fatalf("the log was rewritten %d times; the test needs the floor low enough for many", rewrites)
+	}
+}
+
+// TestDeletesRewriteTheLog commits documents in one batch and then
+// deletes every one, a commit each. A delete record is a few bytes, so
+// the log never grows past 3/2 of its base; the deletes rewrite it once
+// more than half of the index's ordinals are dead, and so the deleted
+// documents' postings go without a Persist.
+func TestDeletesRewriteTheLog(t *testing.T) {
+	index.SetRewriteFloor(t, 1)
+	cases, err := testgen.ErrDocs(64, testgen.ErrModelConfig{Seed: 3}, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := index.Open(framelog.NewMemFS(), index.FileName, diskstore.CommitState{}, false, func() (*index.Index, error) {
+		return index.New(index.DefaultGramSize), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	docs := make([]*staccato.Doc, len(cases))
+	for i, c := range cases {
+		docs[i] = c.Doc
+	}
+	st := diskstore.CommitState{Ops: 1}
+	if err := ix.Commit(index.BatchOf(docs, index.DefaultGramSize, 1), nil, st); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		st.Ops++
+		if err := ix.Commit(index.BatchOf(nil, index.DefaultGramSize, 1), []string{d.ID}, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ix.Stats(); got.Docs != 0 || got.Postings != 0 || got.LogBytes == 0 {
+		t.Fatalf("after deleting every document: %+v, want no postings in a persisted index", got)
 	}
 }

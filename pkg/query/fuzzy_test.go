@@ -232,7 +232,7 @@ func TestFuzzyRescoreDeterministicAcrossModes(t *testing.T) {
 		t.Fatal("probe term should produce a prunable plan")
 	}
 	lex := fuzzy.NewLexicon([]string{"the", "and", truths[2][:4]})
-	rescore := lex.Rescorer(fuzzy.DefaultBoost)
+	rescore := lex.Rescorer()
 	baseline := reference(t, st, q, query.SearchOptions{Rescore: rescore})
 	for _, workers := range []int{1, 2, 8} {
 		eng := query.NewEngine(st, query.EngineOptions{Workers: workers})

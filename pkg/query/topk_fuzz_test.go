@@ -81,7 +81,7 @@ func FuzzTopKMatchesExhaustive(f *testing.F) {
 		eng := query.NewEngine(st, query.EngineOptions{Workers: workers})
 		opts, mode := query.SearchOptions{}, query.ExecTopK
 		if arm&2 != 0 {
-			opts.Rescore, mode = fuzzy.NewLexicon([]string{"zz"}).Rescorer(fuzzy.DefaultBoost), query.ExecCandidateOnly
+			opts.Rescore, mode = fuzzy.NewLexicon([]string{"zz"}).Rescorer(), query.ExecCandidateOnly
 		}
 		want, err := eng.Search(ctx, q, opts)
 		if err != nil {

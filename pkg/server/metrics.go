@@ -1,9 +1,7 @@
 package server
 
 import (
-	"expvar"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -24,11 +22,9 @@ var latencyBounds = []time.Duration{
 	5 * time.Second,
 }
 
-// latencyHist is a fixed-bucket latency histogram. It implements
-// expvar.Var so it can live inside the server's expvar map, and it
-// snapshots to a JSON-friendly shape for /v1/stats. Buckets are
-// cumulative ("le" = less-than-or-equal), Prometheus-style, so p50/p99
-// estimates can be read off the counts.
+// latencyHist is a fixed-bucket latency histogram, which snapshots to a
+// JSON-friendly shape. Buckets are cumulative ("le" = less-than-or-equal),
+// Prometheus-style, so p50/p99 estimates can be read off the counts.
 type latencyHist struct {
 	counts []atomic.Int64 // len(latencyBounds)+1; last is +Inf
 	total  atomic.Int64
@@ -79,25 +75,11 @@ func bucketLabel(i int) string {
 	return fmt.Sprintf("le_%gms", ms)
 }
 
-// String renders the histogram as JSON, satisfying expvar.Var.
-func (h *latencyHist) String() string {
-	s := h.snapshot()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `{"count": %d, "sum_ms": %g`, s.Count, s.SumMS)
-	cum := int64(0)
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(&sb, `, %q: %d`, bucketLabel(i), cum)
-	}
-	sb.WriteString("}")
-	return sb.String()
-}
-
 // endpointMetrics instruments one endpoint: request count, error count
 // (status >= 400, overload rejections included), and a latency histogram.
 type endpointMetrics struct {
-	count   expvar.Int
-	errors  expvar.Int
+	count   atomic.Int64
+	errors  atomic.Int64
 	latency *latencyHist
 }
 
@@ -108,45 +90,21 @@ type endpointSnapshot struct {
 	Latency histSnapshot `json:"latency"`
 }
 
-// metrics aggregates the server's counters. Everything is registered in
-// one expvar.Map served at /debug/vars — but the map is built with Init
-// and never published to the process-global expvar registry, so many
-// servers (tests, an embedded harness) can coexist without the
-// duplicate-name panic expvar.Publish reserves for globals.
+// metrics is what the server counts itself: the requests it rejected,
+// and each endpoint's requests, errors and latency. Every other number
+// the server reports is read from its owner when a snapshot is taken
+// (Server.stats).
 type metrics struct {
-	vars      expvar.Map
-	inFlight  expvar.Int
-	rejected  expvar.Int
+	rejected  atomic.Int64
 	endpoints map[string]*endpointMetrics
 }
 
-func newMetrics(endpointNames []string, cache *queryCache, workers, maxInFlight int) *metrics {
+func newMetrics(endpointNames []string) *metrics {
 	m := &metrics{endpoints: make(map[string]*endpointMetrics, len(endpointNames))}
-	m.vars.Init()
-	m.vars.Set("in_flight", &m.inFlight)
-	m.vars.Set("rejected", &m.rejected)
-	m.vars.Set("max_in_flight", constInt(maxInFlight))
-	m.vars.Set("engine_workers", constInt(workers))
-	m.vars.Set("cache_hits", expvar.Func(func() any { return cache.hits.Load() }))
-	m.vars.Set("cache_misses", expvar.Func(func() any { return cache.misses.Load() }))
-	m.vars.Set("cache_size", expvar.Func(func() any { return cache.len() }))
-	req := new(expvar.Map).Init()
 	for _, name := range endpointNames {
-		em := &endpointMetrics{latency: newLatencyHist()}
-		m.endpoints[name] = em
-		per := new(expvar.Map).Init()
-		per.Set("count", &em.count)
-		per.Set("errors", &em.errors)
-		per.Set("latency_ms", em.latency)
-		req.Set(name, per)
+		m.endpoints[name] = &endpointMetrics{latency: newLatencyHist()}
 	}
-	m.vars.Set("requests", req)
 	return m
-}
-
-// constInt adapts a fixed configuration value to expvar.Var.
-func constInt(v int) expvar.Func {
-	return func() any { return v }
 }
 
 // record books one finished request against its endpoint.
@@ -162,13 +120,13 @@ func (m *metrics) record(endpoint string, status int, elapsed time.Duration) {
 	em.latency.observe(elapsed)
 }
 
-// requestsSnapshot renders every endpoint's counters for /v1/stats.
+// requestsSnapshot renders every endpoint's counters.
 func (m *metrics) requestsSnapshot() map[string]endpointSnapshot {
 	out := make(map[string]endpointSnapshot, len(m.endpoints))
 	for name, em := range m.endpoints {
 		out[name] = endpointSnapshot{
-			Count:   em.count.Value(),
-			Errors:  em.errors.Value(),
+			Count:   em.count.Load(),
+			Errors:  em.errors.Load(),
 			Latency: em.latency.snapshot(),
 		}
 	}

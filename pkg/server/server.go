@@ -34,11 +34,12 @@
 // and only then closes the DB — an admitted request never observes a
 // closed database.
 //
-// Metrics are expvar-based: request counts, error counts, and
-// fixed-bucket latency histograms per endpoint, cache hits/misses,
-// rejected count, the in-flight gauge, and the engine worker ceiling,
-// served both at /debug/vars (expvar JSON) and inside /v1/stats next to
-// the database's own stats.
+// Metrics are one snapshot, rendered at /debug/vars in expvar's JSON
+// shape and inside /v1/stats next to the database's own stats. The server
+// counts only what it alone sees — rejections, and per endpoint the
+// requests, errors and a fixed-bucket latency histogram; the in-flight
+// gauge is the admission semaphore's length, and the limit, the engine
+// worker ceiling and the cache numbers are read from their owners.
 package server
 
 import (
@@ -91,7 +92,7 @@ type Options struct {
 	// call. A request's timeout_ms can tighten it but never extend it.
 	RequestTimeout time.Duration
 	// Lexicon, when non-nil, enables lexicon rescoring: a request setting
-	// "lexicon": true is ranked under Lexicon.Rescorer(fuzzy.DefaultBoost).
+	// "lexicon": true is ranked under Lexicon.Rescorer().
 	// When nil, such requests are rejected with 400 — the knob must fail
 	// loudly, not silently rank without the dictionary.
 	Lexicon *fuzzy.Lexicon
@@ -145,10 +146,9 @@ func New(db *staccatodb.DB, opts Options) *Server {
 		sem:   make(chan struct{}, opts.MaxInFlight),
 	}
 	if opts.Lexicon != nil {
-		s.rescore = opts.Lexicon.Rescorer(fuzzy.DefaultBoost)
+		s.rescore = opts.Lexicon.Rescorer()
 	}
-	endpoints := []string{"ingest", "search", "snippets", "explain", "get_doc", "delete_doc", "stats", "health"}
-	s.met = newMetrics(endpoints, s.cache, db.Workers(), opts.MaxInFlight)
+	s.met = newMetrics([]string{"ingest", "search", "snippets", "explain", "get_doc", "delete_doc", "stats", "health"})
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/ingest", s.endpoint("ingest", true, s.handleIngest))
@@ -252,8 +252,6 @@ func (s *Server) endpoint(name string, admit bool, h http.HandlerFunc) http.Hand
 			select {
 			case s.sem <- struct{}{}:
 				defer func() { <-s.sem }()
-				s.met.inFlight.Add(1)
-				defer s.met.inFlight.Add(-1)
 				s.boundWrite(w)
 				defer s.boundWrite(w)
 			default:
@@ -277,7 +275,8 @@ func (s *Server) endpoint(name string, admit bool, h http.HandlerFunc) http.Hand
 // which a timeoutMS past 2⁶³ ns would wrap negative — a deadline already
 // past — so any larger request clamps to the server's maximum. It is the
 // one check of timeout_ms for every endpoint: a negative one is answered
-// with 400, and ok is false.
+// with 400, and ok is false; a timeoutMS of 0 takes the server's
+// default and is never refused.
 func (s *Server) requestCtx(w http.ResponseWriter, r *http.Request, timeoutMS int) (ctx context.Context, cancel context.CancelFunc, ok bool) {
 	if timeoutMS < 0 {
 		writeError(w, http.StatusBadRequest, "timeout_ms must not be negative, got %d", timeoutMS)
@@ -517,12 +516,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "ingest requires at least one document in docs")
 		return
 	}
-	for i, d := range req.Docs {
-		if d == nil || d.ID == "" {
-			writeError(w, http.StatusBadRequest, "docs[%d]: document must have a non-empty id", i)
-			return
-		}
-	}
 	ctx, cancel, ok := s.requestCtx(w, r, req.TimeoutMS)
 	if !ok {
 		return
@@ -741,7 +734,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGetDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	ctx, cancel, _ := s.requestCtx(w, r, 0)
 	defer cancel()
 	doc, err := s.db.Get(ctx, id)
 	switch {
@@ -760,11 +753,7 @@ type deleteResponse struct {
 
 func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if id == "" {
-		writeError(w, http.StatusBadRequest, "document id is required")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	ctx, cancel, _ := s.requestCtx(w, r, 0)
 	defer cancel()
 	if err := s.db.Delete(ctx, id); err != nil {
 		writeDBError(w, err)
@@ -773,8 +762,8 @@ func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, deleteResponse{Deleted: id})
 }
 
-// serverStats is the service-level branch of /v1/stats, alongside the
-// database's own canonical stats shape.
+// serverStats is the server's one metrics snapshot: the service-level
+// branch of /v1/stats, and what /debug/vars renders.
 type serverStats struct {
 	InFlight      int64                       `json:"in_flight"`
 	MaxInFlight   int                         `json:"max_in_flight"`
@@ -785,6 +774,22 @@ type serverStats struct {
 	Requests      map[string]endpointSnapshot `json:"requests"`
 }
 
+// stats takes the metrics snapshot, each number from its owner.
+func (s *Server) stats() serverStats {
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	return serverStats{
+		InFlight:      int64(len(s.sem)),
+		MaxInFlight:   s.opts.MaxInFlight,
+		Rejected:      s.met.rejected.Load(),
+		EngineWorkers: s.db.Workers(),
+		Draining:      draining,
+		QueryCache:    s.cache.stats(),
+		Requests:      s.met.requestsSnapshot(),
+	}
+}
+
 type statsResponse struct {
 	// DB is staccatodb.Stats in its canonical JSON shape — the same
 	// bytes the CLI's verbose stats line prints.
@@ -793,21 +798,7 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, statsResponse{
-		DB: s.db.Stats(),
-		Server: serverStats{
-			InFlight:      s.met.inFlight.Value(),
-			MaxInFlight:   s.opts.MaxInFlight,
-			Rejected:      s.met.rejected.Value(),
-			EngineWorkers: s.db.Workers(),
-			Draining:      draining,
-			QueryCache:    s.cache.stats(),
-			Requests:      s.met.requestsSnapshot(),
-		},
-	})
+	writeJSON(w, http.StatusOK, statsResponse{DB: s.db.Stats(), Server: s.stats()})
 }
 
 type healthResponse struct {
@@ -819,11 +810,29 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthResponse{Status: "ok", Docs: s.db.Stats().Docs})
 }
 
-// handleVars serves the server's expvar map as /debug/vars-style JSON.
-// The map is per-server rather than process-global, so the standard
-// expvar handler (which only sees published globals) cannot serve it.
-// Its top-level key, "staccatod", names the service and is wire format.
+// handleVars serves the metrics snapshot as /debug/vars-style JSON, in
+// the shape expvar gives it: flat cache counters, and each endpoint's
+// latency histogram with its buckets beside its count and sum. Its
+// top-level key, "staccatod", names the service; the key set is wire
+// format.
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\n%q: %s\n}\n", "staccatod", s.met.vars.String())
+	st := s.stats()
+	requests := make(map[string]any, len(st.Requests))
+	for name, e := range st.Requests {
+		latency := map[string]any{"count": e.Latency.Count, "sum_ms": e.Latency.SumMS}
+		for label, n := range e.Latency.Buckets {
+			latency[label] = n
+		}
+		requests[name] = map[string]any{"count": e.Count, "errors": e.Errors, "latency_ms": latency}
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"staccatod": map[string]any{
+		"in_flight":      st.InFlight,
+		"max_in_flight":  st.MaxInFlight,
+		"rejected":       st.Rejected,
+		"engine_workers": st.EngineWorkers,
+		"cache_hits":     st.QueryCache.Hits,
+		"cache_misses":   st.QueryCache.Misses,
+		"cache_size":     st.QueryCache.Size,
+		"requests":       requests,
+	}})
 }

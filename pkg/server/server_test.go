@@ -15,9 +15,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -404,6 +406,27 @@ func TestIngestFallbackKeepsJSONSemantics(t *testing.T) {
 	}
 }
 
+// TestIngestEndpointNamesRefusedDoc: a batch whose docs[1] is not a product of
+// distributions is a 400 that names docs[1], and stores nothing.
+func TestIngestEndpointNamesRefusedDoc(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	body := `{"docs": [
+		{"id": "ok", "chunks": [{"alts": [{"text": "a", "prob": 1}], "retained": 1}]},
+		{"id": "bad", "chunks": [{"alts": [{"text": "a", "prob": 0.4}, {"text": "b", "prob": 0.4}], "retained": 1}]}]}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "docs[1]") {
+		t.Errorf("status %d, body %s; want 400 naming docs[1]", resp.StatusCode, data)
+	}
+	if st := s.db.Stats(); st.Docs != 0 || st.IndexDocs != 0 {
+		t.Errorf("after a refused batch: %+v, want nothing stored", st)
+	}
+}
+
 // TestDeadlineExceededReturns504 pins the deadline contract: a request
 // whose context expires mid-execution returns 504, not 500 and not a
 // hang. The test hook parks the handler until the request deadline has
@@ -584,7 +607,7 @@ func TestWithheldBodyReleasesSlot(t *testing.T) {
 	}
 	// Wait on the in_flight gauge, not on a 429: probing with searches can
 	// miss the whole window the slot is held in on a loaded machine.
-	for s.met.inFlight.Value() != 1 {
+	for len(s.sem) != 1 {
 		if time.Since(start) > 5*time.Second {
 			t.Fatal("the withheld ingest never took the in-flight slot")
 		}
@@ -830,7 +853,7 @@ func TestConcurrentMixedClients(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxInFlight: 4})
 	deadline := time.Now().Add(10 * time.Second)
 	s.testHookSearch = func(ctx context.Context) {
-		for s.met.rejected.Value() == 0 && ctx.Err() == nil && time.Now().Before(deadline) {
+		for s.met.rejected.Load() == 0 && ctx.Err() == nil && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -930,6 +953,100 @@ func TestExpvarEndpoint(t *testing.T) {
 		if _, ok := inner[key]; !ok {
 			t.Errorf("/debug/vars missing %q: %s", key, body)
 		}
+	}
+}
+
+// TestStatsAndVarsAgree: after admitted, failing and rejected requests,
+// /debug/vars and /v1/stats render the same snapshot — every gauge,
+// cache number and endpoint counter equal — and in_flight is back to 0.
+func TestStatsAndVarsAgree(t *testing.T) {
+	var park atomic.Bool
+	started, release := make(chan struct{}), make(chan struct{})
+	s, ts := newTestServer(t, Options{MaxInFlight: 1})
+	s.testHookSearch = func(ctx context.Context) {
+		if park.Load() {
+			started <- struct{}{}
+			<-release
+		}
+	}
+	client := ts.Client()
+	docs := testDocs(t, 8)
+	postJSON(t, client, ts.URL+"/v1/ingest", ingestRequest{Docs: docs})
+	term := docs[0].MAP()[:4]
+	for _, want := range []int{http.StatusOK, http.StatusOK} { // a cache miss, then a hit
+		if status, body := postJSON(t, client, ts.URL+"/v1/search", queryRequest{Terms: []string{term}}); status != want {
+			t.Fatalf("search: status %d, want %d; body %s", status, want, body)
+		}
+	}
+	if status, _ := postJSON(t, client, ts.URL+"/v1/search", queryRequest{}); status != http.StatusBadRequest {
+		t.Fatalf("search without terms: status %d, want 400", status)
+	}
+	if status, _ := getJSON(t, client, ts.URL+"/v1/docs/missing"); status != http.StatusNotFound {
+		t.Fatalf("get of a missing doc: status %d, want 404", status)
+	}
+	park.Store(true)
+	parked := make(chan int)
+	go func() {
+		status, _ := postJSON(t, client, ts.URL+"/v1/search", queryRequest{Terms: []string{term}})
+		parked <- status
+	}()
+	<-started
+	if status, _ := postJSON(t, client, ts.URL+"/v1/search", queryRequest{Terms: []string{term}}); status != http.StatusTooManyRequests {
+		t.Fatalf("search while the only slot is held: status %d, want 429", status)
+	}
+	close(release)
+	if status := <-parked; status != http.StatusOK {
+		t.Fatalf("parked search: status %d, want 200", status)
+	}
+
+	// /debug/vars first: it is not an endpoint, so the /v1/stats call
+	// after it books nothing the vars could miss.
+	var vars struct {
+		S struct {
+			InFlight      int64 `json:"in_flight"`
+			MaxInFlight   int   `json:"max_in_flight"`
+			Rejected      int64 `json:"rejected"`
+			EngineWorkers int   `json:"engine_workers"`
+			CacheHits     int64 `json:"cache_hits"`
+			CacheMisses   int64 `json:"cache_misses"`
+			CacheSize     int   `json:"cache_size"`
+			Requests      map[string]struct {
+				Count   int64 `json:"count"`
+				Errors  int64 `json:"errors"`
+				Latency struct {
+					Count int64 `json:"count"`
+				} `json:"latency_ms"`
+			} `json:"requests"`
+		} `json:"staccatod"`
+	}
+	_, vb := getJSON(t, client, ts.URL+"/debug/vars")
+	if err := json.Unmarshal(vb, &vars); err != nil {
+		t.Fatal(err)
+	}
+	_, sb := getJSON(t, client, ts.URL+"/v1/stats")
+	var st statsResponse
+	if err := json.Unmarshal(sb, &st); err != nil {
+		t.Fatal(err)
+	}
+	got := serverStats{
+		InFlight:      vars.S.InFlight,
+		MaxInFlight:   vars.S.MaxInFlight,
+		Rejected:      vars.S.Rejected,
+		EngineWorkers: vars.S.EngineWorkers,
+		QueryCache:    cacheStats{Hits: vars.S.CacheHits, Misses: vars.S.CacheMisses, Size: vars.S.CacheSize, Capacity: st.Server.QueryCache.Capacity},
+		Requests:      map[string]endpointSnapshot{},
+	}
+	want := st.Server
+	for name, e := range vars.S.Requests {
+		got.Requests[name] = endpointSnapshot{Count: e.Count, Errors: e.Errors, Latency: histSnapshot{Count: e.Latency.Count}}
+		w := want.Requests[name]
+		want.Requests[name] = endpointSnapshot{Count: w.Count, Errors: w.Errors, Latency: histSnapshot{Count: w.Latency.Count}}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/debug/vars and /v1/stats disagree:\n vars:  %+v\n stats: %+v", got, want)
+	}
+	if want.InFlight != 0 || want.Rejected != 1 || want.MaxInFlight != 1 || want.Requests["search"].Errors != 2 || want.Requests["get_doc"].Errors != 1 {
+		t.Errorf("the snapshot does not show the mix sent: %+v", want)
 	}
 }
 

@@ -15,17 +15,19 @@
 //
 // # Index consistency
 //
-// The DB is the single sequencer of mutations. Every write extracts its
-// index additions before any lock, takes the DB's write lock, commits to
-// the store as one all-or-none batch, and only then hands the same change
-// to the index (index.Index.Commit), which applies it in memory and
-// appends a mirroring record to its log (index.FileName in the store
-// directory), stamped with the store's CommitState, before the write call
-// returns. The index owns that log: it rewrites it as a snapshot once it
-// grows past 3/2 of its last one and past 1 MiB, and stops persisting,
-// serving on from memory, when the log cannot be written. The trigger
-// counts bytes, which puts add and deletes barely do: deleted documents'
-// postings stay in memory and in the log until Compact.
+// The DB is the single sequencer of mutations. Every write arrives
+// prepared: before any lock, the store validates and encodes its documents
+// into a batch (a refused document fails the write before anything is
+// derived from it) and the index extracts its additions. Only then does
+// the write take the DB's write lock, commit the batch to the store, all
+// or none, and hand the same change to the index (index.Index.Commit),
+// which applies it in memory and appends a mirroring record to its log
+// (index.FileName in the store directory), stamped with the store's
+// CommitState, before the write call returns. The index owns that log: it
+// rewrites it as a snapshot once it is past 1 MiB and either past 3/2 of
+// its last snapshot or more than half dead ordinals (deletes and
+// supersedes), and stops persisting, serving on from memory, when the log
+// cannot be written.
 // Store first, so a failed commit, which stores nothing, leaves the index
 // describing what the store still holds. Compact takes the same lock, so
 // it excludes writers. Open hands index.Open the store's CommitState: any
@@ -187,6 +189,8 @@ func (db *DB) Put(ctx context.Context, doc *staccato.Doc) error {
 // Ingest stores docs as one durable batch — one commit, one fsync, one
 // index log record — replacing same-ID documents. The batch is all or
 // none: if any document is invalid or the commit fails, none is stored.
+// An invalid document's error wraps store.ErrInvalidDoc and names its
+// position, docs[i].
 // It is the bulk-load path; split very large loads into multiple Ingest
 // calls to bound commit latency and memory.
 func (db *DB) Ingest(ctx context.Context, docs []*staccato.Doc) error {
@@ -202,10 +206,20 @@ func (db *DB) Delete(ctx context.Context, id string) error {
 // write is the one mutation path: it stores puts, or deletes del when
 // del is non-empty (no document has the empty ID).
 func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error {
-	// Gram extraction into the commit's Batch is the expensive part of index
-	// maintenance; it runs before any lock, on up to Workers goroutines, and
-	// not at all WithoutIndex. A nil document keeps a placeholder: the store
-	// rejects it before its entry could be applied.
+	// The store judges and encodes every document before anything is
+	// derived from it, so a batch it refuses costs no gram extraction.
+	// Both run before any lock: extraction, the expensive part of index
+	// maintenance, on up to Workers goroutines, and not at all
+	// WithoutIndex.
+	var b *diskstore.Batch
+	if del == "" {
+		b = db.disk.Batch()
+		for i, d := range puts {
+			if err := b.Put(d); err != nil {
+				return fmt.Errorf("staccatodb: docs[%d]: %w", i, err)
+			}
+		}
+	}
 	var adds *index.Batch
 	if !db.cfg.noIndex {
 		adds = index.BatchOf(puts, index.DefaultGramSize, db.Workers())
@@ -219,7 +233,13 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 	// Store first, so a failed commit, which stores nothing, leaves the
 	// index describing what the store still holds.
 	before := db.disk.CommitState()
-	if err := db.commit(ctx, puts, del); err != nil || db.idx == nil || db.disk.CommitState() == before {
+	var err error
+	if b != nil {
+		err = b.Commit(ctx)
+	} else {
+		err = db.disk.Delete(ctx, del)
+	}
+	if err != nil || db.idx == nil || db.disk.CommitState() == before {
 		// A failed commit, no index to maintain, or nothing written — an
 		// empty Ingest, or a Delete of a missing ID — so neither the index
 		// nor its log has anything to record.
@@ -236,21 +256,6 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 	// It never fails the write: the documents are already durable.
 	_ = db.idx.Commit(adds, dels, db.disk.CommitState())
 	return nil
-}
-
-// commit applies one write to the store: a Delete, or puts as one batch
-// and one fsync, stored all or none.
-func (db *DB) commit(ctx context.Context, puts []*staccato.Doc, del string) error {
-	if del != "" {
-		return db.disk.Delete(ctx, del)
-	}
-	b := db.disk.Batch()
-	for _, d := range puts {
-		if err := b.Put(d); err != nil {
-			return err
-		}
-	}
-	return b.Commit(ctx)
 }
 
 // Get returns the document with the given ID, or store.ErrNotFound.

@@ -258,7 +258,7 @@ func TestFuzzyLexiconRescoreByteIdenticalAcrossModes(t *testing.T) {
 	if lex.Len() == 0 {
 		t.Fatal("empty lexicon from corpus truths")
 	}
-	opts := query.SearchOptions{Rescore: lex.Rescorer(fuzzy.DefaultBoost)}
+	opts := query.SearchOptions{Rescore: lex.Rescorer()}
 	snips := query.SnippetOptions{MaxReadings: 2}
 
 	var queries []*query.Query

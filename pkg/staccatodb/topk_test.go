@@ -340,7 +340,7 @@ func TestScanStopsAtCertainTies(t *testing.T) {
 	ctx := context.Background()
 	docs, mem := certainTies(t)
 	q := mustQ(query.Substring("zzcert"))
-	rescore := fuzzy.NewLexicon([]string{"zzcert"}).Rescorer(fuzzy.DefaultBoost)
+	rescore := fuzzy.NewLexicon([]string{"zzcert"}).Rescorer()
 	for _, arm := range []struct {
 		name    string
 		indexed bool

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,6 +49,31 @@ func TestWriteRefusesDocWithoutID(t *testing.T) {
 	}
 	if st := db.Stats(); st.Docs != 0 || st.IndexDocs != 0 {
 		t.Errorf("after refused writes: %+v, want nothing stored", st)
+	}
+}
+
+// TestIngestNamesRefusedDoc: a batch whose docs[1] is not a product of
+// distributions — one chunk's probabilities sum to 0.8 — is refused with
+// store.ErrInvalidDoc naming docs[1], and neither the store nor the index
+// changes.
+func TestIngestNamesRefusedDoc(t *testing.T) {
+	ctx := context.Background()
+	db, err := staccatodb.OpenMem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Put(ctx, oneReading("kept", "stored before")); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats()
+	bad := &staccato.Doc{ID: "bad", Chunks: []staccato.PathSet{{Alts: []staccato.Alt{{Text: "a", Prob: 0.4}, {Text: "b", Prob: 0.4}}, Retained: 1}}}
+	err = db.Ingest(ctx, []*staccato.Doc{oneReading("ok", "text"), bad, oneReading("after", "more text")})
+	if !errors.Is(err, store.ErrInvalidDoc) || !strings.Contains(err.Error(), "docs[1]") {
+		t.Fatalf("Ingest = %v, want store.ErrInvalidDoc naming docs[1]", err)
+	}
+	if got := db.Stats(); got.Docs != before.Docs || got.IndexDocs != before.IndexDocs || got.IndexBytes != before.IndexBytes {
+		t.Errorf("after a refused batch: %+v, want %+v", got, before)
 	}
 }
 

@@ -24,5 +24,18 @@ done
 echo "== staccatodb options"
 printf '%7d  %s\n' "$(grep -c '^func With' pkg/staccatodb/options.go)" pkg/staccatodb/options.go
 
+# Knobs, counted as independently settable values: each field of an
+# exported ...Options struct under pkg/ (a "Name1, Name2 T" line counts
+# each name), plus the staccatodb With... options above.
+echo "== knobs: exported ...Options fields under pkg/, then the total with staccatodb options"
+src pkg | sort | xargs awk -v with="$(grep -c '^func With' pkg/staccatodb/options.go)" '
+/^type ([A-Z][A-Za-z0-9]*)?Options struct/ { name = $2; inside = 1; n = 0; next }
+inside && /^}/ {
+  split(FILENAME, dir, "/"); printf "%7d  %s.%s\n", n, dir[length(dir) - 1], name
+  total += n; inside = 0; next
+}
+inside && /^\t[A-Za-z_]/ { line = $0; n++; while (sub(/^\t?[A-Za-z_0-9]+, /, "\t", line)) n++ }
+END { printf "%7d  total\n", total + with }'
+
 echo "== //lint:allow directives"
 printf '%7d  %s\n' "$(grep -rn '//lint:allow' --include='*.go' . | wc -l)" .
