@@ -8,9 +8,9 @@
 //	staccato serve -store DIR        serve a database over HTTP/JSON
 //
 // demo generates one synthetic OCR transducer, builds approximated
-// documents at a chosen dial setting, persists them through the store,
-// and runs probabilistic queries — showing recall beyond the MAP string,
-// the paper's headline result:
+// documents at a chosen dial setting, persists them through an in-memory
+// database, and runs probabilistic queries — showing recall beyond the MAP
+// string, the paper's headline result:
 //
 //	staccato demo [-seed N] [-len N] [-chunks N] [-k N] [-term STRING] [-v]
 //
@@ -95,7 +95,7 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/fuzzy"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
-	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
+	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 )
 
 type config struct {
@@ -237,23 +237,21 @@ func run(w io.Writer, cfg config) (report, error) {
 		return rep, err
 	}
 
-	// Persist and read back through the store — its in-memory file
-	// system, so the demo exercises the framing and replay a disk corpus
-	// uses without touching disk.
-	st, err := diskstore.OpenMem(diskstore.Options{})
+	// Persist and read back through the database — over an in-memory file
+	// system, so the demo exercises the store's framing and commit a disk
+	// corpus uses without touching disk. One document needs no index.
+	db, err := staccatodb.OpenMem(staccatodb.WithoutIndex())
 	if err != nil {
 		return rep, err
 	}
-	defer st.Close()
-	for _, d := range []*staccato.Doc{doc, mapDoc} {
-		if err := st.Put(ctx, d); err != nil {
-			return rep, err
-		}
-	}
-	if doc, err = st.Get(ctx, "doc-0001"); err != nil {
+	defer db.Close()
+	if err := db.Ingest(ctx, []*staccato.Doc{doc, mapDoc}); err != nil {
 		return rep, err
 	}
-	if mapDoc, err = st.Get(ctx, "doc-0001.map"); err != nil {
+	if doc, err = db.Get(ctx, "doc-0001"); err != nil {
+		return rep, err
+	}
+	if mapDoc, err = db.Get(ctx, "doc-0001.map"); err != nil {
 		return rep, err
 	}
 	fmt.Fprintf(w, "staccato doc: chunks=%d k=%d, retained mass per chunk min=%.3f\n",

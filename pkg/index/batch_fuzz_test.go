@@ -94,7 +94,7 @@ func FuzzBatchMatchesReference(f *testing.F) {
 			t.Fatalf("q=%d, %d docs in %d ranges: commit record differs from the reference\n got  %x\n want %x", q, len(docs), len(parts), got, want)
 		}
 		for _, workers := range []int{1, 3} {
-			if got := encodeCommit(BatchOf(docs, q, workers), nil, diskstore.CommitState{}); !bytes.Equal(got, want) {
+			if got := encodeCommit(New(q).BatchOf(docs, workers), nil, diskstore.CommitState{}); !bytes.Equal(got, want) {
 				t.Fatalf("q=%d, %d docs, BatchOf at %d workers: commit record differs from the reference", q, len(docs), workers)
 			}
 		}
@@ -110,7 +110,7 @@ func TestBatchOfOrdersGramsPastTheirPrefix(t *testing.T) {
 		{Alts: []staccato.Alt{{Text: "x", Prob: 1}}},
 	}}
 	for q := 1; q <= 4; q++ {
-		got, want := encodeCommit(BatchOf([]*staccato.Doc{d}, q, 1), nil, diskstore.CommitState{}), encodeCommit(referenceBatch([]*staccato.Doc{d}, q), nil, diskstore.CommitState{})
+		got, want := encodeCommit(New(q).BatchOf([]*staccato.Doc{d}, 1), nil, diskstore.CommitState{}), encodeCommit(referenceBatch([]*staccato.Doc{d}, q), nil, diskstore.CommitState{})
 		if !bytes.Equal(got, want) {
 			t.Errorf("q=%d: commit record differs from the reference\n got  %x\n want %x", q, got, want)
 		}

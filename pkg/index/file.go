@@ -118,14 +118,15 @@ type logFile struct {
 }
 
 // Open returns the index of a store at state st, persisted to the log at
-// path on fsys. It loads the log (see Load) when its last intact commit
-// is stamped st; otherwise — the log missing, damaged down to its header,
-// at another gram size or stale — it persists the index build returns
+// path on fsys, over DefaultGramSize grams. It loads the log (see Load)
+// when its last intact commit is stamped st; otherwise — the log missing,
+// damaged down to its header, at another gram size or stale — it hands
+// build a new, empty index to fill and persists what build leaves in it
 // (see Persist). From then on every Commit appends to the log, and sync
 // fsyncs after each record. Only build's error fails Open: a log that
 // cannot be written leaves the index serving unpersisted, which costs
 // only a rebuild at the next Open.
-func Open(fsys framelog.FS, path string, st diskstore.CommitState, sync bool, build func() (*Index, error)) (*Index, error) {
+func Open(fsys framelog.FS, path string, st diskstore.CommitState, sync bool, build func(*Index) error) (*Index, error) {
 	ix, got, end, err := load(fsys, path, DefaultGramSize)
 	if err == nil && got == st {
 		if f, err := fsys.OpenFile(path, os.O_RDWR); err == nil {
@@ -134,7 +135,8 @@ func Open(fsys framelog.FS, path string, st diskstore.CommitState, sync bool, bu
 		}
 		return ix, nil
 	}
-	if ix, err = build(); err != nil {
+	ix = New(DefaultGramSize)
+	if err := build(ix); err != nil {
 		return nil, err
 	}
 	_ = ix.Persist(fsys, path, st, sync)
@@ -145,10 +147,9 @@ func Open(fsys framelog.FS, path string, st diskstore.CommitState, sync bool, bu
 // the store at st, and appends its record to the log: it publishes the
 // version that follows the current one by deleting dels and then adding
 // adds' documents in order, so that an ID repeated within adds ends at
-// its last document. An ID must not appear in both: the dels-then-adds
-// order cannot represent an intra-commit interleaving (staccatodb's
-// writes are puts only or one delete, never both). On an unpersisted
-// index that is all Commit does.
+// its last document. The store commit must apply in that order too, its
+// deletes before its puts, as staccatodb's one write does. On an
+// unpersisted index that is all Commit does.
 //
 // If the record takes the log past its trigger — 3/2 of its base, or
 // more than half the ordinals dead — Commit then rewrites the log from

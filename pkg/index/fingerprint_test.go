@@ -66,7 +66,7 @@ func TestBatchFingerprint(t *testing.T) {
 	// Every way a commit is built must give the same bytes: inline, split
 	// into three ranges (whatever minRange says), and Invert of each
 	// document's EntryFor.
-	got := commitsDigest(docs, func(docs []*staccato.Doc, q int) *Batch { return BatchOf(docs, q, 1) })
+	got := commitsDigest(docs, func(docs []*staccato.Doc, q int) *Batch { return New(q).BatchOf(docs, 1) })
 	ways := map[string]func([]*staccato.Doc, int) *Batch{
 		"three ranges": func(docs []*staccato.Doc, q int) *Batch {
 			n := len(docs)

@@ -95,7 +95,7 @@ func (e *Entry) Bound(i int) uint16 {
 // an error, because the only safe response — treat the document as always
 // matching — is the index's to make, not the caller's.
 func EntryFor(doc *staccato.Doc, q int) Entry {
-	b := BatchOf([]*staccato.Doc{doc}, q, 1)
+	b := batchOf([]*staccato.Doc{doc}, q, 1)
 	e := Entry{ID: doc.ID, Overflow: b.flags[0]&flagOverflow != 0, Short: b.flags[0]&flagShort != 0}
 	if !e.Overflow {
 		// One document: every run is the one posting ordinal 0.
@@ -113,13 +113,20 @@ func EntryFor(doc *staccato.Doc, q int) Entry {
 // mixed-rw's 4-document writes stay inline.
 const minRange = 128
 
-// BatchOf extracts the gram sets of docs at gram size q into one
+// BatchOf extracts the gram sets of docs at the index's gram size into one
 // commit's Batch, writing its postings straight from the boundary DP: each
 // gram is interned once per range of documents, and each range sorts its
 // distinct grams once. With workers > 1 and at least minRange documents
 // per worker, docs is split into that many contiguous ranges, extracted
 // concurrently and merged; the Batch is the same however docs is split.
-func BatchOf(docs []*staccato.Doc, q, workers int) *Batch {
+// It reads nothing of the index but its gram size, so it runs outside
+// every lock.
+func (ix *Index) BatchOf(docs []*staccato.Doc, workers int) *Batch {
+	return batchOf(docs, ix.q, workers)
+}
+
+// batchOf is BatchOf at gram size q.
+func batchOf(docs []*staccato.Doc, q, workers int) *Batch {
 	n := max(1, min(workers, len(docs)/minRange))
 	parts := make([][]*staccato.Doc, n)
 	for i := range parts {

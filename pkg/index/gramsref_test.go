@@ -158,8 +158,9 @@ func TestDocGramMassMatchesReference(t *testing.T) {
 	}
 
 	commit := fingerprintDocs(t)[:256] // error-model documents: ≈ 105 grams each
+	ix := New(DefaultGramSize)
 	for _, workers := range []int{1, 2} {
-		perDoc := testing.AllocsPerRun(5, func() { BatchOf(commit, DefaultGramSize, workers) }) / float64(len(commit))
+		perDoc := testing.AllocsPerRun(5, func() { ix.BatchOf(commit, workers) }) / float64(len(commit))
 		// A string per distinct gram of the range and per suffix, and
 		// the dictionaries' growth; extracting each document's entry
 		// made it 131 with Invert's inversion.
@@ -174,11 +175,12 @@ func TestDocGramMassMatchesReference(t *testing.T) {
 // commit, inline and split over two workers.
 func BenchmarkBatchOf(b *testing.B) {
 	commit := fingerprintDocs(b)[:256]
+	ix := New(DefaultGramSize)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				BatchOf(commit, DefaultGramSize, workers)
+				ix.BatchOf(commit, workers)
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(commit)), "µs/doc")
 		})

@@ -173,7 +173,7 @@ func benchCandidates(b *testing.B, l Lookup) {
 		b.Run(fmt.Sprintf("commits=%d", commits), func(b *testing.B) {
 			ix := New(DefaultGramSize)
 			for from := 0; from < len(docs); from += commits {
-				if err := ix.Commit(BatchOf(docs[from:min(from+commits, len(docs))], DefaultGramSize, 1), nil, diskstore.CommitState{}); err != nil {
+				if err := ix.Commit(ix.BatchOf(docs[from:min(from+commits, len(docs))], 1), nil, diskstore.CommitState{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -37,7 +37,7 @@ var benchLogs = sync.OnceValues(func() (framelog.FS, error) {
 	rewriteFloor = 1 << 40 // the log as the bench's bulk load left it before rewrites
 	defer func() { rewriteFloor = saved }()
 	for from := 0; from < len(docs); from += 256 {
-		b := BatchOf(docs[from:min(from+256, len(docs))], DefaultGramSize, 1)
+		b := ix.BatchOf(docs[from:min(from+256, len(docs))], 1)
 		if err := ix.Commit(b, nil, diskstore.CommitState{Ops: uint64(from + 1)}); err != nil {
 			return nil, err
 		}
@@ -51,7 +51,7 @@ var benchLogs = sync.OnceValues(func() (framelog.FS, error) {
 	}
 	defer small.Close()
 	for i := range 4000 {
-		adds, dels := BatchOf(docs[i%2000:i%2000+1], DefaultGramSize, 1), []string(nil)
+		adds, dels := small.BatchOf(docs[i%2000:i%2000+1], 1), []string(nil)
 		if i >= 2000 && i%2 == 1 {
 			adds, dels = Invert(nil), []string{docs[i%2000].ID}
 		}

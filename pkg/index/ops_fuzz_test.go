@@ -118,8 +118,8 @@ func FuzzIndexOps(f *testing.F) {
 					t.Fatal(err)
 				}
 				var err error
-				ix, err = Open(fsys, FileName, diskstore.CommitState{Ops: ops}, false, func() (*Index, error) {
-					return nil, fmt.Errorf("the log of commit %d did not load", ops)
+				ix, err = Open(fsys, FileName, diskstore.CommitState{Ops: ops}, false, func(*Index) error {
+					return fmt.Errorf("the log of commit %d did not load", ops)
 				})
 				if err != nil {
 					t.Fatal(err)

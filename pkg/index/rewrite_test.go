@@ -200,9 +200,7 @@ func TestDeletesRewriteTheLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := index.Open(framelog.NewMemFS(), index.FileName, diskstore.CommitState{}, false, func() (*index.Index, error) {
-		return index.New(index.DefaultGramSize), nil
-	})
+	ix, err := index.Open(framelog.NewMemFS(), index.FileName, diskstore.CommitState{}, false, func(*index.Index) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +210,12 @@ func TestDeletesRewriteTheLog(t *testing.T) {
 		docs[i] = c.Doc
 	}
 	st := diskstore.CommitState{Ops: 1}
-	if err := ix.Commit(index.BatchOf(docs, index.DefaultGramSize, 1), nil, st); err != nil {
+	if err := ix.Commit(ix.BatchOf(docs, 1), nil, st); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range docs {
 		st.Ops++
-		if err := ix.Commit(index.BatchOf(nil, index.DefaultGramSize, 1), []string{d.ID}, st); err != nil {
+		if err := ix.Commit(ix.BatchOf(nil, 1), []string{d.ID}, st); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -81,9 +81,7 @@ func BenchmarkEngineSearch(b *testing.B) {
 	st := memStore(b)
 	ctx := context.Background()
 	for _, c := range cases {
-		if err := st.Put(ctx, c.Doc); err != nil {
-			b.Fatal(err)
-		}
+		commitPuts(b, st, c.Doc)
 	}
 	q, err := query.Substring("the")
 	if err != nil {

@@ -22,7 +22,6 @@ import (
 // candidateCorpus builds an in-memory store + matching index + truth list.
 func candidateCorpus(t *testing.T, n int, seed int64) (*diskstore.Store, *index.Index, []string) {
 	t.Helper()
-	ctx := context.Background()
 	cases, err := testgen.Docs(n, testgen.Config{Length: 30, Seed: seed}, 4, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -31,9 +30,7 @@ func candidateCorpus(t *testing.T, n int, seed int64) (*diskstore.Store, *index.
 	ix := index.New(3)
 	truths := make([]string, len(cases))
 	for i, c := range cases {
-		if err := st.Put(ctx, c.Doc); err != nil {
-			t.Fatal(err)
-		}
+		commitPuts(t, st, c.Doc)
 		ix.Apply([]index.Entry{index.EntryFor(c.Doc, ix.GramSize())}, nil)
 		truths[i] = c.Truth
 	}
@@ -138,9 +135,7 @@ func TestSearchSkipsDeletedCandidate(t *testing.T) {
 	if cand == nil || !isCandidate(cand, ids[7]) {
 		t.Fatalf("expected a candidate set containing %s; got %v", ids[7], cand.IDs())
 	}
-	if err := st.Delete(ctx, ids[7]); err != nil {
-		t.Fatal(err)
-	}
+	commitDeletes(t, st, ids[7])
 	eng := query.NewEngine(st, query.EngineOptions{Workers: 2})
 	var stats query.SearchStats
 	res, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand, Stats: &stats})
@@ -186,9 +181,7 @@ func TestEngineStatsInvariantEveryPipeline(t *testing.T) {
 	// m-0003 has one of the best bounds, so even an early-stopping top-k
 	// run attempts it; m-0199 has the worst.
 	for _, id := range []string{"m-0003", "m-0199", "x-filler"} {
-		if err := st.Delete(ctx, id); err != nil {
-			t.Fatal(err)
-		}
+		commitDeletes(t, st, id)
 	}
 	live := st.Len()
 

@@ -9,21 +9,49 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
-// memStore opens an empty in-memory store, closed when the test ends.
+// memStore opens an empty store over an in-memory file system, closed
+// when the test ends.
 func memStore(t testing.TB) *diskstore.Store {
 	t.Helper()
-	st, err := diskstore.OpenMem(diskstore.Options{})
+	st, err := diskstore.OpenFS(framelog.NewMemFS(), "", diskstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
+}
+
+// commitPuts stores docs in st as one batch.
+func commitPuts(t testing.TB, st *diskstore.Store, docs ...*staccato.Doc) {
+	t.Helper()
+	b := st.Batch()
+	for _, d := range docs {
+		if err := b.Put(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// commitDeletes deletes ids from st as one batch.
+func commitDeletes(t testing.TB, st *diskstore.Store, ids ...string) {
+	t.Helper()
+	b := st.Batch()
+	for _, id := range ids {
+		b.Delete(id)
+	}
+	if err := b.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // corpusStore ingests a deterministic synthetic corpus into an in-memory store.
@@ -34,11 +62,8 @@ func corpusStore(t testing.TB, n, length int, seed int64, chunks, k int) *diskst
 		t.Fatal(err)
 	}
 	st := memStore(t)
-	ctx := context.Background()
 	for _, c := range cases {
-		if err := st.Put(ctx, c.Doc); err != nil {
-			t.Fatal(err)
-		}
+		commitPuts(t, st, c.Doc)
 	}
 	return st
 }
@@ -51,9 +76,7 @@ func putDoc(t *testing.T, st *diskstore.Store, id string, alts ...staccato.Alt) 
 		Params: staccato.Params{Chunks: 1, K: len(alts)},
 		Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}},
 	}
-	if err := st.Put(context.Background(), d); err != nil {
-		t.Fatal(err)
-	}
+	commitPuts(t, st, d)
 }
 
 // TestEngineSearchDeterministicAcrossWorkers is the acceptance scenario:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
@@ -64,7 +65,7 @@ func ExampleAnd() {
 // deterministic at any worker count.
 func ExampleEngine_Search() {
 	ctx := context.Background()
-	st, err := diskstore.OpenMem(diskstore.Options{})
+	st, err := diskstore.OpenFS(framelog.NewMemFS(), "", diskstore.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -83,10 +84,14 @@ func ExampleEngine_Search() {
 			{Retained: 1, Alts: []staccato.Alt{{Text: "dog", Prob: 1}}},
 		}},
 	}
+	b := st.Batch()
 	for _, d := range docs {
-		if err := st.Put(ctx, d); err != nil {
+		if err := b.Put(d); err != nil {
 			panic(err)
 		}
+	}
+	if err := b.Commit(ctx); err != nil {
+		panic(err)
 	}
 
 	q, err := query.Substring("cat")

@@ -26,7 +26,6 @@ import (
 // candidate-only run, and top-k rounds of several jobs when TopN is large.
 func markerCorpus(t *testing.T, n int) (*diskstore.Store, *query.Query, *query.CandidateSet) {
 	t.Helper()
-	ctx := context.Background()
 	st := memStore(t)
 	ix := index.New(3)
 	put := func(id string, alts ...staccato.Alt) {
@@ -35,9 +34,7 @@ func markerCorpus(t *testing.T, n int) (*diskstore.Store, *query.Query, *query.C
 			Params: staccato.Params{Chunks: 1, K: len(alts)},
 			Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}},
 		}
-		if err := st.Put(ctx, d); err != nil {
-			t.Fatal(err)
-		}
+		commitPuts(t, st, d)
 		ix.Apply([]index.Entry{index.EntryFor(d, ix.GramSize())}, nil)
 	}
 	for i := range n {

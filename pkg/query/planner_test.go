@@ -438,9 +438,7 @@ func TestEngineSearchByteIdenticalWithCandidates(t *testing.T) {
 	ix := index.New(gramSize)
 	truths := make([]string, len(cases))
 	for i, c := range cases {
-		if err := st.Put(ctx, c.Doc); err != nil {
-			t.Fatal(err)
-		}
+		commitPuts(t, st, c.Doc)
 		ix.Apply([]index.Entry{index.EntryFor(c.Doc, ix.GramSize())}, nil)
 		truths[i] = c.Truth
 	}

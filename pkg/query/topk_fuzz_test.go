@@ -52,9 +52,7 @@ func FuzzTopKMatchesExhaustive(f *testing.F) {
 		src := &fakeSource{byGram: map[string][]string{}, bounds: map[string]float64{}, shuffle: rand.New(rand.NewSource(seed))}
 		put := func(id string, alts ...staccato.Alt) {
 			d := &staccato.Doc{ID: id, Params: staccato.Params{Chunks: 1, K: len(alts)}, Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}}}
-			if err := st.Put(ctx, d); err != nil {
-				t.Fatal(err)
-			}
+			commitPuts(t, st, d)
 		}
 		for i, b := range probs {
 			id := fmt.Sprintf("d%02d", i)

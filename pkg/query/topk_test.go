@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
@@ -76,20 +77,24 @@ func (s *batchCounter) ViewBatch(ctx context.Context, ids []string, fn func(int,
 func TestTopKCoveringTopNRunsOneRound(t *testing.T) {
 	ctx := context.Background()
 	const n = 60
-	mem, err := diskstore.OpenMem(diskstore.Options{})
+	mem, err := diskstore.OpenFS(framelog.NewMemFS(), "", diskstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mem.Close()
 	st := &batchCounter{Store: mem}
 	ids := make([]string, n)
+	b := mem.Batch()
 	for i := range ids {
 		ids[i] = fmt.Sprintf("d%02d", i)
 		alts := []staccato.Alt{{Text: " zz ", Prob: 0.7}, {Text: "~", Prob: 0.3}}
 		d := &staccato.Doc{ID: ids[i], Params: staccato.Params{Chunks: 1, K: 2}, Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}}}
-		if err := st.Put(ctx, d); err != nil {
+		if err := b.Put(d); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := b.Commit(ctx); err != nil {
+		t.Fatal(err)
 	}
 	q, err := Substring("zz")
 	if err != nil {

@@ -75,7 +75,6 @@ func wildcardCorpus(t *testing.T, errModel bool, q int) (*diskstore.Store, *inde
 	if e := index.EntryFor(special[2], q); e.Overflow != (q >= 3) {
 		t.Fatalf("x-overflow at q=%d: Overflow = %v", q, e.Overflow)
 	}
-	ctx := context.Background()
 	st := memStore(t)
 	ix := index.New(q)
 	var truths []string
@@ -84,9 +83,7 @@ func wildcardCorpus(t *testing.T, errModel bool, q int) (*diskstore.Store, *inde
 		truths = append(truths, c.Truth)
 	}
 	for _, d := range special {
-		if err := st.Put(ctx, d); err != nil {
-			t.Fatal(err)
-		}
+		commitPuts(t, st, d)
 		ix.Apply([]index.Entry{index.EntryFor(d, ix.GramSize())}, nil)
 	}
 	return st, ix, truths
@@ -204,9 +201,7 @@ func TestWildcardCandidateDeletedAfterPlanning(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Delete(ctx, gone); err != nil {
-				t.Fatal(err)
-			}
+			commitDeletes(t, st, gone)
 			for _, top := range []int{0, 2} {
 				var stats query.SearchStats
 				got, err := eng.Search(ctx, lf, query.SearchOptions{Candidates: cand, TopN: top, Stats: &stats})
@@ -220,9 +215,7 @@ func TestWildcardCandidateDeletedAfterPlanning(t *testing.T) {
 					t.Errorf("%s after deleting %s: CandidatesDeleted = %d, want 1", lf, gone, stats.CandidatesDeleted)
 				}
 			}
-			if err := st.Put(ctx, doc); err != nil {
-				t.Fatal(err)
-			}
+			commitPuts(t, st, doc)
 		}
 	}
 }

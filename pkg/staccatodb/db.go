@@ -16,11 +16,12 @@
 // # Index consistency
 //
 // The DB is the single sequencer of mutations. Every write arrives
-// prepared: before any lock, the store validates and encodes its documents
-// into a batch (a refused document fails the write before anything is
-// derived from it) and the index extracts its additions. Only then does
-// the write take the DB's write lock, commit the batch to the store, all
-// or none, and hand the same change to the index (index.Index.Commit),
+// prepared: before any lock, its deletes and documents go into one store
+// batch, which validates and encodes the documents (a refused document
+// fails the write before anything is derived from it), and the index
+// extracts its additions. Only then does the write take the DB's write
+// lock, commit the batch to the store, all or none, and hand the same
+// change to the index (index.Index.Commit),
 // which applies it in memory and appends a mirroring record to its log
 // (index.FileName in the store directory), stamped with the store's
 // CommitState, before the write call returns. The index owns that log: it
@@ -127,9 +128,9 @@ func open(fsys framelog.FS, dir string, opts []Option) (*DB, error) {
 		// cannot be written — a read-only corpus directory, a full disk —
 		// leaves the index serving unpersisted: search must keep working,
 		// and an unpersisted index only costs a rebuild next time.
-		build := func() (*index.Index, error) {
+		build := func(ix *index.Index) error {
 			//lint:allow ctxflow Open's signature deliberately takes no context (a DB either opens or it doesn't); the rebuild scan is startup work with no caller deadline to inherit
-			return db.scannedIndex(context.Background())
+			return db.rebuild(context.Background(), ix)
 		}
 		if db.idx, err = index.Open(fsys, db.indexPath(), disk.CommitState(), !cfg.noSync, build); err != nil {
 			disk.Close()
@@ -149,23 +150,22 @@ func (db *DB) indexPath() string { return filepath.Join(db.dir, index.FileName) 
 // of 2,048; 1,024 keeps the decoded documents held at once to a few MB.
 const rebuildRun = 1024
 
-// scannedIndex builds a fresh index from a full store scan, read and
-// extracted in runs of rebuildRun documents, each committed as one Batch
-// to the unpersisted index.
-func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
-	ix := index.New(index.DefaultGramSize)
+// rebuild fills ix, a new unpersisted index, from a full store scan, read
+// and extracted in runs of rebuildRun documents, each committed as one
+// Batch.
+func (db *DB) rebuild(ctx context.Context, ix *index.Index) error {
 	ids, err := db.disk.ListDocIDs(ctx)
 	for from := 0; err == nil && from < len(ids); from += rebuildRun {
 		var docs []*staccato.Doc
 		if docs, err = db.disk.GetBatch(ctx, ids[from:min(from+rebuildRun, len(ids))]); err == nil {
 			docs = slices.DeleteFunc(docs, func(d *staccato.Doc) bool { return d == nil }) // deleted since the listing
-			err = ix.Commit(index.BatchOf(docs, index.DefaultGramSize, db.Workers()), nil, diskstore.CommitState{})
+			err = ix.Commit(ix.BatchOf(docs, db.Workers()), nil, diskstore.CommitState{})
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("staccatodb: rebuilding index: %w", err)
+		return fmt.Errorf("staccatodb: rebuilding index: %w", err)
 	}
-	return ix, nil
+	return nil
 }
 
 // Put stores doc, replacing any existing document with the same ID, and
@@ -183,7 +183,7 @@ func (db *DB) scannedIndex(ctx context.Context) (*index.Index, error) {
 // committed, so no candidate set computed after it can prune its
 // document.
 func (db *DB) Put(ctx context.Context, doc *staccato.Doc) error {
-	return db.write(ctx, []*staccato.Doc{doc}, "")
+	return db.write(ctx, nil, []*staccato.Doc{doc})
 }
 
 // Ingest stores docs as one durable batch — one commit, one fsync, one
@@ -194,35 +194,36 @@ func (db *DB) Put(ctx context.Context, doc *staccato.Doc) error {
 // It is the bulk-load path; split very large loads into multiple Ingest
 // calls to bound commit latency and memory.
 func (db *DB) Ingest(ctx context.Context, docs []*staccato.Doc) error {
-	return db.write(ctx, docs, "")
+	return db.write(ctx, nil, docs)
 }
 
 // Delete removes the document with the given ID from the store and the
-// index; deleting a missing ID is a no-op.
+// index; deleting a missing ID writes nothing.
 func (db *DB) Delete(ctx context.Context, id string) error {
-	return db.write(ctx, nil, id)
+	return db.write(ctx, []string{id}, nil)
 }
 
-// write is the one mutation path: it stores puts, or deletes del when
-// del is non-empty (no document has the empty ID).
-func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error {
+// write is the one mutation path: one store Batch that deletes dels and
+// then stores puts — the order in which index.Index.Commit applies them —
+// and, when it wrote anything, one index commit of the same change.
+func (db *DB) write(ctx context.Context, dels []string, puts []*staccato.Doc) error {
 	// The store judges and encodes every document before anything is
 	// derived from it, so a batch it refuses costs no gram extraction.
 	// Both run before any lock: extraction, the expensive part of index
 	// maintenance, on up to Workers goroutines, and not at all
 	// WithoutIndex.
-	var b *diskstore.Batch
-	if del == "" {
-		b = db.disk.Batch()
-		for i, d := range puts {
-			if err := b.Put(d); err != nil {
-				return fmt.Errorf("staccatodb: docs[%d]: %w", i, err)
-			}
+	b := db.disk.Batch()
+	for _, id := range dels {
+		b.Delete(id)
+	}
+	for i, d := range puts {
+		if err := b.Put(d); err != nil {
+			return fmt.Errorf("staccatodb: docs[%d]: %w", i, err)
 		}
 	}
 	var adds *index.Batch
-	if !db.cfg.noIndex {
-		adds = index.BatchOf(puts, index.DefaultGramSize, db.Workers())
+	if db.idx != nil {
+		adds = db.idx.BatchOf(puts, db.Workers())
 	}
 
 	db.writeMu.Lock()
@@ -233,21 +234,11 @@ func (db *DB) write(ctx context.Context, puts []*staccato.Doc, del string) error
 	// Store first, so a failed commit, which stores nothing, leaves the
 	// index describing what the store still holds.
 	before := db.disk.CommitState()
-	var err error
-	if b != nil {
-		err = b.Commit(ctx)
-	} else {
-		err = db.disk.Delete(ctx, del)
-	}
-	if err != nil || db.idx == nil || db.disk.CommitState() == before {
+	if err := b.Commit(ctx); err != nil || db.idx == nil || db.disk.CommitState() == before {
 		// A failed commit, no index to maintain, or nothing written — an
 		// empty Ingest, or a Delete of a missing ID — so neither the index
 		// nor its log has anything to record.
 		return err
-	}
-	var dels []string
-	if del != "" {
-		dels = []string{del}
 	}
 	// A log write failure — of the record, or of the rewrite a record
 	// that takes the log past its trigger sets off — stops persistence:

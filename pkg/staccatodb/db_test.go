@@ -21,7 +21,6 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 	"github.com/paper-repo/staccato-go/pkg/store"
-	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
 func mustQ(q *query.Query, err error) *query.Query {
@@ -167,7 +166,7 @@ func TestOpenMemCompact(t *testing.T) {
 		}
 		delete(live, c.Doc.ID)
 	}
-	ref, err := diskstore.OpenMem(diskstore.Options{})
+	ref, err := staccatodb.OpenMem(staccatodb.WithoutIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +176,9 @@ func TestOpenMemCompact(t *testing.T) {
 	for _, c := range live {
 		liveDocs = append(liveDocs, c.Doc)
 		truths = append(truths, c.Truth)
-		if err := ref.Put(ctx, c.Doc); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := ref.Ingest(ctx, liveDocs); err != nil {
+		t.Fatal(err)
 	}
 	sort.Strings(truths)
 
@@ -205,7 +204,7 @@ func TestOpenMemCompact(t *testing.T) {
 	queries := randomQueries(truths, 41, 20)
 	got := searchAll(t, db, queries)
 	for i, q := range queries {
-		want, err := refsearch.Search(ctx, ref, q, query.SearchOptions{})
+		want, err := refsearch.Search(ctx, ref.Store(), q, query.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -637,9 +636,8 @@ func TestGramSizeChangeForcesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const q = index.DefaultGramSize + 1
-	ix := index.New(q)
-	if err := ix.Commit(index.BatchOf(docsOf(cases), q, 1), nil, stamp); err != nil {
+	ix := index.New(index.DefaultGramSize + 1)
+	if err := ix.Commit(ix.BatchOf(docsOf(cases), 1), nil, stamp); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Persist(framelog.OS, path, stamp, false); err != nil {

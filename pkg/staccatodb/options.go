@@ -14,7 +14,7 @@ type Option func(*config)
 // WithWorkers sets the engine's worker pool size; zero or negative
 // selects GOMAXPROCS. It also bounds the write fan-out: a write or an index
 // rebuild extracts its documents' grams on up to this many goroutines
-// (index.BatchOf), and small writes on none but the caller's.
+// (index.Index.BatchOf), and small writes on none but the caller's.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }

@@ -244,11 +244,11 @@ func TestSearchTopKEarlyStopsDeterministically(t *testing.T) {
 // returns the docs and a store holding them for refsearch.
 func certainTies(t *testing.T) ([]*staccato.Doc, *diskstore.Store) {
 	t.Helper()
-	mem, err := diskstore.OpenMem(diskstore.Options{})
+	db, err := staccatodb.OpenMem(staccatodb.WithoutIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mem.Close() })
+	t.Cleanup(func() { db.Close() })
 	docs := make([]*staccato.Doc, 300)
 	for i := range docs {
 		alts := []staccato.Alt{{Text: " zzcert ", Prob: 1}}
@@ -256,11 +256,11 @@ func certainTies(t *testing.T) ([]*staccato.Doc, *diskstore.Store) {
 			alts = []staccato.Alt{{Text: " zzcert ", Prob: 0.6}, {Text: "~", Prob: 0.4}}
 		}
 		docs[i] = &staccato.Doc{ID: fmt.Sprintf("c-%03d", i), Params: staccato.Params{Chunks: 1, K: len(alts)}, Chunks: []staccato.PathSet{{Alts: alts, Retained: 1}}}
-		if err := mem.Put(context.Background(), docs[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
-	return docs, mem
+	if err := db.Ingest(context.Background(), docs); err != nil {
+		t.Fatal(err)
+	}
+	return docs, db.Store()
 }
 
 // certainHead is the top 10 of the certain-tie corpus, under any rescorer

@@ -1,6 +1,7 @@
 package staccatodb_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
@@ -74,6 +76,47 @@ func TestIngestNamesRefusedDoc(t *testing.T) {
 	}
 	if got := db.Stats(); got.Docs != before.Docs || got.IndexDocs != before.IndexDocs || got.IndexBytes != before.IndexBytes {
 		t.Errorf("after a refused batch: %+v, want %+v", got, before)
+	}
+}
+
+// TestDeleteOfAbsentIDWritesNothing: a Delete of an ID the store does
+// not hold appends nothing to the segments or to the index log, so the
+// next Open loads the INDEX as it stands instead of rebuilding it.
+func TestDeleteOfAbsentIDWritesNothing(t *testing.T) {
+	ctx := context.Background()
+	fsys := framelog.NewMemFS()
+	db, err := staccatodb.OpenFS(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := corpus(t, 8, 61)
+	if err := db.Ingest(ctx, docsOf(cases)); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats()
+	if err := db.Delete(ctx, "no-such-doc"); err != nil {
+		t.Fatal(err)
+	}
+	if after := db.Stats(); after.IndexBytes != before.IndexBytes || after.DiskBytes != before.DiskBytes {
+		t.Fatalf("deleting an absent ID moved the stats from %+v to %+v", before, after)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := fsys.ReadFile(index.FileName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err = staccatodb.OpenFS(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if reopened, _ := fsys.ReadFile(index.FileName); !bytes.Equal(reopened, log) {
+		t.Fatal("Open rewrote the INDEX: it rebuilt instead of loading")
+	}
+	if st := db.Stats(); !st.IndexPersisted || st.IndexDocs != len(cases) || st.IndexBytes != before.IndexBytes {
+		t.Fatalf("stats after the reopen %+v, want %d indexed documents in the %d-byte log", st, len(cases), before.IndexBytes)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Batch accumulates Puts and Deletes in memory and commits them in one
-// append and one fsync per touched segment — the batched ingest path.
+// append and one fsync per touched segment — the store's one write path.
 // A Batch is not safe for concurrent use; build it on one goroutine and
 // Commit. The store itself stays safe for concurrent use throughout.
 type Batch struct {
@@ -35,13 +35,12 @@ func (b *Batch) Put(doc *staccato.Doc) error {
 	return nil
 }
 
-// Delete adds a tombstone for id to the batch.
+// Delete adds the removal of id to the batch. When the batch commits, it
+// appends a tombstone if id is live at that point of the batch, and
+// nothing otherwise.
 func (b *Batch) Delete(id string) {
 	b.ops = append(b.ops, op{kind: recDelete, id: id})
 }
-
-// Len returns the number of pending operations.
-func (b *Batch) Len() int { return len(b.ops) }
 
 // Commit durably applies the batch in order — later operations on the
 // same ID supersede earlier ones — with a single fsync per touched

@@ -39,7 +39,7 @@ func TestGetBatchAcrossSegments(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("doc-%02d", i)
 		d := batchDoc(t, id, int64(i+1))
-		if err := st.Put(ctx, d); err != nil {
+		if err := commitPuts(ctx, st, d); err != nil {
 			t.Fatal(err)
 		}
 		want[id] = d
@@ -47,7 +47,7 @@ func TestGetBatchAcrossSegments(t *testing.T) {
 	if st.Stats().Segments < 2 {
 		t.Fatalf("corpus fits one segment (%d); shrink MaxSegmentBytes", st.Stats().Segments)
 	}
-	if err := st.Delete(ctx, "doc-05"); err != nil {
+	if err := commitDeletes(ctx, st, "doc-05"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,7 +97,7 @@ func TestGetBatchClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(ctx, batchDoc(t, "d", 1)); err != nil {
+	if err := commitPuts(ctx, st, batchDoc(t, "d", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -116,7 +116,7 @@ func TestGetBatchAlignment(t *testing.T) {
 	eachFS(t, diskstore.Options{}, func(t *testing.T, st *diskstore.Store) {
 		ctx := context.Background()
 		for i := 0; i < 5; i++ {
-			if err := st.Put(ctx, batchDoc(t, fmt.Sprintf("doc-%d", i), int64(i+1))); err != nil {
+			if err := commitPuts(ctx, st, batchDoc(t, fmt.Sprintf("doc-%d", i), int64(i+1))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -44,7 +44,7 @@ func reportDocsPerSec(b *testing.B, docs int) {
 	}
 }
 
-// BenchmarkIngestUnbatched is the naive ingest path: one Put — one
+// BenchmarkIngestUnbatched is the naive ingest path: one commit — one
 // record, one fsync — per document.
 func BenchmarkIngestUnbatched(b *testing.B) {
 	docs := corpus(b)
@@ -58,7 +58,7 @@ func BenchmarkIngestUnbatched(b *testing.B) {
 		}
 		b.StartTimer()
 		for _, d := range docs {
-			if err := st.Put(ctx, d); err != nil {
+			if err := commitPuts(ctx, st, d); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -86,11 +86,11 @@ func BenchmarkIngestBatched(b *testing.B) {
 		}
 		b.StartTimer()
 		batch := st.Batch()
-		for _, d := range docs {
+		for j, d := range docs {
 			if err := batch.Put(d); err != nil {
 				b.Fatal(err)
 			}
-			if batch.Len() >= 100 {
+			if (j+1)%100 == 0 {
 				if err := batch.Commit(ctx); err != nil {
 					b.Fatal(err)
 				}
@@ -264,7 +264,7 @@ func TestBatchedIngestFasterThanUnbatched(t *testing.T) {
 
 	time1 := timeIngest(t, docs, func(st *diskstore.Store) error {
 		for _, d := range docs {
-			if err := st.Put(ctx, d); err != nil {
+			if err := commitPuts(ctx, st, d); err != nil {
 				return err
 			}
 		}

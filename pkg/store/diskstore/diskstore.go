@@ -1,10 +1,18 @@
 // Package diskstore implements a durable, disk-backed store.DocStore on
 // append-only segment files, so a corpus ingested once survives the
 // process and can be reopened and queried in place — the "manage OCR
-// data inside a database" half of the Staccato thesis. OpenMem runs the
-// same store — framing, replay, batch commit, Compact — over an
-// in-memory file system: every file call goes through a framelog.FS, so
-// there is one store and one write path, with or without a disk.
+// data inside a database" half of the Staccato thesis. Every file call
+// goes through a framelog.FS, so OpenFS over an in-memory file system runs
+// the same store — framing, replay, commit, Compact — as Open on a disk.
+//
+// # Writes
+//
+// A Batch is the one writer: its Puts and Deletes commit together, in
+// order, with one append and one fsync per touched segment, all or none.
+// A Delete of an ID that is not live at its place in the batch — never
+// stored, already deleted, or deleted earlier in the same batch — writes
+// nothing, so a batch of only such deletes leaves the store, and its
+// CommitState, as they were.
 //
 // # On-disk layout
 //
@@ -21,10 +29,10 @@
 //
 // where the document bytes are the versioned store.Encode form. Records
 // are only ever appended; a Put of an existing ID appends a superseding
-// record and a Delete appends a tombstone. The in-memory index (ID →
-// segment, offset) is rebuilt by replaying the segments in manifest order
-// on Open, so the newest record for each ID wins and disk holds no
-// secondary structures that can desynchronize.
+// record and a Delete of a live ID appends a tombstone. The in-memory
+// index (ID → segment, offset) is rebuilt by replaying the segments in
+// manifest order on Open, so the newest record for each ID wins and disk
+// holds no secondary structures that can desynchronize.
 //
 // # Reads
 //
@@ -182,13 +190,6 @@ var _ store.DocStore = (*Store)(nil)
 // of corrupting it.
 func Open(dir string, opts Options) (*Store, error) {
 	return OpenFS(framelog.OS, dir, opts)
-}
-
-// OpenMem opens a new, empty store over an in-memory file system. It runs
-// the same framing, replay, batch commit and Compact as Open; nothing
-// touches a real path, and the store's contents go when it does.
-func OpenMem(opts Options) (*Store, error) {
-	return OpenFS(framelog.NewMemFS(), "", opts)
 }
 
 // OpenFS is Open over any file system; every file call the store makes
@@ -386,7 +387,9 @@ type op struct {
 
 // writeOps appends the ops' records to the active segment (rolling to new
 // segments as MaxSegmentBytes requires), fsyncs every touched file once,
-// and only then applies the index updates. The caller must hold s.mu.
+// and only then applies the index updates. A delete of an ID that is not
+// live at its place in ops is dropped first (see liveOps). The caller must
+// hold s.mu.
 //
 // The ops apply all or none: if a write or sync fails, the index is left
 // as it was and every touched segment is truncated back to its size at
@@ -397,7 +400,7 @@ func (s *Store) writeOps(ops []op) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if len(ops) == 0 {
+	if ops = s.liveOps(ops); len(ops) == 0 {
 		return nil
 	}
 	touched := []*segment{s.active}
@@ -471,6 +474,29 @@ func (s *Store) writeOps(ops []op) error {
 	return nil
 }
 
+// liveOps returns ops without the deletes of IDs that are not live at
+// their place in ops: absent from the store and not put earlier in ops, or
+// deleted earlier in ops since. Ops without a delete are returned as they
+// are, at the cost of one pass over their kinds. Callers hold s.mu.
+func (s *Store) liveOps(ops []op) []op {
+	if !slices.ContainsFunc(ops, func(o op) bool { return o.kind == recDelete }) {
+		return ops
+	}
+	live := make(map[string]bool, len(ops)) // each ID ops named so far: live after them?
+	kept := make([]op, 0, len(ops))
+	for _, o := range ops {
+		was, named := live[o.id]
+		if !named {
+			_, was = s.index[o.id]
+		}
+		if o.kind == recPut || was {
+			kept = append(kept, o)
+		}
+		live[o.id] = o.kind == recPut
+	}
+	return kept
+}
+
 // diskBytes sums the live segment files' sizes. Callers hold s.mu.
 func (s *Store) diskBytes() int64 {
 	var n int64
@@ -534,23 +560,6 @@ func (s *Store) liveIDs() []string {
 		ids = append(ids, id)
 	}
 	return ids
-}
-
-// Put stores doc durably, replacing any existing document with the same
-// ID. Each Put is one record and (unless NoSync) one fsync; use Batch to
-// amortize the fsync across many documents.
-func (s *Store) Put(ctx context.Context, doc *staccato.Doc) error {
-	o, err := putOp(doc)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//lint:allow lockio the write path is serialized by design: append+fsync must be atomic with the index update or a crash could expose a record the index never covers
-	return s.writeOps([]op{o})
 }
 
 // Get returns the document with the given ID, or store.ErrNotFound: the
@@ -739,24 +748,6 @@ func (s *Store) ViewBatch(ctx context.Context, ids []string, fn func(i int, v *s
 		}
 	}
 	return nil
-}
-
-// Delete removes the document with the given ID by appending a durable
-// tombstone; deleting a missing ID is a no-op.
-func (s *Store) Delete(ctx context.Context, id string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if _, ok := s.index[id]; !ok {
-		return nil
-	}
-	//lint:allow lockio the write path is serialized by design: the tombstone append+fsync must be atomic with the index removal
-	return s.writeOps([]op{{kind: recDelete, id: id}})
 }
 
 // Scan visits all documents in ascending ID order, reading them

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
@@ -47,12 +48,32 @@ func openT(t testing.TB, dir string, opts diskstore.Options) *diskstore.Store {
 // openMemT opens an empty store over an in-memory file system.
 func openMemT(t testing.TB, opts diskstore.Options) *diskstore.Store {
 	t.Helper()
-	st, err := diskstore.OpenMem(opts)
+	st, err := diskstore.OpenFS(framelog.NewMemFS(), "", opts)
 	if err != nil {
-		t.Fatalf("OpenMem: %v", err)
+		t.Fatalf("OpenFS: %v", err)
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
+}
+
+// commitPuts stores docs in st as one batch.
+func commitPuts(ctx context.Context, st *diskstore.Store, docs ...*staccato.Doc) error {
+	b := st.Batch()
+	for _, d := range docs {
+		if err := b.Put(d); err != nil {
+			return err
+		}
+	}
+	return b.Commit(ctx)
+}
+
+// commitDeletes deletes ids from st as one batch.
+func commitDeletes(ctx context.Context, st *diskstore.Store, ids ...string) error {
+	b := st.Batch()
+	for _, id := range ids {
+		b.Delete(id)
+	}
+	return b.Commit(ctx)
 }
 
 // eachFS runs fn as one subtest per file system — an OS temp dir and
@@ -92,7 +113,7 @@ func TestPutGetDelete(t *testing.T) {
 func testPutGetDelete(t *testing.T, st *diskstore.Store) {
 	ctx := context.Background()
 	want := sampleDoc(t, "doc-1", 1)
-	if err := st.Put(ctx, want); err != nil {
+	if err := commitPuts(ctx, st, want); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	got, err := st.Get(ctx, "doc-1")
@@ -115,19 +136,19 @@ func testPutGetDelete(t *testing.T, st *diskstore.Store) {
 	if _, err := st.Get(ctx, "nope"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("Get missing = %v, want ErrNotFound", err)
 	}
-	if err := st.Delete(ctx, "doc-1"); err != nil {
+	if err := commitDeletes(ctx, st, "doc-1"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, err := st.Get(ctx, "doc-1"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("Get after Delete = %v, want ErrNotFound", err)
 	}
-	if err := st.Delete(ctx, "doc-1"); err != nil {
+	if err := commitDeletes(ctx, st, "doc-1"); err != nil {
 		t.Errorf("Delete of missing ID = %v, want nil (idempotent)", err)
 	}
-	if err := st.Put(ctx, nil); err == nil {
+	if err := commitPuts(ctx, st, nil); err == nil {
 		t.Error("Put accepted nil")
 	}
-	if err := st.Put(ctx, &staccato.Doc{}); err == nil {
+	if err := commitPuts(ctx, st, &staccato.Doc{}); err == nil {
 		t.Error("Put accepted a document with no ID")
 	}
 }
@@ -140,17 +161,17 @@ func TestReopenPersists(t *testing.T) {
 	var want []string
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("doc-%02d", i)
-		if err := st.Put(ctx, sampleDoc(t, id, int64(i+1))); err != nil {
+		if err := commitPuts(ctx, st, sampleDoc(t, id, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, id)
 	}
 	// Overwrite one and delete one; the replayed index must honor both.
 	updated := sampleDoc(t, "doc-03", 99)
-	if err := st.Put(ctx, updated); err != nil {
+	if err := commitPuts(ctx, st, updated); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Delete(ctx, "doc-05"); err != nil {
+	if err := commitDeletes(ctx, st, "doc-05"); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want[:5], want[6:]...)
@@ -184,7 +205,7 @@ func TestScanOrderAndStop(t *testing.T) {
 func testScanOrderAndStop(t *testing.T, st *diskstore.Store) {
 	ctx := context.Background()
 	for i, id := range []string{"c", "a", "b"} {
-		if err := st.Put(ctx, sampleDoc(t, id, int64(i+1))); err != nil {
+		if err := commitPuts(ctx, st, sampleDoc(t, id, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +270,7 @@ func TestTornTailRecovery(t *testing.T) {
 			st := openT(t, dir, diskstore.Options{})
 			const n = 10
 			for i := 0; i < n; i++ {
-				if err := st.Put(ctx, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(i+1))); err != nil {
+				if err := commitPuts(ctx, st, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(i+1))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -285,7 +306,7 @@ func TestTornTailRecovery(t *testing.T) {
 
 			// The torn tail must have been truncated: appending new writes
 			// and reopening once more must not resurface the corruption.
-			if err := st2.Put(ctx, sampleDoc(t, "doc-zz", 77)); err != nil {
+			if err := commitPuts(ctx, st2, sampleDoc(t, "doc-zz", 77)); err != nil {
 				t.Fatalf("Put after recovery: %v", err)
 			}
 			if err := st2.Close(); err != nil {
@@ -308,7 +329,7 @@ func TestMidFileCorruptionRefusesOpen(t *testing.T) {
 	dir := t.TempDir()
 	st := openT(t, dir, diskstore.Options{})
 	for i := 0; i < 10; i++ {
-		if err := st.Put(ctx, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(i+1))); err != nil {
+		if err := commitPuts(ctx, st, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -376,14 +397,11 @@ func TestBatchCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Delete("doc-07")
-	if b.Len() != 22 {
-		t.Fatalf("Batch.Len = %d, want 22", b.Len())
-	}
 	if err := b.Commit(ctx); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	if b.Len() != 0 {
-		t.Errorf("Batch.Len after Commit = %d, want 0 (reusable)", b.Len())
+	if ops := st.CommitState().Ops; ops != 22 {
+		t.Errorf("CommitState().Ops = %d after a batch of 22 operations, want 22", ops)
 	}
 	if st.Len() != 19 {
 		t.Errorf("store Len = %d, want 19", st.Len())
@@ -408,15 +426,77 @@ func TestBatchCommit(t *testing.T) {
 		t.Error("Commit ignored a latched Put error")
 	}
 
-	// Reuse after commit works.
+	// Reuse after commit works, and commits only the new operation.
 	if err := b.Put(sampleDoc(t, "doc-new", 50)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if ops := st.CommitState().Ops; ops != 23 {
+		t.Errorf("CommitState().Ops = %d after reusing the batch for one put, want 23", ops)
+	}
 	if _, err := st.Get(ctx, "doc-new"); err != nil {
 		t.Errorf("Get after batch reuse: %v", err)
+	}
+}
+
+// TestBatchDeletesOnlyLiveIDs: a batch's Delete appends a tombstone only
+// for an ID that is live at its place in the batch, so a batch whose only
+// op deletes an absent ID writes nothing, and a reopen replays what each
+// order of Put and Delete left.
+func TestBatchDeletesOnlyLiveIDs(t *testing.T) {
+	ctx := context.Background()
+	x := sampleDoc(t, "x", 1)
+	for _, tc := range []struct {
+		name    string
+		ops     func(b *diskstore.Batch) error
+		records uint64 // what the commit appends
+		present bool   // x after a reopen
+	}{
+		{"delete of an absent ID", func(b *diskstore.Batch) error { b.Delete("x"); return nil }, 0, false},
+		{"put then delete", func(b *diskstore.Batch) error { err := b.Put(x); b.Delete("x"); return err }, 2, false},
+		{"delete then put", func(b *diskstore.Batch) error { b.Delete("x"); return b.Put(x) }, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := framelog.NewMemFS()
+			st, err := diskstore.OpenFS(fsys, "", diskstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := commitPuts(ctx, st, sampleDoc(t, "y", 2)); err != nil {
+				t.Fatal(err)
+			}
+			state, size := st.CommitState(), st.Stats().DiskBytes
+			b := st.Batch()
+			if err := tc.ops(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			after := st.CommitState()
+			if got := after.Ops - state.Ops; got != tc.records {
+				t.Errorf("the commit appended %d records, want %d", got, tc.records)
+			}
+			if tc.records == 0 && (after != state || st.Stats().DiskBytes != size) {
+				t.Errorf("a commit that writes nothing moved the store from %+v, %d bytes to %+v, %d bytes", state, size, after, st.Stats().DiskBytes)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err = diskstore.OpenFS(fsys, "", diskstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if _, err := st.Get(ctx, "x"); errors.Is(err, store.ErrNotFound) == tc.present {
+				t.Errorf("Get(x) after a reopen = %v, want present %v", err, tc.present)
+			}
+			if reopened := st.CommitState(); reopened != after {
+				t.Errorf("reopened at %+v, the commit left %+v", reopened, after)
+			}
+		})
 	}
 }
 
@@ -459,7 +539,7 @@ func TestPutRejectsNonDistributions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			st := openMemT(t, diskstore.Options{})
-			err := st.Put(ctx, tc.doc)
+			err := commitPuts(ctx, st, tc.doc)
 			if tc.valid {
 				if err != nil {
 					t.Fatalf("Put refused a valid document: %v", err)
@@ -489,14 +569,14 @@ func TestPutCapsIDLength(t *testing.T) {
 	ctx := context.Background()
 	st := openMemT(t, diskstore.Options{})
 	longest := sampleDoc(t, strings.Repeat("a", 256), 1)
-	if err := st.Put(ctx, longest); err != nil {
+	if err := commitPuts(ctx, st, longest); err != nil {
 		t.Fatalf("Put of a 256-byte ID: %v", err)
 	}
 	if got, err := st.Get(ctx, longest.ID); err != nil || got.ID != longest.ID {
 		t.Fatalf("Get of the 256-byte ID = %v, %v", got, err)
 	}
 	over := sampleDoc(t, strings.Repeat("b", 257), 2)
-	if err := st.Put(ctx, over); !errors.Is(err, store.ErrInvalidDoc) || !strings.Contains(err.Error(), "256") {
+	if err := commitPuts(ctx, st, over); !errors.Is(err, store.ErrInvalidDoc) || !strings.Contains(err.Error(), "256") {
 		t.Fatalf("Put of a 257-byte ID = %v, want store.ErrInvalidDoc naming the limit", err)
 	}
 	b := st.Batch()
@@ -550,18 +630,18 @@ func TestCompact(t *testing.T) {
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := st.Put(ctx, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(i+1))); err != nil {
+		if err := commitPuts(ctx, st, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Create garbage: overwrite everything once, delete half.
 	for i := 0; i < n; i++ {
-		if err := st.Put(ctx, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(100+i))); err != nil {
+		if err := commitPuts(ctx, st, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i += 2 {
-		if err := st.Delete(ctx, fmt.Sprintf("doc-%02d", i)); err != nil {
+		if err := commitDeletes(ctx, st, fmt.Sprintf("doc-%02d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -582,7 +662,7 @@ func TestCompact(t *testing.T) {
 		t.Errorf("Scan after Compact = %v, want %v", got, wantIDs)
 	}
 	// Live store still writable after the swap.
-	if err := st.Put(ctx, sampleDoc(t, "doc-post", 55)); err != nil {
+	if err := commitPuts(ctx, st, sampleDoc(t, "doc-post", 55)); err != nil {
 		t.Fatalf("Put after Compact: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -603,10 +683,10 @@ func TestCompactEmptyStore(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	st := openT(t, dir, diskstore.Options{})
-	if err := st.Put(ctx, sampleDoc(t, "only", 1)); err != nil {
+	if err := commitPuts(ctx, st, sampleDoc(t, "only", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Delete(ctx, "only"); err != nil {
+	if err := commitDeletes(ctx, st, "only"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Compact(ctx); err != nil {
@@ -615,7 +695,7 @@ func TestCompactEmptyStore(t *testing.T) {
 	if st.Len() != 0 {
 		t.Errorf("Len = %d, want 0", st.Len())
 	}
-	if err := st.Put(ctx, sampleDoc(t, "again", 2)); err != nil {
+	if err := commitPuts(ctx, st, sampleDoc(t, "again", 2)); err != nil {
 		t.Fatalf("Put after empty Compact: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -635,7 +715,7 @@ func TestInterruptedCompactionSweep(t *testing.T) {
 	dir := t.TempDir()
 	st := openT(t, dir, diskstore.Options{})
 	for i := 0; i < 5; i++ {
-		if err := st.Put(ctx, sampleDoc(t, fmt.Sprintf("doc-%d", i), int64(i+1))); err != nil {
+		if err := commitPuts(ctx, st, sampleDoc(t, fmt.Sprintf("doc-%d", i), int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -669,10 +749,10 @@ func TestCompactKeepsDamage(t *testing.T) {
 	hello := &staccato.Doc{ID: "a", Chunks: []staccato.PathSet{{
 		Alts: []staccato.Alt{{Text: "hello world", Prob: 0.75}, {Text: "hallo world", Prob: 0.25}}, Retained: 1,
 	}}}
-	if err := st.Put(ctx, hello); err != nil {
+	if err := commitPuts(ctx, st, hello); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(ctx, sampleDoc(t, "b", 1)); err != nil {
+	if err := commitPuts(ctx, st, sampleDoc(t, "b", 1)); err != nil {
 		t.Fatal(err)
 	}
 	seg := lastSegment(t, dir)
@@ -739,7 +819,7 @@ func TestClosedStore(t *testing.T) {
 func testClosedStore(t *testing.T, st *diskstore.Store) {
 	ctx := context.Background()
 	doc := sampleDoc(t, "d", 1)
-	if err := st.Put(ctx, doc); err != nil {
+	if err := commitPuts(ctx, st, doc); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -748,13 +828,13 @@ func testClosedStore(t *testing.T, st *diskstore.Store) {
 	if err := st.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
 	}
-	if err := st.Put(ctx, doc); !errors.Is(err, diskstore.ErrClosed) {
+	if err := commitPuts(ctx, st, doc); !errors.Is(err, diskstore.ErrClosed) {
 		t.Errorf("Put on closed = %v, want ErrClosed", err)
 	}
 	if _, err := st.Get(ctx, "d"); !errors.Is(err, diskstore.ErrClosed) {
 		t.Errorf("Get on closed = %v, want ErrClosed", err)
 	}
-	if err := st.Delete(ctx, "d"); !errors.Is(err, diskstore.ErrClosed) {
+	if err := commitDeletes(ctx, st, "d"); !errors.Is(err, diskstore.ErrClosed) {
 		t.Errorf("Delete on closed = %v, want ErrClosed", err)
 	}
 	if err := st.Scan(ctx, func(*staccato.Doc) error { return nil }); !errors.Is(err, diskstore.ErrClosed) {
@@ -774,7 +854,7 @@ func TestContextCancelled(t *testing.T) {
 func testContextCancelled(t *testing.T, st *diskstore.Store) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := st.Put(context.Background(), sampleDoc(t, "d", 1)); err != nil {
+	if err := commitPuts(context.Background(), st, sampleDoc(t, "d", 1)); err != nil {
 		t.Fatal(err)
 	}
 	b := st.Batch()
@@ -782,8 +862,8 @@ func testContextCancelled(t *testing.T, st *diskstore.Store) {
 		t.Fatal(err)
 	}
 	calls := map[string]func() error{
-		"Put":    func() error { return st.Put(ctx, sampleDoc(t, "f", 3)) },
-		"Delete": func() error { return st.Delete(ctx, "d") },
+		"Put":    func() error { return commitPuts(ctx, st, sampleDoc(t, "f", 3)) },
+		"Delete": func() error { return commitDeletes(ctx, st, "d") },
 		"Commit": func() error { return b.Commit(ctx) },
 		"Get":    func() error { _, err := st.Get(ctx, "d"); return err },
 		"GetBatch": func() error {
@@ -820,7 +900,7 @@ func TestEngineParityOSAndMem(t *testing.T) {
 	disk := openT(t, dir, diskstore.Options{MaxSegmentBytes: 8 << 10})
 	b := disk.Batch()
 	for _, c := range cases {
-		if err := mem.Put(ctx, c.Doc); err != nil {
+		if err := commitPuts(ctx, mem, c.Doc); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.Put(c.Doc); err != nil {
@@ -890,11 +970,11 @@ func TestCommitStateRegressionPaths(t *testing.T) {
 	ctx := context.Background()
 	st := openT(t, dir, diskstore.Options{})
 	for i := 0; i < 5; i++ {
-		if err := st.Put(ctx, sampleDoc(t, fmt.Sprintf("d%d", i), int64(i+1))); err != nil {
+		if err := commitPuts(ctx, st, sampleDoc(t, fmt.Sprintf("d%d", i), int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Delete(ctx, "d0"); err != nil {
+	if err := commitDeletes(ctx, st, "d0"); err != nil {
 		t.Fatal(err)
 	}
 	full := st.CommitState()
@@ -947,11 +1027,11 @@ func TestListDocIDs(t *testing.T) {
 func testListDocIDs(t *testing.T, st *diskstore.Store) {
 	ctx := context.Background()
 	for _, id := range []string{"c", "a", "b"} {
-		if err := st.Put(ctx, sampleDoc(t, id, 3)); err != nil {
+		if err := commitPuts(ctx, st, sampleDoc(t, id, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Delete(ctx, "b"); err != nil {
+	if err := commitDeletes(ctx, st, "b"); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := st.ListDocIDs(ctx)
@@ -1002,11 +1082,11 @@ func TestListDocIDsUnderWrites(t *testing.T) {
 	for i := range 60 {
 		d := *doc
 		d.ID = fmt.Sprintf("d%02d", i)
-		if err := st.Put(ctx, &d); err != nil {
+		if err := commitPuts(ctx, st, &d); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
-			if err := st.Delete(ctx, d.ID); err != nil {
+			if err := commitDeletes(ctx, st, d.ID); err != nil {
 				t.Fatal(err)
 			}
 		} else {

@@ -77,7 +77,11 @@ func TestFileSystemsWriteIdenticalBytes(t *testing.T) {
 	}
 	for _, st := range stores {
 		for i := 0; i < 6; i++ {
-			if err := st.Put(ctx, fsDoc(t, fmt.Sprintf("p-%d", i), int64(i+1))); err != nil {
+			b := st.Batch()
+			if err := b.Put(fsDoc(t, fmt.Sprintf("p-%d", i), int64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Commit(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -91,7 +95,8 @@ func TestFileSystemsWriteIdenticalBytes(t *testing.T) {
 		if err := b.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Delete(ctx, "b-4"); err != nil {
+		b.Delete("b-4")
+		if err := b.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,13 +141,16 @@ func TestFailedBatchNeverReappears(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		b := st.Batch()
 		for i := 0; i < 3; i++ {
-			if err := st.Put(ctx, fsDoc(t, fmt.Sprintf("old-%d", i), int64(i+1))); err != nil {
+			if err := b.Put(fsDoc(t, fmt.Sprintf("old-%d", i), int64(i+1))); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if err := b.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
 		before := held(t, st)
-		b := st.Batch()
 		for i := 0; i < 8; i++ {
 			if err := b.Put(fsDoc(t, fmt.Sprintf("new-%d", i), int64(i+20))); err != nil {
 				t.Fatal(err)
@@ -236,7 +244,11 @@ func TestGetBatchReadsPerRun(t *testing.T) {
 	})
 	t.Run("overwrite in the middle", func(t *testing.T) {
 		st, ffs := ingest(t, Options{})
-		if err := st.Put(ctx, fsDoc(t, "doc-032", 999)); err != nil {
+		b := st.Batch()
+		if err := b.Put(fsDoc(t, "doc-032", 999)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if got := reads(t, st, ffs, 64); got != 3 {

@@ -126,7 +126,7 @@ func FuzzGetBatchMatchesGet(f *testing.F) {
 			switch op % 6 {
 			case 0, 1: // put, or overwrite if id is live
 				d := doc(id, int(op))
-				if err = st.Put(ctx, d); err == nil {
+				if err = commitPuts(ctx, st, d); err == nil {
 					put(d)
 				}
 			case 2: // a batch of puts, which can roll segments mid-commit
@@ -143,7 +143,7 @@ func FuzzGetBatchMatchesGet(f *testing.F) {
 					put(d)
 				}
 			case 3:
-				err = st.Delete(ctx, id)
+				err = commitDeletes(ctx, st, id)
 				delete(model, id)
 				delete(damaged, id)
 			case 4:

@@ -26,7 +26,7 @@ func TestZeroFilledTailIsTorn(t *testing.T) {
 		dir = t.TempDir()
 		st := openT(t, dir, diskstore.Options{})
 		for i := 0; i < n; i++ {
-			if err := st.Put(ctx, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(i+1))); err != nil {
+			if err := commitPuts(ctx, st, sampleDoc(t, fmt.Sprintf("doc-%02d", i), int64(i+1))); err != nil {
 				t.Fatal(err)
 			}
 		}

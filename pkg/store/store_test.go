@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/paper-repo/staccato-go/internal/framelog"
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
@@ -56,23 +57,43 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-// newMemStore returns an empty in-memory store: a diskstore over its
+// newMemStore returns an empty in-memory store: a diskstore over an
 // in-memory file system.
 func newMemStore(t *testing.T) *diskstore.Store {
 	t.Helper()
-	st, err := diskstore.OpenMem(diskstore.Options{})
+	st, err := diskstore.OpenFS(framelog.NewMemFS(), "", diskstore.Options{})
 	if err != nil {
-		t.Fatalf("OpenMem: %v", err)
+		t.Fatalf("OpenFS: %v", err)
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
+}
+
+// commitPuts stores docs in st as one batch.
+func commitPuts(ctx context.Context, st *diskstore.Store, docs ...*staccato.Doc) error {
+	b := st.Batch()
+	for _, d := range docs {
+		if err := b.Put(d); err != nil {
+			return err
+		}
+	}
+	return b.Commit(ctx)
+}
+
+// commitDeletes deletes ids from st as one batch.
+func commitDeletes(ctx context.Context, st *diskstore.Store, ids ...string) error {
+	b := st.Batch()
+	for _, id := range ids {
+		b.Delete(id)
+	}
+	return b.Commit(ctx)
 }
 
 func TestMemStorePutGet(t *testing.T) {
 	ctx := context.Background()
 	st := newMemStore(t)
 	want := sampleDoc(t, "doc-1", 1)
-	if err := st.Put(ctx, want); err != nil {
+	if err := commitPuts(ctx, st, want); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	got, err := st.Get(ctx, "doc-1")
@@ -96,31 +117,31 @@ func TestMemStorePutGet(t *testing.T) {
 func TestMemStoreDelete(t *testing.T) {
 	ctx := context.Background()
 	st := newMemStore(t)
-	if err := st.Put(ctx, sampleDoc(t, "doc-1", 1)); err != nil {
+	if err := commitPuts(ctx, st, sampleDoc(t, "doc-1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Delete(ctx, "doc-1"); err != nil {
+	if err := commitDeletes(ctx, st, "doc-1"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, err := st.Get(ctx, "doc-1"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("Get after Delete = %v, want ErrNotFound", err)
 	}
-	if err := st.Delete(ctx, "doc-1"); err != nil {
+	if err := commitDeletes(ctx, st, "doc-1"); err != nil {
 		t.Errorf("Delete of missing ID = %v, want nil (idempotent)", err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := st.Delete(cancelled, "x"); err == nil {
+	if err := commitDeletes(cancelled, st, "x"); err == nil {
 		t.Error("Delete ignored cancelled context")
 	}
 }
 
 func TestMemStorePutValidation(t *testing.T) {
 	st := newMemStore(t)
-	if err := st.Put(context.Background(), &staccato.Doc{}); err == nil {
+	if err := commitPuts(context.Background(), st, &staccato.Doc{}); err == nil {
 		t.Error("Put accepted a document with no ID")
 	}
-	if err := st.Put(context.Background(), nil); err == nil {
+	if err := commitPuts(context.Background(), st, nil); err == nil {
 		t.Error("Put accepted nil")
 	}
 }
@@ -129,7 +150,7 @@ func TestMemStoreScanOrderAndStop(t *testing.T) {
 	ctx := context.Background()
 	st := newMemStore(t)
 	for i, id := range []string{"c", "a", "b"} {
-		if err := st.Put(ctx, sampleDoc(t, id, int64(i+1))); err != nil {
+		if err := commitPuts(ctx, st, sampleDoc(t, id, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,12 +63,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	b := st.Batch()
 	for _, d := range docs[:2] {
-		if err := st.Put(ctx, d); err != nil {
+		if err := b.Put(d); err != nil {
 			return err
 		}
 	}
-	if err := st.Delete(ctx, docs[0].ID); err != nil {
+	b.Delete(docs[0].ID)
+	if err := b.Commit(ctx); err != nil {
 		return err
 	}
 	if err := st.Close(); err != nil {
