@@ -148,7 +148,7 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	var buf strings.Builder
 	List(&buf)
 	out := buf.String()
-	for _, name := range []string{"ctxflow", "expvarglobal", "floateq", "lockio", "mapiter"} {
+	for _, name := range []string{"ctxflow", "floateq", "lockio", "mapiter"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("List output is missing %s:\n%s", name, out)
 		}

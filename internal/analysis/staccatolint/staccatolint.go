@@ -1,4 +1,4 @@
-// Package staccatolint assembles the repo's analyzer suite — the five
+// Package staccatolint assembles the repo's analyzer suite — the four
 // checks that machine-enforce the coding invariants the Staccato
 // correctness story rests on:
 //
@@ -9,8 +9,6 @@
 //	             epsilon helpers
 //	ctxflow      context deadlines thread end-to-end; no fresh
 //	             Background()/TODO() roots inside pkg/
-//	expvarglobal no process-global expvar registration under pkg/;
-//	             servers must coexist in one process
 //	lockio       diskstore reads bytes under its locks and decodes
 //	             outside them; no avoidable I/O in critical sections
 //
@@ -21,7 +19,6 @@ package staccatolint
 import (
 	"github.com/paper-repo/staccato-go/internal/analysis"
 	"github.com/paper-repo/staccato-go/internal/analysis/ctxflow"
-	"github.com/paper-repo/staccato-go/internal/analysis/expvarglobal"
 	"github.com/paper-repo/staccato-go/internal/analysis/floateq"
 	"github.com/paper-repo/staccato-go/internal/analysis/lockio"
 	"github.com/paper-repo/staccato-go/internal/analysis/mapiter"
@@ -31,7 +28,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxflow.Analyzer,
-		expvarglobal.Analyzer,
 		floateq.Analyzer,
 		lockio.Analyzer,
 		mapiter.Analyzer,

@@ -9,7 +9,7 @@ import (
 
 func TestAnalyzers(t *testing.T) {
 	as := staccatolint.Analyzers()
-	want := []string{"ctxflow", "expvarglobal", "floateq", "lockio", "mapiter"}
+	want := []string{"ctxflow", "floateq", "lockio", "mapiter"}
 	if len(as) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(as), len(want))
 	}

@@ -50,7 +50,9 @@ type Lookup struct {
 //
 // The whole tree is evaluated in one pass on the one version Candidates
 // loads — every node answers for all its parts at once, each in its own
-// ordinals, and the root's parts are joined at the end — and on the
+// ordinals, and the root's parts are joined at the end; a Grams or And
+// node is one intersection that reads each child's rarest list first and
+// stops a part, finding no more of its grams, once it is empty — and on the
 // stored 16-bit bounds: sums and mins of integers are exact, so the
 // result does not depend on the order windows expand, children are
 // listed or intersections are scheduled in, nor on how the version's
@@ -113,29 +115,11 @@ type evaluator struct {
 func (e *evaluator) eval(l Lookup) (parts, bool) {
 	switch {
 	case len(l.Grams) > 0:
-		return e.intersect(e.lists(make([]parts, 0, len(l.Grams)), l.Grams)), true
+		return e.and([]Lookup{l})
 	case len(l.Patterns) > 0:
 		return e.patterns(l.Patterns)
 	case len(l.And) > 0:
-		// One intersection over everything the children require: a Grams
-		// child contributes its posting lists unmerged, any other child
-		// its evaluated postings.
-		n := 0
-		for _, kid := range l.And {
-			n += max(1, len(kid.Grams))
-		}
-		all, answered := make([]parts, 0, n), false
-		for _, kid := range l.And {
-			if len(kid.Grams) > 0 {
-				all, answered = e.lists(all, kid.Grams), true
-			} else if p, ok := e.eval(kid); ok {
-				all, answered = append(all, p), true
-			}
-		}
-		if !answered {
-			return nil, false
-		}
-		return e.intersect(all), true
+		return e.and(l.And)
 	case len(l.Or) > 0:
 		kids := make([]parts, len(l.Or))
 		for k, kid := range l.Or {
@@ -158,49 +142,123 @@ func (e *evaluator) eval(l Lookup) (parts, bool) {
 	return nil, false
 }
 
-// lists appends the run of each of grams in every part to into, the
-// empty list where a part lacks the gram. An empty list empties the
-// intersection it is in, so every part but the first, whose lengths set
-// the intersection's order, stops at its first one: past it, the part's
-// lists are left empty.
-func (e *evaluator) lists(into []parts, grams []string) []parts {
-	n := len(e.v.parts)
-	runs := make([]postings, len(grams)*n)
-	for k, g := range grams {
-		l := runs[k*n : (k+1)*n]
-		for i := range l {
-			if i == 0 || len(into) == 0 || len(into[len(into)-1][i].ords) > 0 {
-				l[i] = e.v.parts[i].find(g)
+// and evaluates the And of kids in one intersection over everything they
+// require: a Grams child contributes its posting lists unmerged, any
+// other child its answer. A child the index cannot answer drops out; ok
+// is false if none is left.
+func (e *evaluator) and(kids []Lookup) (parts, bool) {
+	var small [24]list // on the stack: three 8-rune words read 18
+	all := small[:0]
+	for _, kid := range kids {
+		if len(kid.Grams) > 0 {
+			all = e.lists(all, kid.Grams)
+		} else if p, ok := e.eval(kid); ok {
+			l := list{kid: p, rarest: true}
+			if len(p) > 0 {
+				l.head = p[0]
 			}
+			all = append(all, l)
+		}
+	}
+	if len(all) == 0 {
+		return nil, false
+	}
+	return e.intersect(all), true
+}
+
+// list is one list an intersection reads, in every part: the run of a
+// gram, or a child node's answer.
+type list struct {
+	gram string
+	kid  parts // the child's answer; nil for a gram
+	// head is the list in the first part, the largest, whose lengths order
+	// the intersection.
+	head postings
+	// rarest marks the shortest list in the first part of an And child, or
+	// of a Grams node on its own.
+	rarest bool
+}
+
+// in returns l in part i. A gram is found in a part after the first only
+// when the intersection reaches it there.
+func (e *evaluator) in(l *list, i int) postings {
+	switch {
+	case i == 0:
+		return l.head
+	case l.kid != nil:
+		return l.kid[i]
+	}
+	return e.v.parts[i].find(l.gram)
+}
+
+// lists appends a list for each of grams to into, with its run in the
+// first part, and marks the rarest of them.
+func (e *evaluator) lists(into []list, grams []string) []list {
+	rarest := len(into)
+	for _, g := range grams {
+		l := list{gram: g}
+		if len(e.v.parts) > 0 {
+			l.head = e.v.parts[0].find(g)
 		}
 		into = append(into, l)
+		if len(l.head.ords) < len(into[rarest].head.ords) {
+			rarest = len(into) - 1
+		}
 	}
+	into[rarest].rarest = true
 	return into
 }
 
 // intersect intersects lists part by part, carrying the min bound through
-// each step. Every part takes the lists in the order of their lengths in
-// the first part, the largest: rarest first, so that the working set only
-// shrinks. A part in which one of the lists is empty has nothing to
-// intersect.
-func (e *evaluator) intersect(lists []parts) parts {
+// each step. Every part takes the lists in one order, set by their
+// lengths in the first part: the rarest list of each And child first,
+// shortest first, then all the others by length. A word's grams nearly
+// always occur together, so the running set falls to the size of the
+// conjunction within one list per word, and every later list only
+// confirms it. A part stops, finding no more grams, once its running set
+// is empty. Each step shrinks the running set into one of two buffers of
+// the part's accum, in turn, and the part's answer is copied out of them
+// once, at the end.
+func (e *evaluator) intersect(lists []list) parts {
 	out := make(parts, len(e.v.parts))
 	if len(out) == 0 {
 		return out
 	}
-	slices.SortFunc(lists, func(a, b parts) int { return len(a[0].ords) - len(b[0].ords) })
+	// The lists stay put and their indexes are sorted: a list holds
+	// pointers, and moving one costs write barriers while the GC marks.
+	var small [24]int
+	order := small[:0]
+	for k := range lists {
+		order = append(order, k)
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		la, lb := &lists[a], &lists[b]
+		if la.rarest != lb.rarest {
+			if la.rarest {
+				return -1
+			}
+			return 1
+		}
+		return len(la.head.ords) - len(lb.head.ords)
+	})
 	for i := range out {
-		if slices.ContainsFunc(lists, func(l parts) bool { return len(l[i].ords) == 0 }) {
+		acc := e.in(&lists[order[0]], i)
+		if len(order) == 1 || len(acc.ords) == 0 {
+			out[i] = acc // a shared run, or nothing
 			continue
 		}
-		acc := lists[0][i]
-		for _, l := range lists[1:] {
+		a := e.getAccum(i)
+		for s, k := range order[1:] {
 			if len(acc.ords) == 0 {
 				break
 			}
-			acc = intersect(acc, l[i])
+			acc = a.intersect(acc, e.in(&lists[k], i), a.bufs[s%2])
+			a.bufs[s%2] = acc
 		}
-		out[i] = acc
+		if len(acc.ords) > 0 {
+			out[i] = postings{slices.Clone(acc.ords), slices.Clone(acc.bnds)}
+		}
+		e.ix.accums.Put(a)
 	}
 	return out
 }

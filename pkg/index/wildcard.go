@@ -154,14 +154,19 @@ func (e *evaluator) expand(window []rune, budget *int) (runs [][]postings, grams
 	}
 }
 
-// accum unions posting lists in one part's ordinals, summing each
-// ordinal's quantized bounds. A lookup adds at most maxWildProbes lists
-// per window and a few dozen capped sums per node, far from overflowing a
-// uint32.
+// accum is a lookup's scratch for one part's ordinals. It unions posting
+// lists, summing each ordinal's quantized bounds; it marks the shorter
+// list of an intersection step, for the longer one to probe (intersect);
+// and it holds the buffers an intersection's running set shrinks in. A
+// lookup adds at most maxWildProbes lists per window and a few dozen
+// capped sums per node, far from overflowing a uint32.
 type accum struct {
 	sum  []uint32 // per ordinal: the bounds added so far; valid where seen
 	seen []uint64 // bitmap of the ordinals added
 	n    int      // bits set in seen
+	// bufs are the two buffers an intersection shrinks its running set
+	// in, in turn (evaluator.intersect).
+	bufs [2]postings
 }
 
 // getAccum returns an empty accum for every ordinal of part i: a
