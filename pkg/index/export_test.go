@@ -99,6 +99,18 @@ func ByID(ids []string, bounds []float64) ([]string, []float64) {
 	return sorted, sortedBounds
 }
 
+// sortedCandidates is Candidates as lists: the answer's IDs sorted, with
+// their bounds as probabilities aligned with them, and its counts.
+func (ix *Index) sortedCandidates(l Lookup) (ids []string, bounds []float64, grams, live int, ok bool) {
+	a, ok := ix.Candidates(l)
+	ids, bounds = make([]string, a.Len()), make([]float64, a.Len())
+	for k := range ids {
+		ids[k], bounds[k] = a.ID(k), Dequantize(a.Bound(k))
+	}
+	ids, bounds = ByID(ids, bounds)
+	return ids, bounds, a.Grams, a.Live, ok
+}
+
 // SetRewriteFloor lowers the length below which Commit never rewrites a
 // log to n until the test ends, so that a small corpus
 // rewrites its log many times.

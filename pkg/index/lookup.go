@@ -22,10 +22,10 @@ type Lookup struct {
 	Or []Lookup
 }
 
-// Candidates answers l: duplicate-free and in no particular order, the IDs
-// of the live documents l admits, plus every overflow document, and
-// aligned with them an admissible upper bound on the probability that a
-// retained reading of the document satisfies l:
+// Candidates answers l: duplicate-free and in no particular order, the
+// live documents l admits, plus every overflow document, each with an
+// admissible upper bound on the probability that a retained reading of
+// the document satisfies l, quantized (see Quantize):
 //
 //   - Grams: the min over the grams of the per-(doc, gram) bound;
 //   - Patterns: min(1, Σ_pattern min_window min(1, Σ_gram bound(doc, gram)))
@@ -37,16 +37,16 @@ type Lookup struct {
 //   - an overflow document: the vacuous 1, whatever l asks.
 //
 // This is the index half of the planner's no-false-negative contract: a
-// live document absent from the result provably has no retained reading
-// satisfying l. grams counts, over every window of the Patterns nodes
-// that answered, the dictionary grams the window matched — a gram two
-// windows match counts twice — and live is the number of live documents
-// of the version it answered from, so it counts every ID returned. ok is
-// false — the caller must not prune — when the root cannot be answered: a
-// node with no field set, a pattern with no window holding a literal rune
-// (it constrains nothing), a Patterns node whose expansion would exceed
-// maxWildProbes, an And none of whose children answered, an Or one of
-// whose children did not.
+// live document absent from the answer provably has no retained reading
+// satisfying l. The answer's Grams counts, over every window of the
+// Patterns nodes that answered, the dictionary grams the window matched —
+// a gram two windows match counts twice — and its Live is the number of
+// live documents of the version it answered from, so it counts every
+// candidate. ok is false — the caller must not prune — when the root
+// cannot be answered: a node with no field set, a pattern with no window
+// holding a literal rune (it constrains nothing), a Patterns node whose
+// expansion would exceed maxWildProbes, an And none of whose children
+// answered, an Or one of whose children did not.
 //
 // The whole tree is evaluated in one pass on the one version Candidates
 // loads — every node answers for all its parts at once, each in its own
@@ -57,50 +57,110 @@ type Lookup struct {
 // result does not depend on the order windows expand, children are
 // listed or intersections are scheduled in, nor on how the version's
 // documents are split into parts, and it is the same for an index that
-// wrote its log and one that loaded it. The bounds become float64 once,
-// as the IDs are written out.
-func (ix *Index) Candidates(l Lookup) (ids []string, bounds []float64, grams, live int, ok bool) {
+// wrote its log and one that loaded it. The answer stays in that integer
+// space, one word per candidate naming its part and local ordinal: no ID
+// is looked up and no bound converted until a reader asks for one.
+func (ix *Index) Candidates(l Lookup) (a Answer, ok bool) {
 	v := ix.cur.Load()
 	e := evaluator{ix: ix, v: v}
 	acc, ok := e.eval(l)
+	defer e.release()
+	a.v, a.Grams, a.Live = v, e.grams, v.live
 	if !ok {
-		return nil, nil, e.grams, v.live, false
+		return a, false
 	}
 	n := 0
-	for _, a := range acc {
-		n += len(a.ords)
+	for _, p := range acc {
+		n += len(p.ords)
 	}
 	// A live document sits in runs or among the overflow documents, never
 	// both — so no node of a Lookup ever sees an overflow document — and
 	// since min and the capped sum of 1s are both 1, joining them once
 	// here equals admitting them at every leaf. Nothing is sorted: the
 	// caller orders the candidates only as far as it reads them.
-	ids, bounds = make([]string, 0, n), make([]float64, 0, n)
-	for i, a := range acc {
-		p := &v.parts[i]
-		for k, o := range a.ords {
-			if !v.isDead(p.first + o) {
-				ids, bounds = append(ids, p.ids[o]), append(bounds, Dequantize(a.bnds[k]))
+	a.cands = make([]uint64, 0, n)
+	for i, p := range acc {
+		part := &v.parts[i]
+		for k, o := range p.ords {
+			if !v.isDead(part.first + o) {
+				a.cands = append(a.cands, pack(p.bnds[k], i, o))
 			}
 		}
 	}
-	for _, p := range v.parts {
+	for i, p := range v.parts {
 		for _, o := range p.over {
 			if !v.isDead(p.first + o) {
-				ids, bounds = append(ids, p.ids[o]), append(bounds, 1)
+				a.cands = append(a.cands, pack(maxBound, i, o))
 			}
 		}
 	}
-	return ids, bounds, e.grams, v.live, true
+	return a, true
 }
 
-// CandidatesWithBounds is Candidates for a single Grams node.
+// Answer is the candidates of one lookup (Candidates), each a document of
+// the version the lookup pinned, with its quantized bound. It is
+// read-only: readers share it, and its IDs are the version's own.
+type Answer struct {
+	v *version
+	// cands holds one candidate per entry, in no particular order: its
+	// bound in the top 16 bits, its part in the next 16 — a version has
+	// a few dozen parts at most, each under half the postings of the one
+	// before it (tier) — and its ordinal in that part in the low 32.
+	cands []uint64
+	// Grams is the number of dictionary grams the lookup's Patterns nodes
+	// expanded to, and Live the number of live documents of the version
+	// it read (see Candidates).
+	Grams, Live int
+}
+
+// AnswerOf is the answer naming ids, duplicate-free, with bounds aligned
+// with them — all the vacuous 1 when bounds is nil — and the given
+// counts: what a source of candidates other than an Index hands a
+// reader of answers.
+func AnswerOf(ids []string, bounds []uint16, grams, live int) Answer {
+	v := &version{parts: []part{{Batch: &Batch{ids: ids}}}}
+	a := Answer{v: v, cands: make([]uint64, len(ids)), Grams: grams, Live: live}
+	for k := range ids {
+		b := uint16(maxBound)
+		if bounds != nil {
+			b = bounds[k]
+		}
+		a.cands[k] = pack(b, 0, uint32(k))
+	}
+	return a
+}
+
+func pack(bound uint16, part int, o uint32) uint64 {
+	return uint64(bound)<<48 | uint64(part)<<32 | uint64(o)
+}
+
+// Len returns the number of candidates.
+func (a *Answer) Len() int { return len(a.cands) }
+
+// Bound returns candidate k's quantized bound.
+func (a *Answer) Bound(k int) uint16 { return uint16(a.cands[k] >> 48) }
+
+// ID returns candidate k's document ID.
+func (a *Answer) ID(k int) string {
+	c := a.cands[k]
+	return a.v.parts[uint16(c>>32)].ids[uint32(c)]
+}
+
+// CandidatesWithBounds is Candidates for a single Grams node, with each
+// candidate's ID and its bound as a probability.
 //
 // Deprecated: call Candidates. Kept for bench/trace.go, and goes with the
 // benchmark PR that re-points it.
 func (ix *Index) CandidatesWithBounds(grams []string) ([]string, []float64, bool) {
-	ids, bounds, _, _, ok := ix.Candidates(Lookup{Grams: grams})
-	return ids, bounds, ok
+	a, ok := ix.Candidates(Lookup{Grams: grams})
+	if !ok {
+		return nil, nil, false
+	}
+	ids, bounds := make([]string, a.Len()), make([]float64, a.Len())
+	for k := range ids {
+		ids[k], bounds[k] = a.ID(k), Dequantize(a.Bound(k))
+	}
+	return ids, bounds, true
 }
 
 // evaluator carries one Candidates call's state down the Lookup tree.
@@ -110,6 +170,15 @@ type evaluator struct {
 	ix    *Index
 	v     *version
 	grams int // dictionary grams the Patterns nodes that answered read
+	// held are the accums whose buffers hold intersections' answers
+	// (intersect); they go back to the pool once the root is read.
+	held []*accum
+}
+
+func (e *evaluator) release() {
+	for _, a := range e.held {
+		e.ix.accums.Put(a)
+	}
 }
 
 func (e *evaluator) eval(l Lookup) (parts, bool) {
@@ -217,8 +286,9 @@ func (e *evaluator) lists(into []list, grams []string) []list {
 // conjunction within one list per word, and every later list only
 // confirms it. A part stops, finding no more grams, once its running set
 // is empty. Each step shrinks the running set into one of two buffers of
-// the part's accum, in turn, and the part's answer is copied out of them
-// once, at the end.
+// the part's accum, in turn, and the part's answer is the one the last
+// step wrote: the evaluator holds the accum until the lookup is read,
+// unless that answer is empty.
 func (e *evaluator) intersect(lists []list) parts {
 	out := make(parts, len(e.v.parts))
 	if len(out) == 0 {
@@ -255,10 +325,12 @@ func (e *evaluator) intersect(lists []list) parts {
 			acc = a.intersect(acc, e.in(&lists[k], i), a.bufs[s%2])
 			a.bufs[s%2] = acc
 		}
-		if len(acc.ords) > 0 {
-			out[i] = postings{slices.Clone(acc.ords), slices.Clone(acc.bnds)}
+		if len(acc.ords) == 0 { // nothing to hold: the next part reuses the accum
+			e.ix.accums.Put(a)
+			continue
 		}
-		e.ix.accums.Put(a)
+		out[i] = acc
+		e.held = append(e.held, a)
 	}
 	return out
 }

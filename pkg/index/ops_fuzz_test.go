@@ -140,10 +140,8 @@ func FuzzIndexOps(f *testing.F) {
 				t.Fatal(err)
 			}
 			for i, l := range opsLookups {
-				gotIDs, gotB, _, gotLive, gotOK := ix.Candidates(l)
-				wantIDs, wantB, _, wantLive, wantOK := want.Candidates(l)
-				gotIDs, gotB = ByID(gotIDs, gotB)
-				wantIDs, wantB = ByID(wantIDs, wantB)
+				gotIDs, gotB, _, gotLive, gotOK := ix.sortedCandidates(l)
+				wantIDs, wantB, _, wantLive, wantOK := want.sortedCandidates(l)
 				if gotOK != wantOK || gotLive != wantLive || !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotB, wantB) {
 					t.Fatalf("step %d (%s), lookup %d: got %v %v live %d ok %v, want %v %v live %d ok %v",
 						step, did, i, gotIDs, gotB, gotLive, gotOK, wantIDs, wantB, wantLive, wantOK)

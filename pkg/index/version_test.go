@@ -41,8 +41,7 @@ func TestReadersPinAVersion(t *testing.T) {
 	var want [][]string // per commit, per lookup: the fresh index's answer
 	// answer is one lookup's answer and the live count it reports.
 	answer := func(ix *Index, l Lookup) (string, int) {
-		got, bounds, _, n, ok := ix.Candidates(l)
-		got, bounds = ByID(got, bounds)
+		got, bounds, _, n, ok := ix.sortedCandidates(l)
 		return fmt.Sprint(got, bounds, ok), n
 	}
 	for k := 0; k <= commits; k++ {

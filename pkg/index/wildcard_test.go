@@ -29,14 +29,13 @@ func wild(t *testing.T, ix *Index, patterns ...string) ([]string, []float64, int
 	for i, p := range patterns {
 		ps[i] = pat(p)
 	}
-	ids, bounds, grams, live, ok := ix.Candidates(Lookup{Patterns: ps})
+	ids, bounds, grams, live, ok := ix.sortedCandidates(Lookup{Patterns: ps})
 	if !ok {
 		t.Fatalf("Candidates(Patterns: %v) cannot answer", patterns)
 	}
 	if live != ix.Len() {
 		t.Errorf("Candidates(Patterns: %v) counts %d live documents, Len %d", patterns, live, ix.Len())
 	}
-	ids, bounds = ByID(ids, bounds)
 	return ids, bounds, grams
 }
 
@@ -112,7 +111,7 @@ func TestPatternsCandidates(t *testing.T) {
 	}
 
 	for _, refused := range [][][]rune{nil, {pat("???")}, {pat("ab")}, {pat("ab?"), pat("??")}} {
-		if _, _, _, _, ok := ix.Candidates(Lookup{Patterns: refused}); ok {
+		if _, ok := ix.Candidates(Lookup{Patterns: refused}); ok {
 			t.Errorf("Candidates(Patterns: %q) answered; a pattern without a literal window constrains nothing", refused)
 		}
 	}
@@ -133,13 +132,13 @@ func TestEmptyIndexRefusesLikeOneDocument(t *testing.T) {
 		{Or: []Lookup{answerable, {}}},                        // a child does not answer
 	} {
 		for _, ix := range []*Index{empty, one} {
-			if _, _, _, _, ok := ix.Candidates(l); ok {
+			if _, ok := ix.Candidates(l); ok {
 				t.Errorf("%d-document index answered %+v; want a refusal", ix.Len(), l)
 			}
 		}
 	}
 	for _, l := range []Lookup{answerable, {Patterns: [][]rune{pat("abc")}}, {Patterns: [][]rune{pat("a?c")}}} {
-		if ids, bounds, grams, live, ok := empty.Candidates(l); !ok || len(ids) != 0 || len(bounds) != 0 || grams != 0 || live != 0 {
+		if ids, bounds, grams, live, ok := empty.sortedCandidates(l); !ok || len(ids) != 0 || len(bounds) != 0 || grams != 0 || live != 0 {
 			t.Errorf("empty index: Candidates(%+v) = %v %v, %d grams, %d live, ok %v; want an answer with no IDs", l, ids, bounds, grams, live, ok)
 		}
 	}
@@ -162,7 +161,7 @@ func TestWildcardProbeBudget(t *testing.T) {
 	if ids, _, grams := wild(t, ix, "一??"+string(rune(0x4E03))); !reflect.DeepEqual(ids, []string{"wide"}) || grams != 1 {
 		t.Errorf("two wildcards (148² probes): got %v over %d grams, want the one document over 1", ids, grams)
 	}
-	if _, _, _, _, ok := ix.Candidates(Lookup{Patterns: [][]rune{pat("一???")}}); ok {
+	if _, ok := ix.Candidates(Lookup{Patterns: [][]rune{pat("一???")}}); ok {
 		t.Error("three wildcards (148³ probes) answered; want a refusal")
 	}
 	// The budget is per Patterns node, not per window.
@@ -170,7 +169,7 @@ func TestWildcardProbeBudget(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		many = append(many, pat("一??"+string(rune(0x4E03))))
 	}
-	if _, _, _, _, ok := ix.Candidates(Lookup{Patterns: many}); ok {
+	if _, ok := ix.Candidates(Lookup{Patterns: many}); ok {
 		t.Error("two 148²-probe windows in one node answered; want a refusal")
 	}
 }

@@ -167,13 +167,13 @@ func modelLookup(ix *index.Index, live map[string]index.Entry, l index.Lookup, g
 	}
 	set := modelSet{}
 	if l.Patterns != nil {
-		ids, bounds, n, _, ok := ix.Candidates(l)
+		a, ok := ix.Candidates(l)
 		if !ok {
 			return nil, false
 		}
-		*grams += n
-		for i, id := range ids {
-			set[id] = uint32(index.Quantize(bounds[i]))
+		*grams += a.Grams
+		for k := range a.Len() {
+			set[a.ID(k)] = uint32(a.Bound(k))
 		}
 	}
 	for id, e := range live {
@@ -275,15 +275,15 @@ func TestCandidateSetAlgebraMatchesMapModel(t *testing.T) {
 				what := fmt.Sprintf("%s, round %d trial %d: %+v", shape.name, round, trial, l)
 				wantGrams := 0
 				want, wantOK := modelLookup(ix, live, l, &wantGrams)
-				ids, bounds, gotGrams, _, ok := ix.Candidates(l)
-				if ok != wantOK || gotGrams != wantGrams {
-					t.Fatalf("%s: answered %v over %d expanded grams, want %v over %d", what, ok, gotGrams, wantOK, wantGrams)
+				a, ok := ix.Candidates(l)
+				if ok != wantOK || a.Grams != wantGrams {
+					t.Fatalf("%s: answered %v over %d expanded grams, want %v over %d", what, ok, a.Grams, wantOK, wantGrams)
 				}
 				if !ok {
 					continue
 				}
 				answered++
-				checkAgainstModel(t, what, &CandidateSet{ids: ids, bounds: bounds}, want)
+				checkAgainstModel(t, what, &CandidateSet{ans: a}, want)
 			}
 			if (answered == 0) != shape.refuses {
 				t.Errorf("%s, round %d: %d of 40 lookups answered", shape.name, round, answered)

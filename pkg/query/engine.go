@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
@@ -214,14 +216,14 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 	case opts.TopN > 0: // the one walk of a set in ID order
 		mode, ids = ExecCandidateOnly, cand.IDs()
 	default:
-		mode, ids = ExecCandidateOnly, cand.ids
+		mode, ids = ExecCandidateOnly, cand.all()
 	}
 	switch {
 	case err != nil:
 	case opts.TopN <= 0:
 		got, err = e.evalAll(ctx, q, opts, ids)
 	case mode == ExecTopK:
-		seq := rankBounds(opts.Candidates, opts.MinProb)
+		seq := rankCandidates(opts.Candidates, opts.MinProb)
 		got, skipped, earlyStopped, err = e.evalRounds(ctx, q, opts, &seq)
 	default:
 		seq := rankIDs(ids, opts.MinProb)
@@ -248,7 +250,7 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 		s.DocsTotal = got.scanned + skipped
 		s.CandidatesFetched, s.CandidatesDeleted = 0, 0
 		if mode != ExecScan {
-			if s.DocsTotal = opts.Candidates.live; s.DocsTotal == 0 {
+			if s.DocsTotal = opts.Candidates.ans.Live; s.DocsTotal == 0 {
 				s.DocsTotal = e.st.Len()
 			}
 			s.CandidatesFetched, s.CandidatesDeleted = got.fetched, got.fetched-got.scanned
@@ -263,48 +265,63 @@ func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Re
 
 // ranking is the sequence a limited run walks, with an admissible upper
 // bound at every position, taken front to back a round at a time: a
-// candidate set best-bound-first (queue), or, where no bound below 1 is
-// known, ascending IDs (ids) at the vacuous bound 1. Positions whose
-// slack-widened bound falls below MinProb cannot produce a reportable
-// result, and the sequence being bound-descending, they form its tail;
-// usable counts the positions before it, of total.
+// candidate set best-bound-first (ans), or, where no bound below 1 is
+// known, ascending IDs (ids) at the vacuous bound 1. Positions whose bound
+// sits below usableFrom(MinProb) cannot produce a reportable result, and
+// the sequence being bound-descending, they form its tail; usable counts
+// the positions before it, of total.
 //
 // The candidate set arrives in no particular order and a run usually
-// reads a small prefix of it, so the ranking orders it only as far as
-// the run takes it: queue is a binary heap under compareBounded of the
-// usable positions not yet taken. Building it costs O(total) and each
-// position taken O(log usable), against O(total log total) for sorting
-// the whole set up front, and compareBounded is a total order over the
-// distinct IDs, so the positions come off it exactly as Ranked lists
-// them.
+// reads a small prefix of it, so the ranking orders it only as far as the
+// run takes it, and in the index's integer space: it never moves or
+// copies the candidates. The positions taken so far are the ones before
+// next, the first position not taken. A round finds the bound class its
+// last position falls in by counting — hist, then the low bytes of that
+// one bucket — takes every position above that class whole, and from the
+// class itself the IDs that come first, by a bounded selection; IDs are
+// looked up only for those and for the members of next's class. A round
+// costs a few passes of integer steps over the candidates and string
+// work on its own IDs and one class, and rounds double, so a run takes
+// few. Within a class the order is by ID, as Ranked lists it, so the
+// positions come off exactly as Ranked lists them.
 type ranking struct {
-	ids           []string
-	queue         []BoundedCandidate
+	ids []string
+	ans *index.Answer
+	// from is the smallest usable quantized bound (usableFrom).
+	from int
+	// hist counts the usable positions not yet taken, next among them, by
+	// their bound's high byte.
+	hist [256]int
+	// next is the first position not taken, once a round has taken some:
+	// its bound class and ID, and how many of its class the rounds took,
+	// those with smaller IDs. Before the first round its class is above
+	// every bound.
+	nextClass     int
+	nextID        string
+	nextTaken     int
 	taken         int
 	usable, total int
 }
 
 // rankIDs ranks ids, ascending, at the vacuous bound 1.
 func rankIDs(ids []string, minProb float64) ranking {
-	r := ranking{ids: ids, usable: len(ids), total: len(ids)}
-	if minProb > 0 && boundSlack < minProb {
-		r.usable = 0
+	r := ranking{ids: ids, total: len(ids)}
+	if usableFrom(minProb) <= math.MaxUint16 { // the quantized 1
+		r.usable = len(ids)
 	}
 	return r
 }
 
-// rankBounds ranks c's candidates best-bound-first.
-func rankBounds(c *CandidateSet, minProb float64) ranking {
-	queue := make([]BoundedCandidate, 0, len(c.ids))
-	for i, id := range c.ids {
-		if b := c.bounds[i]; !(minProb > 0 && b*boundSlack < minProb) {
-			queue = append(queue, BoundedCandidate{ID: id, Bound: b})
+// rankCandidates ranks c's candidates best-bound-first.
+func rankCandidates(c *CandidateSet, minProb float64) ranking {
+	r := ranking{ans: &c.ans, from: usableFrom(minProb), nextClass: 1 << 16, total: c.ans.Len()}
+	for k := range r.total {
+		if q := r.ans.Bound(k); int(q) >= r.from {
+			r.hist[q>>8]++
+			r.usable++
 		}
 	}
-	for i := len(queue)/2 - 1; i >= 0; i-- {
-		siftDown(queue, i)
-	}
-	return ranking{queue: queue, usable: len(queue), total: len(c.ids)}
+	return r
 }
 
 // peek is the first position not yet taken, which must be usable.
@@ -312,7 +329,7 @@ func (r *ranking) peek() BoundedCandidate {
 	if r.ids != nil {
 		return BoundedCandidate{ID: r.ids[r.taken], Bound: 1}
 	}
-	return r.queue[0]
+	return BoundedCandidate{ID: r.nextID, Bound: bound(uint16(r.nextClass))}
 }
 
 // take returns the IDs of the next n usable positions in ascending order,
@@ -323,36 +340,94 @@ func (r *ranking) take(n int) []string {
 	if r.ids != nil {
 		return r.ids[r.taken-n : r.taken]
 	}
-	out := make([]string, n)
-	for i := range out {
-		last := len(r.queue) - 1
-		out[i] = r.queue[0].ID
-		r.queue[0] = r.queue[last]
-		r.queue = r.queue[:last]
-		siftDown(r.queue, 0)
+	// Place the position after the n as well, if there is one: it is the
+	// next the run peeks at.
+	m := min(n+1, r.usable-r.taken+n)
+	cut, above := r.cut(m)
+	need := m - above // of the cut class
+	// The positions above the cut class fill buf's head, and those of the
+	// class its tail.
+	buf := make([]string, m)
+	out, sel := buf[:0:above], buf[above:above]
+	for k := range r.ans.Len() {
+		q := int(r.ans.Bound(k))
+		if q < cut || q > r.nextClass {
+			continue
+		}
+		id := r.ans.ID(k)
+		switch {
+		case q == r.nextClass && id < r.nextID: // taken already
+		case q == cut:
+			sel = smallest(sel, id, need)
+		default:
+			out = append(out, id)
+			r.hist[q>>8]--
+		}
 	}
+	if m > n { // the largest of the class's IDs is the next position
+		if cut != r.nextClass {
+			r.nextTaken = 0
+		}
+		r.nextClass, r.nextID, r.nextTaken = cut, sel[0], r.nextTaken+need-1
+		sel[0] = sel[need-1]
+	}
+	r.hist[cut>>8] -= n - above
+	out = buf[:n]
 	slices.Sort(out)
 	return out
 }
 
-// siftDown restores the heap order of h below i, every other subtree
-// being in order already: h[i] moves down past every child that
-// compareBounded puts before it.
-func siftDown(h []BoundedCandidate, i int) {
-	for {
-		kid := 2*i + 1
-		if kid >= len(h) {
-			return
+// cut returns the bound class of the m-th usable position after next,
+// and how many of those m lie above that class.
+func (r *ranking) cut(m int) (class, above int) {
+	hi := 255
+	for ; above+r.hist[hi] < m; hi-- {
+		above += r.hist[hi]
+	}
+	var low [256]int
+	for k := range r.ans.Len() {
+		if q := int(r.ans.Bound(k)); q>>8 == hi && q >= r.from && q <= r.nextClass {
+			low[q&255]++
 		}
-		if kid+1 < len(h) && compareBounded(h[kid+1], h[kid]) < 0 {
+	}
+	if r.nextClass>>8 == hi {
+		low[r.nextClass&255] -= r.nextTaken
+	}
+	lo := 255
+	for ; above+low[lo] < m; lo-- {
+		above += low[lo]
+	}
+	return hi<<8 | lo, above
+}
+
+// smallest offers id to sel, a max-heap that keeps the n smallest of the
+// IDs offered to it: an ID is one compare against the largest kept, and
+// O(log n) steps if it replaces it, however large the class.
+func smallest(sel []string, id string, n int) []string {
+	i := len(sel)
+	if i < n {
+		sel = append(sel, id)
+		for i > 0 && sel[(i-1)/2] < id { // up, past every smaller parent
+			sel[i], i = sel[(i-1)/2], (i-1)/2
+		}
+		sel[i] = id
+		return sel
+	}
+	if id >= sel[0] {
+		return sel
+	}
+	for i = 0; 2*i+1 < n; { // down, past every larger child
+		kid := 2*i + 1
+		if kid+1 < n && sel[kid+1] > sel[kid] {
 			kid++
 		}
-		if compareBounded(h[i], h[kid]) < 0 {
-			return
+		if sel[kid] <= id {
+			break
 		}
-		h[i], h[kid] = h[kid], h[i]
-		i = kid
+		sel[i], i = sel[kid], kid
 	}
+	sel[i] = id
+	return sel
 }
 
 // evalRounds is Search's one round loop for opts.TopN > 0: it evaluates
@@ -472,8 +547,13 @@ type tally struct {
 	fetched, scanned int
 }
 
+// add sums o into t, taking o's results over.
 func (t *tally) add(o tally) {
-	t.res = append(t.res, o.res...)
+	if t.res == nil {
+		t.res = o.res
+	} else {
+		t.res = append(t.res, o.res...)
+	}
 	t.fetched += o.fetched
 	t.scanned += o.scanned
 }
@@ -582,6 +662,9 @@ func (e *Engine) evalBatch(ctx context.Context, q *Query, opts SearchOptions, id
 		}
 		t.scanned++
 		if p > 0 && p >= opts.MinProb {
+			if t.res == nil { // room for the batch's results
+				t.res = make([]Result, 0, len(ids))
+			}
 			t.res = append(t.res, Result{DocID: ids[i], Prob: p})
 		}
 		return nil

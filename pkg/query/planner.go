@@ -47,30 +47,26 @@ import (
 // the methods below are defined on the nil receiver.
 //
 // Each candidate carries an admissible upper bound on that document's
-// match probability (see Ranked): what the posting source reported, or the
-// vacuous 1, which is always admissible.
+// match probability (see Ranked): what the posting source reported, in
+// the index's 16-bit fixed point, read as exactly 1 from topClass up.
 //
-// The set keeps the candidates as the posting source returned them, in
-// no particular order, and puts them in order only as far as a reader
-// asks: IDs sorts a copy by ID, Ranked sorts a copy by bound, and a top-k
-// run orders them one round at a time (ranking). The stored candidates are
-// never modified, so a set may be shared between goroutines.
+// The set keeps the posting source's answer as it came, in no particular
+// order and in the index's integer space — each candidate a quantized
+// bound and the place of its ID in the version the source read — and
+// resolves IDs only as far as a reader asks: IDs and Ranked resolve every
+// one and sort a copy, an unlimited run resolves every one, and a top-k
+// run orders the candidates one round at a time, resolving the IDs of the
+// rounds it takes and of the bound class each round cuts (ranking). The
+// answer is never modified, so a set may be shared between goroutines.
 type CandidateSet struct {
-	// ids is duplicate-free, in no particular order.
-	ids []string
-	// bounds is aligned with ids: bounds[i] is an upper bound in [0, 1] on
-	// ids[i]'s match probability.
-	bounds []float64
-	// live is the number of live documents the posting source held as it
-	// answered, which every ID of ids was one of; 0 when it is not known.
-	live int
+	ans index.Answer
 }
 
 // NewCandidateSet builds a set from ids, in any order, duplicates allowed,
 // each at the vacuous bound 1.
 func NewCandidateSet(ids ...string) *CandidateSet {
 	sorted := slices.Compact(slices.Sorted(slices.Values(ids)))
-	return &CandidateSet{ids: sorted, bounds: slices.Repeat([]float64{1}, len(sorted))}
+	return &CandidateSet{ans: index.AnswerOf(sorted, nil, 0, 0)}
 }
 
 // Len returns the number of candidates, or -1 for the nil
@@ -79,7 +75,7 @@ func (c *CandidateSet) Len() int {
 	if c == nil {
 		return -1
 	}
-	return len(c.ids)
+	return c.ans.Len()
 }
 
 // IDs returns a fresh copy of the candidates in ascending order; nil for
@@ -88,7 +84,22 @@ func (c *CandidateSet) IDs() []string {
 	if c == nil {
 		return nil
 	}
-	return slices.Sorted(slices.Values(c.ids))
+	ids := c.all()
+	slices.Sort(ids)
+	return ids
+}
+
+// all returns the candidates' IDs in the answer's order, nil if there
+// are none.
+func (c *CandidateSet) all() []string {
+	if c.ans.Len() == 0 {
+		return nil
+	}
+	ids := make([]string, c.ans.Len())
+	for k := range ids {
+		ids[k] = c.ans.ID(k)
+	}
+	return ids
 }
 
 // BoundedCandidate pairs a candidate document ID with its probability
@@ -105,9 +116,9 @@ func (c *CandidateSet) Ranked() []BoundedCandidate {
 	if c == nil {
 		return nil
 	}
-	out := make([]BoundedCandidate, len(c.ids))
-	for i, id := range c.ids {
-		out[i] = BoundedCandidate{ID: id, Bound: c.bounds[i]}
+	out := make([]BoundedCandidate, c.ans.Len())
+	for k := range out {
+		out[k] = BoundedCandidate{ID: c.ans.ID(k), Bound: bound(c.ans.Bound(k))}
 	}
 	slices.SortFunc(out, compareBounded)
 	return out
@@ -126,24 +137,58 @@ func compareBounded(a, b BoundedCandidate) int {
 	return strings.Compare(a.ID, b.ID)
 }
 
+// topClass is the smallest quantized bound whose slack-widened value
+// reaches 1. Plan.Lookup's candidates read every bound from it up as
+// exactly 1 — still admissible, and what lets top-k cut ties at
+// probability 1 (see final).
+var topClass = reaching(1, index.Dequantize)
+
+// bound is the probability bound the quantized q stands for in a
+// CandidateSet.
+func bound(q uint16) float64 {
+	if int(q) >= topClass {
+		return 1
+	}
+	return index.Dequantize(q)
+}
+
+// usableFrom is the one integer form of MinProb: the smallest quantized
+// bound a limited run may still fetch, 1<<16 when none is. A document
+// whose slack-widened bound falls below minProb cannot produce a
+// reportable result, and that is every bound below the threshold.
+func usableFrom(minProb float64) int {
+	if !(minProb > 0) {
+		return 0
+	}
+	return reaching(minProb, bound)
+}
+
+// reaching returns the smallest quantized q whose bound under read,
+// widened by boundSlack, reaches p: read is non-decreasing in q, so that
+// is a binary search over the 1<<16 of them, 1<<16 if none does.
+func reaching(p float64, read func(uint16) float64) int {
+	return sort.Search(1<<16, func(q int) bool { return read(uint16(q))*boundSlack >= p })
+}
+
 // PostingSource answers the planner's lookup — the seam at which a test
-// substitutes a fake for the inverted index (index.Index satisfies it; the
-// index package is imported for the Lookup type alone). Implementations
-// must honor the same no-false-negative contract: every live document
-// whose retained readings could satisfy the lookup must appear in the
-// result.
+// substitutes a fake for the inverted index (index.Index satisfies it).
+// Implementations must honor the same no-false-negative contract: every
+// live document whose retained readings could satisfy the lookup must
+// appear in the result.
 type PostingSource interface {
-	// Candidates answers l as index.Index.Candidates documents:
-	// duplicate-free IDs in no particular order, aligned admissible bounds,
-	// the dictionary grams the wildcard patterns expanded to, the number of
-	// live documents the source held as it answered, and ok=false when the
-	// source cannot answer and the caller must not prune. A source without
-	// bound information returns nil bounds, which reads as 1 everywhere — it
-	// still plans, just without early-termination fuel; one that does not
-	// count its documents returns live 0, and the engine then reads the
-	// store's count (SearchStats.DocsTotal). The caller takes both slices
+	// Candidates answers l as index.Index.Candidates documents: the
+	// candidates, duplicate-free, in no particular order, each at an
+	// admissible quantized bound; the dictionary grams the wildcard
+	// patterns expanded to (counted even when ok is false); the number of
+	// live documents the source held as it answered; and ok=false when the
+	// source cannot answer and the caller must not prune. Any other source
+	// hands over its candidates through index.AnswerOf: one without bound
+	// information passes nil bounds, which read as 1 everywhere — it still
+	// plans, just without early-termination fuel — and one that does not
+	// count its documents passes live 0, and the engine then reads the
+	// store's count (SearchStats.DocsTotal). The caller takes the answer
 	// over.
-	Candidates(l index.Lookup) (ids []string, bounds []float64, grams, live int, ok bool)
+	Candidates(l index.Lookup) (index.Answer, bool)
 }
 
 // Plan is the pruning strategy extracted from a Query at a given gram
@@ -213,9 +258,7 @@ func (p *Plan) Candidates(src PostingSource) *CandidateSet {
 // build the set: NumGrams, and for every wildcard leaf the grams src
 // expanded its patterns to — a count that depends on the index, not just
 // on the plan. The whole plan is one lookup: src evaluates it and hands
-// back the finished set, whose every bound that the engine's slack widens
-// to 1 or more is raised to exactly 1 — still admissible, and what lets
-// top-k cut ties at probability 1 (see final).
+// back the finished answer, which the set keeps as it is (see topClass).
 func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
 	switch p.kind {
 	case scans:
@@ -223,19 +266,11 @@ func (p *Plan) Lookup(src PostingSource) (*CandidateSet, int) {
 	case matchesNothing:
 		return NewCandidateSet(), 0
 	}
-	ids, bounds, expanded, live, ok := src.Candidates(p.lookup)
+	ans, ok := src.Candidates(p.lookup)
 	if !ok {
-		return nil, p.grams + expanded
+		return nil, p.grams + ans.Grams
 	}
-	if bounds == nil {
-		bounds = slices.Repeat([]float64{1}, len(ids))
-	}
-	for i, b := range bounds {
-		if b*boundSlack >= 1 {
-			bounds[i] = 1
-		}
-	}
-	return &CandidateSet{ids: ids, bounds: bounds, live: live}, p.grams + expanded
+	return &CandidateSet{ans: ans}, p.grams + ans.Grams
 }
 
 // Prunable reports whether the plan can restrict a scan at all, given a

@@ -18,10 +18,10 @@ import (
 )
 
 // fakeSource records the one lookup each plan hands it and answers from
-// canned postings, with each answered document's bound from bounds — or
-// without bound information when bounds is nil. It answers in ascending
-// ID order, or, given shuffle, in an order shuffle draws: the contract
-// promises none.
+// canned postings, with each answered document's bound from bounds,
+// quantized — or without bound information when bounds is nil. It answers
+// in ascending ID order, or, given shuffle, in an order shuffle draws: the
+// contract promises none.
 type fakeSource struct {
 	byGram map[string][]string
 	// wild is what a Patterns node admits; it reports one dictionary gram
@@ -32,7 +32,7 @@ type fakeSource struct {
 	calls   []index.Lookup
 }
 
-func (f *fakeSource) Candidates(l index.Lookup) ([]string, []float64, int, int, bool) {
+func (f *fakeSource) Candidates(l index.Lookup) (index.Answer, bool) {
 	f.calls = append(f.calls, l)
 	grams := 0
 	set := f.admits(l, &grams)
@@ -44,13 +44,13 @@ func (f *fakeSource) Candidates(l index.Lookup) ([]string, []float64, int, int, 
 	if f.shuffle != nil {
 		f.shuffle.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	}
-	var bounds []float64
+	var bounds []uint16
 	if f.bounds != nil {
 		for _, id := range ids {
-			bounds = append(bounds, f.bounds[id])
+			bounds = append(bounds, index.Quantize(f.bounds[id]))
 		}
 	}
-	return ids, bounds, grams, 0, true
+	return index.AnswerOf(ids, bounds, grams, 0), true
 }
 
 func (f *fakeSource) admits(l index.Lookup, grams *int) map[string]bool {
@@ -144,13 +144,13 @@ func TestPlanLeafGrams(t *testing.T) {
 // can evaluate to 1 whatever the source; the index's largest quantized
 // bound under 1, and anything lower, pass through untouched.
 func TestPlanLookupSnapsBoundsToOne(t *testing.T) {
-	belowOne := 65534.0 / 65535
+	belowOne, half := 65534.0/65535, index.Dequantize(1<<15)
 	src := &fakeSource{
 		byGram: map[string][]string{"abc": {"d1", "d2", "d3", "d4"}},
-		bounds: map[string]float64{"d1": 0.5, "d2": belowOne, "d3": 0.9999999995, "d4": 1},
+		bounds: map[string]float64{"d1": half, "d2": belowOne, "d3": 0.9999999995, "d4": 1},
 	}
 	cand := mustQ(query.Substring("abc")).Plan(3).Candidates(src)
-	want := []query.BoundedCandidate{{ID: "d3", Bound: 1}, {ID: "d4", Bound: 1}, {ID: "d2", Bound: belowOne}, {ID: "d1", Bound: 0.5}}
+	want := []query.BoundedCandidate{{ID: "d3", Bound: 1}, {ID: "d4", Bound: 1}, {ID: "d2", Bound: belowOne}, {ID: "d1", Bound: half}}
 	if got := cand.Ranked(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Ranked = %v, want %v", got, want)
 	}

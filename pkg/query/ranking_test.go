@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -35,7 +36,11 @@ func TestRankingMatchesRanked(t *testing.T) {
 			ids[i], ids[j] = ids[j], ids[i]
 			bounds[i], bounds[j] = bounds[j], bounds[i]
 		})
-		set := &CandidateSet{ids: slices.Clone(ids), bounds: slices.Clone(bounds)}
+		quantized := make([]uint16, n)
+		for i, b := range bounds {
+			quantized[i] = index.Quantize(b)
+		}
+		set := &CandidateSet{ans: index.AnswerOf(slices.Clone(ids), quantized, 0, 0)}
 		want := set.Ranked()
 		minProb := []float64{0, 0, rng.Float64(), q(0.5), 1}[rng.Intn(5)]
 		usable := len(want)
@@ -44,7 +49,7 @@ func TestRankingMatchesRanked(t *testing.T) {
 		}
 		what := fmt.Sprintf("trial %d: %d candidates, MinProb %v", trial, n, minProb)
 
-		seq := rankBounds(set, minProb)
+		seq := rankCandidates(set, minProb)
 		if seq.usable != usable || seq.total != n {
 			t.Fatalf("%s: %d of %d positions usable, want %d of %d", what, seq.usable, seq.total, usable, n)
 		}
@@ -77,8 +82,49 @@ func TestRankingMatchesRanked(t *testing.T) {
 		if got := set.IDs(); !reflect.DeepEqual(got, byID) {
 			t.Fatalf("%s: IDs = %v, want %v", what, got, byID)
 		}
-		if !slices.Equal(set.ids, ids) || !slices.Equal(set.bounds, bounds) {
-			t.Fatalf("%s: ranking and IDs reordered the set's own candidates", what)
+		for k := range n {
+			if set.ans.ID(k) != ids[k] || set.ans.Bound(k) != quantized[k] {
+				t.Fatalf("%s: ranking and IDs reordered the set's own candidates", what)
+			}
+		}
+	}
+}
+
+// TestUsableFromMatchesFloatRule: over every one of the 65,536 quantized
+// bounds and a grid of MinProb values — each bound's own value, widened
+// and not, and the floats next to them, the edges of [0, 1] and past
+// them — a candidate is cut by the integer threshold exactly when the
+// float rule cuts it: its bound, raised to 1 where the slack widens it to
+// 1 or more, widened by the slack and below MinProb. bound is that raised
+// bound.
+func TestUsableFromMatchesFloatRule(t *testing.T) {
+	raised := func(q uint16) float64 {
+		if b := index.Dequantize(q); b*boundSlack < 1 {
+			return b
+		}
+		return 1
+	}
+	grid := []float64{math.Inf(-1), -1, 0, math.NaN(), 1e-300, 1, math.Nextafter(1, 2), boundSlack, math.Nextafter(boundSlack, 2), 2, math.Inf(1)}
+	rng := rand.New(rand.NewSource(65536))
+	for range 64 {
+		b := index.Dequantize(uint16(rng.Intn(1 << 16)))
+		for _, p := range []float64{b, b * boundSlack} {
+			grid = append(grid, p, math.Nextafter(p, 0), math.Nextafter(p, 2))
+		}
+		grid = append(grid, rng.Float64())
+	}
+	for q := range 1 << 16 {
+		if got, want := bound(uint16(q)), raised(uint16(q)); got != want {
+			t.Fatalf("bound(%d) = %v, want %v", q, got, want)
+		}
+	}
+	for _, minProb := range grid {
+		from := usableFrom(minProb)
+		for q := range 1 << 16 {
+			cut := minProb > 0 && raised(uint16(q))*boundSlack < minProb
+			if (q < from) != cut {
+				t.Fatalf("MinProb %v: bound %d (%v) is cut %v by the threshold %d, %v by the float rule", minProb, q, index.Dequantize(uint16(q)), q < from, from, cut)
+			}
 		}
 	}
 }

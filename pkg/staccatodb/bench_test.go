@@ -189,14 +189,44 @@ func BenchmarkFuzzySearchScan(b *testing.B) {
 // TestSearchTopKEarlyStopsDeterministically asserts the early stop.
 const topkCorpusDocs = 10000
 
-// topkCorpora holds the marker corpus ingested in ID order ([0]) and in
-// a shuffled order ([1]). The index numbers documents in the order they
-// arrive, so only the shuffled one hands the candidates over out of ID
-// order — the shape overwrites leave behind.
-var topkCorpora [2]struct {
+// The top-k corpora: the marker corpus ingested in ID order and in a
+// shuffled order, and the ties corpus. The index numbers documents in the
+// order they arrive, so only the shuffled ones hand the candidates over
+// out of ID order — the shape overwrites leave behind.
+const (
+	topkInOrder = iota
+	topkShuffled
+	topkTies
+)
+
+var topkCorpora [3]struct {
 	once sync.Once
 	dir  string
 	err  error
+}
+
+// The ties corpus has the shape of the bench's common keywords, which
+// the marker corpus, whose bounds are all distinct, cannot show: of its
+// 2,000 documents, shuffled, the first 500 hold " zqtie", and the first
+// 200 of those in every reading, so 40% of the term's candidates have a
+// bound of exactly 1 and evaluate to exactly 1, and a top 10 is settled
+// by the tie at 1.
+const (
+	topkTiesDocs    = 2000
+	topkTiesHolders = 500
+	topkTiesCertain = 200
+)
+
+// topkTiesMarker is document i's marker chunk in the ties corpus, at
+// probability p when the term is uncertain.
+func topkTiesMarker(i int, p float64) []staccato.Alt {
+	switch {
+	case i < topkTiesCertain: // 0.75 + 0.25 is exactly 1
+		return []staccato.Alt{{Text: " zqtie", Prob: 0.75}, {Text: " zqtie~", Prob: 0.25}}
+	case i < topkTiesHolders:
+		return []staccato.Alt{{Text: " zqtie", Prob: p}, {Text: "~", Prob: 1 - p}}
+	}
+	return []staccato.Alt{{Text: "~", Prob: 1}}
 }
 
 // topkMarker is document i's marker text: every tier the document
@@ -216,25 +246,30 @@ func topkMarker(i int) string {
 	return m
 }
 
-// topkCorpus ingests the shared marker corpus once per test binary, in ID
-// order or, shuffled, in a fixed random order.
-func topkCorpus(b *testing.B, shuffled bool) string {
+// topkCorpus ingests one of the shared top-k corpora once per test
+// binary: the marker corpus in ID order or, like the ties corpus, in a
+// fixed random order.
+func topkCorpus(b *testing.B, kind int) string {
 	b.Helper()
-	c := &topkCorpora[0]
-	if shuffled {
-		c = &topkCorpora[1]
+	c := &topkCorpora[kind]
+	n := topkCorpusDocs
+	if kind == topkTies {
+		n = topkTiesDocs
 	}
 	c.once.Do(func() {
 		var docs []*staccato.Doc
-		c.err = testgen.EachDoc(topkCorpusDocs,
+		c.err = testgen.EachDoc(n,
 			testgen.Config{Length: benchDocLen, Seed: 202}, benchChunks, benchK,
 			func(dc testgen.DocCase) error {
 				// Strictly decreasing marker probability by document number
 				// keeps the bound ranking total and deterministic.
 				i := len(docs)
-				p := 0.95 - 0.9*float64(i)/float64(topkCorpusDocs)
+				p := 0.95 - 0.9*float64(i)/float64(n)
 				alts := []staccato.Alt{{Text: topkMarker(i), Prob: p}, {Text: "~", Prob: 1 - p}}
-				if alts[0].Prob < alts[1].Prob {
+				if kind == topkTies {
+					alts = topkTiesMarker(i, p)
+				}
+				if len(alts) > 1 && alts[0].Prob < alts[1].Prob {
 					alts[0], alts[1] = alts[1], alts[0]
 				}
 				dc.Doc.Chunks = append(dc.Doc.Chunks, staccato.PathSet{Alts: alts, Retained: 1})
@@ -245,7 +280,7 @@ func topkCorpus(b *testing.B, shuffled bool) string {
 		if c.err != nil {
 			return
 		}
-		if shuffled {
+		if kind != topkInOrder {
 			rng := rand.New(rand.NewSource(48))
 			rng.Shuffle(len(docs), func(i, j int) { docs[i], docs[j] = docs[j], docs[i] })
 		}
@@ -274,23 +309,25 @@ func topkCorpus(b *testing.B, shuffled bool) string {
 // query selected; evaluated_docs and early_stopped expose how much of it
 // the bound-driven path actually touched. The shuffled tiers run over the
 // corpus ingested out of ID order, so the candidates leave the index in
-// no order a sort could exploit.
+// no order a sort could exploit; the ties tier over the ties corpus,
+// where 200 of 500 candidates tie at the bound 1.
 func BenchmarkSearchTopK(b *testing.B) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name, term string
 		want       int
-		shuffled   bool
+		corpus     int
 	}{
-		{"cand=10", "zqx10", 10, false},
-		{"cand=100", "zqc100", 100, false},
-		{"cand=1000", "zqm1000", 1000, false},
-		{"cand=10000", "zqall", 10000, false},
-		{"shuffled/cand=1000", "zqm1000", 1000, true},
-		{"shuffled/cand=10000", "zqall", 10000, true},
+		{"cand=10", "zqx10", 10, topkInOrder},
+		{"cand=100", "zqc100", 100, topkInOrder},
+		{"cand=1000", "zqm1000", 1000, topkInOrder},
+		{"cand=10000", "zqall", 10000, topkInOrder},
+		{"shuffled/cand=1000", "zqm1000", 1000, topkShuffled},
+		{"shuffled/cand=10000", "zqall", 10000, topkShuffled},
+		{"ties/cand=500", "zqtie", topkTiesHolders, topkTies},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			db, err := staccatodb.Open(topkCorpus(b, tc.shuffled), staccatodb.WithNoSync())
+			db, err := staccatodb.Open(topkCorpus(b, tc.corpus), staccatodb.WithNoSync())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -335,7 +372,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 // BenchmarkSearchTopK/cand=10000 is what bound-driven early termination
 // buys.
 func BenchmarkSearchTopKExhaustive(b *testing.B) {
-	dir := topkCorpus(b, false)
+	dir := topkCorpus(b, topkInOrder)
 	ctx := context.Background()
 	db, err := staccatodb.Open(dir, staccatodb.WithNoSync())
 	if err != nil {

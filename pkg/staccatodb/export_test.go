@@ -2,6 +2,7 @@ package staccatodb
 
 import (
 	"github.com/paper-repo/staccato-go/internal/framelog"
+	"github.com/paper-repo/staccato-go/pkg/index"
 	"github.com/paper-repo/staccato-go/pkg/store/diskstore"
 )
 
@@ -12,6 +13,10 @@ func OpenFS(fsys framelog.FS, opts ...Option) (*DB, error) { return open(fsys, "
 // Store is the database's document store, for tests that read it
 // directly.
 func (db *DB) Store() *diskstore.Store { return db.disk }
+
+// Index is the database's index, nil without one, for tests that plan
+// against it directly.
+func (db *DB) Index() *index.Index { return db.idx }
 
 // WithMaxSegmentBytes sets the store's segment roll size, on disk and in
 // memory alike (see diskstore.Options.MaxSegmentBytes), so that a test's

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -65,21 +66,27 @@ func Decode(data []byte) (*staccato.Doc, error) {
 	if h.numChunks == 0 {
 		return doc, nil
 	}
-	text := string(h.body)
+	body := h.body
+	text := string(body)
 	doc.Chunks = make([]staccato.PathSet, h.numChunks)
 	alts := make([]staccato.Alt, h.numAlts)
-	d := decoder{buf: h.body}
+	at := 0
 	for i := range doc.Chunks {
 		ch := &doc.Chunks[i]
-		ch.Retained = d.float()
-		if n := int(d.uvarint()); n > 0 {
+		ch.Retained = float(body, at)
+		var n uint64
+		if n, at = uvarint(body, at+8); n > 0 {
 			ch.Alts, alts = alts[:n:n], alts[n:]
 		}
 		for j := range ch.Alts {
-			n := int(d.uvarint())
-			at := len(h.body) - len(d.buf)
-			d.buf = d.buf[n:]
-			ch.Alts[j] = staccato.Alt{Text: text[at : at+n], Prob: d.float()}
+			if body[at] < 0x80 {
+				n, at = uint64(body[at]), at+1
+			} else {
+				n, at = uvarint(body, at)
+			}
+			end := at + int(n)
+			ch.Alts[j] = staccato.Alt{Text: text[at:end], Prob: float(body, end)}
+			at = end + 8
 		}
 	}
 	return doc, nil
@@ -127,51 +134,89 @@ type header struct {
 // parse validates data as an encoded document; when v is non-nil it
 // also appends every alternative's span and probability and every
 // chunk's end to v. It is the only place a record's validity is
-// decided, for Decode and View alike.
+// decided, for Decode and View alike. It reads data at an offset, each
+// field's bounds checked once, and returns at the first fault.
 func parse(data []byte, v *View) (header, error) {
-	d := decoder{buf: data}
-	var magic [4]byte
-	copy(magic[:], d.bytes(4))
-	if d.err == nil && magic != codecMagic {
+	if len(data) < len(codecMagic) {
+		return header{}, errTruncated
+	}
+	if magic := [4]byte(data); magic != codecMagic {
 		return header{}, fmt.Errorf("store: Decode: bad magic %q", magic)
 	}
-	if ver := d.byte(); d.err == nil && ver != codecVersion {
+	if len(data) == len(codecMagic) {
+		return header{}, errTruncated
+	}
+	if ver := data[4]; ver != codecVersion {
 		return header{}, fmt.Errorf("store: Decode: unsupported version %d", ver)
 	}
 	var h header
-	h.id = d.text()
-	h.params.Chunks = int(d.uvarint())
-	h.params.K = int(d.uvarint())
-	h.numChunks = d.uvarint()
-	if d.err == nil && h.numChunks > uint64(len(data)) {
+	n, at := uvarint(data, 5)
+	if at < 0 || n > uint64(len(data)-at) {
+		return header{}, errTruncated
+	}
+	h.id, at = data[at:at+int(n)], at+int(n)
+	var chunks, k uint64
+	if chunks, at = uvarint(data, at); at < 0 {
+		return header{}, errTruncated
+	}
+	if k, at = uvarint(data, at); at < 0 {
+		return header{}, errTruncated
+	}
+	if h.numChunks, at = uvarint(data, at); at < 0 {
+		return header{}, errTruncated
+	}
+	h.params = staccato.Params{Chunks: int(chunks), K: int(k)}
+	if h.numChunks > uint64(len(data)) {
 		return header{}, fmt.Errorf("store: Decode: implausible chunk count %d", h.numChunks)
 	}
-	h.body = d.buf
-	for i := uint64(0); i < h.numChunks && d.err == nil; i++ {
-		d.float()
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(data)) {
+	h.body = data[at:]
+	// The view's slices grow in locals, not through v, and are handed back
+	// at the end.
+	var spans, ends []int
+	var probs []float64
+	if v != nil {
+		spans, probs, ends = v.Spans, v.Probs, v.Ends
+	}
+	for range h.numChunks {
+		if len(data)-at < 8 { // the retained mass
+			return header{}, errTruncated
+		}
+		if at += 8; at < len(data) && data[at] < 0x80 { // one byte, like most counts and lengths
+			n, at = uint64(data[at]), at+1
+		} else if n, at = uvarint(data, at); at < 0 {
+			return header{}, errTruncated
+		}
+		if n > uint64(len(data)) {
 			return header{}, fmt.Errorf("store: Decode: implausible alt count %d", n)
 		}
 		h.numAlts += n
-		for j := uint64(0); j < n && d.err == nil; j++ {
-			text := d.text()
-			p := d.float()
-			if v != nil && d.err == nil {
-				end := len(data) - len(d.buf) - 8
-				v.Spans = append(v.Spans, end-len(text), end)
-				v.Probs = append(v.Probs, p)
+		for range n {
+			var size uint64
+			if at < len(data) && data[at] < 0x80 {
+				size, at = uint64(data[at]), at+1
+			} else if size, at = uvarint(data, at); at < 0 {
+				return header{}, errTruncated
 			}
+			// The text, then its probability.
+			if rest := uint64(len(data) - at); size > rest || rest-size < 8 {
+				return header{}, errTruncated
+			}
+			end := at + int(size)
+			if v != nil {
+				spans = append(spans, at, end)
+				probs = append(probs, float(data, end))
+			}
+			at = end + 8
 		}
 		if v != nil {
-			v.Ends = append(v.Ends, len(v.Probs))
+			ends = append(ends, len(probs))
 		}
 	}
-	if d.err != nil {
-		return header{}, d.err
+	if at != len(data) {
+		return header{}, fmt.Errorf("store: Decode: %d trailing bytes", len(data)-at)
 	}
-	if len(d.buf) != 0 {
-		return header{}, fmt.Errorf("store: Decode: %d trailing bytes", len(d.buf))
+	if v != nil {
+		v.Spans, v.Probs, v.Ends = spans, probs, ends
 	}
 	return h, nil
 }
@@ -185,54 +230,28 @@ func appendFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
-// decoder consumes a byte slice with a latched error, so the happy path
-// reads linearly without per-field error checks.
-type decoder struct {
-	buf []byte
-	err error
-}
+// errTruncated is every read past the end of a record, and every varint
+// that runs past it or past 64 bits.
+var errTruncated = errors.New("store: Decode: truncated input")
 
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("store: Decode: truncated input")
+// uvarint returns the unsigned varint at data[at:] and the offset past
+// it; the offset is negative if the varint runs past data or past 64
+// bits. The loops over chunks and alternatives read a one-byte varint,
+// most of a record's, in line, and call it only for a longer one: with
+// the call in it, it is too large to be inlined.
+func uvarint(data []byte, at int) (uint64, int) {
+	if at >= len(data) {
+		return 0, -1
 	}
-}
-
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil || len(d.buf) < n {
-		d.fail()
-		return make([]byte, n)
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *decoder) byte() byte { return d.bytes(1)[0] }
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
+	x, n := binary.Uvarint(data[at:])
 	if n <= 0 {
-		d.fail()
-		return 0
+		return 0, -1
 	}
-	d.buf = d.buf[n:]
-	return v
+	return x, at + n
 }
 
-// text reads a length-prefixed byte string, aliasing the input.
-func (d *decoder) text() []byte {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.buf)) {
-		d.fail()
-		return nil
-	}
-	return d.bytes(int(n))
-}
-
-func (d *decoder) float() float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.bytes(8)))
+// float returns the little-endian float64 at data[at:], which must hold
+// 8 bytes.
+func float(data []byte, at int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(data[at:]))
 }

@@ -235,3 +235,18 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkViewParse times View.Parse, the validating pass every read of
+// a stored document runs before it is evaluated, on one (6,3)
+// error-model record, into a View that has grown to it.
+func BenchmarkViewParse(b *testing.B) {
+	data := errModelDoc(b)
+	var v store.View
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	for b.Loop() {
+		if err := v.Parse(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
